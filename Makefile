@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
+.PHONY: all build vet test rtbench rtbench-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
 
 all: build vet test
 
@@ -129,8 +129,22 @@ soak-short:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# rtbench is the repository's benchmark (BENCHMARK.json, bench/README.md): a
+# nested module the root `go test ./...` does not see. rtbench-smoke vets it
+# and runs its tests at --tiny sizes; `make rtbench W=recover_replay` runs one
+# workload end to end (RTBENCH_ARGS overrides seed, seconds and tracing).
+W ?= wire_query
+RTBENCH_ARGS ?= --seed 1 --seconds 12 --trace 0
+rtbench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+rtbench:
+	bash bench/run.sh --workload $(W) $(RTBENCH_ARGS)
+
 # Machine-readable benchmark snapshot (ns/op, B/op, allocs/op for E1-E10
-# plus the adhoc scaling suite) for tracking perf across commits.
+# plus the adhoc scaling suite) for tracking perf across commits. These are
+# microbenchmarks of single code paths; the gate for a performance claim is
+# rtbench (above), not these files.
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/adhoc/ | $(GO) run ./cmd/benchjson -o BENCH_adhoc.json
 	$(GO) test -run='^$$' -bench=. -benchmem -timeout=30m ./internal/rtdb/log/ ./internal/rtdb/server/ ./internal/rtdb/sub/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/torture/ | $(GO) run ./cmd/benchjson -o BENCH_rtdb.json
@@ -141,6 +155,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzStrRoundTrip -fuzztime=20s ./internal/encoding/
 	$(GO) test -fuzz=FuzzRecordRoundTrip -fuzztime=20s ./internal/encoding/
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=20s ./internal/rtdb/log/
+	$(GO) test -fuzz=FuzzEventCodecDifferential -fuzztime=20s ./internal/rtdb/log/
+	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzSegmentRecovery -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/rtwire/

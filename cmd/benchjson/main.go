@@ -29,8 +29,13 @@ type Entry struct {
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 }
 
+// note rides in every document so that nobody reads a snapshot as evidence
+// for a performance claim.
+const note = "go test -bench microbenchmarks of single code paths on one machine; performance claims are gated by rtbench (BENCHMARK.json, bench/README.md), not by this file"
+
 // Doc is the emitted document.
 type Doc struct {
+	Note       string  `json:"note"`
 	Goos       string  `json:"goos,omitempty"`
 	Goarch     string  `json:"goarch,omitempty"`
 	Pkg        string  `json:"pkg,omitempty"`
@@ -69,7 +74,7 @@ func main() {
 //
 // where the -8 GOMAXPROCS suffix and the memory columns are optional.
 func parse(sc *bufio.Scanner) Doc {
-	doc := Doc{Benchmarks: []Entry{}}
+	doc := Doc{Note: note, Benchmarks: []Entry{}}
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

@@ -2,6 +2,7 @@ package rtdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -57,6 +58,10 @@ func (o *ImageObject) At(t timeseq.Time) (Sample, bool) {
 
 // History returns all archival samples, oldest first.
 func (o *ImageObject) History() []Sample { return o.history }
+
+// Grow makes room for n more samples, so that a replay of known length
+// appends into one allocation instead of doubling its way up.
+func (o *ImageObject) Grow(n int) { o.history = slices.Grow(o.history, n) }
 
 // DerivedObject is "computed from a set of image objects and possibly other
 // objects"; its timestamp is the oldest valid time of the objects used to

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rtc/internal/timeseq"
 )
 
 func BenchmarkCodecEncode(b *testing.B) {
@@ -130,4 +132,75 @@ func BenchmarkReplay(b *testing.B) {
 		}
 		l.Close()
 	}
+}
+
+// sensorLog appends n samples spread over 64 images — the shape of the
+// rtbench recovery fixture — to a fresh log in dir.
+func sensorLog(b *testing.B, opts Options, n int) *Log {
+	l, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("sensor-%02d", i)
+		if err := l.Append(Image(names[i], 5)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := l.Append(Sample(timeseq.Time(i/8), names[i*7%64], itoa(i%100))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return l
+}
+
+// BenchmarkOpen is cold recovery of a 200k-event directory with three
+// snapshots: newest-snapshot load plus replay of the tail. Its ns/event is
+// the root-module twin of rtbench's log.open_ns_per_event.
+func BenchmarkOpen(b *testing.B) {
+	const events = 200_000
+	b.Run("200k", func(b *testing.B) {
+		opts := Options{Dir: b.TempDir(), SnapshotEvery: 65536}
+		if err := sensorLog(b, opts, events).Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l, err := Open(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if l.Seq() != events+64 {
+				b.Fatalf("recovered %d events", l.Seq())
+			}
+			l.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+	})
+}
+
+// BenchmarkSnapshot is one snapshot of a 65k-event history, taken as the
+// append path takes it: under the log mutex, with appends parked. It is the
+// root-module twin of rtbench's log.snapshot_ms.
+func BenchmarkSnapshot(b *testing.B) {
+	b.Run("65k", func(b *testing.B) {
+		l := sensorLog(b, Options{Dir: b.TempDir(), SegmentSize: 64 << 20}, 65536)
+		defer l.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := l.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := l.Compact(); err != nil { // keep one snapshot file, not b.N
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/snapshot")
+	})
 }

@@ -11,6 +11,9 @@
 // outside every payload, §5.1.1), so the same escaping discipline that keeps
 // recognition words parseable keeps log records parseable. Framing adds
 // what a disk needs and a tape does not: an explicit length and a checksum.
+// encoding.Record/ParseRecord define those bytes; this package writes and
+// reads them in one pass over a byte buffer (AppendEvent, decodeEvent) and
+// is fuzzed against the definition (FuzzEventCodecDifferential).
 package log
 
 import (
@@ -18,10 +21,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 
 	"rtc/internal/encoding"
 	"rtc/internal/timeseq"
-	"rtc/internal/word"
 )
 
 // Kind tags one log record.
@@ -42,12 +45,13 @@ const (
 	KindQuery
 )
 
-var kindTags = [...]string{"V", "I", "D", "S", "F", "Q"}
+// kindTags holds each Kind's one-byte record tag at the Kind's index.
+const kindTags = "VIDSFQ"
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	if int(k) < len(kindTags) {
-		return kindTags[k]
+		return kindTags[k : k+1]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -101,43 +105,9 @@ func Query(at timeseq.Time, session, query, candidate string, kind, dead, minUse
 	}}
 }
 
-// fields flattens the event into record fields.
-func (e Event) fields() []string {
-	f := make([]string, 0, 4+len(e.Args))
-	f = append(f, e.Kind.String(), encoding.FieldUint(uint64(e.At)), e.Name, e.Value)
-	return append(f, e.Args...)
-}
-
-// eventFromFields inverts fields.
-func eventFromFields(f []string) (Event, bool) {
-	if len(f) < 4 {
-		return Event{}, false
-	}
-	var kind Kind
-	found := false
-	for k, tag := range kindTags {
-		if f[0] == tag {
-			kind = Kind(k)
-			found = true
-			break
-		}
-	}
-	if !found {
-		return Event{}, false
-	}
-	at, err := parseUint(f[1])
-	if err != nil {
-		return Event{}, false
-	}
-	e := Event{Kind: kind, At: timeseq.Time(at), Name: f[2], Value: f[3]}
-	if len(f) > 4 {
-		e.Args = append([]string{}, f[4:]...)
-	}
-	return e, true
-}
-
-func parseUint(s string) (uint64, error) {
-	if s == "" {
+// parseUint reads a decimal field: digits only, at least one.
+func parseUint[T encoding.Bytes](s T) (uint64, error) {
+	if len(s) == 0 {
 		return 0, fmt.Errorf("log: empty numeric field")
 	}
 	var v uint64
@@ -151,31 +121,6 @@ func parseUint(s string) (uint64, error) {
 	return v, nil
 }
 
-// EncodeFields renders record fields as payload bytes: the byte form of the
-// $f1@f2@…$ symbol encoding.
-func EncodeFields(fields ...string) []byte {
-	return []byte(encoding.String(encoding.Record(fields...)))
-}
-
-// DecodeFields inverts EncodeFields. It re-tokenizes the byte stream into
-// the symbol alphabet (escape pairs %x are one symbol, everything else one
-// byte) and hands the result to the shared record parser.
-func DecodeFields(payload []byte) ([]string, bool) {
-	syms := make([]word.Symbol, 0, len(payload))
-	for i := 0; i < len(payload); i++ {
-		if payload[i] == '%' {
-			if i+1 >= len(payload) {
-				return nil, false
-			}
-			syms = append(syms, word.Symbol(payload[i:i+2]))
-			i++
-			continue
-		}
-		syms = append(syms, word.Symbol(payload[i:i+1]))
-	}
-	return encoding.ParseRecord(syms)
-}
-
 // frameHeaderSize is the per-record overhead: payload length and CRC32,
 // both little-endian uint32.
 const frameHeaderSize = 8
@@ -186,18 +131,90 @@ const maxPayload = 1 << 24
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendFrame appends the framed record | len | crc | payload | to dst.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// frame is one record under construction inside a caller's buffer: the
+// header is reserved first, the record's fields are rendered behind it by
+// the shared encoding.RecordWriter, and finish patches length and CRC in —
+// | len | crc | String(Record(fields...)) | without the payload ever
+// existing on its own.
+type frame struct {
+	encoding.RecordWriter
+	start int
 }
 
-// EncodeEvent frames one event.
-func EncodeEvent(e Event) []byte {
-	return AppendFrame(nil, EncodeFields(e.fields()...))
+func beginFrame(dst []byte) frame {
+	start := len(dst)
+	var hdr [frameHeaderSize]byte
+	return frame{RecordWriter: encoding.BeginRecord(append(dst, hdr[:]...)), start: start}
+}
+
+func (f *frame) finish() []byte {
+	buf := f.End()
+	payload := buf[f.start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[f.start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[f.start+4:], crc32.Checksum(payload, crcTable))
+	return buf
+}
+
+// writeEvent renders the event's fields: kind tag, time, name, value, args.
+func writeEvent(w *encoding.RecordWriter, e Event) {
+	w.Str(e.Kind.String())
+	w.Uint(uint64(e.At))
+	w.Str(e.Name)
+	w.Str(e.Value)
+	for _, a := range e.Args {
+		w.Str(a)
+	}
+}
+
+// AppendEvent appends the framed record | len | crc | payload | of one
+// event to dst. Into a buffer with room it allocates nothing.
+func AppendEvent(dst []byte, e Event) []byte {
+	f := beginFrame(dst)
+	writeEvent(&f.RecordWriter, e)
+	return f.finish()
+}
+
+// EncodeEvent frames one event into a fresh buffer.
+func EncodeEvent(e Event) []byte { return AppendEvent(nil, e) }
+
+// Payload renders the event as its raw record payload — the same bytes the
+// WAL frames, minus the frame header. WalBatch carries these verbatim, so
+// primary and follower are byte-identical by construction.
+func (e Event) Payload() []byte {
+	w := encoding.BeginRecord(make([]byte, 0, 32+len(e.Name)+len(e.Value)))
+	writeEvent(&w, e)
+	return w.End()
+}
+
+// appendControl appends the frame of a non-event record — the snapshot
+// header and commit trailer, the epoch file — of the form $TAG@n1@…@nk$.
+func appendControl(dst []byte, tag string, vals ...uint64) []byte {
+	f := beginFrame(dst)
+	f.Str(tag)
+	for _, v := range vals {
+		f.Uint(v)
+	}
+	return f.finish()
+}
+
+// control inverts appendControl: it reports whether payload is exactly the
+// tag followed by len(vals) decimal fields, and fills vals in.
+func control(payload []byte, tag string, vals []uint64) bool {
+	sc := encoding.Scan(payload)
+	raw, escaped, ok := sc.Next()
+	if !ok || fieldString(raw, escaped) != tag {
+		return false
+	}
+	for i := range vals {
+		raw, escaped, ok := sc.Next()
+		v, err := parseUint(fieldString(raw, escaped))
+		if !ok || err != nil {
+			return false
+		}
+		vals[i] = v
+	}
+	_, _, more := sc.Next()
+	return !more && !sc.Bad()
 }
 
 // errTorn reports a record that is structurally damaged — short header,
@@ -206,12 +223,22 @@ func EncodeEvent(e Event) []byte {
 // a crash mid-append and is truncated away; anywhere else it is corruption.
 var errTorn = fmt.Errorf("log: torn record")
 
-// ReadFrame reads one framed payload from r. It returns the payload and the
-// number of bytes consumed. io.EOF signals a clean end; errTorn a damaged
-// record.
-func ReadFrame(r io.Reader) (payload []byte, n int, err error) {
-	var hdr [frameHeaderSize]byte
-	got, err := io.ReadFull(r, hdr[:])
+// ReadFrame reads one framed payload from r into *buf, growing it as
+// needed: the returned payload aliases *buf and is valid until the next
+// call, so a replay loop reads every frame of a segment through one buffer
+// (a nil buf reads into a fresh one). It returns the payload and the number
+// of bytes consumed. io.EOF signals a clean end; errTorn a damaged record.
+func ReadFrame(r io.Reader, buf *[]byte) (payload []byte, n int, err error) {
+	if buf == nil {
+		buf = new([]byte)
+	}
+	// The header passes through the same buffer: a local array would
+	// escape through the io.Reader and cost an allocation per frame.
+	if cap(*buf) < frameHeaderSize {
+		*buf = make([]byte, frameHeaderSize, 256)
+	}
+	hdr := (*buf)[:frameHeaderSize]
+	got, err := io.ReadFull(r, hdr)
 	if err == io.EOF {
 		return nil, 0, io.EOF
 	}
@@ -223,7 +250,10 @@ func ReadFrame(r io.Reader) (payload []byte, n int, err error) {
 	if length > maxPayload {
 		return nil, frameHeaderSize, errTorn
 	}
-	payload = make([]byte, length)
+	if uint32(cap(*buf)) < length {
+		*buf = make([]byte, length)
+	}
+	payload = (*buf)[:length]
 	got, err = io.ReadFull(r, payload)
 	if err != nil {
 		return nil, frameHeaderSize + got, errTorn
@@ -253,11 +283,69 @@ func ContainsFrame(b []byte) bool {
 	return false
 }
 
-// DecodeEvent parses one framed payload back into an Event.
-func DecodeEvent(payload []byte) (Event, bool) {
-	fields, ok := DecodeFields(payload)
-	if !ok {
+// DecodeEvent parses one record payload, held as bytes or as a string, back
+// into an Event. It accepts exactly the payloads that tokenize and
+// ParseRecord into at least four fields with a known kind tag and a
+// decimal time.
+func DecodeEvent[T encoding.Bytes](payload T) (Event, bool) {
+	return decodeEvent(payload, nil)
+}
+
+// decodeEvent is DecodeEvent with interning: a sample's Name found in names
+// is taken from there instead of being allocated, so replaying a history
+// costs one string per sample (its value). Recovery registers each image
+// name as its catalog record goes by.
+func decodeEvent[T encoding.Bytes](payload T, names map[string]string) (Event, bool) {
+	sc := encoding.Scan(payload)
+	tag, esc0, ok0 := sc.Next()
+	at, esc1, ok1 := sc.Next()
+	name, esc2, ok2 := sc.Next()
+	value, esc3, ok3 := sc.Next()
+	if !(ok0 && ok1 && ok2 && ok3) {
 		return Event{}, false
 	}
-	return eventFromFields(fields)
+	if esc0 || esc1 {
+		// Never written by this encoder, but %-pairs are legal anywhere in
+		// a record: "%S" is the tag S and "%1%2" the time 12.
+		tag, at = T(fieldString(tag, esc0)), T(fieldString(at, esc1))
+	}
+	kind := -1
+	if len(tag) == 1 {
+		kind = strings.IndexByte(kindTags, tag[0])
+	}
+	t, err := parseUint(at)
+	if kind < 0 || err != nil {
+		return Event{}, false
+	}
+	e := Event{Kind: Kind(kind), At: timeseq.Time(t)}
+	if e.Kind == KindSample && !esc2 {
+		e.Name = names[string(name)]
+	}
+	if e.Name == "" {
+		e.Name = fieldString(name, esc2)
+	}
+	e.Value = fieldString(value, esc3)
+	if n := sc.MaxFields(); n > 0 {
+		e.Args = make([]string, 0, n)
+		for {
+			raw, esc, ok := sc.Next()
+			if !ok {
+				break
+			}
+			e.Args = append(e.Args, fieldString(raw, esc))
+		}
+	}
+	if sc.Bad() {
+		return Event{}, false
+	}
+	return e, true
+}
+
+// fieldString decodes one raw record field into a string.
+func fieldString[T encoding.Bytes](raw T, escaped bool) string {
+	if !escaped {
+		return string(raw)
+	}
+	var tmp [64]byte
+	return string(encoding.AppendUnescaped(tmp[:0], raw))
 }

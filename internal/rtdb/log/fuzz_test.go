@@ -5,26 +5,112 @@ import (
 	"reflect"
 	"testing"
 
+	"rtc/internal/encoding"
 	"rtc/internal/faultfs"
 	"rtc/internal/timeseq"
+	"rtc/internal/word"
 )
 
-// FuzzFieldsRoundTrip: any field tuple survives EncodeFields/DecodeFields
-// (the byte-level counterpart of encoding.FuzzRecordRoundTrip).
-func FuzzFieldsRoundTrip(f *testing.F) {
-	f.Add("S", "12", "temp")
-	f.Add("", "", "")
-	f.Add("x$y", "#1@%", "a\x00b")
-	f.Fuzz(func(t *testing.T, a, b, c string) {
-		got, ok := DecodeFields(EncodeFields(a, b, c))
-		if !ok || len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
-			t.Fatalf("round trip (%q,%q,%q) → %v (%v)", a, b, c, got, ok)
+// oracleEncode is the §5.1 definition of an event's payload: its fields as
+// an encoding.Record, rendered symbol by symbol. The production encoder
+// must write exactly these bytes.
+func oracleEncode(e Event) []byte {
+	fields := append([]string{e.Kind.String(), encoding.FieldUint(uint64(e.At)), e.Name, e.Value}, e.Args...)
+	return []byte(encoding.String(encoding.Record(fields...)))
+}
+
+// oracleFields is the definition of reading a record: tokenize the bytes
+// into the symbol alphabet (an escape pair %x is one symbol, every other
+// byte one), then ParseRecord.
+func oracleFields(payload []byte) ([]string, bool) {
+	syms := make([]word.Symbol, 0, len(payload))
+	for i := 0; i < len(payload); i++ {
+		if payload[i] == '%' {
+			if i+1 >= len(payload) {
+				return nil, false
+			}
+			syms = append(syms, word.Symbol(payload[i:i+2]))
+			i++
+			continue
+		}
+		syms = append(syms, word.Symbol(payload[i:i+1]))
+	}
+	return encoding.ParseRecord(syms)
+}
+
+// oracleDecode is the definition of decoding an event: its record's
+// fields — at least four, a known kind tag, a decimal time. The production
+// decoder must accept and reject exactly what it does, and agree on every
+// accepted event.
+func oracleDecode(payload []byte) (Event, bool) {
+	f, ok := oracleFields(payload)
+	if !ok || len(f) < 4 {
+		return Event{}, false
+	}
+	kind := -1
+	for k, tag := range []string{"V", "I", "D", "S", "F", "Q"} {
+		if f[0] == tag {
+			kind = k
+		}
+	}
+	at, err := parseUint(f[1])
+	if kind < 0 || err != nil {
+		return Event{}, false
+	}
+	e := Event{Kind: Kind(kind), At: timeseq.Time(at), Name: f[2], Value: f[3]}
+	if len(f) > 4 {
+		e.Args = append([]string{}, f[4:]...)
+	}
+	return e, true
+}
+
+// FuzzEventCodecDifferential holds the byte-level codec to the formal one:
+// arbitrary payload bytes decode (or fail to) identically under both, from
+// bytes and from a string, with and without name interning; and whatever
+// decodes re-encodes to the oracle's bytes.
+func FuzzEventCodecDifferential(f *testing.F) {
+	for _, g := range goldenEvents() {
+		f.Add(g.e.Payload())
+	}
+	f.Add([]byte("$S@7@temp@21%$"))    // dangling escape swallows the delimiter
+	f.Add([]byte("$S@7@te$mp@21$"))    // bare delimiter
+	f.Add([]byte("$S@7@temp@#21$"))    // bare number prefix
+	f.Add([]byte("$S@7@temp$"))        // fewer than four fields
+	f.Add([]byte("$X@7@temp@21$"))     // unknown kind tag
+	f.Add([]byte("$S@7x@temp@21$"))    // non-numeric time
+	f.Add([]byte("$S@@temp@21$"))      // empty time
+	f.Add([]byte("$%S@%7@temp@21@@$")) // escaped tag and time, empty args
+	f.Add([]byte("$S@99999999999999999999999@temp@21$"))
+	f.Add([]byte("$COMMIT@9$"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		want, wantOK := oracleDecode(payload)
+		got, ok := DecodeEvent(payload)
+		if ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeEvent(%q) = %+v, %v; oracle %+v, %v", payload, got, ok, want, wantOK)
+		}
+		if s, sok := DecodeEvent(string(payload)); sok != ok || !reflect.DeepEqual(s, got) {
+			t.Fatalf("DecodeEvent(string %q) = %+v, %v; from bytes %+v, %v", payload, s, sok, got, ok)
+		}
+		names := map[string]string{want.Name: want.Name}
+		if in, iok := decodeEvent(payload, names); iok != ok || !reflect.DeepEqual(in, got) {
+			t.Fatalf("interning changed %q: %+v, %v; plain %+v, %v", payload, in, iok, got, ok)
+		}
+		if !ok {
+			return
+		}
+		enc := oracleEncode(got)
+		if p := got.Payload(); !bytes.Equal(p, enc) {
+			t.Fatalf("Payload(%+v) = %q, oracle %q", got, p, enc)
+		}
+		if fr := EncodeEvent(got); !bytes.Equal(fr[frameHeaderSize:], enc) {
+			t.Fatalf("EncodeEvent(%+v) payload = %q, oracle %q", got, fr[frameHeaderSize:], enc)
 		}
 	})
 }
 
-// FuzzEventRoundTrip: any event survives the frame + record codec, and the
-// framed bytes read back as exactly one record.
+// FuzzEventRoundTrip: any event survives the frame + record codec, the
+// framed bytes read back as exactly one record, and the payload is the
+// oracle's rendering of the event's fields.
 func FuzzEventRoundTrip(f *testing.F) {
 	f.Add(uint8(KindSample), uint64(7), "temp", "21", "x")
 	f.Add(uint8(KindQuery), uint64(0), "", "", "")
@@ -35,9 +121,12 @@ func FuzzEventRoundTrip(f *testing.F) {
 			e.Args = []string{arg}
 		}
 		frame := EncodeEvent(e)
-		payload, n, err := ReadFrame(bytes.NewReader(frame))
+		payload, n, err := ReadFrame(bytes.NewReader(frame), nil)
 		if err != nil || n != len(frame) {
 			t.Fatalf("ReadFrame: n=%d err=%v", n, err)
+		}
+		if want := oracleEncode(e); !bytes.Equal(payload, want) {
+			t.Fatalf("EncodeEvent(%+v) payload = %q, oracle %q", e, payload, want)
 		}
 		got, ok := DecodeEvent(payload)
 		if !ok || !reflect.DeepEqual(got, e) {
@@ -114,7 +203,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(EncodeEvent(Sample(3, "temp", "20")))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		payload, _, err := ReadFrame(bytes.NewReader(b))
+		payload, _, err := ReadFrame(bytes.NewReader(b), nil)
 		if err != nil {
 			return
 		}

@@ -118,26 +118,9 @@ func (l *Log) AppendTicket(e Event, firm bool) (*Ticket, error) {
 // auto-snapshot). lead reports that this append opened the batch and the
 // caller must run (or spawn) its leader.
 func (l *Log) appendGroupedLocked(e Event, firm bool) (t *Ticket, lead bool, err error) {
-	if l.err != nil {
-		return nil, false, l.err
-	}
-	if l.f == nil {
-		return nil, false, errClosed
-	}
-	if err := l.st.check(e); err != nil {
+	if err := l.writeApplyLocked(e); err != nil {
 		return nil, false, err
 	}
-	l.buf = AppendFrame(l.buf[:0], EncodeFields(e.fields()...))
-	if _, err := l.f.Write(l.buf); err != nil {
-		return nil, false, l.heal(err)
-	}
-	l.segSize += int64(len(l.buf))
-	if err := l.st.Apply(e); err != nil {
-		// check passed, so Apply cannot fail; if it somehow does, the
-		// frame is already on disk and the state is suspect — poison.
-		return nil, false, l.poisonLocked(err)
-	}
-	l.stats.Appends++
 	// Join before housekeeping: if rotation or an auto-snapshot fsyncs the
 	// segment below, this event is covered and its ticket releases there.
 	t, lead = l.joinBatchLocked(e, l.st.Events, firm)
@@ -298,26 +281,14 @@ func (l *Log) DurableSeq() uint64 {
 func (l *Log) AppendBatch(events []Event) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
-	if l.f == nil {
-		return 0, errClosed
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
 	applied := 0
 	for _, e := range events {
-		if err := l.st.check(e); err != nil {
+		if err := l.writeApplyLocked(e); err != nil {
 			return applied, err
 		}
-		l.buf = AppendFrame(l.buf[:0], EncodeFields(e.fields()...))
-		if _, err := l.f.Write(l.buf); err != nil {
-			return applied, l.heal(err)
-		}
-		l.segSize += int64(len(l.buf))
-		if err := l.st.Apply(e); err != nil {
-			return applied, l.poisonLocked(err)
-		}
-		l.stats.Appends++
 		if l.opts.Sync {
 			l.joinBatchLocked(e, l.st.Events, false)
 		} else {

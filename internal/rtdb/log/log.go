@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"rtc/internal/encoding"
 	"rtc/internal/faultfs"
 	"rtc/internal/timeseq"
 )
@@ -171,8 +170,9 @@ func Open(opts Options) (*Log, error) {
 	// during snapshot write leaves a torn .snap behind — the log is the
 	// source of truth, the snapshot only an accelerator).
 	pos := replayPos{seg: 1, off: 0}
+	rd := &reader{names: map[string]string{}}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		st, p, err := loadSnapshot(l.fs, filepath.Join(opts.Dir, snapName(snaps[i])))
+		st, p, err := loadSnapshot(l.fs, filepath.Join(opts.Dir, snapName(snaps[i])), rd)
 		if err != nil {
 			continue
 		}
@@ -211,7 +211,7 @@ func Open(opts Options) (*Log, error) {
 			l.segFirstSeq[seg] = l.st.Events + 1
 		}
 		last := i == len(segs)-1
-		end, err := l.replaySegment(seg, start, last)
+		end, err := l.replaySegment(seg, start, last, rd)
 		if err != nil {
 			return nil, err
 		}
@@ -233,13 +233,30 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
+// reader is what recovery carries from record to record: one frame buffer,
+// and the image names decoded so far, so that a replayed sample shares its
+// Name with the catalog instead of allocating it.
+type reader struct {
+	buf   []byte
+	names map[string]string
+}
+
+// event decodes one event payload, registering image names as they go by.
+func (rd *reader) event(payload []byte) (Event, bool) {
+	e, ok := decodeEvent(payload, rd.names)
+	if ok && e.Kind == KindImage {
+		rd.names[e.Name] = e.Name
+	}
+	return e, ok
+}
+
 // replaySegment applies every valid record of one segment, returning the
 // offset just past the last good record. A damaged record is a torn tail —
 // truncated away — only when it sits in the final segment AND no intact
 // frame follows it; a damaged frame with good records after it lost
 // committed data and is surfaced as ErrCorrupt instead of silently
 // truncating history.
-func (l *Log) replaySegment(seg uint64, start int64, last bool) (int64, error) {
+func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int64, error) {
 	path := filepath.Join(l.opts.Dir, segName(seg))
 	f, err := l.fs.Open(path)
 	if err != nil {
@@ -259,7 +276,7 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool) (int64, error) {
 	r := bufio.NewReader(f)
 	off := start
 	for {
-		payload, n, err := ReadFrame(r)
+		payload, n, err := ReadFrame(r, &rd.buf)
 		if err == io.EOF {
 			return off, nil
 		}
@@ -280,7 +297,7 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool) (int64, error) {
 			}
 			return off, nil
 		}
-		e, ok := DecodeEvent(payload)
+		e, ok := rd.event(payload)
 		if !ok {
 			return 0, fmt.Errorf("%w: undecodable record in %s at offset %d", ErrCorrupt, segName(seg), off)
 		}
@@ -377,29 +394,47 @@ func (l *Log) Append(e Event) error {
 	return t.Wait()
 }
 
-// appendUngroupedLocked is the classic append path — per-append fsync when
-// Sync is set, byte- and op-identical to the pre-group-commit log.
-func (l *Log) appendUngroupedLocked(e Event) error {
+// usableLocked reports why the log can take no append: poisoned or closed.
+func (l *Log) usableLocked() error {
 	if l.err != nil {
 		return l.err
 	}
 	if l.f == nil {
 		return errClosed
 	}
+	return nil
+}
+
+// writeApplyLocked is the one append body every path shares: validate →
+// encode → write → apply. The frame is rendered straight into l.buf. A
+// failed write is healed and costs only this event; once the frame is on
+// disk a failed Apply poisons (check passed, so Apply cannot fail — if it
+// somehow does, the state is suspect).
+func (l *Log) writeApplyLocked(e Event) error {
+	if err := l.usableLocked(); err != nil {
+		return err
+	}
 	if err := l.st.check(e); err != nil {
 		return err
 	}
-	l.buf = AppendFrame(l.buf[:0], EncodeFields(e.fields()...))
+	l.buf = AppendEvent(l.buf[:0], e)
 	if _, err := l.f.Write(l.buf); err != nil {
 		return l.heal(err)
 	}
 	l.segSize += int64(len(l.buf))
 	if err := l.st.Apply(e); err != nil {
-		// check passed, so Apply cannot fail; if it somehow does, the
-		// frame is already on disk and the state is suspect — poison.
 		return l.poisonLocked(err)
 	}
 	l.stats.Appends++
+	return nil
+}
+
+// appendUngroupedLocked is the classic append path — per-append fsync when
+// Sync is set, byte- and op-identical to the pre-group-commit log.
+func (l *Log) appendUngroupedLocked(e Event) error {
+	if err := l.writeApplyLocked(e); err != nil {
+		return err
+	}
 	if l.opts.Sync {
 		if err := l.fsync(); err != nil {
 			return l.poisonLocked(fmt.Errorf("log: fsync failed, log poisoned: %w", err))
@@ -526,18 +561,20 @@ func (l *Log) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
+	// Records stream from the state into the writer through the append
+	// buffer, one Write per record (the writer's flush boundaries, and so
+	// the file's write sizes, depend on it).
 	w := bufio.NewWriter(f)
-	write := func(fields ...string) {
-		w.Write(AppendFrame(nil, EncodeFields(fields...)))
-	}
-	write("SNAPSHOT",
-		encoding.FieldUint(pos.seg), encoding.FieldUint(uint64(pos.off)),
-		encoding.FieldUint(l.st.Events), encoding.FieldUint(uint64(l.st.LastAt)))
-	dump := l.st.dump()
-	for _, e := range dump {
-		write(e.fields()...)
-	}
-	write("COMMIT", encoding.FieldUint(uint64(len(dump))))
+	l.buf = appendControl(l.buf[:0], "SNAPSHOT", pos.seg, uint64(pos.off), l.st.Events, uint64(l.st.LastAt))
+	w.Write(l.buf)
+	records := uint64(0)
+	l.st.visit(func(e Event) {
+		l.buf = AppendEvent(l.buf[:0], e)
+		w.Write(l.buf)
+		records++
+	})
+	l.buf = appendControl(l.buf[:0], "COMMIT", records)
+	w.Write(l.buf)
 	if err := w.Flush(); err != nil {
 		f.Close()
 		return err
@@ -557,8 +594,11 @@ func (l *Log) snapshotLocked() error {
 	return nil
 }
 
-// loadSnapshot reads one snapshot file into a fresh state.
-func loadSnapshot(fs faultfs.FS, path string) (*State, replayPos, error) {
+// loadSnapshot reads one snapshot file into a fresh state. Anything short
+// of a well-formed header, event records that apply, and a commit trailer
+// whose count matches is an error — the caller falls back to an older
+// snapshot or to the segments.
+func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, replayPos{}, err
@@ -566,54 +606,41 @@ func loadSnapshot(fs faultfs.FS, path string) (*State, replayPos, error) {
 	defer f.Close()
 	r := bufio.NewReader(f)
 
-	head, _, err := ReadFrame(r)
+	payload, _, err := ReadFrame(r, &rd.buf)
 	if err != nil {
 		return nil, replayPos{}, fmt.Errorf("log: unreadable snapshot header: %w", err)
 	}
-	fields, ok := DecodeFields(head)
-	if !ok || len(fields) != 5 || fields[0] != "SNAPSHOT" {
+	var head [4]uint64 // segment, offset, events, last timestamp
+	if !control(payload, "SNAPSHOT", head[:]) {
 		return nil, replayPos{}, fmt.Errorf("log: bad snapshot header")
-	}
-	seg, err1 := parseUint(fields[1])
-	off, err2 := parseUint(fields[2])
-	events, err3 := parseUint(fields[3])
-	lastAt, err4 := parseUint(fields[4])
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-		return nil, replayPos{}, fmt.Errorf("log: bad snapshot header fields")
 	}
 
 	st := NewState()
-	n := uint64(0)
-	for {
-		payload, _, err := ReadFrame(r)
+	for n := uint64(0); ; n++ {
+		payload, _, err := ReadFrame(r, &rd.buf)
 		if err != nil {
 			return nil, replayPos{}, fmt.Errorf("log: snapshot truncated before commit")
 		}
-		fields, ok := DecodeFields(payload)
+		e, ok := rd.event(payload)
 		if !ok {
-			return nil, replayPos{}, fmt.Errorf("log: undecodable snapshot record")
-		}
-		if fields[0] == "COMMIT" {
-			want, err := parseUint(fields[1])
-			if err != nil || want != n {
+			var count [1]uint64
+			if !control(payload, "COMMIT", count[:]) {
+				return nil, replayPos{}, fmt.Errorf("log: undecodable snapshot record")
+			}
+			if count[0] != n {
 				return nil, replayPos{}, fmt.Errorf("log: snapshot commit count mismatch")
 			}
 			break
 		}
-		e, ok := eventFromFields(fields)
-		if !ok {
-			return nil, replayPos{}, fmt.Errorf("log: bad snapshot event")
-		}
 		if err := st.Apply(e); err != nil {
 			return nil, replayPos{}, err
 		}
-		n++
 	}
 	// The dump collapses catalog overwrites, so the replay counters are
 	// restored from the header rather than recomputed.
-	st.Events = events
-	st.LastAt = timeseq.Time(lastAt)
-	return st, replayPos{seg: seg, off: int64(off)}, nil
+	st.Events = head[2]
+	st.LastAt = timeseq.Time(head[3])
+	return st, replayPos{seg: head[0], off: int64(head[1])}, nil
 }
 
 // Compact removes segments wholly covered by the newest snapshot and all

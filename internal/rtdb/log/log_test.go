@@ -28,7 +28,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for _, e := range events {
 		frame := EncodeEvent(e)
-		payload, n, err := ReadFrame(bytes.NewReader(frame))
+		payload, n, err := ReadFrame(bytes.NewReader(frame), nil)
 		if err != nil || n != len(frame) {
 			t.Fatalf("ReadFrame(%v): n=%d err=%v", e, n, err)
 		}
@@ -48,7 +48,7 @@ func TestReadFrameTorn(t *testing.T) {
 			frame[len(frame)-1]^0xff),
 	}
 	for name, b := range cases {
-		if _, _, err := ReadFrame(bytes.NewReader(b)); err != errTorn {
+		if _, _, err := ReadFrame(bytes.NewReader(b), nil); err != errTorn {
 			t.Errorf("%s: err = %v, want errTorn", name, err)
 		}
 	}
@@ -478,8 +478,13 @@ func TestBuildRebindsCatalog(t *testing.T) {
 	if err := st.Build(db, reg); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.Image("temp"); !ok {
+	img, ok := db.Image("temp")
+	if !ok {
 		t.Fatal("image catalog not rebuilt")
+	}
+	// The history starts empty with room for the replay that follows.
+	if n := len(st.Images["temp"].Samples); n == 0 || len(img.History()) != 0 || cap(img.History()) < n {
+		t.Fatalf("history len %d cap %d before replaying %d samples", len(img.History()), cap(img.History()), n)
 	}
 	if v, ok := db.Invariant("limit"); !ok || v != "22" {
 		t.Fatalf("invariant = %q, %v", v, ok)

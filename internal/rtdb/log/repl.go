@@ -7,7 +7,6 @@ import (
 	"io"
 	"path/filepath"
 
-	"rtc/internal/encoding"
 	"rtc/internal/timeseq"
 )
 
@@ -45,11 +44,6 @@ type SeqEvent struct {
 	Seq   uint64
 	Event Event
 }
-
-// Payload renders the event as its raw record payload — the same bytes the
-// WAL frames, minus the frame header. WalBatch carries these verbatim, so
-// primary and follower are byte-identical by construction.
-func (e Event) Payload() []byte { return EncodeFields(e.fields()...) }
 
 // ReadSince returns up to max events with sequence numbers strictly after
 // afterSeq, read back from the segment files. It returns ErrSeqFuture when
@@ -131,9 +125,10 @@ func (l *Log) scanSegment(seg uint64, limit int64, visit func(Event) bool) (stop
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
+	var buf []byte
 	var off int64
 	for limit < 0 || off < limit {
-		payload, n, err := ReadFrame(r)
+		payload, n, err := ReadFrame(r, &buf)
 		if err == io.EOF {
 			break
 		}
@@ -165,10 +160,11 @@ func (l *Log) countFrames(seg uint64, limit int64) (uint64, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
+	var buf []byte
 	var off int64
 	var n uint64
 	for limit < 0 || off < limit {
-		_, m, err := ReadFrame(r)
+		_, m, err := ReadFrame(r, &buf)
 		if err == io.EOF {
 			break
 		}
@@ -376,19 +372,12 @@ func (l *Log) readEpoch() uint64 {
 		return 1
 	}
 	defer f.Close()
-	payload, _, err := ReadFrame(bufio.NewReader(f))
-	if err != nil {
+	payload, _, err := ReadFrame(f, nil)
+	var v [1]uint64
+	if err != nil || !control(payload, "EPOCH", v[:]) || v[0] == 0 {
 		return 1
 	}
-	fields, ok := DecodeFields(payload)
-	if !ok || len(fields) != 2 || fields[0] != "EPOCH" {
-		return 1
-	}
-	v, err := parseUint(fields[1])
-	if err != nil || v == 0 {
-		return 1
-	}
-	return v
+	return v[0]
 }
 
 // writeEpochLocked persists the epoch with the tmp+rename discipline.
@@ -399,8 +388,7 @@ func (l *Log) writeEpochLocked(e uint64) error {
 	if err != nil {
 		return err
 	}
-	frame := AppendFrame(nil, EncodeFields("EPOCH", encoding.FieldUint(e)))
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(appendControl(nil, "EPOCH", e)); err != nil {
 		f.Close()
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 
 	"rtc/internal/rtdb"
 	"rtc/internal/timeseq"
@@ -115,7 +116,7 @@ func (st *State) Apply(e Event) error {
 		}
 		img.Samples = append(img.Samples, rtdb.Sample{At: e.At, Value: e.Value})
 	case KindFiring:
-		st.Firings = append(st.Firings, fmt.Sprintf("%d:%s", e.At, e.Name))
+		st.Firings = append(st.Firings, strconv.FormatUint(uint64(e.At), 10)+":"+e.Name)
 	case KindQuery:
 		if len(e.Args) != 4 {
 			return fmt.Errorf("log: query record for %q needs 4 args", e.Name)
@@ -156,22 +157,22 @@ func (st *State) imageNames() []string {
 	return names
 }
 
-// dump flattens the state into a deterministic event sequence; replaying
-// the dump into an empty state rebuilds an equal one. This is the snapshot
-// payload.
-func (st *State) dump() []Event {
-	var out []Event
+// visit walks the state as a deterministic event sequence; replaying the
+// sequence into an empty state rebuilds an equal one. It is the snapshot
+// payload, streamed: a snapshot encodes each event as it is visited, so the
+// history is never materialized a second time.
+func (st *State) visit(emit func(Event)) {
 	invs := make([]string, 0, len(st.Invariants))
 	for n := range st.Invariants {
 		invs = append(invs, n)
 	}
 	sort.Strings(invs)
 	for _, n := range invs {
-		out = append(out, Invariant(n, st.Invariants[n]))
+		emit(Invariant(n, st.Invariants[n]))
 	}
 	names := st.imageNames()
 	for _, n := range names {
-		out = append(out, Image(n, st.Images[n].Period))
+		emit(Image(n, st.Images[n].Period))
 	}
 	ders := make([]string, 0, len(st.Derived))
 	for n := range st.Derived {
@@ -179,11 +180,11 @@ func (st *State) dump() []Event {
 	}
 	sort.Strings(ders)
 	for _, n := range ders {
-		out = append(out, Derived(n, st.Derived[n].Sources...))
+		emit(Derived(n, st.Derived[n].Sources...))
 	}
 	for _, n := range names {
 		for _, s := range st.Images[n].Samples {
-			out = append(out, Sample(s.At, n, s.Value))
+			emit(Sample(s.At, n, s.Value))
 		}
 	}
 	for _, f := range st.Firings {
@@ -191,11 +192,17 @@ func (st *State) dump() []Event {
 		if !ok {
 			continue
 		}
-		out = append(out, Firing(at, rule))
+		emit(Firing(at, rule))
 	}
 	for _, q := range st.Queries {
-		out = append(out, Query(q.At, q.Session, q.Query, q.Candidate, q.Kind, uint64(q.Deadline), q.MinUseful))
+		emit(Query(q.At, q.Session, q.Query, q.Candidate, q.Kind, uint64(q.Deadline), q.MinUseful))
 	}
+}
+
+// dump collects visit's sequence — the payload of a full-state resync.
+func (st *State) dump() []Event {
+	var out []Event
+	st.visit(func(e Event) { out = append(out, e) })
 	return out
 }
 
@@ -280,10 +287,14 @@ func (st *State) Diff(other *State) string {
 // served-mode images (nil Read — samples are injected, not scheduled), and
 // derived objects re-bound through the registry, exactly as the acceptor's
 // DeriveRegistry re-binds enc(D). Sample histories are re-injected through
-// the scheduler so in-DB state matches a reference run.
+// the scheduler so in-DB state matches a reference run; each image's
+// history is sized here for that replay, so a rebuild allocates it once and
+// leaves no trail of outgrown copies for the collector.
 func (st *State) Build(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
 	for _, n := range st.imageNames() {
-		db.AddImage(&rtdb.ImageObject{Name: n, Period: st.Images[n].Period})
+		img := &rtdb.ImageObject{Name: n, Period: st.Images[n].Period}
+		img.Grow(len(st.Images[n].Samples))
+		db.AddImage(img)
 	}
 	invs := make([]string, 0, len(st.Invariants))
 	for n := range st.Invariants {

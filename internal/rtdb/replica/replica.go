@@ -479,7 +479,7 @@ func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 	switch b.Snap {
 	case rtwire.SnapPart:
 		for _, p := range b.Events {
-			e, ok := wal.DecodeEvent([]byte(p))
+			e, ok := wal.DecodeEvent(p)
 			if !ok {
 				r.pendingSnap = nil
 				return fmt.Errorf("replica: undecodable snapshot record")
@@ -524,7 +524,7 @@ func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 			r.Repl.DupSkipped.Add(1)
 			continue
 		}
-		e, ok := wal.DecodeEvent([]byte(p))
+		e, ok := wal.DecodeEvent(p)
 		if !ok {
 			return fmt.Errorf("replica: undecodable record at seq %d", es)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -264,37 +265,73 @@ func (s *Server) installSpec() {
 	}
 }
 
-// replaySamples re-injects recovered sample histories in timestamp order,
-// advancing the virtual clock so every sample lands at its original time.
+// replaySamples re-injects recovered sample histories in (time, image,
+// position) order, advancing the virtual clock so every sample lands at its
+// original time. Each image's history is already in log order, which is
+// time order, so the global order is a k-way merge of the histories as they
+// stand: a heap of one cursor per image keyed by (head time, image name)
+// yields exactly the sequence a sort of all samples by (time, image,
+// position) would, without copying or comparing the samples themselves.
 func (s *Server) replaySamples(st *wal.State) error {
-	type rec struct {
-		at    timeseq.Time
-		image string
-		value string
-		seq   int
-	}
-	var all []rec
+	h := make(replayHeap, 0, len(st.Images))
 	for name, img := range st.Images {
-		for i, smp := range img.Samples {
-			all = append(all, rec{at: smp.At, image: name, value: smp.Value, seq: i})
+		if len(img.Samples) > 0 {
+			h = append(h, replayCursor{image: name, rest: timeOrdered(img.Samples)})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		if all[i].image != all[j].image {
-			return all[i].image < all[j].image
-		}
-		return all[i].seq < all[j].seq
-	})
-	for _, r := range all {
-		s.sched.RunUntil(r.at)
-		if err := s.db.InjectSample(r.image, r.value); err != nil {
+	heap.Init(&h)
+	for len(h) > 0 {
+		c := &h[0]
+		s.sched.RunUntil(c.rest[0].At)
+		if err := s.db.InjectSample(c.image, c.rest[0].Value); err != nil {
 			return err
+		}
+		if c.rest = c.rest[1:]; len(c.rest) == 0 {
+			heap.Pop(&h)
+		} else {
+			heap.Fix(&h, 0)
 		}
 	}
 	return nil
+}
+
+// timeOrdered returns the samples in (time, position) order. The server
+// only ever logs an image's samples on a monotone clock, so this is the
+// slice itself; a log written some other way gets a stably sorted copy, and
+// the merge stays equal to the sort it replaced on every input.
+func timeOrdered(samples []rtdb.Sample) []rtdb.Sample {
+	byTime := func(i, j int) bool { return samples[i].At < samples[j].At }
+	if sort.SliceIsSorted(samples, byTime) {
+		return samples
+	}
+	samples = append([]rtdb.Sample(nil), samples...)
+	sort.SliceStable(samples, byTime)
+	return samples
+}
+
+// replayCursor is the unreplayed rest of one image's history.
+type replayCursor struct {
+	image string
+	rest  []rtdb.Sample
+}
+
+// replayHeap orders cursors by (head sample time, image name).
+type replayHeap []replayCursor
+
+func (h replayHeap) Len() int { return len(h) }
+func (h replayHeap) Less(i, j int) bool {
+	if a, b := h[i].rest[0].At, h[j].rest[0].At; a != b {
+		return a < b
+	}
+	return h[i].image < h[j].image
+}
+func (h replayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *replayHeap) Push(x any)   { *h = append(*h, x.(replayCursor)) }
+func (h *replayHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
 }
 
 // Start launches the apply loop and the session forwarders.

@@ -448,7 +448,7 @@ func parseSubEnvelope(fields []string) (subEnvelope, bool) {
 // AppendTo appends the encoded frame to dst.
 func (m Hello) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindHello)
-	b.str(m.Client)
+	b.Str(m.Client)
 	return b.finish()
 }
 
@@ -458,12 +458,12 @@ func (m Hello) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Welcome) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindWelcome)
-	b.uint(m.Session)
+	b.Uint(m.Session)
 	b.time(m.Chronon)
-	b.uint(m.Epoch)
-	b.uint(uint64(m.Role))
-	b.uint(m.Shards)
-	b.uint(m.Shard)
+	b.Uint(m.Epoch)
+	b.Uint(uint64(m.Role))
+	b.Uint(m.Shards)
+	b.Uint(m.Shard)
 	return b.finish()
 }
 
@@ -473,9 +473,9 @@ func (m Welcome) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Sample) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindSample)
-	b.uint(m.ID)
-	b.str(m.Image)
-	b.str(m.Value)
+	b.Uint(m.ID)
+	b.Str(m.Image)
+	b.Str(m.Value)
 	return b.finish()
 }
 
@@ -485,15 +485,15 @@ func (m Sample) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Query) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindQuery)
-	b.uint(m.ID)
-	b.str(m.Query)
-	b.str(m.Candidate)
-	b.uint(uint64(m.Kind))
+	b.Uint(m.ID)
+	b.Str(m.Query)
+	b.Str(m.Candidate)
+	b.Uint(uint64(m.Kind))
 	b.time(m.Deadline)
 	b.time(m.Elapsed)
-	b.uint(m.MinUseful)
-	b.uint(uint64(m.Decay.ID))
-	b.uint(m.Decay.Max)
+	b.Uint(m.MinUseful)
+	b.Uint(uint64(m.Decay.ID))
+	b.Uint(m.Decay.Max)
 	b.time(m.Decay.Span)
 	return b.finish()
 }
@@ -504,16 +504,16 @@ func (m Query) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Result) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindResult)
-	b.uint(m.ID)
-	b.boolf(m.Match)
-	b.uint(m.Useful)
-	b.boolf(m.Missed)
-	b.boolf(m.Evaluated)
+	b.Uint(m.ID)
+	b.Bool(m.Match)
+	b.Uint(m.Useful)
+	b.Bool(m.Missed)
+	b.Bool(m.Evaluated)
 	b.time(m.Issue)
 	b.time(m.Served)
-	b.boolf(m.ExpiredOnArrival)
+	b.Bool(m.ExpiredOnArrival)
 	for _, a := range m.Answers {
-		b.str(a)
+		b.Str(a)
 	}
 	return b.finish()
 }
@@ -524,8 +524,8 @@ func (m Result) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m AsOf) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindAsOf)
-	b.uint(m.ID)
-	b.str(m.Image)
+	b.Uint(m.ID)
+	b.Str(m.Image)
 	b.time(m.At)
 	return b.finish()
 }
@@ -536,9 +536,9 @@ func (m AsOf) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m AsOfResult) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindAsOfResult)
-	b.uint(m.ID)
-	b.boolf(m.OK)
-	b.str(m.Value)
+	b.Uint(m.ID)
+	b.Bool(m.OK)
+	b.Str(m.Value)
 	b.time(m.Horizon)
 	return b.finish()
 }
@@ -549,7 +549,7 @@ func (m AsOfResult) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m MetricsReq) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindMetricsReq)
-	b.uint(m.ID)
+	b.Uint(m.ID)
 	return b.finish()
 }
 
@@ -559,10 +559,10 @@ func (m MetricsReq) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Metrics) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindMetrics)
-	b.uint(m.ID)
+	b.Uint(m.ID)
 	for _, p := range m.Pairs {
-		b.str(p.Name)
-		b.uint(p.Value)
+		b.Str(p.Name)
+		b.Uint(p.Value)
 	}
 	return b.finish()
 }
@@ -573,7 +573,7 @@ func (m Metrics) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Flush) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindFlush)
-	b.uint(m.ID)
+	b.Uint(m.ID)
 	return b.finish()
 }
 
@@ -583,7 +583,7 @@ func (m Flush) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Flushed) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindFlushed)
-	b.uint(m.ID)
+	b.Uint(m.ID)
 	b.time(m.Chronon)
 	return b.finish()
 }
@@ -594,9 +594,9 @@ func (m Flushed) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Err) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindErr)
-	b.uint(m.ID)
-	b.uint(uint64(m.Code))
-	b.str(m.Msg)
+	b.Uint(m.ID)
+	b.Uint(uint64(m.Code))
+	b.Str(m.Msg)
 	return b.finish()
 }
 
@@ -606,7 +606,7 @@ func (m Err) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Bye) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindBye)
-	b.str(m.Reason)
+	b.Str(m.Reason)
 	return b.finish()
 }
 
@@ -616,8 +616,8 @@ func (m Bye) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Subscribe) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindSubscribe)
-	b.uint(m.AfterSeq)
-	b.str(m.Follower)
+	b.Uint(m.AfterSeq)
+	b.Str(m.Follower)
 	return b.finish()
 }
 
@@ -627,13 +627,13 @@ func (m Subscribe) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m WalBatch) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindWalBatch)
-	b.uint(m.Epoch)
-	b.uint(m.FirstSeq)
-	b.uint(uint64(m.Snap))
-	b.uint(m.SnapSeq)
+	b.Uint(m.Epoch)
+	b.Uint(m.FirstSeq)
+	b.Uint(uint64(m.Snap))
+	b.Uint(m.SnapSeq)
 	b.time(m.SnapLastAt)
 	for _, e := range m.Events {
-		b.str(e)
+		b.Str(e)
 	}
 	return b.finish()
 }
@@ -644,7 +644,7 @@ func (m WalBatch) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m WalAck) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindWalAck)
-	b.uint(m.Seq)
+	b.Uint(m.Seq)
 	return b.finish()
 }
 
@@ -654,9 +654,9 @@ func (m WalAck) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Heartbeat) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindHeartbeat)
-	b.uint(m.Epoch)
+	b.Uint(m.Epoch)
 	b.time(m.Chronon)
-	b.uint(m.Seq)
+	b.Uint(m.Seq)
 	return b.finish()
 }
 
@@ -666,8 +666,8 @@ func (m Heartbeat) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m PromoteInfo) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindPromoteInfo)
-	b.uint(m.Epoch)
-	b.uint(m.Seq)
+	b.Uint(m.Epoch)
+	b.Uint(m.Seq)
 	return b.finish()
 }
 
@@ -677,17 +677,17 @@ func (m PromoteInfo) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m SubOpen) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindSubOpen)
-	b.uint(m.ID)
-	b.str(m.Query)
+	b.Uint(m.ID)
+	b.Str(m.Query)
 	b.time(m.Period)
-	b.uint(uint64(m.Kind))
+	b.Uint(uint64(m.Kind))
 	b.time(m.Deadline)
 	b.time(m.Elapsed)
-	b.uint(m.MinUseful)
-	b.uint(uint64(m.Decay.ID))
-	b.uint(m.Decay.Max)
+	b.Uint(m.MinUseful)
+	b.Uint(uint64(m.Decay.ID))
+	b.Uint(m.Decay.Max)
 	b.time(m.Decay.Span)
-	b.uint(m.Depth)
+	b.Uint(m.Depth)
 	return b.finish()
 }
 
@@ -697,9 +697,9 @@ func (m SubOpen) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m SubAck) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindSubAck)
-	b.uint(m.ID)
-	b.uint(uint64(m.State))
-	b.uint(m.Cursor)
+	b.Uint(m.ID)
+	b.Uint(uint64(m.State))
+	b.Uint(m.Cursor)
 	b.time(m.Chronon)
 	return b.finish()
 }
@@ -710,18 +710,18 @@ func (m SubAck) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Push) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindPush)
-	b.uint(m.ID)
-	b.uint(m.Cursor)
-	b.uint(m.Dropped)
-	b.uint(m.Expired)
-	b.uint(m.Useful)
-	b.boolf(m.Missed)
-	b.boolf(m.Evaluated)
-	b.boolf(m.Degraded)
+	b.Uint(m.ID)
+	b.Uint(m.Cursor)
+	b.Uint(m.Dropped)
+	b.Uint(m.Expired)
+	b.Uint(m.Useful)
+	b.Bool(m.Missed)
+	b.Bool(m.Evaluated)
+	b.Bool(m.Degraded)
 	b.time(m.Issue)
 	b.time(m.Served)
 	for _, a := range m.Answers {
-		b.str(a)
+		b.Str(a)
 	}
 	return b.finish()
 }
@@ -732,7 +732,7 @@ func (m Push) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m SubCancel) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindSubCancel)
-	b.uint(m.ID)
+	b.Uint(m.ID)
 	return b.finish()
 }
 
@@ -742,18 +742,18 @@ func (m SubCancel) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m SubResume) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindSubResume)
-	b.uint(m.ID)
-	b.str(m.Query)
+	b.Uint(m.ID)
+	b.Str(m.Query)
 	b.time(m.Period)
-	b.uint(uint64(m.Kind))
+	b.Uint(uint64(m.Kind))
 	b.time(m.Deadline)
 	b.time(m.Elapsed)
-	b.uint(m.MinUseful)
-	b.uint(uint64(m.Decay.ID))
-	b.uint(m.Decay.Max)
+	b.Uint(m.MinUseful)
+	b.Uint(uint64(m.Decay.ID))
+	b.Uint(m.Decay.Max)
 	b.time(m.Decay.Span)
-	b.uint(m.Depth)
-	b.uint(m.AfterCursor)
+	b.Uint(m.Depth)
+	b.Uint(m.AfterCursor)
 	return b.finish()
 }
 

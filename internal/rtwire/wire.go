@@ -28,8 +28,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strconv"
 
+	"rtc/internal/encoding"
 	"rtc/internal/timeseq"
 )
 
@@ -214,33 +214,17 @@ func AppendFrame(dst []byte, kind Kind, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// appendEscaped appends s with the record escaping discipline of
-// internal/encoding.Str: the delimiter bytes '$', '@', '#', '%' become
-// %-pairs, everything else passes through. Byte-for-byte identical to
-// rendering encoding.Str(s), without the per-byte symbol allocations.
-func appendEscaped(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch b := s[i]; b {
-		case '$', '@', '#', '%':
-			dst = append(dst, '%', b)
-		default:
-			dst = append(dst, b)
-		}
-	}
-	return dst
-}
-
 // frameBuilder assembles one record-payload frame in place: the header is
 // reserved up front, fields append directly into the destination buffer
-// (numbers via strconv, never through intermediate strings), and finish
-// patches the length and CRC. The byte output is identical to
+// through the shared encoding.RecordWriter (numbers via strconv, never
+// through intermediate strings), and finish patches the length and CRC. The
+// byte output is identical to
 // AppendFrame(dst, kind, render(encoding.Record(fields...))) — the golden
 // wire-format fixtures hold across the two encoders.
 type frameBuilder struct {
-	buf   []byte
+	encoding.RecordWriter
 	start int
 	kind  Kind
-	n     int
 }
 
 // beginFrame starts a frame of the given kind appended to dst.
@@ -248,60 +232,30 @@ func beginFrame(dst []byte, kind Kind) frameBuilder {
 	start := len(dst)
 	var hdr [HeaderSize]byte
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, '$')
-	return frameBuilder{buf: dst, start: start, kind: kind}
-}
-
-func (b *frameBuilder) sep() {
-	if b.n > 0 {
-		b.buf = append(b.buf, '@')
-	}
-	b.n++
-}
-
-// str appends one string field, escaped.
-func (b *frameBuilder) str(f string) {
-	b.sep()
-	b.buf = appendEscaped(b.buf, f)
-}
-
-// uint appends one numeric field. Decimal digits never need escaping.
-func (b *frameBuilder) uint(v uint64) {
-	b.sep()
-	b.buf = strconv.AppendUint(b.buf, v, 10)
+	return frameBuilder{RecordWriter: encoding.BeginRecord(dst), start: start, kind: kind}
 }
 
 // time appends one chronon field.
-func (b *frameBuilder) time(v timeseq.Time) { b.uint(uint64(v)) }
-
-// boolf appends one boolean field as "0"/"1".
-func (b *frameBuilder) boolf(v bool) {
-	b.sep()
-	if v {
-		b.buf = append(b.buf, '1')
-	} else {
-		b.buf = append(b.buf, '0')
-	}
-}
+func (b *frameBuilder) time(v timeseq.Time) { b.Uint(uint64(v)) }
 
 // finish closes the record and fills in the reserved header.
 func (b *frameBuilder) finish() []byte {
-	b.buf = append(b.buf, '$')
-	hdr := b.buf[b.start:]
-	payload := b.buf[b.start+HeaderSize:]
+	buf := b.End()
+	hdr := buf[b.start:]
+	payload := buf[b.start+HeaderSize:]
 	hdr[0] = Magic
 	hdr[1] = Version
 	hdr[2] = byte(b.kind)
 	binary.LittleEndian.PutUint32(hdr[3:7], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[7:11], checksum(b.kind, payload))
-	return b.buf
+	return buf
 }
 
 // EncodeFields frames a record of fields: payload = bytes of $f1@f2@…$.
 func EncodeFields(kind Kind, fields ...string) []byte {
 	b := beginFrame(nil, kind)
 	for _, f := range fields {
-		b.str(f)
+		b.Str(f)
 	}
 	return b.finish()
 }
@@ -391,68 +345,28 @@ func decodeHeader(hdr [HeaderSize]byte) (Frame, error) {
 }
 
 // Fields parses the frame payload back into its record fields: the byte
-// rendering of $f1@f2@…$, escape pairs %x decoding to x. It accepts and
-// rejects exactly what tokenizing into the symbol alphabet and running the
-// shared record parser accepts and rejects — an unescaped delimiter or a
-// dangling escape inside the record is ErrBadPayload — but works directly
-// on the bytes: one validation pass, then one string per field.
+// rendering of $f1@f2@…$, escape pairs %x decoding to x. The shared
+// encoding.Scanner accepts and rejects exactly what tokenizing into the
+// symbol alphabet and running the record parser accepts and rejects — an
+// unescaped delimiter or a dangling escape inside the record is
+// ErrBadPayload — in one pass over the bytes, then one string per field.
 func (f Frame) Fields() ([]string, error) {
-	p := f.Payload
-	if len(p) < 2 || p[0] != '$' || p[len(p)-1] != '$' {
+	sc := encoding.Scan(f.Payload)
+	fields := make([]string, 0, sc.MaxFields())
+	var scratch []byte
+	for {
+		raw, escaped, ok := sc.Next()
+		if !ok {
+			break
+		}
+		if escaped {
+			scratch = encoding.AppendUnescaped(scratch[:0], raw)
+			raw = scratch
+		}
+		fields = append(fields, string(raw))
+	}
+	if sc.Bad() {
 		return nil, ErrBadPayload
 	}
-	inner := p[1 : len(p)-1]
-	// Validation pass; counts fields so the result is sized exactly.
-	nf := 1
-	for i := 0; i < len(inner); i++ {
-		switch inner[i] {
-		case '%':
-			if i+1 >= len(inner) {
-				return nil, ErrBadPayload
-			}
-			i++
-		case '@':
-			nf++
-		case '$', '#':
-			// An unescaped delimiter or number prefix never appears in a
-			// well-formed field (encoding.UnStr rejects both).
-			return nil, ErrBadPayload
-		}
-	}
-	fields := make([]string, 0, nf)
-	var scratch []byte
-	start := 0
-	flush := func(end int) {
-		seg := inner[start:end]
-		start = end + 1
-		esc := -1
-		for k := 0; k < len(seg); k++ {
-			if seg[k] == '%' {
-				esc = k
-				break
-			}
-		}
-		if esc < 0 {
-			fields = append(fields, string(seg))
-			return
-		}
-		scratch = append(scratch[:0], seg[:esc]...)
-		for k := esc; k < len(seg); k++ {
-			if seg[k] == '%' {
-				k++
-			}
-			scratch = append(scratch, seg[k])
-		}
-		fields = append(fields, string(scratch))
-	}
-	for i := 0; i < len(inner); i++ {
-		switch inner[i] {
-		case '%':
-			i++
-		case '@':
-			flush(i)
-		}
-	}
-	flush(len(inner))
 	return fields, nil
 }
