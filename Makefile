@@ -28,7 +28,8 @@ race-rtdb:
 
 # The TCP serving layer under the race detector: frame codec, listener,
 # client package, and the 32-client loopback hammer that asserts the
-# conservation laws end-to-end over the wire, plus the mid-flight drain.
+# conservation laws end-to-end over the wire, plus the mid-flight drain and
+# the subscription attach/cancel churn hammer on one connection's writer.
 race-net:
 	$(GO) test -race ./internal/rtwire/ ./internal/rtdb/netserve/ ./internal/rtdb/client/
 
@@ -147,7 +148,7 @@ rtbench:
 # rtbench (above), not these files.
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/adhoc/ | $(GO) run ./cmd/benchjson -o BENCH_adhoc.json
-	$(GO) test -run='^$$' -bench=. -benchmem -timeout=30m ./internal/rtdb/log/ ./internal/rtdb/server/ ./internal/rtdb/sub/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/torture/ | $(GO) run ./cmd/benchjson -o BENCH_rtdb.json
+	$(GO) test -run='^$$' -bench=. -benchmem -timeout=30m ./internal/rtwire/ ./internal/rtdb/log/ ./internal/rtdb/server/ ./internal/rtdb/sub/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/torture/ | $(GO) run ./cmd/benchjson -o BENCH_rtdb.json
 
 # Short fuzzing passes over the parsers and encoders.
 fuzz:
@@ -161,6 +162,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSegmentRecovery -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/rtwire/
 	$(GO) test -fuzz=FuzzRequestRoundTrip -fuzztime=20s ./internal/rtwire/
+	$(GO) test -fuzz=FuzzDecodeDifferential -fuzztime=20s ./internal/rtwire/
 	$(GO) test -fuzz=FuzzShardRoute -fuzztime=20s ./internal/rtwire/
 
 examples:

@@ -1,6 +1,10 @@
 package encoding
 
-import "strconv"
+import (
+	"fmt"
+	"math"
+	"strconv"
+)
 
 // This file is the byte-level rendering of Record: the writer and the
 // scanner the WAL (internal/rtdb/log) and the wire protocol (internal/rtwire)
@@ -38,6 +42,40 @@ func AppendUnescaped[T Bytes](dst []byte, raw T) []byte {
 		dst = append(dst, raw[i])
 	}
 	return dst
+}
+
+// FieldString decodes one raw field, as Scanner.Next returns it, into a
+// string.
+func FieldString[T Bytes](raw T, escaped bool) string {
+	if !escaped {
+		return string(raw)
+	}
+	var tmp [64]byte
+	return string(AppendUnescaped(tmp[:0], raw))
+}
+
+// ParseUint reads one decimal field under strconv.ParseUint(s, 10, 64)'s
+// rule — digits only, at least one, no sign, and the value must fit a
+// uint64 — from either byte form, without converting it. It is the one
+// numeric parser of the WAL and the wire, so a field one of them rejects
+// the other rejects too.
+func ParseUint[T Bytes](s T) (uint64, error) {
+	if len(s) == 0 {
+		return 0, fmt.Errorf("encoding: empty numeric field")
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("encoding: numeric field %q", s)
+		}
+		d := uint64(c - '0')
+		if v > math.MaxUint64/10 || v*10 > math.MaxUint64-d {
+			return 0, fmt.Errorf("encoding: numeric field %q overflows 64 bits", s)
+		}
+		v = v*10 + d
+	}
+	return v, nil
 }
 
 // RecordWriter renders one record into Buf, field by field.

@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -125,5 +127,43 @@ func TestInjectivity(t *testing.T) {
 	b := String(Record("a", "bc"))
 	if a == b {
 		t.Error("Record not injective")
+	}
+}
+
+// TestParseUintRejectsOverflow pins ParseUint to strconv.ParseUint's rule
+// from both byte forms: the WAL and the wire share it, so a numeric field
+// that would wrap is refused by both instead of decoding as a small number.
+func TestParseUintRejectsOverflow(t *testing.T) {
+	cases := []struct {
+		in   string
+		want uint64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"007", 7, true},
+		{"18446744073709551615", math.MaxUint64, true},
+		{"0000000000000000000000018446744073709551615", math.MaxUint64, true},
+		{"18446744073709551616", 0, false},
+		{"99999999999999999999", 0, false},    // 20 digits
+		{"184467440737095516150", 0, false},   // 21 digits
+		{"99999999999999999999999", 0, false}, // 23 digits: wrapped to 200376420520689663
+		{"", 0, false},
+		{"12x", 0, false},
+		{"+1", 0, false},
+		{"-1", 0, false},
+		{" 1", 0, false},
+		{"1_0", 0, false},
+	}
+	for _, tc := range cases {
+		ref, refErr := strconv.ParseUint(tc.in, 10, 64)
+		if (refErr == nil) != tc.ok || (tc.ok && ref != tc.want) {
+			t.Fatalf("case %q disagrees with strconv.ParseUint: %d, %v", tc.in, ref, refErr)
+		}
+		if got, err := ParseUint(tc.in); (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseUint(string %q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if got, err := ParseUint([]byte(tc.in)); (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseUint([]byte %q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
 	}
 }

@@ -512,6 +512,14 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 			return
 		}
 		c.lastRead.Store(time.Now().UnixNano())
+		if f.Kind == rtwire.KindPush {
+			// The one kind that arrives in bulk decodes into a stack value;
+			// every other message is boxed for its waiting caller anyway.
+			if m, err := rtwire.DecodePush(f); err == nil {
+				c.dispatchPush(m)
+			}
+			continue
+		}
 		msg, err := rtwire.Decode(f)
 		if err != nil {
 			continue
@@ -527,8 +535,6 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 			c.deliver(m.ID, m)
 		case rtwire.SubAck:
 			c.deliver(m.ID, m)
-		case rtwire.Push:
-			c.dispatchPush(m)
 		case rtwire.Err:
 			if !c.deliver(m.ID, m) {
 				switch m.Code {

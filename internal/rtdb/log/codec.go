@@ -105,22 +105,6 @@ func Query(at timeseq.Time, session, query, candidate string, kind, dead, minUse
 	}}
 }
 
-// parseUint reads a decimal field: digits only, at least one.
-func parseUint[T encoding.Bytes](s T) (uint64, error) {
-	if len(s) == 0 {
-		return 0, fmt.Errorf("log: empty numeric field")
-	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("log: numeric field %q", s)
-		}
-		v = v*10 + uint64(c-'0')
-	}
-	return v, nil
-}
-
 // frameHeaderSize is the per-record overhead: payload length and CRC32,
 // both little-endian uint32.
 const frameHeaderSize = 8
@@ -202,12 +186,12 @@ func appendControl(dst []byte, tag string, vals ...uint64) []byte {
 func control(payload []byte, tag string, vals []uint64) bool {
 	sc := encoding.Scan(payload)
 	raw, escaped, ok := sc.Next()
-	if !ok || fieldString(raw, escaped) != tag {
+	if !ok || encoding.FieldString(raw, escaped) != tag {
 		return false
 	}
 	for i := range vals {
 		raw, escaped, ok := sc.Next()
-		v, err := parseUint(fieldString(raw, escaped))
+		v, err := encoding.ParseUint(encoding.FieldString(raw, escaped))
 		if !ok || err != nil {
 			return false
 		}
@@ -307,13 +291,13 @@ func decodeEvent[T encoding.Bytes](payload T, names map[string]string) (Event, b
 	if esc0 || esc1 {
 		// Never written by this encoder, but %-pairs are legal anywhere in
 		// a record: "%S" is the tag S and "%1%2" the time 12.
-		tag, at = T(fieldString(tag, esc0)), T(fieldString(at, esc1))
+		tag, at = T(encoding.FieldString(tag, esc0)), T(encoding.FieldString(at, esc1))
 	}
 	kind := -1
 	if len(tag) == 1 {
 		kind = strings.IndexByte(kindTags, tag[0])
 	}
-	t, err := parseUint(at)
+	t, err := encoding.ParseUint(at)
 	if kind < 0 || err != nil {
 		return Event{}, false
 	}
@@ -322,9 +306,9 @@ func decodeEvent[T encoding.Bytes](payload T, names map[string]string) (Event, b
 		e.Name = names[string(name)]
 	}
 	if e.Name == "" {
-		e.Name = fieldString(name, esc2)
+		e.Name = encoding.FieldString(name, esc2)
 	}
-	e.Value = fieldString(value, esc3)
+	e.Value = encoding.FieldString(value, esc3)
 	if n := sc.MaxFields(); n > 0 {
 		e.Args = make([]string, 0, n)
 		for {
@@ -332,20 +316,11 @@ func decodeEvent[T encoding.Bytes](payload T, names map[string]string) (Event, b
 			if !ok {
 				break
 			}
-			e.Args = append(e.Args, fieldString(raw, esc))
+			e.Args = append(e.Args, encoding.FieldString(raw, esc))
 		}
 	}
 	if sc.Bad() {
 		return Event{}, false
 	}
 	return e, true
-}
-
-// fieldString decodes one raw record field into a string.
-func fieldString[T encoding.Bytes](raw T, escaped bool) string {
-	if !escaped {
-		return string(raw)
-	}
-	var tmp [64]byte
-	return string(encoding.AppendUnescaped(tmp[:0], raw))
 }

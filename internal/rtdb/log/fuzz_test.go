@@ -3,6 +3,7 @@ package log
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"rtc/internal/encoding"
@@ -53,7 +54,7 @@ func oracleDecode(payload []byte) (Event, bool) {
 			kind = k
 		}
 	}
-	at, err := parseUint(f[1])
+	at, err := strconv.ParseUint(f[1], 10, 64)
 	if kind < 0 || err != nil {
 		return Event{}, false
 	}
@@ -82,6 +83,9 @@ func FuzzEventCodecDifferential(f *testing.F) {
 	f.Add([]byte("$%S@%7@temp@21@@$")) // escaped tag and time, empty args
 	f.Add([]byte("$S@99999999999999999999999@temp@21$"))
 	f.Add([]byte("$COMMIT@9$"))
+	f.Add([]byte("$S@18446744073709551615@temp@21$"))   // 2^64-1: the largest time
+	f.Add([]byte("$S@18446744073709551616@temp@21$"))   // 2^64: one past it
+	f.Add([]byte("$S@0000000000000000000007@temp@21$")) // 22 digits, value 7
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		want, wantOK := oracleDecode(payload)
 		got, ok := DecodeEvent(payload)

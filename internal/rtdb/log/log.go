@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"rtc/internal/encoding"
 	"rtc/internal/faultfs"
 	"rtc/internal/timeseq"
 )
@@ -133,7 +134,7 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
 		return 0, false
 	}
-	v, err := parseUint(name[len(prefix) : len(name)-len(suffix)])
+	v, err := encoding.ParseUint(name[len(prefix) : len(name)-len(suffix)])
 	return v, err == nil
 }
 

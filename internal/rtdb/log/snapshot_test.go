@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash/crc32"
 	"os"
+	"strconv"
 	"testing"
 
 	"rtc/internal/faultfs"
@@ -78,7 +79,7 @@ func oracleSnapshot(payloads [][]byte) (*State, replayPos, bool) {
 	num := func(f []string) ([]uint64, bool) {
 		out := make([]uint64, len(f))
 		for i, s := range f {
-			v, err := parseUint(s)
+			v, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
 				return nil, false
 			}
@@ -208,6 +209,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(join(append(append([][]byte{}, good[:last]...), []byte("$COMMIT@3$")))) // count mismatch
 	f.Add(join(append([][]byte{[]byte("$SNAPSHOT$")}, good[1:]...)))
 	f.Add([]byte("$SNAPSHOT@1@0@0@0$\n$COMMIT@0$"))
+	f.Add([]byte("$SNAPSHOT@18446744073709551616@0@0@0$\n$COMMIT@0$")) // 2^64 does not wrap to 0
 	f.Fuzz(func(t *testing.T, b []byte) {
 		payloads := bytes.Split(b, []byte("\n"))
 		st, pos, err := loadBytes(t, frames(payloads...))

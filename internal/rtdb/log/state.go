@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"rtc/internal/encoding"
 	"rtc/internal/rtdb"
 	"rtc/internal/timeseq"
 )
@@ -69,7 +70,7 @@ func (st *State) check(e Event) error {
 		if len(e.Args) != 1 {
 			return fmt.Errorf("log: image record for %q needs a period", e.Name)
 		}
-		_, err := parseUint(e.Args[0])
+		_, err := encoding.ParseUint(e.Args[0])
 		return err
 	case KindSample:
 		if _, ok := st.Images[e.Name]; !ok {
@@ -81,7 +82,7 @@ func (st *State) check(e Event) error {
 			return fmt.Errorf("log: query record for %q needs 4 args", e.Name)
 		}
 		for _, a := range e.Args[1:] {
-			if _, err := parseUint(a); err != nil {
+			if _, err := encoding.ParseUint(a); err != nil {
 				return err
 			}
 		}
@@ -100,7 +101,7 @@ func (st *State) Apply(e Event) error {
 		if len(e.Args) != 1 {
 			return fmt.Errorf("log: image record for %q needs a period", e.Name)
 		}
-		p, err := parseUint(e.Args[0])
+		p, err := encoding.ParseUint(e.Args[0])
 		if err != nil {
 			return err
 		}
@@ -121,15 +122,15 @@ func (st *State) Apply(e Event) error {
 		if len(e.Args) != 4 {
 			return fmt.Errorf("log: query record for %q needs 4 args", e.Name)
 		}
-		kind, err := parseUint(e.Args[1])
+		kind, err := encoding.ParseUint(e.Args[1])
 		if err != nil {
 			return err
 		}
-		dead, err := parseUint(e.Args[2])
+		dead, err := encoding.ParseUint(e.Args[2])
 		if err != nil {
 			return err
 		}
-		min, err := parseUint(e.Args[3])
+		min, err := encoding.ParseUint(e.Args[3])
 		if err != nil {
 			return err
 		}
@@ -209,7 +210,7 @@ func (st *State) dump() []Event {
 func splitFiring(s string) (timeseq.Time, string, bool) {
 	for i := 0; i < len(s); i++ {
 		if s[i] == ':' {
-			at, err := parseUint(s[:i])
+			at, err := encoding.ParseUint(s[:i])
 			if err != nil {
 				return 0, "", false
 			}

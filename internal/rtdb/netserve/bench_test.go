@@ -13,7 +13,7 @@ import (
 // benchNet stands up a loopback server with nConns pre-dialed clients, so
 // the benchmark loop measures the serving path (frame codec, write queue,
 // session, apply loop) and not dial/handshake cost.
-func benchNet(b *testing.B, nConns int) []*client.Client {
+func benchNet(b *testing.B, nConns int) (*server.Server, []*client.Client) {
 	b.Helper()
 	cfg := testConfig()
 	cfg.Sessions = nConns
@@ -48,13 +48,13 @@ func benchNet(b *testing.B, nConns int) []*client.Client {
 	if err := conns[0].Flush(); err != nil {
 		b.Fatal(err)
 	}
-	return conns
+	return s, conns
 }
 
 // BenchmarkNetQuery measures firm-deadline query round trips over loopback
 // TCP across 4 client connections (the acceptance-criteria shape).
 func BenchmarkNetQuery(b *testing.B) {
-	conns := benchNet(b, 4)
+	_, conns := benchNet(b, 4)
 	var next atomic.Uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -78,7 +78,7 @@ func BenchmarkNetQuery(b *testing.B) {
 // BenchmarkNetSample measures fire-and-forget sample injection over one
 // connection, flushing at the end so every sample is applied.
 func BenchmarkNetSample(b *testing.B) {
-	conns := benchNet(b, 1)
+	_, conns := benchNet(b, 1)
 	c := conns[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -91,4 +91,56 @@ func BenchmarkNetSample(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
+}
+
+// BenchmarkNetFanout is the push path over loopback TCP: 32 standing queries
+// of one evaluation group on ONE connection, ticks driven from a second.
+// One op is one delivered push (ns and allocs per push, server and client
+// together) — the microbenchmark twin of rtbench's sub_fanout workload.
+func BenchmarkNetFanout(b *testing.B) {
+	b.Run("32subs", func(b *testing.B) {
+		srv, conns := benchNet(b, 2)
+		feeder, subConn := conns[0], conns[1]
+		var received atomic.Uint64
+		arrived := make(chan struct{}, 1)
+		for i := 0; i < 32; i++ {
+			sub, err := subConn.Subscribe(client.SubSpec{
+				Query: "status_q", Period: 4, Kind: deadline.Soft,
+				Deadline: 1 << 20, MinUseful: 1, Depth: 64, Buffer: 256,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() { // ends when the client closes the subscription
+				for range sub.Pushes() {
+					received.Add(1)
+					select {
+					case arrived <- struct{}{}:
+					default:
+					}
+				}
+			}()
+		}
+		// round feeds about two ticks' worth of samples and waits until
+		// every push they matured is delivered, so no queue overflows.
+		round := func() {
+			for i := 0; i < 8; i++ {
+				if err := feeder.InjectSample("temp", "21"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := feeder.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			for want := matured(srv); received.Load() < want; {
+				<-arrived
+			}
+		}
+		round() // first ticks, buffers grown
+		b.ReportAllocs()
+		b.ResetTimer()
+		for start := received.Load(); received.Load()-start < uint64(b.N); {
+			round()
+		}
+	})
 }

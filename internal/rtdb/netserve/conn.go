@@ -46,10 +46,13 @@ type conn struct {
 	ackCh chan uint64
 	repl  bool
 
-	// subs maps client-chosen subscription ids to their pumps. Only the
-	// read loop touches it (attach, cancel), so it needs no lock; pumps
-	// alive at connection teardown clean themselves up on rstop.
-	subs map[uint64]*subPump
+	// subs is the attached subscriptions in attach order. Only the read
+	// loop (and handle, once it is gone) changes it, under subMu; writeLoop
+	// copies it under subMu before each drain. Every subscription's queue
+	// posts its wake tokens to wake (sub.NewQueueWake).
+	subMu sync.Mutex
+	subs  []connSub
+	wake  chan struct{}
 }
 
 // interruptRead unblocks a pending Read so the read loop can observe the
@@ -105,60 +108,95 @@ func (c *conn) tryEnqueue(frame []byte) bool {
 	}
 }
 
-// writeLoop drains the write queue to the socket. On done it finishes
-// whatever is queued, then signals wdone.
+// deadlineWriter arms the write deadline where the bytes leave: once per
+// socket write rather than once per frame, so WriteTimeout bounds what it
+// always bounded — one blocked write — at one timer update per syscall.
+type deadlineWriter struct {
+	nc      net.Conn
+	timeout time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	_ = w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.nc.Write(p)
+}
+
+// writeLoop is the connection's only writer and its subscriptions' pump: it
+// sleeps on the write queue and on the shared wake channel, copies queued
+// frames and drained pushes into one bufio.Writer, and flushes once nothing
+// else is pending — a tick fanned out to every subscription on the
+// connection is one wake-up and one socket write. Frames are counted one by
+// one as they enter the buffer. On done it finishes the queue, then signals
+// wdone.
 func (c *conn) writeLoop() {
 	defer close(c.wdone)
-	bw := bufio.NewWriter(c.nc)
+	bw := bufio.NewWriter(deadlineWriter{c.nc, c.n.opt.WriteTimeout})
 	write := func(frame []byte) bool {
-		_ = c.nc.SetWriteDeadline(time.Now().Add(c.n.opt.WriteTimeout))
 		if _, err := bw.Write(frame); err != nil {
 			return false
 		}
-		// Flush eagerly when the queue is empty; otherwise let frames
-		// coalesce into one syscall.
-		if len(c.writeq) == 0 {
-			if err := bw.Flush(); err != nil {
-				return false
-			}
-		}
 		c.n.Wire.FramesOut.Add(1)
 		c.n.Wire.BytesOut.Add(uint64(len(frame)))
-		// bufio has copied (or directly written) the bytes; the buffer is
-		// free for the next response.
-		c.putBuf(frame)
 		return true
 	}
-	// fail is the write-error path: a client that cannot absorb frames
-	// within WriteTimeout is dead weight. Count it and interrupt the read
-	// loop so the whole connection tears down now — before this change a
-	// dead writer left the reader idling until IdleTimeout while every
-	// response silently fell into discard.
-	fail := func() {
-		c.n.Wire.WriteTimeouts.Add(1)
-		c.interruptRead()
-		c.discard()
+	var scratch []byte // every Push is encoded here, then copied into bw
+	var subs []connSub
+	// drain pops every attached queue dry, stamping each push with the
+	// queue's cumulative drop count at pop time. A push that lands behind
+	// the sweep has posted a fresh wake token, so nothing is left waiting.
+	drain := func() bool {
+		c.subMu.Lock()
+		subs = append(subs[:0], c.subs...)
+		c.subMu.Unlock()
+		for _, s := range subs {
+			for push, droppedCum, ok := s.ss.Pop(); ok; push, droppedCum, ok = s.ss.Pop() {
+				scratch = rtwire.Push{
+					ID: s.id, Cursor: push.Cursor, Dropped: droppedCum,
+					Expired: push.Expired, Useful: push.Useful,
+					Missed: push.Missed, Evaluated: push.Evaluated,
+					Issue: push.Issue, Served: push.Served,
+					Answers: push.Answers,
+				}.AppendTo(scratch[:0])
+				if !write(scratch) {
+					return false
+				}
+				c.n.Wire.PushesOut.Add(1)
+			}
+		}
+		return true
 	}
 	for {
+		ok := true
 		select {
 		case frame := <-c.writeq:
-			if !write(frame) {
-				fail()
-				return
-			}
+			ok = write(frame) // copied or written: the buffer is free again
+			c.putBuf(frame)
+		case <-c.wake:
+			ok = drain()
 		case <-c.done:
-			for {
-				select {
-				case frame := <-c.writeq:
-					if !write(frame) {
-						c.discard()
-						return
-					}
-				default:
-					_ = bw.Flush()
-					return
-				}
+			// Producers are gone, subscriptions cancelled: finish the queue.
+			for ok && len(c.writeq) > 0 {
+				ok = write(<-c.writeq)
 			}
+			if !ok {
+				c.discard()
+			}
+			_ = bw.Flush()
+			return
+		}
+		// Flush once nothing is pending; until then frames share a syscall.
+		if ok && len(c.writeq) == 0 && len(c.wake) == 0 {
+			ok = bw.Flush() == nil
+		}
+		if !ok {
+			// A client that cannot absorb frames within WriteTimeout is dead
+			// weight: count it and interrupt the read loop so the whole
+			// connection tears down now, not at IdleTimeout. Until handle
+			// cancels them its subscriptions cost only their own queues.
+			c.n.Wire.WriteTimeouts.Add(1)
+			c.interruptRead()
+			c.discard()
+			return
 		}
 	}
 }
@@ -171,15 +209,9 @@ func (c *conn) discard() {
 		case <-c.writeq:
 			c.n.Wire.WriteDrops.Add(1)
 		case <-c.done:
-			// Producers are gone; drop whatever is left.
-			for {
-				select {
-				case <-c.writeq:
-					c.n.Wire.WriteDrops.Add(1)
-				default:
-					return
-				}
-			}
+			// Producers are gone; whatever is left is dropped with the conn.
+			c.n.Wire.WriteDrops.Add(uint64(len(c.writeq)))
+			return
 		}
 	}
 }
@@ -223,39 +255,81 @@ func (c *conn) readLoop() {
 	}
 }
 
-// dispatch handles one frame; false ends the connection.
+// dispatch handles one frame; false ends the connection. The kinds a loaded
+// connection is made of decode into stack values; the rest share Decode.
 func (c *conn) dispatch(f rtwire.Frame) bool {
-	msg, err := rtwire.Decode(f)
-	if err != nil {
-		c.n.Wire.DecodeErrors.Add(1)
-		c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: err.Error()}.AppendTo(c.getBuf()))
-		return true
+	var err error
+	switch f.Kind {
+	case rtwire.KindSample:
+		var m rtwire.Sample
+		if m, err = rtwire.DecodeSample(f); err == nil {
+			return c.onSample(m)
+		}
+	case rtwire.KindQuery:
+		var m rtwire.Query
+		if m, err = rtwire.DecodeQuery(f); err == nil {
+			c.n.Wire.QueriesIn.Add(1)
+			return c.serve(func() { c.serveQuery(m) })
+		}
+	case rtwire.KindFlush:
+		var m rtwire.Flush
+		if m, err = rtwire.DecodeFlush(f); err == nil {
+			return c.serve(func() { c.serveFlush(m) })
+		}
+	default:
+		var msg any
+		if msg, err = rtwire.Decode(f); err == nil {
+			return c.onMessage(f.Kind, msg)
+		}
 	}
+	c.n.Wire.DecodeErrors.Add(1)
+	c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: err.Error()}.AppendTo(c.getBuf()))
+	return true
+}
+
+// serve runs one blocking request (a query, a flush) on its own goroutine
+// once the connection has an inflight slot; false means teardown began
+// while waiting for one.
+func (c *conn) serve(request func()) bool {
+	select {
+	case c.sem <- struct{}{}:
+	case <-c.done:
+		return false
+	}
+	c.inflight.Add(1)
+	go func() {
+		defer c.inflight.Done()
+		defer func() { <-c.sem }()
+		request()
+	}()
+	return true
+}
+
+func (c *conn) onSample(m rtwire.Sample) bool {
+	c.n.Wire.SamplesIn.Add(1)
+	switch err := c.sess.InjectSample(m.Image, m.Value); err {
+	case nil:
+	case server.ErrBackpressure:
+		c.n.Wire.BackpressureFrames.Add(1)
+		c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeBackpressure, Msg: "session queue full"}.AppendTo(c.getBuf()))
+	default: // ErrClosed
+		c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
+		return false
+	}
+	return true
+}
+
+func (c *conn) serveFlush(m rtwire.Flush) {
+	if err := c.sess.Flush(); err != nil {
+		c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
+		return
+	}
+	c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.srv.Now()}.AppendTo(c.getBuf()))
+}
+
+// onMessage handles the kinds dispatch decoded through Decode.
+func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 	switch m := msg.(type) {
-	case rtwire.Sample:
-		c.n.Wire.SamplesIn.Add(1)
-		switch err := c.sess.InjectSample(m.Image, m.Value); err {
-		case nil:
-		case server.ErrBackpressure:
-			c.n.Wire.BackpressureFrames.Add(1)
-			c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeBackpressure, Msg: "session queue full"}.AppendTo(c.getBuf()))
-		default: // ErrClosed
-			c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
-			return false
-		}
-	case rtwire.Query:
-		c.n.Wire.QueriesIn.Add(1)
-		select {
-		case c.sem <- struct{}{}:
-		case <-c.done:
-			return false
-		}
-		c.inflight.Add(1)
-		go func() {
-			defer c.inflight.Done()
-			defer func() { <-c.sem }()
-			c.serveQuery(m)
-		}()
 	case rtwire.AsOf:
 		c.n.Wire.AsOfReads.Add(1)
 		v, ok := c.n.srv.ValueAsOf(m.Image, m.At)
@@ -288,22 +362,6 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 			rtwire.MetricPair{Name: "repl_durable", Value: c.n.ReplDurable()},
 		)
 		c.enqueue(rtwire.Metrics{ID: m.ID, Pairs: wp}.AppendTo(c.getBuf()))
-	case rtwire.Flush:
-		select {
-		case c.sem <- struct{}{}:
-		case <-c.done:
-			return false
-		}
-		c.inflight.Add(1)
-		go func() {
-			defer c.inflight.Done()
-			defer func() { <-c.sem }()
-			if err := c.sess.Flush(); err != nil {
-				c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
-				return
-			}
-			c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.srv.Now()}.AppendTo(c.getBuf()))
-		}()
 	case rtwire.Subscribe:
 		if c.repl {
 			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "already subscribed"}.AppendTo(c.getBuf()))
@@ -342,7 +400,7 @@ func (c *conn) dispatch(f rtwire.Frame) bool {
 	case rtwire.Bye:
 		return false
 	default:
-		c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "unexpected " + f.Kind.String()}.AppendTo(c.getBuf()))
+		c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "unexpected " + kind.String()}.AppendTo(c.getBuf()))
 	}
 	return true
 }

@@ -14,7 +14,8 @@
 //     Metrics.AccountExpired — the conservation law QueriesIn ==
 //     QueriesAccounted therefore holds end-to-end over TCP.
 //   - Responses go through a bounded per-connection write queue drained by
-//     a dedicated writer goroutine; the apply loop never blocks on a slow
+//     a dedicated writer goroutine, which is also the pump of the
+//     connection's standing queries; the apply loop never blocks on a slow
 //     client. Session-queue overload comes back as an rtwire.Err frame
 //     with CodeBackpressure, never as silence.
 //   - Close drains gracefully: accepts stop, readers stop, in-flight
@@ -47,7 +48,8 @@ type Options struct {
 	// IdleTimeout closes a connection that sends nothing for this long
 	// (default 2m).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one frame write to a slow client (default 10s).
+	// WriteTimeout bounds one socket write to a slow client; a write may
+	// carry several coalesced frames (default 10s).
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds the Hello/Welcome exchange (default 5s).
 	HandshakeTimeout time.Duration
@@ -368,6 +370,7 @@ func (n *Server) handle(nc net.Conn) {
 		sem:    make(chan struct{}, n.opt.MaxInflight),
 		ackCh:  make(chan uint64, 16),
 		wfree:  make(chan []byte, n.opt.WriteQueue+1),
+		wake:   make(chan struct{}, 1),
 	}
 	n.register(c)
 	defer n.unregister(c)
@@ -383,15 +386,16 @@ func (n *Server) handle(nc net.Conn) {
 	c.readLoop()
 
 	// Drain: stop the replication sender first (it exits on rstop, so the
-	// inflight wait below cannot deadlock on it), wait for in-flight
-	// queries/flushes to enqueue their responses, flush this connection's
-	// session so every sample it submitted is applied (SamplesIn ==
-	// SamplesApplied survives mid-flight shutdown), announce the close,
-	// then let the writer finish the queue.
+	// inflight wait below cannot deadlock on it), cancel the subscriptions
+	// still attached, wait for in-flight queries/flushes to enqueue their
+	// responses, flush this connection's session so every sample it
+	// submitted is applied (SamplesIn == SamplesApplied survives mid-flight
+	// shutdown), announce the close, then let the writer finish the queue.
 	close(c.rstop)
 	if c.repl {
 		n.replForget(c)
 	}
+	c.subTeardown()
 	c.inflight.Wait()
 	_ = c.sess.Flush()
 	c.tryEnqueue(rtwire.Bye{Reason: "drain"}.Encode())

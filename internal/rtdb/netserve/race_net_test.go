@@ -10,6 +10,7 @@ import (
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb/client"
 	"rtc/internal/rtwire"
+	"rtc/internal/timeseq"
 )
 
 // TestNetRaceHammer throws 32 concurrent clients at one loopback listener
@@ -168,5 +169,111 @@ func TestDrainMidFlight(t *testing.T) {
 		RetryAttempts: -1, DialTimeout: 500 * time.Millisecond,
 	}); err == nil {
 		t.Error("dial after Close succeeded")
+	}
+}
+
+// TestSubChurnHammer attaches and cancels subscriptions from 8 goroutines on
+// ONE connection while a second connection keeps ticks flowing: the read
+// loop edits the connection's subscription list, the writer sweeps it, and
+// the apply loop fills the queues, all at once. Each worker checks cursor
+// order on what it receives; at the end the push books balance and every
+// subscription opened is closed. Run it under -race; that is its whole
+// point.
+func TestSubChurnHammer(t *testing.T) {
+	const (
+		workers = 8
+		cycles  = 12
+	)
+	cfg := testConfig()
+	cfg.Sessions = 2
+	s, ns, addr := startNet(t, cfg, Options{})
+	subConn, err := client.Dial(addr, client.Options{Name: "churn-subs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer subConn.Close()
+	feeder, err := client.Dial(addr, client.Options{Name: "churn-feeder"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feeder.Close()
+
+	stop := make(chan struct{})
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		for op := 0; ; op++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := feeder.InjectSample("temp", fmt.Sprint(15+op%10)); err != nil &&
+				!errors.Is(err, client.ErrBackpressure) {
+				t.Error(err)
+				return
+			}
+			if op%8 == 7 {
+				if err := feeder.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for cycle := 0; cycle < cycles; cycle++ {
+				sub, err := subConn.Subscribe(client.SubSpec{
+					// Three evaluation groups; each tick costs one chronon,
+					// so 1/4 + 1/6 + 1/8 keeps the virtual clock feasible.
+					Query: "status_q", Period: timeseq.Time(4 + 2*((w+cycle)%3)),
+					Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1, Depth: 8,
+				})
+				if err != nil {
+					t.Errorf("worker %d cycle %d: %v", w, cycle, err)
+					return
+				}
+				var last uint64
+				for n := 0; n < 1+cycle%4; n++ {
+					p, ok := <-sub.Pushes()
+					if !ok {
+						t.Errorf("worker %d cycle %d: subscription ended: %v", w, cycle, sub.Err())
+						return
+					}
+					if p.Cursor <= last {
+						t.Errorf("worker %d cycle %d: cursor %d after %d", w, cycle, p.Cursor, last)
+					}
+					last = p.Cursor
+				}
+				if err := sub.Close(); err != nil {
+					t.Errorf("worker %d cycle %d: close: %v", w, cycle, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-fed
+
+	_ = subConn.Close()
+	_ = feeder.Close()
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics.Snapshot()
+	if m.SubsOpened != workers*cycles || m.SubsOpened != m.SubsClosed {
+		t.Errorf("subs opened/closed = %d/%d, want %d each", m.SubsOpened, m.SubsClosed, workers*cycles)
+	}
+	if m.PushScheduled == 0 || m.PushAccounted() != m.PushScheduled {
+		t.Errorf("push conservation: scheduled %d accounted %d (%+v)", m.PushScheduled, m.PushAccounted(), m)
+	}
+	if w := ns.Wire.Snapshot(); w.DecodeErrors != 0 || w.WriteDrops != 0 {
+		t.Errorf("churn on a clean loopback: %+v", w)
 	}
 }

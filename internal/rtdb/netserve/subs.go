@@ -1,6 +1,8 @@
 package netserve
 
 import (
+	"slices"
+
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb/server"
 	"rtc/internal/rtdb/sub"
@@ -12,20 +14,23 @@ import (
 // frame attaches one subscription to the connection's server: the envelope
 // is translated once through the same remaining = D−E / shifted-decay rule
 // as aperiodic queries, the server admits or refuses it, and an admitted
-// subscription gets a dedicated pump goroutine that drains the bounded
-// delivery queue into the connection's write queue as Push frames.
+// subscription joins the connection's list: its bounded delivery queue posts
+// its wake tokens to the connection's one wake channel, and writeLoop drains
+// every queue into the socket as Push frames — no goroutine per subscription.
 //
-// Delivery accounting stays exact across the hop: the pump stamps each
+// Delivery accounting stays exact across the hop: the writer stamps each
 // frame with the queue's cumulative drop count at pop time, and every
 // teardown path — SubCancel, connection loss, server drain — closes the
 // queue and books whatever was still parked in it as dropped, so the push
 // conservation law (PushScheduled == Pushed + PushDropped + PushExpired)
-// holds over TCP exactly as it does in process.
+// holds over TCP exactly as it does in process. A client that stops reading
+// stalls the writer, not the apply loop: its queues drop oldest, counted.
 //
-// Ordering: the admitting SubAck is enqueued before the pump starts, so it
-// always precedes the first Push. A closing SubAck races the pump's final
-// pops, so a client may see a few already-popped pushes trail the close —
-// they carry cursors at or below the ack's and are safe to discard.
+// Ordering: pushes of one subscription leave in cursor order. The admitting
+// SubAck is enqueued before the writer can see the subscription, so it
+// precedes the first Push. A closing SubAck is enqueued after the queue is
+// closed, and the writer puts every push on the wire as it pops it, so no
+// push of that attachment follows the ack.
 
 // translateSub maps a subscription's client-relative per-tick envelope onto
 // the server's chronon frame, reusing Translate so the rule cannot drift
@@ -44,37 +49,43 @@ func translateSub(query string, period timeseq.Time, kind deadline.Kind,
 	}, expired
 }
 
-// subPump drains one subscription's delivery queue into the connection's
-// write queue. It is inflight-counted and, like the replication sender,
-// tears down on rstop rather than done.
-type subPump struct {
-	c  *conn
+// connSub is one subscription attached to a connection: the client-chosen
+// id its Push frames carry and the server-side handle the writer pops.
+type connSub struct {
 	id uint64
 	ss *server.ServerSub
 }
 
+// subIndex finds an attached subscription by id; -1 when there is none. Only
+// the read loop changes c.subs, so it reads without the lock.
+func (c *conn) subIndex(id uint64) int {
+	return slices.IndexFunc(c.subs, func(s connSub) bool { return s.id == id })
+}
+
 // subAttach admits one SubOpen/SubResume: duplicate ids are a protocol
-// error, a refused envelope answers with a refused SubAck (no attachment,
-// no pump), an admitted one acks the cursor base and starts its pump.
+// error, a refused envelope answers with a refused SubAck (no attachment),
+// an admitted one acks the cursor base and becomes visible to the writer.
 func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, after uint64) {
 	c.n.Wire.SubsIn.Add(1)
-	if _, dup := c.subs[id]; dup {
+	if c.subIndex(id) >= 0 {
 		c.tryEnqueue(rtwire.Err{ID: id, Code: rtwire.CodeBadRequest, Msg: "subscription id already in use"}.AppendTo(c.getBuf()))
 		return
 	}
 	if !expired {
-		ss, err := c.n.srv.Subscribe(spec, after, depth)
+		ss, err := c.n.srv.SubscribeWake(spec, after, depth, c.wake)
 		if err == nil {
-			if c.subs == nil {
-				c.subs = make(map[uint64]*subPump)
-			}
-			p := &subPump{c: c, id: id, ss: ss}
-			c.subs[id] = p
 			c.enqueue(rtwire.SubAck{
 				ID: id, State: rtwire.SubAdmitted, Cursor: after, Chronon: c.n.srv.Now(),
 			}.AppendTo(c.getBuf()))
-			c.inflight.Add(1)
-			go p.run()
+			c.subMu.Lock()
+			c.subs = append(c.subs, connSub{id: id, ss: ss})
+			c.subMu.Unlock()
+			// A tick may have landed, and its token been spent on a sweep,
+			// before the writer could see the subscription: post one more.
+			select {
+			case c.wake <- struct{}{}:
+			default:
+			}
 			return
 		}
 	}
@@ -84,61 +95,33 @@ func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, afte
 }
 
 // subCancel detaches one subscription. Cancel closes the delivery queue
-// (accounting its leftovers as dropped), which the pump observes and exits
-// on; the closing SubAck carries the last assigned cursor so the client can
-// resume later without a gap.
+// (accounting its leftovers as dropped), so the writer pops nothing more
+// from it; the closing SubAck carries the last assigned cursor so the
+// client can resume later without a gap.
 func (c *conn) subCancel(id uint64) {
-	p, ok := c.subs[id]
-	if !ok {
+	i := c.subIndex(id)
+	if i < 0 {
 		c.tryEnqueue(rtwire.Err{ID: id, Code: rtwire.CodeBadRequest, Msg: "unknown subscription"}.AppendTo(c.getBuf()))
 		return
 	}
-	delete(c.subs, id)
-	last, _ := p.ss.Cancel()
+	ss := c.subs[i].ss
+	c.subMu.Lock()
+	c.subs = slices.Delete(c.subs, i, i+1)
+	c.subMu.Unlock()
+	last, _ := ss.Cancel()
 	c.enqueue(rtwire.SubAck{
 		ID: id, State: rtwire.SubClosed, Cursor: last, Chronon: c.n.srv.Now(),
 	}.AppendTo(c.getBuf()))
 }
 
-// run pumps pushes until the subscription is cancelled or the connection
-// tears down. On rstop it cancels the subscription itself so everything
-// still queued is accounted dropped before the inflight wait completes.
-func (p *subPump) run() {
-	defer p.c.inflight.Done()
-	for {
-		for {
-			push, droppedCum, ok := p.ss.Pop()
-			if !ok {
-				break
-			}
-			frame := rtwire.Push{
-				ID: p.id, Cursor: push.Cursor, Dropped: droppedCum,
-				Expired: push.Expired, Useful: push.Useful,
-				Missed: push.Missed, Evaluated: push.Evaluated,
-				Issue: push.Issue, Served: push.Served,
-				Answers: push.Answers,
-			}.AppendTo(p.c.getBuf())
-			// Block on the write queue (a slow subscriber's backpressure
-			// lands here, where drop-oldest keeps the queue bounded), but
-			// stay interruptible: done may never close while this pump is
-			// inflight-counted, so teardown rides on rstop.
-			select {
-			case p.c.writeq <- frame:
-				p.c.n.Wire.PushesOut.Add(1)
-			case <-p.c.rstop:
-				p.c.putBuf(frame)
-				_, _ = p.ss.Cancel()
-				return
-			}
-		}
-		if p.ss.Queue().Closed() {
-			return // cancelled; the read loop already sent the closing ack
-		}
-		select {
-		case <-p.ss.Notify():
-		case <-p.c.rstop:
-			_, _ = p.ss.Cancel()
-			return
-		}
+// subTeardown cancels whatever is still attached once the read loop is
+// gone, so everything still queued is accounted dropped.
+func (c *conn) subTeardown() {
+	c.subMu.Lock()
+	subs := c.subs
+	c.subs = nil
+	c.subMu.Unlock()
+	for _, s := range subs {
+		_, _ = s.ss.Cancel()
 	}
 }

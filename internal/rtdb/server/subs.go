@@ -39,6 +39,15 @@ type ServerSub struct {
 // whose envelope is impossible is refused, not admitted-then-starved — and
 // again per tick against the live clock.
 func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int) (*ServerSub, error) {
+	return s.SubscribeWake(spec, after, depth, nil)
+}
+
+// SubscribeWake is Subscribe with the delivery queue posting its wake tokens
+// to wake (sub.NewQueueWake) instead of a channel of its own: a transport
+// hands every subscription of one connection the same channel and drains
+// them all from one goroutine. The queue has the channel before the apply
+// loop can put anything in it, so no token is ever posted elsewhere.
+func (s *Server) SubscribeWake(spec sub.Spec, after uint64, depth int, wake chan struct{}) (*ServerSub, error) {
 	if spec.Period == 0 {
 		return nil, fmt.Errorf("server: subscription needs a positive period")
 	}
@@ -67,7 +76,7 @@ func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int) (*ServerSub, 
 	var ss *ServerSub
 	err := s.apply(func() {
 		now := timeseq.Time(s.clock.Load())
-		ss = &ServerSub{srv: s, s: s.subs.Attach(spec, after, depth, now)}
+		ss = &ServerSub{srv: s, s: s.subs.Attach(spec, after, sub.NewQueueWake(depth, wake), now)}
 		s.Metrics.SubsOpened.Add(1)
 	})
 	if err != nil {
@@ -105,10 +114,6 @@ func (ss *ServerSub) Pop() (p sub.Push, droppedCum uint64, ok bool) {
 
 // Notify returns the delivery queue's wake channel.
 func (ss *ServerSub) Notify() <-chan struct{} { return ss.s.Q.Notify() }
-
-// Queue exposes the raw delivery queue (tests and benchmarks; transports
-// should use Pop so delivery is accounted).
-func (ss *ServerSub) Queue() *sub.Queue { return ss.s.Q }
 
 // Spec returns the attached envelope.
 func (ss *ServerSub) Spec() sub.Spec { return ss.s.Spec }

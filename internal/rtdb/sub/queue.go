@@ -19,15 +19,24 @@ type Queue struct {
 	notify  chan struct{}
 }
 
-// NewQueue builds a queue holding at most depth pushes (minimum 1).
-func NewQueue(depth int) *Queue {
+// NewQueue builds a queue holding at most depth pushes (minimum 1), with a
+// wake channel of its own.
+func NewQueue(depth int) *Queue { return NewQueueWake(depth, nil) }
+
+// NewQueueWake is NewQueue for a transport that drains many queues from one
+// goroutine: the queue posts its wake tokens to the caller's channel (which
+// must be buffered; nil makes a private one), so a tick fanned out to every
+// queue sharing it costs the consumer one wake-up. A token then says "some
+// queue on this channel has something", not which: the consumer pops them
+// all.
+func NewQueueWake(depth int, wake chan struct{}) *Queue {
 	if depth < 1 {
 		depth = 1
 	}
-	return &Queue{
-		buf:    make([]Push, depth),
-		notify: make(chan struct{}, 1),
+	if wake == nil {
+		wake = make(chan struct{}, 1)
 	}
+	return &Queue{buf: make([]Push, depth), notify: wake}
 }
 
 // Put enqueues p, discarding the oldest queued push if the ring is full.
@@ -76,7 +85,8 @@ func (q *Queue) Pop() (p Push, droppedCum uint64, ok bool) {
 }
 
 // Notify returns the wake channel: Put and Close each post one token (if
-// none is pending), so a pump can sleep on it and drain on wake.
+// none is pending), so a pump can sleep on it and drain on wake. For a queue
+// built by NewQueueWake it is the shared channel.
 func (q *Queue) Notify() <-chan struct{} { return q.notify }
 
 // Len returns the number of queued pushes.

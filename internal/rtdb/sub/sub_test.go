@@ -67,12 +67,51 @@ func TestQueueNotify(t *testing.T) {
 	}
 }
 
+// TestQueueSharedWake: queues built on one wake channel coalesce their
+// tokens — a tick put to all of them is one pending wake-up — and a Put that
+// lands after the consumer took the token posts a fresh one, so a consumer
+// that pops every queue on each wake never misses a push.
+func TestQueueSharedWake(t *testing.T) {
+	wake := make(chan struct{}, 1)
+	qs := []*Queue{NewQueueWake(2, wake), NewQueueWake(2, wake), NewQueueWake(2, wake)}
+	for i, q := range qs {
+		if q.Notify() != (<-chan struct{})(wake) {
+			t.Fatalf("queue %d does not report the shared channel", i)
+		}
+		q.Put(Push{Cursor: 1})
+	}
+	if len(wake) != 1 {
+		t.Fatalf("three Puts left %d tokens pending, want 1", len(wake))
+	}
+	<-wake
+	qs[1].Put(Push{Cursor: 2})
+	if len(wake) != 1 {
+		t.Fatal("a Put after the token was taken did not post a new one")
+	}
+	<-wake
+	for i, q := range qs {
+		want := 1 + i%2
+		for n := 0; n < want; n++ {
+			if _, _, ok := q.Pop(); !ok {
+				t.Fatalf("queue %d: push %d missing", i, n)
+			}
+		}
+		if _, _, ok := q.Pop(); ok {
+			t.Fatalf("queue %d holds more than %d pushes", i, want)
+		}
+	}
+	qs[0].Close()
+	if len(wake) != 1 {
+		t.Fatal("Close did not post a wake token")
+	}
+}
+
 func TestTableGroupingAndCursors(t *testing.T) {
 	tab := NewTable()
 	spec := Spec{Query: "status_q", Period: 4, Kind: deadline.Firm, Deadline: 2}
-	a := tab.Attach(spec, 0, 8, 100)
-	b := tab.Attach(spec, 0, 8, 100)
-	c := tab.Attach(Spec{Query: "status_q", Period: 8}, 0, 8, 100)
+	a := tab.Attach(spec, 0, NewQueue(8), 100)
+	b := tab.Attach(spec, 0, NewQueue(8), 100)
+	c := tab.Attach(Spec{Query: "status_q", Period: 8}, 0, NewQueue(8), 100)
 	if tab.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", tab.Len())
 	}
@@ -117,7 +156,7 @@ func TestTableGroupingAndCursors(t *testing.T) {
 func TestTableResumeContinuesCursor(t *testing.T) {
 	tab := NewTable()
 	spec := Spec{Query: "temp_q", Period: 2}
-	s := tab.Attach(spec, 41, 8, 10)
+	s := tab.Attach(spec, 41, NewQueue(8), 10)
 	if s.Base() != 41 || s.Cursor() != 41 {
 		t.Fatalf("resume base/cursor = %d/%d, want 41/41", s.Base(), s.Cursor())
 	}

@@ -88,15 +88,17 @@ func (t *Table) Len() int { return t.n }
 // a resume — delivery then continues at after+1, so cursors stay strictly
 // increasing across attachments and no acknowledged tick is replayed).
 // A new group's first tick is due one period after now; joining an existing
-// group adopts its schedule, so co-grouped members tick in lockstep.
-func (t *Table) Attach(spec Spec, after uint64, depth int, now timeseq.Time) *Sub {
+// group adopts its schedule, so co-grouped members tick in lockstep. q is the
+// subscription's delivery queue, built by the caller so that it can choose
+// where the queue posts its wake tokens.
+func (t *Table) Attach(spec Spec, after uint64, q *Queue, now timeseq.Time) *Sub {
 	k := Key{Query: spec.Query, Period: spec.Period}
 	g, ok := t.groups[k]
 	if !ok {
 		g = &Group{key: k, next: now + spec.Period}
 		t.groups[k] = g
 	}
-	s := &Sub{Spec: spec, Q: NewQueue(depth), cursor: after, base: after, g: g}
+	s := &Sub{Spec: spec, Q: q, cursor: after, base: after, g: g}
 	g.members = append(g.members, s)
 	t.n++
 	return s

@@ -1,0 +1,275 @@
+package rtwire
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"reflect"
+	"testing"
+)
+
+// frameOf is the frame a message encodes to.
+func frameOf(tb testing.TB, m encoder) Frame {
+	tb.Helper()
+	f, _, err := DecodeFrame(m.Encode())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// checkAgainstOracle decodes one frame through the oracle, through Decode
+// and through the kind's typed decoder, and fails on any disagreement:
+// accept/reject, the ErrBadPayload/ErrBadKind class and the error text, or
+// the decoded message.
+func checkAgainstOracle(t *testing.T, f Frame) {
+	t.Helper()
+	want, wantErr := oracleDecode(f)
+	got, err := Decode(f)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s %q: Decode err = %v, oracle err = %v", f.Kind, f.Payload, err, wantErr)
+	}
+	if err != nil {
+		if err.Error() != wantErr.Error() ||
+			errors.Is(err, ErrBadPayload) != errors.Is(wantErr, ErrBadPayload) ||
+			errors.Is(err, ErrBadKind) != errors.Is(wantErr, ErrBadKind) {
+			t.Fatalf("%s %q: Decode err = %q, oracle err = %q", f.Kind, f.Payload, err, wantErr)
+		}
+		if got != nil {
+			t.Fatalf("%s %q: Decode returned %+v with an error", f.Kind, f.Payload, got)
+		}
+	} else if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %q:\n got %#v\nwant %#v", f.Kind, f.Payload, got, want)
+	}
+	// The typed decoders transports call directly are the ones Decode boxes;
+	// spot-check the hot ones so the two entry points cannot drift.
+	var typed any
+	var terr error
+	switch f.Kind {
+	case KindPush:
+		typed, terr = DecodePush(f)
+	case KindSample:
+		typed, terr = DecodeSample(f)
+	case KindQuery:
+		typed, terr = DecodeQuery(f)
+	case KindResult:
+		typed, terr = DecodeResult(f)
+	case KindFlush:
+		typed, terr = DecodeFlush(f)
+	case KindFlushed:
+		typed, terr = DecodeFlushed(f)
+	default:
+		return
+	}
+	if (terr == nil) != (wantErr == nil) || (terr == nil && !reflect.DeepEqual(typed, want)) {
+		t.Fatalf("%s %q: typed decoder = %#v, %v; oracle %#v, %v", f.Kind, f.Payload, typed, terr, want, wantErr)
+	}
+}
+
+// hostilePayloads are record bytes chosen to sit on every accept/reject edge
+// of the field reader; each is tried under every kind byte.
+var hostilePayloads = []string{
+	"", "$", "$$", "$@$", "$@@@@@@@@@@@@$",
+	"$7$", "$7@temp@21$", "$7@temp@21@extra@fields$",
+	"$7@temp@21%$",                                 // dangling escape swallows the delimiter
+	"$7@te$mp@21$",                                 // bare delimiter
+	"$7@temp@#21$",                                 // bare number prefix
+	"$7@temp@21@tail%$",                            // damage behind the last field a Sample reads
+	"$%7@t%@mp@%2%1$",                              // escaped digits, escaped delimiter
+	"$7x@temp@21$",                                 // non-numeric id
+	"$+7@temp@21$",                                 // signed id
+	"$@temp@21$",                                   // empty id
+	"$18446744073709551615@a@b$",                   // 2^64-1, 20 digits
+	"$18446744073709551616@a@b$",                   // 2^64
+	"$184467440737095516150@a@b$",                  // 21 digits
+	"$000000000000000000000007@a@b$",               // 24 digits, value 7
+	"$1@2@3@2@1@0$",                                // welcome: role out of range
+	"$1@2@3@1@4@4$",                                // welcome: shard == shards
+	"$1@2@3@1@0@9$",                                // welcome: shards 0 places nothing
+	"$8@q@c@3@40@3@2@1@10@0$",                      // query: deadline kind out of range
+	"$8@q@c@2@40@3@2@3@10@0$",                      // query: decay out of range
+	"$8@q@c@2@40@3@2@1@10$",                        // query: one field short
+	"$8@1@2@0@1@11@13@0$",                          // result: no answers
+	"$8@1@2@0@1@11@13@0@$",                         // result: one empty answer
+	"$8@2@2@0@1@11@13@0@ok$",                       // result: bool out of range
+	"$8@1@2@0@1@11@13$",                            // result: one field short
+	"$10$", "$10@a$", "$10@a@1@b$", "$10@a@1@b@x$", // metrics: odd/even, bad value
+	"$12@300@msg$",    // err: code wider than its type
+	"$2@42@3@40@900$", // wal batch: snap out of range
+	"$2@42@2@40@900@e1@e%@2$",
+	"$5@0@3@1023$", "$5@4@3@1023$", "$5@3@9@1100$", // sub ack: state 0, 4, closed
+	"$5@3@1@1@9@0@1@1@1024@1026@ok@hi%@there$", // push with answers
+	"$5@3@1@1@9@0@1@1@1024@1026$",              // push without
+	"$5@3@1@1@9@0@1@2@1024@1026$",              // push: bool out of range
+	"$5@3@1@1@9@0@1@1@1024$",                   // push: one field short
+	"$5@status_q@8@1@6@1@1@2@9@4@16$",          // sub open
+	"$5@status_q@8@1@6@1@1@2@9@4$",             // sub open: no depth
+	"$5@status_q@8@2@6@2@2@1@10@0@16@3$",       // sub resume
+	"$5@status_q@8@2@6@2@2@1@10@0@16@x$",       // sub resume: bad cursor
+}
+
+// TestDecodeMatchesOracle runs the differential check over every message,
+// every golden frame and the hostile payloads under every kind byte — the
+// deterministic floor under FuzzDecodeDifferential.
+func TestDecodeMatchesOracle(t *testing.T) {
+	for _, m := range allMessages() {
+		checkAgainstOracle(t, frameOf(t, m.(encoder)))
+	}
+	for _, p := range hostilePayloads {
+		for k := 0; k <= int(KindSubResume)+1; k++ {
+			checkAgainstOracle(t, Frame{Kind: Kind(k), Payload: []byte(p)})
+		}
+	}
+}
+
+// FuzzDecodeDifferential holds the one-pass decoders to the field-slice
+// oracle: arbitrary payload bytes under every kind byte are accepted or
+// rejected identically and decode to deep-equal messages.
+func FuzzDecodeDifferential(f *testing.F) {
+	for _, m := range allMessages() {
+		fr := frameOf(f, m.(encoder))
+		f.Add(uint8(fr.Kind), fr.Payload)
+	}
+	for _, g := range goldenMessages() {
+		fr := frameOf(f, g.msg)
+		f.Add(uint8(fr.Kind), fr.Payload)
+	}
+	for i, p := range hostilePayloads {
+		f.Add(uint8(i%int(KindSubResume)+1), []byte(p))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		checkAgainstOracle(t, Frame{Kind: Kind(kind), Payload: payload})
+		// The fuzzer mostly mutates the payload; try it under every kind so
+		// a field-count or enum edge found for one message tests them all.
+		for k := KindHello; k <= KindSubResume; k++ {
+			checkAgainstOracle(t, Frame{Kind: k, Payload: payload})
+		}
+	})
+}
+
+// TestKindRange: decodeHeader accepts the contiguous range KindHello …
+// KindSubResume instead of consulting kindNames, so the two must agree.
+func TestKindRange(t *testing.T) {
+	if len(kindNames) != int(KindSubResume-KindHello)+1 {
+		t.Fatalf("kindNames has %d entries, the kind range %d", len(kindNames), int(KindSubResume-KindHello)+1)
+	}
+	for k := 0; k < 256; k++ {
+		_, named := kindNames[Kind(k)]
+		frame := AppendFrame(nil, Kind(k), []byte("$$"))
+		_, _, err := DecodeFrame(frame)
+		if named != (err == nil) || (!named && !errors.Is(err, ErrBadKind)) {
+			t.Errorf("kind %d: named=%v, DecodeFrame err=%v", k, named, err)
+		}
+	}
+}
+
+// TestAllocGates pins the hot-path allocation budget of the codec with
+// counts, which repeat where clocks do not: framing allocates nothing, and a
+// typed decode allocates only what the message keeps.
+func TestAllocGates(t *testing.T) {
+	gate := func(name string, max float64, fn func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(200, fn); got > max {
+			t.Errorf("%s: %.1f allocs/op, budget %.0f", name, got, max)
+		}
+	}
+
+	buf := make([]byte, 0, 4096)
+	for _, m := range allMessages() {
+		m := m.(interface{ AppendTo([]byte) []byte })
+		gate("AppendTo "+reflect.TypeOf(m).Name(), 0, func() { buf = m.AppendTo(buf[:0]) })
+	}
+
+	push := Push{ID: 5, Cursor: 3, Useful: 1, Evaluated: true, Issue: 1024, Served: 1026, Answers: []string{"ok"}}
+	pushBytes := push.Encode()
+	gate("DecodeFrame", 0, func() {
+		if _, _, err := DecodeFrame(pushBytes); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	stream := bytes.Repeat(pushBytes, 64)
+	rd := bytes.NewReader(stream)
+	br := bufio.NewReader(rd)
+	var rbuf []byte
+	if _, err := ReadFrameBuf(br, &rbuf); err != nil { // grow rbuf once
+		t.Fatal(err)
+	}
+	gate("ReadFrameBuf", 0, func() {
+		if _, err := ReadFrameBuf(br, &rbuf); err != nil {
+			rd.Reset(stream)
+			br.Reset(rd)
+		}
+	})
+
+	pushFrame := frameOf(t, push)
+	gate("DecodePush", 2, func() {
+		if _, err := DecodePush(pushFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sampleFrame := frameOf(t, Sample{ID: 7, Image: "temp", Value: "21"})
+	gate("DecodeSample", 2, func() {
+		if _, err := DecodeSample(sampleFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	queryFrame := frameOf(t, Query{ID: 8, Query: "status_q", Candidate: "ok", Kind: 1, Deadline: 40, MinUseful: 1})
+	gate("DecodeQuery", 2, func() {
+		if _, err := DecodeQuery(queryFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	resultFrame := frameOf(t, Result{ID: 8, Answers: []string{"ok"}, Match: true, Useful: 1, Evaluated: true, Issue: 11, Served: 13})
+	gate("Decode(Result)", 3, func() {
+		if _, err := Decode(resultFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+var benchSink any
+
+func BenchmarkDecode(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		msg  encoder
+	}{
+		{"push", Push{ID: 5, Cursor: 1000, Useful: 1, Evaluated: true, Issue: 100_000, Served: 100_001, Answers: []string{"ok"}}},
+		{"sample", Sample{ID: 7, Image: "temp", Value: "21"}},
+		{"query", Query{ID: 8, Query: "status_q", Candidate: "ok", Kind: 1, Deadline: 40, Elapsed: 3, MinUseful: 1}},
+		{"result", Result{ID: 8, Answers: []string{"ok"}, Match: true, Useful: 1, Evaluated: true, Issue: 11, Served: 13}},
+	} {
+		f := frameOf(b, bc.msg)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := Decode(f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = m
+			}
+		})
+	}
+}
+
+// BenchmarkReadFrame reads Push frames off a bufio.Reader through one
+// reused buffer: header parse, payload copy, CRC.
+func BenchmarkReadFrame(b *testing.B) {
+	frame := Push{ID: 5, Cursor: 1000, Useful: 1, Evaluated: true, Issue: 100_000, Served: 100_001, Answers: []string{"ok"}}.Encode()
+	stream := bytes.Repeat(frame, 256)
+	rd := bytes.NewReader(stream)
+	br := bufio.NewReader(rd)
+	var rbuf []byte
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadFrameBuf(br, &rbuf); err != nil {
+			rd.Reset(stream)
+			br.Reset(rd)
+			i--
+		}
+	}
+}

@@ -173,9 +173,7 @@ var (
 // that sees one must reset the connection, because frame boundaries are
 // lost. I/O errors (timeouts, resets, EOF) are not protocol errors.
 func IsProtocolError(err error) bool {
-	return errors.Is(err, ErrBadMagic) || errors.Is(err, ErrVersion) ||
-		errors.Is(err, ErrBadKind) || errors.Is(err, ErrTooLong) ||
-		errors.Is(err, ErrChecksum) || errors.Is(err, ErrTruncated)
+	return IsCorruptFrame(err) || errors.Is(err, ErrTruncated)
 }
 
 // IsCorruptFrame reports byte damage inside a delivered frame — flipped
@@ -189,11 +187,19 @@ func IsCorruptFrame(err error) bool {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// crcSeeds[k] is the CRC of the two bytes {Version, k}, computed once: every
+// frame's checksum continues from its kind's seed.
+var crcSeeds = func() (seeds [256]uint32) {
+	for k := range seeds {
+		seeds[k] = crc32.Checksum([]byte{Version, byte(k)}, crcTable)
+	}
+	return seeds
+}()
+
 // checksum covers the version and kind bytes as well as the payload, so a
 // frame cannot be replayed as a different kind or protocol version.
 func checksum(kind Kind, payload []byte) uint32 {
-	sum := crc32.Checksum([]byte{Version, byte(kind)}, crcTable)
-	return crc32.Update(sum, crcTable, payload)
+	return crc32.Update(crcSeeds[kind], crcTable, payload)
 }
 
 // Frame is one decoded frame.
@@ -202,25 +208,12 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends the framed payload to dst.
-func AppendFrame(dst []byte, kind Kind, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	hdr[0] = Magic
-	hdr[1] = Version
-	hdr[2] = byte(kind)
-	binary.LittleEndian.PutUint32(hdr[3:7], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[7:11], checksum(kind, payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
 // frameBuilder assembles one record-payload frame in place: the header is
 // reserved up front, fields append directly into the destination buffer
 // through the shared encoding.RecordWriter (numbers via strconv, never
 // through intermediate strings), and finish patches the length and CRC. The
-// byte output is identical to
-// AppendFrame(dst, kind, render(encoding.Record(fields...))) — the golden
-// wire-format fixtures hold across the two encoders.
+// byte output is the header followed by the rendering of
+// encoding.Record(fields...) — the golden wire-format fixtures pin it.
 type frameBuilder struct {
 	encoding.RecordWriter
 	start int
@@ -251,15 +244,6 @@ func (b *frameBuilder) finish() []byte {
 	return buf
 }
 
-// EncodeFields frames a record of fields: payload = bytes of $f1@f2@…$.
-func EncodeFields(kind Kind, fields ...string) []byte {
-	b := beginFrame(nil, kind)
-	for _, f := range fields {
-		b.Str(f)
-	}
-	return b.finish()
-}
-
 // ReadFrame reads one frame from r. io.EOF signals a clean end between
 // frames; mid-frame truncation comes back as ErrTruncated. An I/O error
 // with no frame bytes consumed (a read timeout between frames, a closed
@@ -270,14 +254,19 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return ReadFrameBuf(r, &buf)
 }
 
-// ReadFrameBuf is ReadFrame with a caller-owned payload buffer: *buf is
-// grown as needed and the returned Frame's Payload aliases it, valid only
-// until the next call. Decoded field strings are copies, so a transport
-// can safely reuse one buffer for every frame on a connection — the read
-// loop's steady state allocates nothing.
+// ReadFrameBuf is ReadFrame with a caller-owned buffer: *buf is grown as
+// needed and the returned Frame's Payload aliases it, valid only until the
+// next call. Decoded field strings are copies, so a transport can reuse one
+// buffer for every frame on a connection. The header passes through the
+// same buffer (a local array would escape through the io.Reader), so once
+// *buf fits the largest payload seen, reading a frame allocates nothing —
+// TestAllocGates pins it.
 func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
-	var hdr [HeaderSize]byte
-	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < HeaderSize {
+		*buf = make([]byte, HeaderSize, 256)
+	}
+	hdr := (*buf)[:HeaderSize]
+	if n, err := io.ReadFull(r, hdr); err != nil {
 		if n == 0 {
 			return Frame{}, err
 		}
@@ -287,7 +276,9 @@ func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
+	// The payload overwrites the header bytes: take what is needed first.
 	length := int(binary.LittleEndian.Uint32(hdr[3:7]))
+	sum := binary.LittleEndian.Uint32(hdr[7:11])
 	if cap(*buf) < length {
 		*buf = make([]byte, length)
 	}
@@ -295,7 +286,7 @@ func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
 		return Frame{}, ErrTruncated
 	}
-	if checksum(f.Kind, f.Payload) != binary.LittleEndian.Uint32(hdr[7:11]) {
+	if checksum(f.Kind, f.Payload) != sum {
 		return Frame{}, ErrChecksum
 	}
 	return f, nil
@@ -309,25 +300,24 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderSize {
 		return Frame{}, 0, ErrTruncated
 	}
-	var hdr [HeaderSize]byte
-	copy(hdr[:], b)
-	f, err := decodeHeader(hdr)
+	f, err := decodeHeader(b)
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	length := int(binary.LittleEndian.Uint32(hdr[3:7]))
+	length := int(binary.LittleEndian.Uint32(b[3:7]))
 	if len(b) < HeaderSize+length {
 		return Frame{}, 0, ErrTruncated
 	}
 	f.Payload = b[HeaderSize : HeaderSize+length]
-	if checksum(f.Kind, f.Payload) != binary.LittleEndian.Uint32(hdr[7:11]) {
+	if checksum(f.Kind, f.Payload) != binary.LittleEndian.Uint32(b[7:11]) {
 		return Frame{}, 0, ErrChecksum
 	}
 	return f, HeaderSize + length, nil
 }
 
-// decodeHeader validates everything the header alone can prove wrong.
-func decodeHeader(hdr [HeaderSize]byte) (Frame, error) {
+// decodeHeader validates everything the header alone (hdr's first HeaderSize
+// bytes) can prove wrong. The kinds are one contiguous range.
+func decodeHeader(hdr []byte) (Frame, error) {
 	if hdr[0] != Magic {
 		return Frame{}, ErrBadMagic
 	}
@@ -335,38 +325,11 @@ func decodeHeader(hdr [HeaderSize]byte) (Frame, error) {
 		return Frame{}, ErrVersion
 	}
 	kind := Kind(hdr[2])
-	if _, ok := kindNames[kind]; !ok {
+	if kind < KindHello || kind > KindSubResume {
 		return Frame{}, ErrBadKind
 	}
 	if binary.LittleEndian.Uint32(hdr[3:7]) > MaxPayload {
 		return Frame{}, ErrTooLong
 	}
 	return Frame{Kind: kind}, nil
-}
-
-// Fields parses the frame payload back into its record fields: the byte
-// rendering of $f1@f2@…$, escape pairs %x decoding to x. The shared
-// encoding.Scanner accepts and rejects exactly what tokenizing into the
-// symbol alphabet and running the record parser accepts and rejects — an
-// unescaped delimiter or a dangling escape inside the record is
-// ErrBadPayload — in one pass over the bytes, then one string per field.
-func (f Frame) Fields() ([]string, error) {
-	sc := encoding.Scan(f.Payload)
-	fields := make([]string, 0, sc.MaxFields())
-	var scratch []byte
-	for {
-		raw, escaped, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if escaped {
-			scratch = encoding.AppendUnescaped(scratch[:0], raw)
-			raw = scratch
-		}
-		fields = append(fields, string(raw))
-	}
-	if sc.Bad() {
-		return nil, ErrBadPayload
-	}
-	return fields, nil
 }
