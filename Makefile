@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test rtbench rtbench-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
+.PHONY: all build vet test loc rtbench rtbench-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
 
 all: build vet test
 
@@ -12,6 +12,18 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Go line counts, non-test and test, for the root module (bench/ is its own
+# module) and for the serving stack's packages: net negative line counts are
+# a success metric (ROADMAP), so a PR that claims one quotes this before and
+# after.
+LOC_DIRS = internal/rtdb/netserve internal/rtdb/replica internal/rtdb/server internal/rtdb/sub internal/rtwire cmd/rtdbd cmd/rtdbload
+loc:
+	@for d in . $(LOC_DIRS); do \
+		src=$$(find $$d -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l); \
+		tst=$$(find $$d -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l); \
+		printf '%-26s %6d non-test %6d test\n' $$d $$src $$tst; \
+	done
 
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/adhoc/... ./internal/word/
@@ -28,14 +40,16 @@ race-rtdb:
 
 # The TCP serving layer under the race detector: frame codec, listener,
 # client package, and the 32-client loopback hammer that asserts the
-# conservation laws end-to-end over the wire, plus the mid-flight drain and
-# the subscription attach/cancel churn hammer on one connection's writer.
+# conservation laws end-to-end over the wire, plus the mid-flight drain, the
+# subscription attach/cancel churn hammer on one connection's writer, and the
+# Serve/Close churn that orders the accept loop's wg.Add against the drain.
 race-net:
 	$(GO) test -race ./internal/rtwire/ ./internal/rtdb/netserve/ ./internal/rtdb/client/
 
 # WAL-streaming replication under the race detector: the replica package
-# (live tail, catch-up, resync, promotion fencing, auto-promote watchdog)
-# plus the torture failover sweep's short configuration.
+# (live tail, catch-up, resync, promotion fencing, auto-promote watchdog, the
+# standby listener's hardening and stalled-subscriber tests) plus the torture
+# failover sweep's short configuration.
 race-repl:
 	$(GO) test -race ./internal/rtdb/replica/
 	$(GO) test -race -run=TestFailover ./internal/rtdb/torture/

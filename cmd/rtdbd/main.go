@@ -17,11 +17,18 @@
 // but routed through the client package against an in-process loopback
 // listener, so the synthetic and network paths cannot diverge. Run it
 // twice against the same -dir to watch recovery replay the log.
+//
+// -shards N composes N complete single-shard stacks — one WAL directory
+// (dir/shard-NN), one apply loop, one rtwire listener each — behind the
+// deterministic rtwire.ShardOf router. There is one code path for every N:
+// -shards 1 (the default) is its one-shard case, with the base directory
+// used verbatim and a byte-identical log.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -69,10 +76,8 @@ func main() {
 	switch {
 	case *replicaOf != "":
 		err = runReplica(*dir, *listen, *replicaOf, *promoteAfter, *sessions, *segSize, *snapshot, *fsync, *fsyncWin, *evalCost, *queue)
-	case *shards > 1:
-		err = runSharded(*dir, *listen, *shards, *sessions, *ops, *segSize, *snapshot, *fsync, *fsyncWin, *evalCost, *deadln, *queue)
 	default:
-		err = run(*dir, *listen, *sessions, *ops, *segSize, *snapshot, *fsync, *fsyncWin, *promote, *evalCost, *deadln, *queue)
+		err = run(*dir, *listen, max(*shards, 1), *sessions, *ops, *segSize, *snapshot, *fsync, *fsyncWin, *promote, *evalCost, *deadln, *queue)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtdbd:", err)
@@ -80,58 +85,84 @@ func main() {
 	}
 }
 
-func run(dir, listen string, sessions, ops int, segSize int64, snapshot uint64, fsync bool,
-	fsyncWin time.Duration, promote bool, evalCost, deadln uint64, queue int) error {
-	cfg := serverConfig(sessions, queue, evalCost)
+// shardLabel prefixes a per-shard line; a lone shard needs no label.
+func shardLabel(i, shards int) string {
+	if shards == 1 {
+		return ""
+	}
+	return fmt.Sprintf("shard %d/%d: ", i, shards)
+}
 
+func run(dir, listen string, shards, sessions, ops int, segSize int64, snapshot uint64, fsync bool,
+	fsyncWin time.Duration, promote bool, evalCost, deadln uint64, queue int) error {
+	var logs []*wal.Log
 	if dir != "" {
-		l, err := wal.Open(wal.Options{
-			Dir: dir, SegmentSize: segSize, SnapshotEvery: snapshot, Sync: fsync,
-			GroupWindow: fsyncWin,
-		})
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		cfg.Log = l
-		if st := l.State(); st.Events > 0 {
-			fmt.Printf("recovered %d events through chronon %d (%d recovered from log replay",
-				st.Events, st.LastAt, l.Stats().RecoveredEvents)
-			if tb := l.Stats().TruncatedBytes; tb > 0 {
-				fmt.Printf(", %d torn bytes truncated", tb)
-			}
-			fmt.Println(")")
-		} else {
-			fmt.Printf("fresh log in %s\n", dir)
-		}
-		if promote {
-			// Turn a (stopped) replica's log into the new primary's: fence
-			// the old one out before serving a single request.
-			e, err := l.BumpEpoch()
+		for i := 0; i < shards; i++ {
+			l, err := wal.Open(wal.Options{
+				Dir: server.ShardDir(dir, i, shards), SegmentSize: segSize,
+				SnapshotEvery: snapshot, Sync: fsync, GroupWindow: fsyncWin,
+			})
 			if err != nil {
 				return err
 			}
-			fmt.Printf("promoted: fencing epoch now %d\n", e)
+			defer l.Close()
+			logs = append(logs, l)
+			if st := l.State(); st.Events > 0 {
+				fmt.Printf("%srecovered %d events through chronon %d (%d recovered from log replay",
+					shardLabel(i, shards), st.Events, st.LastAt, l.Stats().RecoveredEvents)
+				if tb := l.Stats().TruncatedBytes; tb > 0 {
+					fmt.Printf(", %d torn bytes truncated", tb)
+				}
+				fmt.Println(")")
+			} else {
+				fmt.Printf("%sfresh log in %s\n", shardLabel(i, shards), server.ShardDir(dir, i, shards))
+			}
+			if promote {
+				// Turn a (stopped) replica's log into the new primary's: fence
+				// the old one out before serving a single request.
+				e, err := l.BumpEpoch()
+				if err != nil {
+					return err
+				}
+				fmt.Printf("%spromoted: fencing epoch now %d\n", shardLabel(i, shards), e)
+			}
 		}
 	} else if promote {
 		return fmt.Errorf("-promote needs -dir (the replica's WAL to take over)")
 	}
-
-	return serve(cfg, listen, ops, evalCost, deadln)
+	return serve(serverConfig(sessions, queue, evalCost), logs, shards, listen, ops, evalCost, deadln)
 }
+
+// queryHome maps the demo catalog's queries to the object whose shard owns
+// their read set: both status_q (derives status from temp+limit) and temp_q
+// read temp, so both live on temp's shard.
+func queryHome() map[string]string {
+	return map[string]string{"status_q": "temp", "temp_q": "temp"}
+}
+
+// sensorBank widens the demo keyspace: temp and pressure alone hash to one
+// shard, so the deployment adds a bank of sensors that rtwire.ShardOf spreads
+// across every lane. rtdbload drives the same names.
+const sensorBank = 16
+
+func sensorName(i int) string { return fmt.Sprintf("sensor-%02d", i%sensorBank) }
 
 // serverConfig is the demo deployment every rtdbd role shares: primaries
 // install it as their spec, replicas use its catalog and registry for
 // degraded standby queries, and a promoted replica becomes a primary with
 // the identical books.
 func serverConfig(sessions, queue int, evalCost uint64) server.Config {
+	images := []*rtdb.ImageObject{
+		{Name: "temp", Period: 5},
+		{Name: "pressure", Period: 7},
+	}
+	for i := 0; i < sensorBank; i++ {
+		images = append(images, &rtdb.ImageObject{Name: sensorName(i), Period: 5})
+	}
 	return server.Config{
 		Spec: rtdb.Spec{
 			Invariants: map[string]rtdb.Value{"limit": "25"},
-			Images: []*rtdb.ImageObject{
-				{Name: "temp", Period: 5},
-				{Name: "pressure", Period: 7},
-			},
+			Images:     images,
 			Derived: []*rtdb.DerivedObject{
 				{Name: "status", Sources: []string{"temp", "limit"}, Derive: statusOf},
 			},
@@ -173,74 +204,106 @@ func serverConfig(sessions, queue int, evalCost uint64) server.Config {
 	}
 }
 
-// serve runs a primary to completion: periodic queries, the rtwire
-// listener, then either real traffic until a signal or the synthetic
+// serve runs a primary to completion: periodic queries, one rtwire listener
+// per shard, then either real traffic until a signal or the synthetic
 // workload, and finally the metrics report with the conservation check.
-func serve(cfg server.Config, listen string, ops int, evalCost, deadln uint64) error {
-	s, err := server.New(cfg)
+// logs is nil (no durability) or one log per shard.
+func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops int, evalCost, deadln uint64) error {
+	ss, err := server.NewSharded(server.ShardedConfig{
+		Base: cfg, Shards: shards, Logs: logs, QueryHome: queryHome(),
+	})
 	if err != nil {
 		return err
 	}
-	if err := s.RegisterPeriodic(server.PeriodicQuery{
+	if err := ss.RegisterPeriodic(server.PeriodicQuery{
 		Name: "status-watch", Query: "status_q",
-		Issue: s.Now(), Period: 11,
+		Issue: ss.Now(), Period: 11,
 		Kind: deadline.Firm, Deadline: timeseq.Time(evalCost) + 3, MinUseful: 1,
 	}); err != nil {
 		return err
 	}
-	if err := s.RegisterPeriodic(server.PeriodicQuery{
+	if err := ss.RegisterPeriodic(server.PeriodicQuery{
 		Name: "temp-trend", Query: "temp_q",
-		Issue: s.Now(), Period: 23,
+		Issue: ss.Now(), Period: 23,
 		Kind: deadline.Soft, Deadline: 5, MinUseful: 2,
 		U: deadline.Hyperbolic(10, 5),
 	}); err != nil {
 		return err
 	}
-	s.Start()
+	ss.Start()
 
 	// A 1s beacon keeps replication links visibly alive, so a replica's
 	// -promote-after only needs to clear seconds of genuine silence.
-	ns := netserve.New(s, netserve.Options{HeartbeatInterval: time.Second})
-	addr := listen
-	if addr == "" {
-		addr = "127.0.0.1:0" // synthetic mode: in-process loopback
+	set := netserve.NewShardSet(ss, netserve.Options{HeartbeatInterval: time.Second})
+	stop := func() {
+		for _, ns := range set {
+			_ = ns.Close()
+		}
+		ss.Stop() // syncs the WALs and folds their fsync counters into the metrics
 	}
-	bound, err := ns.Listen(addr)
-	if err != nil {
-		s.Stop()
-		return err
+	// One listener per shard: with -listen host:port, shard i serves on
+	// port+i; synthetic mode uses ephemeral loopback ports.
+	addrs := make([]string, shards)
+	for i, ns := range set {
+		a := "127.0.0.1:0"
+		if listen != "" {
+			if a, err = shardAddr(listen, i); err != nil {
+				stop()
+				return err
+			}
+		}
+		bound, err := ns.Listen(a)
+		if err != nil {
+			stop()
+			return err
+		}
+		addrs[i] = bound.String()
+		fmt.Printf("%sserving rtwire on %s (%d sessions)\n", shardLabel(i, shards), bound, cfg.Sessions)
 	}
-	fmt.Printf("serving rtwire on %s (%d sessions)\n", bound, cfg.Sessions)
 
 	if listen != "" {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		fmt.Println("\ndraining...")
-	} else if err := synthetic(bound.String(), cfg.Sessions, ops, deadln); err != nil {
-		_ = ns.Close()
-		s.Stop()
+	} else if err := synthetic(addrs, cfg.Sessions, ops, deadln); err != nil {
+		stop()
 		return err
 	}
-
-	if err := ns.Close(); err != nil {
-		return err
-	}
-	s.Stop() // syncs the WAL and folds its fsync counters into the metrics
-	return report(s, ns)
+	stop()
+	return report(ss, set)
 }
 
-// synthetic drives the server with conns concurrent network clients — the
-// same op mix a real deployment would send, through the same client
-// package and TCP stack rtdbload uses — while one standing-query
-// subscription watches status_q over the same wire, so every run
-// demonstrates the push path next to the polled one.
-func synthetic(addr string, conns, ops int, deadln uint64) error {
+// shardAddr is shard i's listen address: the -listen port plus i.
+func shardAddr(listen string, i int) (string, error) {
+	if i == 0 {
+		return listen, nil
+	}
+	host, port, err := net.SplitHostPort(listen)
+	if err != nil {
+		return "", fmt.Errorf("-listen %q: %w", listen, err)
+	}
+	p, err := strconv.Atoi(port)
+	if err != nil {
+		return "", fmt.Errorf("-listen %q: the port must be numeric, shard i serves on port+i: %w", listen, err)
+	}
+	return net.JoinHostPort(host, strconv.Itoa(p+i)), nil
+}
+
+// synthetic drives the deployment with conns concurrent network clients — the
+// same op mix a real deployment would send, through the same client package
+// and TCP stack rtdbload uses, routed by client-side placement: every
+// connection holds one client per shard listener and sends each sample to
+// rtwire.ShardOf's owner, each query to its home shard — while one
+// standing-query subscription watches status_q over the same wire, so every
+// run demonstrates the push path next to the polled one.
+func synthetic(addrs []string, conns, ops int, deadln uint64) error {
+	tempShard := addrs[rtwire.ShardOf("temp", len(addrs))]
 	// One session is reserved for the subscriber riding along.
 	if conns > 1 {
 		conns--
 	}
-	sc, err := client.Dial(addr, client.Options{Name: "syn-sub"})
+	sc, err := client.Dial(tempShard, client.Options{Name: "syn-sub"})
 	if err != nil {
 		return err
 	}
@@ -271,15 +334,22 @@ func synthetic(addr string, conns, ops int, deadln uint64) error {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := client.Dial(addr, client.Options{Name: fmt.Sprintf("syn-%d", id)})
-			if err != nil {
-				errs <- err
-				return
+			cs := make([]*client.Client, len(addrs))
+			for s, addr := range addrs {
+				c, err := client.Dial(addr, client.Options{Name: fmt.Sprintf("syn-%d-%d", id, s)})
+				if err != nil {
+					errs <- err
+					return
+				}
+				defer c.Close()
+				cs[s] = c
 			}
-			defer c.Close()
-			drive(c, id, ops, deadln)
-			if err := c.Flush(); err != nil {
-				errs <- err
+			drive(cs, id, ops, deadln)
+			for _, c := range cs {
+				if err := c.Flush(); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}(i)
 	}
@@ -311,7 +381,7 @@ func synthetic(addr string, conns, ops int, deadln uint64) error {
 
 	// A temporal read against the published history, over the wire: first
 	// learn the horizon, then read the temperature half a horizon ago.
-	c, err := client.Dial(addr, client.Options{Name: "syn-asof"})
+	c, err := client.Dial(tempShard, client.Options{Name: "syn-asof"})
 	if err != nil {
 		return err
 	}
@@ -324,56 +394,86 @@ func synthetic(addr string, conns, ops int, deadln uint64) error {
 	return nil
 }
 
-// drive is one synthetic connection: a deterministic mix of sensor
-// samples, firm- and soft-deadline queries, and no-deadline reads.
-func drive(c *client.Client, id, ops int, deadln uint64) {
+// drive is one synthetic connection — one client per shard, cs[i] to shard
+// i: a deterministic mix of sensor samples, firm- and soft-deadline queries,
+// and no-deadline reads, each sent to the shard that owns it.
+func drive(cs []*client.Client, id, ops int, deadln uint64) {
+	route := func(object string) *client.Client { return cs[cs[0].ShardFor(object)] }
+	home := queryHome()
 	for op := 0; op < ops; op++ {
 		switch op % 5 {
-		case 0, 1:
-			_ = c.InjectSample("temp", strconv.Itoa(18+(id*7+op)%12))
+		case 0:
+			_ = route("temp").InjectSample("temp", strconv.Itoa(18+(id*7+op)%12))
+		case 1:
+			sensor := sensorName(id + op)
+			_ = route(sensor).InjectSample(sensor, strconv.Itoa(op%100))
 		case 2:
-			_ = c.InjectSample("pressure", strconv.Itoa(99+(id+op)%4))
+			_ = route("pressure").InjectSample("pressure", strconv.Itoa(99+(id+op)%4))
 		case 3:
-			_, _ = c.Query(client.Query{
+			_, _ = route(home["status_q"]).Query(client.Query{
 				Query: "status_q", Candidate: "ok",
 				Kind: deadline.Firm, Deadline: timeseq.Time(deadln), MinUseful: 1,
 			})
 		case 4:
 			if op%2 == 0 {
-				_, _ = c.Query(client.Query{
+				_, _ = route(home["temp_q"]).Query(client.Query{
 					Query: "temp_q",
 					Kind:  deadline.Soft, Deadline: timeseq.Time(deadln),
 					MinUseful: 2,
 					Decay:     rtwire.Decay{ID: rtwire.DecayHyperbolic, Max: 10},
 				})
 			} else {
-				_, _ = c.Query(client.Query{Query: "temp_q"})
+				_, _ = route(home["temp_q"]).Query(client.Query{Query: "temp_q"})
 			}
 		}
 	}
 }
 
-// report prints the metrics table, the wire counters, the periodic tally,
-// and checks the conservation law end-to-end.
-func report(s *server.Server, ns *netserve.Server) error {
-	m := s.Metrics.Snapshot()
+// report prints the metrics table summed over the shards, the wire counters
+// summed over their listeners, the periodic tallies and each shard's share of
+// the load, and checks the conservation law end-to-end: each shard's block
+// satisfies it independently, so the sum must too.
+func report(ss *server.ShardedServer, set []*netserve.Server) error {
+	shards := ss.NumShards()
+	m := ss.MetricsSnapshot()
+	// The listeners serve the shards directly, not through the router, so
+	// the deployment's clock is the furthest shard's, not the routing clock.
+	for i := 0; i < shards; i++ {
+		m.Chronon = max(m.Chronon, uint64(ss.Shard(i).Now()))
+	}
 	fmt.Println()
 	fmt.Print(m.Table())
 	fmt.Println()
 	fmt.Println("wire:")
-	w := ns.Wire.Snapshot()
-	for _, p := range w.Pairs() {
+	wire := set[0].Wire.Snapshot().Pairs()
+	for _, ns := range set[1:] {
+		for i, p := range ns.Wire.Snapshot().Pairs() {
+			wire[i].Value += p.Value
+		}
+	}
+	for _, p := range wire {
 		fmt.Printf("  %-24s %d\n", p.Name, p.Value)
 	}
 	fmt.Println("periodic queries:")
-	for _, p := range s.PeriodicReport() {
-		fmt.Printf("  %-14s issued %4d  hit %4d  missed %4d\n", p.Name, p.Issued, p.Hit, p.Missed)
+	for i := 0; i < shards; i++ {
+		for _, p := range ss.Shard(i).PeriodicReport() {
+			fmt.Printf("  %-14s issued %4d  hit %4d  missed %4d\n", p.Name, p.Issued, p.Hit, p.Missed)
+		}
+	}
+	for i := 0; i < shards; i++ {
+		sm := ss.Shard(i).Metrics.Snapshot()
+		fmt.Printf("%s%d samples applied, %d queries in, %d WAL appends\n",
+			shardLabel(i, shards), sm.SamplesApplied, sm.QueriesIn, sm.WalAppends)
+	}
+	law := "conservation"
+	if shards > 1 {
+		law = "cross-shard conservation"
 	}
 	if got, want := m.QueriesIn, m.QueriesAccounted(); got != want {
-		return fmt.Errorf("conservation violated: %d queries in, %d accounted", got, want)
+		return fmt.Errorf("%s violated: %d queries in, %d accounted", law, got, want)
 	}
-	fmt.Printf("\nconservation: %d queries in == %d rejected + %d hit + %d missed + %d no-deadline ✓ (%d expired on arrival)\n",
-		m.QueriesIn, m.QueriesRejected, m.DeadlineHit, m.DeadlineMiss, m.NoDeadline, m.ExpiredOnArrival)
+	fmt.Printf("\n%s: %d queries in == %d rejected + %d hit + %d missed + %d no-deadline ✓ (%d expired on arrival)\n",
+		law, m.QueriesIn, m.QueriesRejected, m.DeadlineHit, m.DeadlineMiss, m.NoDeadline, m.ExpiredOnArrival)
 	return nil
 }
 
@@ -419,7 +519,7 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	bound, err := r.Listen(addr)
+	bound, err := r.Listen(addr, netserve.Options{HeartbeatInterval: time.Second})
 	if err != nil {
 		_ = r.Close()
 		return err
@@ -456,8 +556,7 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 			defer l.Close()
 			fmt.Printf("promoted: seq %d epoch %d; serving as primary on %s\n",
 				l.Seq(), l.Epoch(), bound)
-			cfg.Log = l
-			return serve(cfg, bound.String(), 0, evalCost, 0)
+			return serve(cfg, []*wal.Log{l}, 1, bound.String(), 0, evalCost, 0)
 		}
 	}
 }

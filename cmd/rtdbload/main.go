@@ -10,6 +10,13 @@
 //
 //	go run ./cmd/rtdbd -listen 127.0.0.1:7677 -sessions 32
 //	go run ./cmd/rtdbload -addr 127.0.0.1:7677 -conns 8 -ops 500
+//
+// The mixed load always runs through client-side placement: every connection
+// holds one client per shard listener, routes each sample with rtwire.ShardOf
+// (the Welcome-announced deployment width), and the report breaks throughput
+// and the wal_seq durability watermark out per shard. -shard-addrs lists a
+// rtdbd -shards deployment's listeners; a lone -addr (itself possibly a
+// failover list) is the one-shard case of the same path.
 package main
 
 import (
@@ -18,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,13 +58,13 @@ func main() {
 	var err error
 	switch {
 	case *shardAddrs != "":
-		err = runSharded(*shardAddrs, *conns, *ops, *deadln, *chronon)
+		err = run(strings.Split(*shardAddrs, ","), *conns, *ops, *deadln, *chronon)
 	case *soak > 0:
 		err = runSoak(*addr, *soak, *soakFactor, *chronon)
 	case *fanout > 0:
 		err = runFanout(*addr, *fanout, *writers, *ops, *deadln, *period, *chronon)
 	default:
-		err = run(*addr, *conns, *ops, *deadln, *chronon)
+		err = run([]string{*addr}, *conns, *ops, *deadln, *chronon)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtdbload:", err)
@@ -64,20 +72,34 @@ func main() {
 	}
 }
 
-// tally is one connection's closed-loop outcome count.
+// tally is the run's closed-loop outcome count, over all connections.
 type tally struct {
 	queries, hits, misses, expired, backpressure atomic.Uint64
 
 	// Failover accounting across all connections.
-	ackedWrites, readOnly, opFailed    atomic.Uint64
+	readOnly, opFailed                 atomic.Uint64
 	failedOver, degraded, stale, hbCut atomic.Uint64
-	seqWatermark                       atomic.Uint64 // max client SeqWatermark
 }
 
-func run(addr string, conns, ops int, deadln uint64, chronon time.Duration) error {
+// shardTally is what the run knows about one shard: the samples it saw
+// acknowledged there and the highest replication-confirmed sequence any
+// connection heard from it before failing over (max client SeqWatermark).
+type shardTally struct {
+	ackedWrites, seqWatermark atomic.Uint64
+}
+
+// sensorName mirrors rtdbd's demo bank: 16 sensors spread over the shards by
+// the placement hash.
+func sensorName(i int) string { return fmt.Sprintf("sensor-%02d", i%16) }
+
+// run drives the mixed load. addrs[i] is shard i's listener, or a
+// comma-separated failover list for it (primary first).
+func run(addrs []string, conns, ops int, deadln uint64, chronon time.Duration) error {
+	shards := len(addrs)
 	var (
 		wg        sync.WaitGroup
 		t         tally
+		perShard  = make([]shardTally, shards)
 		latMu     sync.Mutex
 		latencies []float64 // microseconds, query round trips
 		errs      = make(chan error, conns)
@@ -87,41 +109,57 @@ func run(addr string, conns, ops int, deadln uint64, chronon time.Duration) erro
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := client.Dial(addr, client.Options{
-				Name:              fmt.Sprintf("load-%d", id),
-				ChrononDuration:   chronon,
-				RetryAttempts:     -1, // failover: exhaust the address list
-				HeartbeatInterval: 100 * time.Millisecond,
-			})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			defer func() {
-				t.failedOver.Add(c.Stats.FailedOver.Load())
-				t.degraded.Add(c.Stats.Degraded.Load())
-				t.stale.Add(c.Stats.StaleRejected.Load())
-				t.hbCut.Add(c.Stats.HeartbeatTimeouts.Load())
-				t.readOnly.Add(c.Stats.ReadOnlyRejects.Load())
-				for {
-					w, old := c.Stats.SeqWatermark.Load(), t.seqWatermark.Load()
-					if w <= old || t.seqWatermark.CompareAndSwap(old, w) {
-						break
-					}
+			cs := make([]*client.Client, shards)
+			for s, addr := range addrs {
+				c, err := client.Dial(addr, client.Options{
+					Name:              fmt.Sprintf("load-%d-%d", id, s),
+					ChrononDuration:   chronon,
+					RetryAttempts:     -1, // failover: exhaust the address list
+					HeartbeatInterval: 100 * time.Millisecond,
+				})
+				if err != nil {
+					errs <- err
+					return
 				}
-			}()
+				defer c.Close()
+				if got := c.Shards(); got != uint64(shards) {
+					errs <- fmt.Errorf("listener %s announces %d shards, %d listed", addr, got, shards)
+					return
+				}
+				if got := c.Shard(); got != uint64(s) {
+					errs <- fmt.Errorf("listener %s is shard %d, listed at position %d (order -shard-addrs shard 0 first)", addr, got, s)
+					return
+				}
+				cs[s] = c
+				defer func(s int) {
+					t.failedOver.Add(c.Stats.FailedOver.Load())
+					t.degraded.Add(c.Stats.Degraded.Load())
+					t.stale.Add(c.Stats.StaleRejected.Load())
+					t.hbCut.Add(c.Stats.HeartbeatTimeouts.Load())
+					t.readOnly.Add(c.Stats.ReadOnlyRejects.Load())
+					for {
+						w, old := c.Stats.SeqWatermark.Load(), perShard[s].seqWatermark.Load()
+						if w <= old || perShard[s].seqWatermark.CompareAndSwap(old, w) {
+							break
+						}
+					}
+				}(s)
+			}
+			inject := func(object, value string) {
+				s := cs[0].ShardFor(object)
+				if cs[s].InjectSample(object, value) == nil {
+					perShard[s].ackedWrites.Add(1)
+				}
+			}
 			var local []float64
 			for op := 0; op < ops; op++ {
 				switch op % 5 {
-				case 0, 1:
-					if c.InjectSample("temp", strconv.Itoa(18+(id*7+op)%12)) == nil {
-						t.ackedWrites.Add(1)
-					}
+				case 0:
+					inject("temp", strconv.Itoa(18+(id*7+op)%12))
+				case 1:
+					inject(sensorName(id+op), strconv.Itoa(op%100))
 				case 2:
-					if c.InjectSample("pressure", strconv.Itoa(99+(id+op)%4)) == nil {
-						t.ackedWrites.Add(1)
-					}
+					inject("pressure", strconv.Itoa(99+(id+op)%4))
 				case 3, 4:
 					q := client.Query{
 						Query: "status_q", Candidate: "ok",
@@ -136,7 +174,8 @@ func run(addr string, conns, ops int, deadln uint64, chronon time.Duration) erro
 						}
 					}
 					qs := time.Now()
-					res, err := c.Query(q)
+					// Both demo queries read temp's shard.
+					res, err := cs[cs[0].ShardFor("temp")].Query(q)
 					t.queries.Add(1)
 					switch {
 					case err == client.ErrBackpressure || (err != nil && res.Missed):
@@ -161,9 +200,11 @@ func run(addr string, conns, ops int, deadln uint64, chronon time.Duration) erro
 					local = append(local, float64(time.Since(qs).Microseconds()))
 				}
 			}
-			if err := c.Flush(); err != nil {
-				errs <- err
-				return
+			for _, c := range cs {
+				if err := c.Flush(); err != nil {
+					errs <- err
+					return
+				}
 			}
 			latMu.Lock()
 			latencies = append(latencies, local...)
@@ -179,8 +220,8 @@ func run(addr string, conns, ops int, deadln uint64, chronon time.Duration) erro
 	}
 
 	totalOps := uint64(conns * ops)
-	fmt.Printf("%d conns × %d ops in %v (%.0f ops/s closed-loop)\n",
-		conns, ops, elapsed.Round(time.Millisecond),
+	fmt.Printf("%d conns × %d ops over %d shards in %v (%.0f ops/s closed-loop)\n",
+		conns, ops, shards, elapsed.Round(time.Millisecond),
 		float64(totalOps)/elapsed.Seconds())
 	fmt.Printf("queries: %d  hit %d  miss %d (expired-on-arrival %d, backpressure %d)\n",
 		t.queries.Load(), t.hits.Load(), t.misses.Load(), t.expired.Load(), t.backpressure.Load())
@@ -190,51 +231,67 @@ func run(addr string, conns, ops int, deadln uint64, chronon time.Duration) erro
 			s.Mean, s.Median, s.Lo, s.Hi)
 	}
 
-	// Fetch the server's own books over the wire and render the same
+	// Fetch every shard's own books over the wire and render the same
 	// metrics table rtdbd prints, then check the conservation law
 	// remotely: every query this tool (and anyone else) submitted is
-	// accounted as exactly one terminal outcome.
-	c, err := client.Dial(addr, client.Options{Name: "load-metrics"})
-	if err != nil {
-		return err
+	// accounted as exactly one terminal outcome. Each shard's books satisfy
+	// the law independently, so the sums must too.
+	//
+	// The durability bar, per shard: the node it ended on carries every write
+	// the lost primary acknowledged up to the last replication sequence any
+	// connection heard from it.
+	var acked, in, rejected, hit, missed, noDeadline uint64
+	for s, addr := range addrs {
+		c, err := client.Dial(addr, client.Options{Name: "load-metrics"})
+		if err != nil {
+			return err
+		}
+		m, err := c.Metrics()
+		c.Close()
+		if err != nil {
+			return err
+		}
+		mm := m.Map()
+		tab := stats.NewTable("metric", "value")
+		for _, p := range m.Pairs {
+			tab.Row(p.Name, p.Value)
+		}
+		fmt.Println()
+		fmt.Print(tab.String())
+		a := perShard[s].ackedWrites.Load()
+		fmt.Printf("shard %d: %6d acked samples (%7.0f/s)  applied %6d  wal_seq %d\n",
+			s, a, float64(a)/elapsed.Seconds(), mm["samples_applied"], mm["wal_seq"])
+		acked += a
+		in += mm["queries_in"]
+		rejected += mm["queries_rejected"]
+		hit += mm["deadline_hit"]
+		missed += mm["deadline_miss"]
+		noDeadline += mm["no_deadline"]
+		if w := perShard[s].seqWatermark.Load(); w > 0 {
+			seq, ok := mm["wal_seq"]
+			if !ok {
+				return fmt.Errorf("failed over past seq %d but the final node reports no wal_seq", w)
+			}
+			if seq < w {
+				return fmt.Errorf("LOST ACKED WRITES: final node at wal_seq %d < pre-failover watermark %d (%d missing)",
+					seq, w, w-seq)
+			}
+			fmt.Printf("failover durability: final wal_seq %d >= pre-failover watermark %d — zero lost acked writes ✓\n", seq, w)
+		}
 	}
-	defer c.Close()
-	m, err := c.Metrics()
-	if err != nil {
-		return err
+	law := "conservation (server books)"
+	if shards > 1 {
+		law = "cross-shard conservation"
 	}
-	tab := stats.NewTable("metric", "value")
-	for _, p := range m.Pairs {
-		tab.Row(p.Name, p.Value)
+	if accounted := rejected + hit + missed + noDeadline; in != accounted {
+		return fmt.Errorf("%s violated: %d queries in, %d accounted", law, in, accounted)
 	}
-	fmt.Println()
-	fmt.Print(tab.String())
+	fmt.Printf("\n%s: %d queries in == %d rejected + %d hit + %d missed + %d no-deadline ✓\n",
+		law, in, rejected, hit, missed, noDeadline)
 
-	mm := m.Map()
-	in := mm["queries_in"]
-	accounted := mm["queries_rejected"] + mm["deadline_hit"] + mm["deadline_miss"] + mm["no_deadline"]
-	if in != accounted {
-		return fmt.Errorf("conservation violated on server: %d queries in, %d accounted", in, accounted)
-	}
-	fmt.Printf("\nconservation (server books): %d queries in == %d rejected + %d hit + %d missed + %d no-deadline ✓\n",
-		in, mm["queries_rejected"], mm["deadline_hit"], mm["deadline_miss"], mm["no_deadline"])
-
-	// Failover accounting: how often connections changed nodes, how many
-	// queries were served degraded by a standby, and — the durability bar —
-	// whether the node we ended on carries every write the lost primary
-	// acknowledged up to the last replication sequence heard from it.
+	// Failover accounting: how often connections changed nodes and how many
+	// queries were served degraded by a standby.
 	fmt.Printf("failover: %d acked writes, %d failed-over, %d degraded, %d read-only rejects, %d failed ops, %d stale-fenced, %d heartbeat cuts\n",
-		t.ackedWrites.Load(), t.failedOver.Load(), t.degraded.Load(), t.readOnly.Load(), t.opFailed.Load(), t.stale.Load(), t.hbCut.Load())
-	if w := t.seqWatermark.Load(); w > 0 {
-		finalSeq, ok := mm["wal_seq"]
-		if !ok {
-			return fmt.Errorf("failed over past seq %d but the final node reports no wal_seq", w)
-		}
-		if finalSeq < w {
-			return fmt.Errorf("LOST ACKED WRITES: final node at wal_seq %d < pre-failover watermark %d (%d missing)",
-				finalSeq, w, w-finalSeq)
-		}
-		fmt.Printf("failover durability: final wal_seq %d >= pre-failover watermark %d — zero lost acked writes ✓\n", finalSeq, w)
-	}
+		acked, t.failedOver.Load(), t.degraded.Load(), t.readOnly.Load(), t.opFailed.Load(), t.stale.Load(), t.hbCut.Load())
 	return nil
 }

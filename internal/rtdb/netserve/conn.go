@@ -10,12 +10,12 @@ import (
 	"rtc/internal/rtwire"
 )
 
-// conn is one live connection bound to one server session.
+// conn is one live connection bound to one backend session.
 type conn struct {
 	n    *Server
 	nc   net.Conn
 	br   *bufio.Reader
-	sess *server.Session
+	sess Session
 
 	// writeq is the bounded outgoing frame queue; writeLoop drains it.
 	// done closes after every producer is finished (inflight waited), so
@@ -154,7 +154,8 @@ func (c *conn) writeLoop() {
 					ID: s.id, Cursor: push.Cursor, Dropped: droppedCum,
 					Expired: push.Expired, Useful: push.Useful,
 					Missed: push.Missed, Evaluated: push.Evaluated,
-					Issue: push.Issue, Served: push.Served,
+					Degraded: push.Degraded,
+					Issue:    push.Issue, Served: push.Served,
 					Answers: push.Answers,
 				}.AppendTo(scratch[:0])
 				if !write(scratch) {
@@ -305,26 +306,39 @@ func (c *conn) serve(request func()) bool {
 	return true
 }
 
+// refusal encodes the Err frame for a request the backend turned down,
+// following Backend's error contract. fatal reports an error no later request
+// on this connection can survive (the backend is closed).
+func (c *conn) refusal(id uint64, err error) (frame []byte, fatal bool) {
+	e := rtwire.Err{ID: id, Code: rtwire.CodeClosed, Msg: err.Error()}
+	if _, readOnly := err.(ReadOnlyError); readOnly {
+		e.Code = rtwire.CodeReadOnly
+	} else if err == server.ErrBackpressure {
+		// The backend accounted the rejection (and the miss, for a
+		// deadline-carrying query); tell the client explicitly.
+		c.n.Wire.BackpressureFrames.Add(1)
+		e.Code, e.Msg = rtwire.CodeBackpressure, "session queue full"
+	}
+	return e.AppendTo(c.getBuf()), e.Code == rtwire.CodeClosed
+}
+
 func (c *conn) onSample(m rtwire.Sample) bool {
 	c.n.Wire.SamplesIn.Add(1)
-	switch err := c.sess.InjectSample(m.Image, m.Value); err {
-	case nil:
-	case server.ErrBackpressure:
-		c.n.Wire.BackpressureFrames.Add(1)
-		c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeBackpressure, Msg: "session queue full"}.AppendTo(c.getBuf()))
-	default: // ErrClosed
-		c.tryEnqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
-		return false
+	if err := c.sess.InjectSample(m.Image, m.Value); err != nil {
+		frame, fatal := c.refusal(m.ID, err)
+		c.tryEnqueue(frame)
+		return !fatal
 	}
 	return true
 }
 
 func (c *conn) serveFlush(m rtwire.Flush) {
 	if err := c.sess.Flush(); err != nil {
-		c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
+		frame, _ := c.refusal(m.ID, err)
+		c.enqueue(frame)
 		return
 	}
-	c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.srv.Now()}.AppendTo(c.getBuf()))
+	c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.be.Now()}.AppendTo(c.getBuf()))
 }
 
 // onMessage handles the kinds dispatch decoded through Decode.
@@ -332,43 +346,31 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 	switch m := msg.(type) {
 	case rtwire.AsOf:
 		c.n.Wire.AsOfReads.Add(1)
-		v, ok := c.n.srv.ValueAsOf(m.Image, m.At)
+		v, ok, horizon := c.n.be.ValueAsOf(m.Image, m.At)
 		c.enqueue(rtwire.AsOfResult{
-			ID: m.ID, OK: ok, Value: v, Horizon: c.n.srv.HistoryHorizon(),
+			ID: m.ID, OK: ok, Value: v, Horizon: horizon,
 		}.AppendTo(c.getBuf()))
 	case rtwire.MetricsReq:
-		snap := c.n.srv.Metrics.Snapshot()
+		snap := c.n.be.Metrics().Snapshot()
 		pairs := snap.Pairs()
 		if c.n.opt.Shards > 1 {
 			pairs = snap.PairsSharded(c.n.opt.Shard, c.n.opt.Shards)
 		}
-		wp := make([]rtwire.MetricPair, 0, len(pairs)+wireMetricCount)
+		// Room for the wire rows and a dozen durability rows.
+		wp := make([]rtwire.MetricPair, 0, len(pairs)+wireMetricCount+12)
 		for _, p := range pairs {
 			wp = append(wp, rtwire.MetricPair{Name: p.Name, Value: p.Value})
 		}
 		wp = c.n.Wire.Snapshot().appendPairs(wp)
-		// Durability coordinates: failover tooling compares a promoted
-		// node's wal_seq against the watermark heard from the old primary.
-		if l := c.n.srv.WAL(); l != nil {
-			wp = append(wp,
-				rtwire.MetricPair{Name: "wal_seq", Value: l.Seq()},
-				// Under group commit wal_durable may trail wal_seq by the
-				// open window; they converge at every commit.
-				rtwire.MetricPair{Name: "wal_durable", Value: l.DurableSeq()},
-			)
-		}
-		wp = append(wp,
-			rtwire.MetricPair{Name: "epoch", Value: c.n.srv.Epoch()},
-			rtwire.MetricPair{Name: "repl_durable", Value: c.n.ReplDurable()},
-		)
+		wp = c.n.be.AppendDurabilityRows(wp)
 		c.enqueue(rtwire.Metrics{ID: m.ID, Pairs: wp}.AppendTo(c.getBuf()))
 	case rtwire.Subscribe:
 		if c.repl {
 			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "already subscribed"}.AppendTo(c.getBuf()))
 			return true
 		}
-		if c.n.srv.WAL() == nil {
-			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "replication unavailable: server runs without a wal"}.AppendTo(c.getBuf()))
+		if c.n.be.WAL() == nil {
+			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "replication unavailable: this node serves no wal"}.AppendTo(c.getBuf()))
 			return true
 		}
 		c.repl = true
@@ -391,11 +393,9 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 		c.subCancel(m.ID)
 	case rtwire.Heartbeat:
 		c.n.Wire.HeartbeatsIn.Add(1)
-		// The echoed Seq is the replication durability watermark, NOT the
-		// local WAL tail: a client may rely on it surviving this node's
-		// death, so it must only cover what a follower has acknowledged.
+		// A client may rely on the echoed Seq surviving this node's death.
 		c.tryEnqueue(rtwire.Heartbeat{
-			Epoch: c.n.srv.Epoch(), Chronon: c.n.srv.Now(), Seq: c.n.ReplDurable(),
+			Epoch: c.n.be.Epoch(), Chronon: c.n.be.Now(), Seq: c.n.be.HeartbeatSeq(),
 		}.AppendTo(c.getBuf()))
 	case rtwire.Bye:
 		return false
@@ -407,15 +407,15 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 
 // serveQuery translates the wire deadline envelope and runs the query
 // through this connection's session. An expired-on-arrival query is
-// accounted as a miss through the server's metrics block — never
+// accounted as a miss through the backend's metrics block — never
 // evaluated, never silently dropped — and answered with a missed Result
-// so the client's picture matches the server's books.
+// so the client's picture matches the backend's books.
 func (c *conn) serveQuery(m rtwire.Query) {
 	qr, expired := Translate(m)
 	if expired {
-		c.n.srv.Metrics.AccountExpired()
+		c.n.be.Metrics().AccountExpired()
 		c.n.Wire.ExpiredOnArrival.Add(1)
-		now := c.n.srv.Now()
+		now := c.n.be.Now()
 		c.enqueue(rtwire.Result{
 			ID: m.ID, Missed: true, Evaluated: false,
 			Issue: now, Served: now, ExpiredOnArrival: true,
@@ -423,16 +423,9 @@ func (c *conn) serveQuery(m rtwire.Query) {
 		return
 	}
 	resp, err := c.sess.Query(qr)
-	switch err {
-	case nil:
-	case server.ErrBackpressure:
-		// The server accounted the rejection (and the miss, for
-		// deadline-carrying queries); tell the client explicitly.
-		c.n.Wire.BackpressureFrames.Add(1)
-		c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeBackpressure, Msg: "session queue full"}.AppendTo(c.getBuf()))
-		return
-	default:
-		c.enqueue(rtwire.Err{ID: m.ID, Code: rtwire.CodeClosed, Msg: err.Error()}.AppendTo(c.getBuf()))
+	if err != nil {
+		frame, _ := c.refusal(m.ID, err)
+		c.enqueue(frame)
 		return
 	}
 	c.enqueue(rtwire.Result{

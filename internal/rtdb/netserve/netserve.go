@@ -1,7 +1,21 @@
-// Package netserve puts the rtdbd server on the wire: a TCP listener that
-// maps each accepted connection onto one of the server's client sessions
-// and speaks the rtwire protocol — timed samples, aperiodic queries with
-// the §4.1 deadline envelope, temporal as-of reads, and metrics snapshots.
+// Package netserve puts an rtdbd node on the wire: a listener that binds each
+// accepted connection to one session of the Backend it serves and speaks the
+// rtwire protocol — timed samples, aperiodic queries with the §4.1 deadline
+// envelope, standing queries, temporal as-of reads, metrics snapshots and,
+// where the backend has a WAL, replication to followers.
+//
+// It serves a Backend, not "the server". Backend (backend.go) is the seam
+// the connection loop actually needs — a session per connection, the node's
+// clock, epoch and role, as-of reads, its metrics rows, a standing-query
+// attach, its WAL — and it has exactly two implementations: the adapter over
+// *server.Server that New builds (a primary, with its session pool) and the
+// replica package's mirror (a hot standby: writes and firm envelopes refused
+// read-only, soft and deadline-free queries answered degraded from
+// replicated state). Both roles therefore get one accept loop, one
+// handshake, one bounded single-writer queue, one set of timeouts and
+// counters, and one delivery path for pushes; what differs between them
+// comes back from the Backend as values and errors, and no line of this
+// package branches on which one it serves.
 //
 // The serving discipline extends the in-process one without weakening it:
 //
@@ -120,15 +134,13 @@ func (o *Options) defaults() {
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("netserve: server closed")
 
-// Server serves rtwire connections over one rtdb server.
+// Server serves rtwire connections over one Backend.
 type Server struct {
-	srv *server.Server
+	be  Backend
 	opt Options
 
-	// pool holds the ids of free server sessions; a connection owns
-	// exactly one session for its lifetime.
-	pool chan int
-
+	// mu guards ln and conns, and orders Serve's wg.Add against Close's
+	// wg.Wait: both the Add and the close of quit happen under it.
 	mu    sync.Mutex
 	ln    net.Listener
 	conns map[*conn]struct{}
@@ -153,23 +165,26 @@ type Server struct {
 	Wire WireMetrics
 }
 
-// New wraps srv. Every session of srv is placed in the connection pool, so
-// srv.Config.Sessions bounds the concurrent connections; an accept beyond
-// that is refused with CodeServerFull.
+// New serves srv as a primary. Every session of srv is placed in the
+// connection pool, so srv.Config.Sessions bounds the concurrent connections;
+// an accept beyond that is refused with CodeServerFull.
 func New(srv *server.Server, opt Options) *Server {
+	n := NewBackend(nil, opt)
+	n.be = newPrimary(srv, n)
+	return n
+}
+
+// NewBackend serves an arbitrary Backend — the constructor the hot standby
+// uses; New is NewBackend over the *server.Server adapter.
+func NewBackend(be Backend, opt Options) *Server {
 	opt.defaults()
-	n := &Server{
-		srv:       srv,
+	return &Server{
+		be:        be,
 		opt:       opt,
 		conns:     make(map[*conn]struct{}),
 		replAcked: make(map[*conn]uint64),
 		quit:      make(chan struct{}),
 	}
-	n.pool = make(chan int, srv.Sessions())
-	for id := 0; id < srv.Sessions(); id++ {
-		n.pool <- id
-	}
-	return n
 }
 
 // NewShardSet wraps every shard of a sharded deployment in its own
@@ -197,21 +212,45 @@ func (n *Server) Serve(ln net.Listener) error {
 		n.mu.Unlock()
 		return fmt.Errorf("netserve: Serve called twice")
 	}
+	if n.draining() {
+		// Close ran before Serve got here and found no listener to close.
+		n.mu.Unlock()
+		_ = ln.Close()
+		return ErrServerClosed
+	}
 	n.ln = ln
 	n.mu.Unlock()
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			select {
-			case <-n.quit:
+			if n.draining() {
 				return ErrServerClosed
-			default:
-				return err
 			}
+			return err
 		}
 		n.Wire.ConnsAccepted.Add(1)
+		// The Add must not race Close's Wait: take it under mu, behind the
+		// quit check Close orders itself against.
+		n.mu.Lock()
+		if n.draining() {
+			n.mu.Unlock()
+			n.Wire.ConnsRefused.Add(1)
+			_ = c.Close()
+			return ErrServerClosed
+		}
 		n.wg.Add(1)
+		n.mu.Unlock()
 		go n.handle(c)
+	}
+}
+
+// draining reports whether Close has begun.
+func (n *Server) draining() bool {
+	select {
+	case <-n.quit:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -244,8 +283,8 @@ func (n *Server) Addr() net.Addr {
 // in-flight queries can complete during the drain.
 func (n *Server) Close() error {
 	n.closeOnce.Do(func() {
-		close(n.quit)
 		n.mu.Lock()
+		close(n.quit)
 		if n.ln != nil {
 			_ = n.ln.Close()
 		}
@@ -269,6 +308,19 @@ func (n *Server) unregister(c *conn) {
 	n.mu.Lock()
 	delete(n.conns, c)
 	n.mu.Unlock()
+}
+
+// PromoteInfo tells every connected client that this node now leads at
+// (epoch, seq), so each can follow the promotion without waiting for its
+// next redial. Best-effort: a connection whose write queue is full misses
+// the notice (counted in WriteDrops) and learns the epoch from its next
+// heartbeat echo or Welcome instead — the broadcast never waits on a client.
+func (n *Server) PromoteInfo(epoch, seq uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for c := range n.conns {
+		c.tryEnqueue(rtwire.PromoteInfo{Epoch: epoch, Seq: seq}.AppendTo(c.getBuf()))
+	}
 }
 
 // ReplDurable is the replication durability watermark: the highest WAL
@@ -350,19 +402,17 @@ func (n *Server) handle(nc net.Conn) {
 		n.writeRaw(nc, rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "expected hello"}.Encode())
 		return
 	}
-	var session int
-	select {
-	case session = <-n.pool:
-	default:
+	sess, ok := n.be.OpenSession()
+	if !ok {
 		n.Wire.ConnsRefused.Add(1)
 		n.writeRaw(nc, rtwire.Err{Code: rtwire.CodeServerFull, Msg: "no free session"}.Encode())
 		return
 	}
-	defer func() { n.pool <- session }()
+	defer sess.Close()
 
 	c := &conn{
 		n: n, nc: nc, br: br,
-		sess:   n.srv.Session(session),
+		sess:   sess,
 		writeq: make(chan []byte, n.opt.WriteQueue),
 		done:   make(chan struct{}),
 		wdone:  make(chan struct{}),
@@ -372,17 +422,18 @@ func (n *Server) handle(nc net.Conn) {
 		wfree:  make(chan []byte, n.opt.WriteQueue+1),
 		wake:   make(chan struct{}, 1),
 	}
+	// Welcome goes in before the connection is registered, so a PromoteInfo
+	// broadcast cannot get ahead of it in the write queue.
+	c.enqueue(rtwire.Welcome{
+		Session: uint64(sess.ID()), Chronon: n.be.Now(),
+		Epoch: n.be.Epoch(), Role: n.be.Role(),
+		Shards: uint64(n.opt.Shards), Shard: uint64(n.opt.Shard),
+	}.Encode())
 	n.register(c)
 	defer n.unregister(c)
 	defer n.Wire.ConnsClosed.Add(1)
 
 	go c.writeLoop()
-	c.enqueue(rtwire.Welcome{
-		Session: uint64(session), Chronon: n.srv.Now(),
-		Epoch: n.srv.Epoch(), Role: rtwire.RolePrimary,
-		Shards: uint64(n.opt.Shards), Shard: uint64(n.opt.Shard),
-	}.Encode())
-
 	c.readLoop()
 
 	// Drain: stop the replication sender first (it exits on rstop, so the

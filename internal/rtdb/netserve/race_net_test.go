@@ -3,12 +3,15 @@ package netserve
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb/client"
+	"rtc/internal/rtdb/server"
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 )
@@ -275,5 +278,59 @@ func TestSubChurnHammer(t *testing.T) {
 	}
 	if w := ns.Wire.Snapshot(); w.DecodeErrors != 0 || w.WriteDrops != 0 {
 		t.Errorf("churn on a clean loopback: %+v", w)
+	}
+}
+
+// TestServeCloseChurn races Close against a Serve that is still accepting,
+// with clients dialing and hanging up throughout. Serve's wg.Add for a
+// just-accepted socket must be ordered against Close's wg.Wait, a Close that
+// wins the race to the listener must still stop Serve, and the connection
+// books must balance however the race falls. Run it under -race.
+func TestServeCloseChurn(t *testing.T) {
+	s, err := server.New(server.Config{Sessions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Stop()
+	for i := 0; i < 300; i++ {
+		ns := New(s, Options{})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		served := make(chan error, 1)
+		go func() { served <- ns.Serve(ln) }()
+		var dialers sync.WaitGroup
+		for d := 0; d < 2; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for k := 0; k < 4; k++ {
+					if c, err := net.Dial("tcp", addr); err == nil {
+						c.Close()
+					}
+				}
+			}()
+		}
+		if i%2 == 0 {
+			runtime.Gosched() // let some iterations reach Accept first
+		}
+		ns.Close()
+		dialers.Wait()
+		select {
+		case err := <-served:
+			if err != ErrServerClosed {
+				t.Fatalf("iteration %d: Serve returned %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: Serve still accepting after Close", i)
+		}
+		w := ns.Wire.Snapshot()
+		if w.ConnsAccepted != w.ConnsClosed+w.ConnsRefused {
+			t.Fatalf("iteration %d: accepted %d != closed %d + refused %d",
+				i, w.ConnsAccepted, w.ConnsClosed, w.ConnsRefused)
+		}
 	}
 }

@@ -27,15 +27,15 @@ import (
 // and done only closes after the inflight wait.
 func (c *conn) serveReplication(sub rtwire.Subscribe) {
 	defer c.inflight.Done()
-	l := c.n.srv.WAL()
-	epoch := c.n.srv.Epoch()
+	l := c.n.be.WAL()
+	epoch := c.n.be.Epoch()
 	sent := sub.AfterSeq
 	acked := sub.AfterSeq
 	hb := time.NewTicker(c.n.opt.HeartbeatInterval)
 	defer hb.Stop()
 
 	heartbeat := func() {
-		c.tryEnqueue(rtwire.Heartbeat{Epoch: epoch, Chronon: c.n.srv.Now(), Seq: l.Seq()}.Encode())
+		c.tryEnqueue(rtwire.Heartbeat{Epoch: epoch, Chronon: c.n.be.Now(), Seq: l.Seq()}.Encode())
 	}
 	// waitWindow blocks until the unacked backlog fits the send window;
 	// false means the connection is tearing down or the follower was

@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"rtc/internal/deadline"
 	"rtc/internal/faultfs"
+	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtdb/netserve"
 	"rtc/internal/timeseq"
 )
 
@@ -89,4 +92,106 @@ func BenchmarkFailover(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+// The standby benchmarks below are black-box — client package in, frames out,
+// over loopback — so they measure whatever serves the standby's listener.
+// rtbench has no standby workload; these are reported, not gated.
+
+// benchStandby is a replica caught up with a short history (horizon 1), its
+// standby listener on loopback, and a client connected to it.
+func benchStandby(b *testing.B) (*wal.Log, *Replica, *client.Client) {
+	b.Helper()
+	lp, _, addr := newTestPrimary(b, 1<<20, 1<<30)
+	r := newTestReplica(b, addr)
+	b.Cleanup(func() { r.Close() })
+	r.Start()
+	for _, e := range append(testEvents(0), wal.Sample(1, "temp", "30")) {
+		if err := lp.Append(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !r.WaitSeq(lp.Seq(), 10*time.Second) {
+		b.Fatalf("replica stuck at %d", r.Seq())
+	}
+	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := client.Dial(la.String(), client.Options{Name: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return lp, r, c
+}
+
+// BenchmarkStandbyQuery: one soft query answered degraded from the mirror,
+// round trip.
+func BenchmarkStandbyQuery(b *testing.B) {
+	_, _, c := benchStandby(b)
+	q := client.Query{Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err := c.Query(q); err != nil || !res.Evaluated {
+			b.Fatalf("standby query: %+v, %v", res, err)
+		}
+	}
+}
+
+// BenchmarkStandbyAsOf: one temporal point read from the replicated history,
+// round trip.
+func BenchmarkStandbyAsOf(b *testing.B) {
+	_, _, c := benchStandby(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, _, err := c.AsOf("temp", 1); err != nil || !ok {
+			b.Fatalf("standby as-of: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// BenchmarkStandbyFanout: 8 standing queries of period 1 on one connection;
+// every sample the primary appends moves the standby's horizon one chronon
+// and makes one tick of each due. One op is one delivered push, so ns/op and
+// allocs/op carry an eighth of a replication hop each.
+func BenchmarkStandbyFanout(b *testing.B) {
+	b.Run("8subs", func(b *testing.B) {
+		const subs = 8
+		lp, _, c := benchStandby(b)
+		got := make(chan struct{}, 4*subs)
+		for i := 0; i < subs; i++ {
+			s, err := c.Subscribe(client.SubSpec{
+				Query: "status_q", Period: 1,
+				Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
+				Depth: 64, Buffer: 64,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() {
+				for range s.Pushes() {
+					got <- struct{}{}
+				}
+			}()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		at := timeseq.Time(1)
+		for delivered := 0; delivered < b.N; delivered += subs {
+			at++
+			if err := lp.Append(wal.Sample(at, "temp", "30")); err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < subs; k++ {
+				select {
+				case <-got:
+				case <-time.After(10 * time.Second):
+					b.Fatalf("push %d of tick %d never delivered", k, at)
+				}
+			}
+		}
+	})
 }

@@ -26,6 +26,7 @@
 package replica
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -39,7 +40,9 @@ import (
 	"rtc/internal/faultnet"
 	"rtc/internal/rtdb"
 	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtdb/sub"
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 	"rtc/internal/vtime"
@@ -74,10 +77,9 @@ type Config struct {
 	// the primary has been silent (counting failed redials) for this long.
 	// Zero means promotion is manual (Promote).
 	PromoteAfter time.Duration
-	// HandshakeTimeout / WriteTimeout bound the standby listener's
-	// handshake and frame writes (defaults 5s / 10s).
-	HandshakeTimeout time.Duration
-	WriteTimeout     time.Duration
+	// WriteTimeout bounds one write of the tailer's own frames (Hello,
+	// Subscribe, WalAck) to the primary (default 10s).
+	WriteTimeout time.Duration
 	// Dialer makes the tailer's connections to the primary (default
 	// faultnet.OS — a real TCP dial). Torture tests inject partitions and
 	// stalls into the replication stream through it.
@@ -102,9 +104,6 @@ func (c *Config) defaults() {
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 45 * time.Second
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -134,7 +133,7 @@ var (
 	errGap        = errors.New("replica: sequence gap; re-subscribe required")
 )
 
-// histSnap is one published as-of snapshot; the standby listener reads it
+// histSnap is one published as-of snapshot; the standby backend reads it
 // lock-free while the tailer publishes.
 type histSnap struct {
 	at  timeseq.Time
@@ -142,18 +141,30 @@ type histSnap struct {
 	db  *rtdb.HistoricalDatabase
 }
 
+// newFrameReader and readMsg are the tailer's decode path.
+func newFrameReader(nc net.Conn) *bufio.Reader { return bufio.NewReader(nc) }
+
+func readMsg(br *bufio.Reader) (any, error) {
+	f, err := rtwire.ReadFrame(br)
+	if err != nil {
+		return nil, err
+	}
+	return rtwire.Decode(f)
+}
+
 // Replica is one follower node.
 type Replica struct {
 	cfg Config
 
-	mu          sync.Mutex // guards log/mirror/pendingSnap/conn/promoted/seqCh
+	mu          sync.Mutex // guards log/mirror/pendingSnap/conn/promoted/seqCh/ns
 	log         *wal.Log
 	db          *rtdb.DB // degraded-query mirror (nil: queries refused)
 	sched       *vtime.Scheduler
 	pendingSnap []wal.Event
 	conn        net.Conn // live tailer connection
 	promoted    bool
-	seqCh       chan struct{} // closed and replaced on every applied batch
+	seqCh       chan struct{}    // closed and replaced on every applied batch
+	ns          *netserve.Server // the standby listener, once ServeOn ran
 
 	hist      atomic.Pointer[histSnap]
 	lastHeard atomic.Int64 // unix nanos of the newest primary frame
@@ -162,12 +173,10 @@ type Replica struct {
 	Metrics server.Metrics
 	Repl    Metrics
 
-	cmu    sync.Mutex // guards the standby listener's connection set
-	ln     net.Listener
-	sconns map[*sconn]struct{}
-
-	smu   sync.Mutex // guards the standby subscription registry
-	rsubs map[*sconn]map[uint64]*rsub
+	// smu guards subs, the standing queries attached through the standby
+	// listener (standby.go). Lock order: smu before mu, never the reverse.
+	smu  sync.Mutex
+	subs *sub.Table
 
 	promotedCh chan struct{}
 	quit       chan struct{}
@@ -188,7 +197,7 @@ func Open(cfg Config) (*Replica, error) {
 		cfg:        cfg,
 		log:        l,
 		seqCh:      make(chan struct{}),
-		sconns:     make(map[*sconn]struct{}),
+		subs:       sub.NewTable(),
 		promotedCh: make(chan struct{}),
 		quit:       make(chan struct{}),
 	}
@@ -260,8 +269,9 @@ func (r *Replica) WaitSeq(seq uint64, timeout time.Duration) bool {
 
 // Promote fences the old primary and turns this node into the new one: the
 // tailer stops, the epoch is bumped and persisted, and every connected
-// standby client is told (PromoteInfo) so it can follow the promotion.
-// The caller then owns Log() and typically builds a full server on it.
+// standby client is told (PromoteInfo, best-effort: Promote never waits on a
+// client's socket) so it can follow the promotion. The caller then owns
+// Log() and typically builds a full server on it.
 func (r *Replica) Promote() (uint64, error) {
 	r.mu.Lock()
 	if r.promoted {
@@ -275,27 +285,22 @@ func (r *Replica) Promote() (uint64, error) {
 	}
 	epoch, err := r.log.BumpEpoch()
 	seq := r.log.Seq()
+	ns := r.ns
 	r.mu.Unlock()
 	close(r.promotedCh)
 	r.Repl.Promotions.Add(1)
 	if err != nil {
 		return 0, err
 	}
-	frame := rtwire.PromoteInfo{Epoch: epoch, Seq: seq}.Encode()
-	r.cmu.Lock()
-	conns := make([]*sconn, 0, len(r.sconns))
-	for c := range r.sconns {
-		conns = append(conns, c)
-	}
-	r.cmu.Unlock()
-	for _, c := range conns {
-		c.write(frame, r.cfg.WriteTimeout)
+	if ns != nil {
+		ns.PromoteInfo(epoch, seq)
 	}
 	return epoch, nil
 }
 
-// Close stops the tailer and the listener and closes the local WAL. After
-// a Promote, the WAL is left open for the promoted server to own.
+// Close stops the tailer, drains the standby listener (each client gets a
+// Bye and its subscriptions' books are closed) and closes the local WAL.
+// After a Promote, the WAL is left open for the promoted server to own.
 func (r *Replica) Close() error {
 	r.closeOnce.Do(func() {
 		close(r.quit)
@@ -303,15 +308,11 @@ func (r *Replica) Close() error {
 		if r.conn != nil {
 			r.conn.Close()
 		}
+		ns := r.ns
 		r.mu.Unlock()
-		r.cmu.Lock()
-		if r.ln != nil {
-			_ = r.ln.Close()
+		if ns != nil {
+			_ = ns.Close()
 		}
-		for c := range r.sconns {
-			_ = c.nc.Close()
-		}
-		r.cmu.Unlock()
 	})
 	r.wg.Wait()
 	r.mu.Lock()
@@ -413,8 +414,8 @@ func (r *Replica) streamOnce() error {
 	_ = r.adoptEpoch(w.Epoch)
 
 	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	sub := rtwire.Subscribe{AfterSeq: r.Seq(), Follower: r.cfg.Name}
-	if _, err := conn.Write(sub.Encode()); err != nil {
+	subscribe := rtwire.Subscribe{AfterSeq: r.Seq(), Follower: r.cfg.Name}
+	if _, err := conn.Write(subscribe.Encode()); err != nil {
 		return err
 	}
 	r.connected.Store(true)
@@ -431,10 +432,10 @@ func (r *Replica) streamOnce() error {
 		case rtwire.WalBatch:
 			switch err := r.applyBatch(m); {
 			case err == nil:
-				// The horizon moved: serve every standby subscription tick it
-				// crossed before acking, so a client that saw the ack'd seq
-				// reflected in a query also has the pushes that apply implies.
-				r.serveSubTicks()
+				// The horizon moved: schedule every standby subscription tick
+				// it crossed before acking, so the pushes an applied seq
+				// implies are queued by the time anyone can observe that seq.
+				r.scheduleTicks()
 			case errors.Is(err, errGap):
 				return err // redial; Subscribe restarts from the local tail
 			default:

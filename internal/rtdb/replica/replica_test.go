@@ -57,6 +57,13 @@ func testCatalog() rtdb.Catalog {
 // transport — the unstarted shell has no apply loop, so a connection
 // draining through Session.Flush only unblocks once Stop closes quit.
 func newTestPrimary(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, func(), string) {
+	lp, _, stop, addr := newTestPrimaryNS(t, segSize, snapEvery)
+	return lp, stop, addr
+}
+
+// newTestPrimaryNS is newTestPrimary that also hands back the listener, for
+// tests that read the primary's replication watermark.
+func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, *netserve.Server, func(), string) {
 	t.Helper()
 	lp, err := wal.Open(wal.Options{
 		Dir: "wal", FS: faultfs.NewMem(1), SegmentSize: segSize, SnapshotEvery: snapEvery,
@@ -82,7 +89,7 @@ func newTestPrimary(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, fu
 	}
 	stop := func() { srv.Stop(); ns.Close() }
 	t.Cleanup(stop)
-	return lp, stop, addr.String()
+	return lp, ns, stop, addr.String()
 }
 
 func newTestReplica(t testing.TB, primary string) *Replica {

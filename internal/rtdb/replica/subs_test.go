@@ -8,6 +8,7 @@ import (
 
 	"rtc/internal/deadline"
 	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 )
@@ -68,7 +69,7 @@ func TestStandbySubscriptions(t *testing.T) {
 	}
 	append4(1, 4)
 
-	la, err := r.Listen("127.0.0.1:0")
+	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestStandbySubExpiry(t *testing.T) {
 	if !r.WaitSeq(seq, 10*time.Second) {
 		t.Fatalf("replica stuck at %d, want %d", r.Seq(), seq)
 	}
-	la, err := r.Listen("127.0.0.1:0")
+	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

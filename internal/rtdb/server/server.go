@@ -68,7 +68,7 @@ func (c *Config) defaults() {
 		c.SnapshotEvery = 16
 	}
 	if c.SubQueueDepth <= 0 {
-		c.SubQueueDepth = 32
+		c.SubQueueDepth = sub.DefaultDepth
 	}
 }
 

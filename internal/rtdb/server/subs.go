@@ -27,8 +27,17 @@ var ErrNotAdmissible = errors.New("server: subscription can never meet its deadl
 // over the bounded delivery queue plus the cancel path. Pop and Notify are
 // safe for one consumer goroutine; Cancel may be called from anywhere.
 type ServerSub struct {
-	srv *Server
-	s   *sub.Sub
+	m      *Metrics
+	s      *sub.Sub
+	detach func()
+}
+
+// NewServerSub is the handle for a subscription attached to a sub.Table that
+// something other than a Server's apply loop owns — the hot standby, whose
+// tailer schedules the ticks. Deliveries and leftovers are booked in m, and
+// Cancel calls detach to take s out of its table.
+func NewServerSub(m *Metrics, s *sub.Sub, detach func()) *ServerSub {
+	return &ServerSub{m: m, s: s, detach: detach}
 }
 
 // Subscribe attaches a standing query. spec is the server-relative envelope
@@ -76,7 +85,12 @@ func (s *Server) SubscribeWake(spec sub.Spec, after uint64, depth int, wake chan
 	var ss *ServerSub
 	err := s.apply(func() {
 		now := timeseq.Time(s.clock.Load())
-		ss = &ServerSub{srv: s, s: s.subs.Attach(spec, after, sub.NewQueueWake(depth, wake), now)}
+		attached := s.subs.Attach(spec, after, sub.NewQueueWake(depth, wake), now)
+		// When the server is stopping the detach is skipped: the apply loop
+		// is gone and nothing ticks anymore.
+		ss = NewServerSub(&s.Metrics, attached, func() {
+			_ = s.apply(func() { s.subs.Detach(attached) })
+		})
 		s.Metrics.SubsOpened.Add(1)
 	})
 	if err != nil {
@@ -107,7 +121,7 @@ func (s *Server) apply(fn func()) error {
 func (ss *ServerSub) Pop() (p sub.Push, droppedCum uint64, ok bool) {
 	p, droppedCum, ok = ss.s.Q.Pop()
 	if ok {
-		ss.srv.Metrics.AccountPushed()
+		ss.m.AccountPushed()
 	}
 	return p, droppedCum, ok
 }
@@ -120,24 +134,17 @@ func (ss *ServerSub) Spec() sub.Spec { return ss.s.Spec }
 
 // Cancel detaches the subscription and closes its queue, accounting
 // everything still queued as dropped. It returns the last assigned cursor
-// (for the closing SubAck). Safe to call when the server is stopping: the
-// detach is skipped (the apply loop is gone, nothing ticks anymore) but the
-// queue is still closed and its leftovers accounted.
+// (for the closing SubAck); the error is always nil. Safe to call when the
+// server is stopping: the queue is still closed and its leftovers accounted.
 func (ss *ServerSub) Cancel() (lastCursor uint64, err error) {
-	err = ss.srv.apply(func() {
-		ss.srv.subs.Detach(ss.s)
-		ss.srv.Metrics.SubsClosed.Add(1)
-	})
-	if errors.Is(err, ErrClosed) {
-		ss.srv.Metrics.SubsClosed.Add(1)
-		err = nil
-	}
+	ss.detach()
+	ss.m.SubsClosed.Add(1)
 	if n := ss.s.Q.Close(); n > 0 {
-		ss.srv.Metrics.AccountPushDropped(uint64(n))
+		ss.m.AccountPushDropped(uint64(n))
 	}
-	// The apply loop (if it ran) no longer sees ss.s, so the cursor is
-	// stable to read here.
-	return ss.s.Cursor(), err
+	// The table's owner no longer sees ss.s, so the cursor is stable to
+	// read here.
+	return ss.s.Cursor(), nil
 }
 
 // runSubs serves every subscription tick due at or before the clock as it

@@ -39,6 +39,10 @@ import (
 	"rtc/internal/timeseq"
 )
 
+// DefaultDepth bounds a subscription's delivery queue when the subscriber
+// names no depth of its own.
+const DefaultDepth = 32
+
 // Spec is one subscription's standing envelope, in server-relative terms:
 // Deadline is the translated remaining deadline per tick (the transport
 // already subtracted the client's consumed chronons, netserve's
@@ -61,10 +65,13 @@ type Push struct {
 	Cursor uint64
 	// Expired is the cumulative count of admission-expired ticks among this
 	// attachment's cursors below Cursor, stamped at schedule time.
-	Expired       uint64
-	Useful        uint64
-	Missed        bool
-	Evaluated     bool
+	Expired   uint64
+	Useful    uint64
+	Missed    bool
+	Evaluated bool
+	// Degraded marks a tick evaluated by a hot standby from replicated
+	// state; always false on a primary.
+	Degraded      bool
 	Issue, Served timeseq.Time
 	Answers       []string
 }

@@ -7,6 +7,7 @@ import (
 
 	"rtc/internal/deadline"
 	"rtc/internal/faultfs"
+	"rtc/internal/faultnet"
 	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
@@ -14,6 +15,7 @@ import (
 	"rtc/internal/rtdb/replica"
 	"rtc/internal/rtdb/server"
 	"rtc/internal/rtdb/sub"
+	"rtc/internal/timeseq"
 )
 
 // push is the transport-neutral view of one delivered tick. dropped and
@@ -308,7 +310,8 @@ type tcpEnv struct {
 	servers []*server.Server
 }
 
-func newTCPEnv(t *testing.T, failover bool) env {
+// startPrimary stands up the suite's WAL-backed primary on a loopback port.
+func startPrimary(t *testing.T) *tcpEnv {
 	t.Helper()
 	l, err := wal.Open(wal.Options{
 		Dir: "wal", FS: faultfs.NewMem(1), SegmentSize: 1 << 16, SnapshotEvery: 1 << 20,
@@ -328,39 +331,10 @@ func newTCPEnv(t *testing.T, failover bool) env {
 		t.Fatal(err)
 	}
 	e.addrP = addr.String()
-	ring := e.addrP
-	if failover {
-		r, err := replica.Open(replica.Config{
-			Primary: e.addrP,
-			WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 1 << 16, SnapshotEvery: 1 << 20},
-			Name:    "subspec-follower",
-			Catalog: nodeConfig(nil).Catalog, Registry: nodeConfig(nil).Registry,
-			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-			Seed: 11, HeartbeatTimeout: 10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Start()
-		e.r = r
-		sa, err := r.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.addrS = sa.String()
-		ring = e.addrP + "," + e.addrS
-	}
-	c, err := client.Dial(ring, client.Options{
-		Name:          "subspec",
-		RetryAttempts: 100, RetryBackoff: 5 * time.Millisecond,
-		RetryBackoffMax: 50 * time.Millisecond, DialTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.c = c
 	t.Cleanup(func() {
-		_ = c.Close()
+		if e.c != nil {
+			_ = e.c.Close()
+		}
 		_ = e.ns.Close()
 		for _, s := range e.servers {
 			s.Stop()
@@ -369,6 +343,57 @@ func newTCPEnv(t *testing.T, failover bool) env {
 			_ = e.r.Close()
 		}
 	})
+	return e
+}
+
+// startReplica opens a replica tailing e's primary; the caller gives it a
+// listener.
+func (e *tcpEnv) startReplica(t *testing.T) {
+	t.Helper()
+	r, err := replica.Open(replica.Config{
+		Primary: e.addrP,
+		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 1 << 16, SnapshotEvery: 1 << 20},
+		Name:    "subspec-follower",
+		Catalog: nodeConfig(nil).Catalog, Registry: nodeConfig(nil).Registry,
+		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
+		Seed: 11, HeartbeatTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	e.r = r
+}
+
+// dial connects the suite's client to ring.
+func (e *tcpEnv) dial(t *testing.T, ring string, d faultnet.Dialer) {
+	t.Helper()
+	c, err := client.Dial(ring, client.Options{
+		Name:          "subspec",
+		RetryAttempts: 100, RetryBackoff: 5 * time.Millisecond,
+		RetryBackoffMax: 50 * time.Millisecond, DialTimeout: 2 * time.Second,
+		Dialer: d,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.c = c
+}
+
+func newTCPEnv(t *testing.T, failover bool) env {
+	t.Helper()
+	e := startPrimary(t)
+	ring := e.addrP
+	if failover {
+		e.startReplica(t)
+		sa, err := e.r.Listen("127.0.0.1:0", netserve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.addrS = sa.String()
+		ring = e.addrP + "," + e.addrS
+	}
+	e.dial(t, ring, nil)
 	return e
 }
 
@@ -483,6 +508,75 @@ func (e *tcpEnv) finish(t *testing.T, hs ...handle) {
 	for i, s := range e.servers {
 		checkBooks(t, "node "+strconv.Itoa(i), s.Metrics.Snapshot())
 	}
+}
+
+// ----------------------------------------------------------------- standby
+
+// standbyEnv subscribes at a hot standby's listener while the primary it
+// tails moves the clock. The listener sits on a faultnet fabric so reconnect
+// can sever the link under the client; a standby cannot be failed over onto
+// itself, so SUB-006 does not run here.
+type standbyEnv struct {
+	*tcpEnv
+	fab *faultnet.Fabric
+	at  timeseq.Time // timestamp of the newest appended sample
+}
+
+const standbyAddr = "standby:1"
+
+func newStandbyEnv(t *testing.T, _ bool) env {
+	t.Helper()
+	e := &standbyEnv{tcpEnv: startPrimary(t), fab: faultnet.NewFabric(1)}
+	t.Cleanup(e.fab.Close)
+	e.at = e.log.State().LastAt
+	e.startReplica(t)
+	ln, err := e.fab.Listen(standbyAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.r.ServeOn(ln, netserve.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	e.dial(t, standbyAddr, e.fab.Dialer("client"))
+	return e
+}
+
+// subscribe gives the client stage room for everything a spec sends, so
+// whatever SUB-003 sees shed was shed by the standby's own bounded queue.
+func (e *standbyEnv) subscribe(t *testing.T, s client.SubSpec) (handle, error) {
+	s.Buffer = 64
+	return e.tcpEnv.subscribe(t, s)
+}
+
+// advance appends n samples to the primary's log as one batch — one horizon
+// leap on the standby, every tick it makes due scheduled in one sweep — and
+// returns once the standby has acked them: ticks are scheduled before the ack.
+func (e *standbyEnv) advance(t *testing.T, n int) {
+	t.Helper()
+	batch := make([]wal.Event, n)
+	for i := range batch {
+		e.at++
+		batch[i] = wal.Sample(e.at, "temp", "30")
+	}
+	if _, err := e.log.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	seq := e.log.Seq()
+	for end := time.Now().Add(10 * time.Second); e.ns.ReplDurable() < seq; {
+		if time.Now().After(end) {
+			t.Fatalf("standby acked %d of %d", e.ns.ReplDurable(), seq)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// reconnect resets every client connection to the standby and waits for the
+// client's automatic resume.
+func (e *standbyEnv) reconnect(t *testing.T, hs ...handle) {
+	t.Helper()
+	base := e.c.Stats.Resubscribes.Load()
+	e.fab.CutAll("client", standbyAddr)
+	e.waitResubscribed(t, base, uint64(len(hs)))
 }
 
 // ------------------------------------------------------------------- specs
@@ -677,15 +771,20 @@ var specList = []struct {
 
 func TestSubSpecs(t *testing.T) {
 	transports := []struct {
-		name string
-		mk   func(t *testing.T, failover bool) env
+		name     string
+		failover bool // the transport has a successor to fail over onto
+		mk       func(t *testing.T, failover bool) env
 	}{
-		{"loopback", newLoopbackEnv},
-		{"tcp", newTCPEnv},
+		{"loopback", true, newLoopbackEnv},
+		{"tcp", true, newTCPEnv},
+		{"standby", false, newStandbyEnv},
 	}
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			for _, sp := range specList {
+				if sp.failover && !tr.failover {
+					continue
+				}
 				t.Run(sp.id, func(t *testing.T) {
 					sp.run(t, tr.mk(t, sp.failover))
 				})

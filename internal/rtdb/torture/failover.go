@@ -142,7 +142,7 @@ func (c Config) failoverPoint(events []wal.Event, at uint64) (done bool, fail *F
 		return false, mkFail("replica Open: %v", err)
 	}
 	rp.Start()
-	standbyAddr, err := rp.Listen("127.0.0.1:0")
+	standbyAddr, err := rp.Listen("127.0.0.1:0", nopt)
 	if err != nil {
 		srv.Stop()
 		ns.Close()

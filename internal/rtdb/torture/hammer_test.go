@@ -77,7 +77,6 @@ func TestPartitionHammer(t *testing.T) {
 		DialTimeout:  150 * time.Millisecond,
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		HeartbeatTimeout: 400 * time.Millisecond,
-		HandshakeTimeout: 500 * time.Millisecond,
 		WriteTimeout:     150 * time.Millisecond,
 	})
 	if err != nil {

@@ -160,13 +160,14 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 		return 0, nil, mkFail("primary server: %v", err)
 	}
 	srv.Start()
-	ns := netserve.New(srv, netserve.Options{
+	nopt := netserve.Options{
 		HeartbeatInterval: 40 * time.Millisecond,
 		WriteTimeout:      150 * time.Millisecond,
 		HandshakeTimeout:  500 * time.Millisecond,
 		ReplBatch:         8, ReplWindow: 16, TailBuffer: 256,
 		ReplStallTimeout: 300 * time.Millisecond,
-	})
+	}
+	ns := netserve.New(srv, nopt)
 	pln, err := fab.Listen(partPrimary)
 	if err != nil {
 		srv.Stop()
@@ -194,7 +195,6 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 		DialTimeout:  150 * time.Millisecond,
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		HeartbeatTimeout: 300 * time.Millisecond,
-		HandshakeTimeout: 500 * time.Millisecond,
 		WriteTimeout:     150 * time.Millisecond,
 	})
 	if err != nil {
@@ -212,7 +212,7 @@ func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Fail
 		lp.Close()
 		return 0, nil, mkFail("standby listen: %v", err)
 	}
-	if _, err := rp.ServeOn(sln); err != nil {
+	if _, err := rp.ServeOn(sln, nopt); err != nil {
 		srv.Stop()
 		ns.Close()
 		_ = rp.Close()
