@@ -14,10 +14,10 @@ test:
 	$(GO) test ./...
 
 # Go line counts, non-test and test, for the root module (bench/ is its own
-# module) and for the serving stack's packages: net negative line counts are
-# a success metric (ROADMAP), so a PR that claims one quotes this before and
-# after.
-LOC_DIRS = internal/rtdb/netserve internal/rtdb/replica internal/rtdb/server internal/rtdb/sub internal/rtwire cmd/rtdbd cmd/rtdbload
+# module), the serving stack's packages and the fault-injection harness: net
+# negative line counts are a success metric (ROADMAP), so a PR that claims
+# one quotes this before and after.
+LOC_DIRS = internal/rtdb/netserve internal/rtdb/replica internal/rtdb/server internal/rtdb/sub internal/rtwire cmd/rtdbd cmd/rtdbload internal/rtdb/torture cmd/rttorture internal/faultfs internal/faultnet
 loc:
 	@for d in . $(LOC_DIRS); do \
 		src=$$(find $$d -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l); \

@@ -1,9 +1,11 @@
-// Command rttorture runs the deterministic crash-torture sweeps of
-// internal/rtdb/torture against the rtdbd WAL and server.
+// Command rttorture runs the scenario table of internal/rtdb/torture
+// against the rtdbd WAL, server and wire: for every seed, every row the
+// -mode flag selects.
 //
 // Every fault point is reproducible: a failing sweep prints one command
-// (rttorture -mode M -seed S -at K -events N) that replays exactly that
-// workload, fault, and crash materialization. With -corpus DIR the
+// (rttorture -mode M -seed S -at K -events N, plus every other flag the run
+// read) that replays exactly that workload, fault, and crash
+// materialization. With -corpus DIR the
 // post-crash segment images of failing points are exported as seed inputs
 // for the log package's FuzzSegmentRecovery corpus, and the malformed
 // byte streams the partition sweep's network faults left behind are
@@ -21,81 +23,54 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"rtc/internal/rtdb/torture"
 )
 
 func main() {
+	// The table of scenarios is the mode list: help text, the unknown-mode
+	// check and the dispatch below all read it.
+	run := torture.Modes()
+	names := make([]string, len(run))
+	for i, m := range run {
+		names[i] = string(m)
+	}
+	list := "all|" + strings.Join(names, "|")
+
+	var cfg torture.Config
+	cfg.RegisterFlags(flag.CommandLine)
 	var (
-		mode    = flag.String("mode", "all", "fault family: all|crash|eio|rename|chaos|failover|groupcommit|shard|partition")
-		seed    = flag.Uint64("seed", 1, "base sweep seed")
+		mode    = flag.String("mode", "all", "fault family: "+list)
 		seeds   = flag.Int("seeds", 1, "number of consecutive seeds to sweep")
-		events  = flag.Int("events", 90, "workload length")
-		stride  = flag.Int("stride", 1, "test every Nth fault point")
-		at      = flag.Uint64("at", 0, "single fault point (reproduction mode)")
-		shards  = flag.Int("shards", 4, "deployment width of the shard sweep")
-		victim  = flag.Int("victim", 0, "shard whose WAL takes the cut when -at pins one shard-sweep point")
-		nosync  = flag.Bool("nosync", false, "disable per-append fsync (weakens the durability bound)")
-		gcwin   = flag.Duration("fsync-window", 0, "run the crash/eio/rename/failover sweeps with this group-commit window (0: per-append fsync; groupcommit mode always batches)")
 		corpus  = flag.String("corpus", "", "directory to export failing crash images as fuzz corpus seeds")
 		verbose = flag.Bool("v", false, "per-sweep progress lines")
 	)
 	flag.Parse()
 
-	logf := func(string, ...any) {}
 	if *verbose {
-		logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+		cfg.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	}
-
-	want := func(m torture.Mode) bool {
-		return *mode == "all" || *mode == string(m)
-	}
-	if !want(torture.ModeCrash) && !want(torture.ModeEIO) && !want(torture.ModeRename) && !want(torture.ModeChaos) && !want(torture.ModeFailover) && !want(torture.ModeGroupCommit) && !want(torture.ModeShard) && !want(torture.ModePartition) {
-		fmt.Fprintf(os.Stderr, "rttorture: unknown -mode %q (want all|crash|eio|rename|chaos|failover|groupcommit|shard|partition)\n", *mode)
-		os.Exit(2)
+	if *mode != "all" {
+		if !slices.Contains(names, *mode) {
+			fmt.Fprintf(os.Stderr, "rttorture: unknown -mode %q (want %s)\n", *mode, list)
+			os.Exit(2)
+		}
+		run = []torture.Mode{torture.Mode(*mode)}
 	}
 
 	total := &torture.Report{}
+	first := cfg.Seed
 	for i := 0; i < *seeds; i++ {
-		s := *seed + uint64(i)
-		cfg := torture.Config{
-			Seed: s, Events: *events, Stride: *stride, At: *at,
-			Shards: *shards, Victim: *victim,
-			NoSync: *nosync, GroupWindow: *gcwin, Logf: logf,
-		}
-		if want(torture.ModeCrash) {
-			total.Merge(cfg.CrashSweep())
-		}
-		if want(torture.ModeEIO) {
-			total.Merge(cfg.EIOSweep())
-		}
-		if want(torture.ModeRename) {
-			total.Merge(cfg.RenameSweep())
-		}
-		if want(torture.ModeFailover) {
-			total.Merge(cfg.FailoverSweep())
-		}
-		if want(torture.ModeGroupCommit) {
-			total.Merge(cfg.GroupCommitSweep())
-		}
-		if want(torture.ModeShard) {
-			total.Merge(cfg.ShardSweep())
-		}
-		if want(torture.ModePartition) {
-			total.Merge(cfg.PartitionSweep())
-		}
-		if want(torture.ModeChaos) {
-			rep := torture.Chaos(torture.ChaosConfig{Seed: s, Logf: logf})
-			total.Points++
-			if rep.Ok() {
-				total.Recoveries++
-			}
-			total.Failures = append(total.Failures, rep.Failures...)
+		cfg.Seed = first + uint64(i)
+		for _, m := range run {
+			total.Merge(cfg.Sweep(m))
 		}
 	}
 
 	fmt.Printf("torture: mode=%s seeds=%d..%d events=%d points=%d recoveries=%d failures=%d\n",
-		*mode, *seed, *seed+uint64(*seeds)-1, *events, total.Points, total.Recoveries, len(total.Failures))
+		*mode, first, first+uint64(*seeds)-1, cfg.Events, total.Points, total.Recoveries, len(total.Failures))
 	if *corpus != "" {
 		n, err := exportCorpus(*corpus, total)
 		if err != nil {
@@ -135,7 +110,7 @@ func exportCorpus(dir string, rep *torture.Report) (int, error) {
 	}
 	for _, f := range rep.Failures {
 		for name, img := range f.Segments {
-			if err := write(fmt.Sprintf("%s-seed%d-at%d-%s", f.Mode, f.Seed, f.At, name), img); err != nil {
+			if err := write(fmt.Sprintf("%s-seed%d-at%d-%s", f.Mode, f.Config.Seed, f.Config.At, name), img); err != nil {
 				return n, err
 			}
 		}

@@ -64,11 +64,19 @@ func (c *Session) trySubmit(r request) bool {
 // asynchronous: the sample is applied by the server's apply loop. A full
 // queue returns ErrBackpressure.
 func (c *Session) InjectSample(image, value string) error {
+	return c.sample(image, value, 0, false)
+}
+
+// sample is InjectSample with an optional routing-clock stamp: a stamped
+// sample is applied at chronon at (or later, if the shard's own clock
+// already passed it). Only the sharded router submits stamped requests.
+func (c *Session) sample(image, value string, at timeseq.Time, stamped bool) error {
 	if c.srv.closed.Load() {
 		return ErrClosed
 	}
 	c.srv.Metrics.SamplesIn.Add(1)
-	if !c.trySubmit(request{kind: reqSample, session: c.id, image: image, value: value}) {
+	r := request{kind: reqSample, session: c.id, image: image, value: value, at: at, stamped: stamped}
+	if !c.trySubmit(r) {
 		c.srv.Metrics.SamplesIn.Add(^uint64(0)) // undo: never entered a queue
 		c.srv.Metrics.SamplesRejected.Add(1)
 		return ErrBackpressure
@@ -80,61 +88,25 @@ func (c *Session) InjectSample(image, value string) error {
 // queue rejects immediately; for deadline-carrying queries the rejection is
 // accounted as a deadline miss (never silently dropped).
 func (c *Session) Query(q QueryRequest) (Response, error) {
+	return c.query(q, c.srv.Now(), false)
+}
+
+// query is Query issued at chronon issue. The router stamps it with the
+// routing clock's chronon, so the deadline envelope is judged against
+// global time rather than the owning shard's (possibly lagging) local clock.
+func (c *Session) query(q QueryRequest, issue timeseq.Time, stamped bool) (Response, error) {
 	if c.srv.closed.Load() {
 		return Response{}, ErrClosed
 	}
 	c.srv.Metrics.QueriesIn.Add(1)
 	r := request{
 		kind: reqQuery, session: c.id, q: q,
-		issue: c.srv.Now(), reply: replyPool.Get().(chan Response),
-	}
-	if !c.trySubmit(r) {
-		c.srv.Metrics.QueriesRejected.Add(1)
-		if q.Kind != deadline.None {
-			c.srv.Metrics.RejectMiss.Add(1)
-		}
-		replyPool.Put(r.reply)
-		return Response{Missed: q.Kind != deadline.None, Issue: r.issue}, ErrBackpressure
-	}
-	select {
-	case resp := <-r.reply:
-		replyPool.Put(r.reply)
-		return resp, nil
-	case <-c.srv.quit:
-		return Response{}, ErrClosed
-	}
-}
-
-// injectSampleAt is InjectSample with a routing-clock stamp: the sample is
-// applied at chronon at (or later, if the shard's own clock already passed
-// it). Only the sharded router submits stamped requests.
-func (c *Session) injectSampleAt(image, value string, at timeseq.Time) error {
-	if c.srv.closed.Load() {
-		return ErrClosed
-	}
-	c.srv.Metrics.SamplesIn.Add(1)
-	r := request{kind: reqSample, session: c.id, image: image, value: value, at: at, stamped: true}
-	if !c.trySubmit(r) {
-		c.srv.Metrics.SamplesIn.Add(^uint64(0)) // undo: never entered a queue
-		c.srv.Metrics.SamplesRejected.Add(1)
-		return ErrBackpressure
-	}
-	return nil
-}
-
-// queryAt is Query with an explicit issue chronon taken from the routing
-// clock, so the deadline envelope is judged against global time rather than
-// the owning shard's (possibly lagging) local clock.
-func (c *Session) queryAt(q QueryRequest, issue timeseq.Time) (Response, error) {
-	if c.srv.closed.Load() {
-		return Response{}, ErrClosed
-	}
-	c.srv.Metrics.QueriesIn.Add(1)
-	r := request{
-		kind: reqQuery, session: c.id, q: q,
-		issue: issue, at: issue, stamped: true,
+		issue: issue, stamped: stamped,
 		reply: replyPool.Get().(chan Response),
 	}
+	if stamped {
+		r.at = issue
+	}
 	if !c.trySubmit(r) {
 		c.srv.Metrics.QueriesRejected.Add(1)
 		if q.Kind != deadline.None {
@@ -152,17 +124,24 @@ func (c *Session) queryAt(q QueryRequest, issue timeseq.Time) (Response, error) 
 	}
 }
 
-// flushAt is Flush with a routing-clock stamp: before the durability
+// Flush blocks until everything this session enqueued before it has been
+// applied.
+func (c *Session) Flush() error {
+	_, err := c.flush(0, false)
+	return err
+}
+
+// flush is Flush with an optional routing-clock stamp: before a stamped
 // barrier resolves, the shard's clock is pulled up to chronon at, so a
 // quiet shard's horizon advances with the rest of the group. It returns
 // the shard's clock at the barrier — periodic and subscription evaluations
 // advance a shard past the stamps it was routed, and the router folds that
 // drift back into the global clock at every flush point.
-func (c *Session) flushAt(at timeseq.Time) (timeseq.Time, error) {
+func (c *Session) flush(at timeseq.Time, stamped bool) (timeseq.Time, error) {
 	if c.srv.closed.Load() {
 		return 0, ErrClosed
 	}
-	r := request{kind: reqBarrier, session: c.id, at: at, stamped: true, reply: replyPool.Get().(chan Response)}
+	r := request{kind: reqBarrier, session: c.id, at: at, stamped: stamped, reply: replyPool.Get().(chan Response)}
 	select {
 	case c.queue <- r:
 	case <-c.srv.quit:
@@ -174,26 +153,5 @@ func (c *Session) flushAt(at timeseq.Time) (timeseq.Time, error) {
 		return resp.Served, nil
 	case <-c.srv.quit:
 		return 0, ErrClosed
-	}
-}
-
-// Flush blocks until everything this session enqueued before it has been
-// applied.
-func (c *Session) Flush() error {
-	if c.srv.closed.Load() {
-		return ErrClosed
-	}
-	r := request{kind: reqBarrier, session: c.id, reply: replyPool.Get().(chan Response)}
-	select {
-	case c.queue <- r:
-	case <-c.srv.quit:
-		return ErrClosed
-	}
-	select {
-	case <-r.reply:
-		replyPool.Put(r.reply)
-		return nil
-	case <-c.srv.quit:
-		return ErrClosed
 	}
 }

@@ -267,7 +267,7 @@ func (ss *ShardedServer) Flush() error {
 	at := timeseq.Time(ss.rc.Load())
 	return ss.each(func(sh *Server) error {
 		for i := 0; i < sh.Sessions(); i++ {
-			served, err := sh.Session(i).flushAt(at)
+			served, err := sh.Session(i).flush(at, true)
 			if err != nil {
 				return err
 			}
@@ -391,7 +391,7 @@ func (t *ShardedSession) ID() int { return t.id }
 // single-shard apply loop spends one per sample).
 func (t *ShardedSession) InjectSample(image, value string) error {
 	at := timeseq.Time(t.ss.rc.Add(1) - 1)
-	return t.per[t.ss.ShardFor(image)].injectSampleAt(image, value, at)
+	return t.per[t.ss.ShardFor(image)].sample(image, value, at, true)
 }
 
 // Query routes one aperiodic query to its home shard, issued at the
@@ -400,7 +400,7 @@ func (t *ShardedSession) InjectSample(image, value string) error {
 // admission-skipped one spends nothing, exactly like the single-shard path.
 func (t *ShardedSession) Query(q QueryRequest) (Response, error) {
 	issue := timeseq.Time(t.ss.rc.Load())
-	resp, err := t.per[t.ss.homeShard(q.Query)].queryAt(q, issue)
+	resp, err := t.per[t.ss.homeShard(q.Query)].query(q, issue, true)
 	if err == nil && resp.Evaluated {
 		t.ss.rcMax(uint64(resp.Served))
 	}
@@ -417,7 +417,7 @@ func (t *ShardedSession) Flush() error {
 	at := timeseq.Time(t.ss.rc.Load())
 	var firstErr error
 	for _, s := range t.per {
-		served, err := s.flushAt(at)
+		served, err := s.flush(at, true)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

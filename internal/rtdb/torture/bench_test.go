@@ -14,12 +14,8 @@ func BenchmarkCrashRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at := uint64(10 + i%120) // rotate across fault points
-		done, fail := c.crashPoint(events, at)
-		if fail != nil {
-			b.Fatalf("%s", fail.String())
-		}
-		if done {
-			b.Fatalf("fault point %d beyond workload", at)
+		if err := c.crashPoint(&point{at: at}, events, false, true); err != nil {
+			b.Fatalf("fault point %d: %v", at, err)
 		}
 	}
 }
@@ -28,9 +24,8 @@ func BenchmarkCrashRecover(b *testing.B) {
 // recovery, conservation checks).
 func BenchmarkChaos(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := Chaos(ChaosConfig{Seed: uint64(i + 1), Sessions: 4, OpsEach: 50})
-		if !rep.Ok() {
-			b.Fatalf("%s", rep.Failures[0].String())
+		if _, err := chaosRun(uint64(i+1), 4, 50); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

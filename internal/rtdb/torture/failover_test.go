@@ -8,7 +8,7 @@ import (
 // TestFailoverSweepShort is the tier-1 bounded variant: a handful of kill
 // points with a live replica and a promotion at each one.
 func TestFailoverSweepShort(t *testing.T) {
-	rep := Config{Seed: 1, Events: 40, Stride: 17, Logf: t.Logf}.FailoverSweep()
+	rep := Config{Seed: 1, Events: 40, Stride: 17, Logf: t.Logf}.Sweep(ModeFailover)
 	report(t, rep)
 }
 
@@ -18,7 +18,7 @@ func TestFailoverSweepFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full failover sweep is minutes of work; run without -short")
 	}
-	rep := Config{Seed: 1, Stride: 1, Logf: t.Logf}.FailoverSweep()
+	rep := Config{Seed: 1, Stride: 1, Logf: t.Logf}.Sweep(ModeFailover)
 	report(t, rep)
 	if rep.Points < 200 {
 		t.Fatalf("full sweep exercised only %d kill points, want >= 200", rep.Points)
@@ -33,7 +33,7 @@ func TestFailoverSweepFull(t *testing.T) {
 // preserves the replicated invariant acked ≤ n ≤ acked+1 at every kill
 // point.
 func TestFailoverGroupCommit(t *testing.T) {
-	rep := Config{Seed: 3, Events: 40, Stride: 23, GroupWindow: 50 * time.Microsecond, Logf: t.Logf}.FailoverSweep()
+	rep := Config{Seed: 3, Events: 40, Stride: 23, GroupWindow: 50 * time.Microsecond, Logf: t.Logf}.Sweep(ModeFailover)
 	report(t, rep)
 }
 
@@ -44,7 +44,7 @@ func TestFailoverGroupCommit(t *testing.T) {
 // every kill point, exactly as in the unsharded sweep.
 func TestFailoverSharded(t *testing.T) {
 	for victim := 0; victim < 4; victim++ {
-		rep := Config{Seed: 5, Events: 40, Stride: 19, Shards: 4, Victim: victim, Logf: t.Logf}.FailoverSweep()
+		rep := Config{Seed: 5, Events: 40, Stride: 19, Shards: 4, Victim: victim, Logf: t.Logf}.Sweep(ModeFailover)
 		report(t, rep)
 		if rep.Points == 0 {
 			t.Fatalf("victim %d: sweep exercised no kill points", victim)
@@ -55,7 +55,7 @@ func TestFailoverSharded(t *testing.T) {
 // TestFailoverPointRepro pins one kill point the way `rttorture -mode
 // failover -at K` would replay it.
 func TestFailoverPointRepro(t *testing.T) {
-	rep := Config{Seed: 1, Events: 40, At: 9}.FailoverSweep()
+	rep := Config{Seed: 1, Events: 40, At: 9}.Sweep(ModeFailover)
 	if rep.Points != 1 {
 		t.Fatalf("At should pin exactly one point, got %d", rep.Points)
 	}

@@ -8,14 +8,8 @@ import (
 	"time"
 
 	"rtc/internal/deadline"
-	"rtc/internal/faultfs"
 	"rtc/internal/faultnet"
-	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
-	wal "rtc/internal/rtdb/log"
-	"rtc/internal/rtdb/netserve"
-	"rtc/internal/rtdb/replica"
-	"rtc/internal/rtdb/server"
 )
 
 // TestPartitionHammer is the race-grade chaos run behind `make
@@ -40,49 +34,14 @@ func TestPartitionHammer(t *testing.T) {
 	defer fab.Close()
 	fab.Chaos(9, 50*time.Microsecond)
 
-	memP := faultfs.NewMem(1)
-	lp, err := wal.Open(wal.Options{Dir: "hwal", FS: memP, Sync: true})
+	c := Config{}
+	c.defaults()
+	st, err := c.fabricStack(fab, 1, hammerClients+4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lp.Close()
-	srv, err := server.New(chaosServerConfig(lp, hammerClients+4, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	ns := netserve.New(srv, netserve.Options{
-		HeartbeatInterval: 25 * time.Millisecond,
-		WriteTimeout:      150 * time.Millisecond,
-		HandshakeTimeout:  500 * time.Millisecond,
-		ReplBatch:         8, ReplWindow: 16, TailBuffer: 256,
-		ReplStallTimeout: 300 * time.Millisecond,
-	})
-	pln, err := fab.Listen(partPrimary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = ns.Serve(pln) }()
-
-	memR := faultfs.NewMem(2)
-	rp, err := replica.Open(replica.Config{
-		Primary:  partPrimary,
-		Dialer:   fab.Dialer("replica"),
-		WAL:      wal.Options{Dir: replDir, FS: memR, Sync: true},
-		Name:     "hammer-follower",
-		Catalog:  failoverCatalog(),
-		Registry: rtdb.DeriveRegistry{"status": chaosDerive},
-		Seed:     1,
-
-		DialTimeout:  150 * time.Millisecond,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-		HeartbeatTimeout: 400 * time.Millisecond,
-		WriteTimeout:     150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Start()
+	defer st.close()
+	srv := st.srv
 
 	// The clock driver: server chronons advance while the hammer runs.
 	tickStop := make(chan struct{})
@@ -129,7 +88,7 @@ func TestPartitionHammer(t *testing.T) {
 			}
 			select {
 			case <-monkeyStop:
-			case <-time.After(time.Duration(5 + rng.IntN(10)) * time.Millisecond):
+			case <-time.After(time.Duration(5+rng.IntN(10)) * time.Millisecond):
 			}
 			fab.Heal()
 		}
@@ -170,9 +129,7 @@ func TestPartitionHammer(t *testing.T) {
 			for i := 0; i < hammerEvents; i++ {
 				_ = cl.InjectSample(images[i%2], fmt.Sprintf("%d", 15+i%12))
 				if i%3 == 2 {
-					_, _ = cl.Query(client.Query{
-						Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
-					})
+					_, _ = cl.Query(statusQuery(deadline.Soft))
 				}
 				if i%7 == 6 {
 					_ = cl.Flush()
@@ -211,17 +168,11 @@ func TestPartitionHammer(t *testing.T) {
 	if err := srv.Barrier(); err != nil {
 		t.Errorf("post-chaos barrier: %v", err)
 	}
-	m := srv.Metrics.Snapshot()
-	if m.QueriesIn != m.QueriesAccounted() {
-		t.Errorf("primary conservation broken after chaos: in=%d accounted=%d",
-			m.QueriesIn, m.QueriesAccounted())
+	if err := queryConservation("primary", srv.Metrics.Snapshot()); err != nil {
+		t.Errorf("after chaos: %v", err)
 	}
-	ns.Close()
-	srv.Stop()
-	mr := rp.Metrics.Snapshot()
-	if mr.QueriesIn != mr.QueriesAccounted() {
-		t.Errorf("replica conservation broken after chaos: in=%d accounted=%d",
-			mr.QueriesIn, mr.QueriesAccounted())
+	st.killPrimary()
+	if err := queryConservation("replica", st.rp.Metrics.Snapshot()); err != nil {
+		t.Errorf("after chaos: %v", err)
 	}
-	_ = rp.Close()
 }

@@ -1,0 +1,188 @@
+package torture
+
+import (
+	"fmt"
+
+	"rtc/internal/faultfs"
+	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtdb/server"
+	"rtc/internal/timeseq"
+)
+
+// The laws the sweeps assert, one function each. A point body computes the
+// numbers and calls the law; nothing else in the package spells one out.
+// TestInvariants holds a passing boundary and a violation against each.
+
+// law is nil when holds, and otherwise the violation the message describes.
+func law(holds bool, format string, args ...any) error {
+	if holds {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// durabilityBound is the recovery law of a power cut, acked ≤ n ≤ issued+1:
+// every append the log acknowledged survives the crash, and beyond the
+// events issued at most the single in-flight one may appear — nothing
+// resurrects. Without a covering fsync (fsynced false) only the upper half
+// holds. issued is acked for per-append acks and the ticket count for a
+// grouped run.
+func durabilityBound(who string, n, acked, issued int, fsynced bool) error {
+	switch {
+	case fsynced && n < acked:
+		return fmt.Errorf("%s %d events but %d were acked+fsynced (durability lost)", who, n, acked)
+	case n > issued+1:
+		return fmt.Errorf("%s %d events but only %d were issued before the cut (resurrection)", who, n, issued+1)
+	}
+	return nil
+}
+
+// batchWindowBound is the grouped half of the durability contract,
+// n − acked ≤ groupBatchEvery+1: at most one unacked batch window, plus the
+// in-flight frame, survives the cut.
+func batchWindowBound(n, acked int) error {
+	return law(n-acked <= groupBatchEvery+1,
+		"recovered %d events with only %d acked: more than one batch window survived unacked", n, acked)
+}
+
+// ackedPrefix takes the commit outcomes of a grouped run in issue order and
+// returns how many committed. The nil outcomes must form a prefix: a later
+// batch committing over an earlier uncommitted one would reorder durability.
+func ackedPrefix(outcomes []error) (acked int, err error) {
+	firstErr := -1
+	for i, o := range outcomes {
+		switch {
+		case o != nil && firstErr < 0:
+			firstErr = i
+		case o == nil && firstErr >= 0:
+			return 0, fmt.Errorf("nil-resolved tickets not a prefix: ticket %d committed after ticket %d failed", i, firstErr)
+		case o == nil:
+			acked++
+		}
+	}
+	return acked, nil
+}
+
+// survivorExact: a shard that took no fault recovers exactly what it acked.
+func survivorExact(shard, n, acked int) error {
+	return law(n == acked, "survivor shard %d recovered %d events, acked %d — survivors must be exact", shard, n, acked)
+}
+
+// sameState is the deep-equal every recovery is held to: got must be
+// exactly want — no reordering, no partial applies, no healed frame back
+// from the dead. what names the comparison in the failure.
+func sameState(what string, want, got *wal.State) error {
+	d := want.Diff(got)
+	return law(d == "", "%s: %s", what, d)
+}
+
+// referencePrefix: a state recovered with n events is exactly the
+// reference replay of the first n events issued. It returns that reference.
+func referencePrefix(who string, issued []wal.Event, n int, got *wal.State) (*wal.State, error) {
+	if n > len(issued) {
+		return nil, fmt.Errorf("%srecovered %d events, workload only has %d", who, n, len(issued))
+	}
+	want := Reference(issued[:n])
+	return want, sameState(fmt.Sprintf("%srecovery invariant violated at prefix %d", who, n), want, got)
+}
+
+// reopensTo closes l and opens its directory again: what is on disk must be
+// exactly want. After a crash recovery this is idempotence — the first Open
+// normalized the torn tail, so a second one reproduces the identical state.
+// It returns the log the caller now owns: the reopened one, or l (closed)
+// when it could not be reopened.
+func (c Config) reopensTo(what string, l *wal.Log, mem *faultfs.Mem, want *wal.State) (*wal.Log, error) {
+	if err := l.Close(); err != nil {
+		return l, fmt.Errorf("close: %v", err)
+	}
+	l2, err := wal.Open(c.walOptions(mem))
+	if err != nil {
+		return l, fmt.Errorf("recovery Open: %v", err)
+	}
+	return l2, sameState(what, want, l2.State())
+}
+
+// liveness: a recovered (or promoted) log is live — an append past the
+// fault lands, and through a grouped appender commits at the next Sync.
+func liveness(what string, a *appender, e wal.Event) error {
+	if err := a.append(e); err != nil {
+		return fmt.Errorf("%s: %v", what, err)
+	}
+	if !a.grouped {
+		return nil
+	}
+	if err := a.l.Sync(); err != nil {
+		return fmt.Errorf("sync after recovery: %v", err)
+	}
+	if err := a.tickets[len(a.tickets)-1].Wait(); err != nil {
+		return fmt.Errorf("post-crash ticket resolved %v after a clean sync", err)
+	}
+	return nil
+}
+
+// queryConservation is QueriesIn == QueriesAccounted: a query that entered
+// a node was rejected, hit, missed or carried no deadline — and counted as
+// exactly one of them, never lost. who names the node.
+func queryConservation(who string, m server.MetricsSnapshot) error {
+	acc := m.QueriesAccounted()
+	return law(m.QueriesIn == acc, "%s conservation broken: in=%d accounted=%d", who, m.QueriesIn, acc)
+}
+
+// sampleConservation: every sample a session accepted was applied.
+func sampleConservation(m server.MetricsSnapshot) error {
+	return law(m.SamplesIn == m.SamplesApplied, "sample conservation violated: in=%d applied=%d", m.SamplesIn, m.SamplesApplied)
+}
+
+// periodicConservation: every periodic invocation issued was tallied a hit
+// or a miss.
+func periodicConservation(m server.MetricsSnapshot) error {
+	return law(m.PeriodicIssued == m.PeriodicHit+m.PeriodicMiss,
+		"periodic conservation violated: %d != %d+%d", m.PeriodicIssued, m.PeriodicHit, m.PeriodicMiss)
+}
+
+// walConservation: exactly the appends the server saw acknowledged come
+// back from the WAL.
+func walConservation(recovered, appends uint64) error {
+	return law(recovered == appends, "WAL conservation violated: recovered %d events, %d appends acknowledged", recovered, appends)
+}
+
+// epochAdvanced: a promotion fences the old primary — the epoch it returns
+// is past the initial one.
+func epochAdvanced(epoch uint64) error {
+	return law(epoch >= 2, "promotion left epoch at %d", epoch)
+}
+
+// epochPersisted: the bumped epoch survives a restart of the promoted node.
+func epochPersisted(promoted, reopened uint64) error {
+	return law(reopened == promoted, "promoted epoch %d not persisted (reopened as %d)", promoted, reopened)
+}
+
+// cursorMonotone: a subscription's cursors strictly increase across every
+// stall-induced resume and failover re-attach.
+func cursorMonotone(last, next uint64) error {
+	return law(next > last, "subscription cursor regressed: cursor %d after %d", next, last)
+}
+
+// ackedWrites is zero lost acked writes over the wire, acked ≤ applied and
+// arrived ≤ sent: a sample the client saw acknowledged was applied, and no
+// retry or resume delivered one twice.
+func ackedWrites(acked, sent int, m server.MetricsSnapshot) error {
+	if err := law(int(m.SamplesApplied) >= acked, "lost acked writes: %d acked, %d applied", acked, m.SamplesApplied); err != nil {
+		return err
+	}
+	return law(int(m.SamplesIn) <= sent, "duplicated writes: %d sent, %d arrived", sent, m.SamplesIn)
+}
+
+// crossShardSum: the shards together recover Σ acked ≤ Σ n ≤ Σ acked + 1 —
+// only the victim's single in-flight append may exceed the group's acks.
+func crossShardSum(recovered, acked int) error {
+	return law(acked <= recovered && recovered <= acked+1,
+		"cross-shard sum conservation violated: recovered %d, acked %d", recovered, acked)
+}
+
+// horizonHeld: every acknowledged write is durable, so the consistent
+// horizon (min over shards of the last chronon) recomputed from the
+// recovered shards is never behind the one the group had acknowledged.
+func horizonHeld(acked, recovered timeseq.Time) error {
+	return law(recovered >= acked, "consistent horizon regressed: acked %d, recovered %d", acked, recovered)
+}

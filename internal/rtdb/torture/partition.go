@@ -6,30 +6,11 @@ import (
 	"time"
 
 	"rtc/internal/deadline"
-	"rtc/internal/faultfs"
 	"rtc/internal/faultnet"
-	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
-	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/replica"
-	"rtc/internal/rtdb/server"
 	"rtc/internal/rtwire"
-)
-
-// ModePartition arms one network fault — a mid-frame cut, a silent frame
-// drop, a corrupted byte, a slow-loris stall, or a one- or two-way
-// partition — at every Stride-th fabric write op of a full
-// client/primary/replica stack, and checks the wire invariants at each
-// point.
-const ModePartition Mode = "partition"
-
-// The fabric endpoint labels. The server-side ends of accepted
-// connections carry the listener's address as their label, so directions
-// like {client → partPrimary} name exactly one flow.
-const (
-	partPrimary = "primary:1"
-	partStandby = "standby:1"
 )
 
 // partScenario is one armed network fault family. hb enables the client
@@ -62,12 +43,31 @@ func partScenarios() []partScenario {
 	}
 }
 
-// PartitionSweep runs the network-fault variant of the crash sweep: a
-// full stack — primary server behind netserve, a live replica tailing the
-// WAL and serving as hot standby, and a client with both addresses —
-// wired entirely through a seeded faultnet fabric. A probe run with no
-// fault armed measures the fabric's total write-op count; the sweep then
-// arms one seeded fault at every Stride-th op and checks, at each point:
+// fabricStack builds the stack entirely on a faultnet fabric, with
+// heartbeat-scaled timeouts so watchdogs act within a point's lifetime.
+func (c Config) fabricStack(fab *faultnet.Fabric, seed uint64, sessions int) (*stack, error) {
+	return c.newStack(stackSpec{
+		fab: fab, seed: seed, sessions: sessions,
+		net: netserve.Options{
+			HeartbeatInterval: 40 * time.Millisecond,
+			WriteTimeout:      150 * time.Millisecond,
+			HandshakeTimeout:  500 * time.Millisecond,
+			ReplBatch:         8, ReplWindow: 16, TailBuffer: 256,
+			ReplStallTimeout: 300 * time.Millisecond,
+		},
+		follower: replica.Config{
+			DialTimeout:      150 * time.Millisecond,
+			HeartbeatTimeout: 300 * time.Millisecond,
+			WriteTimeout:     150 * time.Millisecond,
+		},
+	})
+}
+
+// partitionPoint is the network-fault variant of the crash point: a full
+// stack — primary server behind netserve, a live replica tailing the WAL
+// and serving as hot standby, and a client with both addresses — wired
+// entirely through a seeded faultnet fabric, with one seeded fault armed at
+// fabric write op p.at (0: none, the probe that counts the ops). It checks:
 //
 //   - durability: no write the client saw acknowledged (a Flush that
 //     succeeded on an unbroken primary connection) is ever lost —
@@ -75,8 +75,7 @@ func partScenarios() []partScenario {
 //   - fencing: when the primary is isolated and the standby promoted, a
 //     client that saw the new epoch can never be recaptured by the
 //     deposed primary once the partition heals (StaleRejected ≥ 1);
-//   - conservation on both sides of the cut: QueriesIn ==
-//     QueriesAccounted on the primary and on the standby;
+//   - query conservation on both sides of the cut;
 //   - subscription cursors stay strictly monotone across every
 //     stall-induced resume and failover re-attach;
 //   - post-heal liveness: after Heal the client reaches the acting
@@ -84,358 +83,193 @@ func partScenarios() []partScenario {
 //     primary's WAL tip, and the replication durability watermark
 //     catches up.
 //
-// Reader-visible malformed byte streams (cut prefixes, post-drop
-// desyncs, corrupted frames) are captured into Report.Streams as seed
-// material for rtwire's frame fuzzer (cmd/rttorture -corpus).
-func (c Config) PartitionSweep() *Report {
-	c.defaults()
-	rep := &Report{}
-	total, _, fail := c.partitionPoint(0)
-	if fail != nil {
-		fail.Detail = "faultless probe run: " + fail.Detail
-		rep.Points++
-		rep.Failures = append(rep.Failures, *fail)
-		return rep
-	}
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 1
-	}
-	for at := start; at <= total; at += stride {
-		rep.Points++
-		_, stream, fail := c.partitionPoint(at)
-		if fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if len(stream) > 0 && len(rep.Streams) < 48 {
-			if rep.Streams == nil {
-				rep.Streams = make(map[string][]byte)
-			}
-			rep.Streams[fmt.Sprintf("seed%d-at%d", c.Seed, at)] = stream
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("partition sweep: seed=%d ops=%d points=%d recoveries=%d failures=%d streams=%d",
-			c.Seed, total, rep.Points, rep.Recoveries, len(rep.Failures), len(rep.Streams))
-	}
-	return rep
-}
-
-// partitionPoint runs one full-stack workload with a network fault armed
-// at fabric write op `at` (0: probe run, nothing armed). It returns the
-// fabric's total op count and any malformed byte stream the fault left
-// behind.
-func (c Config) partitionPoint(at uint64) (ops uint64, stream []byte, fail *Failure) {
-	ps := pointSeed(c.Seed, at)
+// The reader-visible malformed byte stream the fault left behind (a cut
+// prefix, a post-drop desync, a corrupted frame) goes back in p.stream.
+func (c Config) partitionPoint(p *point) (err error) {
+	ps := pointSeed(c.Seed, p.at)
 	rng := rand.New(rand.NewPCG(ps, 0x6a09e667f3bcc909))
 	scens := partScenarios()
 	scen := scens[rng.IntN(len(scens))]
 
 	fab := faultnet.NewFabric(ps)
 	defer fab.Close()
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModePartition, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf("[%s] ", scen.name) + fmt.Sprintf(format, args...),
+	defer func() { // after the teardown below: its writes are ops of the run too
+		p.ops, p.stream = fab.Ops(), fab.MalformedStream()
+		if err != nil {
+			err = fmt.Errorf("[%s] %w", scen.name, err)
 		}
-	}
-	fired := func() bool { f, _ := fab.Fired(); return f }
-
-	// Primary: a full server (catalog, derivations, an alarm rule) behind
-	// netserve on the fabric, with heartbeat-scaled timeouts so watchdogs
-	// act within the point's lifetime.
-	memP := faultfs.NewMem(ps)
-	lp, err := wal.Open(c.walOptions(memP))
+	}()
+	st, err := c.fabricStack(fab, ps, 6)
 	if err != nil {
-		return 0, nil, mkFail("primary Open: %v", err)
+		return err
 	}
-	srv, err := server.New(chaosServerConfig(lp, 6, 64))
-	if err != nil {
-		lp.Close()
-		return 0, nil, mkFail("primary server: %v", err)
-	}
-	srv.Start()
-	nopt := netserve.Options{
-		HeartbeatInterval: 40 * time.Millisecond,
-		WriteTimeout:      150 * time.Millisecond,
-		HandshakeTimeout:  500 * time.Millisecond,
-		ReplBatch:         8, ReplWindow: 16, TailBuffer: 256,
-		ReplStallTimeout: 300 * time.Millisecond,
-	}
-	ns := netserve.New(srv, nopt)
-	pln, err := fab.Listen(partPrimary)
-	if err != nil {
-		srv.Stop()
-		lp.Close()
-		return 0, nil, mkFail("primary listen: %v", err)
-	}
-	go func() { _ = ns.Serve(pln) }()
-
-	// Replica: tails the primary through its own fabric endpoint and
-	// serves as the hot standby on a second fabric listener.
-	memR := faultfs.NewMem(ps ^ 0x5bd1e995)
-	rp, err := replica.Open(replica.Config{
-		Primary: partPrimary,
-		Dialer:  fab.Dialer("replica"),
-		WAL: wal.Options{
-			Dir: replDir, FS: memR, SegmentSize: c.SegmentSize,
-			SnapshotEvery: c.SnapshotEvery, Sync: true,
-			GroupWindow: c.GroupWindow,
-		},
-		Name:     "partition-follower",
-		Catalog:  failoverCatalog(),
-		Registry: rtdb.DeriveRegistry{"status": chaosDerive},
-		Seed:     ps,
-
-		DialTimeout:  150 * time.Millisecond,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-		HeartbeatTimeout: 300 * time.Millisecond,
-		WriteTimeout:     150 * time.Millisecond,
-	})
-	if err != nil {
-		srv.Stop()
-		ns.Close()
-		lp.Close()
-		return 0, nil, mkFail("replica Open: %v", err)
-	}
-	rp.Start()
-	sln, err := fab.Listen(partStandby)
-	if err != nil {
-		srv.Stop()
-		ns.Close()
-		_ = rp.Close()
-		lp.Close()
-		return 0, nil, mkFail("standby listen: %v", err)
-	}
-	if _, err := rp.ServeOn(sln, nopt); err != nil {
-		srv.Stop()
-		ns.Close()
-		_ = rp.Close()
-		lp.Close()
-		return 0, nil, mkFail("standby serve: %v", err)
-	}
+	defer st.close()
+	r := &partRun{stack: st, fab: fab}
 
 	// Arm before the first dial so handshake ops count toward the point.
-	if at > 0 {
-		fab.ArmAt(at, scen.fault)
+	if p.at > 0 {
+		fab.ArmAt(p.at, scen.fault)
 	}
-	healed := false
-	heal := func() {
-		if !healed {
-			healed = true
-			fab.Heal()
-		}
-	}
-	finish := func(f *Failure) (uint64, []byte, *Failure) {
-		return fab.Ops(), fab.MalformedStream(), f
-	}
-	var cl *client.Client
-	var sub *client.Subscription
-	teardown := func() {
-		if sub != nil {
-			_ = sub.Close()
-		}
-		if cl != nil {
-			cl.Close()
-		}
-		ns.Close()
-		srv.Stop()
-	}
-
 	hb := time.Duration(-1)
 	if scen.hb {
 		hb = 30 * time.Millisecond
 	}
-	clOpts := client.Options{
-		Dialer:       fab.Dialer("client"),
-		DialTimeout:  120 * time.Millisecond,
-		CallTimeout:  500 * time.Millisecond,
-		WriteTimeout: 150 * time.Millisecond,
+	addrs, clOpts := st.primary+","+st.standby, client.Options{
+		Dialer:        fab.Dialer("client"),
+		DialTimeout:   120 * time.Millisecond,
+		CallTimeout:   500 * time.Millisecond,
+		WriteTimeout:  150 * time.Millisecond,
 		RetryAttempts: 6,
 		RetryBackoff:  time.Millisecond, RetryBackoffMax: 10 * time.Millisecond,
 		HeartbeatInterval: hb,
 		Seed:              ps,
 	}
-	cl, err = client.Dial(partPrimary+","+partStandby, clOpts)
-	if err != nil {
-		// A fault that hit the handshake can defeat every dial retry (a
-		// partition persists until Heal). Post-heal liveness still has to
-		// hold: heal and dial again.
-		if !fired() {
-			teardown()
-			_ = rp.Close()
-			lp.Close()
-			return finish(mkFail("client dial with no fault fired: %v", err))
-		}
-		heal()
-		cl, err = client.Dial(partPrimary+","+partStandby, clOpts)
-		if err != nil {
-			teardown()
-			_ = rp.Close()
-			lp.Close()
-			return finish(mkFail("post-heal client dial: %v", err))
-		}
+	// A fault that hit the handshake can defeat every dial retry (a
+	// partition persists until Heal). Post-heal liveness still has to hold:
+	// heal and dial again. The same goes for the subscribe below.
+	if r.cl, err = client.Dial(addrs, clOpts); err != nil && r.fired() {
+		r.heal()
+		r.cl, err = client.Dial(addrs, clOpts)
 	}
+	if err != nil {
+		return fmt.Errorf("client dial (fault fired: %v): %v", r.fired(), err)
+	}
+	defer r.cl.Close()
 
 	// One standing query rides the whole point; its cursors must stay
 	// strictly monotone across every stall-induced resume and failover
-	// re-attach. The drainer records the first regression it sees.
-	sub, err = cl.Subscribe(client.SubSpec{
+	// re-attach. The drainer keeps the first regression it sees.
+	spec := client.SubSpec{
 		Query: "status_q", Period: 3, Kind: deadline.Soft,
 		Deadline: 1 << 20, MinUseful: 1, Buffer: 256,
-	})
-	if err != nil {
-		if !fired() {
-			teardown()
-			_ = rp.Close()
-			lp.Close()
-			return finish(mkFail("subscribe with no fault fired: %v", err))
-		}
-		heal()
-		sub, err = cl.Subscribe(client.SubSpec{
-			Query: "status_q", Period: 3, Kind: deadline.Soft,
-			Deadline: 1 << 20, MinUseful: 1, Buffer: 256,
-		})
-		if err != nil {
-			teardown()
-			_ = rp.Close()
-			lp.Close()
-			return finish(mkFail("post-heal subscribe: %v", err))
-		}
 	}
-	var cursorRegress string
-	var lastCursor uint64
+	sub, err := r.cl.Subscribe(spec)
+	if err != nil && r.fired() {
+		r.heal()
+		sub, err = r.cl.Subscribe(spec)
+	}
+	if err != nil {
+		return fmt.Errorf("subscribe (fault fired: %v): %v", r.fired(), err)
+	}
+	var cursorErr error
 	subDone := make(chan struct{})
 	go func() {
 		defer close(subDone)
-		for p := range sub.Pushes() {
-			if p.Cursor <= lastCursor && cursorRegress == "" {
-				cursorRegress = fmt.Sprintf("cursor %d after %d", p.Cursor, lastCursor)
-			}
-			if p.Cursor > lastCursor {
-				lastCursor = p.Cursor
+		var last uint64
+		for push := range sub.Pushes() {
+			if err := cursorMonotone(last, push.Cursor); err == nil {
+				last = push.Cursor
+			} else if cursorErr == nil {
+				cursorErr = err
 			}
 		}
 	}()
+	defer func() {
+		_ = sub.Close()
+		<-subDone
+		if err == nil {
+			err = cursorErr
+		}
+	}()
 
-	// Drive the workload. A sample batch counts as acked only when a
-	// Flush succeeds on the same unbroken connection generation that
-	// carried the batch, and that connection is to the primary — the
-	// exact set of writes the client may rely on.
-	acked, totalSent, pending := 0, 0, 0
-	pendingGen := cl.Stats.Redials.Load()
-	syncGen := func() {
-		if g := cl.Stats.Redials.Load(); g != pendingGen {
-			pending, pendingGen = 0, g
-		}
-	}
-	flushPending := func() bool {
-		syncGen()
-		if pending == 0 {
-			return false
-		}
-		gen := pendingGen
-		if err := cl.Flush(); err == nil &&
-			cl.Stats.Redials.Load() == gen && cl.Role() == rtwire.RolePrimary {
-			acked += pending
-			pending = 0
-			return true
-		}
-		syncGen()
-		pending = 0
-		pendingGen = cl.Stats.Redials.Load()
-		return false
-	}
-
+	// Drive the workload.
+	r.gen = r.cl.Stats.Redials.Load()
 	images := []string{"temp", "press"}
 	postFault := 0
 	for i := 0; i < c.Events; i++ {
-		if fired() {
+		if r.fired() {
 			if postFault++; postFault > 8 {
 				break
 			}
 		}
-		syncGen()
-		if err := cl.InjectSample(images[i%2], fmt.Sprintf("%d", 15+i%12)); err == nil {
-			totalSent++
-			if g := cl.Stats.Redials.Load(); g == pendingGen {
-				pending++
-			} else {
-				pending, pendingGen = 0, g
+		r.sameGen()
+		if err := r.cl.InjectSample(images[i%2], fmt.Sprintf("%d", 15+i%12)); err == nil {
+			r.sent++
+			if r.sameGen() {
+				r.pending++
 			}
 		}
-		_ = srv.Tick(1)
+		_ = st.srv.Tick(1)
 		if i%5 == 4 {
-			_, _ = cl.Query(client.Query{
-				Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
-			})
+			_, _ = r.cl.Query(statusQuery(deadline.Soft))
 		}
-		if i%4 == 3 && flushPending() && !fired() {
-			// Lockstep pre-fault so the replica's position is pinned when
-			// the fault lands.
-			target, start := lp.Seq(), time.Now()
-			for !rp.WaitSeq(target, 50*time.Millisecond) {
-				if fired() {
-					break
-				}
-				if time.Since(start) > 3*time.Second {
-					teardown()
-					_ = rp.Close()
-					lp.Close()
-					return finish(mkFail("replica stalled at %d (want %d) with no fault", rp.Seq(), target))
-				}
+		if i%4 != 3 {
+			continue
+		}
+		if r.sameGen(); r.pending == 0 {
+			continue
+		}
+		if !r.flush() {
+			r.pending = 0 // a batch whose flush failed is never counted
+			continue
+		}
+		// Lockstep pre-fault so the replica's position is pinned when the
+		// fault lands.
+		target, start := st.lp.Seq(), time.Now()
+		for !r.fired() && !st.rp.WaitSeq(target, 50*time.Millisecond) {
+			if time.Since(start) > 3*time.Second && !r.fired() {
+				return fmt.Errorf("replica stalled at %d (want %d) with no fault", st.rp.Seq(), target)
 			}
 		}
 	}
 
-	if scen.promote && fired() && !healed {
-		fail = c.partitionPromote(fab, cl, rp, srv, heal, mkFail)
-	} else {
-		fail = c.partitionRideOut(fab, cl, rp, srv, ns, lp, heal, mkFail,
-			&acked, &pending, &pendingGen, totalSent, flushPending)
+	if scen.promote && r.fired() && !r.healed {
+		return r.promote()
 	}
-
-	// Teardown order mirrors production: client first, then the serving
-	// layers, then the logs.
-	if sub != nil {
-		_ = sub.Close()
-	}
-	<-subDone
-	if fail == nil && cursorRegress != "" {
-		fail = mkFail("subscription cursor regressed: %s", cursorRegress)
-	}
-	cl.Close()
-	ns.Close()
-	srv.Stop()
-	if scen.promote && rp.Epoch() >= 2 {
-		// Promote hands the log to the caller.
-		nl := rp.Log()
-		_ = rp.Close()
-		if nl != nil {
-			_ = nl.Close()
-		}
-	} else {
-		_ = rp.Close()
-	}
-	lp.Close()
-	return finish(fail)
+	return r.rideOut()
 }
 
-// partitionRideOut is the common back half of a fault point: heal, reach
-// the primary again, and check durability, conservation, convergence,
-// and the durability watermark.
-func (c Config) partitionRideOut(
-	fab *faultnet.Fabric, cl *client.Client, rp *replica.Replica,
-	srv *server.Server, ns *netserve.Server, lp *wal.Log,
-	heal func(), mkFail func(string, ...any) *Failure,
-	acked, pending *int, pendingGen *uint64, totalSent int, flushPending func() bool,
-) *Failure {
-	heal()
+// partRun is one partition point in flight: the stack, the client riding
+// it, and the books of what that client may rely on. A sample batch counts
+// as acked only when a Flush succeeds on the same unbroken connection
+// generation that carried the batch, and that connection is to the primary.
+type partRun struct {
+	*stack
+	fab                  *faultnet.Fabric
+	cl                   *client.Client
+	healed               bool
+	acked, sent, pending int
+	gen                  uint64 // client redial count when pending was sent
+}
+
+func (r *partRun) fired() bool { f, _ := r.fab.Fired(); return f }
+
+func (r *partRun) heal() {
+	if !r.healed {
+		r.healed = true
+		r.fab.Heal()
+	}
+}
+
+// sameGen reports whether the client is still on the connection generation
+// that carries the pending batch; once it has redialed, the batch is
+// forgotten.
+func (r *partRun) sameGen() bool {
+	g := r.cl.Stats.Redials.Load()
+	if g == r.gen {
+		return true
+	}
+	r.pending, r.gen = 0, g
+	return false
+}
+
+// flush reports whether a Flush acknowledged the pending batch.
+func (r *partRun) flush() bool {
+	r.sameGen()
+	gen := r.gen
+	if err := r.cl.Flush(); err != nil || r.cl.Stats.Redials.Load() != gen || r.cl.Role() != rtwire.RolePrimary {
+		return false
+	}
+	r.acked += r.pending
+	r.pending = 0
+	return true
+}
+
+// rideOut is the common back half of a fault point: heal, reach the
+// primary again, and check durability, conservation, convergence, and the
+// durability watermark.
+func (r *partRun) rideOut() error {
+	r.heal()
 
 	// Post-heal liveness: the client must reach the acting primary and
 	// get a flush through. A firm query bounces a standby connection
@@ -443,158 +277,110 @@ func (c Config) partitionRideOut(
 	// below re-heal on every pass: a fault armed at an op the drive
 	// phase never reached fires during this phase's own writes, after
 	// the first heal.
-	dl := time.Now().Add(5 * time.Second)
-	flushed := false
-	for time.Now().Before(dl) {
-		fab.Heal()
-		if cl.Role() != rtwire.RolePrimary {
-			_, _ = cl.Query(client.Query{
-				Query: "status_q", Kind: deadline.Firm, Deadline: 1 << 20, MinUseful: 1,
-			})
+	for dl := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if !time.Now().Before(dl) {
+			return fmt.Errorf("post-heal flush never reached the primary")
 		}
-		if g := cl.Stats.Redials.Load(); g != *pendingGen {
-			*pending, *pendingGen = 0, g
+		r.fab.Heal()
+		if r.cl.Role() != rtwire.RolePrimary {
+			_, _ = r.cl.Query(statusQuery(deadline.Firm))
 		}
-		gen := *pendingGen
-		if err := cl.Flush(); err == nil &&
-			cl.Stats.Redials.Load() == gen && cl.Role() == rtwire.RolePrimary {
-			*acked += *pending
-			*pending = 0
-			flushed = true
+		if r.flush() {
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	if !flushed {
-		return mkFail("post-heal flush never reached the primary")
-	}
-	fab.Heal()
-	if _, err := cl.Query(client.Query{
-		Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
-	}); err != nil {
-		return mkFail("post-heal query: %v", err)
+	r.fab.Heal()
+	if _, err := r.cl.Query(statusQuery(deadline.Soft)); err != nil {
+		return fmt.Errorf("post-heal query: %v", err)
 	}
 
 	// Durability and conservation on the primary.
-	if err := srv.Barrier(); err != nil {
-		return mkFail("post-heal barrier: %v", err)
+	if err := r.srv.Barrier(); err != nil {
+		return fmt.Errorf("post-heal barrier: %v", err)
 	}
-	m := srv.Metrics.Snapshot()
-	if int(m.SamplesApplied) < *acked {
-		return mkFail("lost acked writes: %d acked, %d applied", *acked, m.SamplesApplied)
+	m := r.srv.Metrics.Snapshot()
+	if err := ackedWrites(r.acked, r.sent, m); err != nil {
+		return err
 	}
-	if int(m.SamplesIn) > totalSent {
-		return mkFail("duplicated writes: %d sent, %d arrived", totalSent, m.SamplesIn)
-	}
-	if m.QueriesIn != m.QueriesAccounted() {
-		return mkFail("primary conservation broken: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
+	if err := queryConservation("primary", m); err != nil {
+		return err
 	}
 
 	// The replica converges to the primary's WAL tip and the replication
 	// durability watermark follows.
-	seq := lp.Seq()
-	start := time.Now()
-	for !rp.WaitSeq(seq, 50*time.Millisecond) {
-		fab.Heal()
+	seq := r.lp.Seq()
+	for start := time.Now(); !r.rp.WaitSeq(seq, 50*time.Millisecond); r.fab.Heal() {
 		if time.Since(start) > 5*time.Second {
-			return mkFail("replica never converged: at %d, primary at %d", rp.Seq(), seq)
+			return fmt.Errorf("replica never converged: at %d, primary at %d", r.rp.Seq(), seq)
 		}
 	}
-	dl = time.Now().Add(5 * time.Second)
-	for ns.ReplDurable() < seq {
-		fab.Heal()
+	for dl := time.Now().Add(5 * time.Second); r.ns.ReplDurable() < seq; time.Sleep(2 * time.Millisecond) {
+		r.fab.Heal()
 		if time.Now().After(dl) {
-			return mkFail("durability watermark stuck at %d, primary at %d", ns.ReplDurable(), seq)
+			return fmt.Errorf("durability watermark stuck at %d, primary at %d", r.ns.ReplDurable(), seq)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-
-	// Conservation on the standby side of the cut.
-	ms := rp.Metrics.Snapshot()
-	if ms.QueriesIn != ms.QueriesAccounted() {
-		return mkFail("standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
-	}
-	return nil
+	return queryConservation("standby", r.rp.Metrics.Snapshot())
 }
 
-// partitionPromote is the failover half: with the primary isolated, the
-// standby is promoted and the client must follow it — and once the
-// partition heals, the deposed primary must never recapture a client
-// that saw the new epoch.
-func (c Config) partitionPromote(
-	fab *faultnet.Fabric, cl *client.Client, rp *replica.Replica,
-	srv *server.Server,
-	heal func(), mkFail func(string, ...any) *Failure,
-) *Failure {
-	epoch, err := rp.Promote()
+// promote is the failover half: with the primary isolated, the standby is
+// promoted and the client must follow it — and once the partition heals,
+// the deposed primary must never recapture a client that saw the new epoch.
+func (r *partRun) promote() error {
+	epoch, err := r.rp.Promote()
 	if err != nil {
-		return mkFail("promote during partition: %v", err)
+		return fmt.Errorf("promote during partition: %v", err)
 	}
-	if epoch < 2 {
-		return mkFail("promotion left epoch at %d", epoch)
+	if err := epochAdvanced(epoch); err != nil {
+		return err
 	}
 
 	// The client must find the promoted standby and learn the new epoch.
-	dl := time.Now().Add(5 * time.Second)
-	for cl.Epoch() < epoch {
+	for dl := time.Now().Add(5 * time.Second); r.cl.Epoch() < epoch; time.Sleep(time.Millisecond) {
 		if time.Now().After(dl) {
-			return mkFail("client never saw epoch %d (at %d)", epoch, cl.Epoch())
+			return fmt.Errorf("client never saw epoch %d (at %d)", epoch, r.cl.Epoch())
 		}
-		_, _ = cl.Query(client.Query{
-			Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
-		})
-		time.Sleep(time.Millisecond)
+		_, _ = r.cl.Query(statusQuery(deadline.Soft))
 	}
 
 	// Replicated durability across the failover: everything the client
 	// heard as replication-durable must be on the promoted standby.
-	if w := cl.Stats.MaxPrimarySeq.Load(); rp.Seq() < w {
-		return mkFail("promoted standby at %d below durable watermark %d", rp.Seq(), w)
+	if w := r.cl.Stats.MaxPrimarySeq.Load(); r.rp.Seq() < w {
+		return fmt.Errorf("promoted standby at %d below durable watermark %d", r.rp.Seq(), w)
 	}
 
 	// Heal, then force the client back through the deposed primary: block
 	// the standby path and cut the live connection, so the ring walk must
 	// try the old primary — whose stale epoch has to be refused.
-	heal()
-	fab.PartitionNow(faultnet.Direction{From: "client", To: partStandby})
-	fab.CutAll("client", partStandby)
-	before := cl.Stats.StaleRejected.Load()
-	_, _ = cl.Query(client.Query{
-		Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
-	})
-	if cl.Stats.StaleRejected.Load() == before {
-		return mkFail("deposed primary recaptured the client: no stale rejection recorded")
+	r.heal()
+	r.fab.PartitionNow(faultnet.Direction{From: "client", To: partStandby})
+	r.fab.CutAll("client", partStandby)
+	before := r.cl.Stats.StaleRejected.Load()
+	_, _ = r.cl.Query(statusQuery(deadline.Soft))
+	if r.cl.Stats.StaleRejected.Load() == before {
+		return fmt.Errorf("deposed primary recaptured the client: no stale rejection recorded")
 	}
-	if cl.Epoch() < epoch {
-		return mkFail("client epoch regressed to %d after meeting the deposed primary", cl.Epoch())
+	if r.cl.Epoch() < epoch {
+		return fmt.Errorf("client epoch regressed to %d after meeting the deposed primary", r.cl.Epoch())
 	}
 
 	// Lift the forced detour: the promoted standby must serve again.
-	fab.Heal()
-	dl = time.Now().Add(5 * time.Second)
-	for {
-		if _, err := cl.Query(client.Query{
-			Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1,
-		}); err == nil {
+	r.fab.Heal()
+	for dl := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if _, err := r.cl.Query(statusQuery(deadline.Soft)); err == nil {
 			break
 		}
 		if time.Now().After(dl) {
-			return mkFail("post-heal query never reached the promoted standby")
+			return fmt.Errorf("post-heal query never reached the promoted standby")
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 
 	// Conservation still holds on both sides of the healed cut.
-	if err := srv.Barrier(); err != nil {
-		return mkFail("deposed primary barrier: %v", err)
+	if err := r.srv.Barrier(); err != nil {
+		return fmt.Errorf("deposed primary barrier: %v", err)
 	}
-	m := srv.Metrics.Snapshot()
-	if m.QueriesIn != m.QueriesAccounted() {
-		return mkFail("deposed primary conservation broken: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
+	if err := queryConservation("deposed primary", r.srv.Metrics.Snapshot()); err != nil {
+		return err
 	}
-	ms := rp.Metrics.Snapshot()
-	if ms.QueriesIn != ms.QueriesAccounted() {
-		return mkFail("promoted standby conservation broken: in=%d accounted=%d", ms.QueriesIn, ms.QueriesAccounted())
-	}
-	return nil
+	return queryConservation("promoted standby", r.rp.Metrics.Snapshot())
 }

@@ -7,7 +7,7 @@ import (
 // TestPartitionSweepShort is the tier-1 bounded variant: a strided walk
 // over the fabric's write ops with every fault family represented.
 func TestPartitionSweepShort(t *testing.T) {
-	rep := Config{Seed: 1, Events: 40, Stride: 29, Logf: t.Logf}.PartitionSweep()
+	rep := Config{Seed: 1, Events: 40, Stride: 29, Logf: t.Logf}.Sweep(ModePartition)
 	report(t, rep)
 }
 
@@ -17,7 +17,7 @@ func TestPartitionSweepFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full partition sweep is minutes of work; run without -short")
 	}
-	rep := Config{Seed: 1, Stride: 1, Logf: t.Logf}.PartitionSweep()
+	rep := Config{Seed: 1, Stride: 1, Logf: t.Logf}.Sweep(ModePartition)
 	report(t, rep)
 	if rep.Points < 300 {
 		t.Fatalf("full sweep exercised only %d fault points, want >= 300", rep.Points)
@@ -27,7 +27,7 @@ func TestPartitionSweepFull(t *testing.T) {
 // TestPartitionPointRepro pins one fault point the way `rttorture -mode
 // partition -at K` would replay it.
 func TestPartitionPointRepro(t *testing.T) {
-	rep := Config{Seed: 1, Events: 40, At: 23}.PartitionSweep()
+	rep := Config{Seed: 1, Events: 40, At: 23}.Sweep(ModePartition)
 	if rep.Points != 1 {
 		t.Fatalf("At should pin exactly one point, got %d", rep.Points)
 	}

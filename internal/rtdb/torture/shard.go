@@ -10,11 +10,6 @@ import (
 	"rtc/internal/timeseq"
 )
 
-// ModeShard power-cuts ONE shard's WAL at every fault point of a sharded
-// deployment while the other shards keep committing, then recovers every
-// shard and checks the sharded durability invariants.
-const ModeShard Mode = "shard"
-
 // shardSalt decorrelates the per-shard filesystems of one fault point.
 func shardSalt(shard int) uint64 { return 0x100000001b3 * uint64(shard+1) }
 
@@ -78,88 +73,40 @@ func makeShardWorkload(seed uint64, n, shards int) *shardWorkload {
 	return w
 }
 
-// ShardSweep runs the sharded variant of the crash sweep. For every victim
-// shard in turn, it arms a power cut at every Stride-th mutating
-// filesystem operation of that shard's WAL, drives the routed workload —
-// the surviving shards keep committing after the victim dies — and at each
-// point asserts:
+// shardPoint is the sharded variant of the crash point: a power cut armed at
+// mutating op p.at of the victim shard's WAL while the routed workload runs
+// — the surviving shards keep committing after the victim dies. It asserts
 //
 //   - per-shard durability: the victim recovers acked ≤ n ≤ acked+1 of the
 //     events issued to it, deep-equal to the reference prefix; every
 //     survivor recovers exactly its acked events,
 //   - cross-shard sum conservation: Σ recovered lies within
-//     [Σ acked, Σ acked + 1] — only the victim's single in-flight append
-//     may exceed its acks,
-//   - no horizon regression: the group's consistent horizon (min over
-//     shards of the recovered last chronon) is never behind the horizon
-//     computed from acknowledged writes,
+//     [Σ acked, Σ acked + 1],
+//   - no horizon regression: the group's consistent horizon is never behind
+//     the one computed from acknowledged writes,
 //   - liveness: the recovered victim accepts a post-crash append.
-func (c Config) ShardSweep() *Report {
-	c.defaults()
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	rep := &Report{}
-	victims := make([]int, 0, c.Shards)
-	if c.At > 0 {
-		victims = append(victims, c.Victim%c.Shards)
-	} else {
-		for v := 0; v < c.Shards; v++ {
-			victims = append(victims, v)
-		}
-	}
-	w := makeShardWorkload(c.Seed, c.Events, c.Shards)
-	for _, victim := range victims {
-		start, stride := uint64(1), uint64(c.Stride)
-		if c.At > 0 {
-			start, stride = c.At, 0
-		}
-		for at := start; ; at += stride {
-			done, fail := c.shardPoint(w, victim, at)
-			if done {
-				break
-			}
-			rep.Points++
-			if fail != nil {
-				rep.Failures = append(rep.Failures, *fail)
-			} else {
-				rep.Recoveries++
-			}
-			if c.At > 0 {
-				break
-			}
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("shard sweep: seed=%d shards=%d points=%d recoveries=%d failures=%d",
-			c.Seed, c.Shards, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
-}
-
-// shardPoint runs one routed workload with a power cut armed at mutating
-// op `at` of the victim shard's filesystem. done reports that `at` lies
-// beyond the victim's op count (this victim's sweep is complete).
-func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, fail *Failure) {
+func (c Config) shardPoint(p *point, w *shardWorkload, victim int) error {
 	mems := make([]*faultfs.Mem, c.Shards)
 	logs := make([]*wal.Log, c.Shards)
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeShard, Seed: c.Seed, At: at, Events: c.Events, Victim: victim,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mems[victim]),
+	for s := range mems {
+		mems[s] = faultfs.NewMem(pointSeed(c.Seed, p.at) ^ shardSalt(s))
+	}
+	p.mem = mems[victim]
+	defer func() {
+		for _, l := range logs {
+			if l != nil {
+				l.Close()
+			}
 		}
-	}
-	for s := 0; s < c.Shards; s++ {
-		mems[s] = faultfs.NewMem(pointSeed(c.Seed, at) ^ shardSalt(s))
-	}
-	for s := 0; s < c.Shards; s++ {
+	}()
+	for s := range logs {
 		l, err := wal.Open(c.walOptions(mems[s]))
 		if err != nil {
-			return false, mkFail("shard %d Open: %v", s, err)
+			return fmt.Errorf("shard %d Open: %v", s, err)
 		}
 		logs[s] = l
 	}
-	mems[victim].CrashAt(at)
+	mems[victim].CrashAt(p.at)
 
 	// Drive the routed workload. The victim's first failed append kills it
 	// (power cut); every other shard must keep acking to the end.
@@ -175,99 +122,68 @@ func (c Config) shardPoint(w *shardWorkload, victim int, at uint64) (done bool, 
 			issued[se.shard] = append(issued[se.shard], se.e)
 			if err := logs[se.shard].Append(se.e); err != nil {
 				if se.shard != victim {
-					return false, mkFail("survivor shard %d append failed: %v", se.shard, err)
+					return fmt.Errorf("survivor shard %d append failed: %v", se.shard, err)
 				}
 				victimDead = true
 				continue
 			}
 			acked[se.shard]++
-			if se.e.At > ackedAt[se.shard] {
-				ackedAt[se.shard] = se.e.At
-			}
+			ackedAt[se.shard] = max(ackedAt[se.shard], se.e.At)
 		}
 	}
 	if !mems[victim].Dead() {
-		// The fault point lies beyond this victim's op count.
-		for _, l := range logs {
-			l.Close()
+		return errBeyond
+	}
+
+	// Survivors shut down cleanly; the victim's handle is garbage (its
+	// filesystem is dead), recovery below reopens from the crash image.
+	for s, l := range logs {
+		if err := l.Close(); err != nil && s != victim {
+			return fmt.Errorf("survivor shard %d close: %v", s, err)
 		}
-		return true, nil
 	}
 	mems[victim].Crash()
 
-	// Survivors shut down cleanly; the victim's handle is garbage now (its
-	// filesystem is dead), recovery below reopens from the crash image.
 	ackedSum, recoveredSum := 0, 0
-	ackHorizon := timeseq.Time(1<<62 - 1)
-	recHorizon := timeseq.Time(1<<62 - 1)
-	for s := 0; s < c.Shards; s++ {
-		ackedSum += acked[s]
-		if ackedAt[s] < ackHorizon {
-			ackHorizon = ackedAt[s]
-		}
-		if s != victim {
-			if err := logs[s].Close(); err != nil {
-				return false, mkFail("survivor shard %d close: %v", s, err)
-			}
-		}
-	}
-
-	for s := 0; s < c.Shards; s++ {
+	ackHorizon, recHorizon := timeseq.Time(1<<62-1), timeseq.Time(1<<62-1)
+	for s := range logs {
 		l2, err := wal.Open(c.walOptions(mems[s]))
 		if err != nil {
-			return false, mkFail("shard %d recovery Open: %v", s, err)
+			return fmt.Errorf("shard %d recovery Open: %v", s, err)
 		}
+		logs[s] = l2
 		st := l2.State()
 		n := int(st.Events)
-		recoveredSum += n
-		if st.LastAt < recHorizon {
-			recHorizon = st.LastAt
+		ackedSum, recoveredSum = ackedSum+acked[s], recoveredSum+n
+		ackHorizon, recHorizon = min(ackHorizon, ackedAt[s]), min(recHorizon, st.LastAt)
+		if s == victim {
+			err = durabilityBound("victim recovered", n, acked[s], acked[s], !c.NoSync)
+		} else {
+			err = survivorExact(s, n, acked[s])
 		}
-		switch {
-		case s == victim && !c.NoSync && n < acked[s]:
-			l2.Close()
-			return false, mkFail("victim recovered %d events but %d were acked+fsynced (durability lost)", n, acked[s])
-		case s == victim && n > acked[s]+1:
-			l2.Close()
-			return false, mkFail("victim recovered %d events but only %d were issued before the cut (resurrection)", n, acked[s]+1)
-		case s != victim && n != acked[s]:
-			l2.Close()
-			return false, mkFail("survivor shard %d recovered %d events, acked %d — survivors must be exact", s, n, acked[s])
-		case n > len(issued[s]):
-			l2.Close()
-			return false, mkFail("shard %d recovered %d events, only %d issued", s, n, len(issued[s]))
+		if err != nil {
+			return err
 		}
-		want := Reference(issued[s][:n])
-		if d := want.Diff(st); d != "" {
-			l2.Close()
-			return false, mkFail("shard %d recovery invariant violated at prefix %d: %s", s, n, d)
+		if _, err := referencePrefix(fmt.Sprintf("shard %d ", s), issued[s], n, st); err != nil {
+			return err
 		}
 		if s == victim {
 			// Liveness: the recovered victim takes a post-crash append for
 			// an image it already knows about.
 			for name := range st.Images {
-				if err := l2.Append(wal.Sample(st.LastAt+1, name, "post-crash")); err != nil {
-					l2.Close()
-					return false, mkFail("victim append after recovery: %v", err)
+				post := wal.Sample(st.LastAt+1, name, "post-crash")
+				if err := liveness("victim append after recovery", &appender{l: l2}, post); err != nil {
+					return err
 				}
 				break
 			}
 		}
 		if err := l2.Close(); err != nil {
-			return false, mkFail("shard %d close after recovery: %v", s, err)
+			return fmt.Errorf("shard %d close after recovery: %v", s, err)
 		}
 	}
-
-	// Cross-shard sum conservation: the group as a whole may exceed its
-	// acknowledged writes by at most the victim's single in-flight append.
-	if recoveredSum < ackedSum || recoveredSum > ackedSum+1 {
-		return false, mkFail("cross-shard sum conservation violated: recovered %d, acked %d", recoveredSum, ackedSum)
+	if err := crossShardSum(recoveredSum, ackedSum); err != nil {
+		return err
 	}
-	// No horizon regression: every acknowledged write is durable, so the
-	// consistent horizon recomputed from the recovered shards can never be
-	// behind the horizon the group had acknowledged.
-	if recHorizon < ackHorizon {
-		return false, mkFail("consistent horizon regressed: acked %d, recovered %d", ackHorizon, recHorizon)
-	}
-	return false, nil
+	return horizonHeld(ackHorizon, recHorizon)
 }

@@ -32,13 +32,13 @@ func TestShardWorkloadDeterministic(t *testing.T) {
 }
 
 func TestShardSweepShort(t *testing.T) {
-	rep := Config{Seed: 11, Events: 30, Stride: 5, Shards: 3, Logf: t.Logf}.ShardSweep()
+	rep := Config{Seed: 11, Events: 30, Stride: 5, Shards: 3, Logf: t.Logf}.Sweep(ModeShard)
 	report(t, rep)
 }
 
 func TestShardPointRepro(t *testing.T) {
 	// The -at -victim reproduction path exercises exactly one fault point.
-	rep := Config{Seed: 11, Events: 30, Shards: 3, At: 9, Victim: 1}.ShardSweep()
+	rep := Config{Seed: 11, Events: 30, Shards: 3, At: 9, Victim: 1}.Sweep(ModeShard)
 	if rep.Points != 1 {
 		t.Fatalf("At=9 ran %d points, want 1", rep.Points)
 	}
@@ -46,7 +46,7 @@ func TestShardPointRepro(t *testing.T) {
 }
 
 func TestShardFailureRepro(t *testing.T) {
-	f := Failure{Mode: ModeShard, Seed: 9, At: 41, Events: 90, Victim: 2}
+	f := Failure{Mode: ModeShard, Config: Config{Seed: 9, At: 41, Events: 90, Shards: 4, Victim: 2}}
 	want := "go run ./cmd/rttorture -mode shard -seed 9 -at 41 -events 90 -victim 2"
 	if got := f.Repro(); got != want {
 		t.Fatalf("Repro() = %q, want %q", got, want)
@@ -60,7 +60,7 @@ func TestShardSweepFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full shard sweep is make-torture tier")
 	}
-	rep := Config{Seed: 12, Events: 160, Shards: 4, Logf: t.Logf}.ShardSweep()
+	rep := Config{Seed: 12, Events: 160, Shards: 4, Logf: t.Logf}.Sweep(ModeShard)
 	report(t, rep)
 	if rep.Points < 400 {
 		t.Fatalf("full shard sweep exercised only %d fault points, want >= 400", rep.Points)

@@ -1,30 +1,38 @@
-// Package torture crash-tortures the rtdbd durability layer: it drives the
-// write-ahead log (internal/rtdb/log) over the injectable filesystem
-// (internal/faultfs) through seeded workloads, kills it at every Nth
-// mutating operation across a sweep of fault points — power cuts with torn
-// and dropped unsynced writes, transient EIO, short writes, rename
-// failures — then recovers and asserts the recovery invariant:
+// Package torture is the fault-injection harness of the rtdbd serving stack:
+// one driver, a table of scenarios and a set of named invariants.
+//
+// A scenario (sweep.go) is one fault family — power cuts, transient EIO and
+// short writes, rename failures, faults inside a group-commit batch, a
+// primary killed under a live replica, one shard of several cut, a network
+// fault on a client/primary/replica fabric, a concurrent server over a
+// faulting disk. Its row declares only what differs: how its fault points
+// are numbered, which fault point `at` arms, which workload runs and which
+// laws are asserted afterwards. Config.Sweep owns the rest — the walk over
+// the points, the -at pin, the stride, the Report and the one place a
+// Failure is built. The point bodies share an appender (plain or grouped
+// appends, points.go), a stack (primary + netserve + replica on loopback TCP
+// or a faultnet fabric, stack.go) and the invariants (invariants.go), each
+// law one function:
 //
 //	recovered state ≡ reference(events[:n])  (deep-equal)
 //	acked ≤ n ≤ acked+1                      (with per-append fsync)
+//	QueriesIn == QueriesAccounted            (a query is never lost)
 //
-// where acked counts the appends that returned nil. Every append the log
-// acknowledged survives the crash; at most the single in-flight event may
-// additionally appear; nothing else — no reordering, no partial applies, no
-// resurrection of healed frames. Recovery is additionally checked to be
-// idempotent (a second Open deep-equals the first) and live (a
-// post-recovery append lands).
+// and epoch fencing, cursor monotonicity, zero lost acked writes, cross-shard
+// sum and horizon.
 //
 // Everything is deterministic from a seed: a failing fault point prints a
-// one-command reproduction (cmd/rttorture -mode M -seed S -at K) and
-// carries the post-crash segment images so they can seed the log package's
+// one-command reproduction carrying every flag the run read (Failure.Repro)
+// and the post-crash segment images, so they can seed the log package's
 // segment fuzz corpus.
 package torture
 
 import (
-	"errors"
+	"flag"
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"time"
 
 	"rtc/internal/faultfs"
@@ -32,16 +40,28 @@ import (
 	"rtc/internal/timeseq"
 )
 
-// Mode names one fault family of the sweep.
+// Mode names one fault family: one row of the scenario table.
 type Mode string
 
-// The sweep modes. ModeAll is accepted by cmd/rttorture and fans out to
-// every family plus the server chaos run.
+// The sweep modes, in the order `rttorture -mode all` runs them.
 const (
 	ModeCrash  Mode = "crash"  // op-count power cut; unsynced data dropped or torn
 	ModeEIO    Mode = "eio"    // transient EIO / short write on one data write
 	ModeRename Mode = "rename" // one snapshot rename fails
-	ModeChaos  Mode = "chaos"  // concurrent server under mid-apply-loop faults
+	// ModeFailover kills the primary at every WAL fault point with a live
+	// replica attached, then promotes the replica.
+	ModeFailover Mode = "failover"
+	// ModeGroupCommit arms the crash and EIO faults at every op inside an
+	// open commit batch: one fsync covers many acks, one fault fails them all.
+	ModeGroupCommit Mode = "groupcommit"
+	// ModeShard power-cuts ONE shard's WAL at every fault point of a sharded
+	// deployment while the other shards keep committing.
+	ModeShard Mode = "shard"
+	// ModePartition arms one network fault — a mid-frame cut, a silent frame
+	// drop, a corrupted byte, a slow-loris stall, or a one- or two-way
+	// partition — at every fabric write op of a client/primary/replica stack.
+	ModePartition Mode = "partition"
+	ModeChaos     Mode = "chaos" // concurrent server under mid-apply-loop faults
 )
 
 // Config parameterizes one sweep.
@@ -52,10 +72,12 @@ type Config struct {
 	Events int
 	// Stride tests every Stride-th fault point (default 1: all of them).
 	Stride int
-	// At, when nonzero, tests exactly one fault point — the reproduction
-	// path for a failure printed by a sweep.
+	// At, when nonzero, tests exactly one fault point per lane — the
+	// reproduction path for a failure printed by a sweep.
 	At uint64
-	// Shards is the deployment width of the shard sweep (default 4).
+	// Shards is the deployment width of the shard sweep (default 4). The
+	// failover sweep poses its primary as shard Victim%Shards of that many
+	// when it is > 0, and runs unsharded at 0.
 	Shards int
 	// Victim selects which shard's WAL takes the power cut when At pins a
 	// single shard-sweep fault point; the full sweep rotates every victim.
@@ -91,30 +113,68 @@ func (c *Config) defaults() {
 	}
 }
 
-// Failure is one fault point whose recovery violated the invariant.
+// flagDefaults is what cmd/rttorture runs with when a flag is not given.
+// Repro omits a flag that still holds its value here.
+var flagDefaults = Config{Seed: 1, Events: 90, Stride: 1, Shards: 4}
+
+// RegisterFlags sets c to rttorture's defaults and binds its fields to the
+// command's flags. It is the one definition of their names and defaults:
+// the command registers them, and the test of Repro parses a printed
+// reproduction back through them.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	d := flagDefaults
+	fs.Uint64Var(&c.Seed, "seed", d.Seed, "base sweep seed")
+	fs.IntVar(&c.Events, "events", d.Events, "workload length")
+	fs.IntVar(&c.Stride, "stride", d.Stride, "test every Nth fault point")
+	fs.Uint64Var(&c.At, "at", d.At, "single fault point (reproduction mode)")
+	fs.IntVar(&c.Shards, "shards", d.Shards, "deployment width of the shard sweep")
+	fs.IntVar(&c.Victim, "victim", d.Victim, "shard whose WAL takes the cut when -at pins one shard-sweep point")
+	fs.BoolVar(&c.NoSync, "nosync", d.NoSync, "disable per-append fsync (weakens the durability bound)")
+	fs.DurationVar(&c.GroupWindow, "fsync-window", d.GroupWindow, "run the crash/eio/rename/failover sweeps with this group-commit window (0: per-append fsync; groupcommit mode always batches)")
+}
+
+// Failure is one fault point whose run violated an invariant.
 type Failure struct {
-	Mode   Mode
-	Seed   uint64
-	At     uint64 // fault point: mutating-op / write / rename index
-	Events int
-	Victim int // shard whose WAL took the cut (shard mode only)
+	Mode Mode
+	// Config is the configuration the point ran under, with At pinned to
+	// the fault point (mutating-op / write / rename / fabric-write index)
+	// and Victim to the shard whose WAL took the cut.
+	Config Config
 	Detail string
 	// Segments holds the post-crash byte images of the WAL directory's
 	// files, exportable as fuzz corpus seeds (cmd/rttorture -corpus).
 	Segments map[string][]byte
 }
 
-// Repro renders the one-command reproduction for this failure.
+// Repro renders the one-command reproduction for this failure: the point,
+// plus every flag the mode reads whose value differs from rttorture's
+// default — a different -shards, -nosync or -fsync-window is a different
+// workload, victim rotation or durability bound.
 func (f Failure) Repro() string {
-	s := fmt.Sprintf("go run ./cmd/rttorture -mode %s -seed %d -at %d -events %d", f.Mode, f.Seed, f.At, f.Events)
-	if f.Mode == ModeShard {
-		s += fmt.Sprintf(" -victim %d", f.Victim)
+	c := f.Config
+	s := fmt.Sprintf("go run ./cmd/rttorture -mode %s -seed %d", f.Mode, c.Seed)
+	row := scenarioOf(f.Mode)
+	reads := func(flag string) bool { return row != nil && slices.Contains(strings.Fields(row.reads), flag) }
+	if reads("at") {
+		s += fmt.Sprintf(" -at %d -events %d", c.At, c.Events)
+	}
+	if f.Mode == ModeShard || reads("victim") && c.Victim != flagDefaults.Victim {
+		s += fmt.Sprintf(" -victim %d", c.Victim)
+	}
+	if reads("shards") && c.Shards != flagDefaults.Shards {
+		s += fmt.Sprintf(" -shards %d", c.Shards)
+	}
+	if reads("nosync") && c.NoSync {
+		s += " -nosync"
+	}
+	if reads("fsync-window") && c.GroupWindow != 0 {
+		s += fmt.Sprintf(" -fsync-window %s", c.GroupWindow)
 	}
 	return s
 }
 
 func (f Failure) String() string {
-	return fmt.Sprintf("FAIL mode=%s seed=%d at=%d: %s\n  repro: %s", f.Mode, f.Seed, f.At, f.Detail, f.Repro())
+	return fmt.Sprintf("FAIL mode=%s seed=%d at=%d: %s\n  repro: %s", f.Mode, f.Config.Seed, f.Config.At, f.Detail, f.Repro())
 }
 
 // Report aggregates one or more sweeps.
@@ -223,297 +283,4 @@ func dumpSegments(mem *faultfs.Mem) map[string][]byte {
 		out[name] = mem.DumpFile(walDir + "/" + name)
 	}
 	return out
-}
-
-// CrashSweep power-cuts the log at every Stride-th mutating filesystem
-// operation, recovers from the materialized crash image, and checks the
-// recovery invariant at each point. It returns once the fault point moves
-// past the workload's total op count.
-func (c Config) CrashSweep() *Report {
-	c.defaults()
-	events := Workload(c.Seed, c.Events)
-	rep := &Report{}
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 0
-	}
-	for at := start; ; at += stride {
-		done, fail := c.crashPoint(events, at)
-		if done {
-			break
-		}
-		rep.Points++
-		if fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("crash sweep: seed=%d points=%d recoveries=%d failures=%d",
-			c.Seed, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
-}
-
-// crashPoint runs one workload with a power cut armed at mutating op `at`.
-// done reports that `at` lies beyond the workload (sweep complete).
-func (c Config) crashPoint(events []wal.Event, at uint64) (done bool, fail *Failure) {
-	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeCrash, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
-	l, err := wal.Open(c.walOptions(mem))
-	if err != nil {
-		return false, mkFail("initial Open: %v", err)
-	}
-	mem.CrashAt(at)
-	acked := 0
-	for _, e := range events {
-		if err := l.Append(e); err != nil {
-			break
-		}
-		acked++
-	}
-	if !mem.Dead() {
-		// The fault point lies beyond the workload's op count.
-		l.Close()
-		return true, nil
-	}
-	mem.Crash()
-
-	l2, err := wal.Open(c.walOptions(mem))
-	if err != nil {
-		return false, mkFail("recovery Open after crash: %v", err)
-	}
-	defer l2.Close()
-	n := int(l2.State().Events)
-	switch {
-	case !c.NoSync && n < acked:
-		return false, mkFail("recovered %d events but %d were acked+fsynced (durability lost)", n, acked)
-	case n > acked+1:
-		return false, mkFail("recovered %d events but only %d were issued before the cut (resurrection)", n, acked+1)
-	case n > len(events):
-		return false, mkFail("recovered %d events, workload only has %d", n, len(events))
-	}
-	want := Reference(events[:n])
-	if d := want.Diff(l2.State()); d != "" {
-		return false, mkFail("recovery invariant violated at prefix %d: %s", n, d)
-	}
-
-	// Recovery is idempotent: the first Open normalized the torn tail, so
-	// a second one must reproduce the identical state.
-	if err := l2.Close(); err != nil {
-		return false, mkFail("close after recovery: %v", err)
-	}
-	l3, err := wal.Open(c.walOptions(mem))
-	if err != nil {
-		return false, mkFail("second recovery Open: %v", err)
-	}
-	defer l3.Close()
-	if d := want.Diff(l3.State()); d != "" {
-		return false, mkFail("recovery not idempotent: %s", d)
-	}
-
-	// The recovered log is live: an append past the crash lands and is
-	// itself recoverable.
-	post := wal.Sample(want.LastAt+1, "temp", "post-crash")
-	if n >= 2 { // catalog prologue replayed, image exists
-		if err := l3.Append(post); err != nil {
-			return false, mkFail("append after recovery: %v", err)
-		}
-	}
-	return false, nil
-}
-
-// EIOSweep injects one transient fault — alternating plain EIO and a torn
-// short write — into every Stride-th data write of the workload. The log
-// must heal (or, for faults on snapshot writes, defer the snapshot), stay
-// unpoisoned, acknowledge every other append, and recover to exactly the
-// acknowledged events.
-func (c Config) EIOSweep() *Report {
-	c.defaults()
-	events := Workload(c.Seed, c.Events)
-
-	// Probe the faultless run once to learn the write count.
-	probe := faultfs.NewMem(pointSeed(c.Seed, 0))
-	l, err := wal.Open(c.walOptions(probe))
-	rep := &Report{}
-	if err != nil {
-		rep.Failures = append(rep.Failures, Failure{Mode: ModeEIO, Seed: c.Seed, Events: c.Events, Detail: err.Error()})
-		return rep
-	}
-	for _, e := range events {
-		if err := l.Append(e); err != nil {
-			rep.Failures = append(rep.Failures, Failure{Mode: ModeEIO, Seed: c.Seed, Events: c.Events,
-				Detail: fmt.Sprintf("faultless probe append failed: %v", err)})
-			return rep
-		}
-	}
-	writes := probe.Writes()
-	l.Close()
-
-	start, stride := uint64(1), uint64(c.Stride)
-	if c.At > 0 {
-		start, stride = c.At, 1
-	}
-	for at := start; at <= writes; at += stride {
-		rep.Points++
-		if fail := c.eioPoint(events, at); fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("eio sweep: seed=%d writes=%d points=%d recoveries=%d failures=%d",
-			c.Seed, writes, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
-}
-
-func (c Config) eioPoint(events []wal.Event, at uint64) *Failure {
-	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeEIO, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
-	if at%2 == 0 {
-		mem.TearWrite(at)
-	} else {
-		mem.FailWrite(at)
-	}
-	l, err := wal.Open(c.walOptions(mem))
-	if err != nil {
-		return mkFail("Open: %v", err)
-	}
-	var acked []wal.Event
-	faulted := 0
-	for _, e := range events {
-		err := l.Append(e)
-		switch {
-		case err == nil:
-			acked = append(acked, e)
-		case errors.Is(err, faultfs.ErrInjected):
-			faulted++
-		case faulted > 0:
-			// The fault may have cost a catalog event (an image or derived
-			// registration); later events depending on it are then rightly
-			// rejected by validation — neither acked nor applied.
-		default:
-			return mkFail("append returned unexpected error: %v", err)
-		}
-	}
-	if perr := l.Err(); perr != nil {
-		return mkFail("transient fault poisoned the log: %v", perr)
-	}
-	if faulted > 1 {
-		return mkFail("one injected write fault surfaced %d append errors", faulted)
-	}
-	want := Reference(acked)
-	if d := want.Diff(l.State()); d != "" {
-		return mkFail("live state after heal: %s", d)
-	}
-	if err := l.Close(); err != nil {
-		return mkFail("close: %v", err)
-	}
-	l2, err := wal.Open(c.walOptions(mem))
-	if err != nil {
-		return mkFail("recovery Open: %v", err)
-	}
-	defer l2.Close()
-	if d := want.Diff(l2.State()); d != "" {
-		return mkFail("recovered state != acked events: %s", d)
-	}
-	return nil
-}
-
-// RenameSweep fails each snapshot's tmp→snap rename in turn. Appends must
-// be unaffected (snapshots are accelerators), the failure must be counted,
-// and recovery — served by an older snapshot or a full replay — must still
-// reconstruct every event.
-func (c Config) RenameSweep() *Report {
-	c.defaults()
-	events := Workload(c.Seed, c.Events)
-
-	probe := faultfs.NewMem(pointSeed(c.Seed, 0))
-	l, err := wal.Open(c.walOptions(probe))
-	rep := &Report{}
-	if err != nil {
-		rep.Failures = append(rep.Failures, Failure{Mode: ModeRename, Seed: c.Seed, Events: c.Events, Detail: err.Error()})
-		return rep
-	}
-	for _, e := range events {
-		l.Append(e)
-	}
-	renames := probe.Renames()
-	l.Close()
-
-	start := uint64(1)
-	if c.At > 0 {
-		start = c.At
-	}
-	for at := start; at <= renames; at++ {
-		rep.Points++
-		if fail := c.renamePoint(events, at); fail != nil {
-			rep.Failures = append(rep.Failures, *fail)
-		} else {
-			rep.Recoveries++
-		}
-		if c.At > 0 {
-			break
-		}
-	}
-	if c.Logf != nil {
-		c.Logf("rename sweep: seed=%d renames=%d points=%d recoveries=%d failures=%d",
-			c.Seed, renames, rep.Points, rep.Recoveries, len(rep.Failures))
-	}
-	return rep
-}
-
-func (c Config) renamePoint(events []wal.Event, at uint64) *Failure {
-	mem := faultfs.NewMem(pointSeed(c.Seed, at))
-	mkFail := func(format string, args ...any) *Failure {
-		return &Failure{
-			Mode: ModeRename, Seed: c.Seed, At: at, Events: c.Events,
-			Detail: fmt.Sprintf(format, args...), Segments: dumpSegments(mem),
-		}
-	}
-	mem.FailRename(at)
-	l, err := wal.Open(c.walOptions(mem))
-	if err != nil {
-		return mkFail("Open: %v", err)
-	}
-	for i, e := range events {
-		if err := l.Append(e); err != nil {
-			return mkFail("append %d failed under a rename fault: %v", i, err)
-		}
-	}
-	if st := l.Stats(); st.SnapshotErrors == 0 {
-		return mkFail("rename fault was never counted (SnapshotErrors=0, %d snapshots)", st.Snapshots)
-	}
-	if err := l.Close(); err != nil {
-		return mkFail("close: %v", err)
-	}
-	want := Reference(events)
-	l2, err := wal.Open(c.walOptions(mem))
-	if err != nil {
-		return mkFail("recovery Open: %v", err)
-	}
-	defer l2.Close()
-	if d := want.Diff(l2.State()); d != "" {
-		return mkFail("recovered state after failed snapshot rename: %s", d)
-	}
-	return nil
 }

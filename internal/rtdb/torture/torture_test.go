@@ -35,20 +35,20 @@ func TestWorkloadDeterministic(t *testing.T) {
 }
 
 func TestCrashSweepShort(t *testing.T) {
-	rep := Config{Seed: 1, Events: 40, Stride: 3, Logf: t.Logf}.CrashSweep()
+	rep := Config{Seed: 1, Events: 40, Stride: 3, Logf: t.Logf}.Sweep(ModeCrash)
 	report(t, rep)
 }
 
 func TestCrashSweepNoSync(t *testing.T) {
 	// Without per-append fsync the lower bound weakens but every recovery
 	// must still be a clean prefix of the issued events.
-	rep := Config{Seed: 2, Events: 40, Stride: 5, NoSync: true, Logf: t.Logf}.CrashSweep()
+	rep := Config{Seed: 2, Events: 40, Stride: 5, NoSync: true, Logf: t.Logf}.Sweep(ModeCrash)
 	report(t, rep)
 }
 
 func TestCrashPointRepro(t *testing.T) {
 	// The -at reproduction path exercises exactly one fault point.
-	rep := Config{Seed: 1, Events: 40, At: 17}.CrashSweep()
+	rep := Config{Seed: 1, Events: 40, At: 17}.Sweep(ModeCrash)
 	if rep.Points != 1 {
 		t.Fatalf("At=17 ran %d points, want 1", rep.Points)
 	}
@@ -56,33 +56,33 @@ func TestCrashPointRepro(t *testing.T) {
 }
 
 func TestEIOSweepShort(t *testing.T) {
-	rep := Config{Seed: 3, Events: 40, Stride: 3, Logf: t.Logf}.EIOSweep()
+	rep := Config{Seed: 3, Events: 40, Stride: 3, Logf: t.Logf}.Sweep(ModeEIO)
 	report(t, rep)
 }
 
 func TestRenameSweepShort(t *testing.T) {
-	rep := Config{Seed: 4, Events: 120, Logf: t.Logf}.RenameSweep()
+	rep := Config{Seed: 4, Events: 120, Logf: t.Logf}.Sweep(ModeRename)
 	report(t, rep)
 }
 
 func TestChaosShort(t *testing.T) {
-	rep := Chaos(ChaosConfig{Seed: 5, Sessions: 4, OpsEach: 60, Logf: t.Logf})
-	for _, f := range rep.Failures {
-		t.Errorf("%s", f.String())
+	m, err := chaosRun(5, 4, 60)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Ok() && rep.Metrics.WalAppends == 0 {
+	if m.WalAppends == 0 {
 		t.Fatal("chaos run never reached the WAL")
 	}
 }
 
 func TestGroupCommitSweepShort(t *testing.T) {
-	rep := Config{Seed: 6, Events: 40, Stride: 3, Logf: t.Logf}.GroupCommitSweep()
+	rep := Config{Seed: 6, Events: 40, Stride: 3, Logf: t.Logf}.Sweep(ModeGroupCommit)
 	report(t, rep)
 }
 
 func TestGroupCommitPointRepro(t *testing.T) {
 	// The -at reproduction path pins one fault point per sweep half.
-	rep := Config{Seed: 6, Events: 40, At: 17}.GroupCommitSweep()
+	rep := Config{Seed: 6, Events: 40, At: 17}.Sweep(ModeGroupCommit)
 	if rep.Points < 1 || rep.Points > 2 {
 		t.Fatalf("At=17 ran %d points, want 1 or 2 (one per sweep half)", rep.Points)
 	}
@@ -90,7 +90,7 @@ func TestGroupCommitPointRepro(t *testing.T) {
 }
 
 func TestFailureRepro(t *testing.T) {
-	f := Failure{Mode: ModeCrash, Seed: 9, At: 41, Events: 90}
+	f := Failure{Mode: ModeCrash, Config: Config{Seed: 9, At: 41, Events: 90}}
 	want := "go run ./cmd/rttorture -mode crash -seed 9 -at 41 -events 90"
 	if got := f.Repro(); got != want {
 		t.Fatalf("Repro() = %q, want %q", got, want)
