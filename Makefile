@@ -17,7 +17,7 @@ test:
 # module), the serving stack's packages and the fault-injection harness: net
 # negative line counts are a success metric (ROADMAP), so a PR that claims
 # one quotes this before and after.
-LOC_DIRS = internal/rtdb/netserve internal/rtdb/replica internal/rtdb/server internal/rtdb/sub internal/rtwire cmd/rtdbd cmd/rtdbload internal/rtdb/torture cmd/rttorture internal/faultfs internal/faultnet
+LOC_DIRS = internal/rtdb/log internal/rtdb/client internal/rtdb/netserve internal/rtdb/replica internal/rtdb/server internal/rtdb/sub internal/rtwire cmd/rtdbd cmd/rtdbload internal/rtdb/torture cmd/rttorture internal/faultfs internal/faultnet
 loc:
 	@for d in . $(LOC_DIRS); do \
 		src=$$(find $$d -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l); \
@@ -47,7 +47,7 @@ race-net:
 	$(GO) test -race ./internal/rtwire/ ./internal/rtdb/netserve/ ./internal/rtdb/client/
 
 # WAL-streaming replication under the race detector: the replica package
-# (live tail, catch-up, resync, promotion fencing, auto-promote watchdog, the
+# (streaming at the tail, catch-up, resync, promotion fencing, auto-promote watchdog, the
 # standby listener's hardening and stalled-subscriber tests) plus the torture
 # failover sweep's short configuration.
 race-repl:

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// backoff generates retry pauses with decorrelated jitter:
+// Backoff generates retry pauses with decorrelated jitter:
 //
 //	next = min(max, base + rand[0, 3·prev − base])
 //
@@ -15,14 +15,17 @@ import (
 // client's schedule is a private random walk between base and max, so
 // reconnects arrive spread out. The seed makes a single client's schedule
 // reproducible (the torture and unit suites rely on that) while different
-// seeds give different schedules.
-type backoff struct {
+// seeds give different schedules. The replica's tailer redials its primary
+// on the same walk.
+type Backoff struct {
 	base, max time.Duration
 	prev      time.Duration
 	rng       *rand.Rand
 }
 
-func newBackoff(seed uint64, base, max time.Duration) *backoff {
+// NewBackoff starts a walk at base; a non-positive base means 50ms and a max
+// below base pins every pause to base.
+func NewBackoff(seed uint64, base, max time.Duration) *Backoff {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
@@ -30,11 +33,11 @@ func newBackoff(seed uint64, base, max time.Duration) *backoff {
 		max = base
 	}
 	// prev starts at base so even the first pause is jittered.
-	return &backoff{base: base, max: max, prev: base, rng: rand.New(rand.NewSource(int64(seed)))}
+	return &Backoff{base: base, max: max, prev: base, rng: rand.New(rand.NewSource(int64(seed)))}
 }
 
 // Next returns the next pause and advances the walk.
-func (b *backoff) Next() time.Duration {
+func (b *Backoff) Next() time.Duration {
 	next := b.base
 	if hi := 3 * b.prev; hi > b.base {
 		next = b.base + time.Duration(b.rng.Int63n(int64(hi-b.base)+1))
@@ -45,3 +48,7 @@ func (b *backoff) Next() time.Duration {
 	b.prev = next
 	return next
 }
+
+// Reset returns the walk to its start, keeping the generator's state: the
+// pause after a clean end of stream should not inherit an outage's growth.
+func (b *Backoff) Reset() { b.prev = b.base }

@@ -254,7 +254,7 @@ func Dial(addr string, opt Options) (*Client, error) {
 		subs:    make(map[uint64]*Subscription),
 		done:    make(chan struct{}),
 	}
-	bo := newBackoff(opt.Seed, opt.RetryBackoff, opt.RetryBackoffMax)
+	bo := NewBackoff(opt.Seed, opt.RetryBackoff, opt.RetryBackoffMax)
 	var err error
 	for attempt := 0; attempt <= opt.RetryAttempts; attempt++ {
 		if attempt > 0 {
@@ -300,40 +300,23 @@ func (c *Client) connectOneLocked() error {
 	if err != nil {
 		return fail(nil, err)
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(c.opt.WriteTimeout))
-	if _, err := conn.Write(rtwire.Hello{Client: c.opt.Name}.Encode()); err != nil {
+	m, br, err := Handshake(conn, c.opt.Name, c.opt.WriteTimeout, c.opt.DialTimeout)
+	if err != nil {
 		return fail(conn, err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(c.opt.DialTimeout))
-	br := bufio.NewReader(conn)
-	f, err := rtwire.ReadFrame(br)
-	if err != nil {
-		return fail(conn, fmt.Errorf("handshake read: %w", err))
+	if m.Epoch < c.epoch {
+		// A deposed primary still answering on its old address: its
+		// epoch predates one we have already seen. Refuse it.
+		c.Stats.StaleRejected.Add(1)
+		return fail(conn, fmt.Errorf("%w: %s announced epoch %d, newest seen is %d",
+			ErrStale, addr, m.Epoch, c.epoch))
 	}
-	msg, err := rtwire.Decode(f)
-	if err != nil {
-		return fail(conn, fmt.Errorf("handshake decode: %w", err))
-	}
-	switch m := msg.(type) {
-	case rtwire.Welcome:
-		if m.Epoch < c.epoch {
-			// A deposed primary still answering on its old address: its
-			// epoch predates one we have already seen. Refuse it.
-			c.Stats.StaleRejected.Add(1)
-			return fail(conn, fmt.Errorf("%w: %s announced epoch %d, newest seen is %d",
-				ErrStale, addr, m.Epoch, c.epoch))
-		}
-		c.epoch = m.Epoch
-		c.role = m.Role
-		c.Session = m.Session
-		c.shard, c.shards = m.Shard, m.Shards
-		if c.shards == 0 {
-			c.shards = 1
-		}
-	case rtwire.Err:
-		return fail(conn, m)
-	default:
-		return fail(conn, fmt.Errorf("handshake: unexpected %s frame", f.Kind))
+	c.epoch = m.Epoch
+	c.role = m.Role
+	c.Session = m.Session
+	c.shard, c.shards = m.Shard, m.Shards
+	if c.shards == 0 {
+		c.shards = 1
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	c.conn, c.bw = conn, bufio.NewWriter(conn)
@@ -354,6 +337,36 @@ func (c *Client) connectOneLocked() error {
 		go c.heartbeatLoop(conn, gen)
 	}
 	return nil
+}
+
+// Handshake runs the opening exchange every dialling role shares — this
+// client and the replica's tailer: Hello out under writeTimeout, the first
+// frame back under readTimeout (the caller re-arms or clears the read
+// deadline afterwards). It returns the Welcome and the buffered reader the
+// connection must go on being read through; a refusal comes back as its
+// rtwire.Err. What a stale epoch means is the caller's decision.
+func Handshake(conn net.Conn, name string, writeTimeout, readTimeout time.Duration) (w rtwire.Welcome, br *bufio.Reader, err error) {
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := conn.Write(rtwire.Hello{Client: name}.Encode()); err != nil {
+		return w, nil, err
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
+	br = bufio.NewReader(conn)
+	f, err := rtwire.ReadFrame(br)
+	if err != nil {
+		return w, nil, fmt.Errorf("handshake read: %w", err)
+	}
+	msg, err := rtwire.Decode(f)
+	if err != nil {
+		return w, nil, fmt.Errorf("handshake decode: %w", err)
+	}
+	switch m := msg.(type) {
+	case rtwire.Welcome:
+		return m, br, nil
+	case rtwire.Err:
+		return w, nil, m
+	}
+	return w, nil, fmt.Errorf("handshake: unexpected %s frame", f.Kind)
 }
 
 // heartbeatLoop is the liveness watchdog for one connection generation: it
@@ -679,7 +692,7 @@ func (c *Client) Query(q Query) (Result, error) {
 	issue := time.Now()
 	// Each call walks its own jittered backoff; the golden-ratio multiplier
 	// spreads concurrent calls of one client apart as well.
-	bo := newBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
+	bo := NewBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
 		c.opt.RetryBackoff, c.opt.RetryBackoffMax)
 	var lastErr error
 	for attempt := 0; attempt <= c.opt.RetryAttempts; attempt++ {

@@ -185,7 +185,7 @@ func (c *Client) resumeSubs() {
 // a refusal or client shutdown ends the subscription with that error.
 func (c *Client) resumeLoop(s *Subscription) {
 	defer s.endResume()
-	bo := newBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
+	bo := NewBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
 		c.opt.RetryBackoff, c.opt.RetryBackoffMax)
 	var lastErr error
 	for attempt := 0; attempt <= c.opt.RetryAttempts; attempt++ {

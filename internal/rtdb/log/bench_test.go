@@ -2,6 +2,7 @@ package log
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,4 +204,52 @@ func BenchmarkSnapshot(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/snapshot")
 	})
+}
+
+// BenchmarkAppendDuringCatchup is the writer's view of a follower catching
+// up: while one reader streams a 30k-event segment back in 64-event
+// ReadFrom calls, over and over, the loop appends and times every Append
+// itself — ns/op is a mean, and the stall this guards against (a reader
+// holding the log's mutex for a whole-segment re-read) lives in the tail.
+func BenchmarkAppendDuringCatchup(b *testing.B) {
+	const behind = 30_000
+	l := sensorLog(b, Options{Dir: b.TempDir(), SegmentSize: 64 << 20}, behind)
+	defer l.Close()
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for pos := new(ReadPos); ; {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			events, err := l.ReadFrom(pos, 64)
+			if err != nil {
+				done <- err
+				return
+			}
+			if len(events) == 0 || pos.Seq >= behind {
+				pos = &ReadPos{} // caught up: the next follower starts over
+			}
+		}
+	}()
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		t0 := time.Now()
+		if err := l.Append(Sample(timeseq.Time(behind), "sensor-00", "21.5")); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(t0)
+	}
+	b.StopTimer()
+	close(stop)
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns")
+	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), "p99-ns")
+	b.ReportMetric(float64(lat[len(lat)-1].Nanoseconds()), "max-ns")
 }

@@ -19,10 +19,11 @@ package log
 // resolves; it resolves nil only after the fsync that covers its frame
 // succeeded.
 //
-// Tail publication moves with durability: in grouped mode an event is
-// fanned out to live replication tails at release time, after its fsync,
-// so followers receive whole commit batches and their fsync cadence
-// matches the primary's.
+// The shippable tail moves with durability: in grouped mode ReadFrom serves
+// nothing past the newest fsynced sequence, and every release wakes the
+// readers waiting in Advanced, so a follower's sender reads a commit batch
+// the moment its fsync lands — whole batches ship, and the follower's fsync
+// cadence matches the primary's.
 
 import (
 	"errors"
@@ -38,7 +39,6 @@ var errClosed = errors.New("log: closed")
 // seal the batch (no more joiners) and wake the leader before the window
 // elapses.
 type batch struct {
-	events   []SeqEvent // for post-fsync tail publication, in seq order
 	tickets  uint64
 	sealed   bool
 	released bool
@@ -123,7 +123,7 @@ func (l *Log) appendGroupedLocked(e Event, firm bool) (t *Ticket, lead bool, err
 	}
 	// Join before housekeeping: if rotation or an auto-snapshot fsyncs the
 	// segment below, this event is covered and its ticket releases there.
-	t, lead = l.joinBatchLocked(e, l.st.Events, firm)
+	t, lead = l.joinBatchLocked(firm)
 	if err := l.maintainLocked(); err != nil {
 		// The poison released every pending ticket (including this one)
 		// with the error; the append itself fails the same way.
@@ -132,10 +132,10 @@ func (l *Log) appendGroupedLocked(e Event, firm bool) (t *Ticket, lead bool, err
 	return t, lead, nil
 }
 
-// joinBatchLocked adds one applied event to the open commit batch (opening
-// a new one if needed) and returns its ticket. firm — or a full batch —
-// seals the window.
-func (l *Log) joinBatchLocked(e Event, seq uint64, firm bool) (*Ticket, bool) {
+// joinBatchLocked adds the event just applied to the open commit batch
+// (opening a new one if needed) and returns its ticket. firm — or a full
+// batch — seals the window.
+func (l *Log) joinBatchLocked(firm bool) (*Ticket, bool) {
 	lead := false
 	b := l.cur
 	if b == nil {
@@ -144,12 +144,11 @@ func (l *Log) joinBatchLocked(e Event, seq uint64, firm bool) (*Ticket, bool) {
 		l.pending = append(l.pending, b)
 		lead = true
 	}
-	b.events = append(b.events, SeqEvent{Seq: seq, Event: e})
 	b.tickets++
 	if firm || b.tickets >= uint64(l.opts.GroupMaxBatch) {
 		l.sealLocked(b)
 	}
-	return &Ticket{b: b, seq: seq}, lead
+	return &Ticket{b: b, seq: l.st.Events}, lead
 }
 
 // sealLocked closes a batch's window: no more joiners, and its leader is
@@ -219,11 +218,10 @@ func (l *Log) commitLocked(b *batch) {
 }
 
 // releaseAllLocked resolves every pending batch, oldest first. err == nil
-// means the covering fsync succeeded: the batches' events are published to
-// the live tails in sequence order (followers only ever see durable
-// events, shipped in whole commit batches) and the group-commit counters
-// advance. A non-nil err is the whole-batch failure path: every ticket in
-// every pending batch resolves with it.
+// means the covering fsync succeeded: the group-commit counters advance. A
+// non-nil err is the whole-batch failure path: every ticket in every pending
+// batch resolves with it. Either way the readers waiting in Advanced wake —
+// the durable tail just moved, or the log just stopped.
 func (l *Log) releaseAllLocked(err error) {
 	for i, b := range l.pending {
 		b.released = true
@@ -238,15 +236,13 @@ func (l *Log) releaseAllLocked(err error) {
 			if b.tickets > l.stats.GroupBatchMax {
 				l.stats.GroupBatchMax = b.tickets
 			}
-			for _, se := range b.events {
-				l.publishSeqLocked(se)
-			}
 		}
 		close(b.done)
 		l.pending[i] = nil
 	}
 	l.pending = l.pending[:0]
 	l.cur = nil
+	l.advancedLocked()
 }
 
 // poisonLocked marks the log permanently failed and fails every pending
@@ -290,9 +286,9 @@ func (l *Log) AppendBatch(events []Event) (int, error) {
 			return applied, err
 		}
 		if l.opts.Sync {
-			l.joinBatchLocked(e, l.st.Events, false)
+			l.joinBatchLocked(false)
 		} else {
-			l.publishSeqLocked(SeqEvent{Seq: l.st.Events, Event: e})
+			l.advancedLocked()
 		}
 		applied++
 		if err := l.maintainLocked(); err != nil {

@@ -298,9 +298,19 @@ func TestGroupCloseResolvesTail(t *testing.T) {
 	}
 }
 
+// fired reports whether an Advanced channel has been closed.
+func fired(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
 // TestAppendBatchSingleFsync: a whole slice of events lands with exactly
 // one fsync — the follower-side mirror of the primary's group commit — and
-// the tail subscription sees the events only after that fsync, in order.
+// a reader is woken once and then reads the whole batch, in order.
 func TestAppendBatchSingleFsync(t *testing.T) {
 	mem := faultfs.NewMem(8)
 	l, err := Open(groupOptions(mem, time.Hour))
@@ -308,8 +318,7 @@ func TestAppendBatchSingleFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tail := l.SubscribeTail(64)
-	defer tail.Close()
+	adv := l.Advanced(0)
 
 	events := workload(10)
 	base := mem.Syncs()
@@ -326,21 +335,27 @@ func TestAppendBatchSingleFsync(t *testing.T) {
 	if ds, sq := l.DurableSeq(), l.Seq(); ds != sq {
 		t.Fatalf("after AppendBatch DurableSeq=%d != Seq=%d", ds, sq)
 	}
-	for i := range events {
-		select {
-		case se := <-tail.C:
-			if se.Seq != uint64(i+1) {
-				t.Fatalf("tail event %d has seq %d, want %d", i, se.Seq, i+1)
-			}
-		default:
-			t.Fatalf("tail missing event %d: publication must cover the whole batch", i)
+	if !fired(adv) {
+		t.Fatal("the batch's fsync did not wake the waiting reader")
+	}
+	got, err := l.ReadFrom(&ReadPos{}, len(events)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(events) {
+		t.Fatalf("read %d events after the batch, want all %d: the read must cover the whole batch", len(got), len(events))
+	}
+	for i, se := range got {
+		if se.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d, want %d", i, se.Seq, i+1)
 		}
 	}
 }
 
-// TestGroupTailPublishAfterCommit: in grouped mode a tail subscriber must
-// not see an event before its covering fsync — publication happens at
-// release, so a follower can never apply data the primary might lose.
+// TestGroupTailPublishAfterCommit: in grouped mode a reader must not see an
+// event before its covering fsync — the shippable tail is the durable tail,
+// so a follower can never apply data the primary might lose — and the
+// release is what wakes it.
 func TestGroupTailPublishAfterCommit(t *testing.T) {
 	mem := faultfs.NewMem(9)
 	l, err := Open(groupOptions(mem, time.Hour))
@@ -348,17 +363,18 @@ func TestGroupTailPublishAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tail := l.SubscribeTail(64)
-	defer tail.Close()
+	pos := &ReadPos{}
+	adv := l.Advanced(0)
 
 	tk, err := l.AppendTicket(Image("temp", 5), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case se := <-tail.C:
-		t.Fatalf("tail saw seq %d before its fsync", se.Seq)
-	default:
+	if got, err := l.ReadFrom(pos, 8); err != nil || len(got) != 0 {
+		t.Fatalf("read %d events (err %v) before their fsync", len(got), err)
+	}
+	if fired(adv) || fired(l.Advanced(0)) {
+		t.Fatal("Advanced fired before the covering fsync")
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -366,13 +382,12 @@ func TestGroupTailPublishAfterCommit(t *testing.T) {
 	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case se := <-tail.C:
-		if se.Seq != tk.Seq() {
-			t.Fatalf("tail seq %d, want %d", se.Seq, tk.Seq())
-		}
-	default:
-		t.Fatal("tail never saw the committed event")
+	if !fired(adv) {
+		t.Fatal("the release did not wake the waiting reader")
+	}
+	got, err := l.ReadFrom(pos, 8)
+	if err != nil || len(got) != 1 || got[0].Seq != tk.Seq() {
+		t.Fatalf("after the commit read %+v (err %v), want seq %d", got, err, tk.Seq())
 	}
 }
 

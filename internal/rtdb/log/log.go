@@ -107,10 +107,12 @@ type Log struct {
 	sinceSnapshot uint64
 
 	// segFirstSeq maps each on-disk segment to the sequence number of its
-	// first frame — the index ReadSince locates catch-up reads with.
+	// first frame — the index ReadFrom locates a reader's position with.
 	segFirstSeq map[uint64]uint64
-	// tails are the live replication subscriptions Append fans out to.
-	tails map[*Tail]struct{}
+	// advanced is what caught-up readers wait on (see Advanced in repl.go):
+	// nil while nobody waits, closed and dropped when the shippable tail
+	// moves or the log stops.
+	advanced chan struct{}
 	// epoch is the persisted fencing epoch (see repl.go).
 	epoch uint64
 
@@ -171,7 +173,7 @@ func Open(opts Options) (*Log, error) {
 	// during snapshot write leaves a torn .snap behind — the log is the
 	// source of truth, the snapshot only an accelerator).
 	pos := replayPos{seg: 1, off: 0}
-	rd := &reader{names: map[string]string{}}
+	rd := &reader{br: bufio.NewReader(nil), names: map[string]string{}}
 	for i := len(snaps) - 1; i >= 0; i-- {
 		st, p, err := loadSnapshot(l.fs, filepath.Join(opts.Dir, snapName(snaps[i])), rd)
 		if err != nil {
@@ -228,16 +230,18 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("log: segment %d referenced by snapshot is missing", pos.seg)
 	}
 	l.stats.Segments = uint64(len(segs))
-	l.indexSegments(segs, pos, snapEvents)
+	l.indexSegments(segs, pos, snapEvents, rd)
 	// Everything replayed came off disk: the recovered tail is durable.
 	l.durableSeq = l.st.Events
 	return l, nil
 }
 
-// reader is what recovery carries from record to record: one frame buffer,
-// and the image names decoded so far, so that a replayed sample shares its
-// Name with the catalog instead of allocating it.
+// reader is what a pass over the log carries from record to record: the
+// read buffer scanSegment points at each segment in turn, one frame buffer,
+// and — for recovery — the image names decoded so far, so that a replayed
+// sample shares its Name with the catalog instead of allocating it.
 type reader struct {
+	br    *bufio.Reader
 	buf   []byte
 	names map[string]string
 }
@@ -258,72 +262,53 @@ func (rd *reader) event(payload []byte) (Event, bool) {
 // committed data and is surfaced as ErrCorrupt instead of silently
 // truncating history.
 func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int64, error) {
-	path := filepath.Join(l.opts.Dir, segName(seg))
-	f, err := l.fs.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return 0, err
-	}
-	if start > size {
-		return 0, fmt.Errorf("log: snapshot offset %d past end of %s (%d bytes)", start, segName(seg), size)
-	}
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return 0, err
-	}
-	r := bufio.NewReader(f)
-	off := start
-	for {
-		payload, n, err := ReadFrame(r, &rd.buf)
-		if err == io.EOF {
-			return off, nil
-		}
-		if err != nil {
-			if !last {
-				return 0, fmt.Errorf("%w: %s at offset %d (non-final segment)", ErrCorrupt, segName(seg), off)
-			}
-			intact, serr := l.frameAfter(f, off, size)
-			if serr != nil {
-				return 0, serr
-			}
-			if intact {
-				return 0, fmt.Errorf("%w: %s at offset %d (intact records follow the damage)", ErrCorrupt, segName(seg), off)
-			}
-			l.stats.TruncatedBytes = size - off
-			if terr := l.fs.Truncate(path, off); terr != nil {
-				return 0, terr
-			}
-			return off, nil
-		}
+	var bad error
+	off, err := l.scanSegment(seg, start, -1, rd, func(payload []byte, end int64) bool {
 		e, ok := rd.event(payload)
 		if !ok {
-			return 0, fmt.Errorf("%w: undecodable record in %s at offset %d", ErrCorrupt, segName(seg), off)
+			bad = fmt.Errorf("%w: undecodable record in %s at offset %d", ErrCorrupt, segName(seg), end-int64(frameHeaderSize+len(payload)))
+		} else if bad = l.st.Apply(e); bad == nil {
+			l.stats.RecoveredEvents++
 		}
-		if err := l.st.Apply(e); err != nil {
-			return 0, err
-		}
-		l.stats.RecoveredEvents++
-		off += int64(n)
+		return bad == nil
+	})
+	switch {
+	case err == nil:
+		return off, bad
+	case err != errTorn:
+		return 0, err
+	case !last:
+		return 0, fmt.Errorf("%w: %s at offset %d (non-final segment)", ErrCorrupt, segName(seg), off)
 	}
+	// A torn tail is one partial append: nothing intact may follow it. Byte
+	// 0 of the rest is the damaged record itself; any later alignment hiding
+	// a CRC-valid frame means data past the damage was once committed.
+	path := filepath.Join(l.opts.Dir, segName(seg))
+	rest, err := l.readTail(path, off)
+	if err != nil {
+		return 0, err
+	}
+	if ContainsFrame(rest[1:]) {
+		return 0, fmt.Errorf("%w: %s at offset %d (intact records follow the damage)", ErrCorrupt, segName(seg), off)
+	}
+	l.stats.TruncatedBytes = int64(len(rest))
+	if err := l.fs.Truncate(path, off); err != nil {
+		return 0, err
+	}
+	return off, nil
 }
 
-// frameAfter reports whether any intact frame sits strictly after a damaged
-// record that starts at off — the discriminator between a torn tail (all
-// bytes to EOF belong to one partial append) and mid-segment corruption.
-func (l *Log) frameAfter(f faultfs.File, off, size int64) (bool, error) {
+// readTail returns the bytes of the file at path from off to its end.
+func (l *Log) readTail(path string, off int64) ([]byte, error) {
+	f, err := l.fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return false, err
+		return nil, err
 	}
-	tail := make([]byte, size-off)
-	if _, err := io.ReadFull(f, tail); err != nil {
-		return false, err
-	}
-	// Offset 0 is the damaged record itself; any later alignment hiding a
-	// CRC-valid frame means data past the damage was once committed.
-	return ContainsFrame(tail[1:]), nil
+	return io.ReadAll(f)
 }
 
 // openSegment opens segment seg for appending at offset off (creating it
@@ -447,7 +432,7 @@ func (l *Log) appendUngroupedLocked(e Event) error {
 	if err := l.maintainLocked(); err != nil {
 		return err
 	}
-	l.publishLocked(e)
+	l.advancedLocked()
 	return nil
 }
 

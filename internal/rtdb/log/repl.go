@@ -11,9 +11,11 @@ import (
 )
 
 // This file is the log's replication surface: sequence-addressed reads over
-// the on-disk segments (catch-up), a bounded tail subscription (live
-// streaming), state bootstrap (full resync when the requested sequence was
-// compacted away), and the persisted fencing epoch.
+// the on-disk segments through a position the follower's sender keeps, the
+// wake-up a caught-up sender sleeps on, state bootstrap (full resync when
+// the requested sequence was compacted away), and the persisted fencing
+// epoch. The segments are the only source replication reads: there is no
+// in-memory copy of the tail to fall behind, overflow or fall back from.
 //
 // The sequence number of an event is its 1-based position in the log:
 // State.Events after a successful Append IS the appended event's sequence.
@@ -45,134 +47,213 @@ type SeqEvent struct {
 	Event Event
 }
 
-// ReadSince returns up to max events with sequence numbers strictly after
-// afterSeq, read back from the segment files. It returns ErrSeqFuture when
-// afterSeq is past the tail, ErrSeqCompacted when the events after afterSeq
-// are no longer on disk, and an empty slice when the follower is caught up.
-func (l *Log) ReadSince(afterSeq uint64, max int) ([]SeqEvent, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return nil, l.err
+// ReadPos is one reader's place in the log: the sequence of the last event
+// it was handed and, once ReadFrom has located it, the byte position just
+// past that event's frame. It lives with the reader, not in the Log, so any
+// number of followers stream independently; start one at {Seq: afterSeq}.
+type ReadPos struct {
+	Seq uint64
+	seg uint64 // 0: not located yet (segments are numbered from 1)
+	off int64
+}
+
+// shippableLocked is the newest sequence a follower may be handed. Under
+// group commit frames sit written-but-unfsynced inside the open window, and
+// a follower must never apply an event the primary could still lose, so the
+// shippable tail is the durable tail: it moves at batch release.
+func (l *Log) shippableLocked() uint64 {
+	if l.grouped() && l.durableSeq < l.st.Events {
+		return l.durableSeq
 	}
-	if l.f == nil {
-		return nil, fmt.Errorf("log: closed")
+	return l.st.Events
+}
+
+// ReadFrom returns up to max events after pos.Seq, read back from the
+// segment files, and advances pos past them. The first call locates pos
+// through the segment index and skips to it inside that segment; every
+// later call resumes at pos's own byte offset, so it reads the frames it
+// returns and no others, however long the segment. The log's mutex is held
+// only to place the read, not for the read itself: frames at or below the
+// shippable tail never change, so appends do not wait on a reader's I/O.
+// It returns ErrSeqFuture when pos.Seq is past the shippable tail,
+// ErrSeqCompacted when the events after it are no longer on disk, and no
+// events when the reader is caught up (Advanced is what to wait on then).
+func (l *Log) ReadFrom(pos *ReadPos, max int) ([]SeqEvent, error) {
+	p, skip, n, err := l.placeRead(*pos, max)
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	// Catch-up never serves past the durable tail: under group commit
-	// frames sit written-but-unfsynced inside the open window, and a
-	// follower must never apply an event the primary could still lose. The
-	// events surface at batch release, through the tail publication.
-	tail := l.st.Events
-	if l.grouped() && l.durableSeq < tail {
-		tail = l.durableSeq
+	// A located read sizes its buffer to the frames wanted at ≈ 32 B each
+	// (rtbench's log.bytes_per_event is 29–30): a sender woken for one commit
+	// batch at the tail reads about that batch, not a page of frames behind
+	// it. Locating skips through whole pages.
+	size := 4096
+	if skip == 0 {
+		size = min(size, n*32)
 	}
-	if afterSeq > tail {
-		return nil, ErrSeqFuture
-	}
-	if afterSeq == tail || max <= 0 {
-		return nil, nil
-	}
-	// The start segment is the one with the largest first-sequence that is
-	// still ≤ afterSeq+1; if none qualifies the target predates every
-	// indexed segment and only a full resync can serve it.
-	var startSeg, startFirst uint64
-	found := false
-	for seg, first := range l.segFirstSeq {
-		if first <= afterSeq+1 && (!found || first > startFirst) {
-			startSeg, startFirst, found = seg, first, true
-		}
-	}
-	if !found {
-		return nil, ErrSeqCompacted
-	}
-	out := make([]SeqEvent, 0, max)
-	seq := startFirst - 1
-	for seg := startSeg; seg <= l.segIndex; seg++ {
-		limit := int64(-1)
-		if seg == l.segIndex {
-			limit = l.segSize
-		}
-		done, err := l.scanSegment(seg, limit, func(e Event) bool {
-			seq++
-			if seq > tail {
+	rd := &reader{br: bufio.NewReaderSize(nil, size)}
+	out := make([]SeqEvent, 0, n)
+	for len(out) < n {
+		var bad error
+		_, err := l.scanSegment(p.seg, p.off, -1, rd, func(payload []byte, end int64) bool {
+			if skip > 0 {
+				skip--
+			} else if e, ok := DecodeEvent(payload); ok {
+				p.Seq++
+				out = append(out, SeqEvent{Seq: p.Seq, Event: e})
+			} else {
+				bad = fmt.Errorf("undecodable record before offset %d", end)
 				return false
 			}
-			if seq > afterSeq {
-				out = append(out, SeqEvent{Seq: seq, Event: e})
-			}
-			return len(out) < max
+			p.off = end
+			return len(out) < n
 		})
-		if err != nil {
-			return nil, fmt.Errorf("log: catch-up read of %s: %w", segName(seg), err)
+		if err == nil {
+			err = bad
 		}
-		if done {
-			break
+		if err != nil {
+			// Compact can delete a segment under an unlocked read: that is a
+			// position compacted away, not damage.
+			l.mu.Lock()
+			_, indexed := l.segFirstSeq[p.seg]
+			l.mu.Unlock()
+			if !indexed {
+				return nil, ErrSeqCompacted
+			}
+			return nil, fmt.Errorf("log: catch-up read of %s: %w", segName(p.seg), err)
+		}
+		if len(out) < n {
+			// Segment exhausted. Past the active one there is no file, and
+			// the open above reports it: the index and the tail disagree.
+			p.seg, p.off = p.seg+1, 0
 		}
 	}
+	*pos = p
 	return out, nil
 }
 
-// scanSegment streams the decoded events of one segment (up to limit bytes,
-// or the whole file when limit < 0) into visit; it stops early when visit
-// returns false and reports whether it did.
-func (l *Log) scanSegment(seg uint64, limit int64, visit func(Event) bool) (stopped bool, err error) {
-	if limit == 0 {
-		return false, nil
+// placeRead is the locked half of ReadFrom: how many events (at most max)
+// a reader at pos may be handed, and where the first one's frame is — pos
+// itself once located, else the start of the segment that holds Seq+1 and
+// the number of frames to skip inside it.
+func (l *Log) placeRead(pos ReadPos, max int) (p ReadPos, skip uint64, n int, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.usableLocked(); err != nil {
+		return pos, 0, 0, err
 	}
+	tail := l.shippableLocked()
+	if pos.Seq > tail {
+		return pos, 0, 0, ErrSeqFuture
+	}
+	if n = int(min(uint64(max), tail-pos.Seq)); n <= 0 {
+		return pos, 0, 0, nil
+	}
+	if _, ok := l.segFirstSeq[pos.seg]; ok {
+		return pos, 0, n, nil
+	}
+	// Not located yet, or compaction removed the segment under it. The
+	// start segment is the one with the largest first-sequence that is
+	// still ≤ Seq+1; if none qualifies the target predates every indexed
+	// segment and only a full resync can serve it.
+	var first uint64
+	for seg, f := range l.segFirstSeq {
+		if f <= pos.Seq+1 && f > first {
+			pos.seg, first = seg, f
+		}
+	}
+	if first == 0 {
+		return pos, 0, 0, ErrSeqCompacted
+	}
+	pos.off = 0
+	return pos, pos.Seq + 1 - first, n, nil
+}
+
+// ReadSince is ReadFrom for a reader that keeps no position: it locates
+// afterSeq from scratch on every call.
+func (l *Log) ReadSince(afterSeq uint64, max int) ([]SeqEvent, error) {
+	return l.ReadFrom(&ReadPos{Seq: afterSeq}, max)
+}
+
+// Advanced returns a channel that is closed once a ReadFrom at afterSeq has
+// something new to report: the shippable tail is past afterSeq, or the log
+// closed or poisoned. It is already closed when that holds now, so a reader
+// that checks, finds nothing and then waits cannot lose a wake-up. The
+// channel is made only when somebody waits and dropped when it fires: an
+// append with no follower behind it pays a nil check.
+func (l *Log) Advanced(afterSeq uint64) <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.usableLocked() != nil || l.shippableLocked() > afterSeq {
+		done := make(chan struct{})
+		close(done)
+		return done
+	}
+	if l.advanced == nil {
+		l.advanced = make(chan struct{})
+	}
+	return l.advanced
+}
+
+// advancedLocked wakes every reader waiting in Advanced. Called wherever the
+// shippable tail moves — the end of an ungrouped append, every release of
+// the pending commit batches — and where the log stops for good.
+func (l *Log) advancedLocked() {
+	if l.advanced != nil {
+		close(l.advanced)
+		l.advanced = nil
+	}
+}
+
+// scanSegment is the one forward reader over a segment file. It hands visit
+// each frame of seg from byte offset start — the payload, valid until the
+// next frame, and the offset just past it — until visit returns false, the
+// offset reaches limit (limit < 0: the end of the file) or a frame fails its
+// check, and returns the offset just past the last frame visited. errTorn
+// marks the failed frame; what that means is the caller's to decide.
+func (l *Log) scanSegment(seg uint64, start, limit int64, rd *reader, visit func(payload []byte, end int64) bool) (int64, error) {
 	f, err := l.fs.Open(filepath.Join(l.opts.Dir, segName(seg)))
 	if err != nil {
-		return false, err
+		return start, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	var buf []byte
-	var off int64
-	for limit < 0 || off < limit {
-		payload, n, err := ReadFrame(r, &buf)
+	if limit < 0 {
+		if limit, err = f.Size(); err != nil {
+			return start, err
+		}
+	}
+	if start > limit {
+		return start, fmt.Errorf("log: offset %d past end of %s (%d bytes)", start, segName(seg), limit)
+	}
+	if _, err := f.Seek(start, io.SeekStart); err != nil {
+		return start, err
+	}
+	rd.br.Reset(f)
+	off := start
+	for off < limit {
+		payload, n, err := ReadFrame(rd.br, &rd.buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return false, err
-		}
-		e, ok := DecodeEvent(payload)
-		if !ok {
-			return false, fmt.Errorf("undecodable record at offset %d", off)
+			return off, err
 		}
 		off += int64(n)
-		if !visit(e) {
-			return true, nil
+		if !visit(payload, off) {
+			break
 		}
 	}
-	return false, nil
+	return off, nil
 }
 
 // countFrames counts the frames of one segment up to limit bytes (whole
 // file when limit < 0). With a positive limit the count must land exactly
 // on a frame boundary — a snapshot position never points mid-frame.
-func (l *Log) countFrames(seg uint64, limit int64) (uint64, error) {
-	if limit == 0 {
-		return 0, nil
-	}
-	f, err := l.fs.Open(filepath.Join(l.opts.Dir, segName(seg)))
+func (l *Log) countFrames(seg uint64, limit int64, rd *reader) (uint64, error) {
+	var n uint64
+	off, err := l.scanSegment(seg, 0, limit, rd, func([]byte, int64) bool { n++; return true })
 	if err != nil {
 		return 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var buf []byte
-	var off int64
-	var n uint64
-	for limit < 0 || off < limit {
-		_, m, err := ReadFrame(r, &buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-		n++
-		off += int64(m)
 	}
 	if limit > 0 && off != limit {
 		return 0, fmt.Errorf("log: %s frame boundary mismatch at %d (want %d)", segName(seg), off, limit)
@@ -185,8 +266,8 @@ func (l *Log) countFrames(seg uint64, limit int64) (uint64, error) {
 // indexed during replay. An unreadable pre-snapshot region is not fatal:
 // those segments simply stay unindexed, and catch-up requests that need
 // them fall back to a full resync.
-func (l *Log) indexSegments(segs []uint64, pos replayPos, snapEvents uint64) {
-	pre, err := l.countFrames(pos.seg, pos.off)
+func (l *Log) indexSegments(segs []uint64, pos replayPos, snapEvents uint64, rd *reader) {
+	pre, err := l.countFrames(pos.seg, pos.off, rd)
 	if err != nil || pre > snapEvents {
 		return
 	}
@@ -204,71 +285,13 @@ func (l *Log) indexSegments(segs []uint64, pos replayPos, snapEvents uint64) {
 		if segs[i] != prev-1 {
 			return // numbering gap: cannot chain counts further back
 		}
-		cnt, err := l.countFrames(segs[i], -1)
+		cnt, err := l.countFrames(segs[i], -1, rd)
 		if err != nil || cnt >= first {
 			return
 		}
 		first -= cnt
 		prev = segs[i]
 		l.segFirstSeq[prev] = first
-	}
-}
-
-// Tail is a live subscription to the log's appends. C delivers each
-// successfully appended event tagged with its sequence; when the buffer is
-// full the event is dropped (the subscriber sees a sequence gap and falls
-// back to ReadSince) — a slow follower never blocks Append.
-type Tail struct {
-	C      chan SeqEvent
-	l      *Log
-	closed bool
-}
-
-// SubscribeTail registers a live tail with the given channel buffer.
-func (l *Log) SubscribeTail(buf int) *Tail {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if buf <= 0 {
-		buf = 1
-	}
-	t := &Tail{C: make(chan SeqEvent, buf), l: l}
-	if l.tails == nil {
-		l.tails = make(map[*Tail]struct{})
-	}
-	l.tails[t] = struct{}{}
-	return t
-}
-
-// Close unregisters the tail and closes its channel.
-func (t *Tail) Close() {
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	if t.closed {
-		return
-	}
-	t.closed = true
-	delete(t.l.tails, t)
-	close(t.C)
-}
-
-// publishLocked fans one appended event out to the live tails. Called with
-// mu held, immediately after a fully successful ungrouped Append; group
-// commit instead publishes at batch release, after the covering fsync
-// (publishSeqLocked with the batch's recorded sequences), so followers
-// only ever see durable events, in whole commit batches.
-func (l *Log) publishLocked(e Event) {
-	l.publishSeqLocked(SeqEvent{Seq: l.st.Events, Event: e})
-}
-
-// publishSeqLocked is the non-blocking fan-out; the full-buffer drop is
-// what keeps the apply loop independent of follower speed (the subscriber
-// sees a sequence gap and falls back to ReadSince).
-func (l *Log) publishSeqLocked(se SeqEvent) {
-	for t := range l.tails {
-		select {
-		case t.C <- se:
-		default: // full buffer: subscriber detects the gap and catches up
-		}
 	}
 }
 

@@ -155,41 +155,45 @@ func TestReadSinceGaps(t *testing.T) {
 	})
 }
 
-func TestSubscribeTail(t *testing.T) {
+// TestAdvancedWakesPerAppend: on an ungrouped log every append moves the
+// shippable tail, so a caught-up reader waiting in Advanced is woken by the
+// next append — once per advance, with the event readable when it wakes —
+// and a reader that is behind is never made to wait.
+func TestAdvancedWakesPerAppend(t *testing.T) {
 	l, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tail := l.SubscribeTail(4)
-	defer tail.Close()
-
-	if err := l.Append(Image("temp", 5)); err != nil {
-		t.Fatal(err)
-	}
-	se := <-tail.C
-	if se.Seq != 1 || se.Event.Name != "temp" {
-		t.Fatalf("tail delivered %+v", se)
-	}
-
-	// Overflow the buffer: the excess is dropped, never blocking Append,
-	// and the subscriber sees a sequence gap.
-	for i := 1; i <= 10; i++ {
-		if err := l.Append(Sample(timeseq.Time(i), "temp", "v")); err != nil {
+	pos := &ReadPos{}
+	for i, e := range []Event{Image("temp", 5), Sample(1, "temp", "v"), Sample(2, "temp", "w")} {
+		adv := l.Advanced(pos.Seq)
+		if fired(adv) {
+			t.Fatalf("append %d: Advanced fired with nothing new to read", i)
+		}
+		if again := l.Advanced(pos.Seq); again != adv {
+			t.Fatalf("append %d: two waiters at the tail got different channels", i)
+		}
+		if err := l.Append(e); err != nil {
 			t.Fatal(err)
 		}
+		if !fired(adv) {
+			t.Fatalf("append %d did not wake the waiting reader", i)
+		}
+		got, err := l.ReadFrom(pos, 8)
+		if err != nil || len(got) != 1 || got[0].Seq != uint64(i+1) || got[0].Event.Name != "temp" {
+			t.Fatalf("append %d: woken reader read %+v (err %v)", i, got, err)
+		}
 	}
-	first := <-tail.C
-	if first.Seq != 2 {
-		t.Fatalf("first buffered seq = %d, want 2", first.Seq)
+	// Behind the tail there is nothing to wait for.
+	if !fired(l.Advanced(1)) {
+		t.Fatal("Advanced(1) with the tail at 3 is not already closed")
 	}
-	drained := 1
-	for len(tail.C) > 0 {
-		<-tail.C
-		drained++
-	}
-	if drained != 4 {
-		t.Fatalf("buffered %d events, want buffer size 4", drained)
+	l.mu.Lock()
+	idle := l.advanced == nil
+	l.mu.Unlock()
+	if !idle {
+		t.Fatal("a fired wake-up channel was kept: appends with no waiter must find nil")
 	}
 }
 

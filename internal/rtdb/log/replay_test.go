@@ -1,4 +1,4 @@
-package server
+package log
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rtc/internal/rtdb"
-	wal "rtc/internal/rtdb/log"
 	"rtc/internal/timeseq"
 	"rtc/internal/vtime"
 )
@@ -16,7 +15,7 @@ import (
 // sortReplay is the reference replay order: every sample of every image
 // copied into one slice and sorted by (time, image, position). The merge in
 // replaySamples must be indistinguishable from it.
-func sortReplay(sched *vtime.Scheduler, db *rtdb.DB, st *wal.State) error {
+func sortReplay(db *rtdb.DB, st *State) error {
 	type rec struct {
 		at    timeseq.Time
 		image string
@@ -39,7 +38,7 @@ func sortReplay(sched *vtime.Scheduler, db *rtdb.DB, st *wal.State) error {
 		return all[i].seq < all[j].seq
 	})
 	for _, r := range all {
-		sched.RunUntil(r.at)
+		db.Scheduler().RunUntil(r.at)
 		if err := db.InjectSample(r.image, r.value); err != nil {
 			return err
 		}
@@ -49,19 +48,18 @@ func sortReplay(sched *vtime.Scheduler, db *rtdb.DB, st *wal.State) error {
 
 // replayTarget is a database whose firing log records the global order
 // samples arrive in: one immediate rule per image.
-func replayTarget(t *testing.T, st *wal.State) *Server {
-	s := &Server{sched: vtime.New()}
-	s.db = rtdb.New(s.sched)
-	if err := st.Build(s.db, nil); err != nil {
+func replayTarget(t *testing.T, st *State) *rtdb.DB {
+	db := rtdb.New(vtime.New())
+	if err := st.Build(db, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name := range st.Images {
-		s.db.AddRule(rtdb.Rule{
+		db.AddRule(rtdb.Rule{
 			Name: "saw-" + name, On: "sample:" + name, Mode: rtdb.Immediate,
 			Then: func(*rtdb.DB, rtdb.Event) {},
 		})
 	}
-	return s
+	return db
 }
 
 // TestMergeReplayMatchesSort replays randomly interleaved multi-image
@@ -72,13 +70,13 @@ func replayTarget(t *testing.T, st *wal.State) *Server {
 func TestMergeReplayMatchesSort(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 7))
-		st := wal.NewState()
+		st := NewState()
 		images := make([]string, 1+rng.IntN(7))
 		for i := range images {
 			images[i] = fmt.Sprintf("img-%d", i)
-			st.Images[images[i]] = &wal.ImageState{Period: 5}
+			st.Images[images[i]] = &ImageState{Period: 5}
 		}
-		st.Images["idle"] = &wal.ImageState{Period: 5}
+		st.Images["idle"] = &ImageState{Period: 5}
 		at := timeseq.Time(0)
 		for k := 0; k < 300; k++ {
 			at += timeseq.Time(rng.IntN(3)) // 0: a tie with the previous sample
@@ -91,29 +89,29 @@ func TestMergeReplayMatchesSort(t *testing.T) {
 		}
 
 		want := replayTarget(t, st)
-		if err := sortReplay(want.sched, want.db, st); err != nil {
+		if err := sortReplay(want, st); err != nil {
 			t.Fatalf("seed %d: reference replay: %v", seed, err)
 		}
 		got := replayTarget(t, st)
-		if err := got.replaySamples(st); err != nil {
+		if err := st.replaySamples(got); err != nil {
 			t.Fatalf("seed %d: merge replay: %v", seed, err)
 		}
 
-		if !reflect.DeepEqual(got.db.FiringLog(), want.db.FiringLog()) {
-			t.Fatalf("seed %d: firing logs differ:\n got  %v\nwant %v", seed, got.db.FiringLog(), want.db.FiringLog())
+		if !reflect.DeepEqual(got.FiringLog(), want.FiringLog()) {
+			t.Fatalf("seed %d: firing logs differ:\n got  %v\nwant %v", seed, got.FiringLog(), want.FiringLog())
 		}
-		if len(want.db.FiringLog()) != 300 {
-			t.Fatalf("seed %d: firing log has %d entries, want one per sample", seed, len(want.db.FiringLog()))
+		if len(want.FiringLog()) != 300 {
+			t.Fatalf("seed %d: firing log has %d entries, want one per sample", seed, len(want.FiringLog()))
 		}
 		for name := range st.Images {
-			g, _ := got.db.Image(name)
-			w, _ := want.db.Image(name)
+			g, _ := got.Image(name)
+			w, _ := want.Image(name)
 			if !reflect.DeepEqual(g.History(), w.History()) {
 				t.Fatalf("seed %d: image %q history differs:\n got  %v\nwant %v", seed, name, g.History(), w.History())
 			}
 		}
-		if got.sched.Now() != want.sched.Now() {
-			t.Fatalf("seed %d: clock %d vs %d", seed, got.sched.Now(), want.sched.Now())
+		if got.Now() != want.Now() {
+			t.Fatalf("seed %d: clock %d vs %d", seed, got.Now(), want.Now())
 		}
 	}
 }
@@ -125,27 +123,27 @@ func TestMergeReplayMatchesSort(t *testing.T) {
 // not depend on when the collector happened to run.
 func TestReplayAllocatesPerImageNotPerSample(t *testing.T) {
 	const images, perImage = 4, 5000
-	st := wal.NewState()
+	st := NewState()
 	for i := 0; i < images; i++ {
-		img := &wal.ImageState{Period: 5}
+		img := &ImageState{Period: 5}
 		for k := 0; k < perImage; k++ {
 			img.Samples = append(img.Samples, rtdb.Sample{At: timeseq.Time(k*images + i), Value: "v"})
 		}
 		st.Images[fmt.Sprintf("img-%d", i)] = img
 	}
-	var s *Server
+	st.LastAt = images*perImage + 7 // past the last sample: Rebuild leaves the clock here
+	var db *rtdb.DB
 	allocs := testing.AllocsPerRun(5, func() {
-		s = &Server{sched: vtime.New()}
-		s.db = rtdb.New(s.sched)
-		if err := st.Build(s.db, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.replaySamples(st); err != nil {
+		db = rtdb.New(vtime.New())
+		if err := st.Rebuild(db, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if db.Now() != st.LastAt {
+		t.Fatalf("rebuilt clock at %d, want the state's last timestamp %d", db.Now(), st.LastAt)
+	}
 	for name, want := range st.Images {
-		img, _ := s.db.Image(name)
+		img, _ := db.Image(name)
 		if got := img.History(); len(got) != len(want.Samples) {
 			t.Fatalf("%s: history has %d samples, want %d", name, len(got), len(want.Samples))
 		}

@@ -1,6 +1,7 @@
 package log
 
 import (
+	"container/heap"
 	"fmt"
 	"reflect"
 	"sort"
@@ -318,6 +319,92 @@ func (st *State) Build(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
 		db.AddDerived(&rtdb.DerivedObject{Name: n, Sources: st.Derived[n].Sources, Derive: fn})
 	}
 	return nil
+}
+
+// Rebuild is the one way a recovered state becomes a live database — server
+// recovery and the replica's standby mirror both call it: the catalog via
+// Build, every sample re-injected at its original time, and the clock left
+// at the state's last timestamp. Install rules afterwards, so that replayed
+// samples do not re-fire them.
+func (st *State) Rebuild(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
+	if err := st.Build(db, reg); err != nil {
+		return err
+	}
+	if err := st.replaySamples(db); err != nil {
+		return err
+	}
+	db.Scheduler().RunUntil(st.LastAt)
+	return nil
+}
+
+// replaySamples re-injects the sample histories in (time, image, position)
+// order, advancing the virtual clock so every sample lands at its original
+// time. Each image's history is already in log order, which is time order,
+// so the global order is a k-way merge of the histories as they stand: a
+// heap of one cursor per image keyed by (head time, image name) yields
+// exactly the sequence a sort of all samples by (time, image, position)
+// would, without copying or comparing the samples themselves.
+func (st *State) replaySamples(db *rtdb.DB) error {
+	h := make(replayHeap, 0, len(st.Images))
+	for name, img := range st.Images {
+		if len(img.Samples) > 0 {
+			h = append(h, replayCursor{image: name, rest: timeOrdered(img.Samples)})
+		}
+	}
+	heap.Init(&h)
+	sched := db.Scheduler()
+	for len(h) > 0 {
+		c := &h[0]
+		sched.RunUntil(c.rest[0].At)
+		if err := db.InjectSample(c.image, c.rest[0].Value); err != nil {
+			return err
+		}
+		if c.rest = c.rest[1:]; len(c.rest) == 0 {
+			heap.Pop(&h)
+		} else {
+			heap.Fix(&h, 0)
+		}
+	}
+	return nil
+}
+
+// timeOrdered returns the samples in (time, position) order. The server
+// only ever logs an image's samples on a monotone clock, so this is the
+// slice itself; a log written some other way gets a stably sorted copy, and
+// the merge stays equal to the sort it replaced on every input.
+func timeOrdered(samples []rtdb.Sample) []rtdb.Sample {
+	byTime := func(i, j int) bool { return samples[i].At < samples[j].At }
+	if sort.SliceIsSorted(samples, byTime) {
+		return samples
+	}
+	samples = append([]rtdb.Sample(nil), samples...)
+	sort.SliceStable(samples, byTime)
+	return samples
+}
+
+// replayCursor is the unreplayed rest of one image's history.
+type replayCursor struct {
+	image string
+	rest  []rtdb.Sample
+}
+
+// replayHeap orders cursors by (head sample time, image name).
+type replayHeap []replayCursor
+
+func (h replayHeap) Len() int { return len(h) }
+func (h replayHeap) Less(i, j int) bool {
+	if a, b := h[i].rest[0].At, h[j].rest[0].At; a != b {
+		return a < b
+	}
+	return h[i].image < h[j].image
+}
+func (h replayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *replayHeap) Push(x any)   { *h = append(*h, x.(replayCursor)) }
+func (h *replayHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
 }
 
 // Historical converts the recovered sample histories into the §5.1.2

@@ -38,10 +38,9 @@ type WireMetrics struct {
 	WriteDrops         atomic.Uint64 // best-effort frames dropped on full queues
 	DecodeErrors       atomic.Uint64 // frames that failed to parse
 
-	HeartbeatsIn    atomic.Uint64 // client heartbeats echoed
-	ReplBatchesOut  atomic.Uint64 // WalBatch frames streamed to followers
-	ReplResyncs     atomic.Uint64 // full-state resyncs forced by compaction
-	ReplGapRestarts atomic.Uint64 // live-tail gaps that fell back to catch-up
+	HeartbeatsIn   atomic.Uint64 // client heartbeats echoed
+	ReplBatchesOut atomic.Uint64 // WalBatch frames streamed to followers
+	ReplResyncs    atomic.Uint64 // full-state resyncs forced by compaction
 
 	CorruptFrames      atomic.Uint64 // inbound frames with byte damage (CRC/framing)
 	WriteTimeouts      atomic.Uint64 // connections cut on a failed/stalled write
@@ -60,7 +59,7 @@ type WireSnapshot struct {
 	WriteDrops, DecodeErrors             uint64
 
 	HeartbeatsIn, ReplBatchesOut uint64
-	ReplResyncs, ReplGapRestarts uint64
+	ReplResyncs                  uint64
 
 	CorruptFrames, WriteTimeouts uint64
 	ReplStallEvictions           uint64
@@ -88,7 +87,6 @@ func (w *WireMetrics) Snapshot() WireSnapshot {
 		HeartbeatsIn:       w.HeartbeatsIn.Load(),
 		ReplBatchesOut:     w.ReplBatchesOut.Load(),
 		ReplResyncs:        w.ReplResyncs.Load(),
-		ReplGapRestarts:    w.ReplGapRestarts.Load(),
 		CorruptFrames:      w.CorruptFrames.Load(),
 		WriteTimeouts:      w.WriteTimeouts.Load(),
 		ReplStallEvictions: w.ReplStallEvictions.Load(),
@@ -102,7 +100,7 @@ func (w WireSnapshot) Pairs() []rtwire.MetricPair {
 }
 
 // wireMetricCount is the number of pairs appendPairs adds (capacity hint).
-const wireMetricCount = 23
+const wireMetricCount = 22
 
 // appendPairs appends the wire counters as named pairs (prefixed "net_")
 // after the server's rows, so the metrics frame carries one flat table.
@@ -129,7 +127,6 @@ func (w WireSnapshot) appendPairs(dst []rtwire.MetricPair) []rtwire.MetricPair {
 	add("heartbeats_in", w.HeartbeatsIn)
 	add("repl_batches_out", w.ReplBatchesOut)
 	add("repl_resyncs", w.ReplResyncs)
-	add("repl_gap_restarts", w.ReplGapRestarts)
 	add("corrupt_frames", w.CorruptFrames)
 	add("write_timeouts", w.WriteTimeouts)
 	add("repl_stall_evictions", w.ReplStallEvictions)

@@ -77,10 +77,6 @@ type Options struct {
 	ReplWindow int
 	// ReplBatch bounds the events per WalBatch frame (default 64).
 	ReplBatch int
-	// TailBuffer sizes the live-tail subscription buffer per follower; on
-	// overflow the log drops (never blocks) and the sender falls back to
-	// catch-up from the segments (default 1024).
-	TailBuffer int
 	// ReplStallTimeout evicts a follower whose send window has been full
 	// with zero ack progress for this long: the connection is cut and the
 	// follower re-catches-up on its redial, instead of pinning a sender
@@ -119,9 +115,6 @@ func (o *Options) defaults() {
 	}
 	if o.ReplBatch <= 0 {
 		o.ReplBatch = 64
-	}
-	if o.TailBuffer <= 0 {
-		o.TailBuffer = 1024
 	}
 	if o.ReplStallTimeout <= 0 {
 		o.ReplStallTimeout = 30 * time.Second

@@ -9,18 +9,25 @@ import (
 )
 
 // serveReplication is the primary side of WAL streaming: one goroutine per
-// subscribed follower, running a two-state machine.
+// subscribed follower, running one loop over one source — the segment files,
+// read through a position this goroutine owns.
 //
-//	CATCH-UP: read batches straight from the segment files (ReadSince)
-//	  until the follower is at the tail. A sequence that compaction has
-//	  removed forces a full-state resync (chunked Snap frames) instead.
-//	LIVE: consume the log's tail subscription. Duplicates (already read
-//	  during catch-up) are skipped; a gap — the bounded tail buffer
-//	  overflowed because this follower is slow — drops back to CATCH-UP.
+//	read  up to ReplBatch events after the position (ReadFrom)
+//	ship  them as one WalBatch
+//	wait  while the unacknowledged backlog exceeds the send window
+//	sleep when the read came back empty, until the log's shippable tail
+//	      moves (Advanced) — then read again
+//
+// with two exits: a position that compaction has removed forces a full-state
+// resync (chunked Snap frames) and the loop resumes after it; a follower
+// ahead of this log is refused. Under group commit the shippable tail is
+// the durable tail, so the read that follows a release returns that commit
+// batch and it ships as one frame.
 //
 // The send window (opt.ReplWindow) bounds unacknowledged events in flight;
 // a follower that stops acking stalls only this goroutine. The apply loop
-// is never blocked: the log's tail publish is non-blocking by construction.
+// is never blocked: an append closes a channel, and a read takes the log's
+// mutex to find its place, not while it reads.
 //
 // Teardown rides on rstop (closed the moment the connection's read loop
 // returns) rather than done, because this goroutine is inflight-counted
@@ -29,7 +36,7 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 	defer c.inflight.Done()
 	l := c.n.be.WAL()
 	epoch := c.n.be.Epoch()
-	sent := sub.AfterSeq
+	pos := wal.ReadPos{Seq: sub.AfterSeq} // pos.Seq is the last sequence sent
 	acked := sub.AfterSeq
 	hb := time.NewTicker(c.n.opt.HeartbeatInterval)
 	defer hb.Stop()
@@ -37,54 +44,15 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 	heartbeat := func() {
 		c.tryEnqueue(rtwire.Heartbeat{Epoch: epoch, Chronon: c.n.be.Now(), Seq: l.Seq()}.Encode())
 	}
-	// waitWindow blocks until the unacked backlog fits the send window;
-	// false means the connection is tearing down or the follower was
-	// evicted for stalling.
-	waitWindow := func() bool {
-		if !c.awaitAcks(&sent, &acked, hb, heartbeat) {
-			return false
-		}
-		// Fold in any acks already queued without blocking.
-		for {
-			select {
-			case ack := <-c.ackCh:
-				if ack > acked {
-					acked = ack
-				}
-			default:
-				return true
-			}
-		}
-	}
-	sendBatch := func(events []wal.SeqEvent) bool {
-		payloads := make([]string, len(events))
-		for i, se := range events {
-			payloads[i] = string(se.Event.Payload())
-		}
-		ok := c.sendRepl(rtwire.WalBatch{
-			Epoch: epoch, FirstSeq: events[0].Seq, Events: payloads,
-		}.Encode())
-		if ok {
-			c.n.Wire.ReplBatchesOut.Add(1)
-			sent = events[len(events)-1].Seq
-		}
-		return ok && waitWindow()
-	}
-
 	for {
-		// CATCH-UP: drain the segments until the follower is at the tail.
-		events, err := l.ReadSince(sent, c.n.opt.ReplBatch)
+		events, err := l.ReadFrom(&pos, c.n.opt.ReplBatch)
 		switch {
-		case err == nil && len(events) > 0:
-			if !sendBatch(events) {
-				return
-			}
-			continue
 		case errors.Is(err, wal.ErrSeqCompacted):
-			var ok bool
-			if sent, ok = c.sendResync(l, epoch); !ok {
+			seq, ok := c.sendResync(l, epoch)
+			if !ok {
 				return
 			}
+			pos = wal.ReadPos{Seq: seq}
 			continue
 		case errors.Is(err, wal.ErrSeqFuture):
 			// The follower claims a longer log than ours: it has history
@@ -94,91 +62,34 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 			return
 		case err != nil:
 			return // log closed or poisoned; the follower will redial
-		}
-
-		// LIVE: subscribe first, then re-read once — an append landing
-		// between the ReadSince above and the subscription would otherwise
-		// be lost.
-		tail := l.SubscribeTail(c.n.opt.TailBuffer)
-		events, err = l.ReadSince(sent, c.n.opt.ReplBatch)
-		if err != nil || len(events) > 0 {
-			tail.Close()
-			if err != nil && !errors.Is(err, wal.ErrSeqCompacted) {
-				return
-			}
-			continue // deliver via catch-up, then try again
-		}
-		if !c.liveTail(tail, epoch, &sent, &acked, hb, heartbeat) {
-			return
-		}
-		c.n.Wire.ReplGapRestarts.Add(1)
-		// Fell out of live mode on a gap: back to catch-up.
-	}
-}
-
-// liveTail streams the tail subscription until a gap (false abort reasons
-// return false; a gap returns true so the caller re-enters catch-up).
-func (c *conn) liveTail(tail *wal.Tail, epoch uint64, sent, acked *uint64, hb *time.Ticker, heartbeat func()) (gap bool) {
-	defer tail.Close()
-	for {
-		select {
-		case se, ok := <-tail.C:
-			if !ok {
-				return false // log closed
-			}
-			if se.Seq <= *sent {
-				continue // duplicate of the catch-up read
-			}
-			if se.Seq != *sent+1 {
-				return true // buffer overflowed: catch up from disk
-			}
-			batch := []wal.SeqEvent{se}
-			// Coalesce whatever else is already buffered, stopping at a
-			// gap inside the run.
-			contiguous := true
-		coalesce:
-			for len(batch) < c.n.opt.ReplBatch {
-				select {
-				case next, ok := <-tail.C:
-					if !ok {
-						break coalesce
-					}
-					if next.Seq != batch[len(batch)-1].Seq+1 {
-						contiguous = false
-						break coalesce
-					}
-					batch = append(batch, next)
-				default:
-					break coalesce
-				}
-			}
-			payloads := make([]string, len(batch))
-			for i, b := range batch {
-				payloads[i] = string(b.Event.Payload())
+		case len(events) > 0:
+			payloads := make([]string, len(events))
+			for i, se := range events {
+				payloads[i] = string(se.Event.Payload())
 			}
 			if !c.sendRepl(rtwire.WalBatch{
-				Epoch: epoch, FirstSeq: batch[0].Seq, Events: payloads,
+				Epoch: epoch, FirstSeq: events[0].Seq, Events: payloads,
 			}.Encode()) {
-				return false
+				return
 			}
 			c.n.Wire.ReplBatchesOut.Add(1)
-			*sent = batch[len(batch)-1].Seq
-			if !contiguous {
-				return true
+			if !c.awaitAcks(pos.Seq, &acked, hb, heartbeat) {
+				return
 			}
-			if !c.awaitAcks(sent, acked, hb, heartbeat) {
-				return false
-			}
+			continue
+		}
+		// Caught up. Advanced is already closed if an append slipped in
+		// after the read above, so no wake-up is lost.
+		select {
+		case <-l.Advanced(pos.Seq):
 		case ack := <-c.ackCh:
-			if ack > *acked {
-				*acked = ack
-			}
+			acked = max(acked, ack)
 		case <-hb.C:
 			heartbeat()
 		case <-c.rstop:
-			return false
+			return
 		case <-c.n.quit:
-			return false
+			return
 		}
 	}
 }
@@ -212,19 +123,29 @@ func (c *conn) sendResync(l *wal.Log, epoch uint64) (uint64, bool) {
 	return seq, true
 }
 
-// awaitAcks blocks while the unacked backlog exceeds the send window,
-// folding in follower acks as they arrive. A follower whose window stays
-// full with zero ack progress for ReplStallTimeout is evicted: the read
-// loop is interrupted so the whole connection tears down, and the
-// follower redials into a fresh catch-up. False means stop streaming —
-// teardown, quit, or eviction.
-func (c *conn) awaitAcks(sent, acked *uint64, hb *time.Ticker, heartbeat func()) bool {
-	if *sent-*acked <= uint64(c.n.opt.ReplWindow) {
+// awaitAcks folds in the follower acks already queued, then blocks while the
+// unacked backlog exceeds the send window, folding in acks as they arrive.
+// (ackCh is bounded and the read loop drops into a full one, so a sender
+// that looked only when its window filled could wait on an ack that was
+// dropped.) A follower whose window stays full with zero ack progress for
+// ReplStallTimeout is evicted: the read loop is interrupted so the whole
+// connection tears down, and the follower redials into a fresh catch-up.
+// False means stop streaming — teardown, quit, or eviction.
+func (c *conn) awaitAcks(sent uint64, acked *uint64, hb *time.Ticker, heartbeat func()) bool {
+	for queued := true; queued; {
+		select {
+		case ack := <-c.ackCh:
+			*acked = max(*acked, ack)
+		default:
+			queued = false
+		}
+	}
+	if sent-*acked <= uint64(c.n.opt.ReplWindow) {
 		return true
 	}
 	stall := time.NewTimer(c.n.opt.ReplStallTimeout)
 	defer stall.Stop()
-	for *sent-*acked > uint64(c.n.opt.ReplWindow) {
+	for sent-*acked > uint64(c.n.opt.ReplWindow) {
 		select {
 		case ack := <-c.ackCh:
 			if ack > *acked {

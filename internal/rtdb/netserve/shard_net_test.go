@@ -52,7 +52,7 @@ func startShardSet(t *testing.T, shards int, logs []*wal.Log) (*server.ShardedSe
 	ss.Start()
 	set := NewShardSet(ss, Options{
 		HeartbeatInterval: 25 * time.Millisecond,
-		ReplBatch:         4, ReplWindow: 16, TailBuffer: 64,
+		ReplBatch:         4, ReplWindow: 16,
 	})
 	addrs := make([]string, len(set))
 	for i, ns := range set {

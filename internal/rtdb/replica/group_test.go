@@ -15,7 +15,7 @@ import (
 // under group commit:
 //
 //   - a follower never sees an event before its covering fsync on the
-//     primary (tail publication and catch-up are both durability-gated),
+//     primary (the one read replication ships from stops at the durable tail),
 //   - whole commit batches ship as batches, so the follower's fsync
 //     cadence tracks the shipped-batch count, not the event count,
 //   - the follower-acked repl_durable watermark still converges to the
@@ -36,7 +36,7 @@ func TestBatchedShippingWatermark(t *testing.T) {
 	srv.Start()
 	ns := netserve.New(srv, netserve.Options{
 		HeartbeatInterval: 25 * time.Millisecond,
-		ReplBatch:         4, ReplWindow: 16, TailBuffer: 256,
+		ReplBatch:         4, ReplWindow: 16,
 	})
 	addr, err := ns.Listen("127.0.0.1:0")
 	if err != nil {
@@ -74,7 +74,7 @@ func TestBatchedShippingWatermark(t *testing.T) {
 		tickets = append(tickets, tk)
 	}
 	// The follower must not apply any of it: undurable events are invisible
-	// to both the live tail and the catch-up read.
+	// to the sender's read.
 	time.Sleep(100 * time.Millisecond)
 	if got := r.Seq(); got != 0 {
 		t.Fatalf("follower applied %d events before the primary's fsync", got)

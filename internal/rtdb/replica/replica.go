@@ -29,9 +29,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -39,6 +37,7 @@ import (
 
 	"rtc/internal/faultnet"
 	"rtc/internal/rtdb"
+	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
@@ -141,9 +140,7 @@ type histSnap struct {
 	db  *rtdb.HistoricalDatabase
 }
 
-// newFrameReader and readMsg are the tailer's decode path.
-func newFrameReader(nc net.Conn) *bufio.Reader { return bufio.NewReader(nc) }
-
+// readMsg is the tailer's decode path.
 func readMsg(br *bufio.Reader) (any, error) {
 	f, err := rtwire.ReadFrame(br)
 	if err != nil {
@@ -324,11 +321,10 @@ func (r *Replica) Close() error {
 }
 
 // tail is the follower loop: connect, subscribe, stream, and on any loss
-// redial with decorrelated-jitter pauses.
+// redial on the client's decorrelated-jitter walk.
 func (r *Replica) tail() {
 	defer r.wg.Done()
-	rng := rand.New(rand.NewSource(int64(r.cfg.Seed)))
-	pause := r.cfg.RetryBackoff
+	bo := client.NewBackoff(r.cfg.Seed, r.cfg.RetryBackoff, r.cfg.RetryBackoffMax)
 	for {
 		select {
 		case <-r.quit:
@@ -338,7 +334,7 @@ func (r *Replica) tail() {
 		default:
 		}
 		if err := r.streamOnce(); err == nil {
-			pause = r.cfg.RetryBackoff // clean end (Bye): reset the walk
+			bo.Reset() // clean end (Bye)
 		}
 		select {
 		case <-r.quit:
@@ -348,17 +344,8 @@ func (r *Replica) tail() {
 		default:
 		}
 		r.Repl.Reconnects.Add(1)
-		// Decorrelated jitter, as in the client: next ∈ [base, 3·prev].
-		next := r.cfg.RetryBackoff
-		if hi := 3 * pause; hi > next {
-			next += time.Duration(rng.Int63n(int64(hi-next) + 1))
-		}
-		if next > r.cfg.RetryBackoffMax {
-			next = r.cfg.RetryBackoffMax
-		}
-		pause = next
 		select {
-		case <-time.After(next):
+		case <-time.After(bo.Next()):
 		case <-r.quit:
 			return
 		case <-r.promotedCh:
@@ -391,19 +378,9 @@ func (r *Replica) streamOnce() error {
 		conn.Close()
 	}()
 
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	if _, err := conn.Write(rtwire.Hello{Client: r.cfg.Name}.Encode()); err != nil {
-		return err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(r.cfg.DialTimeout))
-	br := newFrameReader(conn)
-	msg, err := readMsg(br)
+	w, br, err := client.Handshake(conn, r.cfg.Name, r.cfg.WriteTimeout, r.cfg.DialTimeout)
 	if err != nil {
 		return err
-	}
-	w, ok := msg.(rtwire.Welcome)
-	if !ok {
-		return fmt.Errorf("replica: handshake answered with %T", msg)
 	}
 	if w.Epoch < r.Epoch() {
 		// The "primary" is itself deposed; refuse to follow it.
@@ -562,50 +539,21 @@ func (r *Replica) publishLocked() {
 }
 
 // rebuildMirrorLocked reconstructs the degraded-query mirror from the log
-// state, exactly as server recovery does: catalog via Build (derivations
-// re-bound by name), then samples re-injected in timestamp order. A state
-// the registry cannot rebuild (unknown derived object) leaves the mirror
-// nil — queries are then refused read-only rather than answered wrongly.
+// state through the rebuild server recovery uses (wal.State.Rebuild). A
+// state the registry cannot rebuild (unknown derived object) leaves the
+// mirror nil — queries are then refused read-only rather than answered
+// wrongly.
 func (r *Replica) rebuildMirrorLocked() {
 	r.db, r.sched = nil, nil
 	if r.cfg.Catalog == nil {
 		return
 	}
-	st := r.log.State()
 	sched := vtime.New()
 	db := rtdb.New(sched)
-	if err := st.Build(db, r.cfg.Registry); err != nil {
+	if err := r.log.State().Rebuild(db, r.cfg.Registry); err != nil {
 		r.Repl.MirrorErrors.Add(1)
 		return
 	}
-	type rec struct {
-		at           timeseq.Time
-		image, value string
-		seq          int
-	}
-	var all []rec
-	for name, img := range st.Images {
-		for i, smp := range img.Samples {
-			all = append(all, rec{at: smp.At, image: name, value: smp.Value, seq: i})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		if all[i].image != all[j].image {
-			return all[i].image < all[j].image
-		}
-		return all[i].seq < all[j].seq
-	})
-	for _, s := range all {
-		sched.RunUntil(s.at)
-		if err := db.InjectSample(s.image, s.value); err != nil {
-			r.Repl.MirrorErrors.Add(1)
-			return
-		}
-	}
-	sched.RunUntil(st.LastAt)
 	r.db, r.sched = db, sched
 }
 

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"strconv"
 	"testing"
 	"time"
@@ -14,6 +16,9 @@ import (
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 )
+
+// newFrameReader wraps a raw test connection for readMsg.
+func newFrameReader(nc net.Conn) *bufio.Reader { return bufio.NewReader(nc) }
 
 // testEvents is a small deterministic workload: the catalog prologue plus n
 // samples spread over the images.
@@ -81,7 +86,7 @@ func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, 
 	srv.Start()
 	ns := netserve.New(srv, netserve.Options{
 		HeartbeatInterval: 25 * time.Millisecond,
-		ReplBatch:         4, ReplWindow: 16, TailBuffer: 64,
+		ReplBatch:         4, ReplWindow: 16,
 	})
 	addr, err := ns.Listen("127.0.0.1:0")
 	if err != nil {

@@ -39,7 +39,7 @@ func TestShardReplication(t *testing.T) {
 	ss.Start()
 	set := netserve.NewShardSet(ss, netserve.Options{
 		HeartbeatInterval: 25 * time.Millisecond,
-		ReplBatch:         4, ReplWindow: 16, TailBuffer: 64,
+		ReplBatch:         4, ReplWindow: 16,
 	})
 	addrs := make([]string, len(set))
 	for i, ns := range set {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -163,10 +162,10 @@ type Server struct {
 	lastSnap timeseq.Time
 	hist     atomic.Pointer[histSnap]
 
-	// names is the sorted image-name list, computed once at construction
-	// (the image set is fixed after New; refreshImageNames re-derives it if
-	// that ever changes). publishSnapshot used to rebuild and re-sort it
-	// every period.
+	// names lists the images of the database New built — the recovered
+	// catalog's after a recovery, cfg.Spec's otherwise. The image set is
+	// fixed after New, so publishSnapshot walks this instead of collecting
+	// it every period.
 	names []string
 	// pubLen is each image's history length at its last capture; an image
 	// whose length is unchanged is clean and its published relation is
@@ -211,13 +210,14 @@ func New(cfg Config) (*Server, error) {
 	recovered := cfg.Log != nil && cfg.Log.State().Events > 0
 	if recovered {
 		st := cfg.Log.State()
-		if err := st.Build(s.db, cfg.Registry); err != nil {
+		if err := st.Rebuild(s.db, cfg.Registry); err != nil {
 			return nil, err
 		}
-		if err := s.replaySamples(st); err != nil {
-			return nil, err
+		// The recovered catalog wins: cfg.Spec may name images this log
+		// never held, or lack some it does.
+		for name := range st.Images {
+			s.names = append(s.names, name)
 		}
-		s.sched.RunUntil(st.LastAt)
 		s.clock.Store(uint64(st.LastAt))
 		s.Metrics.Chronon.Store(uint64(st.LastAt))
 	} else {
@@ -229,7 +229,6 @@ func New(cfg Config) (*Server, error) {
 	// The pre-existing firing log (empty after recovery by construction —
 	// rules were not installed during replay) is drained from zero.
 	s.firings = len(s.db.FiringLog())
-	s.refreshImageNames()
 	s.pubLen = make(map[string]int, len(s.names))
 	s.publishSnapshot()
 
@@ -258,80 +257,12 @@ func (s *Server) installSpec() {
 	for _, o := range sp.Images {
 		s.db.AddImage(&rtdb.ImageObject{Name: o.Name, Period: o.Period})
 		s.walAppend(wal.Image(o.Name, o.Period))
+		s.names = append(s.names, o.Name)
 	}
 	for _, d := range sp.Derived {
 		s.db.AddDerived(&rtdb.DerivedObject{Name: d.Name, Sources: d.Sources, Derive: d.Derive})
 		s.walAppend(wal.Derived(d.Name, d.Sources...))
 	}
-}
-
-// replaySamples re-injects recovered sample histories in (time, image,
-// position) order, advancing the virtual clock so every sample lands at its
-// original time. Each image's history is already in log order, which is
-// time order, so the global order is a k-way merge of the histories as they
-// stand: a heap of one cursor per image keyed by (head time, image name)
-// yields exactly the sequence a sort of all samples by (time, image,
-// position) would, without copying or comparing the samples themselves.
-func (s *Server) replaySamples(st *wal.State) error {
-	h := make(replayHeap, 0, len(st.Images))
-	for name, img := range st.Images {
-		if len(img.Samples) > 0 {
-			h = append(h, replayCursor{image: name, rest: timeOrdered(img.Samples)})
-		}
-	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		c := &h[0]
-		s.sched.RunUntil(c.rest[0].At)
-		if err := s.db.InjectSample(c.image, c.rest[0].Value); err != nil {
-			return err
-		}
-		if c.rest = c.rest[1:]; len(c.rest) == 0 {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return nil
-}
-
-// timeOrdered returns the samples in (time, position) order. The server
-// only ever logs an image's samples on a monotone clock, so this is the
-// slice itself; a log written some other way gets a stably sorted copy, and
-// the merge stays equal to the sort it replaced on every input.
-func timeOrdered(samples []rtdb.Sample) []rtdb.Sample {
-	byTime := func(i, j int) bool { return samples[i].At < samples[j].At }
-	if sort.SliceIsSorted(samples, byTime) {
-		return samples
-	}
-	samples = append([]rtdb.Sample(nil), samples...)
-	sort.SliceStable(samples, byTime)
-	return samples
-}
-
-// replayCursor is the unreplayed rest of one image's history.
-type replayCursor struct {
-	image string
-	rest  []rtdb.Sample
-}
-
-// replayHeap orders cursors by (head sample time, image name).
-type replayHeap []replayCursor
-
-func (h replayHeap) Len() int { return len(h) }
-func (h replayHeap) Less(i, j int) bool {
-	if a, b := h[i].rest[0].At, h[j].rest[0].At; a != b {
-		return a < b
-	}
-	return h[i].image < h[j].image
-}
-func (h replayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *replayHeap) Push(x any)   { *h = append(*h, x.(replayCursor)) }
-func (h *replayHeap) Pop() any {
-	old := *h
-	c := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return c
 }
 
 // Start launches the apply loop and the session forwarders.
@@ -378,8 +309,7 @@ func (s *Server) Now() timeseq.Time { return timeseq.Time(s.clock.Load()) }
 func (s *Server) DB() *rtdb.DB { return s.db }
 
 // WAL exposes the write-ahead log (nil when the server runs without one).
-// The replication fan-out reads catch-up batches and subscribes to the live
-// tail through it.
+// The replication senders read what they ship through it.
 func (s *Server) WAL() *wal.Log { return s.cfg.Log }
 
 // Epoch returns the node's fencing epoch: the WAL's persisted epoch, or 1
@@ -716,14 +646,14 @@ func (s *Server) publishSnapshot() {
 	var out *rtdb.HistoricalDatabase
 	if prev := s.hist.Load(); prev == nil {
 		out = rtdb.NewHistoricalDatabase()
-		for _, name := range s.imageNames() {
+		for _, name := range s.names {
 			img, _ := s.db.Image(name)
 			out.Add(rtdb.FromLiveImage(img, now))
 			s.pubLen[name] = len(img.History())
 		}
 	} else {
 		out = prev.db.Clone()
-		for _, name := range s.imageNames() {
+		for _, name := range s.names {
 			img, _ := s.db.Image(name)
 			if n := len(img.History()); n != s.pubLen[name] {
 				out.Add(rtdb.FromLiveImage(img, now))
@@ -734,28 +664,6 @@ func (s *Server) publishSnapshot() {
 	out.SetHorizon(now)
 	s.hist.Store(&histSnap{at: now, db: out})
 	s.lastSnap = now
-}
-
-// imageNames returns the sorted image-name list, cached at construction.
-func (s *Server) imageNames() []string { return s.names }
-
-// refreshImageNames re-derives the cached image-name list from the spec
-// (or, after recovery, the WAL state). Call it again only if the image set
-// ever changes after construction.
-func (s *Server) refreshImageNames() {
-	var names []string
-	for _, o := range s.cfg.Spec.Images {
-		names = append(names, o.Name)
-	}
-	if s.cfg.Log != nil {
-		if st := s.cfg.Log.State(); len(st.Images) > 0 && len(names) == 0 {
-			for n := range st.Images {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-		}
-	}
-	s.names = names
 }
 
 // HistoryHorizon returns the time through which as-of reads are current.

@@ -8,9 +8,9 @@ import (
 
 	"rtc/internal/deadline"
 	"rtc/internal/relational"
+	"rtc/internal/rtdb"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/timeseq"
-	"rtc/internal/rtdb"
 )
 
 func statusDerive(src map[string]rtdb.Value) rtdb.Value {
@@ -449,6 +449,67 @@ func TestWalAndRecovery(t *testing.T) {
 	}
 	if !resp.Evaluated || len(resp.Answers) == 0 {
 		t.Fatalf("query after recovery: %+v", resp)
+	}
+}
+
+// TestRecoveredCatalogWinsOverSpec pins Config.Log's contract in both
+// directions: over a log that already holds state, cfg.Spec is ignored. A
+// spec naming an image the log never held must not reach the as-of snapshot
+// (it used to be looked up in the recovered database and dereferenced nil
+// inside New — the crash a standby promoted over a foreign keyspace died
+// of), and an image the log holds but the spec lacks must still be served.
+func TestRecoveredCatalogWinsOverSpec(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Log = l
+	cfg.Spec.Images = append(cfg.Spec.Images, &rtdb.ImageObject{Name: "pressure", Period: 3})
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	if err := s.Session(0).InjectSample("pressure", "990"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Session(0).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	at := l.State().LastAt
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, images := range map[string][]*rtdb.ImageObject{
+		"spec_names_more": {{Name: "temp", Period: 5}, {Name: "pressure", Period: 3}, {Name: "humidity", Period: 7}},
+		"spec_names_less": {{Name: "temp", Period: 5}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := wal.Open(wal.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			cfg := testConfig()
+			cfg.Log, cfg.Spec.Images = l, images
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := s.ValueAsOf("pressure", at); !ok || v != "990" {
+				t.Fatalf("recovered image pressure as of %d = %q, %v; want 990", at, v, ok)
+			}
+			if _, ok := s.ValueAsOf("humidity", at); ok {
+				t.Fatal("an image only the spec names reached the as-of snapshot")
+			}
+			if _, ok := s.DB().Image("humidity"); ok {
+				t.Fatal("an image only the spec names was installed over a recovered log")
+			}
+		})
 	}
 }
 

@@ -31,7 +31,7 @@ func (c Config) failoverPoint(p *point, events []wal.Event) error {
 	ps := pointSeed(c.Seed, p.at)
 	nopt := netserve.Options{
 		HeartbeatInterval: 50 * time.Millisecond,
-		ReplBatch:         8, ReplWindow: 32, TailBuffer: 256,
+		ReplBatch:         8, ReplWindow: 32,
 	}
 	if c.Shards > 0 {
 		// Sharded rerun: the primary poses as one listener of an N-wide
@@ -52,7 +52,11 @@ func (c Config) failoverPoint(p *point, events []wal.Event) error {
 	st.memP.CrashAt(p.at)
 	acked := 0
 	for _, e := range events {
-		if err := st.lp.Append(e); err != nil {
+		// A power cut inside the append's own housekeeping (the automatic
+		// snapshot) lets Append return nil on a dead disk. The process the
+		// model kills never saw that return and acked nothing — and the
+		// sender, which reads what it ships from that disk, is as dead.
+		if err := st.lp.Append(e); err != nil || st.memP.Dead() {
 			break
 		}
 		acked++

@@ -29,9 +29,9 @@ func TestFailoverSweepFull(t *testing.T) {
 // enabled on both the primary and the replica WAL. The driver appends one
 // event at a time and blocks for the replica's ack, so each append is a
 // batch of one — the point is that the grouped code path (tickets, release
-// at fsync, tail publication at durability, AppendBatch on the follower)
-// preserves the replicated invariant acked ≤ n ≤ acked+1 at every kill
-// point.
+// at fsync, the shippable tail moving with durability, AppendBatch on the
+// follower) preserves the replicated invariant acked ≤ n ≤ acked+1 at every
+// kill point.
 func TestFailoverGroupCommit(t *testing.T) {
 	rep := Config{Seed: 3, Events: 40, Stride: 23, GroupWindow: 50 * time.Microsecond, Logf: t.Logf}.Sweep(ModeFailover)
 	report(t, rep)

@@ -52,7 +52,7 @@ func (c Config) fabricStack(fab *faultnet.Fabric, seed uint64, sessions int) (*s
 			HeartbeatInterval: 40 * time.Millisecond,
 			WriteTimeout:      150 * time.Millisecond,
 			HandshakeTimeout:  500 * time.Millisecond,
-			ReplBatch:         8, ReplWindow: 16, TailBuffer: 256,
+			ReplBatch:         8, ReplWindow: 16,
 			ReplStallTimeout: 300 * time.Millisecond,
 		},
 		follower: replica.Config{
