@@ -114,7 +114,7 @@ torture-failover:
 # conservation on both sides of the cut, and post-heal liveness. A failing
 # point prints its `-seed S -at N` reproduction.
 torture-partition:
-	$(GO) run ./cmd/rttorture -mode partition -seeds 3 -events 90 -v
+	$(GO) run ./cmd/rttorture -mode partition -seeds 3 -events 160 -v
 
 # Race-grade wire chaos: 32 clients + 1 replica hammer a primary through a
 # chaos-shaped faultnet fabric (split writes, jittered delivery) while a
@@ -124,7 +124,7 @@ torture-partition:
 # heartbeat, and client-teardown suites.
 race-partition:
 	$(GO) test -race -count=1 -run='TestPartitionHammer|TestPartitionSweepShort|TestPartitionPointRepro' ./internal/rtdb/torture/
-	$(GO) test -race -count=1 -run='TestCorruptedFrame|TestHeartbeatOneWay' ./internal/rtdb/netserve/
+	$(GO) test -race -count=1 -run='TestCorruptedFrame|TestDropSpan|TestHeartbeatOneWay' ./internal/rtdb/netserve/
 	$(GO) test -race -count=1 -run='TestClose(AfterPartitionCut|DuringSlowLoris)' ./internal/rtdb/client/
 	$(GO) test -race -count=1 ./internal/faultnet/
 

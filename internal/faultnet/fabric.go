@@ -16,7 +16,7 @@ type FaultKind uint8
 const (
 	FaultNone      FaultKind = iota
 	FaultCut                 // seeded strict prefix delivered, then both directions reset
-	FaultDrop                // seeded strict prefix of one write vanishes; the suffix still flows
+	FaultDrop                // seeded strict prefix of one write vanishes (Fault.Span bounds it); the suffix still flows
 	FaultCorrupt             // one seeded byte of one write flipped
 	FaultStall               // the firing endpoint's writes block until Heal
 	FaultPartition           // matching directions blackholed until Heal (socket held open)
@@ -40,10 +40,17 @@ func (k FaultKind) String() string {
 type Direction struct{ From, To string }
 
 // Fault is what ArmAt fires when the write-op counter reaches the armed
-// point. Dirs applies to FaultPartition only.
+// point. Dirs applies to FaultPartition only, Span to FaultDrop only.
 type Fault struct {
 	Kind FaultKind
 	Dirs []Direction
+	// Span, when > 0, keeps the vanished prefix shorter than Span bytes. A
+	// writer that coalesces records into one write arms it with its record
+	// header size, so the damage always lands inside the first header: an
+	// unbounded draw can end exactly on a record boundary and elide whole
+	// records from a stream that stays well-formed — acks-and-omits, which
+	// no network does. 0 draws from the whole write.
+	Span int
 }
 
 // streamBuf bounds one direction's in-flight bytes (the "kernel buffer");
@@ -241,9 +248,13 @@ func (f *Fabric) connWrite(c *Conn, p []byte) (int, error) {
 	case FaultCut:
 		cutPrefix = f.rng.IntN(len(p)) // strict prefix: mid-frame truncation
 	case FaultDrop:
-		dropPrefix = len(p)
-		if len(p) >= 2 {
-			dropPrefix = 1 + f.rng.IntN(len(p)-1)
+		span := len(p)
+		if f.armed.Span > 0 {
+			span = min(span, f.armed.Span)
+		}
+		dropPrefix = 1
+		if span >= 2 {
+			dropPrefix = 1 + f.rng.IntN(span-1)
 		}
 	case FaultCorrupt:
 		flipAt, flipBits = f.rng.IntN(len(p)), byte(1+f.rng.IntN(255))
@@ -268,7 +279,7 @@ func (f *Fabric) connWrite(c *Conn, p []byte) (int, error) {
 		// frame boundary lands mid-frame, a desync its framing checks must
 		// catch. (A clean whole-frame elision would model a transport no
 		// real network has — TCP never acks-and-omits while the connection
-		// keeps delivering.)
+		// keeps delivering; Fault.Span rules it out for multi-frame writes.)
 		c.wr.setTap(f.tap)
 		if dropPrefix < len(p) {
 			_, _ = c.wr.write(p[dropPrefix:])

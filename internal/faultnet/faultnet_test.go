@@ -8,6 +8,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"rtc/internal/rtwire"
 )
 
 // pair dials one connection through a fresh fabric, returning both ends.
@@ -296,5 +298,80 @@ func TestChaosShapingPreservesBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("chaos shaping altered the byte stream")
+	}
+}
+
+// coalesced is what a client that batches its sends puts in one socket
+// write: two fire-and-forget samples and the Flush whose ack covers them.
+func coalesced() (write []byte, firstFrame int) {
+	write = rtwire.Sample{ID: 1, Image: "temp", Value: "21"}.AppendTo(nil)
+	firstFrame = len(write)
+	write = rtwire.Sample{ID: 2, Image: "temp", Value: "22"}.AppendTo(write)
+	return rtwire.Flush{ID: 3}.AppendTo(write), firstFrame
+}
+
+// dropCoalesced arms drop (with the given Span) at one coalesced write and
+// returns the frames a framing reader decodes from what is left, the error
+// that ended the stream, and how many bytes vanished.
+func dropCoalesced(t *testing.T, seed uint64, span int) (frames []any, end error, dropped int) {
+	t.Helper()
+	f := NewFabric(seed)
+	defer f.Close()
+	c, s := pair(t, f, "client", "srv:1")
+	f.ArmAt(1, Fault{Kind: FaultDrop, Span: span})
+	write, _ := coalesced()
+	if _, err := c.Write(write); err != nil {
+		t.Fatalf("dropped write: %v (drops must look like success)", err)
+	}
+	c.Close() // the reader drains what was delivered, then EOF
+	dropped = len(write) - len(f.MalformedStream())
+	for {
+		fr, err := rtwire.ReadFrame(s)
+		if err != nil {
+			return frames, err, dropped
+		}
+		msg, err := rtwire.Decode(fr)
+		if err != nil {
+			return frames, err, dropped
+		}
+		frames = append(frames, msg)
+	}
+}
+
+// TestDropSpan: why a coalescing writer's drop fault carries a Span.
+//
+// Span 0 draws the vanished prefix from the whole write, and the draw can end
+// exactly on a frame boundary: seed 54 elides the first Sample and hands the
+// reader a well-formed "Sample, Flush" — a write the peer will acknowledge
+// with a sample missing behind the ack, which is a transport no network is
+// (TCP never acks-and-omits on a connection that keeps delivering). With
+// Span at the frame header size the damage always lands inside the first
+// header: the reader decodes nothing from the damaged write, on any seed,
+// and what ends the stream is frame damage, so the connection resets.
+func TestDropSpan(t *testing.T) {
+	_, firstFrame := coalesced()
+	frames, end, dropped := dropCoalesced(t, 54, 0)
+	if dropped != firstFrame {
+		t.Fatalf("seed 54 dropped %d bytes, not the first frame's %d: the draw moved, pick the seed that aligns again", dropped, firstFrame)
+	}
+	if len(frames) != 2 || end != io.EOF {
+		t.Fatalf("boundary-aligned drop read %d frames then %v, want a clean Sample, Flush, EOF", len(frames), end)
+	}
+	if m, ok := frames[0].(rtwire.Sample); !ok || m.ID != 2 {
+		t.Fatalf("first surviving frame %+v, want the second Sample", frames[0])
+	}
+	if _, ok := frames[1].(rtwire.Flush); !ok {
+		t.Fatalf("second surviving frame %+v, want the Flush", frames[1])
+	}
+
+	for seed := uint64(1); seed <= 200; seed++ {
+		frames, end, dropped := dropCoalesced(t, seed, rtwire.HeaderSize)
+		if dropped < 1 || dropped >= rtwire.HeaderSize {
+			t.Fatalf("seed %d: Span %d dropped %d bytes", seed, rtwire.HeaderSize, dropped)
+		}
+		if len(frames) != 0 || !rtwire.IsCorruptFrame(end) {
+			t.Fatalf("seed %d: %d frames decoded after the damaged write, stream ended with %v; want none and frame damage",
+				seed, len(frames), end)
+		}
 	}
 }

@@ -1,0 +1,377 @@
+package client_test
+
+import (
+	"bytes"
+	"errors"
+	"net"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"rtc/internal/faultnet"
+	"rtc/internal/rtdb/client"
+	"rtc/internal/rtdb/server"
+	"rtc/internal/rtwire"
+)
+
+// None of these tests sleeps or counts on the flusher winning or losing a
+// race: each holds the socket write it cares about on a gate, or waits on an
+// event the code under test produces, so every run takes one of the orders
+// the contract allows and the assertions hold on all of them.
+
+// tapDialer dials real TCP and wraps every connection in a tapConn.
+type tapDialer struct {
+	// gate, when non-nil, parks the first data write of every connection
+	// until it is closed.
+	gate chan struct{}
+
+	mu    sync.Mutex
+	conns []*tapConn
+}
+
+func (d *tapDialer) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
+	nc, err := faultnet.OS{}.DialTimeout(network, address, timeout)
+	if err != nil {
+		return nil, err
+	}
+	tc := &tapConn{Conn: nc, gate: d.gate, wrote: make(chan struct{}, 1), failed: make(chan struct{}, 1)}
+	d.mu.Lock()
+	d.conns = append(d.conns, tc)
+	d.mu.Unlock()
+	return tc, nil
+}
+
+func (d *tapDialer) conn(i int) *tapConn {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.conns[i]
+}
+
+// tapConn counts and records the client's data writes — every socket write
+// after the handshake's Hello — and can park the first of them or fail all of
+// them on demand.
+type tapConn struct {
+	net.Conn
+	gate   chan struct{}
+	wrote  chan struct{} // one token per data write that reached the socket
+	failed chan struct{} // one token per write refused by fail
+
+	mu     sync.Mutex
+	calls  int // Write calls, Hello included
+	writes int // data writes
+	wire   bytes.Buffer
+	fail   bool
+}
+
+var errTapWrite = errors.New("tap: injected write failure")
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.calls++
+	call, fail := c.calls, c.fail
+	c.mu.Unlock()
+	if call == 1 {
+		return c.Conn.Write(p) // Hello
+	}
+	if fail {
+		notify(c.failed)
+		return 0, errTapWrite
+	}
+	if call == 2 && c.gate != nil {
+		<-c.gate
+	}
+	c.mu.Lock()
+	c.writes++
+	c.wire.Write(p)
+	c.mu.Unlock()
+	n, err := c.Conn.Write(p)
+	notify(c.wrote)
+	return n, err
+}
+
+func notify(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+func (c *tapConn) failWrites() {
+	c.mu.Lock()
+	c.fail = true
+	c.mu.Unlock()
+}
+
+// sent returns the data-write count and the decoded frames written so far.
+func (c *tapConn) sent(t *testing.T) (writes int, frames []any) {
+	t.Helper()
+	c.mu.Lock()
+	writes = c.writes
+	b := append([]byte(nil), c.wire.Bytes()...)
+	c.mu.Unlock()
+	for len(b) > 0 {
+		f, n, err := rtwire.DecodeFrame(b)
+		if err != nil {
+			t.Fatalf("client wrote an undecodable stream: %v", err)
+		}
+		msg, err := rtwire.Decode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, msg)
+		b = b[n:]
+	}
+	return writes, frames
+}
+
+// waitApplied waits on the server until it has applied n samples.
+func waitApplied(t *testing.T, s *server.Server, n uint64) {
+	t.Helper()
+	for dl := time.Now().Add(10 * time.Second); s.Metrics.SamplesApplied.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(dl) {
+			t.Fatalf("server applied %d samples, want %d", s.Metrics.SamplesApplied.Load(), n)
+		}
+	}
+}
+
+// injectAll runs n InjectSample calls (values 0..n-1) and fails the test if
+// they do not all return while a socket write is parked on gate: accepting a
+// sample must not wait on the socket.
+func injectAll(t *testing.T, c *client.Client, n int, gate chan struct{}) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := c.InjectSample("temp", strconv.Itoa(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(gate)
+		t.Fatalf("InjectSample blocked behind a parked socket write")
+	}
+}
+
+// wantSamples checks that frames starts with n samples valued 0..n-1 in
+// order, and returns the rest.
+func wantSamples(t *testing.T, frames []any, n int) []any {
+	t.Helper()
+	if len(frames) < n {
+		t.Fatalf("%d frames on the wire, want at least %d samples", len(frames), n)
+	}
+	for i := 0; i < n; i++ {
+		m, ok := frames[i].(rtwire.Sample)
+		if !ok || m.Value != strconv.Itoa(i) {
+			t.Fatalf("frame %d on the wire is %+v, want sample %d", i, frames[i], i)
+		}
+	}
+	return frames[n:]
+}
+
+// TestBurstSharesAWrite: 64 samples accepted while the connection's first
+// data write is parked, then a Flush, reach the server in at most three
+// socket writes — the parked one, one for what queued behind it, one for the
+// Flush — in submit order, all applied. One write per frame is 65.
+func TestBurstSharesAWrite(t *testing.T) {
+	s, addr := startServer(t)
+	d := &tapDialer{gate: make(chan struct{})}
+	c, err := client.Dial(addr, client.Options{Dialer: d, HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	injectAll(t, c, 64, d.gate)
+	close(d.gate)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	writes, frames := d.conn(0).sent(t)
+	rest := wantSamples(t, frames, 64)
+	if len(rest) != 1 {
+		t.Fatalf("%d frames after the samples, want the one Flush", len(rest))
+	}
+	if _, ok := rest[0].(rtwire.Flush); !ok {
+		t.Fatalf("last frame is %+v, want Flush", rest[0])
+	}
+	if writes > 3 {
+		t.Errorf("64 samples + Flush took %d socket writes, want at most 3", writes)
+	}
+	if got := s.Metrics.SamplesApplied.Load(); got != 64 {
+		t.Errorf("server applied %d samples behind the acked Flush, want 64", got)
+	}
+}
+
+// TestLoneSampleLeaves: one InjectSample and no further client call — the
+// flusher alone must carry it to the server.
+func TestLoneSampleLeaves(t *testing.T) {
+	s, addr := startServer(t)
+	c, err := client.Dial(addr, client.Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.InjectSample("temp", "25"); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, s, 1)
+}
+
+// TestOrderAcrossKinds: samples nobody waits on and queries that are waited
+// on, interleaved on one connection, reach the wire in program order.
+func TestOrderAcrossKinds(t *testing.T) {
+	_, addr := startServer(t)
+	d := &tapDialer{}
+	c, err := client.Dial(addr, client.Options{Dialer: d, HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var want []string
+	for round := 0; round < 20; round++ {
+		for i := 0; i <= round%3; i++ {
+			if err := c.InjectSample("temp", "21"); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, "sample")
+		}
+		if _, err := c.Query(client.Query{Query: "status_q"}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, "query")
+	}
+	_, frames := d.conn(0).sent(t)
+	if len(frames) != len(want) {
+		t.Fatalf("%d frames on the wire, want %d", len(frames), len(want))
+	}
+	var last uint64
+	for i, f := range frames {
+		var kind string
+		var id uint64
+		switch m := f.(type) {
+		case rtwire.Sample:
+			kind, id = "sample", m.ID
+		case rtwire.Query:
+			kind, id = "query", m.ID
+		}
+		// Ids are handed out in call order, so increasing ids are program order.
+		if kind != want[i] || id <= last {
+			t.Fatalf("frame %d is %s id %d after id %d, want %s in program order", i, kind, id, last, want[i])
+		}
+		last = id
+	}
+}
+
+// TestCloseLosesNothingAccepted: samples accepted behind a parked write are
+// on the wire, in order, before Close's Bye — and nothing follows it.
+func TestCloseLosesNothingAccepted(t *testing.T) {
+	s, addr := startServer(t)
+	d := &tapDialer{gate: make(chan struct{})}
+	c, err := client.Dial(addr, client.Options{Dialer: d, HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectAll(t, c, 64, d.gate)
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	close(d.gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	_, frames := d.conn(0).sent(t)
+	rest := wantSamples(t, frames, 64)
+	if len(rest) != 1 {
+		t.Fatalf("%d frames after the samples, want the one Bye", len(rest))
+	}
+	if _, ok := rest[0].(rtwire.Bye); !ok {
+		t.Fatalf("last frame is %+v, want Bye", rest[0])
+	}
+	waitApplied(t, s, 64)
+}
+
+// TestFlusherFindsDeadSocket: the socket starts refusing writes while a
+// sample sits in the buffer and a call is pending. Only the flusher touches
+// the socket, so it is the flusher's failure that must clear the connection:
+// the pending call fails instead of hanging, and the next send redials.
+func TestFlusherFindsDeadSocket(t *testing.T) {
+	addr := fakeNode(t, 1, true, 2) // handshakes, then never answers
+	d := &tapDialer{}
+	c, err := client.Dial(addr, client.Options{
+		Dialer: d, HeartbeatInterval: -1, RetryAttempts: -1, CallTimeout: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	tc := d.conn(0)
+	pending := make(chan error, 1)
+	go func() { pending <- c.Flush() }()
+	<-tc.wrote // the Flush frame is out; its caller now waits on a reply
+	tc.failWrites()
+	if err := c.InjectSample("temp", "20"); err != nil {
+		t.Fatalf("InjectSample into the buffer of a socket not yet known dead: %v", err)
+	}
+	<-tc.failed // the flusher tried the socket
+	select {
+	case err := <-pending:
+		if !errors.Is(err, client.ErrConnDown) {
+			t.Fatalf("pending Flush returned %v, want ErrConnDown", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pending Flush still hangs after the flusher's write failed")
+	}
+	if got := c.Stats.Redials.Load(); got != 0 {
+		t.Fatalf("Redials = %d before any send followed the failure", got)
+	}
+	if err := c.InjectSample("temp", "21"); err != nil {
+		t.Fatalf("InjectSample after the connection was cleared: %v", err)
+	}
+	if got := c.Stats.Redials.Load(); got != 1 {
+		t.Fatalf("Redials = %d after the next send, want 1", got)
+	}
+	<-d.conn(1).wrote // and the sample leaves on the new connection
+	if _, frames := d.conn(1).sent(t); len(frames) != 1 {
+		t.Fatalf("new connection carries %d frames, want only the sample sent on it", len(frames))
+	}
+}
+
+// TestSendAllocGates pins the send side beside rtwire's TestAllocGates: a
+// warm InjectSample allocates nothing, and the send half of a waited-on call
+// (Flush, Query) encodes into the connection's buffer, not a fresh slice.
+func TestSendAllocGates(t *testing.T) {
+	addr := fakeNode(t, 1, true, 1) // a sink: reads and discards
+	c, err := client.Dial(addr, client.Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := client.Query{Query: "status_q", Candidate: "ok", Deadline: 8, MinUseful: 1}
+	for name, send := range map[string]func() error{
+		"InjectSample": func() error { return c.InjectSample("temp", "21") },
+		"Flush+Query":  func() error { return c.SendWaited(q) },
+	} {
+		var err error
+		// AllocsPerRun warms up with one call of its own.
+		if allocs := testing.AllocsPerRun(200, func() {
+			if e := send(); e != nil {
+				err = e
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

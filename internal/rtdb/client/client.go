@@ -50,7 +50,8 @@ type Options struct {
 	DialTimeout time.Duration
 	// CallTimeout bounds one request/response round trip (default 30s).
 	CallTimeout time.Duration
-	// WriteTimeout bounds one frame write (default 10s).
+	// WriteTimeout bounds one socket write, which may carry several frames
+	// (default 10s).
 	WriteTimeout time.Duration
 	// RetryAttempts is how many times Dial (and a Query that hits a dead
 	// connection) retries after the first failure (default 2).
@@ -208,9 +209,12 @@ type Client struct {
 	// the heartbeat watchdog reads it.
 	lastRead atomic.Int64
 
-	mu       sync.Mutex // guards conn/bw, address rotation, and (re)dials
-	conn     net.Conn
-	bw       *bufio.Writer
+	mu   sync.Mutex // guards conn/out, address rotation, and (re)dials
+	conn net.Conn
+	// out holds the frames accepted for conn and not yet handed to the
+	// socket, encoded in place in program order. It is non-empty only while
+	// conn is live: whatever clears conn discards it (dropLocked).
+	out      []byte
 	gen      int // bumped on every successful redial
 	closed   bool
 	cur      int    // index into addrs of the next dial target
@@ -228,11 +232,29 @@ type Client struct {
 	smu  sync.Mutex
 	subs map[uint64]*Subscription
 
+	// wmu serializes socket writes: flush holds it from taking out until the
+	// write has returned, so bytes reach the socket in the order they were
+	// accepted while mu — and with it every sender that does not wait — stays
+	// free during the write. Lock order is wmu, then mu. spare is the buffer
+	// out swaps with, guarded by wmu.
+	wmu   sync.Mutex
+	spare []byte
+
+	// kick wakes the flusher: one token means "out may hold frames nobody is
+	// about to flush". flushed closes when the flusher has exited.
+	kick    chan struct{}
+	flushed chan struct{}
+
 	// done closes when Close is called; every waiter that outlives a call —
-	// the heartbeat watchdog, retry backoff pauses, resume loops — selects
-	// on it so Close leaks neither goroutines nor timers.
+	// the flusher, the heartbeat watchdog, retry backoff pauses, resume
+	// loops — selects on it so Close leaks neither goroutines nor timers.
 	done chan struct{}
 }
+
+// outHigh is where a sender that does not wait flushes anyway: the buffer a
+// stalled or slow socket can pin stays bounded, and a producer that outruns
+// the connection is slowed to its pace.
+const outHigh = 4096
 
 // Dial connects and performs the Hello/Welcome handshake, retrying per
 // Options. addr may be a comma-separated failover list; dial failures
@@ -252,6 +274,8 @@ func Dial(addr string, opt Options) (*Client, error) {
 		addrs: addrs, opt: opt,
 		pending: make(map[uint64]chan any),
 		subs:    make(map[uint64]*Subscription),
+		kick:    make(chan struct{}, 1),
+		flushed: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	bo := NewBackoff(opt.Seed, opt.RetryBackoff, opt.RetryBackoffMax)
@@ -264,6 +288,7 @@ func Dial(addr string, opt Options) (*Client, error) {
 		err = c.connectLocked()
 		c.mu.Unlock()
 		if err == nil {
+			go c.flushLoop()
 			return c, nil
 		}
 	}
@@ -319,7 +344,7 @@ func (c *Client) connectOneLocked() error {
 		c.shards = 1
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	c.conn, c.bw = conn, bufio.NewWriter(conn)
+	c.conn = conn
 	if c.lastAddr != "" && c.lastAddr != addr {
 		c.Stats.FailedOver.Add(1)
 		// The node we land on next must carry everything the old one
@@ -404,9 +429,9 @@ func (c *Client) heartbeatLoop(conn net.Conn, gen int) {
 		if now := time.Now(); now.Sub(lastBeacon) >= iv {
 			lastBeacon = now
 			// The beacon's write deadline is clamped to one interval: a
-			// stalled socket must not pin the client mutex for the full
+			// stalled socket must not pin this goroutine for the full
 			// WriteTimeout while the watchdog is trying to detect it.
-			_ = c.sendTimeout(rtwire.Heartbeat{}.Encode(), false, min(iv, c.opt.WriteTimeout))
+			_ = c.sendTimeout(rtwire.Heartbeat{}.AppendTo, false, true, min(iv, c.opt.WriteTimeout))
 		}
 	}
 }
@@ -438,10 +463,7 @@ func (c *Client) notePromoted(e uint64) {
 func (c *Client) rotate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
+	c.dropLocked()
 	c.cur = (c.cur + 1) % len(c.addrs)
 }
 
@@ -537,19 +559,20 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 		if err != nil {
 			continue
 		}
+		// Replies reach deliver as the interface Decode already boxed.
 		switch m := msg.(type) {
 		case rtwire.Result:
-			c.deliver(m.ID, m)
+			c.deliver(m.ID, msg)
 		case rtwire.AsOfResult:
-			c.deliver(m.ID, m)
+			c.deliver(m.ID, msg)
 		case rtwire.Metrics:
-			c.deliver(m.ID, m)
+			c.deliver(m.ID, msg)
 		case rtwire.Flushed:
-			c.deliver(m.ID, m)
+			c.deliver(m.ID, msg)
 		case rtwire.SubAck:
-			c.deliver(m.ID, m)
+			c.deliver(m.ID, msg)
 		case rtwire.Err:
-			if !c.deliver(m.ID, m) {
+			if !c.deliver(m.ID, msg) {
 				switch m.Code {
 				case rtwire.CodeBackpressure:
 					// A bounced fire-and-forget sample.
@@ -597,9 +620,8 @@ func (c *Client) deliver(id uint64, msg any) bool {
 func (c *Client) failPending(gen int) {
 	c.mu.Lock()
 	current := c.gen == gen
-	if current && c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+	if current {
+		c.dropLocked()
 	}
 	c.mu.Unlock()
 	if !current {
@@ -614,50 +636,114 @@ func (c *Client) failPending(gen int) {
 	c.resumeSubs()
 }
 
-// send writes one frame. redial controls whether a dead connection is
-// re-established first.
-func (c *Client) send(frame []byte, redial bool) error {
-	return c.sendTimeout(frame, redial, c.opt.WriteTimeout)
+// dropLocked abandons the live connection, and with it the frames accepted
+// for it that never reached the socket; the next send redials. Caller holds
+// mu.
+func (c *Client) dropLocked() {
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn = nil
+	}
+	c.out = c.out[:0]
+}
+
+// send accepts one frame for the connection. encode appends the frame to
+// the buffer it is given (a message's AppendTo). redial controls whether a
+// dead connection is re-established first; wait says the caller waits on
+// this frame, so it — and everything accepted ahead of it — is handed to
+// the socket before send returns.
+func (c *Client) send(encode func([]byte) []byte, redial, wait bool) error {
+	return c.sendTimeout(encode, redial, wait, c.opt.WriteTimeout)
 }
 
 // sendTimeout is send with an explicit write deadline; the heartbeat
 // beacon clamps it to one interval.
-func (c *Client) sendTimeout(frame []byte, redial bool, wt time.Duration) error {
+func (c *Client) sendTimeout(encode func([]byte) []byte, redial, wait bool, wt time.Duration) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return ErrClosed
 	}
 	if c.conn == nil {
 		if !redial {
+			c.mu.Unlock()
 			return ErrConnDown
 		}
 		if err := c.connectLocked(); err != nil {
+			c.mu.Unlock()
 			return fmt.Errorf("%w: %v", ErrConnDown, err)
 		}
 		c.Stats.Redials.Add(1)
 	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(wt))
-	if _, err := c.bw.Write(frame); err != nil {
-		c.conn.Close()
-		c.conn = nil
-		return fmt.Errorf("%w: %v", ErrConnDown, err)
+	c.out = encode(c.out)
+	gen, full := c.gen, len(c.out) >= outHigh
+	c.mu.Unlock()
+	if wait || full {
+		return c.flush(gen, wt)
 	}
-	if err := c.bw.Flush(); err != nil {
-		c.conn.Close()
-		c.conn = nil
-		return fmt.Errorf("%w: %v", ErrConnDown, err)
+	select {
+	case c.kick <- struct{}{}:
+	default: // a token is already waiting; the flusher will find this frame too
 	}
 	return nil
 }
 
+// flush hands everything accepted so far to the socket in one write, under
+// a write deadline armed here — where the bytes leave — and not per frame.
+// gen is the connection generation the caller's frame was accepted on (0:
+// no frame in particular); if that connection is gone the frame went with
+// it and the caller hears ErrConnDown, exactly as if its own write had
+// failed. A failed write drops the connection, so the next send redials.
+func (c *Client) flush(gen int, wt time.Duration) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	conn, buf, cur := c.conn, c.out, c.gen
+	c.out = c.spare[:0]
+	c.mu.Unlock()
+	c.spare = buf
+	if len(buf) > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(wt))
+		if _, err := conn.Write(buf); err != nil {
+			c.mu.Lock()
+			if c.conn == conn {
+				c.dropLocked()
+			}
+			c.mu.Unlock()
+			return fmt.Errorf("%w: %v", ErrConnDown, err)
+		}
+	}
+	if gen != 0 && (conn == nil || cur != gen) {
+		return ErrConnDown
+	}
+	return nil
+}
+
+// flushLoop is the connection's flusher: a frame nobody waits on is not
+// flushed by its caller, it is flushed here, one goroutine wake-up after
+// the first of a burst was accepted — so a lone sample leaves at once and a
+// tight loop of them, outrunning the wake-up, shares a socket write. There
+// is no timer to tune. It never redials: a failed write drops the
+// connection and the next send finds out.
+func (c *Client) flushLoop() {
+	defer close(c.flushed)
+	for {
+		select {
+		case <-c.kick:
+			_ = c.flush(0, c.opt.WriteTimeout)
+		case <-c.done:
+			return
+		}
+	}
+}
+
 // call sends an id-carrying frame and waits for its response.
-func (c *Client) call(id uint64, frame []byte) (any, error) {
+func (c *Client) call(id uint64, encode func([]byte) []byte) (any, error) {
 	ch := make(chan any, 1)
 	c.pmu.Lock()
 	c.pending[id] = ch
 	c.pmu.Unlock()
-	if err := c.send(frame, true); err != nil {
+	if err := c.send(encode, true, true); err != nil {
 		c.pmu.Lock()
 		delete(c.pending, id)
 		c.pmu.Unlock()
@@ -708,7 +794,7 @@ func (c *Client) Query(q Query) (Result, error) {
 			Elapsed:   timeseq.Time(time.Since(issue) / c.opt.ChrononDuration),
 			MinUseful: q.MinUseful, Decay: q.Decay,
 		}
-		msg, err := c.call(id, wq.Encode())
+		msg, err := c.call(id, wq.AppendTo)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, ErrConnDown) {
@@ -747,11 +833,19 @@ func (c *Client) Query(q Query) (Result, error) {
 	return Result{}, lastErr
 }
 
-// InjectSample submits one timed sensor sample, fire-and-forget. A
-// server-side rejection arrives asynchronously and is counted in
-// Stats.Backpressure.
+// InjectSample submits one timed sensor sample, fire-and-forget. nil means
+// the sample was accepted into the connection's buffer — it never meant
+// applied. The sample leaves with the next frame a caller waits on (Query,
+// Flush, AsOf, Metrics, a subscription frame, the heartbeat), when the
+// buffer fills, or as soon as the connection's flusher runs — one goroutine
+// wake-up — whichever is first, always in program order; Flush is the
+// barrier that says everything before it was applied. A connection that
+// dies takes its unflushed samples with it (Stats.Redials moves on the next
+// send). A burst larger than the session's QueueDepth reaches the queue at
+// wire speed: a server-side rejection arrives asynchronously and is counted
+// in Stats.Backpressure, as before.
 func (c *Client) InjectSample(image, value string) error {
-	return c.send(rtwire.Sample{ID: c.nextID(), Image: image, Value: value}.Encode(), true)
+	return c.send(rtwire.Sample{ID: c.nextID(), Image: image, Value: value}.AppendTo, true, false)
 }
 
 // AsOf reads an image object's value as of server chronon at, served from
@@ -759,7 +853,7 @@ func (c *Client) InjectSample(image, value string) error {
 // through which as-of reads are current.
 func (c *Client) AsOf(image string, at timeseq.Time) (value string, ok bool, horizon timeseq.Time, err error) {
 	id := c.nextID()
-	msg, err := c.call(id, rtwire.AsOf{ID: id, Image: image, At: at}.Encode())
+	msg, err := c.call(id, rtwire.AsOf{ID: id, Image: image, At: at}.AppendTo)
 	if err != nil {
 		return "", false, 0, err
 	}
@@ -774,7 +868,7 @@ func (c *Client) AsOf(image string, at timeseq.Time) (value string, ok bool, hor
 // pairs (server rows first, then the net_* wire rows).
 func (c *Client) Metrics() (rtwire.Metrics, error) {
 	id := c.nextID()
-	msg, err := c.call(id, rtwire.MetricsReq{ID: id}.Encode())
+	msg, err := c.call(id, rtwire.MetricsReq{ID: id}.AppendTo)
 	if err != nil {
 		return rtwire.Metrics{}, err
 	}
@@ -789,7 +883,7 @@ func (c *Client) Metrics() (rtwire.Metrics, error) {
 // been applied by the server.
 func (c *Client) Flush() error {
 	id := c.nextID()
-	msg, err := c.call(id, rtwire.Flush{ID: id}.Encode())
+	msg, err := c.call(id, rtwire.Flush{ID: id}.AppendTo)
 	if err != nil {
 		return err
 	}
@@ -813,7 +907,9 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// Close announces an orderly close and tears the connection down.
+// Close announces an orderly close and tears the connection down: what was
+// accepted and is still buffered goes out first, then Bye, through the same
+// flush as every other frame.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -822,6 +918,10 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	close(c.done)
+	if c.conn != nil {
+		// closed is set, so no send can put a frame behind this one.
+		c.out = rtwire.Bye{Reason: "close"}.AppendTo(c.out)
+	}
 	c.mu.Unlock()
 	// Every subscription ends here: consumers see their channels close and
 	// Err() report the client shutdown.
@@ -835,13 +935,13 @@ func (c *Client) Close() error {
 	for _, s := range subs {
 		s.finish(ErrClosed)
 	}
+	<-c.flushed
+	_ = c.flush(0, c.opt.WriteTimeout)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn != nil {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.opt.WriteTimeout))
-		_, _ = c.conn.Write(rtwire.Bye{Reason: "close"}.Encode())
 		err := c.conn.Close()
-		c.conn = nil
+		c.conn, c.out = nil, nil
 		return err
 	}
 	return nil

@@ -44,9 +44,14 @@ func testServerConfig() server.Config {
 	}
 }
 
-func startServer(t *testing.T) string {
+// startServer stands up a started server behind a loopback listener and
+// hands back the server, so a test can wait on what it has applied, and the
+// listener's address.
+func startServer(t *testing.T) (*server.Server, string) {
 	t.Helper()
-	s, err := server.New(testServerConfig())
+	cfg := testServerConfig()
+	cfg.QueueDepth = 256 // a 64-sample burst arriving at wire speed fits
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func startServer(t *testing.T) string {
 		_ = ns.Close()
 		s.Stop()
 	})
-	return addr.String()
+	return s, addr.String()
 }
 
 // TestDialFailureIsFast: with retries disabled a dial against a dead port
@@ -82,7 +87,7 @@ func TestDialFailureIsFast(t *testing.T) {
 // TestClientEndToEnd drives the whole public client surface against a
 // live loopback server.
 func TestClientEndToEnd(t *testing.T) {
-	addr := startServer(t)
+	_, addr := startServer(t)
 	c, err := client.Dial(addr, client.Options{Name: "e2e"})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +142,7 @@ func TestClientEndToEnd(t *testing.T) {
 // whatever Elapsed the client stamps, E ≥ 0 = D holds, so the server must
 // reject it unevaluated and report the miss.
 func TestZeroDeadlineFirmExpires(t *testing.T) {
-	addr := startServer(t)
+	_, addr := startServer(t)
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)

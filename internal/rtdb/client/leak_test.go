@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -30,13 +31,26 @@ func waitGoroutines(t *testing.T, base int, slack int) int {
 	}
 }
 
+// noFlusher fails the test if any client's flusher goroutine is still alive.
+// Close waits for the flusher, so this holds the moment Close has returned —
+// no slack, unlike the goroutine count, which one stray flusher would slip
+// under.
+func noFlusher(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	if bytes.Contains(buf, []byte("client.(*Client).flushLoop")) {
+		t.Errorf("a flusher goroutine outlived Close:\n%s", buf)
+	}
+}
+
 // TestCloseLeaksNoGoroutines: a client with a live connection, an armed
 // heartbeat watchdog, and an active subscription must shed every goroutine
 // and timer on Close — the watchdog's old `for range ticker.C` shape kept
 // the goroutine (and its ticker) alive for up to a full interval after
 // Close, which this test pins at a long interval to make the leak loud.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
-	addr := startServer(t)
+	_, addr := startServer(t)
 	base := runtime.NumGoroutine()
 
 	c, err := client.Dial(addr, client.Options{
@@ -55,6 +69,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	noFlusher(t)
 
 	// Close ended the subscription too: the channel closes and Err reports
 	// the shutdown.
@@ -121,6 +136,7 @@ func TestCloseUnblocksRetryBackoff(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	noFlusher(t)
 	select {
 	case err := <-done:
 		if !errors.Is(err, client.ErrClosed) && !errors.Is(err, client.ErrConnDown) {
@@ -224,6 +240,7 @@ func TestCloseAfterPartitionCutLeaksNoGoroutines(t *testing.T) {
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("Close took %v with a partitioned redial in flight", d)
 	}
+	noFlusher(t)
 	select {
 	case <-drained:
 	case <-time.After(5 * time.Second):
@@ -276,8 +293,9 @@ func TestCloseDuringSlowLorisLeaksNoGoroutines(t *testing.T) {
 		}
 	}()
 
-	// Pump writes into the stalled socket: each blocks until its write
-	// deadline, errors, and walks the retry ladder into the next stall.
+	// Pump samples at the stalled socket: the flusher's write blocks until
+	// its write deadline, errors and drops the connection, and the next
+	// send walks the retry ladder into the next stall.
 	for i := 0; i < 3; i++ {
 		_ = c.InjectSample("temp", "21")
 	}
@@ -295,6 +313,7 @@ func TestCloseDuringSlowLorisLeaksNoGoroutines(t *testing.T) {
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("Close took %v with writes wedged in the stall", d)
 	}
+	noFlusher(t)
 	select {
 	case <-flushDone:
 	case <-time.After(5 * time.Second):
@@ -312,7 +331,7 @@ func TestCloseDuringSlowLorisLeaksNoGoroutines(t *testing.T) {
 // real connection — admitted subscribe, cursored pushes as samples advance
 // the server clock, clean Close.
 func TestClientSubscribeEndToEnd(t *testing.T) {
-	addr := startServer(t)
+	_, addr := startServer(t)
 	c, err := client.Dial(addr, client.Options{Name: "sub-e2e"})
 	if err != nil {
 		t.Fatal(err)

@@ -114,19 +114,19 @@ func (c *Client) Subscribe(spec SubSpec) (*Subscription, error) {
 func (c *Client) attach(s *Subscription, resume bool) error {
 	id := c.nextID()
 	sp := s.spec
-	var frame []byte
+	var frame func([]byte) []byte
 	if resume {
 		frame = rtwire.SubResume{
 			ID: id, Query: sp.Query, Period: sp.Period, Kind: sp.Kind,
 			Deadline: sp.Deadline, MinUseful: sp.MinUseful, Decay: sp.Decay,
 			Depth: sp.Depth, AfterCursor: s.Cursor(),
-		}.Encode()
+		}.AppendTo
 	} else {
 		frame = rtwire.SubOpen{
 			ID: id, Query: sp.Query, Period: sp.Period, Kind: sp.Kind,
 			Deadline: sp.Deadline, MinUseful: sp.MinUseful, Decay: sp.Decay,
 			Depth: sp.Depth,
-		}.Encode()
+		}.AppendTo
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -343,7 +343,7 @@ func (s *Subscription) Close() error {
 		delete(c.subs, id)
 	}
 	c.smu.Unlock()
-	_, _ = c.call(id, rtwire.SubCancel{ID: id}.Encode())
+	_, _ = c.call(id, rtwire.SubCancel{ID: id}.AppendTo)
 	s.finish(nil)
 	return nil
 }

@@ -2,10 +2,13 @@ package netserve
 
 import (
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtc/internal/deadline"
+	"rtc/internal/faultnet"
 	"rtc/internal/rtdb/client"
 	"rtc/internal/rtdb/server"
 )
@@ -91,6 +94,67 @@ func BenchmarkNetSample(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
+}
+
+// writeCounter dials real TCP and counts the socket writes of every
+// connection it makes.
+type writeCounter struct{ writes atomic.Int64 }
+
+type writeCountedConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (d *writeCounter) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
+	nc, err := faultnet.OS{}.DialTimeout(network, address, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return writeCountedConn{nc, &d.writes}, nil
+}
+
+func (c writeCountedConn) Write(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.Conn.Write(p)
+}
+
+// BenchmarkClientIngest is the client half of the write path over loopback
+// TCP, no WAL: one op is a burst of 64 InjectSample and the Flush that acks
+// them — the microbenchmark twin of rtbench's wire_ingest_wal op. Beside
+// ns/op and allocs/op (client and in-process server together) it reports
+// ns/sample and the client's socket writes per op: 65 when every frame was
+// its own write, a handful when the burst leaves with the connection's flush.
+func BenchmarkClientIngest(b *testing.B) {
+	cfg := testConfig()
+	cfg.Sessions = 1
+	cfg.QueueDepth = 256 // the whole burst fits: nothing bounces
+	_, _, addr := startNet(b, cfg, Options{})
+	d := &writeCounter{}
+	c, err := client.Dial(addr, client.Options{Name: "ingest", Dialer: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	op := func() {
+		for i := 0; i < 64; i++ {
+			if err := c.InjectSample("temp", "21"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op() // buffers grown
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := d.writes.Load()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/64, "ns/sample")
+	b.ReportMetric(float64(d.writes.Load()-start)/float64(b.N), "socket-writes/op")
 }
 
 // BenchmarkNetFanout is the push path over loopback TCP: 32 standing queries

@@ -121,6 +121,33 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 	return w.nc.Write(p)
 }
 
+// deadlineReader is deadlineWriter's twin under the connection's
+// bufio.Reader: the inbound-silence bound is armed once per socket read, not
+// once per frame — a burst of samples that arrived in one segment is one
+// timer update, and silence is measured where it happens, between socket
+// reads. It checks quit after arming, never before: Close closes quit and
+// then interrupts the read with its own deadline, so either this check sees
+// quit or the interrupt lands on the deadline armed here — a re-arm can
+// never overwrite it. While idle is 0 it passes reads through: the handshake
+// runs under its own single deadline, and handle sets idle once it is over.
+type deadlineReader struct {
+	nc   net.Conn
+	idle time.Duration
+	quit <-chan struct{}
+}
+
+func (r *deadlineReader) Read(p []byte) (int, error) {
+	if r.idle > 0 {
+		_ = r.nc.SetReadDeadline(time.Now().Add(r.idle))
+		select {
+		case <-r.quit:
+			return 0, ErrServerClosed
+		default:
+		}
+	}
+	return r.nc.Read(p)
+}
+
 // writeLoop is the connection's only writer and its subscriptions' pump: it
 // sleeps on the write queue and on the shared wake channel, copies queued
 // frames and drained pushes into one bufio.Writer, and flushes once nothing
@@ -219,23 +246,12 @@ func (c *conn) discard() {
 
 // readLoop consumes the connection's timed word frame by frame until the
 // client says Bye, the connection dies, the idle timeout fires, or the
-// server drains.
+// server drains (deadlineReader, under c.br, sees the last two).
 func (c *conn) readLoop() {
 	// One payload buffer for the connection's lifetime: Decode copies the
 	// field strings out, so the next frame may overwrite it.
 	var rbuf []byte
-	// The inbound-silence bound is the tighter of IdleTimeout and three
-	// heartbeat intervals: a client that beacons every interval but goes
-	// silent behind a one-way partition is cut here in bounded time — the
-	// server-side half of the watchdog contract.
-	idle := min(c.n.opt.IdleTimeout, 3*c.n.opt.HeartbeatInterval)
 	for {
-		select {
-		case <-c.n.quit:
-			return
-		default:
-		}
-		_ = c.nc.SetReadDeadline(time.Now().Add(idle))
 		f, err := rtwire.ReadFrameBuf(c.br, &rbuf)
 		if err != nil {
 			if rtwire.IsProtocolError(err) {

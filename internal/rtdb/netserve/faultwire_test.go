@@ -1,12 +1,14 @@
 package netserve
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"rtc/internal/faultnet"
 	"rtc/internal/rtdb/client"
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtwire"
 )
 
 // startFabricNet stands up the test server behind a faultnet listener so
@@ -160,5 +162,45 @@ func TestCorruptedFrameOutboundCountedAndRotated(t *testing.T) {
 	}
 	if c.Stats.Redials.Load() == 0 {
 		t.Error("client kept reading a desynced connection instead of rotating")
+	}
+}
+
+// TestDropSpanResetsCoalescedWrite: a client that batches its sends puts
+// "Sample, Sample, Flush" in one socket write. A drop fault narrowed to the
+// frame header (Span: rtwire.HeaderSize, as the partition sweep arms it)
+// must desync that write inside its first header on every seed: the server
+// counts the corrupt frame, decodes none of the three, never acks the Flush
+// and resets the connection — it cannot lose a sample behind an acked Flush.
+// (faultnet's TestDropSpan shows the unbounded draw doing exactly that.)
+func TestDropSpanResetsCoalescedWrite(t *testing.T) {
+	write := rtwire.Sample{ID: 1, Image: "temp", Value: "21"}.AppendTo(nil)
+	write = rtwire.Sample{ID: 2, Image: "temp", Value: "22"}.AppendTo(write)
+	write = rtwire.Flush{ID: 3}.AppendTo(write)
+	for seed := uint64(1); seed <= 200; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			fab := faultnet.NewFabric(seed)
+			defer fab.Close()
+			_, ns := startFabricNet(t, fab, "srv:1", Options{})
+			nc, err := fab.Dialer("batcher").DialTimeout("tcp", "srv:1", time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			rc := &rawConn{t: t, nc: nc}
+			rc.handshake()
+			fab.ArmAt(fab.Ops()+1, faultnet.Fault{Kind: faultnet.FaultDrop, Span: rtwire.HeaderSize})
+			rc.write(write)
+			// The server's only answer is its drain Bye, then the close.
+			if _, ok := rc.read().(rtwire.Bye); !ok {
+				t.Fatal("the damaged write was answered with something other than the reset")
+			}
+			if _, err := rtwire.ReadFrame(nc); err == nil {
+				t.Fatal("the connection stayed up on a desynced stream")
+			}
+			w := ns.Wire.Snapshot()
+			if w.CorruptFrames != 1 || w.SamplesIn != 0 {
+				t.Fatalf("corrupt_frames %d samples_in %d, want 1 and 0", w.CorruptFrames, w.SamplesIn)
+			}
+		})
 	}
 }

@@ -388,7 +388,8 @@ func (n *Server) handle(nc net.Conn) {
 
 	// Handshake: the first frame must be a Hello within the timeout.
 	_ = nc.SetReadDeadline(time.Now().Add(n.opt.HandshakeTimeout))
-	br := bufio.NewReader(nc)
+	dr := &deadlineReader{nc: nc, quit: n.quit}
+	br := bufio.NewReader(dr)
 	f, err := rtwire.ReadFrame(br)
 	if err != nil || f.Kind != rtwire.KindHello {
 		n.Wire.ConnsRefused.Add(1)
@@ -403,6 +404,12 @@ func (n *Server) handle(nc net.Conn) {
 	}
 	defer sess.Close()
 
+	// The handshake ran under its own deadline; from here the reader arms the
+	// inbound-silence bound at each socket read. The bound is the tighter of
+	// IdleTimeout and three heartbeat intervals: a client that beacons every
+	// interval but goes silent behind a one-way partition is cut in bounded
+	// time — the server-side half of the watchdog contract.
+	dr.idle = min(n.opt.IdleTimeout, 3*n.opt.HeartbeatInterval)
 	c := &conn{
 		n: n, nc: nc, br: br,
 		sess:   sess,

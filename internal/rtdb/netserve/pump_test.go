@@ -135,8 +135,8 @@ func TestPumpFanoutOrderAndAccounting(t *testing.T) {
 }
 
 // countingListener wraps every accepted connection so a test can count the
-// socket writes and write-deadline updates the server issues on it, and see
-// a write that has not returned.
+// socket writes and the write- and read-deadline updates the server issues on
+// it, and see a write that has not returned.
 type countingListener struct {
 	net.Listener
 	conns chan *countingConn
@@ -145,6 +145,7 @@ type countingListener struct {
 type countingConn struct {
 	net.Conn
 	writes, deadlines, returned atomic.Int64
+	readDeadlines               atomic.Int64
 }
 
 func (l countingListener) Accept() (net.Conn, error) {
@@ -166,6 +167,11 @@ func (c *countingConn) Write(p []byte) (int, error) {
 func (c *countingConn) SetWriteDeadline(t time.Time) error {
 	c.deadlines.Add(1)
 	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *countingConn) SetReadDeadline(t time.Time) error {
+	c.readDeadlines.Add(1)
+	return c.Conn.SetReadDeadline(t)
 }
 
 // inWrite reports a server write on this connection that has not returned.
@@ -451,5 +457,50 @@ func TestSubCancelRacingDrain(t *testing.T) {
 	m := s.Metrics.Snapshot()
 	if m.SubsOpened != m.SubsClosed || m.PushAccounted() != m.PushScheduled {
 		t.Errorf("books after cancel races: %+v", m)
+	}
+}
+
+// TestReadDeadlinePerSocketRead: the inbound-silence bound is armed where the
+// server waits for bytes, not once per frame. 64 samples and a Flush that
+// arrive in one segment cost one SetReadDeadline for the read that delivers
+// them and one for the read that waits behind them (the bound: one more, for
+// a read armed before the count starts) — one per frame is 66.
+func TestReadDeadlinePerSocketRead(t *testing.T) {
+	fab := faultnet.NewFabric(1) // one write is one read: the segment cannot split
+	defer fab.Close()
+	ln, err := fab.Listen("srv:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ns, conns := serveCounting(t, ln)
+	nc, err := fab.Dialer("burst").DialTimeout("tcp", "srv:1", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	rc := &rawConn{t: t, nc: nc}
+	cc := <-conns
+	rc.handshake()
+	base := cc.readDeadlines.Load()
+
+	const flushID = 1000
+	var burst []byte
+	for i := uint64(1); i <= 64; i++ {
+		burst = rtwire.Sample{ID: i, Image: "temp", Value: "21"}.AppendTo(burst)
+	}
+	rc.write(rtwire.Flush{ID: flushID}.AppendTo(burst))
+	for answered := false; !answered; {
+		switch m := rc.read().(type) {
+		case rtwire.Flushed:
+			answered = m.ID == flushID
+		case rtwire.Err: // a sample (or the flush) bounced off the session queue
+			answered = m.ID == flushID
+		}
+	}
+	if got := ns.Wire.SamplesIn.Load(); got != 64 {
+		t.Fatalf("server decoded %d samples of the burst, want 64", got)
+	}
+	if got := cc.readDeadlines.Load() - base; got > 3 {
+		t.Errorf("65 frames in one segment cost %d SetReadDeadline calls, want at most 3", got)
 	}
 }

@@ -32,7 +32,11 @@ func partScenarios() []partScenario {
 	}
 	return []partScenario{
 		{name: "cut", fault: faultnet.Fault{Kind: faultnet.FaultCut}},
-		{name: "drop", fault: faultnet.Fault{Kind: faultnet.FaultDrop}},
+		// The client coalesces samples with the Flush that acks them: Span
+		// keeps the vanished prefix inside the write's first frame header, so
+		// the stream desyncs and resets, as on a real network, and cannot
+		// lose whole samples behind an acked Flush (DESIGN §15).
+		{name: "drop", fault: faultnet.Fault{Kind: faultnet.FaultDrop, Span: rtwire.HeaderSize}},
 		{name: "corrupt", fault: faultnet.Fault{Kind: faultnet.FaultCorrupt}},
 		{name: "stall", fault: faultnet.Fault{Kind: faultnet.FaultStall}, hb: true},
 		{name: "bh-client-to-primary", fault: part(dir("client", partPrimary)), hb: true},
