@@ -62,10 +62,11 @@ race-gc:
 	$(GO) test -race -run='GroupCommit|Group(Window|Single|Firm|Batch|FsyncFailure|Close|Tail|Amortized)|AppendBatch|BatchedShipping' ./internal/rtdb/log/ ./internal/rtdb/server/ ./internal/rtdb/replica/
 
 # Keyspace sharding under the race detector: the 8-shard × 32-writer
-# hammer (concurrent routed samples, queries, ticks, and flushes against
-# the cross-shard conservation sums), the differential suite that replays
-# every sharded run against a single-shard oracle, and the sharded
-# failover sweep with its placement-announcing Welcome.
+# hammer (concurrent samples, queries, ticks, and flushes, each placed on
+# its owning shard, against the cross-shard conservation sums), the
+# differential suite in netserve that runs one workload over the wire into
+# N listeners and into one unsharded server behind one listener, and the
+# sharded failover sweep with its placement-announcing Welcome.
 race-shard:
 	$(GO) test -race -run='TestRaceShard|TestShard' ./internal/rtdb/server/
 	$(GO) test -race -run='TestShard|TestFailoverSharded' ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/torture/
@@ -95,7 +96,7 @@ torture-short:
 # 4-shard deployment — rotating the victim through every shard — while the
 # others keep committing. Each point checks the victim's durability bound
 # (acked ≤ n ≤ acked+1), exact survivor recovery, the cross-shard
-# conservation sum, and that the consistent read horizon never regresses.
+# conservation sum, and that the group's recovered horizon never regresses.
 torture-shard:
 	$(GO) run ./cmd/rttorture -mode shard -seeds 3 -events 160 -v
 

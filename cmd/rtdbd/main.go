@@ -18,11 +18,12 @@
 // listener, so the synthetic and network paths cannot diverge. Run it
 // twice against the same -dir to watch recovery replay the log.
 //
-// -shards N composes N complete single-shard stacks — one WAL directory
-// (dir/shard-NN), one apply loop, one rtwire listener each — behind the
-// deterministic rtwire.ShardOf router. There is one code path for every N:
-// -shards 1 (the default) is its one-shard case, with the base directory
-// used verbatim and a byte-identical log.
+// -shards N runs N complete single-shard stacks — one WAL directory
+// (dir/shard-NN), one apply loop, one clock, one rtwire listener each.
+// Placement is the client's: it computes rtwire.ShardOf and talks to the
+// owning shard's listener. There is one code path for every N: -shards 1
+// (the default) is its one-shard case, with the base directory used
+// verbatim and a byte-identical log.
 package main
 
 import (
@@ -74,6 +75,8 @@ func main() {
 	}
 	var err error
 	switch {
+	case *replicaOf != "" && *shards > 1:
+		err = fmt.Errorf("-replica-of follows one shard's listener; run one replica per shard (drop -shards)")
 	case *replicaOf != "":
 		err = runReplica(*dir, *listen, *replicaOf, *promoteAfter, *sessions, *segSize, *snapshot, *fsync, *fsyncWin, *evalCost, *queue)
 	default:
@@ -436,11 +439,6 @@ func drive(cs []*client.Client, id, ops int, deadln uint64) {
 func report(ss *server.ShardedServer, set []*netserve.Server) error {
 	shards := ss.NumShards()
 	m := ss.MetricsSnapshot()
-	// The listeners serve the shards directly, not through the router, so
-	// the deployment's clock is the furthest shard's, not the routing clock.
-	for i := 0; i < shards; i++ {
-		m.Chronon = max(m.Chronon, uint64(ss.Shard(i).Now()))
-	}
 	fmt.Println()
 	fmt.Print(m.Table())
 	fmt.Println()

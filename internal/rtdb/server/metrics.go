@@ -13,6 +13,10 @@
 // word — Hui & Chikkagoudar's parallel model (PAPERS.md) motivates treating
 // the concurrent client streams as first-class timed words whose merge is
 // the apply order.
+//
+// A Server is also the unit of sharding: ShardedServer (sharded.go) builds N
+// of them from one catalog, each with its own clock, and whoever holds an
+// object's traffic places it with rtwire.ShardOf — no router sits in between.
 package server
 
 import (
@@ -95,9 +99,9 @@ type MetricsSnapshot struct {
 	AdmissionSkip, ExpiredOnArrival, Degraded uint64
 	PeriodicIssued, PeriodicHit, PeriodicMiss uint64
 
-	SubsOpened, SubsClosed              uint64
-	PushScheduled, Pushed               uint64
-	PushDropped, PushExpired            uint64
+	SubsOpened, SubsClosed   uint64
+	PushScheduled, Pushed    uint64
+	PushDropped, PushExpired uint64
 
 	AsOfReads, RuleFirings, CascadeDepthMax uint64
 
@@ -142,6 +146,47 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		GroupCommits:     m.GroupCommits.Load(),
 		GroupedAppends:   m.GroupedAppends.Load(),
 	}
+}
+
+// accumulate folds another shard's snapshot into s: counters add, the
+// max-gauges (cascade depth, fsync max) take the max, and Chronon is left
+// to the caller (a sum of clocks means nothing).
+func (s *MetricsSnapshot) accumulate(o MetricsSnapshot) {
+	s.SamplesIn += o.SamplesIn
+	s.SamplesRejected += o.SamplesRejected
+	s.SamplesApplied += o.SamplesApplied
+	s.QueriesIn += o.QueriesIn
+	s.QueriesRejected += o.QueriesRejected
+	s.RejectMiss += o.RejectMiss
+	s.DeadlineHit += o.DeadlineHit
+	s.DeadlineMiss += o.DeadlineMiss
+	s.NoDeadline += o.NoDeadline
+	s.AdmissionSkip += o.AdmissionSkip
+	s.ExpiredOnArrival += o.ExpiredOnArrival
+	s.Degraded += o.Degraded
+	s.PeriodicIssued += o.PeriodicIssued
+	s.PeriodicHit += o.PeriodicHit
+	s.PeriodicMiss += o.PeriodicMiss
+	s.SubsOpened += o.SubsOpened
+	s.SubsClosed += o.SubsClosed
+	s.PushScheduled += o.PushScheduled
+	s.Pushed += o.Pushed
+	s.PushDropped += o.PushDropped
+	s.PushExpired += o.PushExpired
+	s.AsOfReads += o.AsOfReads
+	s.RuleFirings += o.RuleFirings
+	if o.CascadeDepthMax > s.CascadeDepthMax {
+		s.CascadeDepthMax = o.CascadeDepthMax
+	}
+	s.WalAppends += o.WalAppends
+	s.WalErrors += o.WalErrors
+	s.FsyncCount += o.FsyncCount
+	s.FsyncNanos += o.FsyncNanos
+	if o.FsyncMaxNanos > s.FsyncMaxNanos {
+		s.FsyncMaxNanos = o.FsyncMaxNanos
+	}
+	s.GroupCommits += o.GroupCommits
+	s.GroupedAppends += o.GroupedAppends
 }
 
 // AccountExpired records a deadline-carrying query that a transport

@@ -10,14 +10,17 @@ import (
 
 	"rtc/internal/deadline"
 	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtwire"
+	"rtc/internal/timeseq"
 )
 
 // TestRaceShardHammer drives an 8-shard deployment from 32 concurrent
-// writer sessions mixed with scatter-gather readers (as-of point reads,
-// consistent-horizon probes, merged metric snapshots) while a drain
-// goroutine repeatedly quiesces a single shard mid-run. Asserts, after the
-// global flush: the cross-shard conservation law on the merged counters,
-// per-shard conservation on every shard, a monotone consistent horizon,
+// writers, each placing its traffic on the owning shard as a client does,
+// mixed with readers (as-of point reads at the owner's horizon, per-shard
+// horizon probes, merged metric snapshots) while a drain goroutine
+// repeatedly quiesces a single shard mid-run. Asserts, after every session
+// is flushed: the cross-shard conservation law on the merged counters,
+// per-shard conservation on every shard, a monotone horizon on every shard,
 // and no goroutine leak across Stop. Run under -race via the race-shard
 // make target.
 func TestRaceShardHammer(t *testing.T) {
@@ -50,9 +53,9 @@ func TestRaceShardHammer(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// The drain antagonist: pick one shard, pull it to the routing clock
-	// and through a durability barrier, over and over — a sharded
-	// deployment must keep serving the other seven lanes throughout.
+	// The drain antagonist: pick one shard, tick it and put it through a
+	// durability barrier, over and over — a sharded deployment must keep
+	// serving the other seven lanes throughout.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -64,33 +67,35 @@ func TestRaceShardHammer(t *testing.T) {
 			default:
 			}
 			sh := ss.Shard(victim % shards)
-			_ = sh.TickTo(ss.Now())
+			_ = sh.Tick(1)
 			_ = sh.Barrier()
 			victim++
 		}
 	}()
 
-	// Scatter-gather readers: horizon must never regress, merged metrics
-	// must always be coherent enough to snapshot (the law is asserted at
+	// Readers: no shard's horizon may ever regress, merged metrics must
+	// always be coherent enough to snapshot (the law is asserted at
 	// quiescence; here we just hammer the read paths).
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var lastHorizon = ss.HistoryHorizon()
+			var last [shards]timeseq.Time
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				h := ss.HistoryHorizon()
-				if h < lastHorizon {
-					t.Errorf("consistent horizon regressed: %d -> %d", lastHorizon, h)
+				obj := objs[(r*13+i)%nObjects]
+				k := rtwire.ShardOf(obj, shards)
+				h := ss.Shard(k).HistoryHorizon()
+				if h < last[k] {
+					t.Errorf("shard %d horizon regressed: %d -> %d", k, last[k], h)
 					return
 				}
-				lastHorizon = h
-				ss.ValueAsOf(objs[(r*13+i)%nObjects], h)
+				last[k] = h
+				ss.Shard(k).ValueAsOf(obj, h)
 				_ = ss.MetricsSnapshot()
 			}
 		}(r)
@@ -101,9 +106,9 @@ func TestRaceShardHammer(t *testing.T) {
 		writerWg.Add(1)
 		go func(id int) {
 			defer writerWg.Done()
-			c := ss.Session(id)
 			for op := 0; op < opsEach; op++ {
 				obj := objs[(id*7+op)%nObjects]
+				c := ownerSession(ss, obj, id)
 				switch op % 4 {
 				case 0, 1:
 					_ = c.InjectSample(obj, strconv.Itoa((id+op)%100))
@@ -115,16 +120,13 @@ func TestRaceShardHammer(t *testing.T) {
 					_ = c.Flush()
 				}
 			}
-			_ = c.Flush()
 		}(w)
 	}
 	writerWg.Wait()
 	close(stop)
 	wg.Wait()
 
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flushShards(t, ss)
 	m := ss.MetricsSnapshot()
 	if m.QueriesIn != m.QueriesAccounted() {
 		t.Fatalf("merged conservation violated: in=%d accounted=%d (rejected=%d hit=%d miss=%d none=%d)",
@@ -187,7 +189,7 @@ func TestRaceShardSingle(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := ss.Session(id)
+			c := ss.Shard(0).Session(id)
 			for op := 0; op < 60; op++ {
 				obj := objs[(id+op)%len(objs)]
 				if op%3 == 0 {
@@ -200,9 +202,7 @@ func TestRaceShardSingle(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flushShards(t, ss)
 	m := ss.MetricsSnapshot()
 	if m.QueriesIn != m.QueriesAccounted() {
 		t.Fatalf("conservation violated: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())

@@ -131,14 +131,6 @@ type request struct {
 	issue timeseq.Time
 	// tick
 	chronons uint64
-	// stamped requests carry the chronon they must land at: the sharded
-	// router stamps every routed request with its global routing clock so a
-	// shard's local clock mirrors the single-shard clock for the traffic it
-	// owns. The jump runs through tickTo, so periodic and subscription
-	// invocations that fell due during another shard's turn still fire at
-	// their own due chronons.
-	at      timeseq.Time
-	stamped bool
 	// apply: an arbitrary closure run on the apply loop (subscription
 	// attach/detach — anything that mutates apply-loop-owned state).
 	do    func()
@@ -325,50 +317,29 @@ func (s *Server) Epoch() uint64 {
 // idle time during which periodic queries still fire. It blocks until
 // applied.
 func (s *Server) Tick(n uint64) error {
-	reply := make(chan Response, 1)
-	select {
-	case s.inbox <- request{kind: reqTick, chronons: n, reply: reply}:
-	case <-s.quit:
-		return ErrClosed
-	}
-	select {
-	case <-reply:
-		return nil
-	case <-s.quit:
-		return ErrClosed
-	}
-}
-
-// TickTo advances the virtual clock to the absolute chronon at (a no-op if
-// the clock is already past it) through the apply loop. The sharded layer
-// uses it to pull idle shards up to the global routing clock so the
-// cross-shard horizon never dangles behind a quiet lane.
-func (s *Server) TickTo(at timeseq.Time) error {
-	reply := make(chan Response, 1)
-	select {
-	case s.inbox <- request{kind: reqTick, stamped: true, at: at, reply: reply}:
-	case <-s.quit:
-		return ErrClosed
-	}
-	select {
-	case <-reply:
-		return nil
-	case <-s.quit:
-		return ErrClosed
-	}
+	return s.roundTrip(s.inbox, request{kind: reqTick, chronons: n})
 }
 
 // Barrier blocks until every request enqueued on the inbox before it has
 // been applied.
 func (s *Server) Barrier() error {
-	reply := make(chan Response, 1)
+	return s.roundTrip(s.inbox, request{kind: reqBarrier})
+}
+
+// roundTrip puts r on to — the inbox, or a session queue to stay FIFO behind
+// that session's requests — and waits for the apply loop's answer; a server
+// stopping on either side of the hand-off gives ErrClosed. Tick, Barrier,
+// apply (subs.go) and Session.Flush go through it.
+func (s *Server) roundTrip(to chan<- request, r request) error {
+	r.reply = replyPool.Get().(chan Response)
 	select {
-	case s.inbox <- request{kind: reqBarrier, reply: reply}:
+	case to <- r:
 	case <-s.quit:
 		return ErrClosed
 	}
 	select {
-	case <-reply:
+	case <-r.reply:
+		replyPool.Put(r.reply)
 		return nil
 	case <-s.quit:
 		return ErrClosed
@@ -392,14 +363,6 @@ func (s *Server) applyLoop() {
 // invocations, and publishes as-of snapshots on period boundaries.
 func (s *Server) step(r request) {
 	now := timeseq.Time(s.clock.Load())
-	if r.stamped && r.at > now {
-		// A routed request from the sharded layer lands at its stamped
-		// chronon: advance through the gap as idle time (periodic and
-		// subscription dues fire at their own instants, exactly as they
-		// would have while a single-shard clock served other objects).
-		s.tickTo(r.at)
-		now = r.at
-	}
 	s.sched.RunUntil(now)
 	switch r.kind {
 	case reqSample:
@@ -417,17 +380,17 @@ func (s *Server) step(r request) {
 		s.replyAfterDurable(r.reply, resp)
 	case reqTick:
 		s.tickTo(now + timeseq.Time(r.chronons))
-		r.reply <- Response{Served: timeseq.Time(s.clock.Load())}
+		r.reply <- Response{}
 	case reqBarrier:
 		// Flush is the durability barrier: close the open commit window so
 		// the batch leader fsyncs now, and ack once it has.
 		if t := s.lastTicket; t != nil && !t.Resolved() && s.cfg.Log != nil {
 			s.cfg.Log.CloseWindow()
 		}
-		s.replyAfterDurable(r.reply, Response{Served: now})
+		s.replyAfterDurable(r.reply, Response{})
 	case reqApply:
 		r.do()
-		r.reply <- Response{Served: now}
+		r.reply <- Response{}
 	}
 	s.runPeriodic()
 	s.runSubs()

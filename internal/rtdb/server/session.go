@@ -4,13 +4,12 @@ import (
 	"sync"
 
 	"rtc/internal/deadline"
-	"rtc/internal/timeseq"
 )
 
-// replyPool recycles the one-slot response channels Query and Flush block
-// on. A channel is returned to the pool only after its response has been
-// received — a request abandoned on server shutdown keeps its channel, so
-// a late send can never leak into the next borrower's call.
+// replyPool recycles the one-slot response channels Query and roundTrip
+// block on. A channel is returned to the pool only after its response has
+// been received — a request abandoned on server shutdown keeps its channel,
+// so a late send can never leak into the next borrower's call.
 var replyPool = sync.Pool{
 	New: func() any { return make(chan Response, 1) },
 }
@@ -64,18 +63,11 @@ func (c *Session) trySubmit(r request) bool {
 // asynchronous: the sample is applied by the server's apply loop. A full
 // queue returns ErrBackpressure.
 func (c *Session) InjectSample(image, value string) error {
-	return c.sample(image, value, 0, false)
-}
-
-// sample is InjectSample with an optional routing-clock stamp: a stamped
-// sample is applied at chronon at (or later, if the shard's own clock
-// already passed it). Only the sharded router submits stamped requests.
-func (c *Session) sample(image, value string, at timeseq.Time, stamped bool) error {
 	if c.srv.closed.Load() {
 		return ErrClosed
 	}
 	c.srv.Metrics.SamplesIn.Add(1)
-	r := request{kind: reqSample, session: c.id, image: image, value: value, at: at, stamped: stamped}
+	r := request{kind: reqSample, session: c.id, image: image, value: value}
 	if !c.trySubmit(r) {
 		c.srv.Metrics.SamplesIn.Add(^uint64(0)) // undo: never entered a queue
 		c.srv.Metrics.SamplesRejected.Add(1)
@@ -84,28 +76,19 @@ func (c *Session) sample(image, value string, at timeseq.Time, stamped bool) err
 	return nil
 }
 
-// Query submits one aperiodic query and blocks for the response. A full
-// queue rejects immediately; for deadline-carrying queries the rejection is
-// accounted as a deadline miss (never silently dropped).
+// Query submits one aperiodic query, issued at the server's clock as it
+// stands now, and blocks for the response. A full queue rejects immediately;
+// for deadline-carrying queries the rejection is accounted as a deadline
+// miss (never silently dropped).
 func (c *Session) Query(q QueryRequest) (Response, error) {
-	return c.query(q, c.srv.Now(), false)
-}
-
-// query is Query issued at chronon issue. The router stamps it with the
-// routing clock's chronon, so the deadline envelope is judged against
-// global time rather than the owning shard's (possibly lagging) local clock.
-func (c *Session) query(q QueryRequest, issue timeseq.Time, stamped bool) (Response, error) {
 	if c.srv.closed.Load() {
 		return Response{}, ErrClosed
 	}
 	c.srv.Metrics.QueriesIn.Add(1)
 	r := request{
 		kind: reqQuery, session: c.id, q: q,
-		issue: issue, stamped: stamped,
+		issue: c.srv.Now(),
 		reply: replyPool.Get().(chan Response),
-	}
-	if stamped {
-		r.at = issue
 	}
 	if !c.trySubmit(r) {
 		c.srv.Metrics.QueriesRejected.Add(1)
@@ -127,31 +110,8 @@ func (c *Session) query(q QueryRequest, issue timeseq.Time, stamped bool) (Respo
 // Flush blocks until everything this session enqueued before it has been
 // applied.
 func (c *Session) Flush() error {
-	_, err := c.flush(0, false)
-	return err
-}
-
-// flush is Flush with an optional routing-clock stamp: before a stamped
-// barrier resolves, the shard's clock is pulled up to chronon at, so a
-// quiet shard's horizon advances with the rest of the group. It returns
-// the shard's clock at the barrier — periodic and subscription evaluations
-// advance a shard past the stamps it was routed, and the router folds that
-// drift back into the global clock at every flush point.
-func (c *Session) flush(at timeseq.Time, stamped bool) (timeseq.Time, error) {
 	if c.srv.closed.Load() {
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	r := request{kind: reqBarrier, session: c.id, at: at, stamped: stamped, reply: replyPool.Get().(chan Response)}
-	select {
-	case c.queue <- r:
-	case <-c.srv.quit:
-		return 0, ErrClosed
-	}
-	select {
-	case resp := <-r.reply:
-		replyPool.Put(r.reply)
-		return resp.Served, nil
-	case <-c.srv.quit:
-		return 0, ErrClosed
-	}
+	return c.srv.roundTrip(c.queue, request{kind: reqBarrier, session: c.id})
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	wal "rtc/internal/rtdb/log"
-	"rtc/internal/timeseq"
+	"rtc/internal/rtwire"
 )
 
 // benchSharded builds an N-shard deployment over real per-shard WALs with
@@ -80,7 +79,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 			// exactly one shard's queue.
 			byShard := make([][]string, shards)
 			for _, o := range objs {
-				s := ss.ShardFor(o)
+				s := rtwire.ShardOf(o, shards)
 				byShard[s] = append(byShard[s], o)
 			}
 			var issued atomic.Int64
@@ -94,7 +93,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					c := ss.Session(g % ss.Sessions())
+					c := ss.Shard(g).Session(g)
 					mine := byShard[g]
 					for i := 0; ; i++ {
 						if issued.Add(1) > int64(b.N) {
@@ -111,43 +110,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 				}(g)
 			}
 			wg.Wait()
-			if err := ss.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkShardedAsOf measures scatter-gather reads: consistent-horizon
-// lookup plus a routed point read, against an 8-shard deployment with
-// history on every shard.
-func BenchmarkShardedAsOf(b *testing.B) {
-	objs := shardObjects(64)
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("%dshards", shards), func(b *testing.B) {
-			ss, done := benchSharded(b, shards, false)
-			defer done()
-			c := ss.Session(0)
-			for i := 0; i < 4096; i++ {
-				for c.InjectSample(objs[i%len(objs)], strconv.Itoa(i%100)) == ErrBackpressure {
-				}
-			}
-			if err := ss.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			h := ss.HistoryHorizon()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if h2 := ss.HistoryHorizon(); h2 < h {
-					b.Fatal("horizon regressed")
-				}
-				back := timeseq.Time(i % 64)
-				if back > h {
-					back = h
-				}
-				ss.ValueAsOf(objs[i%len(objs)], h-back)
-			}
+			flushShards(b, ss)
 		})
 	}
 }

@@ -113,6 +113,25 @@ func closeLogs(t testing.TB, logs []*wal.Log) {
 	}
 }
 
+// ownerSession is the placement a client computes: session i of the shard
+// rtwire.ShardOf names for obj.
+func ownerSession(ss *ShardedServer, obj string, i int) *Session {
+	return ss.Shard(rtwire.ShardOf(obj, ss.NumShards())).Session(i)
+}
+
+// flushShards flushes every session of every shard — between them, what the
+// deployment's clients do with one Flush per connection.
+func flushShards(t testing.TB, ss *ShardedServer) {
+	t.Helper()
+	for i := 0; i < ss.NumShards(); i++ {
+		for j := 0; j < ss.Shard(i).Sessions(); j++ {
+			if err := ss.Shard(i).Session(j).Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestShardPlacement pins the spec split: every image lands on exactly the
 // shard rtwire.ShardOf names, invariants exist everywhere, and the derived
 // object rides with its image source.
@@ -128,9 +147,6 @@ func TestShardPlacement(t *testing.T) {
 	}
 	for _, o := range shardObjects(16) {
 		want := rtwire.ShardOf(o, shards)
-		if got := ss.ShardFor(o); got != want {
-			t.Fatalf("ShardFor(%q) = %d, want %d", o, got, want)
-		}
 		for i := 0; i < shards; i++ {
 			_, ok := ss.Shard(i).DB().Image(o)
 			if ok != (i == want) {
@@ -177,8 +193,8 @@ func TestShardSplitRejectsSpanningDerived(t *testing.T) {
 
 // TestShardSingleByteIdentical is the degrade guarantee: the same driver
 // sequence against a raw Server and a ShardedServer with Shards == 1 must
-// leave byte-identical WAL directories — the sharded layer at N == 1 is a
-// pass-through, adding no events, no reordering, no timestamp drift.
+// leave byte-identical WAL directories — the composition at N == 1 is that
+// one Server, adding no events, no reordering, no timestamp drift.
 func TestShardSingleByteIdentical(t *testing.T) {
 	dirRaw := filepath.Join(t.TempDir(), "wal-raw")
 	dirSharded := filepath.Join(t.TempDir(), "wal-sharded")
@@ -266,7 +282,7 @@ func TestShardSingleByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		ss.Start()
-		drive(ss.Session(0), ss.Tick)
+		drive(ss.Shard(0).Session(0), ss.Shard(0).Tick)
 		ss.Stop()
 		closeLogs(t, logs)
 	}
@@ -301,42 +317,6 @@ func TestShardSingleByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardFlushHorizon: after Flush, the consistent horizon (min over
-// shard horizons) has reached the routing clock at call time — an idle
-// shard cannot pin the cross-shard cut in the past.
-func TestShardFlushHorizon(t *testing.T) {
-	cfg, home := shardedSpecConfig(16)
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: 8, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.Start()
-	defer ss.Stop()
-	c := ss.Session(0)
-	// Load exactly one object: seven shards stay idle.
-	for i := 0; i < 64; i++ {
-		if err := c.InjectSample("obj-000", strconv.Itoa(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	at := ss.Now()
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if h := ss.HistoryHorizon(); h < at {
-		t.Fatalf("horizon %d behind routing clock %d after Flush", h, at)
-	}
-	v, ok := ss.ValueAsOf("obj-000", at)
-	if !ok || v != "63" {
-		t.Fatalf("ValueAsOf(obj-000, %d) = %q, %v", at, v, ok)
-	}
-	// Idle objects answer too (no sample: not OK, but the read must not
-	// error or block) and the owning shard agrees with the scatter path.
-	if _, ok := ss.ValueAsOf("obj-001", at); ok {
-		t.Fatal("idle object reported a value")
-	}
-}
-
 // TestShardMetricsAggregate: the merged snapshot sums the per-shard blocks
 // and the conservation laws hold on the sum exactly as they do per shard.
 func TestShardMetricsAggregate(t *testing.T) {
@@ -347,9 +327,9 @@ func TestShardMetricsAggregate(t *testing.T) {
 	}
 	ss.Start()
 	defer ss.Stop()
-	c := ss.Session(0)
 	objs := shardObjects(64)
 	for i := 0; i < 128; i++ {
+		c := ownerSession(ss, objs[i%64], 0)
 		if err := c.InjectSample(objs[i%64], strconv.Itoa(i%100)); err != nil {
 			t.Fatal(err)
 		}
@@ -361,9 +341,7 @@ func TestShardMetricsAggregate(t *testing.T) {
 			}
 		}
 	}
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flushShards(t, ss)
 	m := ss.MetricsSnapshot()
 	if m.SamplesApplied != 128 {
 		t.Fatalf("merged SamplesApplied = %d, want 128", m.SamplesApplied)
@@ -397,7 +375,7 @@ func TestShardMetricsAggregate(t *testing.T) {
 // of 8 shards must carry at most a third of the total I/O cost — the
 // wall-clock speedup of overlapping per-shard fsync pipelines is then ≥3×
 // by construction, with no timer flake. What this actually gates is the
-// router: a skewed or collapsed ShardOf re-serializes the keyspace behind
+// placement: a skewed or collapsed ShardOf re-serializes the keyspace behind
 // one apply loop and the max shard's share rises toward the total.
 func TestShardAmortizedCostGate(t *testing.T) {
 	const (
@@ -431,9 +409,9 @@ func TestShardAmortizedCostGate(t *testing.T) {
 		w0[i], s0[i] = m.Writes(), m.Syncs()
 	}
 	ss.Start()
-	c := ss.Session(0)
 	objs := shardObjects(64)
 	for i := 0; i < samples; i++ {
+		c := ownerSession(ss, objs[i%len(objs)], 0)
 		for {
 			err := c.InjectSample(objs[i%len(objs)], strconv.Itoa(i%100))
 			if err == nil {
@@ -447,9 +425,7 @@ func TestShardAmortizedCostGate(t *testing.T) {
 			}
 		}
 	}
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flushShards(t, ss)
 	ss.Stop()
 	closeLogs(t, logs)
 
@@ -472,8 +448,8 @@ func TestShardAmortizedCostGate(t *testing.T) {
 }
 
 // TestShardRecovery: stop a sharded deployment, reopen the per-shard logs,
-// and rebuild — every object's history survives on its own shard and the
-// routing clock resumes at the recovered frontier.
+// and rebuild — every object's history survives on its own shard and no
+// shard's clock resumes past where the deployment stopped.
 func TestShardRecovery(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "wal")
 	opt := wal.Options{SegmentSize: 4096, SnapshotEvery: 16}
@@ -486,15 +462,12 @@ func TestShardRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss.Start()
-	c := ss.Session(0)
 	for i := 0; i < 64; i++ {
-		if err := c.InjectSample(objs[i%16], strconv.Itoa(i)); err != nil {
+		if err := ownerSession(ss, objs[i%16], 0).InjectSample(objs[i%16], strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ss.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	flushShards(t, ss)
 	wasNow := ss.Now()
 	ss.Stop()
 	closeLogs(t, logs)
@@ -510,15 +483,14 @@ func TestShardRecovery(t *testing.T) {
 		closeLogs(t, logs2)
 	}()
 	if ss2.Now() > wasNow {
-		t.Fatalf("recovered routing clock %d beyond stopped clock %d", ss2.Now(), wasNow)
+		t.Fatalf("recovered clock %d beyond stopped clock %d", ss2.Now(), wasNow)
 	}
-	if err := ss2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	h := ss2.HistoryHorizon()
+	flushShards(t, ss2)
 	for i := 48; i < 64; i++ { // the newest write to each object
 		obj := objs[i%16]
-		v, ok := ss2.ValueAsOf(obj, h)
+		sh := ss2.Shard(rtwire.ShardOf(obj, 4))
+		h := sh.HistoryHorizon() // each owner's own horizon: there is no cross-shard cut
+		v, ok := sh.ValueAsOf(obj, h)
 		if !ok || v != strconv.Itoa(i) {
 			t.Fatalf("recovered %s as of %d = %q, %v; want %q", obj, h, v, ok, strconv.Itoa(i))
 		}

@@ -101,18 +101,7 @@ func (s *Server) SubscribeWake(spec sub.Spec, after uint64, depth int, wake chan
 
 // apply runs fn on the apply loop and waits for it.
 func (s *Server) apply(fn func()) error {
-	reply := make(chan Response, 1)
-	select {
-	case s.inbox <- request{kind: reqApply, do: fn, reply: reply}:
-	case <-s.quit:
-		return ErrClosed
-	}
-	select {
-	case <-reply:
-		return nil
-	case <-s.quit:
-		return ErrClosed
-	}
+	return s.roundTrip(s.inbox, request{kind: reqApply, do: fn})
 }
 
 // Pop dequeues the oldest queued push and accounts its delivery. droppedCum
