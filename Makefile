@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc rtbench rtbench-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
+.PHONY: all build vet test loc rtbench rtbench-smoke rtdbd-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
 
 all: build vet test
 
@@ -141,6 +141,17 @@ soak-short:
 	pid=$$!; sleep 1; \
 	/tmp/rtdbload-soak -addr 127.0.0.1:$(SOAK_PORT) -soak 60000; rc=$$?; \
 	kill $$pid 2>/dev/null; exit $$rc
+
+# rtdbd's synthetic mode end to end, at the default evaluation cost and at the
+# one that equals status-watch's period (a periodic schedule the server cannot
+# keep up with once hung the apply loop here). The binary audits its own
+# standing query before it prints the conservation line and exits non-zero
+# when either set of books stays open; the timeout turns a hang into a failure.
+rtdbd-smoke:
+	@for args in '-ops 40' '-eval-cost 11 -ops 40'; do \
+		out=$$(timeout 120 $(GO) run ./cmd/rtdbd $$args) || { echo "$$out" | tail -5; echo "rtdbd $$args: failed or timed out"; exit 1; }; \
+		echo "$$out" | grep 'conservation: .* ✓' || { echo "rtdbd $$args: no closed conservation line"; exit 1; }; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem .

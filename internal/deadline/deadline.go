@@ -73,6 +73,51 @@ func Linear(max uint64, td timeseq.Time, span timeseq.Time) Usefulness {
 	}
 }
 
+// Envelope is the §4.1 discipline in the form the serving stack carries it:
+// the deadline class, t_d relative to the instant the request was issued,
+// the minimum acceptable usefulness, and the decay over relative time since
+// that instant. Aperiodic queries, periodic registrations, subscription ticks
+// (primary and standby) and the wire's expired-on-arrival test all judge a
+// completion with these two methods; Acceptor is the formal reference they
+// are checked against (TestEnvelopeAgreesWithAcceptor).
+type Envelope struct {
+	Kind      Kind
+	Deadline  timeseq.Time
+	MinUseful uint64
+	U         Usefulness
+}
+
+// Score judges a completion rel chronons after issue: late reports the
+// deadline passed, and useful is the usefulness at completion.
+func (e Envelope) Score(rel timeseq.Time) (useful uint64, late bool) {
+	if e.Kind == None {
+		return 0, false
+	}
+	late = rel >= e.Deadline
+	switch {
+	case !late:
+		// Before the deadline usefulness is maximal; report MinUseful so
+		// the admission test "useful ≥ MinUseful" is trivially met.
+		useful = e.MinUseful
+	case e.Kind == Soft && e.U != nil:
+		useful = e.U(rel)
+	default:
+		useful = 0 // firm: equation (2), useless after t_d
+	}
+	return useful, late
+}
+
+// Admissible reports whether a completion that Score judged (useful, late)
+// meets the discipline — P_m's comparison: a late completion survives only
+// when a minimum usefulness is declared and the decay still clears it. It
+// takes the score so that a caller that wants both asks the decay once;
+// e.Admissible(e.Score(rel)) is the test alone. Usefulness is non-increasing,
+// so an evaluation that would finish inadmissibly can be skipped unevaluated
+// (admission control).
+func (e Envelope) Admissible(useful uint64, late bool) bool {
+	return !late || (e.MinUseful > 0 && useful >= e.MinUseful)
+}
+
 // Special input symbols of the §4.1 word construction.
 const (
 	// W arrives every chronon while the deadline has not passed.

@@ -288,3 +288,41 @@ func TestNondeterministicSolutionChoice(t *testing.T) {
 		t.Fatalf("invalid proposed solution accepted: %v", res.Verdict)
 	}
 }
+
+// TestEnvelopeAgreesWithAcceptor is where the serving predicate meets the
+// formal one: over both deadline classes, every deadline, solver cost,
+// minimum usefulness and decay in a small box, the §4.1 acceptor accepts the
+// word carrying the right answer exactly when Envelope.Admissible admits the
+// completion. The two count a computation's length from different ends —
+// P_w's first chronon of work happens at time 0, so a cost-c solver
+// terminates at chronon c−1, while the server charges a completion
+// now+EvalCost — hence rel = c−1: the one-chronon offset is pinned here and
+// in DESIGN §2's substitution table.
+func TestEnvelopeAgreesWithAcceptor(t *testing.T) {
+	decays := []struct {
+		name string
+		u    func(td timeseq.Time) Usefulness
+	}{
+		{"hyperbolic", func(td timeseq.Time) Usefulness { return Hyperbolic(6, td) }},
+		{"linear", func(td timeseq.Time) Usefulness { return Linear(6, td, 4) }},
+	}
+	for _, kind := range []Kind{Firm, Soft} {
+		for _, decay := range decays {
+			for td := timeseq.Time(1); td <= 6; td++ {
+				for cost := uint64(1); cost <= 10; cost++ {
+					for min := uint64(1); min <= 3; min++ {
+						u := decay.u(td)
+						solver := sortSolver(0)
+						solver.Cost = func(int) uint64 { return cost }
+						formal := Accepts(inst(kind, "ba", "ab", td, min, u), solver, 64).Verdict.Accepted()
+						env := Envelope{Kind: kind, Deadline: td, MinUseful: min, U: u}
+						if serving := env.Admissible(env.Score(timeseq.Time(cost - 1))); formal != serving {
+							t.Errorf("%s %s t_d=%d cost=%d min=%d: acceptor %v, Admissible(Score(%d)) %v",
+								kind, decay.name, td, cost, min, formal, cost-1, serving)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -219,7 +219,7 @@ func (c *conn) writeLoop() {
 		if !ok {
 			// A client that cannot absorb frames within WriteTimeout is dead
 			// weight: count it and interrupt the read loop so the whole
-			// connection tears down now, not at IdleTimeout. Until handle
+			// connection tears down now, not at the silence bound. Until handle
 			// cancels them its subscriptions cost only their own queues.
 			c.n.Wire.WriteTimeouts.Add(1)
 			c.interruptRead()

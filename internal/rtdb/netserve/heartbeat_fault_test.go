@@ -16,7 +16,7 @@ import (
 //
 //   - client→server blackholed: the client's beacons vanish, the server
 //     still writes fine — only its inbound-silence bound
-//     (min(IdleTimeout, 3×HeartbeatInterval)) can detect the loss.
+//     (min(2 min, 3×HeartbeatInterval)) can detect the loss.
 //   - server→client blackholed: heartbeat echoes vanish, the client's
 //     watchdog (3 intervals without an inbound frame, checked every
 //     interval/4) cuts and rotates.

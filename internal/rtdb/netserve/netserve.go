@@ -50,6 +50,10 @@ import (
 	"rtc/internal/rtwire"
 )
 
+// idleCap is the longest inbound silence any connection is allowed, however
+// slowly it was told to expect beacons.
+const idleCap = 2 * time.Minute
+
 // Options tunes the listener. The zero value is serviceable.
 type Options struct {
 	// WriteQueue bounds the per-connection outgoing frame queue
@@ -59,9 +63,6 @@ type Options struct {
 	// per connection; further frames wait in the kernel's receive buffer —
 	// natural TCP backpressure (default 16).
 	MaxInflight int
-	// IdleTimeout closes a connection that sends nothing for this long
-	// (default 2m).
-	IdleTimeout time.Duration
 	// WriteTimeout bounds one socket write to a slow client; a write may
 	// carry several coalesced frames (default 10s).
 	WriteTimeout time.Duration
@@ -97,9 +98,6 @@ func (o *Options) defaults() {
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 16
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 2 * time.Minute
 	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 10 * time.Second
@@ -406,10 +404,10 @@ func (n *Server) handle(nc net.Conn) {
 
 	// The handshake ran under its own deadline; from here the reader arms the
 	// inbound-silence bound at each socket read. The bound is the tighter of
-	// IdleTimeout and three heartbeat intervals: a client that beacons every
+	// idleCap and three heartbeat intervals: a client that beacons every
 	// interval but goes silent behind a one-way partition is cut in bounded
 	// time — the server-side half of the watchdog contract.
-	dr.idle = min(n.opt.IdleTimeout, 3*n.opt.HeartbeatInterval)
+	dr.idle = min(idleCap, 3*n.opt.HeartbeatInterval)
 	c := &conn{
 		n: n, nc: nc, br: br,
 		sess:   sess,

@@ -33,20 +33,17 @@ import (
 // push of that attachment follows the ack.
 
 // translateSub maps a subscription's client-relative per-tick envelope onto
-// the server's chronon frame, reusing Translate so the rule cannot drift
-// from the aperiodic path. expired means the envelope is dead on arrival —
-// every tick of the subscription would be expired before it started — and
-// the subscription must be refused, not attached.
+// the server's chronon frame by the aperiodic path's rule. expired means the
+// envelope is dead on arrival — every tick of the subscription would be
+// expired before it started — and the subscription must be refused, not
+// attached.
 func translateSub(query string, period timeseq.Time, kind deadline.Kind,
 	dl, elapsed timeseq.Time, minUseful uint64, decay rtwire.Decay) (sub.Spec, bool) {
-	qr, expired := Translate(rtwire.Query{
-		Query: query, Kind: kind, Deadline: dl, Elapsed: elapsed,
-		MinUseful: minUseful, Decay: decay,
-	})
+	env := translateEnvelope(kind, dl, elapsed, minUseful, decay)
 	return sub.Spec{
 		Query: query, Period: period, Kind: kind,
-		Deadline: qr.Deadline, MinUseful: minUseful, U: qr.U,
-	}, expired
+		Deadline: env.Deadline, MinUseful: minUseful, U: env.U,
+	}, !env.Admissible(env.Score(0))
 }
 
 // connSub is one subscription attached to a connection: the client-chosen

@@ -10,9 +10,17 @@ import (
 // Translate maps a wire query's client-relative deadline envelope onto the
 // server's chronon frame, deciding at the same time whether the query is
 // already dead on arrival.
-//
-// The rule (DESIGN.md §9): the client issued the query at its own instant
-// 0 with relative deadline D and has consumed E chronons getting it here
+func Translate(q rtwire.Query) (qr server.QueryRequest, expired bool) {
+	env := translateEnvelope(q.Kind, q.Deadline, q.Elapsed, q.MinUseful, q.Decay)
+	return server.QueryRequest{
+		Query: q.Query, Candidate: q.Candidate,
+		Kind: env.Kind, Deadline: env.Deadline, MinUseful: env.MinUseful, U: env.U,
+	}, !env.Admissible(env.Score(0))
+}
+
+// translateEnvelope is the rule (DESIGN.md §9), shared by aperiodic queries
+// and subscriptions: the client issued the request at its own instant 0 with
+// relative deadline D and has consumed E chronons getting it here
 // (queueing, retries — each attempt re-stamps E). The server anchors the
 // remainder at the arrival chronon:
 //
@@ -21,54 +29,28 @@ import (
 //	                              client's issue instant)
 //
 // Expired on arrival — rejected unevaluated, accounted a miss — is exactly
-// the §4.1 admission predicate evaluated at t = 0 with the knowledge that
-// usefulness is non-increasing: the deadline has passed (E ≥ D) and even
-// serving instantaneously could not reach MinUseful. For firm queries
-// usefulness after the deadline is 0 (equation (2)), so E ≥ D alone
-// decides; a soft query may still be worth serving if its decayed
+// the §4.1 admission predicate of the translated envelope at t = 0, with
+// the knowledge that usefulness is non-increasing: the deadline has passed
+// (E ≥ D) and even serving instantaneously could not reach MinUseful. For
+// firm queries usefulness after the deadline is 0 (equation (2)), so E ≥ D
+// alone decides; a soft query may still be worth serving if its decayed
 // usefulness clears MinUseful.
 //
 // Boundary cases are part of the contract: D = 0 on a deadline-carrying
 // query is expired the instant it is issued (rel ≥ 0 = D always holds);
 // D = 2⁶⁴−1 never expires on any feasible horizon and must not overflow.
-func Translate(q rtwire.Query) (qr server.QueryRequest, expired bool) {
-	qr = server.QueryRequest{
-		Query:     q.Query,
-		Candidate: q.Candidate,
-		Kind:      q.Kind,
-		MinUseful: q.MinUseful,
+func translateEnvelope(kind deadline.Kind, dl, elapsed timeseq.Time, minUseful uint64, decay rtwire.Decay) deadline.Envelope {
+	env := deadline.Envelope{Kind: kind, MinUseful: minUseful}
+	if kind == deadline.None {
+		return env
 	}
-	if q.Kind == deadline.None {
-		return qr, false
+	if elapsed < dl {
+		env.Deadline = dl - elapsed
 	}
-
-	late := q.Elapsed >= q.Deadline
-	remaining := timeseq.Time(0)
-	if !late {
-		remaining = q.Deadline - q.Elapsed
+	if u := decay.Func(dl); u != nil && elapsed > 0 {
+		env.U = func(t timeseq.Time) uint64 { return u(t + elapsed) }
+	} else {
+		env.U = u
 	}
-	qr.Deadline = remaining
-
-	u := q.Decay.Func(q.Deadline)
-	if u != nil {
-		if e := q.Elapsed; e > 0 {
-			inner := u
-			qr.U = func(t timeseq.Time) uint64 { return inner(t + e) }
-		} else {
-			qr.U = u
-		}
-	}
-
-	if late {
-		// Usefulness already decayed to its arrival value; non-increase
-		// makes this the best any evaluation could still achieve.
-		arrival := uint64(0)
-		if q.Kind == deadline.Soft && qr.U != nil {
-			arrival = qr.U(0)
-		}
-		if q.MinUseful == 0 || arrival < q.MinUseful {
-			return qr, true
-		}
-	}
-	return qr, false
+	return env
 }

@@ -234,9 +234,6 @@ func (s standby) Subscribe(spec sub.Spec, after uint64, depth int, wake chan str
 	if _, known := r.cfg.Catalog[spec.Query]; !known || !mirror {
 		return nil, errors.New("replica: the mirror cannot serve this query")
 	}
-	if depth <= 0 {
-		depth = sub.DefaultDepth
-	}
 	r.smu.Lock()
 	attached := r.subs.Attach(spec, after, sub.NewQueueWake(depth, wake), r.chronon())
 	r.smu.Unlock()
@@ -254,7 +251,8 @@ func (s standby) Subscribe(spec sub.Spec, after uint64, depth int, wake chan str
 // crossed. The mirror is frozen between batch applies, so one evaluation per
 // due group serves every tick and member of the sweep, and finish is the
 // horizon itself: standby evaluation costs no chronons. Each member's tick
-// consumes a cursor and is expired by per-tick admission or Put on its queue.
+// consumes a cursor (sub.Sub.Tick, as on the primary) and is expired by
+// per-tick admission or Put on its queue.
 func (r *Replica) scheduleTicks() {
 	r.smu.Lock()
 	defer r.smu.Unlock()
@@ -265,10 +263,9 @@ func (r *Replica) scheduleTicks() {
 		for g.Next() <= horizon {
 			issue := g.Advance()
 			for _, m := range g.Members() {
-				cur := m.AssignCursor()
 				r.Metrics.PushScheduled.Add(1)
-				if !m.Spec.Admissible(issue, horizon) {
-					m.Expire()
+				p, late, ok := m.Tick(issue, horizon)
+				if !ok {
 					r.Metrics.PushExpired.Add(1)
 					continue
 				}
@@ -276,18 +273,14 @@ func (r *Replica) scheduleTicks() {
 					answers, evaluated, _ = r.evalMirror(g.Key().Query)
 					asked = true
 				}
-				useful, late := m.Spec.Score(issue, horizon)
 				hasDeadline := m.Spec.Kind != deadline.None
-				missed := late || (!evaluated && hasDeadline)
+				p.Missed = late || (!evaluated && hasDeadline)
 				if !evaluated {
-					useful = 0
+					p.Useful = 0
 				}
-				r.Metrics.AccountDegraded(missed, hasDeadline)
-				if m.Q.Put(sub.Push{
-					Cursor: cur, Expired: m.Expired(), Useful: useful,
-					Missed: missed, Evaluated: evaluated, Degraded: true,
-					Issue: issue, Served: horizon, Answers: answers,
-				}) {
+				r.Metrics.AccountDegraded(p.Missed, hasDeadline)
+				p.Evaluated, p.Degraded, p.Answers = evaluated, true, answers
+				if m.Q.Put(p) {
 					r.Metrics.AccountPushDropped(1)
 				}
 			}

@@ -2,10 +2,10 @@ package server
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rtc/internal/deadline"
 	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtdb/sub"
 	"rtc/internal/timeseq"
 )
 
@@ -36,92 +36,57 @@ type PeriodicStats struct {
 	Issued, Hit, Missed uint64
 }
 
-// periodicState is the scheduler's bookkeeping for one registration.
-// next is owned by the apply loop; the tallies are atomics so stats
-// readers need no lock.
-type periodicState struct {
-	pq   PeriodicQuery
-	next timeseq.Time
-
-	issued, hit, miss atomic.Uint64
-}
-
 // RegisterPeriodic adds a standing periodic query. It must be called
-// before Start.
+// before Start. The registration is a member of the subscription table like
+// any other — grouped by (Query, Period), one catalog evaluation per group
+// tick, scored against its own envelope — whose outcome is a tally instead
+// of a delivery queue: its first invocation is due at max(Issue, now), or on
+// the schedule of the group it joins. A deadline-free registration the server
+// cannot keep up with is refused with ErrNotAdmissible (admitSchedule); one
+// whose deadline envelope can never be met is taken, and every invocation is
+// a counted miss.
 func (s *Server) RegisterPeriodic(pq PeriodicQuery) error {
-	if pq.Period == 0 {
-		return fmt.Errorf("server: periodic query %q needs a positive period", pq.Name)
+	spec := sub.Spec{
+		Query: pq.Query, Period: pq.Period, Kind: pq.Kind,
+		Deadline: pq.Deadline, MinUseful: pq.MinUseful, U: pq.U,
 	}
-	if _, ok := s.cfg.Catalog[pq.Query]; !ok {
-		return fmt.Errorf("server: periodic query %q: unknown catalog query %q", pq.Name, pq.Query)
+	if err := s.admitSchedule(spec); err != nil {
+		return fmt.Errorf("periodic query %q: %w", pq.Name, err)
 	}
-	first := pq.Issue
-	if now := s.Now(); first < now {
-		first = now
-	}
-	s.periodic = append(s.periodic, &periodicState{pq: pq, next: first})
+	t := &sub.Tally{Name: pq.Name}
+	s.subs.AttachTally(spec, t, max(pq.Issue, s.Now()))
+	s.periodic = append(s.periodic, t)
 	return nil
 }
 
 // PeriodicReport returns each registration's tally, in registration order.
 func (s *Server) PeriodicReport() []PeriodicStats {
 	out := make([]PeriodicStats, 0, len(s.periodic))
-	for _, ps := range s.periodic {
+	for _, t := range s.periodic {
 		out = append(out, PeriodicStats{
-			Name:   ps.pq.Name,
-			Issued: ps.issued.Load(),
-			Hit:    ps.hit.Load(),
-			Missed: ps.miss.Load(),
+			Name:   t.Name,
+			Issued: t.Issued.Load(),
+			Hit:    t.Hit.Load(),
+			Missed: t.Missed.Load(),
 		})
 	}
 	return out
 }
 
-// runPeriodic serves every invocation due at or before the current clock.
-// Admission control mirrors serveQuery: an invocation whose completion
-// provably cannot reach the minimum usefulness is skipped without
-// evaluation — its miss is accounted, its EvalCost is not spent, so a
-// backlogged scheduler sheds provably-useless work instead of compounding
-// the backlog (firm semantics under overload).
-func (s *Server) runPeriodic() {
-	for _, ps := range s.periodic {
-		for {
-			now := timeseq.Time(s.clock.Load())
-			if ps.next > now {
-				break
-			}
-			issue := ps.next
-			ps.next += ps.pq.Period
-			ps.issued.Add(1)
-			s.Metrics.PeriodicIssued.Add(1)
-			s.serveInvocation(ps, issue, now)
-		}
-	}
-}
-
-// serveInvocation runs (or admission-skips) one periodic invocation issued
-// at issue, with the evaluation starting at now.
-func (s *Server) serveInvocation(ps *periodicState, issue, now timeseq.Time) {
-	q := QueryRequest{
-		Query: ps.pq.Query, Kind: ps.pq.Kind, Deadline: ps.pq.Deadline,
-		MinUseful: ps.pq.MinUseful, U: ps.pq.U,
-	}
-	finish := now + timeseq.Time(s.cfg.EvalCost)
-	useful, late := usefulness(q, issue, finish)
-	if late && (q.MinUseful == 0 || useful < q.MinUseful) {
-		ps.miss.Add(1)
+// tallyTick books one tick of a registered periodic query: a hit is
+// write-ahead-logged as the invocation's issue record, a miss — shed by
+// admission control, its EvalCost not spent — is only counted.
+func (s *Server) tallyTick(m *sub.Sub, issue timeseq.Time, hit bool) {
+	t := m.Tally
+	t.Issued.Add(1)
+	s.Metrics.PeriodicIssued.Add(1)
+	if !hit {
+		t.Missed.Add(1)
 		s.Metrics.PeriodicMiss.Add(1)
-		s.Metrics.AdmissionSkip.Add(1)
 		return
 	}
-	s.sched.RunUntil(now)
-	fn := s.cfg.Catalog[q.Query]
-	fn(s.db.ViewNow())
-	s.advance(finish)
-	s.walAppend(wal.Query(issue, "periodic:"+ps.pq.Name, q.Query, "",
-		uint64(q.Kind), uint64(q.Deadline), q.MinUseful))
-	// Anything the admission test let through meets the discipline at
-	// finish time (the clock only advanced to the estimate it tested).
-	ps.hit.Add(1)
+	s.walAppend(wal.Query(issue, "periodic:"+t.Name, m.Spec.Query, "",
+		uint64(m.Spec.Kind), uint64(m.Spec.Deadline), m.Spec.MinUseful))
+	t.Hit.Add(1)
 	s.Metrics.PeriodicHit.Add(1)
 }

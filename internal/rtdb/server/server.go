@@ -43,10 +43,6 @@ type Config struct {
 	// SnapshotEvery publishes a HistoricalDatabase snapshot for as-of
 	// reads every so many chronons (default 16).
 	SnapshotEvery timeseq.Time
-	// SubQueueDepth bounds each subscription's push delivery queue when the
-	// subscriber does not choose its own (default 32). A full queue drops
-	// the oldest queued push and counts it — never blocks the apply loop.
-	SubQueueDepth int
 	// Log, when set, write-ahead-logs catalog, samples, firings, and query
 	// issues. If the log already holds state, the server recovers from it
 	// and Spec's catalog is ignored.
@@ -66,9 +62,6 @@ func (c *Config) defaults() {
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 16
 	}
-	if c.SubQueueDepth <= 0 {
-		c.SubQueueDepth = sub.DefaultDepth
-	}
 }
 
 // QueryRequest is one aperiodic query under the §4.1 deadline discipline.
@@ -83,6 +76,11 @@ type QueryRequest struct {
 	// U is the §4.1 usefulness decay, evaluated at *relative* time since
 	// issue — pass e.g. deadline.Hyperbolic(max, relativeDeadline).
 	U deadline.Usefulness
+}
+
+// Envelope is the request's §4.1 discipline, by value.
+func (q QueryRequest) Envelope() deadline.Envelope {
+	return deadline.Envelope{Kind: q.Kind, Deadline: q.Deadline, MinUseful: q.MinUseful, U: q.U}
 }
 
 // Response is the server's answer to one aperiodic query.
@@ -172,9 +170,12 @@ type Server struct {
 	// and written from step, never concurrently.
 	lastTicket *wal.Ticket
 
-	Metrics  Metrics
-	periodic []*periodicState
+	Metrics Metrics
+	// subs is the one periodic schedule: subscriptions and registered
+	// periodic queries are its members. periodic lists the registrations'
+	// tallies in registration order, for PeriodicReport.
 	subs     *sub.Table
+	periodic []*sub.Tally
 
 	inbox    chan request
 	sessions []*Session
@@ -392,7 +393,6 @@ func (s *Server) step(r request) {
 		r.do()
 		r.reply <- Response{}
 	}
-	s.runPeriodic()
 	s.runSubs()
 	s.maybePublish()
 }
@@ -406,15 +406,7 @@ func (s *Server) tickTo(target timeseq.Time) {
 		if now >= target {
 			return
 		}
-		due, pending := timeseq.Time(0), false
-		for _, ps := range s.periodic {
-			if !pending || ps.next < due {
-				due, pending = ps.next, true
-			}
-		}
-		if sd, ok := s.subs.NextDue(); ok && (!pending || sd < due) {
-			due, pending = sd, true
-		}
+		due, pending := s.subs.NextDue()
 		if !pending || due > target {
 			s.advance(target)
 			return
@@ -422,7 +414,6 @@ func (s *Server) tickTo(target timeseq.Time) {
 		if due > now {
 			s.advance(due)
 		}
-		s.runPeriodic()
 		s.runSubs()
 	}
 }
@@ -440,8 +431,9 @@ func (s *Server) serveQuery(r request, now timeseq.Time) Response {
 	finish := now + timeseq.Time(s.cfg.EvalCost)
 	resp := Response{Issue: r.issue, Served: finish}
 
-	useful, late := usefulness(r.q, r.issue, finish)
-	if late && (r.q.MinUseful == 0 || useful < r.q.MinUseful) {
+	env := r.q.Envelope()
+	useful, late := env.Score(finish - r.issue)
+	if !env.Admissible(useful, late) {
 		// Admission control: completing the evaluation provably cannot
 		// meet the discipline — skip the work, account the miss.
 		resp.Missed = true
@@ -477,39 +469,15 @@ func (s *Server) serveQuery(r request, now timeseq.Time) Response {
 			uint64(r.q.Kind), uint64(r.q.Deadline), r.q.MinUseful), r.q.Kind == deadline.Firm)
 	}
 
+	// Anything the admission test let through meets the discipline at
+	// finish (the clock only advanced to the estimate it tested).
 	resp.Useful = useful
-	switch {
-	case r.q.Kind == deadline.None:
+	if r.q.Kind == deadline.None {
 		s.Metrics.NoDeadline.Add(1)
-	case late && (r.q.MinUseful == 0 || useful < r.q.MinUseful):
-		resp.Missed = true
-		s.Metrics.DeadlineMiss.Add(1)
-	default:
+	} else {
 		s.Metrics.DeadlineHit.Add(1)
 	}
 	return resp
-}
-
-// usefulness evaluates the §4.1 discipline for a query issued at issue and
-// completed at finish: late reports the deadline passed, and the returned
-// value is the usefulness at completion (relative time origin at issue).
-func usefulness(q QueryRequest, issue, finish timeseq.Time) (useful uint64, late bool) {
-	if q.Kind == deadline.None {
-		return 0, false
-	}
-	rel := finish - issue
-	late = rel >= q.Deadline
-	switch {
-	case !late:
-		// Before the deadline usefulness is maximal; report MinUseful so
-		// the admission test "useful ≥ MinUseful" is trivially met.
-		useful = q.MinUseful
-	case q.Kind == deadline.Soft && q.U != nil:
-		useful = q.U(rel)
-	default:
-		useful = 0 // firm: equation (2), useless after t_d
-	}
-	return useful, late
 }
 
 // drainFirings write-ahead-logs rule firings since the last drain and

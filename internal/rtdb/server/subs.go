@@ -11,17 +11,18 @@ import (
 
 // This file is the server half of the standing-query subsystem: Subscribe
 // and the cancel path run as apply-loop closures (the sub.Table is
-// apply-loop-owned state, like the periodic registrations), and runSubs is
-// the per-step tick evaluator — the push counterpart of runPeriodic.
-// Subscriptions are connection-scoped, not durable: they are not WAL-logged;
-// a client that loses its node re-creates them with SubResume, which carries
-// the full spec.
+// apply-loop-owned state), and runSubs is the per-step tick evaluator — the
+// one periodic engine, serving subscriptions and RegisterPeriodic's
+// registrations (scheduler.go) alike. Subscriptions are connection-scoped,
+// not durable: they are not WAL-logged; a client that loses its node
+// re-creates them with SubResume, which carries the full spec.
 
-// ErrNotAdmissible reports a subscription whose envelope can never be met:
-// even an evaluation starting exactly at a tick's issue instant would
-// finish too late to clear the declared minimum usefulness. Admitting it
-// would schedule work that per-tick admission then sheds forever.
-var ErrNotAdmissible = errors.New("server: subscription can never meet its deadline envelope")
+// ErrNotAdmissible reports a standing query the server could only starve: an
+// envelope that can never be met — even an evaluation starting exactly at a
+// tick's issue instant would finish too late to clear the declared minimum
+// usefulness, so per-tick admission would shed every tick — or a
+// deadline-free schedule faster than the server evaluates (admitSchedule).
+var ErrNotAdmissible = errors.New("server: standing query can never be served on schedule")
 
 // ServerSub is one attached subscription as the transports see it: a popper
 // over the bounded delivery queue plus the cancel path. Pop and Notify are
@@ -44,7 +45,7 @@ func NewServerSub(m *Metrics, s *sub.Sub, detach func()) *ServerSub {
 // (deadline already translated, decay already shifted by the transport);
 // after is the cursor to continue from (0 for a fresh subscription, the
 // client's newest cursor on a resume); depth bounds the delivery queue
-// (0: Config.SubQueueDepth). Admission runs once here — a subscription
+// (0: sub.DefaultDepth). Admission runs once here — a subscription
 // whose envelope is impossible is refused, not admitted-then-starved — and
 // again per tick against the live clock.
 func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int) (*ServerSub, error) {
@@ -57,30 +58,15 @@ func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int) (*ServerSub, 
 // them all from one goroutine. The queue has the channel before the apply
 // loop can put anything in it, so no token is ever posted elsewhere.
 func (s *Server) SubscribeWake(spec sub.Spec, after uint64, depth int, wake chan struct{}) (*ServerSub, error) {
-	if spec.Period == 0 {
-		return nil, fmt.Errorf("server: subscription needs a positive period")
-	}
-	if _, ok := s.cfg.Catalog[spec.Query]; !ok {
-		return nil, fmt.Errorf("server: subscription names unknown catalog query %q", spec.Query)
+	if err := s.admitSchedule(spec); err != nil {
+		return nil, err
 	}
 	// Subscribe-time admission: the best any tick can do is start its
 	// evaluation at the issue instant and finish EvalCost later. If even
 	// that cannot meet the envelope, no tick ever will (the test is
 	// time-invariant — Score only sees finish−issue).
-	if !spec.Admissible(0, timeseq.Time(s.cfg.EvalCost)) {
+	if env := spec.Envelope(); !env.Admissible(env.Score(timeseq.Time(s.cfg.EvalCost))) {
 		return nil, ErrNotAdmissible
-	}
-	// A deadline-free standing query has nothing for per-tick admission to
-	// shed, so its schedule must be feasible outright: each tick costs
-	// EvalCost chronons, and a period at or below that is utilization ≥ 1 —
-	// the backlog would grow without bound. Deadline-carrying envelopes may
-	// subscribe at any period; overload degrades them into counted expired
-	// ticks instead.
-	if spec.Kind == deadline.None && spec.Period <= timeseq.Time(s.cfg.EvalCost) {
-		return nil, ErrNotAdmissible
-	}
-	if depth <= 0 {
-		depth = s.cfg.SubQueueDepth
 	}
 	var ss *ServerSub
 	err := s.apply(func() {
@@ -97,6 +83,28 @@ func (s *Server) SubscribeWake(spec sub.Spec, after uint64, depth int, wake chan
 		return nil, err
 	}
 	return ss, nil
+}
+
+// admitSchedule is what every member of the table — subscription or
+// registered periodic query — must pass before it is attached: a period, a
+// query the catalog knows, and the one refusal that keeps the apply loop live.
+func (s *Server) admitSchedule(spec sub.Spec) error {
+	if spec.Period == 0 {
+		return errors.New("server: standing query needs a positive period")
+	}
+	if _, ok := s.cfg.Catalog[spec.Query]; !ok {
+		return fmt.Errorf("server: standing query names unknown catalog query %q", spec.Query)
+	}
+	// A deadline-free standing query has nothing for per-tick admission to
+	// shed, so its schedule must be feasible outright: each tick costs
+	// EvalCost chronons, and a period at or below that is utilization ≥ 1 —
+	// the backlog would grow without bound. Deadline-carrying envelopes may
+	// attach at any period; overload degrades them into counted expired
+	// ticks instead.
+	if spec.Kind == deadline.None && spec.Period <= timeseq.Time(s.cfg.EvalCost) {
+		return ErrNotAdmissible
+	}
+	return nil
 }
 
 // apply runs fn on the apply loop and waits for it.
@@ -136,8 +144,8 @@ func (ss *ServerSub) Cancel() (lastCursor uint64, err error) {
 	return ss.s.Cursor(), nil
 }
 
-// runSubs serves every subscription tick due at or before the clock as it
-// stood on entry. Each due group costs one catalog evaluation and one
+// runSubs serves every tick due at or before the clock as it stood on entry,
+// earliest due first. Each due group costs one catalog evaluation and one
 // EvalCost clock advance no matter how many members watch it; members score
 // the shared result against their own envelopes. A tick whose members all
 // fail per-tick admission is skipped without evaluation (the backlogged
@@ -175,46 +183,35 @@ func (s *Server) serveGroupTick(g *sub.Group) {
 	finish := now + timeseq.Time(s.cfg.EvalCost)
 	members := g.Members()
 
-	anyAdmissible := false
+	var answers []string
+	evaluate := false
 	for _, m := range members {
-		if m.Spec.Admissible(issue, finish) {
-			anyAdmissible = true
+		if env := m.Spec.Envelope(); env.Admissible(env.Score(finish - issue)) {
+			evaluate = true
 			break
 		}
 	}
-	if !anyAdmissible {
-		for _, m := range members {
-			m.AssignCursor()
-			m.Expire()
-			s.Metrics.PushScheduled.Add(1)
-			s.Metrics.PushExpired.Add(1)
-		}
+	if evaluate {
+		s.sched.RunUntil(now)
+		answers = s.cfg.Catalog[g.Key().Query](s.db.ViewNow())
+		s.advance(finish)
+	} else {
 		s.Metrics.AdmissionSkip.Add(1)
-		return
 	}
-
-	s.sched.RunUntil(now)
-	answers := s.cfg.Catalog[g.Key().Query](s.db.ViewNow())
-	s.advance(finish)
+	// With nothing evaluated the clock has not moved and every member's
+	// tick expires at the finish the test above used.
 	for _, m := range members {
-		cur := m.AssignCursor()
+		p, _, ok := m.Tick(issue, finish)
+		if m.Tally != nil {
+			s.tallyTick(m, issue, ok)
+			continue
+		}
 		s.Metrics.PushScheduled.Add(1)
-		if !m.Spec.Admissible(issue, finish) {
-			m.Expire()
+		if !ok {
 			s.Metrics.PushExpired.Add(1)
 			continue
 		}
-		useful, _ := m.Spec.Score(issue, finish)
-		p := sub.Push{
-			Cursor: cur,
-			// Expired is stamped before this tick's outcome is decided, so
-			// it covers exactly the cursors below cur.
-			Expired:   m.Expired(),
-			Useful:    useful,
-			Evaluated: true,
-			Issue:     issue, Served: finish,
-			Answers: answers,
-		}
+		p.Evaluated, p.Answers = true, answers
 		if m.Q.Put(p) {
 			s.Metrics.AccountPushDropped(1)
 		}

@@ -53,7 +53,7 @@ func BenchmarkSpecScore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		useful, _ := s.Score(0, timeseq.Time(8+i%4))
+		useful, _ := s.Envelope().Score(timeseq.Time(8 + i%4))
 		sink += useful
 	}
 	_ = sink

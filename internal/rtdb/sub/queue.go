@@ -19,8 +19,8 @@ type Queue struct {
 	notify  chan struct{}
 }
 
-// NewQueue builds a queue holding at most depth pushes (minimum 1), with a
-// wake channel of its own.
+// NewQueue builds a queue holding at most depth pushes (DefaultDepth when the
+// caller names none), with a wake channel of its own.
 func NewQueue(depth int) *Queue { return NewQueueWake(depth, nil) }
 
 // NewQueueWake is NewQueue for a transport that drains many queues from one
@@ -31,7 +31,7 @@ func NewQueue(depth int) *Queue { return NewQueueWake(depth, nil) }
 // all.
 func NewQueueWake(depth int, wake chan struct{}) *Queue {
 	if depth < 1 {
-		depth = 1
+		depth = DefaultDepth
 	}
 	if wake == nil {
 		wake = make(chan struct{}, 1)

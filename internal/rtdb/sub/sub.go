@@ -28,6 +28,12 @@
 //     subscription-side extension of the server's QueriesIn == accounted
 //     invariant.
 //
+// A member of the table is not always a client. The server's own registered
+// periodic queries (server.RegisterPeriodic) ride the same table as members
+// whose outcome is a Tally instead of a Queue: grouped, scheduled, scored
+// and cursored like any subscription, counted instead of delivered. There is
+// no other periodic schedule on the apply loop.
+//
 // Ownership: Table, Group, and Sub bookkeeping (cursors, expiry tallies,
 // group schedules) belong to the server's apply loop — single-writer, no
 // locks. Queue is the only concurrent structure: the apply loop puts, one
@@ -35,6 +41,8 @@
 package sub
 
 import (
+	"sync/atomic"
+
 	"rtc/internal/deadline"
 	"rtc/internal/timeseq"
 )
@@ -76,34 +84,18 @@ type Push struct {
 	Answers       []string
 }
 
-// Score evaluates the §4.1 discipline for one tick issued at issue and
-// completed at finish: late reports the deadline passed, and the returned
-// value is the usefulness at completion (relative time origin at issue).
-// It mirrors the server's aperiodic scoring exactly, so a standing query's
-// tick and the equivalent polled query always land in the same outcome
-// class.
-func (s Spec) Score(issue, finish timeseq.Time) (useful uint64, late bool) {
-	if s.Kind == deadline.None {
-		return 0, false
-	}
-	rel := finish - issue
-	late = rel >= s.Deadline
-	switch {
-	case !late:
-		useful = s.MinUseful
-	case s.Kind == deadline.Soft && s.U != nil:
-		useful = s.U(rel)
-	default:
-		useful = 0 // firm: useless after the deadline
-	}
-	return useful, late
+// Envelope is the spec's §4.1 discipline, by value: deadline.Envelope's Score
+// and Admissible are the only scoring there is, so a standing query's tick
+// and the equivalent polled query always land in the same outcome class.
+func (s Spec) Envelope() deadline.Envelope {
+	return deadline.Envelope{Kind: s.Kind, Deadline: s.Deadline, MinUseful: s.MinUseful, U: s.U}
 }
 
-// Admissible reports whether a tick issued at issue and finishing at finish
-// can meet the discipline — the same test the server's admission control
-// applies to aperiodic queries: late completions survive only when a
-// minimum usefulness is declared and the decay still clears it.
-func (s Spec) Admissible(issue, finish timeseq.Time) bool {
-	useful, late := s.Score(issue, finish)
-	return !late || (s.MinUseful > 0 && useful >= s.MinUseful)
+// Tally is the outcome of a member nobody reads pushes from: a periodic
+// query registered on the server itself (server.RegisterPeriodic), which
+// wants each invocation counted, not delivered. The counters are atomics so
+// report readers need no lock; the apply loop is the only writer.
+type Tally struct {
+	Name                string
+	Issued, Hit, Missed atomic.Uint64
 }

@@ -1,9 +1,11 @@
 package sub
 
 import (
+	"slices"
 	"testing"
 
 	"rtc/internal/deadline"
+	"rtc/internal/timeseq"
 )
 
 func TestQueueFIFOAndDropOldest(t *testing.T) {
@@ -130,14 +132,14 @@ func TestTableGroupingAndCursors(t *testing.T) {
 		t.Fatalf("Advance: issue %d next %d, want 104/108", issue, a.g.Next())
 	}
 
-	// Cursor discipline: assign, stamp expired-before, then maybe expire.
-	if cur := a.AssignCursor(); cur != 1 {
-		t.Fatalf("first cursor = %d, want 1", cur)
+	// Cursor discipline: every tick spends a cursor; an expired one is
+	// stamped into the next delivered push, never into its own.
+	if _, late, ok := a.Tick(104, 106); ok || !late || a.Cursor() != 1 {
+		t.Fatalf("firm tick at its deadline: ok %v late %v cursor %d, want expired at cursor 1", ok, late, a.Cursor())
 	}
-	before := a.Expired()
-	a.Expire()
-	if before != 0 || a.Expired() != 1 {
-		t.Fatalf("expired before/after = %d/%d, want 0/1", before, a.Expired())
+	p, late, ok := a.Tick(108, 109)
+	if !ok || late || p.Cursor != 2 || p.Expired != 1 || p.Issue != 108 || p.Served != 109 {
+		t.Fatalf("tick in time = %+v (late %v ok %v), want cursor 2 covering 1 expired", p, late, ok)
 	}
 
 	tab.Detach(a)
@@ -160,23 +162,29 @@ func TestTableResumeContinuesCursor(t *testing.T) {
 	if s.Base() != 41 || s.Cursor() != 41 {
 		t.Fatalf("resume base/cursor = %d/%d, want 41/41", s.Base(), s.Cursor())
 	}
-	if cur := s.AssignCursor(); cur != 42 {
-		t.Fatalf("resumed first cursor = %d, want 42", cur)
+	p, _, ok := s.Tick(12, 13)
+	if !ok || p.Cursor != 42 {
+		t.Fatalf("resumed first cursor = %d (ok %v), want 42", p.Cursor, ok)
 	}
-	if s.Expired() != 0 {
+	if p.Expired != 0 {
 		t.Fatal("resume must start a fresh expiry tally")
 	}
 }
 
+func admissible(s Spec, rel timeseq.Time) bool {
+	env := s.Envelope()
+	return env.Admissible(env.Score(rel))
+}
+
 func TestScoreMatchesDiscipline(t *testing.T) {
 	firm := Spec{Kind: deadline.Firm, Deadline: 5, MinUseful: 1}
-	if u, late := firm.Score(100, 104); late || u != 1 {
+	if u, late := firm.Envelope().Score(4); late || u != 1 {
 		t.Fatalf("firm in time: (%d, %v)", u, late)
 	}
-	if u, late := firm.Score(100, 105); !late || u != 0 {
+	if u, late := firm.Envelope().Score(5); !late || u != 0 {
 		t.Fatalf("firm at deadline: (%d, %v)", u, late)
 	}
-	if firm.Admissible(100, 105) {
+	if admissible(firm, 5) {
 		t.Fatal("late firm tick must not be admissible")
 	}
 
@@ -184,18 +192,55 @@ func TestScoreMatchesDiscipline(t *testing.T) {
 		Kind: deadline.Soft, Deadline: 5, MinUseful: 2,
 		U: deadline.Hyperbolic(10, 5),
 	}
-	if u, late := soft.Score(100, 107); !late || u != 5 {
+	if u, late := soft.Envelope().Score(7); !late || u != 5 {
 		t.Fatalf("soft decayed: (%d, %v), want (5, true)", u, late)
 	}
-	if !soft.Admissible(100, 107) {
+	if !admissible(soft, 7) {
 		t.Fatal("decayed-but-useful soft tick must be admissible")
 	}
-	if soft.Admissible(100, 120) {
+	if admissible(soft, 20) {
 		t.Fatal("fully decayed soft tick must not be admissible")
 	}
 
 	none := Spec{Kind: deadline.None}
-	if !none.Admissible(0, 1000) {
+	if !admissible(none, 1000) {
 		t.Fatal("no-deadline ticks are always admissible")
 	}
+}
+
+// TestDueOrderIsDeterministic: a registered periodic query write-ahead-logs
+// each invocation, so which group is served first must not depend on map
+// iteration. Groups come back earliest due first, in attach order among the
+// ones due at one chronon — on every fresh table.
+func TestDueOrderIsDeterministic(t *testing.T) {
+	for run := 0; run < 200; run++ {
+		tab := NewTable()
+		// late is attached first but due last; a, b, c are due together.
+		late := tab.Attach(Spec{Query: "late", Period: 9}, 0, NewQueue(1), 100)
+		a := tab.AttachTally(Spec{Query: "a", Period: 4}, &Tally{Name: "a"}, 104)
+		b := tab.Attach(Spec{Query: "b", Period: 4}, 0, NewQueue(1), 100)
+		c := tab.Attach(Spec{Query: "c", Period: 2}, 0, NewQueue(1), 102)
+		early := tab.Attach(Spec{Query: "early", Period: 1}, 0, NewQueue(1), 100)
+
+		want := []*Group{early.g, a.g, b.g, c.g, late.g}
+		if got := tab.Due(109); !slices.Equal(got, want) {
+			t.Fatalf("run %d: Due(109) order = %v, want early, a, b, c, late", run, keys(got))
+		}
+		if got := tab.Due(104); !slices.Equal(got, want[:4]) {
+			t.Fatalf("run %d: Due(104) order = %v, want early, a, b, c", run, keys(got))
+		}
+		// A group that leaves takes its place in the order with it.
+		tab.Detach(b)
+		if got := tab.Due(104); !slices.Equal(got, []*Group{early.g, a.g, c.g}) {
+			t.Fatalf("run %d: Due(104) after detach = %v, want early, a, c", run, keys(got))
+		}
+	}
+}
+
+func keys(gs []*Group) []string {
+	out := make([]string, len(gs))
+	for i, g := range gs {
+		out[i] = g.Key().Query
+	}
+	return out
 }

@@ -1,6 +1,11 @@
 package sub
 
-import "rtc/internal/timeseq"
+import (
+	"cmp"
+	"slices"
+
+	"rtc/internal/timeseq"
+)
 
 // Key identifies an evaluation group: subscriptions naming the same catalog
 // query at the same period share one evaluation per tick regardless of
@@ -36,11 +41,14 @@ func (g *Group) Advance() (issue timeseq.Time) {
 // retain across table mutations).
 func (g *Group) Members() []*Sub { return g.members }
 
-// Sub is one attached subscription. Cursor and expiry bookkeeping are owned
-// by the apply loop; Q is the only field transports touch concurrently.
+// Sub is one member of a group: an attached subscription, whose ticks are
+// delivered through Q, or a registered periodic query, whose ticks are counted
+// in Tally (Q is nil then). Cursor and expiry bookkeeping are owned by the
+// apply loop; Q is the only field transports touch concurrently.
 type Sub struct {
-	Spec Spec
-	Q    *Queue
+	Spec  Spec
+	Q     *Queue
+	Tally *Tally
 
 	cursor  uint64 // last assigned cursor (== base right after attach)
 	base    uint64 // cursor base of this attachment (AfterCursor on resume)
@@ -54,25 +62,38 @@ func (s *Sub) Cursor() uint64 { return s.cursor }
 // Base returns this attachment's cursor base.
 func (s *Sub) Base() uint64 { return s.base }
 
-// Expired returns the cumulative expired count for this attachment — the
-// value stamped into a push scheduled now covers exactly the cursors below
-// it, because expiry for the current cursor is decided after the stamp.
-func (s *Sub) Expired() uint64 { return s.expired }
-
-// AssignCursor consumes the next cursor value for a scheduled tick.
-func (s *Sub) AssignCursor() uint64 {
+// Tick is the only way a tick consumes a cursor: the member's next cursor is
+// spent on the tick issued at issue and finishing at finish whatever becomes
+// of it. ok is false when per-tick admission expires the tick — counted, so
+// the next delivered push accounts for it. Otherwise p carries the cursor,
+// the usefulness at finish, the two chronons, and Expired stamped before this
+// tick's outcome could count, so it covers exactly the cursors below p.Cursor;
+// the caller adds what it evaluated. late is Score's (the standby books a
+// late-but-useful tick as a miss; the primary does not).
+func (s *Sub) Tick(issue, finish timeseq.Time) (p Push, late, ok bool) {
 	s.cursor++
-	return s.cursor
+	env := s.Spec.Envelope()
+	useful, late := env.Score(finish - issue)
+	if !env.Admissible(useful, late) {
+		s.expired++
+		return Push{}, late, false
+	}
+	return Push{
+		Cursor: s.cursor, Expired: s.expired, Useful: useful,
+		Issue: issue, Served: finish,
+	}, late, true
 }
 
-// Expire records the current cursor's tick as admission-expired.
-func (s *Sub) Expire() { s.expired++ }
-
-// Table is the set of live subscriptions, grouped for shared evaluation.
-// Owned by the apply loop.
+// Table is the set of live members, grouped for shared evaluation. Owned by
+// the apply loop.
 type Table struct {
 	groups map[Key]*Group
-	n      int
+	// order lists the groups oldest first: Due and NextDue walk it, never
+	// the map, so which of two groups due at one chronon is served first is
+	// decided by attach order — a registered periodic query write-ahead-logs
+	// each invocation, and the log must not depend on map iteration.
+	order []*Group
+	n     int
 }
 
 // NewTable builds an empty table.
@@ -80,7 +101,7 @@ func NewTable() *Table {
 	return &Table{groups: make(map[Key]*Group)}
 }
 
-// Len returns the number of attached subscriptions.
+// Len returns the number of attached members.
 func (t *Table) Len() int { return t.n }
 
 // Attach adds a subscription and returns its handle. after is the cursor to
@@ -92,13 +113,26 @@ func (t *Table) Len() int { return t.n }
 // subscription's delivery queue, built by the caller so that it can choose
 // where the queue posts its wake tokens.
 func (t *Table) Attach(spec Spec, after uint64, q *Queue, now timeseq.Time) *Sub {
-	k := Key{Query: spec.Query, Period: spec.Period}
+	return t.attach(&Sub{Spec: spec, Q: q, cursor: after, base: after}, now+spec.Period)
+}
+
+// AttachTally adds a registered periodic query: a member whose ticks are
+// counted in tally. A new group's first tick is due at first itself — a
+// registration names its first invocation; an existing group's schedule is
+// adopted as in Attach.
+func (t *Table) AttachTally(spec Spec, tally *Tally, first timeseq.Time) *Sub {
+	return t.attach(&Sub{Spec: spec, Tally: tally}, first)
+}
+
+func (t *Table) attach(s *Sub, first timeseq.Time) *Sub {
+	k := Key{Query: s.Spec.Query, Period: s.Spec.Period}
 	g, ok := t.groups[k]
 	if !ok {
-		g = &Group{key: k, next: now + spec.Period}
+		g = &Group{key: k, next: first}
 		t.groups[k] = g
+		t.order = append(t.order, g)
 	}
-	s := &Sub{Spec: spec, Q: q, cursor: after, base: after, g: g}
+	s.g = g
 	g.members = append(g.members, s)
 	t.n++
 	return s
@@ -122,6 +156,8 @@ func (t *Table) Detach(s *Sub) {
 	}
 	if len(g.members) == 0 {
 		delete(t.groups, g.key)
+		i := slices.Index(t.order, g)
+		t.order = slices.Delete(t.order, i, i+1)
 	}
 }
 
@@ -129,7 +165,7 @@ func (t *Table) Detach(s *Sub) {
 func (t *Table) NextDue() (timeseq.Time, bool) {
 	var due timeseq.Time
 	pending := false
-	for _, g := range t.groups {
+	for _, g := range t.order {
 		if !pending || g.next < due {
 			due, pending = g.next, true
 		}
@@ -137,15 +173,17 @@ func (t *Table) NextDue() (timeseq.Time, bool) {
 	return due, pending
 }
 
-// Due returns the groups due at or before now. The slice is freshly
-// allocated; group order is unspecified (ticks at equal times are
-// independent evaluations).
+// Due returns the groups due at or before now, earliest due first and in
+// attach order among groups due at one chronon. The slice is freshly
+// allocated.
 func (t *Table) Due(now timeseq.Time) []*Group {
 	var out []*Group
-	for _, g := range t.groups {
+	for _, g := range t.order {
 		if g.next <= now {
 			out = append(out, g)
 		}
 	}
+	// Stable, so groups due at one chronon keep the walk's attach order.
+	slices.SortStableFunc(out, func(a, b *Group) int { return cmp.Compare(a.next, b.next) })
 	return out
 }
