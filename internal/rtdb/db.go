@@ -59,9 +59,23 @@ func (o *ImageObject) At(t timeseq.Time) (Sample, bool) {
 // History returns all archival samples, oldest first.
 func (o *ImageObject) History() []Sample { return o.history }
 
-// Grow makes room for n more samples, so that a replay of known length
-// appends into one allocation instead of doubling its way up.
-func (o *ImageObject) Grow(n int) { o.history = slices.Grow(o.history, n) }
+// InstallHistory copies a recovered, time-ordered history into an image that
+// holds none yet — one allocation, sized exactly, in place of one
+// InjectSample per sample. It enforces InjectSample's rule in one pass: no
+// sample precedes the one before it. Install before AddImage, which drops
+// the database's cached view.
+func (o *ImageObject) InstallHistory(h []Sample) error {
+	if len(o.history) > 0 {
+		return fmt.Errorf("rtdb: image %q already holds %d samples", o.Name, len(o.history))
+	}
+	for i := 1; i < len(h); i++ {
+		if h[i].At < h[i-1].At {
+			return fmt.Errorf("rtdb: sample for %q at %d precedes last sample at %d", o.Name, h[i].At, h[i-1].At)
+		}
+	}
+	o.history = slices.Clone(h)
+	return nil
+}
 
 // DerivedObject is "computed from a set of image objects and possibly other
 // objects"; its timestamp is the oldest valid time of the objects used to
@@ -219,7 +233,7 @@ func (db *DB) AddImage(o *ImageObject) {
 // is never built. Rules observe identical behavior either way: an event
 // with no matching rule is a no-op in the engine.
 func (db *DB) raiseSample(o *ImageObject, t timeseq.Time, v Value) {
-	if db.listeners[o.sampleKind] == 0 {
+	if !db.Listens(o.sampleKind) {
 		return
 	}
 	db.Raise(Event{Kind: o.sampleKind, At: t, Attr: map[string]Value{"value": v}})
@@ -314,6 +328,9 @@ func (db *DB) AddRule(r Rule) {
 	db.rules = append(db.rules, r)
 	db.listeners[r.On]++
 }
+
+// Listens reports whether any rule reacts to events of the given kind.
+func (db *DB) Listens(kind string) bool { return db.listeners[kind] > 0 }
 
 // Raise delivers an event to the rule engine under the firing-mode
 // semantics. Immediate rules run inline (and may cascade, bounded by the

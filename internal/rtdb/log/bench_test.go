@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"rtc/internal/rtdb"
 	"rtc/internal/timeseq"
+	"rtc/internal/vtime"
 )
 
 func BenchmarkCodecEncode(b *testing.B) {
@@ -178,6 +180,27 @@ func BenchmarkOpen(b *testing.B) {
 				b.Fatalf("recovered %d events", l.Seq())
 			}
 			l.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+	})
+}
+
+// BenchmarkRebuild is the step after BenchmarkOpen: the recovered 200k-event
+// state of 64 images installed into a fresh database, as server.New and the
+// standby mirror do it. Its ns/event is the root-module twin of rtbench's
+// server.rebuild_ns_per_event.
+func BenchmarkRebuild(b *testing.B) {
+	const events = 200_000
+	b.Run("200k", func(b *testing.B) {
+		l := sensorLog(b, Options{Dir: b.TempDir(), SegmentSize: 64 << 20}, events)
+		defer l.Close()
+		st := l.State()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := st.Rebuild(rtdb.New(vtime.New()), nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
 	})

@@ -27,7 +27,6 @@ package log
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -210,11 +209,7 @@ func (l *Log) commitLocked(b *batch) {
 		l.releaseAllLocked(errClosed)
 		return
 	}
-	if err := l.fsync(); err != nil {
-		l.poisonLocked(fmt.Errorf("log: fsync failed, log poisoned: %w", err))
-		return
-	}
-	l.releaseAllLocked(nil)
+	_ = l.syncLocked() // a failure reaches every ticket through the poison
 }
 
 // releaseAllLocked resolves every pending batch, oldest first. err == nil
@@ -296,10 +291,9 @@ func (l *Log) AppendBatch(events []Event) (int, error) {
 		}
 	}
 	if l.opts.Sync && len(l.pending) > 0 {
-		if err := l.fsync(); err != nil {
-			return applied, l.poisonLocked(fmt.Errorf("log: fsync failed, log poisoned: %w", err))
+		if err := l.syncLocked(); err != nil {
+			return applied, err
 		}
-		l.releaseAllLocked(nil)
 	}
 	return applied, nil
 }

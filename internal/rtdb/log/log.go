@@ -422,12 +422,11 @@ func (l *Log) appendUngroupedLocked(e Event) error {
 		return err
 	}
 	if l.opts.Sync {
-		if err := l.fsync(); err != nil {
-			return l.poisonLocked(fmt.Errorf("log: fsync failed, log poisoned: %w", err))
-		}
 		// A leftover AppendBatch tail (possible on a Sync log without a
 		// window) is covered by this fsync too.
-		l.releaseAllLocked(nil)
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
 	}
 	if err := l.maintainLocked(); err != nil {
 		return err
@@ -533,11 +532,10 @@ func (l *Log) snapshotLocked() error {
 	// segment's unsynced tail while keeping the (always-fsynced) snapshot,
 	// leaving it pointing past the end of the segment it replays from.
 	if l.f != nil {
-		if err := l.fsync(); err != nil {
-			return l.poisonLocked(fmt.Errorf("log: fsync failed, log poisoned: %w", err))
-		}
 		// The segment fsync covers every pending commit batch.
-		l.releaseAllLocked(nil)
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
 	}
 	pos := replayPos{seg: l.segIndex, off: l.segSize}
 	l.snapSeq++
@@ -672,6 +670,13 @@ func (l *Log) Sync() error {
 	if l.f == nil {
 		return nil
 	}
+	return l.syncLocked()
+}
+
+// syncLocked commits everything written to the active segment: on success
+// every pending batch releases, on failure the log poisons and they all
+// fail with it.
+func (l *Log) syncLocked() error {
 	if err := l.fsync(); err != nil {
 		return l.poisonLocked(fmt.Errorf("log: fsync failed, log poisoned: %w", err))
 	}

@@ -475,16 +475,23 @@ func TestBuildRebindsCatalog(t *testing.T) {
 	reg := rtdb.DeriveRegistry{
 		"status": func(src map[string]rtdb.Value) rtdb.Value { return src["temp"] + "/" + src["limit"] },
 	}
-	if err := st.Build(db, reg); err != nil {
+	if err := st.Rebuild(db, reg); err != nil {
 		t.Fatal(err)
 	}
 	img, ok := db.Image("temp")
 	if !ok {
 		t.Fatal("image catalog not rebuilt")
 	}
-	// The history starts empty with room for the replay that follows.
-	if n := len(st.Images["temp"].Samples); n == 0 || len(img.History()) != 0 || cap(img.History()) < n {
-		t.Fatalf("history len %d cap %d before replaying %d samples", len(img.History()), cap(img.History()), n)
+	// The history is installed whole, as a copy: the log keeps appending to
+	// its own slice.
+	want := st.Images["temp"].Samples
+	if got := img.History(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("installed history %v, want %v", got, want)
+	} else if &got[0] == &want[0] {
+		t.Fatal("installed history shares the log state's slice")
+	}
+	if db.Now() != st.LastAt {
+		t.Fatalf("rebuilt clock at %d, want %d", db.Now(), st.LastAt)
 	}
 	if v, ok := db.Invariant("limit"); !ok || v != "22" {
 		t.Fatalf("invariant = %q, %v", v, ok)
@@ -497,7 +504,7 @@ func TestBuildRebindsCatalog(t *testing.T) {
 		t.Fatalf("rebound derivation = %q", got)
 	}
 	// Missing registry entry is an error, not a silent nil function.
-	if err := st.Build(rtdb.New(vtime.New()), nil); err == nil {
-		t.Fatal("Build with empty registry: want error")
+	if err := st.Rebuild(rtdb.New(vtime.New()), nil); err == nil {
+		t.Fatal("Rebuild with empty registry: want error")
 	}
 }

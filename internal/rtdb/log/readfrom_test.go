@@ -325,8 +325,12 @@ func TestReadFromHammer(t *testing.T) {
 				from := pos.Seq
 				got, err := l.ReadFrom(pos, batch)
 				if errors.Is(err, ErrSeqCompacted) {
-					_, seq, _ := l.DumpState()
-					pos = &ReadPos{Seq: min(seq, l.DurableSeq())}
+					_, seq, _, err := l.DumpState()
+					if err != nil {
+						t.Errorf("DumpState: %v", err)
+						return
+					}
+					pos = &ReadPos{Seq: seq}
 					continue
 				}
 				if err != nil {

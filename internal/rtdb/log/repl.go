@@ -297,11 +297,21 @@ func (l *Log) indexSegments(segs []uint64, pos replayPos, snapEvents uint64, rd 
 
 // DumpState flattens the current state into a replayable event sequence
 // plus the sequence number and last timestamp it corresponds to — the
-// payload of a full-state resync.
-func (l *Log) DumpState() ([]Event, uint64, timeseq.Time) {
+// payload of a full-state resync. The state is only shippable once it is
+// durable, so under group commit DumpState first commits the open window;
+// if that fsync fails it returns the poison error instead of a dump.
+func (l *Log) DumpState() ([]Event, uint64, timeseq.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.st.dump(), l.st.Events, l.st.LastAt
+	if l.shippableLocked() < l.st.Events {
+		if err := l.usableLocked(); err != nil {
+			return nil, 0, 0, err
+		}
+		if err := l.syncLocked(); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	return l.st.dump(), l.st.Events, l.st.LastAt, nil
 }
 
 // Bootstrap replaces the log directory's contents with the given state

@@ -205,7 +205,10 @@ func TestBootstrapAlignsSequence(t *testing.T) {
 	}
 	defer src.Close()
 	events := fillLog(t, src, 12)
-	dump, seq, lastAt := src.DumpState()
+	dump, seq, lastAt, err := src.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if seq != 12 {
 		t.Fatalf("dump seq = %d, want 12", seq)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"rtc/internal/rtdb"
@@ -12,10 +13,13 @@ import (
 	"rtc/internal/vtime"
 )
 
-// sortReplay is the reference replay order: every sample of every image
-// copied into one slice and sorted by (time, image, position). The merge in
-// replaySamples must be indistinguishable from it.
-func sortReplay(db *rtdb.DB, st *State) error {
+// sortReplay is the reference rebuild: a database with the state's images
+// and no rules, every sample of every image copied into one slice, sorted by
+// (time, image, position) and re-injected at its original time, then the
+// clock run to the state's last timestamp. Rebuild must be
+// indistinguishable from it.
+func sortReplay(st *State) (*rtdb.DB, error) {
+	db := rtdb.New(vtime.New())
 	type rec struct {
 		at    timeseq.Time
 		image string
@@ -24,6 +28,7 @@ func sortReplay(db *rtdb.DB, st *State) error {
 	}
 	var all []rec
 	for name, img := range st.Images {
+		db.AddImage(&rtdb.ImageObject{Name: name, Period: img.Period})
 		for i, smp := range img.Samples {
 			all = append(all, rec{at: smp.At, image: name, value: smp.Value, seq: i})
 		}
@@ -40,34 +45,19 @@ func sortReplay(db *rtdb.DB, st *State) error {
 	for _, r := range all {
 		db.Scheduler().RunUntil(r.at)
 		if err := db.InjectSample(r.image, r.value); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	db.Scheduler().RunUntil(st.LastAt)
+	return db, nil
 }
 
-// replayTarget is a database whose firing log records the global order
-// samples arrive in: one immediate rule per image.
-func replayTarget(t *testing.T, st *State) *rtdb.DB {
-	db := rtdb.New(vtime.New())
-	if err := st.Build(db, nil); err != nil {
-		t.Fatal(err)
-	}
-	for name := range st.Images {
-		db.AddRule(rtdb.Rule{
-			Name: "saw-" + name, On: "sample:" + name, Mode: rtdb.Immediate,
-			Then: func(*rtdb.DB, rtdb.Event) {},
-		})
-	}
-	return db
-}
-
-// TestMergeReplayMatchesSort replays randomly interleaved multi-image
+// TestRebuildMatchesSortReplay rebuilds randomly interleaved multi-image
 // histories — equal timestamps across images and within one image, images
 // with no samples, and (every fourth seed) one history that is not in time
-// order — through the reference sort and through the merge, and requires
-// the same database: every image's history and the firing log.
-func TestMergeReplayMatchesSort(t *testing.T) {
+// order — by installing them and through the reference sort-and-replay, and
+// requires the same database: every image's history and the clock.
+func TestRebuildMatchesSortReplay(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 7))
 		st := NewState()
@@ -83,26 +73,21 @@ func TestMergeReplayMatchesSort(t *testing.T) {
 			img := st.Images[images[rng.IntN(len(images))]]
 			img.Samples = append(img.Samples, rtdb.Sample{At: at, Value: fmt.Sprintf("v%d", k)})
 		}
+		st.LastAt = at
 		if seed%4 == 0 {
 			smp := st.Images[images[0]].Samples
 			rng.Shuffle(len(smp), func(i, j int) { smp[i], smp[j] = smp[j], smp[i] })
 		}
 
-		want := replayTarget(t, st)
-		if err := sortReplay(want, st); err != nil {
+		want, err := sortReplay(st)
+		if err != nil {
 			t.Fatalf("seed %d: reference replay: %v", seed, err)
 		}
-		got := replayTarget(t, st)
-		if err := st.replaySamples(got); err != nil {
-			t.Fatalf("seed %d: merge replay: %v", seed, err)
+		got := rtdb.New(vtime.New())
+		if err := st.Rebuild(got, nil); err != nil {
+			t.Fatalf("seed %d: rebuild: %v", seed, err)
 		}
 
-		if !reflect.DeepEqual(got.FiringLog(), want.FiringLog()) {
-			t.Fatalf("seed %d: firing logs differ:\n got  %v\nwant %v", seed, got.FiringLog(), want.FiringLog())
-		}
-		if len(want.FiringLog()) != 300 {
-			t.Fatalf("seed %d: firing log has %d entries, want one per sample", seed, len(want.FiringLog()))
-		}
 		for name := range st.Images {
 			g, _ := got.Image(name)
 			w, _ := want.Image(name)
@@ -116,9 +101,57 @@ func TestMergeReplayMatchesSort(t *testing.T) {
 	}
 }
 
+// TestRebuildRefusesObservableReplay: installing a history equals replaying
+// it only when nothing could have watched the replay. Each row sets up one
+// database where something could, and Rebuild must refuse it without
+// touching it; the last row is a rule on an image the log never held, which
+// no replay would have raised.
+func TestRebuildRefusesObservableReplay(t *testing.T) {
+	st := NewState()
+	st.Images["temp"] = &ImageState{Period: 5, Samples: []rtdb.Sample{{At: 1, Value: "a"}, {At: 3, Value: "b"}}}
+	st.LastAt = 3
+	rule := func(on string) rtdb.Rule {
+		return rtdb.Rule{Name: "r", On: on, Mode: rtdb.Immediate, Then: func(*rtdb.DB, rtdb.Event) {}}
+	}
+	for _, tc := range []struct {
+		name    string
+		prepare func(db *rtdb.DB)
+		refusal string // "" = Rebuild must succeed
+	}{
+		{"rule on a recovered image", func(db *rtdb.DB) { db.AddRule(rule("sample:temp")) }, "rule"},
+		{"events pending on the scheduler", func(db *rtdb.DB) { db.Scheduler().At(2, 0, func() {}) }, "scheduled"},
+		{"image already holds history", func(db *rtdb.DB) {
+			db.AddImage(&rtdb.ImageObject{Name: "temp", Period: 5})
+			if err := db.InjectSample("temp", "old"); err != nil {
+				t.Fatal(err)
+			}
+		}, "already holds"},
+		{"rule on another image", func(db *rtdb.DB) { db.AddRule(rule("sample:other")) }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := rtdb.New(vtime.New())
+			tc.prepare(db)
+			before := db.Now()
+			err := st.Rebuild(db, nil)
+			if tc.refusal == "" {
+				if err != nil {
+					t.Fatalf("rebuild refused: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+				t.Fatalf("rebuild error %v, want a refusal mentioning %q", err, tc.refusal)
+			}
+			if img, ok := db.Image("temp"); db.Now() != before || (ok && len(img.History()) == len(st.Images["temp"].Samples)) {
+				t.Fatal("a refused rebuild touched the database")
+			}
+		})
+	}
+}
+
 // TestReplayAllocatesPerImageNotPerSample pins what a rebuild leaves on the
-// heap: Build sizes every history for its replay, so replaySamples allocates
-// its cursors and nothing that grows with the number of samples — no
+// heap: each history is installed in one exactly sized copy, so the
+// allocation count depends on the number of images, not samples — no
 // history doubles its way up, and the garbage a recovery leaves behind does
 // not depend on when the collector happened to run.
 func TestReplayAllocatesPerImageNotPerSample(t *testing.T) {
@@ -148,8 +181,8 @@ func TestReplayAllocatesPerImageNotPerSample(t *testing.T) {
 			t.Fatalf("%s: history has %d samples, want %d", name, len(got), len(want.Samples))
 		}
 	}
-	// Build: the database's maps, one object and one history per image.
-	// Replay: the heap and one boxed cursor per image.
+	// The database's maps, the sorted name list, and one object, one history
+	// and one kind string per image.
 	if limit := float64(8*images + 32); allocs > limit {
 		t.Fatalf("rebuild of %d samples: %.0f allocs, want <= %.0f", images*perImage, allocs, limit)
 	}

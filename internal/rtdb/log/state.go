@@ -1,9 +1,10 @@
 package log
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -149,10 +150,10 @@ func (st *State) Apply(e Event) error {
 	return nil
 }
 
-// imageNames returns the image names sorted, for deterministic dumps.
-func (st *State) imageNames() []string {
-	names := make([]string, 0, len(st.Images))
-	for n := range st.Images {
+// sortedKeys returns a catalog map's names sorted, for deterministic walks.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -164,24 +165,14 @@ func (st *State) imageNames() []string {
 // payload, streamed: a snapshot encodes each event as it is visited, so the
 // history is never materialized a second time.
 func (st *State) visit(emit func(Event)) {
-	invs := make([]string, 0, len(st.Invariants))
-	for n := range st.Invariants {
-		invs = append(invs, n)
-	}
-	sort.Strings(invs)
-	for _, n := range invs {
+	for _, n := range sortedKeys(st.Invariants) {
 		emit(Invariant(n, st.Invariants[n]))
 	}
-	names := st.imageNames()
+	names := sortedKeys(st.Images)
 	for _, n := range names {
 		emit(Image(n, st.Images[n].Period))
 	}
-	ders := make([]string, 0, len(st.Derived))
-	for n := range st.Derived {
-		ders = append(ders, n)
-	}
-	sort.Strings(ders)
-	for _, n := range ders {
+	for _, n := range sortedKeys(st.Derived) {
 		emit(Derived(n, st.Derived[n].Sources...))
 	}
 	for _, n := range names {
@@ -243,7 +234,7 @@ func (st *State) Diff(other *State) string {
 	if len(st.Invariants) != len(other.Invariants) {
 		return fmt.Sprintf("invariant count %d vs %d", len(st.Invariants), len(other.Invariants))
 	}
-	for _, n := range st.imageNames() {
+	for _, n := range sortedKeys(st.Images) {
 		a, b := st.Images[n], other.Images[n]
 		if b == nil {
 			return fmt.Sprintf("image %q missing", n)
@@ -285,126 +276,66 @@ func (st *State) Diff(other *State) string {
 	return ""
 }
 
-// Build instantiates a live rtdb.DB from the recovered catalog: invariants,
-// served-mode images (nil Read — samples are injected, not scheduled), and
-// derived objects re-bound through the registry, exactly as the acceptor's
-// DeriveRegistry re-binds enc(D). Sample histories are re-injected through
-// the scheduler so in-DB state matches a reference run; each image's
-// history is sized here for that replay, so a rebuild allocates it once and
-// leaves no trail of outgrown copies for the collector.
-func (st *State) Build(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
-	for _, n := range st.imageNames() {
+// Rebuild is the one way a recovered state becomes a live database — server
+// recovery and the replica's standby mirror both call it. It installs the
+// catalog — invariants, served-mode images (nil Read: nothing is
+// scheduled), and derived objects re-bound through the registry, exactly as
+// the acceptor's DeriveRegistry re-binds enc(D) — copies each image's
+// history in whole, and leaves the clock at the state's last timestamp.
+//
+// Installing a history is indistinguishable from re-injecting its samples
+// one by one at their original times as long as nothing can observe the
+// injections: no rule listens on a recovered image, no event is waiting on
+// the scheduler, and no recovered image already holds samples the replay
+// would have appended to. Rebuild refuses a database where any of the three
+// fails, before touching it. Install rules afterwards.
+func (st *State) Rebuild(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
+	sched := db.Scheduler()
+	if n := sched.Pending(); n > 0 {
+		return fmt.Errorf("log: rebuild into a database with %d scheduled events", n)
+	}
+	names := sortedKeys(st.Images)
+	for _, n := range names {
+		if db.Listens("sample:" + n) {
+			return fmt.Errorf("log: rebuild under a rule on image %q: install rules after recovery", n)
+		}
+		if o, ok := db.Image(n); ok && len(o.History()) > 0 {
+			return fmt.Errorf("log: rebuild over image %q, which already holds %d samples", n, len(o.History()))
+		}
+	}
+	for _, n := range names {
 		img := &rtdb.ImageObject{Name: n, Period: st.Images[n].Period}
-		img.Grow(len(st.Images[n].Samples))
+		if err := img.InstallHistory(timeOrdered(st.Images[n].Samples)); err != nil {
+			return err
+		}
 		db.AddImage(img)
 	}
-	invs := make([]string, 0, len(st.Invariants))
-	for n := range st.Invariants {
-		invs = append(invs, n)
-	}
-	sort.Strings(invs)
-	for _, n := range invs {
+	for _, n := range sortedKeys(st.Invariants) {
 		db.AddInvariant(n, st.Invariants[n])
 	}
-	ders := make([]string, 0, len(st.Derived))
-	for n := range st.Derived {
-		ders = append(ders, n)
-	}
-	sort.Strings(ders)
-	for _, n := range ders {
+	for _, n := range sortedKeys(st.Derived) {
 		fn, ok := reg[n]
 		if !ok {
 			return fmt.Errorf("log: no derivation registered for %q", n)
 		}
 		db.AddDerived(&rtdb.DerivedObject{Name: n, Sources: st.Derived[n].Sources, Derive: fn})
 	}
+	sched.RunUntil(st.LastAt)
 	return nil
 }
 
-// Rebuild is the one way a recovered state becomes a live database — server
-// recovery and the replica's standby mirror both call it: the catalog via
-// Build, every sample re-injected at its original time, and the clock left
-// at the state's last timestamp. Install rules afterwards, so that replayed
-// samples do not re-fire them.
-func (st *State) Rebuild(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
-	if err := st.Build(db, reg); err != nil {
-		return err
-	}
-	if err := st.replaySamples(db); err != nil {
-		return err
-	}
-	db.Scheduler().RunUntil(st.LastAt)
-	return nil
-}
-
-// replaySamples re-injects the sample histories in (time, image, position)
-// order, advancing the virtual clock so every sample lands at its original
-// time. Each image's history is already in log order, which is time order,
-// so the global order is a k-way merge of the histories as they stand: a
-// heap of one cursor per image keyed by (head time, image name) yields
-// exactly the sequence a sort of all samples by (time, image, position)
-// would, without copying or comparing the samples themselves.
-func (st *State) replaySamples(db *rtdb.DB) error {
-	h := make(replayHeap, 0, len(st.Images))
-	for name, img := range st.Images {
-		if len(img.Samples) > 0 {
-			h = append(h, replayCursor{image: name, rest: timeOrdered(img.Samples)})
-		}
-	}
-	heap.Init(&h)
-	sched := db.Scheduler()
-	for len(h) > 0 {
-		c := &h[0]
-		sched.RunUntil(c.rest[0].At)
-		if err := db.InjectSample(c.image, c.rest[0].Value); err != nil {
-			return err
-		}
-		if c.rest = c.rest[1:]; len(c.rest) == 0 {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return nil
-}
-
-// timeOrdered returns the samples in (time, position) order. The server
-// only ever logs an image's samples on a monotone clock, so this is the
-// slice itself; a log written some other way gets a stably sorted copy, and
-// the merge stays equal to the sort it replaced on every input.
+// timeOrdered returns the samples in (time, position) order — the history a
+// replay at the original times would have built. The server only ever logs
+// an image's samples on a monotone clock, so this is the slice itself; a log
+// written some other way gets a stably sorted copy.
 func timeOrdered(samples []rtdb.Sample) []rtdb.Sample {
-	byTime := func(i, j int) bool { return samples[i].At < samples[j].At }
-	if sort.SliceIsSorted(samples, byTime) {
+	byTime := func(a, b rtdb.Sample) int { return cmp.Compare(a.At, b.At) }
+	if slices.IsSortedFunc(samples, byTime) {
 		return samples
 	}
-	samples = append([]rtdb.Sample(nil), samples...)
-	sort.SliceStable(samples, byTime)
+	samples = slices.Clone(samples)
+	slices.SortStableFunc(samples, byTime)
 	return samples
-}
-
-// replayCursor is the unreplayed rest of one image's history.
-type replayCursor struct {
-	image string
-	rest  []rtdb.Sample
-}
-
-// replayHeap orders cursors by (head sample time, image name).
-type replayHeap []replayCursor
-
-func (h replayHeap) Len() int { return len(h) }
-func (h replayHeap) Less(i, j int) bool {
-	if a, b := h[i].rest[0].At, h[j].rest[0].At; a != b {
-		return a < b
-	}
-	return h[i].image < h[j].image
-}
-func (h replayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *replayHeap) Push(x any)   { *h = append(*h, x.(replayCursor)) }
-func (h *replayHeap) Pop() any {
-	old := *h
-	c := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return c
 }
 
 // Historical converts the recovered sample histories into the §5.1.2
@@ -413,7 +344,7 @@ func (h *replayHeap) Pop() any {
 // structure as-of reads are served from.
 func (st *State) Historical(now timeseq.Time) *rtdb.HistoricalDatabase {
 	out := rtdb.NewHistoricalDatabase()
-	for _, n := range st.imageNames() {
+	for _, n := range sortedKeys(st.Images) {
 		// Timeline capture: shares the sample slice, O(1) per image instead
 		// of O(n²) row inserts — a standby republishing its query mirror on
 		// every applied batch must not slow down as the history grows.

@@ -97,9 +97,14 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 // sendResync streams a full state dump in chunked Snap frames, returning
 // the sequence the dump corresponds to. The follower wipes its log and
 // bootstraps from the dump — the only recovery when the events it needs
-// were compacted away.
+// were compacted away. A log that cannot make its state durable has no dump
+// to give: the connection is torn down and the follower redials.
 func (c *conn) sendResync(l *wal.Log, epoch uint64) (uint64, bool) {
-	events, seq, lastAt := l.DumpState()
+	events, seq, lastAt, err := l.DumpState()
+	if err != nil {
+		c.interruptRead()
+		return 0, false
+	}
 	c.n.Wire.ReplResyncs.Add(1)
 	for start := 0; start < len(events); start += c.n.opt.ReplBatch {
 		end := min(start+c.n.opt.ReplBatch, len(events))

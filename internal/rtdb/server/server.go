@@ -187,8 +187,9 @@ type Server struct {
 
 // New builds a server. If cfg.Log holds recovered state the database is
 // rebuilt from it (load-or-recover); otherwise the catalog comes from
-// cfg.Spec and is logged. Rules are installed after recovery so replayed
-// samples do not re-fire them.
+// cfg.Spec and is logged. Rules are installed after recovery: recovered
+// samples are history, not events, and Rebuild refuses a database where a
+// rule could see them.
 func New(cfg Config) (*Server, error) {
 	cfg.defaults()
 	s := &Server{
@@ -220,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 		s.db.AddRule(r)
 	}
 	// The pre-existing firing log (empty after recovery by construction —
-	// rules were not installed during replay) is drained from zero.
+	// rules were not installed during the rebuild) is drained from zero.
 	s.firings = len(s.db.FiringLog())
 	s.pubLen = make(map[string]int, len(s.names))
 	s.publishSnapshot()
