@@ -48,8 +48,8 @@ race-net:
 
 # WAL-streaming replication under the race detector: the replica package
 # (streaming at the tail, catch-up, resync, promotion fencing, auto-promote watchdog, the
-# standby listener's hardening and stalled-subscriber tests) plus the torture
-# failover sweep's short configuration.
+# follower server's hardening, stalled-subscriber and in-place promotion tests) plus the
+# torture failover sweep's short configuration. CI runs this target.
 race-repl:
 	$(GO) test -race ./internal/rtdb/replica/
 	$(GO) test -race -run=TestFailover ./internal/rtdb/torture/

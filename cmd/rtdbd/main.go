@@ -151,9 +151,9 @@ const sensorBank = 16
 func sensorName(i int) string { return fmt.Sprintf("sensor-%02d", i%sensorBank) }
 
 // serverConfig is the demo deployment every rtdbd role shares: primaries
-// install it as their spec, replicas use its catalog and registry for
-// degraded standby queries, and a promoted replica becomes a primary with
-// the identical books.
+// install it as their spec; a replica's follower server answers degraded
+// queries from its catalog and registry, bounds connections by its sessions,
+// and installs its rules at promotion — a primary with the identical books.
 func serverConfig(sessions, queue int, evalCost uint64) server.Config {
 	images := []*rtdb.ImageObject{
 		{Name: "temp", Period: 5},
@@ -218,19 +218,7 @@ func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops in
 	if err != nil {
 		return err
 	}
-	if err := ss.RegisterPeriodic(server.PeriodicQuery{
-		Name: "status-watch", Query: "status_q",
-		Issue: ss.Now(), Period: 11,
-		Kind: deadline.Firm, Deadline: timeseq.Time(evalCost) + 3, MinUseful: 1,
-	}); err != nil {
-		return err
-	}
-	if err := ss.RegisterPeriodic(server.PeriodicQuery{
-		Name: "temp-trend", Query: "temp_q",
-		Issue: ss.Now(), Period: 23,
-		Kind: deadline.Soft, Deadline: 5, MinUseful: 2,
-		U: deadline.Hyperbolic(10, 5),
-	}); err != nil {
+	if err := registerPeriodic(ss.RegisterPeriodic, ss.Now(), evalCost); err != nil {
 		return err
 	}
 	ss.Start()
@@ -274,7 +262,30 @@ func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops in
 		return err
 	}
 	stop()
-	return report(ss, set)
+	shardSet := make([]*server.Server, shards)
+	for i := range shardSet {
+		shardSet[i] = ss.Shard(i)
+	}
+	return report(ss.MetricsSnapshot(), shardSet, set)
+}
+
+// registerPeriodic registers the deployment's two standing periodic
+// queries, first issued at now, through reg: a sharded deployment's before
+// it starts, or a promoted replica's server once it is a primary.
+func registerPeriodic(reg func(server.PeriodicQuery) error, now timeseq.Time, evalCost uint64) error {
+	if err := reg(server.PeriodicQuery{
+		Name: "status-watch", Query: "status_q",
+		Issue: now, Period: 11,
+		Kind: deadline.Firm, Deadline: timeseq.Time(evalCost) + 3, MinUseful: 1,
+	}); err != nil {
+		return err
+	}
+	return reg(server.PeriodicQuery{
+		Name: "temp-trend", Query: "temp_q",
+		Issue: now, Period: 23,
+		Kind: deadline.Soft, Deadline: 5, MinUseful: 2,
+		U: deadline.Hyperbolic(10, 5),
+	})
 }
 
 // shardAddr is shard i's listen address: the -listen port plus i.
@@ -432,13 +443,12 @@ func drive(cs []*client.Client, id, ops int, deadln uint64) {
 	}
 }
 
-// report prints the metrics table summed over the shards, the wire counters
-// summed over their listeners, the periodic tallies and each shard's share of
-// the load, and checks the conservation law end-to-end: each shard's block
-// satisfies it independently, so the sum must too.
-func report(ss *server.ShardedServer, set []*netserve.Server) error {
-	shards := ss.NumShards()
-	m := ss.MetricsSnapshot()
+// report prints m — the metrics table summed over the shards — the wire
+// counters summed over their listeners, the periodic tallies and each
+// shard's share of the load, and checks the conservation law end-to-end:
+// each shard's block satisfies it independently, so the sum must too.
+func report(m server.MetricsSnapshot, servers []*server.Server, set []*netserve.Server) error {
+	shards := len(servers)
 	fmt.Println()
 	fmt.Print(m.Table())
 	fmt.Println()
@@ -453,13 +463,13 @@ func report(ss *server.ShardedServer, set []*netserve.Server) error {
 		fmt.Printf("  %-24s %d\n", p.Name, p.Value)
 	}
 	fmt.Println("periodic queries:")
-	for i := 0; i < shards; i++ {
-		for _, p := range ss.Shard(i).PeriodicReport() {
+	for _, srv := range servers {
+		for _, p := range srv.PeriodicReport() {
 			fmt.Printf("  %-14s issued %4d  hit %4d  missed %4d\n", p.Name, p.Issued, p.Hit, p.Missed)
 		}
 	}
-	for i := 0; i < shards; i++ {
-		sm := ss.Shard(i).Metrics.Snapshot()
+	for i, srv := range servers {
+		sm := srv.Metrics.Snapshot()
 		fmt.Printf("%s%d samples applied, %d queries in, %d WAL appends\n",
 			shardLabel(i, shards), sm.SamplesApplied, sm.QueriesIn, sm.WalAppends)
 	}
@@ -485,29 +495,27 @@ func statusOf(src map[string]rtdb.Value) rtdb.Value {
 }
 
 // runReplica runs rtdbd as a hot standby: it tails the primary's WAL into
-// its own log under -dir, serves standby reads (as-of, metrics, degraded
-// soft queries) on -listen, and on promotion — manual via SIGHUP, or
-// automatic after -promote-after of primary silence — flips in place to a
-// full primary serving the same address with a bumped fencing epoch.
+// its own log under -dir and serves standby reads (as-of, metrics, degraded
+// soft queries) on -listen from a follower server. On promotion — manual via
+// SIGHUP, or automatic after -promote-after of primary silence — that server
+// flips in place to a primary with a bumped fencing epoch: the listener, its
+// connections and their subscriptions stay, the periodic queries serve
+// registers are registered, and the drain prints serve's report.
 func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 	sessions int, segSize int64, snapshot uint64, fsync bool, fsyncWin time.Duration,
 	evalCost uint64, queue int) error {
 	if dir == "" {
 		return fmt.Errorf("-replica-of needs -dir (the replica keeps its own durable WAL)")
 	}
-	cfg := serverConfig(sessions, queue, evalCost)
 	r, err := replica.Open(replica.Config{
 		Primary: primary,
 		WAL: wal.Options{
 			Dir: dir, SegmentSize: segSize, SnapshotEvery: snapshot, Sync: fsync,
 			GroupWindow: fsyncWin,
 		},
-		Name:     "rtdbd-replica",
-		Catalog:  cfg.Catalog,
-		Registry: cfg.Registry,
-
+		Name:         "rtdbd-replica",
 		PromoteAfter: promoteAfter,
-	})
+	}, serverConfig(sessions, queue, evalCost))
 	if err != nil {
 		return err
 	}
@@ -517,13 +525,19 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	bound, err := r.Listen(addr, netserve.Options{HeartbeatInterval: time.Second})
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		_ = r.Close()
+		return err
+	}
+	// A 1s beacon, as serve's listeners send once this one is a primary's.
+	ns, err := r.ServeOn(ln, netserve.Options{HeartbeatInterval: time.Second})
 	if err != nil {
 		_ = r.Close()
 		return err
 	}
 	fmt.Printf("replica of %s: seq %d epoch %d, hot-standby reads on %s\n",
-		primary, r.Seq(), r.Epoch(), bound)
+		primary, r.Seq(), r.Epoch(), ln.Addr())
 	if promoteAfter > 0 {
 		fmt.Printf("auto-promotion after %v of primary silence; SIGHUP promotes now\n", promoteAfter)
 	} else {
@@ -534,7 +548,7 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
-	for {
+	for promoted := false; !promoted; {
 		select {
 		case <-sig:
 			fmt.Println("\ndraining replica...")
@@ -545,16 +559,19 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 				return err
 			}
 		case <-r.Promoted():
-			// The standby listener goes down with Close; the promoted
-			// primary reopens the same address, now accepting writes.
-			if err := r.Close(); err != nil {
-				return err
-			}
-			l := r.Log()
-			defer l.Close()
-			fmt.Printf("promoted: seq %d epoch %d; serving as primary on %s\n",
-				l.Seq(), l.Epoch(), bound)
-			return serve(cfg, []*wal.Log{l}, 1, bound.String(), 0, evalCost, 0)
+			promoted = true
 		}
 	}
+	srv := r.Server()
+	if err := registerPeriodic(srv.RegisterPeriodic, srv.Now(), evalCost); err != nil {
+		_ = r.Close()
+		return err
+	}
+	fmt.Printf("promoted: seq %d epoch %d; serving as primary on %s\n", r.Seq(), r.Epoch(), ln.Addr())
+	<-sig
+	fmt.Println("\ndraining...")
+	if err := r.Close(); err != nil {
+		return err
+	}
+	return report(srv.Metrics.Snapshot(), []*server.Server{srv}, []*netserve.Server{ns})
 }

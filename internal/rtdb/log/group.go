@@ -267,7 +267,7 @@ func (l *Log) DurableSeq() uint64 {
 // fsync at the end releases them — and any batches already pending — in
 // sequence order. It returns how many events were written and applied:
 // on a mid-batch error the prefix [0,applied) is in the log's state (the
-// caller's mirror must absorb exactly that prefix); on an fsync failure
+// caller's server must absorb exactly that prefix); on an fsync failure
 // applied covers the whole slice but the error reports the poison.
 func (l *Log) AppendBatch(events []Event) (int, error) {
 	l.mu.Lock()

@@ -277,8 +277,8 @@ func (st *State) Diff(other *State) string {
 }
 
 // Rebuild is the one way a recovered state becomes a live database — server
-// recovery and the replica's standby mirror both call it. It installs the
-// catalog — invariants, served-mode images (nil Read: nothing is
+// recovery calls it, for a primary, a follower and a follower's resync. It
+// installs the catalog — invariants, served-mode images (nil Read: nothing is
 // scheduled), and derived objects re-bound through the registry, exactly as
 // the acceptor's DeriveRegistry re-binds enc(D) — copies each image's
 // history in whole, and leaves the clock at the state's last timestamp.
@@ -340,14 +340,14 @@ func timeOrdered(samples []rtdb.Sample) []rtdb.Sample {
 
 // Historical converts the recovered sample histories into the §5.1.2
 // temporal view: one valid-time relation (Object, Value) per image, each
-// sample's lifespan running to the next sample (or now). This is the
-// structure as-of reads are served from.
+// sample's lifespan running to the next sample (or now). It is the log's
+// side of what a server's published snapshots serve, and the oracle the
+// as-of tests hold them to.
 func (st *State) Historical(now timeseq.Time) *rtdb.HistoricalDatabase {
 	out := rtdb.NewHistoricalDatabase()
 	for _, n := range sortedKeys(st.Images) {
 		// Timeline capture: shares the sample slice, O(1) per image instead
-		// of O(n²) row inserts — a standby republishing its query mirror on
-		// every applied batch must not slow down as the history grows.
+		// of O(n²) row inserts.
 		out.Add(rtdb.NewTimelineRelation(n, st.Images[n].Samples, now))
 	}
 	out.SetHorizon(now)

@@ -2,7 +2,9 @@ package netserve
 
 import (
 	"bufio"
+	"errors"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -10,12 +12,18 @@ import (
 	"rtc/internal/rtwire"
 )
 
-// conn is one live connection bound to one backend session.
+// conn is one live connection bound to one server session.
 type conn struct {
 	n    *Server
 	nc   net.Conn
 	br   *bufio.Reader
-	sess Session
+	sess *server.Session
+
+	// interrupted closes, once, when the connection must stop reading before
+	// its client is done — a failed writer, a stalled follower's eviction, a
+	// drain. deadlineReader checks it after arming each read's deadline.
+	interrupted   chan struct{}
+	interruptOnce sync.Once
 
 	// writeq is the bounded outgoing frame queue; writeLoop drains it.
 	// done closes after every producer is finished (inflight waited), so
@@ -55,9 +63,14 @@ type conn struct {
 	wake  chan struct{}
 }
 
-// interruptRead unblocks a pending Read so the read loop can observe the
-// server's quit channel.
-func (c *conn) interruptRead() { _ = c.nc.SetReadDeadline(time.Now()) }
+// interruptRead ends the read loop: a pending Read is unblocked by a
+// deadline of now, and the next one — whose re-armed deadline would
+// overwrite that, when the loop was parked elsewhere (a full inflight
+// semaphore) — sees interrupted closed.
+func (c *conn) interruptRead() {
+	c.interruptOnce.Do(func() { close(c.interrupted) })
+	_ = c.nc.SetReadDeadline(time.Now())
+}
 
 // getBuf returns a recycled encode buffer (length 0) or nil; append grows
 // a nil slice, so callers just encode into whatever comes back.
@@ -125,15 +138,17 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 // bufio.Reader: the inbound-silence bound is armed once per socket read, not
 // once per frame — a burst of samples that arrived in one segment is one
 // timer update, and silence is measured where it happens, between socket
-// reads. It checks quit after arming, never before: Close closes quit and
-// then interrupts the read with its own deadline, so either this check sees
-// quit or the interrupt lands on the deadline armed here — a re-arm can
-// never overwrite it. While idle is 0 it passes reads through: the handshake
-// runs under its own single deadline, and handle sets idle once it is over.
+// reads. It checks quit and interrupted after arming, never before: Close
+// closes quit, and interruptRead closes interrupted, before interrupting the
+// read with a deadline of their own, so either this check sees the channel
+// or the interrupt lands on the deadline armed here — a re-arm can never
+// overwrite it. While idle is 0 it passes reads through: the handshake runs
+// under its own single deadline, and handle sets idle once it is over.
 type deadlineReader struct {
-	nc   net.Conn
-	idle time.Duration
-	quit <-chan struct{}
+	nc          net.Conn
+	idle        time.Duration
+	quit        <-chan struct{}
+	interrupted <-chan struct{}
 }
 
 func (r *deadlineReader) Read(p []byte) (int, error) {
@@ -142,6 +157,8 @@ func (r *deadlineReader) Read(p []byte) (int, error) {
 		select {
 		case <-r.quit:
 			return 0, ErrServerClosed
+		case <-r.interrupted:
+			return 0, os.ErrDeadlineExceeded
 		default:
 		}
 	}
@@ -322,15 +339,17 @@ func (c *conn) serve(request func()) bool {
 	return true
 }
 
-// refusal encodes the Err frame for a request the backend turned down,
-// following Backend's error contract. fatal reports an error no later request
-// on this connection can survive (the backend is closed).
+// refusal encodes the Err frame for a request the server turned down
+// (DESIGN.md §9): server.ErrBackpressure is CodeBackpressure and
+// server.ErrReadOnly — a follower's refusal — CodeReadOnly, and the
+// connection carries on after either; anything else (server.ErrClosed) is
+// CodeClosed and fatal: no later request on this connection can survive it.
 func (c *conn) refusal(id uint64, err error) (frame []byte, fatal bool) {
 	e := rtwire.Err{ID: id, Code: rtwire.CodeClosed, Msg: err.Error()}
-	if _, readOnly := err.(ReadOnlyError); readOnly {
+	if errors.Is(err, server.ErrReadOnly) {
 		e.Code = rtwire.CodeReadOnly
 	} else if err == server.ErrBackpressure {
-		// The backend accounted the rejection (and the miss, for a
+		// The server accounted the rejection (and the miss, for a
 		// deadline-carrying query); tell the client explicitly.
 		c.n.Wire.BackpressureFrames.Add(1)
 		e.Code, e.Msg = rtwire.CodeBackpressure, "session queue full"
@@ -354,7 +373,7 @@ func (c *conn) serveFlush(m rtwire.Flush) {
 		c.enqueue(frame)
 		return
 	}
-	c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.be.Now()}.AppendTo(c.getBuf()))
+	c.enqueue(rtwire.Flushed{ID: m.ID, Chronon: c.n.srv.Now()}.AppendTo(c.getBuf()))
 }
 
 // onMessage handles the kinds dispatch decoded through Decode.
@@ -362,12 +381,12 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 	switch m := msg.(type) {
 	case rtwire.AsOf:
 		c.n.Wire.AsOfReads.Add(1)
-		v, ok, horizon := c.n.be.ValueAsOf(m.Image, m.At)
+		v, ok := c.n.srv.ValueAsOf(m.Image, m.At)
 		c.enqueue(rtwire.AsOfResult{
-			ID: m.ID, OK: ok, Value: v, Horizon: horizon,
+			ID: m.ID, OK: ok, Value: v, Horizon: c.n.srv.HistoryHorizon(),
 		}.AppendTo(c.getBuf()))
 	case rtwire.MetricsReq:
-		snap := c.n.be.Metrics().Snapshot()
+		snap := c.n.srv.Metrics.Snapshot()
 		pairs := snap.Pairs()
 		if c.n.opt.Shards > 1 {
 			pairs = snap.PairsSharded(c.n.opt.Shard, c.n.opt.Shards)
@@ -378,14 +397,14 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 			wp = append(wp, rtwire.MetricPair{Name: p.Name, Value: p.Value})
 		}
 		wp = c.n.Wire.Snapshot().appendPairs(wp)
-		wp = c.n.be.AppendDurabilityRows(wp)
+		wp = c.n.srv.AppendDurabilityRows(wp, c.n.ReplDurable())
 		c.enqueue(rtwire.Metrics{ID: m.ID, Pairs: wp}.AppendTo(c.getBuf()))
 	case rtwire.Subscribe:
 		if c.repl {
 			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "already subscribed"}.AppendTo(c.getBuf()))
 			return true
 		}
-		if c.n.be.WAL() == nil {
+		if c.n.srv.WAL() == nil {
 			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "replication unavailable: this node serves no wal"}.AppendTo(c.getBuf()))
 			return true
 		}
@@ -411,7 +430,7 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 		c.n.Wire.HeartbeatsIn.Add(1)
 		// A client may rely on the echoed Seq surviving this node's death.
 		c.tryEnqueue(rtwire.Heartbeat{
-			Epoch: c.n.be.Epoch(), Chronon: c.n.be.Now(), Seq: c.n.be.HeartbeatSeq(),
+			Epoch: c.n.srv.Epoch(), Chronon: c.n.srv.Now(), Seq: c.n.heartbeatSeq(),
 		}.AppendTo(c.getBuf()))
 	case rtwire.Bye:
 		return false
@@ -423,15 +442,15 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 
 // serveQuery translates the wire deadline envelope and runs the query
 // through this connection's session. An expired-on-arrival query is
-// accounted as a miss through the backend's metrics block — never
+// accounted as a miss through the server's metrics block — never
 // evaluated, never silently dropped — and answered with a missed Result
-// so the client's picture matches the backend's books.
+// so the client's picture matches the server's books.
 func (c *conn) serveQuery(m rtwire.Query) {
 	qr, expired := Translate(m)
 	if expired {
-		c.n.be.Metrics().AccountExpired()
+		c.n.srv.Metrics.AccountExpired()
 		c.n.Wire.ExpiredOnArrival.Add(1)
-		now := c.n.be.Now()
+		now := c.n.srv.Now()
 		c.enqueue(rtwire.Result{
 			ID: m.ID, Missed: true, Evaluated: false,
 			Issue: now, Served: now, ExpiredOnArrival: true,

@@ -1,21 +1,18 @@
 // Package netserve puts an rtdbd node on the wire: a listener that binds each
-// accepted connection to one session of the Backend it serves and speaks the
-// rtwire protocol — timed samples, aperiodic queries with the §4.1 deadline
-// envelope, standing queries, temporal as-of reads, metrics snapshots and,
-// where the backend has a WAL, replication to followers.
+// accepted connection to one session of the *server.Server it serves and
+// speaks the rtwire protocol — timed samples, aperiodic queries with the
+// §4.1 deadline envelope, standing queries, temporal as-of reads, metrics
+// snapshots and, where the server has a WAL, replication to followers.
 //
-// It serves a Backend, not "the server". Backend (backend.go) is the seam
-// the connection loop actually needs — a session per connection, the node's
-// clock, epoch and role, as-of reads, its metrics rows, a standing-query
-// attach, its WAL — and it has exactly two implementations: the adapter over
-// *server.Server that New builds (a primary, with its session pool) and the
-// replica package's mirror (a hot standby: writes and firm envelopes refused
-// read-only, soft and deadline-free queries answered degraded from
-// replicated state). Both roles therefore get one accept loop, one
-// handshake, one bounded single-writer queue, one set of timeouts and
-// counters, and one delivery path for pushes; what differs between them
-// comes back from the Backend as values and errors, and no line of this
-// package branches on which one it serves.
+// It serves one type in either role. A hot standby is a server in the
+// follower role (server.NewFollower), so a primary and a standby get one
+// accept loop, one handshake, one session pool, one bounded single-writer
+// queue, one set of timeouts and counters, and one delivery path for
+// pushes. What the role changes reaches this package only as values and
+// errors — server.ErrReadOnly becomes CodeReadOnly — plus the two things a
+// listener announces about its node: the durability rows and the heartbeat
+// sequence. A promotion flips the role under a running listener, so
+// connections and subscriptions survive it.
 //
 // The serving discipline extends the in-process one without weakening it:
 //
@@ -125,10 +122,13 @@ func (o *Options) defaults() {
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("netserve: server closed")
 
-// Server serves rtwire connections over one Backend.
+// Server serves rtwire connections over one *server.Server.
 type Server struct {
-	be  Backend
+	srv *server.Server
 	opt Options
+	// pool holds the ids of srv's free sessions: a connection checks one
+	// out for its lifetime, so srv's Sessions bound the live connections.
+	pool chan int
 
 	// mu guards ln and conns, and orders Serve's wg.Add against Close's
 	// wg.Wait: both the Add and the close of quit happen under it.
@@ -156,26 +156,24 @@ type Server struct {
 	Wire WireMetrics
 }
 
-// New serves srv as a primary. Every session of srv is placed in the
-// connection pool, so srv.Config.Sessions bounds the concurrent connections;
-// an accept beyond that is refused with CodeServerFull.
+// New serves srv, in whichever role it holds. Every session of srv is
+// placed in the connection pool, so srv.Config.Sessions bounds the
+// concurrent connections; an accept beyond that is refused with
+// CodeServerFull.
 func New(srv *server.Server, opt Options) *Server {
-	n := NewBackend(nil, opt)
-	n.be = newPrimary(srv, n)
-	return n
-}
-
-// NewBackend serves an arbitrary Backend — the constructor the hot standby
-// uses; New is NewBackend over the *server.Server adapter.
-func NewBackend(be Backend, opt Options) *Server {
 	opt.defaults()
-	return &Server{
-		be:        be,
+	n := &Server{
+		srv:       srv,
 		opt:       opt,
+		pool:      make(chan int, srv.Sessions()),
 		conns:     make(map[*conn]struct{}),
 		replAcked: make(map[*conn]uint64),
 		quit:      make(chan struct{}),
 	}
+	for id := 0; id < srv.Sessions(); id++ {
+		n.pool <- id
+	}
+	return n
 }
 
 // NewShardSet wraps every shard of a sharded deployment in its own
@@ -320,6 +318,16 @@ func (n *Server) PromoteInfo(epoch, seq uint64) {
 // disconnecting does not retract what it already holds.
 func (n *Server) ReplDurable() uint64 { return n.replDurable.Load() }
 
+// heartbeatSeq is the sequence a client may rely on surviving this node's
+// death, echoed in every client heartbeat: a primary's replication
+// watermark, never its local WAL tail; a standby's own applied sequence.
+func (n *Server) heartbeatSeq() uint64 {
+	if n.srv.Role() == rtwire.RoleStandby {
+		return n.srv.Seq()
+	}
+	return n.ReplDurable()
+}
+
 // replSubscribe registers a follower connection in the durability registry
 // with the seq it claims to already hold. The claim is an implicit ack: a
 // follower that reconnects already caught up — its final ack frame died
@@ -386,7 +394,8 @@ func (n *Server) handle(nc net.Conn) {
 
 	// Handshake: the first frame must be a Hello within the timeout.
 	_ = nc.SetReadDeadline(time.Now().Add(n.opt.HandshakeTimeout))
-	dr := &deadlineReader{nc: nc, quit: n.quit}
+	interrupted := make(chan struct{})
+	dr := &deadlineReader{nc: nc, quit: n.quit, interrupted: interrupted}
 	br := bufio.NewReader(dr)
 	f, err := rtwire.ReadFrame(br)
 	if err != nil || f.Kind != rtwire.KindHello {
@@ -394,13 +403,15 @@ func (n *Server) handle(nc net.Conn) {
 		n.writeRaw(nc, rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "expected hello"}.Encode())
 		return
 	}
-	sess, ok := n.be.OpenSession()
-	if !ok {
+	var id int
+	select {
+	case id = <-n.pool:
+	default:
 		n.Wire.ConnsRefused.Add(1)
 		n.writeRaw(nc, rtwire.Err{Code: rtwire.CodeServerFull, Msg: "no free session"}.Encode())
 		return
 	}
-	defer sess.Close()
+	defer func() { n.pool <- id }()
 
 	// The handshake ran under its own deadline; from here the reader arms the
 	// inbound-silence bound at each socket read. The bound is the tighter of
@@ -410,21 +421,22 @@ func (n *Server) handle(nc net.Conn) {
 	dr.idle = min(idleCap, 3*n.opt.HeartbeatInterval)
 	c := &conn{
 		n: n, nc: nc, br: br,
-		sess:   sess,
-		writeq: make(chan []byte, n.opt.WriteQueue),
-		done:   make(chan struct{}),
-		wdone:  make(chan struct{}),
-		rstop:  make(chan struct{}),
-		sem:    make(chan struct{}, n.opt.MaxInflight),
-		ackCh:  make(chan uint64, 16),
-		wfree:  make(chan []byte, n.opt.WriteQueue+1),
-		wake:   make(chan struct{}, 1),
+		sess:        n.srv.Session(id),
+		interrupted: interrupted,
+		writeq:      make(chan []byte, n.opt.WriteQueue),
+		done:        make(chan struct{}),
+		wdone:       make(chan struct{}),
+		rstop:       make(chan struct{}),
+		sem:         make(chan struct{}, n.opt.MaxInflight),
+		ackCh:       make(chan uint64, 16),
+		wfree:       make(chan []byte, n.opt.WriteQueue+1),
+		wake:        make(chan struct{}, 1),
 	}
 	// Welcome goes in before the connection is registered, so a PromoteInfo
 	// broadcast cannot get ahead of it in the write queue.
 	c.enqueue(rtwire.Welcome{
-		Session: uint64(sess.ID()), Chronon: n.be.Now(),
-		Epoch: n.be.Epoch(), Role: n.be.Role(),
+		Session: uint64(id), Chronon: n.srv.Now(),
+		Epoch: n.srv.Epoch(), Role: n.srv.Role(),
 		Shards: uint64(n.opt.Shards), Shard: uint64(n.opt.Shard),
 	}.Encode())
 	n.register(c)

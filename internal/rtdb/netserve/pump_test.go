@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"net"
+	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -502,5 +503,103 @@ func TestReadDeadlinePerSocketRead(t *testing.T) {
 	}
 	if got := cc.readDeadlines.Load() - base; got > 3 {
 		t.Errorf("65 frames in one segment cost %d SetReadDeadline calls, want at most 3", got)
+	}
+}
+
+// gatedConn is a server-side connection whose writes, once shut, park until
+// fail closes and then error — a socket that stopped draining, whose write
+// timed out. parked counts the writes waiting at the gate.
+type gatedConn struct {
+	net.Conn
+	shut   atomic.Bool
+	fail   chan struct{}
+	parked atomic.Int64
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	if c.shut.Load() {
+		c.parked.Add(1)
+		<-c.fail
+		return 0, os.ErrDeadlineExceeded
+	}
+	return c.Conn.Write(p)
+}
+
+type gatedListener struct {
+	net.Listener
+	conns chan *gatedConn
+}
+
+func (l gatedListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	gc := &gatedConn{Conn: nc, fail: make(chan struct{})}
+	l.conns <- gc
+	return gc, nil
+}
+
+// TestWriterFailureEndsParkedReader: a writer that fails while the read loop
+// is parked on a full inflight semaphore — not in a socket read — must still
+// end the connection, within a few write timeouts. The read loop's next read
+// re-arms the silence bound after the writer's interrupt has landed, so it
+// has to see the interrupt some other way; when it does not, the dead
+// connection lingers for the whole bound (two minutes here).
+func TestWriterFailureEndsParkedReader(t *testing.T) {
+	const wt = 100 * time.Millisecond
+	s, err := server.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	ns := New(s, Options{MaxInflight: 1, WriteQueue: 1, WriteTimeout: wt, HeartbeatInterval: time.Minute})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := gatedListener{Listener: ln, conns: make(chan *gatedConn, 1)}
+	go func() { _ = ns.Serve(gl) }()
+	t.Cleanup(func() {
+		_ = ns.Close()
+		s.Stop()
+	})
+	rc := dialRaw(t, ln.Addr().String())
+	gc := <-gl.conns
+	rc.handshake()
+
+	// Of the queries in one segment, the first answers park the writer at
+	// the gate, the next fills the write queue, the next one's handler
+	// blocks on the queue holding the one inflight slot, and the read loop,
+	// with one more decoded, waits for that slot.
+	gc.shut.Store(true)
+	var burst []byte
+	for id := uint64(1); id <= 16; id++ {
+		burst = rtwire.Query{ID: id, Query: "status_q"}.AppendTo(burst)
+	}
+	rc.write(burst)
+	parked := func() bool {
+		ns.mu.Lock()
+		defer ns.mu.Unlock()
+		for c := range ns.conns {
+			return gc.parked.Load() > 0 && len(c.writeq) == cap(c.writeq) && len(c.sem) == cap(c.sem) &&
+				ns.Wire.QueriesIn.Load() == s.Metrics.NoDeadline.Load()+1
+		}
+		return false
+	}
+	for !parked() {
+		runtime.Gosched()
+	}
+
+	close(gc.fail)
+	start := time.Now()
+	for ns.Wire.ConnsClosed.Load() == 0 {
+		if time.Since(start) > 20*wt {
+			t.Fatalf("connection still open %v after its writer failed", time.Since(start))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := ns.Wire.WriteTimeouts.Load(); got != 1 {
+		t.Errorf("net_write_timeouts = %d, want 1", got)
 	}
 }

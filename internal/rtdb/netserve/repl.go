@@ -34,15 +34,15 @@ import (
 // and done only closes after the inflight wait.
 func (c *conn) serveReplication(sub rtwire.Subscribe) {
 	defer c.inflight.Done()
-	l := c.n.be.WAL()
-	epoch := c.n.be.Epoch()
+	l := c.n.srv.WAL()
+	epoch := c.n.srv.Epoch()
 	pos := wal.ReadPos{Seq: sub.AfterSeq} // pos.Seq is the last sequence sent
 	acked := sub.AfterSeq
 	hb := time.NewTicker(c.n.opt.HeartbeatInterval)
 	defer hb.Stop()
 
 	heartbeat := func() {
-		c.tryEnqueue(rtwire.Heartbeat{Epoch: epoch, Chronon: c.n.be.Now(), Seq: l.Seq()}.Encode())
+		c.tryEnqueue(rtwire.Heartbeat{Epoch: epoch, Chronon: c.n.srv.Now(), Seq: l.Seq()}.Encode())
 	}
 	for {
 		events, err := l.ReadFrom(&pos, c.n.opt.ReplBatch)

@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"errors"
 	"slices"
 
 	"rtc/internal/deadline"
@@ -11,9 +12,9 @@ import (
 )
 
 // This file puts standing queries on the wire. A SubOpen (or SubResume)
-// frame attaches one subscription to the connection's backend: the envelope
+// frame attaches one subscription to the connection's server: the envelope
 // is translated once through the same remaining = D−E / shifted-decay rule
-// as aperiodic queries, the backend admits or refuses it, and an admitted
+// as aperiodic queries, the server admits or refuses it, and an admitted
 // subscription joins the connection's list: its bounded delivery queue posts
 // its wake tokens to the connection's one wake channel, and writeLoop drains
 // every queue into the socket as Push frames — no goroutine per subscription.
@@ -47,7 +48,7 @@ func translateSub(query string, period timeseq.Time, kind deadline.Kind,
 }
 
 // connSub is one subscription attached to a connection: the client-chosen
-// id its Push frames carry and the backend's handle the writer pops.
+// id its Push frames carry and the server's handle the writer pops.
 type connSub struct {
 	id uint64
 	ss *server.ServerSub
@@ -61,7 +62,7 @@ func (c *conn) subIndex(id uint64) int {
 
 // subAttach admits one SubOpen/SubResume: duplicate ids are a protocol
 // error, a refused envelope answers with a refused SubAck (no attachment) —
-// or with Err/CodeReadOnly when the backend's role takes no such envelope —
+// or with Err/CodeReadOnly when a follower takes no such envelope —
 // an admitted one acks the cursor base and becomes visible to the writer.
 func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, after uint64) {
 	c.n.Wire.SubsIn.Add(1)
@@ -70,15 +71,15 @@ func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, afte
 		return
 	}
 	if !expired {
-		ss, err := c.n.be.Subscribe(spec, after, depth, c.wake)
-		if _, readOnly := err.(ReadOnlyError); readOnly {
+		ss, err := c.n.srv.SubscribeWake(spec, after, depth, c.wake)
+		if errors.Is(err, server.ErrReadOnly) {
 			frame, _ := c.refusal(id, err)
 			c.enqueue(frame)
 			return
 		}
 		if err == nil {
 			c.enqueue(rtwire.SubAck{
-				ID: id, State: rtwire.SubAdmitted, Cursor: after, Chronon: c.n.be.Now(),
+				ID: id, State: rtwire.SubAdmitted, Cursor: after, Chronon: c.n.srv.Now(),
 			}.AppendTo(c.getBuf()))
 			c.subMu.Lock()
 			c.subs = append(c.subs, connSub{id: id, ss: ss})
@@ -93,7 +94,7 @@ func (c *conn) subAttach(id uint64, spec sub.Spec, expired bool, depth int, afte
 		}
 	}
 	c.enqueue(rtwire.SubAck{
-		ID: id, State: rtwire.SubRefused, Cursor: after, Chronon: c.n.be.Now(),
+		ID: id, State: rtwire.SubRefused, Cursor: after, Chronon: c.n.srv.Now(),
 	}.AppendTo(c.getBuf()))
 }
 
@@ -113,7 +114,7 @@ func (c *conn) subCancel(id uint64) {
 	c.subMu.Unlock()
 	last, _ := ss.Cancel()
 	c.enqueue(rtwire.SubAck{
-		ID: id, State: rtwire.SubClosed, Cursor: last, Chronon: c.n.be.Now(),
+		ID: id, State: rtwire.SubClosed, Cursor: last, Chronon: c.n.srv.Now(),
 	}.AppendTo(c.getBuf()))
 }
 

@@ -10,6 +10,7 @@ import (
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
+	"rtc/internal/rtdb/server"
 	"rtc/internal/timeseq"
 )
 
@@ -34,7 +35,7 @@ func BenchmarkReplicaCatchup(b *testing.B) {
 					Primary:      addr,
 					WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(uint64(i))},
 					RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 1,
-				})
+				}, server.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -53,8 +54,8 @@ func BenchmarkReplicaCatchup(b *testing.B) {
 }
 
 // BenchmarkFailover measures the promotion path: a synced standby loses its
-// primary, fences the epoch, and accepts its first write as the new
-// primary. Setup (primary, stream, sync) is excluded from the timing.
+// primary, fences the epoch, and logs its first write as the new primary.
+// Setup (primary, stream, sync) is excluded from the timing.
 func BenchmarkFailover(b *testing.B) {
 	const n = 64
 	events := testEvents(n)
@@ -70,7 +71,7 @@ func BenchmarkFailover(b *testing.B) {
 			Primary:      addr,
 			WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(uint64(i))},
 			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 1,
-		})
+		}, testServer())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,16 +85,16 @@ func BenchmarkFailover(b *testing.B) {
 		if _, err := r.Promote(); err != nil {
 			b.Fatal(err)
 		}
-		nl := r.Log()
-		if err := nl.Append(wal.Sample(timeseq.Time(100000+i), "temp", "post")); err != nil {
+		sess := r.Server().Session(0)
+		if err := sess.InjectSample("temp", "post"); err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.Flush(); err != nil {
 			b.Fatal(err)
 		}
 
 		b.StopTimer()
 		if err := r.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if err := nl.Close(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
@@ -132,8 +133,8 @@ func benchStandby(b *testing.B) (*wal.Log, *Replica, *client.Client) {
 	return lp, r, c
 }
 
-// BenchmarkStandbyQuery: one soft query answered degraded from the mirror,
-// round trip.
+// BenchmarkStandbyQuery: one soft query answered degraded by the follower
+// server, round trip.
 func BenchmarkStandbyQuery(b *testing.B) {
 	_, _, c := benchStandby(b)
 	q := client.Query{Query: "status_q", Kind: deadline.Soft, Deadline: 1 << 20, MinUseful: 1}

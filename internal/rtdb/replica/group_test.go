@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rtc/internal/faultfs"
-	"rtc/internal/rtdb"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
@@ -51,11 +50,10 @@ func TestBatchedShippingWatermark(t *testing.T) {
 			Dir: "rwal", FS: memR, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20,
 			Sync: true,
 		},
-		Name:    "gc-follower",
-		Catalog: testCatalog(), Registry: rtdb.DeriveRegistry{"status": testDerive},
+		Name:         "gc-follower",
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		Seed: 9, HeartbeatTimeout: 5 * time.Second,
-	})
+	}, testServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestBatchedShippingWatermark(t *testing.T) {
 
 	// Fsync cadence: the batch release shipped the events in WalBatches and
 	// the follower paid one fsync per batch (AppendBatch), not per event.
-	batches := r.Repl.BatchesIn.Load()
+	batches := r.srv.Repl.BatchesIn.Load()
 	syncs := memR.Syncs() - baseSyncs
 	if batches == 0 || batches >= uint64(len(events)) {
 		t.Fatalf("shipping was not batched: %d batches for %d events", batches, len(events))

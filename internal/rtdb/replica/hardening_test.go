@@ -236,7 +236,7 @@ func TestStandbyWireHardening(t *testing.T) {
 				t.Errorf("net_write_timeouts = %d, want 1", got)
 			}
 			h.await("evicted subscription still open", func() bool {
-				m := h.r.Metrics.Snapshot()
+				m := h.r.srv.Metrics.Snapshot()
 				return m.SubsOpened == m.SubsClosed && m.PushAccounted() == m.PushScheduled
 			})
 		}},

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -11,6 +12,8 @@ import (
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtwire"
+	"rtc/internal/timeseq"
 )
 
 // latestQuery answers with an image's newest value.
@@ -23,15 +26,20 @@ func latestQuery(image string) func(*rtdb.View) []rtdb.Value {
 	}
 }
 
-// TestPromoteOverMismatchedCatalog: a standby is promoted by building a full
-// server over its replicated log with whatever spec the promoting binary
-// carries — here one that names an image the primary never had and lacks
-// one it did. The replicated catalog must win: the server comes up (it used
-// to dereference nil inside New, at the moment the standby was needed) and
-// serves the replicated keyspace.
+// TestPromoteOverMismatchedCatalog: a standby's server is configured by
+// whatever binary runs it — here with a spec that names an image the
+// primary never had and lacks one it did. A follower installs no spec: the
+// replicated catalog is the one it holds, and the one it serves once
+// promoted (promotion used to build a server over the log at the moment the
+// standby was needed, and once dereferenced nil inside New doing so).
 func TestPromoteOverMismatchedCatalog(t *testing.T) {
 	lp, stop, addr := newTestPrimary(t, 1<<16, 1<<20)
-	r := newTestReplica(t, addr)
+	sc := testServer()
+	sc.Catalog["press_q"] = latestQuery("press")
+	sc.Spec = rtdb.Spec{Images: []*rtdb.ImageObject{
+		{Name: "temp", Period: 5}, {Name: "sensor-000", Period: 4},
+	}}
+	r := openTestReplica(t, addr, sc)
 	defer r.Close()
 	r.Start()
 	events := testEvents(20)
@@ -47,67 +55,67 @@ func TestPromoteOverMismatchedCatalog(t *testing.T) {
 	if _, err := r.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	l := r.Log()
-	defer l.Close()
-
-	catalog := testCatalog()
-	catalog["press_q"] = latestQuery("press")
-	srv, err := server.New(server.Config{
-		Spec: rtdb.Spec{Images: []*rtdb.ImageObject{
-			{Name: "temp", Period: 5}, {Name: "sensor-000", Period: 4},
-		}},
-		Catalog: catalog, Registry: rtdb.DeriveRegistry{"status": testDerive},
-		Log: l,
-	})
-	if err != nil {
-		t.Fatalf("promotion over a mismatched spec: %v", err)
-	}
-	srv.Start()
-	defer srv.Stop()
+	srv := r.Server()
 	resp, err := srv.Session(0).Query(server.QueryRequest{Query: "press_q", Kind: deadline.Firm, Deadline: 1 << 20, MinUseful: 1})
 	if err != nil || !resp.Evaluated || !reflect.DeepEqual(resp.Answers, []string{"v19"}) {
 		t.Fatalf("promoted server on the replicated image: %+v, err %v; want v19", resp, err)
 	}
-	if v, ok := srv.ValueAsOf("press", l.State().LastAt); !ok || v != "v19" {
+	if v, ok := srv.ValueAsOf("press", r.Log().State().LastAt); !ok || v != "v19" {
 		t.Fatalf("replicated image press as of the tail = %q, %v; want v19", v, ok)
 	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := srv.DB().Image("sensor-000"); ok {
-		t.Fatal("the promoting binary's spec was installed over the replicated catalog")
+		t.Fatal("the binary's spec was installed over the replicated catalog")
 	}
 }
 
-// TestResyncedMirrorMatchesServer: the standby's query mirror and a server
-// recovering from the same log are built by one function, so after a
-// full-state resync — and after more events applied on top of it — the
-// mirror answers every catalog query as a server.New over that log would,
-// and holds the same histories.
+// TestResyncedMirrorMatchesServer: a follower's server and a server
+// recovering from the same log are one construction, so after a full-state
+// resync — and after more events applied on top of it — the follower holds
+// the histories and clock a server.New over its log holds, answers every
+// catalog query (degraded, through a session) as that server would, and
+// serves every as-of read the log state's Historical view gives at the
+// log's last timestamp. A follower whose log holds a derived object its
+// registry cannot bind answers no query rather than answer wrongly: it
+// refuses read-only, and refuses promotion.
 func TestResyncedMirrorMatchesServer(t *testing.T) {
 	lp, _, addr := newTestPrimary(t, 256, 8)
+	sc := testServer()
+	sc.Catalog["temp_q"], sc.Catalog["press_q"] = latestQuery("temp"), latestQuery("press")
+	// The live follower's registry lacks "status": the derived object
+	// arrives in a batch it cannot absorb.
+	unbound := testServer()
+	unbound.Registry = nil
+	blind := openTestReplica(t, addr, unbound)
+	defer blind.Close()
+	blind.Start()
+
 	events := testEvents(90)
 	for _, e := range events[:60] {
 		if err := lp.Append(e); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if !blind.WaitSeq(60, 10*time.Second) {
+		t.Fatalf("live follower stuck at %d, want 60", blind.Seq())
+	}
+	if _, err := blind.Server().Session(0).Query(server.QueryRequest{Query: "status_q"}); !errors.Is(err, server.ErrReadOnly) {
+		t.Fatalf("follower with an unbound derived object answered: err = %v, want ErrReadOnly", err)
+	}
+	if _, err := blind.Promote(); err == nil || blind.Server().Role() != rtwire.RoleStandby {
+		t.Fatalf("an incomplete follower was promoted (err %v)", err)
+	}
+	blind.Close() // the primary has one session to give followers
+
 	if err := lp.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := lp.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	catalog := testCatalog()
-	catalog["temp_q"], catalog["press_q"] = latestQuery("temp"), latestQuery("press")
-	registry := rtdb.DeriveRegistry{"status": testDerive}
-	r, err := Open(Config{
-		Primary: addr,
-		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 2048, SnapshotEvery: 32},
-		Name:    "t-follower", Catalog: catalog, Registry: registry,
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-		Seed: 7, HeartbeatTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestReplica(t, addr, sc)
 	defer r.Close()
 	r.Start()
 
@@ -117,33 +125,44 @@ func TestResyncedMirrorMatchesServer(t *testing.T) {
 			t.Fatalf("%s: replica stuck at %d, want %d", stage, r.Seq(), seq)
 		}
 		r.mu.Lock()
-		ref, err := server.New(server.Config{Catalog: catalog, Registry: registry, Log: r.log})
+		st := r.log.State()
+		ref, err := server.New(server.Config{Catalog: sc.Catalog, Registry: sc.Registry, Log: r.log})
 		r.mu.Unlock()
 		if err != nil {
 			t.Fatalf("%s: server over the replica's log: %v", stage, err)
 		}
-		for name, q := range catalog {
-			got, evaluated, mirror := r.evalMirror(name)
-			if want := q(ref.DB().ViewNow()); !mirror || !evaluated || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: mirror answers %s with %v (evaluated %v, mirror %v), a recovered server with %v",
-					stage, name, got, evaluated, mirror, want)
+		for name, q := range sc.Catalog {
+			got, err := r.srv.Session(0).Query(server.QueryRequest{Query: name})
+			if want := q(ref.DB().ViewNow()); err != nil || !got.Evaluated || !reflect.DeepEqual(got.Answers, want) {
+				t.Fatalf("%s: follower answers %s with %+v (err %v), a recovered server with %v",
+					stage, name, got, err, want)
 			}
 		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
+		// Nothing feeds the follower's apply loop until the next append, and
+		// the query above went through it: its database is quiet to read.
+		oracle := st.Historical(st.LastAt)
 		for _, image := range []string{"temp", "press"} {
-			got, _ := r.db.Image(image)
+			got, _ := r.srv.DB().Image(image)
 			want, _ := ref.DB().Image(image)
 			if !reflect.DeepEqual(got.History(), want.History()) {
-				t.Fatalf("%s: mirror history of %s differs from a recovered server's", stage, image)
+				t.Fatalf("%s: follower history of %s differs from a recovered server's", stage, image)
+			}
+			for at := timeseq.Time(0); at <= st.LastAt; at++ {
+				v, ok := r.srv.ValueAsOf(image, at)
+				wv, wok := oracle.ValueAsOf(image, at)
+				if v != wv || ok != wok {
+					t.Fatalf("%s: %s as of %d = %q, %v; the log state's Historical says %q, %v",
+						stage, image, at, v, ok, wv, wok)
+				}
 			}
 		}
-		if r.db.Now() != ref.DB().Now() {
-			t.Fatalf("%s: mirror clock %d, recovered server's %d", stage, r.db.Now(), ref.DB().Now())
+		if r.srv.Now() != ref.Now() || r.srv.DB().Now() != ref.DB().Now() {
+			t.Fatalf("%s: follower clock %d (database %d), recovered server's %d (%d)",
+				stage, r.srv.Now(), r.srv.DB().Now(), ref.Now(), ref.DB().Now())
 		}
 	}
 	check("after the resync", 60)
-	if r.Repl.Resyncs.Load() == 0 {
+	if r.srv.Repl.Resyncs.Load() == 0 {
 		t.Fatal("the follower caught up without a resync: the test lost its premise")
 	}
 	for _, e := range events[60:] {
@@ -182,12 +201,12 @@ func TestReconnectMidSegmentGroupCommit(t *testing.T) {
 	memR := faultfs.NewMem(52)
 	follow := func() *Replica {
 		r, err := Open(Config{
-			Primary: addr.String(),
-			WAL:     wal.Options{Dir: "rwal", FS: memR, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20, Sync: true},
-			Name:    "gc-follower", Catalog: testCatalog(), Registry: rtdb.DeriveRegistry{"status": testDerive},
+			Primary:      addr.String(),
+			WAL:          wal.Options{Dir: "rwal", FS: memR, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20, Sync: true},
+			Name:         "gc-follower",
 			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 			Seed: 9, HeartbeatTimeout: 5 * time.Second,
-		})
+		}, testServer())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +245,7 @@ func TestReconnectMidSegmentGroupCommit(t *testing.T) {
 	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
 		t.Fatalf("returning follower stuck at %d, want %d", r.Seq(), len(events))
 	}
-	if d, g := r.Repl.DupSkipped.Load(), r.Repl.GapResubscribes.Load(); d != 0 || g != 0 {
+	if d, g := r.srv.Repl.DupSkipped.Load(), r.srv.Repl.GapResubscribes.Load(); d != 0 || g != 0 {
 		t.Fatalf("returning follower was handed %d duplicates and %d gaps", d, g)
 	}
 	r.mu.Lock()

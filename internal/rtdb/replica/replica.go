@@ -1,23 +1,26 @@
 // Package replica is the follower side of rtdbd replication: a node that
 // dials the primary, tails its write-ahead log over the rtwire replication
-// frames (Subscribe → WalBatch/WalAck), applies every event through the
-// same append-and-apply path the primary used, and serves hot-standby
-// reads — temporal as-of queries, metrics, and degraded (soft or
-// deadline-less) catalog queries — while refusing writes and firm-deadline
-// queries with CodeReadOnly.
+// frames (Subscribe → WalBatch/WalAck) into a log of its own, and serves
+// hot-standby reads through one server.Server in the follower role: the same
+// sessions, copy-on-write as-of snapshots and standing-query engine a
+// primary serves through, refusing writes and firm-deadline queries with
+// server.ErrReadOnly and answering the rest degraded from replicated state.
+// Promote flips that server to a primary in place.
 //
 // Correctness rests on three invariants:
 //
 //   - Byte identity. A WalBatch carries the raw WAL record payloads; the
-//     replica re-frames them through wal.Log.Append, so after applying
+//     replica re-frames them through wal.Log.AppendBatch, so after applying
 //     sequence n its log prefix is byte-identical to the primary's first n
 //     frames and the recovery invariant (state built from log == live
-//     state) holds transitively across the network hop.
+//     state) holds transitively across the network hop. The server applies
+//     what the log took (server.Replicate) and never appends itself.
 //   - Sequence discipline. Events apply in order, exactly once: a batch
 //     overlapping the local tail has its duplicate prefix skipped; a batch
 //     starting past tail+1 is a gap and forces a re-subscribe from the
 //     local tail; a catch-up target that the primary compacted away
-//     arrives as a full-state resync (Snap frames → wal.Bootstrap).
+//     arrives as a full-state resync (Snap frames → wal.Bootstrap, then
+//     server.Resync).
 //   - Fencing. Every replication frame carries the primary's epoch. A
 //     frame with an epoch older than the replica's own persisted epoch is
 //     from a deposed primary and is refused; a newer epoch is adopted and
@@ -30,21 +33,16 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rtc/internal/faultnet"
-	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
-	"rtc/internal/rtdb/sub"
 	"rtc/internal/rtwire"
-	"rtc/internal/timeseq"
-	"rtc/internal/vtime"
 )
 
 // Config describes one replica node.
@@ -57,10 +55,6 @@ type Config struct {
 	WAL wal.Options
 	// Name identifies this follower in its Subscribe frame.
 	Name string
-	// Catalog and Registry give the standby its degraded-mode query
-	// semantics; with a nil Catalog every query is refused read-only.
-	Catalog  rtdb.Catalog
-	Registry rtdb.DeriveRegistry
 
 	// DialTimeout bounds one connect to the primary (default 5s).
 	DialTimeout time.Duration
@@ -112,33 +106,13 @@ func (c *Config) defaults() {
 	}
 }
 
-// Metrics is the replica's counter block (the standby serving path also
-// maintains a full server.Metrics for the query conservation law).
-type Metrics struct {
-	BatchesIn       atomic.Uint64 // WalBatch frames applied
-	EventsApplied   atomic.Uint64 // events appended to the local log
-	DupSkipped      atomic.Uint64 // duplicate events skipped (overlap with tail)
-	GapResubscribes atomic.Uint64 // batches past tail+1 → re-subscribe
-	Resyncs         atomic.Uint64 // full-state bootstraps completed
-	StaleBatches    atomic.Uint64 // frames refused for an old fencing epoch
-	Reconnects      atomic.Uint64 // tailer redials after a lost stream
-	Promotions      atomic.Uint64 // 0 or 1
-	MirrorErrors    atomic.Uint64 // events the standby query mirror rejected
-}
-
 // Replication protocol states surfaced as errors inside the tailer.
 var (
 	errStaleBatch = errors.New("replica: batch from a deposed primary epoch")
 	errGap        = errors.New("replica: sequence gap; re-subscribe required")
+	errPromoted   = errors.New("replica: promoted; the stream is over")
+	errNoLog      = errors.New("replica: no log: a failed resync could not reopen the directory")
 )
-
-// histSnap is one published as-of snapshot; the standby backend reads it
-// lock-free while the tailer publishes.
-type histSnap struct {
-	at  timeseq.Time
-	seq uint64
-	db  *rtdb.HistoricalDatabase
-}
 
 // readMsg is the tailer's decode path.
 func readMsg(br *bufio.Reader) (any, error) {
@@ -152,28 +126,25 @@ func readMsg(br *bufio.Reader) (any, error) {
 // Replica is one follower node.
 type Replica struct {
 	cfg Config
+	srv *server.Server // its Repl books are the tailer's to keep
 
-	mu          sync.Mutex // guards log/mirror/pendingSnap/conn/promoted/seqCh/ns
+	// mu guards log/pendingSnap/conn/promoted/seqCh/ns and is held across a
+	// whole batch — its log append and its server.Replicate — so Seq never
+	// sees a sequence whose events the server has not applied, and Promote
+	// never lands inside a batch. Holding it across the server's requests
+	// cannot deadlock: the apply loop never takes it, and a stopped server
+	// answers ErrClosed. The replica owns log: it opened it, and Close
+	// closes it; srv reads it.
+	mu          sync.Mutex
 	log         *wal.Log
-	db          *rtdb.DB // degraded-query mirror (nil: queries refused)
-	sched       *vtime.Scheduler
 	pendingSnap []wal.Event
 	conn        net.Conn // live tailer connection
 	promoted    bool
 	seqCh       chan struct{}    // closed and replaced on every applied batch
 	ns          *netserve.Server // the standby listener, once ServeOn ran
 
-	hist      atomic.Pointer[histSnap]
 	lastHeard atomic.Int64 // unix nanos of the newest primary frame
 	connected atomic.Bool  // a subscription succeeded at least once
-
-	Metrics server.Metrics
-	Repl    Metrics
-
-	// smu guards subs, the standing queries attached through the standby
-	// listener (standby.go). Lock order: smu before mu, never the reverse.
-	smu  sync.Mutex
-	subs *sub.Table
 
 	promotedCh chan struct{}
 	quit       chan struct{}
@@ -181,26 +152,28 @@ type Replica struct {
 	wg         sync.WaitGroup
 }
 
-// Open loads (or creates) the replica's local WAL and builds the standby
-// query mirror from whatever state it already holds. The tailer is not
-// started; call Start.
-func Open(cfg Config) (*Replica, error) {
+// Open loads (or creates) the replica's local WAL and starts a follower
+// server over it (server.NewFollower) with sc — whose catalog and registry
+// answer degraded reads, whose Sessions bound the standby's connections and
+// whose Rules are installed at promotion; sc.Log is ignored. The tailer is
+// not started; call Start.
+func Open(cfg Config, sc server.Config) (*Replica, error) {
 	cfg.defaults()
 	l, err := wal.Open(cfg.WAL)
 	if err != nil {
 		return nil, err
 	}
+	sc.Log = l
 	r := &Replica{
 		cfg:        cfg,
+		srv:        server.NewFollower(sc),
 		log:        l,
 		seqCh:      make(chan struct{}),
-		subs:       sub.NewTable(),
 		promotedCh: make(chan struct{}),
 		quit:       make(chan struct{}),
 	}
 	r.lastHeard.Store(time.Now().UnixNano())
-	r.rebuildMirrorLocked()
-	r.publishLocked()
+	r.srv.Start()
 	return r, nil
 }
 
@@ -215,27 +188,34 @@ func (r *Replica) Start() {
 	}
 }
 
-// Seq returns the sequence number of the newest applied event.
-func (r *Replica) Seq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.log.Seq()
-}
+// Server returns the node's server: a follower until promotion, a primary
+// after. Its Metrics are the node's books in either role.
+func (r *Replica) Server() *server.Server { return r.srv }
 
-// Epoch returns the replica's persisted fencing epoch.
-func (r *Replica) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.log.Epoch()
-}
-
-// Log exposes the replica's WAL. Only safe to use after Close or Promote
-// has stopped the tailer — the promotion path hands it to a full server.
+// Log returns the replica's WAL — nil only when a failed resync could not
+// even reopen its directory. The replica owns it: Close closes it.
 func (r *Replica) Log() *wal.Log {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.log
 }
+
+// Seq returns the sequence number of the newest applied event.
+func (r *Replica) Seq() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seqLocked()
+}
+
+func (r *Replica) seqLocked() uint64 {
+	if r.log == nil {
+		return 0
+	}
+	return r.log.Seq()
+}
+
+// Epoch returns the replica's persisted fencing epoch.
+func (r *Replica) Epoch() uint64 { return r.srv.Epoch() }
 
 // Promoted returns a channel closed when the replica promotes itself (or
 // is promoted).
@@ -247,8 +227,10 @@ func (r *Replica) WaitSeq(seq uint64, timeout time.Duration) bool {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
+		// The check and the channel it waits on are taken together: a batch
+		// landing between them would close a channel never waited on.
 		r.mu.Lock()
-		if r.log.Seq() >= seq {
+		if r.seqLocked() >= seq {
 			r.mu.Unlock()
 			return true
 		}
@@ -264,40 +246,75 @@ func (r *Replica) WaitSeq(seq uint64, timeout time.Duration) bool {
 	}
 }
 
-// Promote fences the old primary and turns this node into the new one: the
-// tailer stops, the epoch is bumped and persisted, and every connected
-// standby client is told (PromoteInfo, best-effort: Promote never waits on a
-// client's socket) so it can follow the promotion. The caller then owns
-// Log() and typically builds a full server on it.
+// Listen starts the standby listener on addr in a background goroutine and
+// returns the bound address. opt is what a primary's listener would take.
+func (r *Replica) Listen(addr string, opt netserve.Options) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.ServeOn(ln, opt); err != nil {
+		return nil, err
+	}
+	return ln.Addr(), nil
+}
+
+// ServeOn serves the node on an already-bound listener — the injection
+// point torture tests use to put the standby behind a faultnet fabric — and
+// returns the listener's server, which keeps serving through a promotion.
+// Close drains it.
+func (r *Replica) ServeOn(ln net.Listener, opt netserve.Options) (*netserve.Server, error) {
+	ns := netserve.New(r.srv, opt)
+	r.mu.Lock()
+	if r.ns != nil {
+		r.mu.Unlock()
+		return nil, errors.New("replica: already serving")
+	}
+	r.ns = ns
+	r.mu.Unlock()
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		_ = ns.Serve(ln)
+	}()
+	return ns, nil
+}
+
+// Promote fences the old primary and turns this node into the new one in
+// place: the tailer stops, and the server bumps and persists the epoch,
+// installs its rules and takes writes from then on (server.Promote). The
+// listener keeps running, so connections and subscriptions survive; every
+// connected client is told (PromoteInfo, best-effort: Promote never waits on
+// a client's socket). A follower the server refuses to promote (its
+// database is incomplete) keeps following.
 func (r *Replica) Promote() (uint64, error) {
 	r.mu.Lock()
 	if r.promoted {
-		e := r.log.Epoch()
 		r.mu.Unlock()
-		return e, nil
+		return r.srv.Epoch(), nil
+	}
+	epoch, err := r.srv.Promote()
+	if err != nil {
+		r.mu.Unlock()
+		return 0, err
 	}
 	r.promoted = true
 	if r.conn != nil {
 		r.conn.Close()
 	}
-	epoch, err := r.log.BumpEpoch()
-	seq := r.log.Seq()
-	ns := r.ns
+	seq, ns := r.log.Seq(), r.ns
 	r.mu.Unlock()
+	r.srv.Repl.Promotions.Add(1) // counted before anyone waiting on Promoted wakes
 	close(r.promotedCh)
-	r.Repl.Promotions.Add(1)
-	if err != nil {
-		return 0, err
-	}
 	if ns != nil {
 		ns.PromoteInfo(epoch, seq)
 	}
 	return epoch, nil
 }
 
-// Close stops the tailer, drains the standby listener (each client gets a
-// Bye and its subscriptions' books are closed) and closes the local WAL.
-// After a Promote, the WAL is left open for the promoted server to own.
+// Close stops the tailer, drains the listener (each client gets a Bye and
+// its subscriptions' books are closed), stops the server and closes the
+// local WAL — in either role.
 func (r *Replica) Close() error {
 	r.closeOnce.Do(func() {
 		close(r.quit)
@@ -312,10 +329,11 @@ func (r *Replica) Close() error {
 		}
 	})
 	r.wg.Wait()
+	r.srv.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.promoted {
-		return nil // the promoted server owns the log now
+	if r.log == nil {
+		return nil
 	}
 	return r.log.Close()
 }
@@ -343,7 +361,7 @@ func (r *Replica) tail() {
 			return
 		default:
 		}
-		r.Repl.Reconnects.Add(1)
+		r.srv.Repl.Reconnects.Add(1)
 		select {
 		case <-time.After(bo.Next()):
 		case <-r.quit:
@@ -384,7 +402,7 @@ func (r *Replica) streamOnce() error {
 	}
 	if w.Epoch < r.Epoch() {
 		// The "primary" is itself deposed; refuse to follow it.
-		r.Repl.StaleBatches.Add(1)
+		r.srv.Repl.StaleBatches.Add(1)
 		return fmt.Errorf("replica: primary %s announces stale epoch %d (have %d)",
 			r.cfg.Primary, w.Epoch, r.Epoch())
 	}
@@ -407,16 +425,11 @@ func (r *Replica) streamOnce() error {
 		r.lastHeard.Store(time.Now().UnixNano())
 		switch m := msg.(type) {
 		case rtwire.WalBatch:
-			switch err := r.applyBatch(m); {
-			case err == nil:
-				// The horizon moved: schedule every standby subscription tick
-				// it crossed before acking, so the pushes an applied seq
-				// implies are queued by the time anyone can observe that seq.
-				r.scheduleTicks()
-			case errors.Is(err, errGap):
-				return err // redial; Subscribe restarts from the local tail
-			default:
-				return err
+			// The server has served every standing-query tick the batch
+			// made due before applyBatch returns, so the pushes an acked seq
+			// implies are queued by the time anyone can observe that seq.
+			if err := r.applyBatch(m); err != nil {
+				return err // a gap redials; Subscribe restarts from the local tail
 			}
 			_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
 			if _, err := conn.Write(rtwire.WalAck{Seq: r.Seq()}.Encode()); err != nil {
@@ -424,7 +437,7 @@ func (r *Replica) streamOnce() error {
 			}
 		case rtwire.Heartbeat:
 			if m.Epoch < r.Epoch() {
-				r.Repl.StaleBatches.Add(1)
+				r.srv.Repl.StaleBatches.Add(1)
 				return errStaleBatch
 			}
 			_ = r.adoptEpoch(m.Epoch)
@@ -440,14 +453,19 @@ func (r *Replica) streamOnce() error {
 	}
 }
 
-// applyBatch folds one WalBatch into the local log and mirror. It is the
-// unit the protocol tests drive directly: epoch fencing, duplicate
+// applyBatch folds one WalBatch into the local log and then the server. It
+// is the unit the protocol tests drive directly: epoch fencing, duplicate
 // skipping, gap detection, and snapshot bootstrap all live here.
 func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if b.Epoch < r.log.Epoch() {
-		r.Repl.StaleBatches.Add(1)
+	switch {
+	case r.promoted:
+		return errPromoted // read before the promotion; it must not land after
+	case r.log == nil:
+		return errNoLog
+	case b.Epoch < r.log.Epoch():
+		r.srv.Repl.StaleBatches.Add(1)
 		return errStaleBatch
 	}
 	if err := r.log.AdoptEpoch(b.Epoch); err != nil {
@@ -468,27 +486,28 @@ func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 	case rtwire.SnapFinal:
 		events := r.pendingSnap
 		r.pendingSnap = nil
-		if err := r.log.Close(); err != nil {
-			return err
-		}
-		l, err := wal.Bootstrap(r.cfg.WAL, events, b.SnapSeq, b.SnapLastAt)
-		if err != nil {
-			return fmt.Errorf("replica: bootstrap: %w", err)
-		}
+		l, err := r.srv.Resync(func() (*wal.Log, error) {
+			l, err := wal.Bootstrap(r.cfg.WAL, events, b.SnapSeq, b.SnapLastAt)
+			if err != nil {
+				// Keep whatever the directory holds as the log, so the
+				// next resync has one to replace.
+				l, _ = wal.Open(r.cfg.WAL)
+			}
+			return l, err
+		})
 		r.log = l
-		if err := r.log.AdoptEpoch(b.Epoch); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("replica: resync: %w", err)
 		}
-		r.rebuildMirrorLocked()
-		r.Repl.Resyncs.Add(1)
-		r.Repl.BatchesIn.Add(1)
-		r.finishApplyLocked()
+		r.srv.Repl.Resyncs.Add(1)
+		r.srv.Repl.BatchesIn.Add(1)
+		r.appliedLocked()
 		return nil
 	}
 
 	seq := r.log.Seq()
 	if b.FirstSeq > seq+1 {
-		r.Repl.GapResubscribes.Add(1)
+		r.srv.Repl.GapResubscribes.Add(1)
 		return errGap
 	}
 	// Decode the fresh suffix, then land it with ONE fsync via AppendBatch —
@@ -499,7 +518,7 @@ func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 	for i, p := range b.Events {
 		es := b.FirstSeq + uint64(i)
 		if es <= seq {
-			r.Repl.DupSkipped.Add(1)
+			r.srv.Repl.DupSkipped.Add(1)
 			continue
 		}
 		e, ok := wal.DecodeEvent(p)
@@ -509,96 +528,33 @@ func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 		fresh = append(fresh, e)
 	}
 	applied, aerr := r.log.AppendBatch(fresh)
-	// On a mid-batch error exactly the prefix [0,applied) reached the log's
-	// state; the mirror must absorb the same prefix or degraded reads drift.
-	for _, e := range fresh[:applied] {
-		r.mirrorApplyLocked(e)
-		r.Repl.EventsApplied.Add(1)
+	// On a mid-batch error exactly the prefix [0,applied) reached the log;
+	// the server must absorb the same prefix or degraded reads drift.
+	r.srv.Repl.EventsApplied.Add(uint64(applied))
+	if err := r.srv.Replicate(fresh[:applied]); err != nil {
+		return err
 	}
 	if aerr != nil {
 		return aerr
 	}
-	r.Repl.BatchesIn.Add(1)
-	r.finishApplyLocked()
+	r.srv.Repl.BatchesIn.Add(1)
+	r.appliedLocked()
 	return nil
 }
 
-// finishApplyLocked publishes a fresh as-of snapshot and wakes WaitSeq
-// callers. Caller holds mu.
-func (r *Replica) finishApplyLocked() {
-	r.publishLocked()
+// appliedLocked wakes WaitSeq callers. Caller holds mu.
+func (r *Replica) appliedLocked() {
 	close(r.seqCh)
 	r.seqCh = make(chan struct{})
-}
-
-// publishLocked converts the log state's sample histories into the
-// HistoricalDatabase the standby's as-of reads are served from.
-func (r *Replica) publishLocked() {
-	st := r.log.State()
-	r.hist.Store(&histSnap{at: st.LastAt, seq: st.Events, db: st.Historical(st.LastAt)})
-}
-
-// rebuildMirrorLocked reconstructs the degraded-query mirror from the log
-// state through the rebuild server recovery uses (wal.State.Rebuild). A
-// state the registry cannot rebuild (unknown derived object) leaves the
-// mirror nil — queries are then refused read-only rather than answered
-// wrongly.
-func (r *Replica) rebuildMirrorLocked() {
-	r.db, r.sched = nil, nil
-	if r.cfg.Catalog == nil {
-		return
-	}
-	sched := vtime.New()
-	db := rtdb.New(sched)
-	if err := r.log.State().Rebuild(db, r.cfg.Registry); err != nil {
-		r.Repl.MirrorErrors.Add(1)
-		return
-	}
-	r.db, r.sched = db, sched
-}
-
-// mirrorApplyLocked folds one live event into the query mirror.
-func (r *Replica) mirrorApplyLocked(e wal.Event) {
-	if r.db == nil {
-		return
-	}
-	switch e.Kind {
-	case wal.KindInvariant:
-		r.db.AddInvariant(e.Name, e.Value)
-	case wal.KindImage:
-		if len(e.Args) != 1 {
-			r.Repl.MirrorErrors.Add(1)
-			return
-		}
-		p, err := strconv.ParseUint(e.Args[0], 10, 64)
-		if err != nil {
-			r.Repl.MirrorErrors.Add(1)
-			return
-		}
-		r.db.AddImage(&rtdb.ImageObject{Name: e.Name, Period: timeseq.Time(p)})
-	case wal.KindDerived:
-		fn, ok := r.cfg.Registry[e.Name]
-		if !ok {
-			// The mirror can no longer answer queries over this object;
-			// drop it entirely rather than serve wrong answers.
-			r.Repl.MirrorErrors.Add(1)
-			r.db, r.sched = nil, nil
-			return
-		}
-		r.db.AddDerived(&rtdb.DerivedObject{Name: e.Name, Sources: e.Args, Derive: fn})
-	case wal.KindSample:
-		r.sched.RunUntil(e.At)
-		if err := r.db.InjectSample(e.Name, e.Value); err != nil {
-			r.Repl.MirrorErrors.Add(1)
-		}
-	}
-	// Firings and query issues are bookkeeping, not mirror state.
 }
 
 // adoptEpoch persists a newer primary epoch.
 func (r *Replica) adoptEpoch(e uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.log == nil {
+		return errNoLog
+	}
 	return r.log.AdoptEpoch(e)
 }
 

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -56,6 +57,15 @@ func testCatalog() rtdb.Catalog {
 	}
 }
 
+// testServer is the follower server the tests run: the test catalog, and
+// room for a few connections.
+func testServer() server.Config {
+	return server.Config{
+		Catalog: testCatalog(), Registry: rtdb.DeriveRegistry{"status": testDerive},
+		Sessions: 4,
+	}
+}
+
 // newTestPrimary stands up a WAL-backed replication sender (an unstarted
 // server shell, exactly what the torture sweep uses) on a loopback port.
 // The returned stop function is idempotent and stops the shell before the
@@ -99,14 +109,19 @@ func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, 
 
 func newTestReplica(t testing.TB, primary string) *Replica {
 	t.Helper()
+	return openTestReplica(t, primary, testServer())
+}
+
+// openTestReplica is newTestReplica with the follower's server config.
+func openTestReplica(t testing.TB, primary string, sc server.Config) *Replica {
+	t.Helper()
 	r, err := Open(Config{
-		Primary: primary,
-		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 2048, SnapshotEvery: 32},
-		Name:    "t-follower",
-		Catalog: testCatalog(), Registry: rtdb.DeriveRegistry{"status": testDerive},
+		Primary:      primary,
+		WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 2048, SnapshotEvery: 32},
+		Name:         "t-follower",
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		Seed: 7, HeartbeatTimeout: 5 * time.Second,
-	})
+	}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +151,8 @@ func TestLiveReplication(t *testing.T) {
 	if d != "" {
 		t.Fatalf("replicated state diverged: %s", d)
 	}
-	if r.Repl.EventsApplied.Load() != uint64(len(events)) {
-		t.Fatalf("EventsApplied = %d, want %d", r.Repl.EventsApplied.Load(), len(events))
+	if r.srv.Repl.EventsApplied.Load() != uint64(len(events)) {
+		t.Fatalf("EventsApplied = %d, want %d", r.srv.Repl.EventsApplied.Load(), len(events))
 	}
 }
 
@@ -203,7 +218,7 @@ func TestCompactedCatchupResyncs(t *testing.T) {
 	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
 		t.Fatalf("resync stuck at %d, want %d", r.Seq(), len(events))
 	}
-	if got := r.Repl.Resyncs.Load(); got == 0 {
+	if got := r.srv.Repl.Resyncs.Load(); got == 0 {
 		t.Fatal("catch-up past compaction did not count a resync")
 	}
 	r.mu.Lock()
@@ -220,7 +235,7 @@ func TestApplyBatchDiscipline(t *testing.T) {
 	r, err := Open(Config{
 		Primary: "unused",
 		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(3)},
-	})
+	}, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,24 +264,24 @@ func TestApplyBatchDiscipline(t *testing.T) {
 	if err := r.applyBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if r.Seq() != 2 || r.Repl.DupSkipped.Load() != 2 {
-		t.Fatalf("dup replay: seq = %d dups = %d, want 2/2", r.Seq(), r.Repl.DupSkipped.Load())
+	if r.Seq() != 2 || r.srv.Repl.DupSkipped.Load() != 2 {
+		t.Fatalf("dup replay: seq = %d dups = %d, want 2/2", r.Seq(), r.srv.Repl.DupSkipped.Load())
 	}
 
 	// A partially overlapping batch applies only its new suffix.
 	if err := r.applyBatch(rtwire.WalBatch{Epoch: 1, FirstSeq: 2, Events: []string{payload(ev[1]), payload(ev[2])}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Seq() != 3 || r.Repl.DupSkipped.Load() != 3 {
-		t.Fatalf("overlap batch: seq = %d dups = %d, want 3/3", r.Seq(), r.Repl.DupSkipped.Load())
+	if r.Seq() != 3 || r.srv.Repl.DupSkipped.Load() != 3 {
+		t.Fatalf("overlap batch: seq = %d dups = %d, want 3/3", r.Seq(), r.srv.Repl.DupSkipped.Load())
 	}
 
 	// A batch past tail+1 is a gap: refused, nothing applied.
 	if err := r.applyBatch(rtwire.WalBatch{Epoch: 1, FirstSeq: 5, Events: []string{payload(ev[3])}}); err != errGap {
 		t.Fatalf("gap batch: err = %v, want errGap", err)
 	}
-	if r.Seq() != 3 || r.Repl.GapResubscribes.Load() != 1 {
-		t.Fatalf("gap batch: seq = %d resubs = %d, want 3/1", r.Seq(), r.Repl.GapResubscribes.Load())
+	if r.Seq() != 3 || r.srv.Repl.GapResubscribes.Load() != 1 {
+		t.Fatalf("gap batch: seq = %d resubs = %d, want 3/1", r.Seq(), r.srv.Repl.GapResubscribes.Load())
 	}
 
 	// A newer epoch is adopted and persisted before its events apply.
@@ -283,7 +298,7 @@ func TestApplyBatchDiscipline(t *testing.T) {
 }
 
 // TestPromoteFencesAndSurvives: promotion bumps the epoch durably and stops
-// the tailer; the promoted log accepts writes.
+// the tailer; the promoted server logs the writes it takes.
 func TestPromoteFencesAndSurvives(t *testing.T) {
 	lp, _, addr := newTestPrimary(t, 1<<16, 1<<20)
 	events := testEvents(10)
@@ -297,7 +312,7 @@ func TestPromoteFencesAndSurvives(t *testing.T) {
 		Primary:      addr,
 		WAL:          wal.Options{Dir: "rwal", FS: fs, SegmentSize: 2048, SnapshotEvery: 32},
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 9,
-	})
+	}, testServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +321,10 @@ func TestPromoteFencesAndSurvives(t *testing.T) {
 		t.Fatalf("replica stuck at %d", r.Seq())
 	}
 
+	sess := r.Server().Session(0)
+	if err := sess.InjectSample("temp", "pre"); !errors.Is(err, server.ErrReadOnly) {
+		t.Fatalf("follower took a write: err = %v, want ErrReadOnly", err)
+	}
 	epoch, err := r.Promote()
 	if err != nil {
 		t.Fatal(err)
@@ -318,14 +337,13 @@ func TestPromoteFencesAndSurvives(t *testing.T) {
 	default:
 		t.Fatal("Promoted channel not closed")
 	}
-	nl := r.Log()
-	if err := nl.Append(wal.Sample(timeseq.Time(1000), "temp", "post")); err != nil {
-		t.Fatalf("promoted log refused an append: %v", err)
+	if err := sess.InjectSample("temp", "post"); err != nil {
+		t.Fatalf("promoted server refused a write: %v", err)
 	}
-	if err := r.Close(); err != nil {
+	if err := sess.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := nl.Close(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -358,7 +376,7 @@ func TestWatchdogAutoPromotes(t *testing.T) {
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 10 * time.Millisecond, Seed: 11,
 		HeartbeatTimeout: 100 * time.Millisecond,
 		PromoteAfter:     200 * time.Millisecond,
-	})
+	}, testServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +392,7 @@ func TestWatchdogAutoPromotes(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("watchdog never promoted after the primary vanished")
 	}
-	if got := r.Repl.Promotions.Load(); got != 1 {
+	if got := r.srv.Repl.Promotions.Load(); got != 1 {
 		t.Fatalf("Promotions = %d, want 1", got)
 	}
 	if got := r.Epoch(); got < 2 {

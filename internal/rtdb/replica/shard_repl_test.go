@@ -61,12 +61,11 @@ func TestShardReplication(t *testing.T) {
 		Primary: addrs[followShard],
 		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(99), Sync: true},
 		Name:    "shard-follower",
-		Catalog: rtdb.Catalog{},
 		Seed:    7,
 
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		HeartbeatTimeout: 5 * time.Second,
-	})
+	}, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

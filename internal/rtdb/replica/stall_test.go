@@ -99,8 +99,7 @@ func TestStalledStandbySubscriberDoesNotStallReplication(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = r.Log().Close() // promoted: the log is the caller's
-	m := r.Metrics.Snapshot()
+	m := r.srv.Metrics.Snapshot()
 	if m.PushScheduled != final || m.PushAccounted() != m.PushScheduled {
 		t.Errorf("push books: scheduled %d (want %d) != pushed %d + dropped %d + expired %d",
 			m.PushScheduled, final, m.Pushed, m.PushDropped, m.PushExpired)

@@ -205,7 +205,7 @@ func TestStandbySubscriptions(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := r.Metrics.Snapshot()
+	m := r.srv.Metrics.Snapshot()
 	if m.SubsOpened != 2 || m.SubsClosed != 2 {
 		t.Errorf("subs opened/closed = %d/%d, want 2/2", m.SubsOpened, m.SubsClosed)
 	}
@@ -293,7 +293,7 @@ func TestStandbySubExpiry(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := r.Metrics.Snapshot()
+	m := r.srv.Metrics.Snapshot()
 	if m.PushExpired == 0 || m.PushAccounted() != m.PushScheduled {
 		t.Errorf("expiry books: scheduled %d accounted %d expired %d",
 			m.PushScheduled, m.PushAccounted(), m.PushExpired)

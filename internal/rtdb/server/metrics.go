@@ -17,11 +17,16 @@
 // A Server is also the unit of sharding: ShardedServer (sharded.go) builds N
 // of them from one catalog, each with its own clock, and whoever holds an
 // object's traffic places it with rtwire.ShardOf — no router sits in between.
+//
+// And it is the hot standby: NewFollower builds one in the follower role,
+// whose clock and database move only with a replication stream, and
+// Promote flips it to a primary in place (follower.go).
 package server
 
 import (
 	"sync/atomic"
 
+	"rtc/internal/deadline"
 	"rtc/internal/stats"
 )
 
@@ -47,10 +52,10 @@ type Metrics struct {
 	// already consumed when the frame arrived — rejected before entering
 	// any session queue, never evaluated.
 	ExpiredOnArrival atomic.Uint64
-	// Degraded is the subset of query outcomes served by a standby during a
-	// primary outage: answered from replicated state that may trail the
-	// primary, so it is a distinct quality class even when the deadline was
-	// met. Like ExpiredOnArrival it annotates, it does not add a term to
+	// Degraded is the subset of query outcomes (and standing-query pushes)
+	// served by a follower: answered from replicated state that may trail
+	// the primary, so it is a distinct quality class even when the deadline
+	// was met. Like ExpiredOnArrival it annotates, it does not add a term to
 	// the conservation law.
 	Degraded atomic.Uint64
 
@@ -201,11 +206,20 @@ func (m *Metrics) AccountExpired() {
 	m.ExpiredOnArrival.Add(1)
 }
 
-// AccountDegraded records a query served by a standby node during a primary
-// outage. The submission and its terminal outcome are booked in one step so
-// the conservation law holds on the standby too: missed says whether the
-// (translated) deadline was blown, hasDeadline whether the query carried
-// one at all.
+// accountRejected books a query refused before evaluation — by backpressure
+// or by a follower's read-only role; one carrying a deadline is also a miss.
+func (m *Metrics) accountRejected(kind deadline.Kind) {
+	m.QueriesRejected.Add(1)
+	if kind != deadline.None {
+		m.RejectMiss.Add(1)
+	}
+}
+
+// AccountDegraded records a standing-query push a follower served: the
+// submission and its terminal outcome are booked in one step, as for a
+// query, so the conservation law holds on a follower too. missed says
+// whether the (translated) deadline was blown, hasDeadline whether the
+// envelope carried one at all.
 func (m *Metrics) AccountDegraded(missed, hasDeadline bool) {
 	m.QueriesIn.Add(1)
 	m.Degraded.Add(1)

@@ -36,8 +36,9 @@ type PeriodicStats struct {
 	Issued, Hit, Missed uint64
 }
 
-// RegisterPeriodic adds a standing periodic query. It must be called
-// before Start. The registration is a member of the subscription table like
+// RegisterPeriodic adds a standing periodic query, before Start or on the
+// running server (a promoted follower registers its schedule after the
+// flip). The registration is a member of the subscription table like
 // any other — grouped by (Query, Period), one catalog evaluation per group
 // tick, scored against its own envelope — whose outcome is a tally instead
 // of a delivery queue: its first invocation is due at max(Issue, now), or on
@@ -54,9 +55,15 @@ func (s *Server) RegisterPeriodic(pq PeriodicQuery) error {
 		return fmt.Errorf("periodic query %q: %w", pq.Name, err)
 	}
 	t := &sub.Tally{Name: pq.Name}
-	s.subs.AttachTally(spec, t, max(pq.Issue, s.Now()))
-	s.periodic = append(s.periodic, t)
-	return nil
+	attach := func() {
+		s.subs.AttachTally(spec, t, max(pq.Issue, s.Now()))
+		s.periodic = append(s.periodic, t)
+	}
+	if !s.started.Load() {
+		attach()
+		return nil
+	}
+	return s.apply(attach)
 }
 
 // PeriodicReport returns each registration's tally, in registration order.

@@ -107,6 +107,11 @@ var (
 	ErrBackpressure = errors.New("server: session queue full")
 	// ErrClosed: the server is stopping.
 	ErrClosed = errors.New("server: closed")
+	// ErrReadOnly: a follower refused a write, or a query or subscription
+	// it cannot serve (a firm deadline, or a database that lacks part of its
+	// log). Queries are accounted as rejections; netserve answers
+	// CodeReadOnly and the client rotates toward the primary.
+	ErrReadOnly = errors.New("server: follower is read-only; writes and firm deadlines go to the primary")
 )
 
 type reqKind int
@@ -124,9 +129,10 @@ type request struct {
 	session int
 	// sample
 	image, value string
-	// query
-	q     QueryRequest
-	issue timeseq.Time
+	// query; degraded marks one submitted to a follower (serveQuery)
+	q        QueryRequest
+	issue    timeseq.Time
+	degraded bool
 	// tick
 	chronons uint64
 	// apply: an arbitrary closure run on the apply loop (subscription
@@ -152,14 +158,28 @@ type Server struct {
 	lastSnap timeseq.Time
 	hist     atomic.Pointer[histSnap]
 
-	// names lists the images of the database New built — the recovered
-	// catalog's after a recovery, cfg.Spec's otherwise. The image set is
-	// fixed after New, so publishSnapshot walks this instead of collecting
-	// it every period.
+	// log is the write-ahead log (nil: none). The apply loop reads it
+	// freely; off the loop it is read under logMu, which a follower's Resync
+	// holds while it replaces the log, so no reader ever sees the closed one.
+	logMu sync.RWMutex
+	log   *wal.Log
+
+	// following is the role (follower.go): set by NewFollower, cleared once
+	// by Promote. incomplete marks a follower whose database lacks part of
+	// what its log holds; it answers no query rather than answer wrongly.
+	following  atomic.Bool
+	incomplete atomic.Bool
+	// started is set by Start; RegisterPeriodic attaches on the loop after.
+	started atomic.Bool
+
+	// names lists the images of the database — the recovered catalog's
+	// after a recovery, cfg.Spec's otherwise, grown by a follower's
+	// replicated catalog — so publishSnapshot walks this instead of
+	// collecting it every period.
 	names []string
 	// pubLen is each image's history length at its last capture; an image
 	// whose length is unchanged is clean and its published relation is
-	// shared by pointer into the next snapshot.
+	// shared by pointer into the next snapshot. nil: capture every image.
 	pubLen map[string]int
 	// sessLabels precomputes the "s<i>" WAL session labels.
 	sessLabels []string
@@ -171,6 +191,8 @@ type Server struct {
 	lastTicket *wal.Ticket
 
 	Metrics Metrics
+	// Repl is a follower's replication books, kept by its tailer.
+	Repl ReplMetrics
 	// subs is the one periodic schedule: subscriptions and registered
 	// periodic queries are its members. periodic lists the registrations'
 	// tallies in registration order, for PeriodicReport.
@@ -191,39 +213,38 @@ type Server struct {
 // samples are history, not events, and Rebuild refuses a database where a
 // rule could see them.
 func New(cfg Config) (*Server, error) {
+	return newServer(cfg, false)
+}
+
+// newServer builds a primary, or a follower (NewFollower): one that takes
+// neither cfg.Spec nor cfg.Rules, and for which a log it cannot rebuild is
+// an incomplete database rather than an error.
+func newServer(cfg Config, follower bool) (*Server, error) {
 	cfg.defaults()
 	s := &Server{
 		cfg:   cfg,
+		log:   cfg.Log,
 		sched: vtime.New(),
 		subs:  sub.NewTable(),
 		inbox: make(chan request, cfg.Sessions),
 		quit:  make(chan struct{}),
 	}
+	s.following.Store(follower)
 	s.db = rtdb.New(s.sched)
 
-	recovered := cfg.Log != nil && cfg.Log.State().Events > 0
-	if recovered {
-		st := cfg.Log.State()
-		if err := st.Rebuild(s.db, cfg.Registry); err != nil {
-			return nil, err
+	if cfg.Log != nil && cfg.Log.State().Events > 0 {
+		if err := s.recover(cfg.Log.State()); err != nil {
+			if !follower {
+				return nil, err
+			}
+			s.incomplete.Store(true)
 		}
-		// The recovered catalog wins: cfg.Spec may name images this log
-		// never held, or lack some it does.
-		for name := range st.Images {
-			s.names = append(s.names, name)
-		}
-		s.clock.Store(uint64(st.LastAt))
-		s.Metrics.Chronon.Store(uint64(st.LastAt))
-	} else {
+	} else if !follower {
 		s.installSpec()
 	}
-	for _, r := range cfg.Rules {
-		s.db.AddRule(r)
+	if !follower {
+		s.installRules()
 	}
-	// The pre-existing firing log (empty after recovery by construction —
-	// rules were not installed during the rebuild) is drained from zero.
-	s.firings = len(s.db.FiringLog())
-	s.pubLen = make(map[string]int, len(s.names))
 	s.publishSnapshot()
 
 	s.sessLabels = make([]string, cfg.Sessions)
@@ -234,6 +255,31 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	return s, nil
+}
+
+// recover rebuilds the database from a log's state and sets the clock to
+// the state's last timestamp. The recovered catalog wins: cfg.Spec may name
+// images this log never held, or lack some it does. names lists the images
+// the rebuild installed, even when it failed part way.
+func (s *Server) recover(st *wal.State) error {
+	err := st.Rebuild(s.db, s.cfg.Registry)
+	s.names = s.names[:0]
+	for name := range st.Images {
+		if _, ok := s.db.Image(name); ok {
+			s.names = append(s.names, name)
+		}
+	}
+	s.advance(st.LastAt)
+	return err
+}
+
+// installRules installs cfg.Rules. The firing log drains from its current
+// length: empty by construction, since no rule ran before.
+func (s *Server) installRules() {
+	for _, r := range s.cfg.Rules {
+		s.db.AddRule(r)
+	}
+	s.firings = len(s.db.FiringLog())
 }
 
 // installSpec installs and write-ahead-logs the catalog.
@@ -261,6 +307,7 @@ func (s *Server) installSpec() {
 
 // Start launches the apply loop and the session forwarders.
 func (s *Server) Start() {
+	s.started.Store(true)
 	s.wg.Add(1)
 	go s.applyLoop()
 	for _, c := range s.sessions {
@@ -277,10 +324,10 @@ func (s *Server) Stop() {
 		s.closed.Store(true)
 		close(s.quit)
 		s.wg.Wait()
-		if s.cfg.Log != nil {
+		if s.log != nil {
 			// A failed final sync means the tail of the log may not be
 			// durable; it is counted, not swallowed.
-			if err := s.cfg.Log.Sync(); err != nil {
+			if err := s.log.Sync(); err != nil {
 				s.Metrics.WalErrors.Add(1)
 			}
 			s.syncLogStats()
@@ -302,17 +349,38 @@ func (s *Server) Now() timeseq.Time { return timeseq.Time(s.clock.Load()) }
 // server is stopped (the apply loop owns it while running).
 func (s *Server) DB() *rtdb.DB { return s.db }
 
-// WAL exposes the write-ahead log (nil when the server runs without one).
-// The replication senders read what they ship through it.
-func (s *Server) WAL() *wal.Log { return s.cfg.Log }
+// WAL exposes the write-ahead log the replication senders ship from: nil
+// when the server runs without one, and nil on a follower — replicas do not
+// chain, and a follower's log is the only one Resync ever replaces.
+func (s *Server) WAL() *wal.Log {
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	if s.following.Load() {
+		return nil
+	}
+	return s.log
+}
 
 // Epoch returns the node's fencing epoch: the WAL's persisted epoch, or 1
 // for a log-less server (which can never be deposed, having no replica).
 func (s *Server) Epoch() uint64 {
-	if s.cfg.Log == nil {
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	if s.log == nil {
 		return 1
 	}
-	return s.cfg.Log.Epoch()
+	return s.log.Epoch()
+}
+
+// Seq returns the newest sequence in the log (0 without one): on a follower,
+// the position its tailer has appended through.
+func (s *Server) Seq() uint64 {
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	if s.log == nil {
+		return 0
+	}
+	return s.log.Seq()
 }
 
 // Tick advances the virtual clock by n chronons through the apply loop —
@@ -386,8 +454,8 @@ func (s *Server) step(r request) {
 	case reqBarrier:
 		// Flush is the durability barrier: close the open commit window so
 		// the batch leader fsyncs now, and ack once it has.
-		if t := s.lastTicket; t != nil && !t.Resolved() && s.cfg.Log != nil {
-			s.cfg.Log.CloseWindow()
+		if t := s.lastTicket; t != nil && !t.Resolved() && s.log != nil {
+			s.log.CloseWindow()
 		}
 		s.replyAfterDurable(r.reply, Response{})
 	case reqApply:
@@ -427,9 +495,16 @@ func (s *Server) advance(t timeseq.Time) {
 
 // serveQuery runs one aperiodic query under admission control. Evaluation
 // costs EvalCost chronons; the deadline discipline is judged at completion
-// time, mirroring P_m's comparison in §4.1.
+// time, mirroring P_m's comparison in §4.1. A degraded query — one a
+// follower took — is evaluated at the replicated horizon at no cost and
+// neither moves the clock nor logs (DESIGN.md §2).
 func (s *Server) serveQuery(r request, now timeseq.Time) Response {
-	finish := now + timeseq.Time(s.cfg.EvalCost)
+	finish := now
+	if r.degraded {
+		s.Metrics.Degraded.Add(1)
+	} else {
+		finish += timeseq.Time(s.cfg.EvalCost)
+	}
 	resp := Response{Issue: r.issue, Served: finish}
 
 	env := r.q.Envelope()
@@ -445,7 +520,7 @@ func (s *Server) serveQuery(r request, now timeseq.Time) Response {
 	}
 
 	q, ok := s.cfg.Catalog[r.q.Query]
-	if !ok {
+	if !ok || r.degraded && s.incomplete.Load() {
 		resp.Missed = r.q.Kind != deadline.None
 		if resp.Missed {
 			s.Metrics.DeadlineMiss.Add(1)
@@ -464,10 +539,12 @@ func (s *Server) serveQuery(r request, now timeseq.Time) Response {
 			}
 		}
 	}
-	s.advance(finish)
-	if s.cfg.Log != nil {
-		s.walAppendFirm(wal.Query(r.issue, s.sessLabels[r.session], r.q.Query, r.q.Candidate,
-			uint64(r.q.Kind), uint64(r.q.Deadline), r.q.MinUseful), r.q.Kind == deadline.Firm)
+	if !r.degraded {
+		s.advance(finish)
+		if s.log != nil {
+			s.walAppendFirm(wal.Query(r.issue, s.sessLabels[r.session], r.q.Query, r.q.Candidate,
+				uint64(r.q.Kind), uint64(r.q.Deadline), r.q.MinUseful), r.q.Kind == deadline.Firm)
+		}
 	}
 
 	// Anything the admission test let through meets the discipline at
@@ -511,11 +588,12 @@ func (s *Server) walAppend(e wal.Event) *wal.Ticket {
 // walAppendFirm is walAppend with an immediate-flush request: firm seals
 // the open commit window so a firm-deadline ack is never held hostage to
 // the window's tail — the §4.1 admission promise extends through the WAL.
+// A follower never appends: its tailer logs what the primary logged.
 func (s *Server) walAppendFirm(e wal.Event, firm bool) *wal.Ticket {
-	if s.cfg.Log == nil {
+	if s.log == nil || s.following.Load() {
 		return nil
 	}
-	t, err := s.cfg.Log.AppendTicket(e, firm)
+	t, err := s.log.AppendTicket(e, firm)
 	if err != nil {
 		s.Metrics.WalErrors.Add(1)
 		return nil
@@ -545,7 +623,7 @@ func (s *Server) replyAfterDurable(reply chan Response, resp Response) {
 
 // syncLogStats copies the log's fsync counters into the metrics block.
 func (s *Server) syncLogStats() {
-	st := s.cfg.Log.Stats()
+	st := s.log.Stats()
 	s.Metrics.FsyncCount.Store(st.FsyncCount)
 	s.Metrics.FsyncNanos.Store(st.FsyncNanos)
 	s.Metrics.FsyncMaxNanos.Store(st.FsyncMaxNanos)
@@ -575,22 +653,20 @@ func (s *Server) publishSnapshot() {
 	// clock, so the newest sample's validity extends to the present.
 	now := timeseq.Time(s.clock.Load())
 	s.sched.RunUntil(now)
+	prev := s.hist.Load()
+	fresh := prev == nil || s.pubLen == nil
 	var out *rtdb.HistoricalDatabase
-	if prev := s.hist.Load(); prev == nil {
+	if fresh {
 		out = rtdb.NewHistoricalDatabase()
-		for _, name := range s.names {
-			img, _ := s.db.Image(name)
-			out.Add(rtdb.FromLiveImage(img, now))
-			s.pubLen[name] = len(img.History())
-		}
+		s.pubLen = make(map[string]int, len(s.names))
 	} else {
 		out = prev.db.Clone()
-		for _, name := range s.names {
-			img, _ := s.db.Image(name)
-			if n := len(img.History()); n != s.pubLen[name] {
-				out.Add(rtdb.FromLiveImage(img, now))
-				s.pubLen[name] = n
-			}
+	}
+	for _, name := range s.names {
+		img, _ := s.db.Image(name)
+		if n := len(img.History()); fresh || n != s.pubLen[name] {
+			out.Add(rtdb.FromLiveImage(img, now))
+			s.pubLen[name] = n
 		}
 	}
 	out.SetHorizon(now)

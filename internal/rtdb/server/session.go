@@ -61,12 +61,17 @@ func (c *Session) trySubmit(r request) bool {
 
 // InjectSample submits one sensor sample for an image object. It is
 // asynchronous: the sample is applied by the server's apply loop. A full
-// queue returns ErrBackpressure.
+// queue returns ErrBackpressure; a follower refuses every sample with
+// ErrReadOnly.
 func (c *Session) InjectSample(image, value string) error {
 	if c.srv.closed.Load() {
 		return ErrClosed
 	}
 	c.srv.Metrics.SamplesIn.Add(1)
+	if c.srv.following.Load() {
+		c.srv.Metrics.SamplesRejected.Add(1)
+		return ErrReadOnly
+	}
 	r := request{kind: reqSample, session: c.id, image: image, value: value}
 	if !c.trySubmit(r) {
 		c.srv.Metrics.SamplesIn.Add(^uint64(0)) // undo: never entered a queue
@@ -77,34 +82,41 @@ func (c *Session) InjectSample(image, value string) error {
 }
 
 // Query submits one aperiodic query, issued at the server's clock as it
-// stands now, and blocks for the response. A full queue rejects immediately;
-// for deadline-carrying queries the rejection is accounted as a deadline
-// miss (never silently dropped).
+// stands now, and blocks for the response. A full queue rejects immediately
+// with ErrBackpressure. A follower's clock moves only with the replication
+// stream, so it refuses a firm deadline with ErrReadOnly — and every query
+// when its database is incomplete — and serves the rest degraded. Either
+// rejection of a deadline-carrying query is accounted as a deadline miss
+// (never silently dropped).
 func (c *Session) Query(q QueryRequest) (Response, error) {
 	if c.srv.closed.Load() {
 		return Response{}, ErrClosed
 	}
 	c.srv.Metrics.QueriesIn.Add(1)
-	r := request{
-		kind: reqQuery, session: c.id, q: q,
-		issue: c.srv.Now(),
-		reply: replyPool.Get().(chan Response),
+	r := request{kind: reqQuery, session: c.id, q: q, issue: c.srv.Now()}
+	var refused error
+	if c.srv.following.Load() {
+		r.degraded = true
+		if q.Kind == deadline.Firm || c.srv.incomplete.Load() {
+			refused = ErrReadOnly
+		}
 	}
-	if !c.trySubmit(r) {
-		c.srv.Metrics.QueriesRejected.Add(1)
-		if q.Kind != deadline.None {
-			c.srv.Metrics.RejectMiss.Add(1)
+	if refused == nil {
+		r.reply = replyPool.Get().(chan Response)
+		if c.trySubmit(r) {
+			select {
+			case resp := <-r.reply:
+				replyPool.Put(r.reply)
+				return resp, nil
+			case <-c.srv.quit:
+				return Response{}, ErrClosed
+			}
 		}
 		replyPool.Put(r.reply)
-		return Response{Missed: q.Kind != deadline.None, Issue: r.issue}, ErrBackpressure
+		refused = ErrBackpressure
 	}
-	select {
-	case resp := <-r.reply:
-		replyPool.Put(r.reply)
-		return resp, nil
-	case <-c.srv.quit:
-		return Response{}, ErrClosed
-	}
+	c.srv.Metrics.accountRejected(q.Kind)
+	return Response{Missed: q.Kind != deadline.None, Issue: r.issue}, refused
 }
 
 // Flush blocks until everything this session enqueued before it has been

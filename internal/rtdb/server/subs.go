@@ -33,14 +33,6 @@ type ServerSub struct {
 	detach func()
 }
 
-// NewServerSub is the handle for a subscription attached to a sub.Table that
-// something other than a Server's apply loop owns — the hot standby, whose
-// tailer schedules the ticks. Deliveries and leftovers are booked in m, and
-// Cancel calls detach to take s out of its table.
-func NewServerSub(m *Metrics, s *sub.Sub, detach func()) *ServerSub {
-	return &ServerSub{m: m, s: s, detach: detach}
-}
-
 // Subscribe attaches a standing query. spec is the server-relative envelope
 // (deadline already translated, decay already shifted by the transport);
 // after is the cursor to continue from (0 for a fresh subscription, the
@@ -57,14 +49,25 @@ func (s *Server) Subscribe(spec sub.Spec, after uint64, depth int) (*ServerSub, 
 // hands every subscription of one connection the same channel and drains
 // them all from one goroutine. The queue has the channel before the apply
 // loop can put anything in it, so no token is ever posted elsewhere.
+//
+// A follower refuses a firm envelope — or any, when its database is
+// incomplete — with ErrReadOnly, booked like a refused firm query; the rest
+// it serves degraded (serveGroupTick).
 func (s *Server) SubscribeWake(spec sub.Spec, after uint64, depth int, wake chan struct{}) (*ServerSub, error) {
+	if s.following.Load() && (spec.Kind == deadline.Firm || s.incomplete.Load()) {
+		s.Metrics.QueriesIn.Add(1)
+		s.Metrics.accountRejected(spec.Kind)
+		return nil, ErrReadOnly
+	}
 	if err := s.admitSchedule(spec); err != nil {
 		return nil, err
 	}
 	// Subscribe-time admission: the best any tick can do is start its
 	// evaluation at the issue instant and finish EvalCost later. If even
 	// that cannot meet the envelope, no tick ever will (the test is
-	// time-invariant — Score only sees finish−issue).
+	// time-invariant — Score only sees finish−issue). A follower, whose
+	// evaluation is free, admits by the same cost: the subscription stays
+	// attached through a promotion.
 	if env := spec.Envelope(); !env.Admissible(env.Score(timeseq.Time(s.cfg.EvalCost))) {
 		return nil, ErrNotAdmissible
 	}
@@ -74,9 +77,9 @@ func (s *Server) SubscribeWake(spec sub.Spec, after uint64, depth int, wake chan
 		attached := s.subs.Attach(spec, after, sub.NewQueueWake(depth, wake), now)
 		// When the server is stopping the detach is skipped: the apply loop
 		// is gone and nothing ticks anymore.
-		ss = NewServerSub(&s.Metrics, attached, func() {
+		ss = &ServerSub{m: &s.Metrics, s: attached, detach: func() {
 			_ = s.apply(func() { s.subs.Detach(attached) })
-		})
+		}}
 		s.Metrics.SubsOpened.Add(1)
 	})
 	if err != nil {
@@ -176,11 +179,18 @@ func (s *Server) runSubs() {
 	}
 }
 
-// serveGroupTick runs (or admission-skips) one due tick of one group.
+// serveGroupTick runs (or admission-skips) one due tick of one group. A
+// follower evaluates at the replicated horizon at no cost, as serveQuery
+// serves its degraded queries: its pushes are Degraded and each is booked as
+// a degraded query outcome, where a late tick counts as a miss.
 func (s *Server) serveGroupTick(g *sub.Group) {
 	now := timeseq.Time(s.clock.Load())
 	issue := g.Advance()
-	finish := now + timeseq.Time(s.cfg.EvalCost)
+	following := s.following.Load()
+	finish := now
+	if !following {
+		finish += timeseq.Time(s.cfg.EvalCost)
+	}
 	members := g.Members()
 
 	var answers []string
@@ -191,17 +201,20 @@ func (s *Server) serveGroupTick(g *sub.Group) {
 			break
 		}
 	}
-	if evaluate {
+	switch {
+	case !evaluate:
+		s.Metrics.AdmissionSkip.Add(1)
+	case following && s.incomplete.Load():
+		evaluate = false // nothing trustworthy to evaluate against
+	default:
 		s.sched.RunUntil(now)
 		answers = s.cfg.Catalog[g.Key().Query](s.db.ViewNow())
 		s.advance(finish)
-	} else {
-		s.Metrics.AdmissionSkip.Add(1)
 	}
-	// With nothing evaluated the clock has not moved and every member's
-	// tick expires at the finish the test above used.
+	// An admission skip has not moved the clock, and every member's tick
+	// expires at the finish the test above used.
 	for _, m := range members {
-		p, _, ok := m.Tick(issue, finish)
+		p, late, ok := m.Tick(issue, finish)
 		if m.Tally != nil {
 			s.tallyTick(m, issue, ok)
 			continue
@@ -211,7 +224,15 @@ func (s *Server) serveGroupTick(g *sub.Group) {
 			s.Metrics.PushExpired.Add(1)
 			continue
 		}
-		p.Evaluated, p.Answers = true, answers
+		p.Evaluated, p.Answers = evaluate, answers
+		if following {
+			hasDeadline := m.Spec.Kind != deadline.None
+			p.Degraded, p.Missed = true, late || !evaluate && hasDeadline
+			if !evaluate {
+				p.Useful = 0
+			}
+			s.Metrics.AccountDegraded(p.Missed, hasDeadline)
+		}
 		if m.Q.Put(p) {
 			s.Metrics.AccountPushDropped(1)
 		}

@@ -300,14 +300,13 @@ func (h *tcpHandle) cancel(t *testing.T) {
 }
 
 type tcpEnv struct {
-	log     *wal.Log
-	srv     *server.Server
-	ns      *netserve.Server
-	addrP   string
-	r       *replica.Replica
-	addrS   string
-	c       *client.Client
-	servers []*server.Server
+	log   *wal.Log
+	srv   *server.Server // the primary
+	ns    *netserve.Server
+	addrP string
+	r     *replica.Replica
+	addrS string
+	c     *client.Client
 }
 
 // startPrimary stands up the suite's WAL-backed primary on a loopback port.
@@ -324,7 +323,7 @@ func startPrimary(t *testing.T) *tcpEnv {
 		t.Fatal(err)
 	}
 	s.Start()
-	e := &tcpEnv{log: l, srv: s, servers: []*server.Server{s}}
+	e := &tcpEnv{log: l, srv: s}
 	e.ns = netserve.New(s, netserve.Options{})
 	addr, err := e.ns.Listen("127.0.0.1:0")
 	if err != nil {
@@ -336,9 +335,7 @@ func startPrimary(t *testing.T) *tcpEnv {
 			_ = e.c.Close()
 		}
 		_ = e.ns.Close()
-		for _, s := range e.servers {
-			s.Stop()
-		}
+		s.Stop()
 		if e.r != nil {
 			_ = e.r.Close()
 		}
@@ -351,13 +348,12 @@ func startPrimary(t *testing.T) *tcpEnv {
 func (e *tcpEnv) startReplica(t *testing.T) {
 	t.Helper()
 	r, err := replica.Open(replica.Config{
-		Primary: e.addrP,
-		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 1 << 16, SnapshotEvery: 1 << 20},
-		Name:    "subspec-follower",
-		Catalog: nodeConfig(nil).Catalog, Registry: nodeConfig(nil).Registry,
+		Primary:      e.addrP,
+		WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 1 << 16, SnapshotEvery: 1 << 20},
+		Name:         "subspec-follower",
 		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
 		Seed: 11, HeartbeatTimeout: 10 * time.Second,
-	})
+	}, nodeConfig(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,9 +442,9 @@ func (e *tcpEnv) reconnect(t *testing.T, hs ...handle) {
 	e.waitResubscribed(t, base, uint64(len(hs)))
 }
 
-// failover promotes the tailing replica into a full server on the standby
-// address, then kills the primary; the client walks its ring and resumes on
-// the successor.
+// failover promotes the tailing replica in place — its listener on the
+// standby address keeps serving — then kills the primary; the client walks
+// its ring and resumes on the successor.
 func (e *tcpEnv) failover(t *testing.T, hs ...handle) {
 	t.Helper()
 	if e.r == nil {
@@ -460,30 +456,13 @@ func (e *tcpEnv) failover(t *testing.T, hs ...handle) {
 	if !e.r.WaitSeq(e.log.Seq(), 10*time.Second) {
 		t.Fatalf("replica stuck at %d behind primary %d", e.r.Seq(), e.log.Seq())
 	}
-	// Promote and retire the standby listener first, so the client cannot
-	// land on a half-node; then kill the primary.
 	if _, err := e.r.Promote(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.ns.Close(); err != nil {
 		t.Fatal(err)
 	}
 	e.srv.Stop()
-
-	s2, err := server.New(nodeConfig(e.r.Log()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Start()
-	e.srv = s2
-	e.servers = append(e.servers, s2)
-	e.ns = netserve.New(s2, netserve.Options{})
-	if _, err := e.ns.Listen(e.addrS); err != nil {
-		t.Fatal(err)
-	}
 	e.waitResubscribed(t, base, uint64(len(hs)))
 }
 
@@ -498,16 +477,12 @@ func (e *tcpEnv) finish(t *testing.T, hs ...handle) {
 	if err := e.ns.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range e.servers {
-		s.Stop()
-	}
+	e.srv.Stop()
 	if e.r != nil {
 		_ = e.r.Close()
-		checkBooks(t, "standby", e.r.Metrics.Snapshot())
+		checkBooks(t, "standby", e.r.Server().Metrics.Snapshot())
 	}
-	for i, s := range e.servers {
-		checkBooks(t, "node "+strconv.Itoa(i), s.Metrics.Snapshot())
-	}
+	checkBooks(t, "primary", e.srv.Metrics.Snapshot())
 }
 
 // ----------------------------------------------------------------- standby

@@ -33,8 +33,8 @@ func chaosDerive(src map[string]rtdb.Value) rtdb.Value {
 	return "ok"
 }
 
-// chaosCatalog is the query catalog of every full server the harness builds
-// and of the follower's degraded-mode mirror.
+// chaosCatalog is the query catalog of every server the harness builds,
+// primary or follower.
 var chaosCatalog = rtdb.Catalog{
 	"status_q": func(v *rtdb.View) []rtdb.Value {
 		if s, ok := v.DeriveNow("status"); ok {

@@ -25,7 +25,8 @@ import (
 //     per-event acks the replica can never trail an acked write, and
 //     double-apply would push n past acked+1),
 //   - deep-compares the promoted state against the reference prefix,
-//   - appends past the failover to prove the promoted log is live, and
+//   - writes through the promoted server — promoted in place, no rebuild —
+//     to prove its log is live, and
 //   - reopens the promoted log: the bumped epoch must have been persisted.
 func (c Config) failoverPoint(p *point, events []wal.Event) error {
 	ps := pointSeed(c.Seed, p.at)
@@ -85,7 +86,7 @@ func (c Config) failoverPoint(p *point, events []wal.Event) error {
 	if !errors.Is(firmErr, client.ErrReadOnly) {
 		return fmt.Errorf("standby served a firm query during outage (err=%v)", firmErr)
 	}
-	ms := st.rp.Metrics.Snapshot()
+	ms := st.rp.Server().Metrics.Snapshot()
 	if err := queryConservation("standby", ms); err != nil {
 		return err
 	}
@@ -105,20 +106,16 @@ func (c Config) failoverPoint(p *point, events []wal.Event) error {
 	if err := durabilityBound("replica has", n, acked, acked, true); err != nil {
 		return err
 	}
-	nl := st.rp.Log()
-	want, err := referencePrefix("promoted ", events, n, nl.State())
-	if err != nil {
+	if _, err := referencePrefix("promoted ", events, n, st.rp.Log().State()); err != nil {
 		return err
 	}
 	if n >= 2 { // catalog prologue replicated, image exists
-		post := wal.Sample(want.LastAt+1, "temp", "post-failover")
-		if err := liveness("append after promotion", &appender{l: nl}, post); err != nil {
+		if err := servedLive("append after promotion", st.rp.Server()); err != nil {
 			return err
 		}
 	}
-	_ = st.rp.Close() // promoted: leaves the log to us
-	if err := nl.Close(); err != nil {
-		return fmt.Errorf("close promoted log: %v", err)
+	if err := st.rp.Close(); err != nil {
+		return fmt.Errorf("close promoted node: %v", err)
 	}
 
 	// Fencing durability: the bumped epoch survives a restart of the node.

@@ -172,7 +172,7 @@ func TestPartitionHammer(t *testing.T) {
 		t.Errorf("after chaos: %v", err)
 	}
 	st.killPrimary()
-	if err := queryConservation("replica", st.rp.Metrics.Snapshot()); err != nil {
+	if err := queryConservation("replica", st.rp.Server().Metrics.Snapshot()); err != nil {
 		t.Errorf("after chaos: %v", err)
 	}
 }

@@ -120,6 +120,21 @@ func liveness(what string, a *appender, e wal.Event) error {
 	return nil
 }
 
+// servedLive is liveness through a server: a node promoted in place is live
+// — a sample one of its sessions takes lands in its log by the Flush that
+// acknowledges it.
+func servedLive(what string, srv *server.Server) error {
+	before := srv.Seq()
+	sess := srv.Session(0)
+	if err := sess.InjectSample("temp", "live"); err != nil {
+		return fmt.Errorf("%s: %v", what, err)
+	}
+	if err := sess.Flush(); err != nil {
+		return fmt.Errorf("%s: flush: %v", what, err)
+	}
+	return law(srv.Seq() > before, "%s: the log stayed at %d", what, before)
+}
+
 // queryConservation is QueriesIn == QueriesAccounted: a query that entered
 // a node was rejected, hit, missed or carried no deadline — and counted as
 // exactly one of them, never lost. who names the node.

@@ -324,7 +324,7 @@ func (r *partRun) rideOut() error {
 			return fmt.Errorf("durability watermark stuck at %d, primary at %d", r.ns.ReplDurable(), seq)
 		}
 	}
-	return queryConservation("standby", r.rp.Metrics.Snapshot())
+	return queryConservation("standby", r.rp.Server().Metrics.Snapshot())
 }
 
 // promote is the failover half: with the primary isolated, the standby is
@@ -386,5 +386,5 @@ func (r *partRun) promote() error {
 	if err := queryConservation("deposed primary", r.srv.Metrics.Snapshot()); err != nil {
 		return err
 	}
-	return queryConservation("promoted standby", r.rp.Metrics.Snapshot())
+	return queryConservation("promoted standby", r.rp.Server().Metrics.Snapshot())
 }

@@ -8,7 +8,6 @@ import (
 	"rtc/internal/deadline"
 	"rtc/internal/faultfs"
 	"rtc/internal/faultnet"
-	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
@@ -44,7 +43,8 @@ type stackSpec struct {
 // stack is a primary and its hot standby as production wires them: the
 // primary's WAL on a fault-injecting filesystem, a server on it behind
 // netserve, and a replica — its own WAL on its own filesystem — tailing
-// that listener and serving standby reads on a second one.
+// that listener and serving standby reads on a second one, from a follower
+// server that a promotion turns into a primary in place.
 type stack struct {
 	memP, memR       *faultfs.Mem
 	lp               *wal.Log
@@ -94,13 +94,14 @@ func (c Config) newStack(sp stackSpec) (st *stack, err error) {
 	st.primary = pln.Addr().String()
 
 	f := sp.follower
-	f.Primary, f.WAL, f.Seed = st.primary, c.followerWAL(st.memR), sp.seed
-	f.Name, f.Catalog, f.Registry = "torture-follower", chaosCatalog, rtdb.DeriveRegistry{"status": chaosDerive}
+	f.Primary, f.WAL, f.Seed, f.Name = st.primary, c.followerWAL(st.memR), sp.seed, "torture-follower"
 	f.RetryBackoff, f.RetryBackoffMax = time.Millisecond, 20*time.Millisecond
 	if sp.fab != nil {
 		f.Dialer = sp.fab.Dialer("replica")
 	}
-	if st.rp, err = replica.Open(f); err != nil {
+	// The follower runs the full server's config: its catalog answers
+	// degraded reads, and its alarm rule is installed when it is promoted.
+	if st.rp, err = replica.Open(f, chaosServerConfig(nil, max(sp.sessions, 1), 64)); err != nil {
 		return st, fmt.Errorf("replica Open: %v", err)
 	}
 	st.rp.Start()
@@ -134,7 +135,6 @@ func (s *stack) close() {
 	}
 	if s.rp != nil {
 		_ = s.rp.Close()
-		_ = s.rp.Log().Close() // a promoted replica leaves its log to its new owner: us
 	}
 	if s.lp != nil {
 		s.lp.Close()

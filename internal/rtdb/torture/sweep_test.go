@@ -147,6 +147,25 @@ func TestInvariants(t *testing.T) {
 		}
 		return liveness("append after recovery", &appender{l: l, grouped: grouped}, events[0])
 	}
+	// served checks servedLive on a server over a recovered log, running or
+	// stopped under it.
+	served := func(stopped bool) error {
+		l, err := wal.Open(c.walOptions(faultfs.NewMem(1)))
+		if err != nil {
+			return err
+		}
+		defer l.Close()
+		srv, err := server.New(chaosServerConfig(l, 1, 8))
+		if err != nil {
+			return err
+		}
+		srv.Start()
+		defer srv.Stop()
+		if stopped {
+			srv.Stop()
+		}
+		return servedLive("append after promotion", srv)
+	}
 
 	for _, tc := range []struct {
 		law  string
@@ -174,6 +193,8 @@ func TestInvariants(t *testing.T) {
 		{"liveness", live(false, false), ""},
 		{"liveness grouped", live(true, false), ""},
 		{"liveness closed log", live(false, true), "append after recovery"},
+		{"servedLive", served(false), ""},
+		{"servedLive stopped server", served(true), "append after promotion"},
 		{"queryConservation", queryConservation("standby", queries(10)), ""},
 		{"queryConservation in=accounted+1", queryConservation("standby", queries(11)), "standby conservation broken: in=11 accounted=10"},
 		{"sampleConservation", sampleConservation(samples(9, 9)), ""},
