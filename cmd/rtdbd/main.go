@@ -230,7 +230,7 @@ func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops in
 		for _, ns := range set {
 			_ = ns.Close()
 		}
-		ss.Stop() // syncs the WALs and folds their fsync counters into the metrics
+		ss.Stop() // syncs the WALs
 	}
 	// One listener per shard: with -listen host:port, shard i serves on
 	// port+i; synthetic mode uses ephemeral loopback ports.
@@ -449,17 +449,15 @@ func drive(cs []*client.Client, id, ops int, deadln uint64) {
 // each shard's block satisfies it independently, so the sum must too.
 func report(m server.MetricsSnapshot, servers []*server.Server, set []*netserve.Server) error {
 	shards := len(servers)
+	var wire netserve.WireSnapshot
+	for _, ns := range set {
+		wire.Add(ns.Wire.Snapshot())
+	}
 	fmt.Println()
 	fmt.Print(m.Table())
 	fmt.Println()
 	fmt.Println("wire:")
-	wire := set[0].Wire.Snapshot().Pairs()
-	for _, ns := range set[1:] {
-		for i, p := range ns.Wire.Snapshot().Pairs() {
-			wire[i].Value += p.Value
-		}
-	}
-	for _, p := range wire {
+	for _, p := range wire.Pairs() {
 		fmt.Printf("  %-24s %d\n", p.Name, p.Value)
 	}
 	fmt.Println("periodic queries:")
@@ -573,5 +571,5 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 	if err := r.Close(); err != nil {
 		return err
 	}
-	return report(srv.Metrics.Snapshot(), []*server.Server{srv}, []*netserve.Server{ns})
+	return report(srv.MetricsSnapshot(), []*server.Server{srv}, []*netserve.Server{ns})
 }

@@ -56,18 +56,20 @@ func (o *Options) defaults() {
 	}
 }
 
-// Stats is the log's observability block.
+// Stats is the log's observability block. A field with a metric tag is also
+// a row of the serving node's metrics reply, read from here when the reply
+// is built (server.Rows).
 type Stats struct {
 	Appends         uint64
 	Segments        uint64 // segments created over the log's lifetime
 	Snapshots       uint64
 	SnapshotErrors  uint64 // automatic snapshots that failed (retried later)
 	Heals           uint64 // failed appends healed by truncating the torn frame
-	FsyncCount      uint64
-	FsyncNanos      uint64 // total time spent in fsync
-	FsyncMaxNanos   uint64
-	GroupCommits    uint64 // commit batches released by a successful fsync
-	GroupedAppends  uint64 // appends whose durability rode a group commit
+	FsyncCount      uint64 `metric:"fsync_count"`
+	FsyncNanos      uint64 `metric:"fsync_total_ns"` // total time spent in fsync
+	FsyncMaxNanos   uint64 `metric:"fsync_max_ns" agg:"max"`
+	GroupCommits    uint64 `metric:"group_commits"`   // commit batches released by a successful fsync
+	GroupedAppends  uint64 `metric:"grouped_appends"` // appends whose durability rode a group commit
 	GroupBatchMax   uint64 // largest single commit batch
 	RecoveredEvents uint64 // events replayed at Open
 	TruncatedBytes  int64  // torn tail dropped at Open

@@ -386,19 +386,17 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 			ID: m.ID, OK: ok, Value: v, Horizon: c.n.srv.HistoryHorizon(),
 		}.AppendTo(c.getBuf()))
 	case rtwire.MetricsReq:
-		snap := c.n.srv.Metrics.Snapshot()
-		pairs := snap.Pairs()
+		var rows []rtwire.MetricPair
 		if c.n.opt.Shards > 1 {
-			pairs = snap.PairsSharded(c.n.opt.Shard, c.n.opt.Shards)
+			// A shard listener's identity leads; the rows after it keep the
+			// names tooling resolves them by.
+			rows = append(rows, rtwire.MetricPair{Name: "shard", Value: uint64(c.n.opt.Shard)},
+				rtwire.MetricPair{Name: "shards", Value: uint64(c.n.opt.Shards)})
 		}
-		// Room for the wire rows and a dozen durability rows.
-		wp := make([]rtwire.MetricPair, 0, len(pairs)+wireMetricCount+12)
-		for _, p := range pairs {
-			wp = append(wp, rtwire.MetricPair{Name: p.Name, Value: p.Value})
-		}
-		wp = c.n.Wire.Snapshot().appendPairs(wp)
-		wp = c.n.srv.AppendDurabilityRows(wp, c.n.ReplDurable())
-		c.enqueue(rtwire.Metrics{ID: m.ID, Pairs: wp}.AppendTo(c.getBuf()))
+		rows = append(rows, c.n.srv.MetricsSnapshot().Pairs()...)
+		rows = append(rows, c.n.Wire.Snapshot().Pairs()...)
+		rows = c.n.srv.AppendDurabilityRows(rows, c.n.ReplDurable())
+		c.enqueue(rtwire.Metrics{ID: m.ID, Pairs: rows}.AppendTo(c.getBuf()))
 	case rtwire.Subscribe:
 		if c.repl {
 			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeBadRequest, Msg: "already subscribed"}.AppendTo(c.getBuf()))

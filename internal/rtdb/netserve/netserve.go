@@ -14,6 +14,11 @@
 // sequence. A promotion flips the role under a running listener, so
 // connections and subscriptions survive it.
 //
+// Its counters are WireMetrics, a block declared like the server's: each
+// field carries its net_ row name in a tag, and server.Rows derives the
+// snapshot, the rows and the sum over listeners. A metrics reply is the
+// server's rows, then these, then the node's durability rows.
+//
 // The serving discipline extends the in-process one without weakening it:
 //
 //   - Each connection is one timed word. Frames are consumed in FIFO order

@@ -22,17 +22,20 @@ import (
 // and Session.Query, SubscribeWake, serveQuery and serveGroupTick.
 
 // ReplMetrics is a follower's replication books, kept by its tailer and
-// reported under the repl_* rows while the server follows.
+// reported under their tags' rows while the server follows.
 type ReplMetrics struct {
-	BatchesIn       atomic.Uint64 // WalBatch frames applied
-	EventsApplied   atomic.Uint64 // events appended to the local log
-	DupSkipped      atomic.Uint64 // duplicate events skipped (overlap with tail)
-	GapResubscribes atomic.Uint64 // batches past tail+1 → re-subscribe
-	Resyncs         atomic.Uint64 // full-state bootstraps completed
-	StaleBatches    atomic.Uint64 // frames refused for an old fencing epoch
-	Reconnects      atomic.Uint64 // tailer redials after a lost stream
-	Promotions      atomic.Uint64 // 0 or 1
+	BatchesIn       atomic.Uint64 `metric:"repl_batches_in"`       // WalBatch frames applied
+	EventsApplied   atomic.Uint64 `metric:"repl_events_applied"`   // events appended to the local log
+	DupSkipped      atomic.Uint64 `metric:"repl_dup_skipped"`      // duplicate events skipped (overlap with tail)
+	GapResubscribes atomic.Uint64 `metric:"repl_gap_resubscribes"` // batches past tail+1 → re-subscribe
+	Resyncs         atomic.Uint64 `metric:"repl_resyncs"`          // full-state bootstraps completed
+	StaleBatches    atomic.Uint64 `metric:"repl_stale_batches"`    // frames refused for an old fencing epoch
+	Reconnects      atomic.Uint64 `metric:"repl_reconnects"`       // tailer redials after a lost stream
+	Promotions      atomic.Uint64 `metric:"repl_promotions"`       // 0 or 1
 }
+
+// replRows reads the books straight from the block.
+var replRows = NewRows((*ReplMetrics)(nil), (*ReplMetrics)(nil))
 
 // NewFollower builds a server in the follower role over cfg.Log, the log a
 // replication tailer appends to. It recovers the log's state as New does,
@@ -166,8 +169,9 @@ func (s *Server) Promote() (uint64, error) {
 // AppendDurabilityRows appends the node's durability coordinates to a
 // metrics reply. wal_seq and epoch carry the same names on both roles, so
 // failover tooling reads one coordinate whichever served it. A primary adds
-// wal_durable and replDurable — the transport's follower-acked watermark —
-// as repl_durable; a follower adds its replication books.
+// wal_durable when it has a log and replDurable — the transport's
+// follower-acked watermark — as repl_durable; a follower adds its
+// replication books.
 func (s *Server) AppendDurabilityRows(dst []rtwire.MetricPair, replDurable uint64) []rtwire.MetricPair {
 	s.logMu.RLock()
 	defer s.logMu.RUnlock()
@@ -176,28 +180,21 @@ func (s *Server) AppendDurabilityRows(dst []rtwire.MetricPair, replDurable uint6
 	if s.log != nil {
 		seq, epoch = s.log.Seq(), s.log.Epoch()
 	}
-	if s.following.Load() {
+	following := s.following.Load()
+	if following || s.log != nil {
 		row("wal_seq", seq)
-		row("epoch", epoch)
-		row("repl_seq", seq)
-		row("repl_epoch", epoch)
-		row("repl_batches_in", s.Repl.BatchesIn.Load())
-		row("repl_events_applied", s.Repl.EventsApplied.Load())
-		row("repl_dup_skipped", s.Repl.DupSkipped.Load())
-		row("repl_gap_resubscribes", s.Repl.GapResubscribes.Load())
-		row("repl_resyncs", s.Repl.Resyncs.Load())
-		row("repl_stale_batches", s.Repl.StaleBatches.Load())
-		row("repl_reconnects", s.Repl.Reconnects.Load())
-		row("repl_promotions", s.Repl.Promotions.Load())
-		return dst
 	}
-	if s.log != nil {
-		row("wal_seq", seq)
+	if !following && s.log != nil {
 		// Under group commit wal_durable may trail wal_seq by the open
 		// window; they converge at every commit.
 		row("wal_durable", s.log.DurableSeq())
 	}
 	row("epoch", epoch)
-	row("repl_durable", replDurable)
-	return dst
+	if !following {
+		row("repl_durable", replDurable)
+		return dst
+	}
+	row("repl_seq", seq)
+	row("repl_epoch", epoch)
+	return replRows.Append(dst, &s.Repl)
 }

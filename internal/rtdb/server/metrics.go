@@ -21,47 +21,56 @@
 // And it is the hot standby: NewFollower builds one in the follower role,
 // whose clock and database move only with a replication stream, and
 // Promote flips it to a primary in place (follower.go).
+//
+// Its books are counter blocks — Metrics, a follower's ReplMetrics, and the
+// log's own wal.Stats — in which each counter is declared once, with its
+// metrics-reply row in a struct tag. Rows (rows.go) derives the snapshots,
+// the reply rows and the cross-shard sums from the tags.
 package server
 
 import (
 	"sync/atomic"
 
 	"rtc/internal/deadline"
+	wal "rtc/internal/rtdb/log"
+	"rtc/internal/rtwire"
 	"rtc/internal/stats"
 )
 
 // Metrics is the server's expvar-style counter block. All fields are
 // atomics: sessions update them without the apply loop's involvement and
-// readers snapshot them without any lock.
+// readers snapshot them without any lock. Each field's tag is its row in
+// the metrics reply (Rows); the log's fsync and group-commit rows are the
+// log's own (wal.Stats), read by Server.MetricsSnapshot.
 type Metrics struct {
-	Chronon atomic.Uint64 // current virtual time (chronons)
+	Chronon atomic.Uint64 `metric:"chronon" agg:"max"` // current virtual time (chronons)
 
-	SamplesIn       atomic.Uint64 // samples accepted into a session queue
-	SamplesRejected atomic.Uint64 // samples rejected by backpressure
-	SamplesApplied  atomic.Uint64 // samples applied to the database
+	SamplesIn       atomic.Uint64 `metric:"samples_in"`       // samples accepted into a session queue
+	SamplesRejected atomic.Uint64 `metric:"samples_rejected"` // samples rejected by backpressure
+	SamplesApplied  atomic.Uint64 `metric:"samples_applied"`  // samples applied to the database
 
-	QueriesIn       atomic.Uint64 // aperiodic query submissions (attempts)
-	QueriesRejected atomic.Uint64 // rejected by backpressure
-	RejectMiss      atomic.Uint64 // subset of rejections carrying a deadline
-	DeadlineHit     atomic.Uint64 // served within the deadline discipline
-	DeadlineMiss    atomic.Uint64 // served late or admission-skipped
-	NoDeadline      atomic.Uint64 // served class-(i) queries
-	AdmissionSkip   atomic.Uint64 // misses (aperiodic or periodic) never evaluated
+	QueriesIn       atomic.Uint64 `metric:"queries_in"`       // aperiodic query submissions (attempts)
+	QueriesRejected atomic.Uint64 `metric:"queries_rejected"` // rejected by backpressure
+	RejectMiss      atomic.Uint64 `metric:"reject_miss"`      // subset of rejections carrying a deadline
+	DeadlineHit     atomic.Uint64 `metric:"deadline_hit"`     // served within the deadline discipline
+	DeadlineMiss    atomic.Uint64 `metric:"deadline_miss"`    // served late or admission-skipped
+	NoDeadline      atomic.Uint64 `metric:"no_deadline"`      // served class-(i) queries
+	AdmissionSkip   atomic.Uint64 `metric:"admission_skip"`   // misses (aperiodic or periodic) never evaluated
 	// ExpiredOnArrival is the subset of DeadlineMiss accounted by a
 	// transport (netserve) for queries whose client-relative deadline was
 	// already consumed when the frame arrived — rejected before entering
 	// any session queue, never evaluated.
-	ExpiredOnArrival atomic.Uint64
+	ExpiredOnArrival atomic.Uint64 `metric:"expired_on_arrival"`
 	// Degraded is the subset of query outcomes (and standing-query pushes)
 	// served by a follower: answered from replicated state that may trail
 	// the primary, so it is a distinct quality class even when the deadline
 	// was met. Like ExpiredOnArrival it annotates, it does not add a term to
 	// the conservation law.
-	Degraded atomic.Uint64
+	Degraded atomic.Uint64 `metric:"degraded"`
 
-	PeriodicIssued atomic.Uint64
-	PeriodicHit    atomic.Uint64
-	PeriodicMiss   atomic.Uint64
+	PeriodicIssued atomic.Uint64 `metric:"periodic_issued"`
+	PeriodicHit    atomic.Uint64 `metric:"periodic_hit"`
+	PeriodicMiss   atomic.Uint64 `metric:"periodic_miss"`
 
 	// Standing-query (push subscription) counters. PushScheduled counts
 	// every tick of every attached subscription — each consumes one cursor —
@@ -70,30 +79,24 @@ type Metrics struct {
 	// QueriesAccounted invariant: a scheduled tick is delivered to its
 	// subscriber, dropped by its bounded queue (slow reader or teardown), or
 	// expired by per-tick admission — never silently lost.
-	SubsOpened    atomic.Uint64 // subscriptions attached (opens + resumes)
-	SubsClosed    atomic.Uint64 // subscriptions detached (cancel or teardown)
-	PushScheduled atomic.Uint64 // subscription ticks scheduled (cursors consumed)
-	Pushed        atomic.Uint64 // pushes handed to a transport for delivery
-	PushDropped   atomic.Uint64 // pushes discarded by drop-oldest or teardown
-	PushExpired   atomic.Uint64 // ticks skipped by per-tick admission
+	SubsOpened    atomic.Uint64 `metric:"subs_opened"`    // subscriptions attached (opens + resumes)
+	SubsClosed    atomic.Uint64 `metric:"subs_closed"`    // subscriptions detached (cancel or teardown)
+	PushScheduled atomic.Uint64 `metric:"push_scheduled"` // subscription ticks scheduled (cursors consumed)
+	Pushed        atomic.Uint64 `metric:"pushed"`         // pushes handed to a transport for delivery
+	PushDropped   atomic.Uint64 `metric:"push_dropped"`   // pushes discarded by drop-oldest or teardown
+	PushExpired   atomic.Uint64 `metric:"push_expired"`   // ticks skipped by per-tick admission
 
-	AsOfReads       atomic.Uint64
-	RuleFirings     atomic.Uint64
-	CascadeDepthMax atomic.Uint64
+	AsOfReads       atomic.Uint64 `metric:"asof_reads"`
+	RuleFirings     atomic.Uint64 `metric:"rule_firings"`
+	CascadeDepthMax atomic.Uint64 `metric:"cascade_depth_max" agg:"max"`
 
-	WalAppends    atomic.Uint64
-	WalErrors     atomic.Uint64
-	FsyncCount    atomic.Uint64
-	FsyncNanos    atomic.Uint64
-	FsyncMaxNanos atomic.Uint64
-	// Group-commit counters (mirrored from the WAL's stats): batches
-	// released by one fsync, and the appends whose durability rode them.
-	// GroupedAppends / GroupCommits is the realized amortization factor.
-	GroupCommits   atomic.Uint64
-	GroupedAppends atomic.Uint64
+	WalAppends atomic.Uint64 `metric:"wal_appends"`
+	WalErrors  atomic.Uint64 `metric:"wal_errors"`
 }
 
-// MetricsSnapshot is a plain copy of the counters at one instant.
+// MetricsSnapshot is a plain copy of the counters at one instant, with the
+// log's fsync and group-commit counters (GroupedAppends / GroupCommits is
+// the realized amortization factor).
 type MetricsSnapshot struct {
 	Chronon uint64
 
@@ -115,84 +118,34 @@ type MetricsSnapshot struct {
 	GroupCommits, GroupedAppends          uint64
 }
 
-// Snapshot copies the counters.
+// metricRows lays the reply's server rows out: the block's, then the log's.
+var metricRows = NewRows((*MetricsSnapshot)(nil), (*Metrics)(nil), (*wal.Stats)(nil))
+
+// Snapshot copies the counters; the log's are left zero (see
+// Server.MetricsSnapshot).
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		Chronon:          m.Chronon.Load(),
-		SamplesIn:        m.SamplesIn.Load(),
-		SamplesRejected:  m.SamplesRejected.Load(),
-		SamplesApplied:   m.SamplesApplied.Load(),
-		QueriesIn:        m.QueriesIn.Load(),
-		QueriesRejected:  m.QueriesRejected.Load(),
-		RejectMiss:       m.RejectMiss.Load(),
-		DeadlineHit:      m.DeadlineHit.Load(),
-		DeadlineMiss:     m.DeadlineMiss.Load(),
-		NoDeadline:       m.NoDeadline.Load(),
-		AdmissionSkip:    m.AdmissionSkip.Load(),
-		ExpiredOnArrival: m.ExpiredOnArrival.Load(),
-		Degraded:         m.Degraded.Load(),
-		PeriodicIssued:   m.PeriodicIssued.Load(),
-		PeriodicHit:      m.PeriodicHit.Load(),
-		PeriodicMiss:     m.PeriodicMiss.Load(),
-		SubsOpened:       m.SubsOpened.Load(),
-		SubsClosed:       m.SubsClosed.Load(),
-		PushScheduled:    m.PushScheduled.Load(),
-		Pushed:           m.Pushed.Load(),
-		PushDropped:      m.PushDropped.Load(),
-		PushExpired:      m.PushExpired.Load(),
-		AsOfReads:        m.AsOfReads.Load(),
-		RuleFirings:      m.RuleFirings.Load(),
-		CascadeDepthMax:  m.CascadeDepthMax.Load(),
-		WalAppends:       m.WalAppends.Load(),
-		WalErrors:        m.WalErrors.Load(),
-		FsyncCount:       m.FsyncCount.Load(),
-		FsyncNanos:       m.FsyncNanos.Load(),
-		FsyncMaxNanos:    m.FsyncMaxNanos.Load(),
-		GroupCommits:     m.GroupCommits.Load(),
-		GroupedAppends:   m.GroupedAppends.Load(),
-	}
+	var s MetricsSnapshot
+	metricRows.Load(&s, m)
+	return s
 }
 
-// accumulate folds another shard's snapshot into s: counters add, the
-// max-gauges (cascade depth, fsync max) take the max, and Chronon is left
-// to the caller (a sum of clocks means nothing).
-func (s *MetricsSnapshot) accumulate(o MetricsSnapshot) {
-	s.SamplesIn += o.SamplesIn
-	s.SamplesRejected += o.SamplesRejected
-	s.SamplesApplied += o.SamplesApplied
-	s.QueriesIn += o.QueriesIn
-	s.QueriesRejected += o.QueriesRejected
-	s.RejectMiss += o.RejectMiss
-	s.DeadlineHit += o.DeadlineHit
-	s.DeadlineMiss += o.DeadlineMiss
-	s.NoDeadline += o.NoDeadline
-	s.AdmissionSkip += o.AdmissionSkip
-	s.ExpiredOnArrival += o.ExpiredOnArrival
-	s.Degraded += o.Degraded
-	s.PeriodicIssued += o.PeriodicIssued
-	s.PeriodicHit += o.PeriodicHit
-	s.PeriodicMiss += o.PeriodicMiss
-	s.SubsOpened += o.SubsOpened
-	s.SubsClosed += o.SubsClosed
-	s.PushScheduled += o.PushScheduled
-	s.Pushed += o.Pushed
-	s.PushDropped += o.PushDropped
-	s.PushExpired += o.PushExpired
-	s.AsOfReads += o.AsOfReads
-	s.RuleFirings += o.RuleFirings
-	if o.CascadeDepthMax > s.CascadeDepthMax {
-		s.CascadeDepthMax = o.CascadeDepthMax
+// MetricsSnapshot is Metrics.Snapshot with the log's counters read where
+// they live, as they stand; a server without a log reports them as zero.
+func (s *Server) MetricsSnapshot() MetricsSnapshot {
+	m := s.Metrics.Snapshot()
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	if s.log != nil {
+		st := s.log.Stats()
+		metricRows.Load(&m, &st)
 	}
-	s.WalAppends += o.WalAppends
-	s.WalErrors += o.WalErrors
-	s.FsyncCount += o.FsyncCount
-	s.FsyncNanos += o.FsyncNanos
-	if o.FsyncMaxNanos > s.FsyncMaxNanos {
-		s.FsyncMaxNanos = o.FsyncMaxNanos
-	}
-	s.GroupCommits += o.GroupCommits
-	s.GroupedAppends += o.GroupedAppends
+	return m
 }
+
+// Add folds another shard's snapshot into s: counters add, the gauges
+// tagged max (the clock, cascade depth, fsync max) take the max. Each
+// shard's block obeys the conservation laws, so the sum does too.
+func (s *MetricsSnapshot) Add(o MetricsSnapshot) { metricRows.Add(s, &o) }
 
 // AccountExpired records a deadline-carrying query that a transport
 // rejected before submission because its client-relative deadline was
@@ -268,64 +221,8 @@ func (s MetricsSnapshot) QueriesAccounted() uint64 {
 	return s.QueriesRejected + s.DeadlineHit + s.DeadlineMiss + s.NoDeadline
 }
 
-// MetricPair is one named counter, in the table's display order. The wire
-// protocol ships snapshots as these pairs so remote clients (rtdbload) can
-// render the identical table without sharing struct layout.
-type MetricPair struct {
-	Name  string
-	Value uint64
-}
-
-// Pairs flattens the snapshot into named counters in display order.
-func (s MetricsSnapshot) Pairs() []MetricPair {
-	return []MetricPair{
-		{"chronon", s.Chronon},
-		{"samples_in", s.SamplesIn},
-		{"samples_rejected", s.SamplesRejected},
-		{"samples_applied", s.SamplesApplied},
-		{"queries_in", s.QueriesIn},
-		{"queries_rejected", s.QueriesRejected},
-		{"reject_miss", s.RejectMiss},
-		{"deadline_hit", s.DeadlineHit},
-		{"deadline_miss", s.DeadlineMiss},
-		{"no_deadline", s.NoDeadline},
-		{"admission_skip", s.AdmissionSkip},
-		{"expired_on_arrival", s.ExpiredOnArrival},
-		{"degraded", s.Degraded},
-		{"periodic_issued", s.PeriodicIssued},
-		{"periodic_hit", s.PeriodicHit},
-		{"periodic_miss", s.PeriodicMiss},
-		{"subs_opened", s.SubsOpened},
-		{"subs_closed", s.SubsClosed},
-		{"push_scheduled", s.PushScheduled},
-		{"pushed", s.Pushed},
-		{"push_dropped", s.PushDropped},
-		{"push_expired", s.PushExpired},
-		{"asof_reads", s.AsOfReads},
-		{"rule_firings", s.RuleFirings},
-		{"cascade_depth_max", s.CascadeDepthMax},
-		{"wal_appends", s.WalAppends},
-		{"wal_errors", s.WalErrors},
-		{"fsync_count", s.FsyncCount},
-		{"fsync_total_ns", s.FsyncNanos},
-		{"fsync_max_ns", s.FsyncMaxNanos},
-		{"group_commits", s.GroupCommits},
-		{"grouped_appends", s.GroupedAppends},
-	}
-}
-
-// PairsSharded is Pairs with the snapshot's shard identity prepended as
-// two extra rows, "shard" and "shards". The base rows keep their exact
-// names — tooling that resolves counters by name (rtdbload's wal_seq
-// durability lookup, dashboards keyed on queries_in) reads a sharded
-// node's table unchanged; the label rows only add where the table came
-// from. TestShardMetricsRows (netserve) pins both halves of that contract.
-func (s MetricsSnapshot) PairsSharded(shard, shards int) []MetricPair {
-	return append([]MetricPair{
-		{"shard", uint64(shard)},
-		{"shards", uint64(shards)},
-	}, s.Pairs()...)
-}
+// Pairs flattens the snapshot into named rows, in the reply's order.
+func (s MetricsSnapshot) Pairs() []rtwire.MetricPair { return metricRows.Append(nil, &s) }
 
 // Table renders the block for the rtdbd metrics printout.
 func (s MetricsSnapshot) Table() string {

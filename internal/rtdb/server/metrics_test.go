@@ -6,74 +6,59 @@ import (
 	"testing"
 )
 
-// TestMetricsFieldCoverage keeps the counter list, which exists five times
-// (Metrics, MetricsSnapshot, Snapshot, Pairs, accumulate), from losing a
-// member unnoticed: a counter added to one copy and not the others fails
-// here instead of silently missing from a metrics reply or from rtdbd's
-// cross-shard conservation line.
+// TestMetricsFieldCoverage: each counter is declared once, as a tagged field
+// of its block, and Rows derives the snapshot copy, the reply rows and the
+// cross-shard sum from the tags. What is left to check is that a layout that
+// would drop or double a counter is refused when it is built, and that Add
+// sums every counter except the gauges tagged max — the clock, cascade
+// depth and fsync max. netserve's TestMetricsRowTable pins the row names.
 func TestMetricsFieldCoverage(t *testing.T) {
-	// A distinct value per field, so a copy from the wrong field shows too.
-	fill := func(base uint64) *Metrics {
-		m := new(Metrics)
-		mv := reflect.ValueOf(m).Elem()
-		for i := 0; i < mv.NumField(); i++ {
-			mv.Field(i).Addr().Interface().(*atomic.Uint64).Store(base + uint64(i))
-		}
-		return m
+	type untagged struct{ A atomic.Uint64 }
+	type twice struct {
+		A atomic.Uint64 `metric:"a"`
+		B atomic.Uint64 `metric:"a"`
 	}
-	m := fill(1000)
-	snap := m.Snapshot()
-	sv, mv := reflect.ValueOf(snap), reflect.ValueOf(m).Elem()
-	if sv.NumField() != mv.NumField() {
-		t.Fatalf("MetricsSnapshot has %d fields, Metrics %d", sv.NumField(), mv.NumField())
+	type one struct {
+		A atomic.Uint64 `metric:"a"`
 	}
-	for i := 0; i < sv.NumField(); i++ {
-		name := sv.Type().Field(i).Name
-		src := mv.FieldByName(name)
-		if !src.IsValid() {
-			t.Errorf("MetricsSnapshot.%s has no Metrics counter", name)
-			continue
-		}
-		if got, want := sv.Field(i).Uint(), src.Addr().Interface().(*atomic.Uint64).Load(); got != want {
-			t.Errorf("Snapshot().%s = %d, want the counter's %d", name, got, want)
-		}
+	type snapAB struct{ A, B uint64 }
+	for name, build := range map[string]func(){
+		"untagged counter":        func() { NewRows((*struct{ A uint64 })(nil), (*untagged)(nil)) },
+		"row named twice":         func() { NewRows((*snapAB)(nil), (*twice)(nil)) },
+		"snapshot field unloaded": func() { NewRows((*snapAB)(nil), (*one)(nil)) },
+		"counter with no field":   func() { NewRows((*struct{ B uint64 })(nil), (*one)(nil)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewRows did not panic", name)
+				}
+			}()
+			build()
+		}()
 	}
 
-	// Pairs: one row per field, every field's (distinct) value on a row.
-	pairs, rows := snap.Pairs(), map[uint64]string{}
-	for _, p := range pairs {
-		if prev, dup := rows[p.Value]; dup {
-			t.Errorf("Pairs rows %q and %q carry the same field", prev, p.Name)
+	fill := func(base uint64) MetricsSnapshot {
+		var s MetricsSnapshot
+		v := reflect.ValueOf(&s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			v.Field(i).SetUint(base + uint64(i)*7%11)
 		}
-		rows[p.Value] = p.Name
+		return s
 	}
-	if len(pairs) != sv.NumField() {
-		t.Errorf("Pairs has %d rows for %d fields", len(pairs), sv.NumField())
-	}
-	for i := 0; i < sv.NumField(); i++ {
-		if _, ok := rows[sv.Field(i).Uint()]; !ok {
-			t.Errorf("Pairs has no row for %s", sv.Type().Field(i).Name)
-		}
-	}
-
-	// accumulate: counters add, the two gauges take the max, Chronon is the
-	// caller's to set.
-	other := fill(5000).Snapshot()
-	sum := snap
-	sum.accumulate(other)
-	ov, av := reflect.ValueOf(other), reflect.ValueOf(sum)
+	a, b := fill(1000), fill(1005)
+	sum := a
+	sum.Add(b)
+	av, bv, sv := reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(sum)
 	for i := 0; i < sv.NumField(); i++ {
 		name := sv.Type().Field(i).Name
-		a, b := sv.Field(i).Uint(), ov.Field(i).Uint()
-		want := a + b
+		want := av.Field(i).Uint() + bv.Field(i).Uint()
 		switch name {
-		case "Chronon":
-			want = a
-		case "CascadeDepthMax", "FsyncMaxNanos":
-			want = max(a, b)
+		case "Chronon", "CascadeDepthMax", "FsyncMaxNanos":
+			want = max(av.Field(i).Uint(), bv.Field(i).Uint())
 		}
-		if got := av.Field(i).Uint(); got != want {
-			t.Errorf("accumulate: %s = %d, want %d (from %d and %d)", name, got, want, a, b)
+		if got := sv.Field(i).Uint(); got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
 		}
 	}
 }

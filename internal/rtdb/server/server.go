@@ -330,7 +330,6 @@ func (s *Server) Stop() {
 			if err := s.log.Sync(); err != nil {
 				s.Metrics.WalErrors.Add(1)
 			}
-			s.syncLogStats()
 		}
 	})
 }
@@ -619,16 +618,6 @@ func (s *Server) replyAfterDurable(reply chan Response, resp Response) {
 		return
 	}
 	reply <- resp
-}
-
-// syncLogStats copies the log's fsync counters into the metrics block.
-func (s *Server) syncLogStats() {
-	st := s.log.Stats()
-	s.Metrics.FsyncCount.Store(st.FsyncCount)
-	s.Metrics.FsyncNanos.Store(st.FsyncNanos)
-	s.Metrics.FsyncMaxNanos.Store(st.FsyncMaxNanos)
-	s.Metrics.GroupCommits.Store(st.GroupCommits)
-	s.Metrics.GroupedAppends.Store(st.GroupedAppends)
 }
 
 // maybePublish publishes a fresh HistoricalDatabase snapshot when the

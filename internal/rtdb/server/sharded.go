@@ -200,16 +200,14 @@ func (ss *ShardedServer) RegisterPeriodic(pq PeriodicQuery) error {
 	return ss.shards[ss.homeShard(pq.Query)].RegisterPeriodic(pq)
 }
 
-// MetricsSnapshot aggregates the per-shard counter blocks. Each shard's
-// block satisfies the conservation laws independently, so their sum does
-// too — the cross-shard invariant the shard suites assert. Chronon reports
-// the furthest shard's clock; the max-semantics gauges take the max too.
+// MetricsSnapshot aggregates the per-shard counter blocks through
+// MetricsSnapshot.Add. Each shard's block satisfies the conservation laws
+// independently, so their sum does too — the cross-shard invariant the
+// shard suites assert.
 func (ss *ShardedServer) MetricsSnapshot() MetricsSnapshot {
 	var out MetricsSnapshot
 	for _, sh := range ss.shards {
-		m := sh.Metrics.Snapshot()
-		out.accumulate(m)
-		out.Chronon = max(out.Chronon, m.Chronon)
+		out.Add(sh.MetricsSnapshot())
 	}
 	return out
 }
