@@ -147,17 +147,25 @@ soak-short:
 # keep up with once hung the apply loop here). The binary audits its own
 # standing query before it prints the conservation line and exits non-zero
 # when either set of books stays open; the timeout turns a hang into a failure.
-# The last run is durable with group commit: its drain report must show the
-# log's live rows, fsync_count > 0 and grouped_appends == wal_appends.
+# The third run is durable with group commit: its drain report must show the
+# log's live rows, fsync_count > 0 and grouped_appends == wal_appends. Then a
+# durable four-shard pair over one directory: both runs must close the
+# cross-shard books, and the second must recover every shard's own WAL.
 rtdbd-smoke:
-	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	@dir=$$(mktemp -d); sdir=$$(mktemp -d); trap 'rm -rf $$dir $$sdir' EXIT; \
 	for args in '-ops 40' '-eval-cost 11 -ops 40' "-dir $$dir -fsync -fsync-window 200us -ops 40"; do \
 		out=$$(timeout 120 $(GO) run ./cmd/rtdbd $$args) || { echo "$$out" | tail -5; echo "rtdbd $$args: failed or timed out"; exit 1; }; \
 		echo "$$out" | grep 'conservation: .* ✓' || { echo "rtdbd $$args: no closed conservation line"; exit 1; }; \
 	done; \
 	echo "$$out" | awk '$$1 == "fsync_count" { f = $$2 } $$1 == "wal_appends" { w = $$2 } $$1 == "grouped_appends" { g = $$2 } \
 		END { printf "fsync_count %d, grouped_appends %d == wal_appends %d\n", f, g, w; exit !(f > 0 && g == w) }' \
-		|| { echo "rtdbd -fsync: want fsync_count > 0 and grouped_appends == wal_appends"; exit 1; }
+		|| { echo "rtdbd -fsync: want fsync_count > 0 and grouped_appends == wal_appends"; exit 1; }; \
+	for run in 1 2; do \
+		out=$$(timeout 120 $(GO) run ./cmd/rtdbd -dir $$sdir -shards 4 -ops 40) || { echo "$$out" | tail -5; echo "rtdbd -shards 4 run $$run: failed or timed out"; exit 1; }; \
+		echo "$$out" | grep 'cross-shard conservation: .* ✓' || { echo "rtdbd -shards 4 run $$run: no closed cross-shard conservation line"; exit 1; }; \
+	done; \
+	echo "$$out" | grep '^shard [0-3]/4: recovered'; \
+	[ $$(echo "$$out" | grep -c '^shard [0-3]/4: recovered') -eq 4 ] || { echo "rtdbd -shards 4: want four 'shard i/4: recovered' lines on the second run"; exit 1; }
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -136,13 +136,6 @@ func run(dir, listen string, shards, sessions, ops int, segSize int64, snapshot 
 	return serve(serverConfig(sessions, queue, evalCost), logs, shards, listen, ops, evalCost, deadln)
 }
 
-// queryHome maps the demo catalog's queries to the object whose shard owns
-// their read set: both status_q (derives status from temp+limit) and temp_q
-// read temp, so both live on temp's shard.
-func queryHome() map[string]string {
-	return map[string]string{"status_q": "temp", "temp_q": "temp"}
-}
-
 // sensorBank widens the demo keyspace: temp and pressure alone hash to one
 // shard, so the deployment adds a bank of sensors that rtwire.ShardOf spreads
 // across every lane. rtdbload drives the same names.
@@ -212,25 +205,27 @@ func serverConfig(sessions, queue int, evalCost uint64) server.Config {
 // workload, and finally the metrics report with the conservation check.
 // logs is nil (no durability) or one log per shard.
 func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops int, evalCost, deadln uint64) error {
-	ss, err := server.NewSharded(server.ShardedConfig{
-		Base: cfg, Shards: shards, Logs: logs, QueryHome: queryHome(),
-	})
+	srvs, err := server.NewShards(cfg, shards, logs)
 	if err != nil {
 		return err
 	}
-	if err := registerPeriodic(ss.RegisterPeriodic, ss.Now(), evalCost); err != nil {
+	// Both periodic queries read temp (status derives from temp and limit),
+	// so they run on temp's shard — the one drive sends them to.
+	if err := registerPeriodic(srvs[rtwire.ShardOf("temp", shards)], evalCost); err != nil {
 		return err
 	}
-	ss.Start()
-
-	// A 1s beacon keeps replication links visibly alive, so a replica's
-	// -promote-after only needs to clear seconds of genuine silence.
-	set := netserve.NewShardSet(ss, netserve.Options{HeartbeatInterval: time.Second})
+	set := make([]*netserve.Server, shards)
+	for i, srv := range srvs {
+		srv.Start()
+		// A 1s beacon keeps replication links visibly alive, so a replica's
+		// -promote-after only needs to clear seconds of genuine silence.
+		set[i] = netserve.New(srv, netserve.Options{HeartbeatInterval: time.Second, Shard: i, Shards: shards})
+	}
 	stop := func() {
-		for _, ns := range set {
+		for i, ns := range set {
 			_ = ns.Close()
+			srvs[i].Stop() // syncs its WAL
 		}
-		ss.Stop() // syncs the WALs
 	}
 	// One listener per shard: with -listen host:port, shard i serves on
 	// port+i; synthetic mode uses ephemeral loopback ports.
@@ -262,25 +257,22 @@ func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops in
 		return err
 	}
 	stop()
-	shardSet := make([]*server.Server, shards)
-	for i := range shardSet {
-		shardSet[i] = ss.Shard(i)
-	}
-	return report(ss.MetricsSnapshot(), shardSet, set)
+	return report(srvs, set)
 }
 
-// registerPeriodic registers the deployment's two standing periodic
-// queries, first issued at now, through reg: a sharded deployment's before
-// it starts, or a promoted replica's server once it is a primary.
-func registerPeriodic(reg func(server.PeriodicQuery) error, now timeseq.Time, evalCost uint64) error {
-	if err := reg(server.PeriodicQuery{
+// registerPeriodic registers the deployment's two standing periodic queries
+// on srv, first issued at srv's own clock: temp's shard before it starts, or
+// a promoted replica's server once it is a primary.
+func registerPeriodic(srv *server.Server, evalCost uint64) error {
+	now := srv.Now()
+	if err := srv.RegisterPeriodic(server.PeriodicQuery{
 		Name: "status-watch", Query: "status_q",
 		Issue: now, Period: 11,
 		Kind: deadline.Firm, Deadline: timeseq.Time(evalCost) + 3, MinUseful: 1,
 	}); err != nil {
 		return err
 	}
-	return reg(server.PeriodicQuery{
+	return srv.RegisterPeriodic(server.PeriodicQuery{
 		Name: "temp-trend", Query: "temp_q",
 		Issue: now, Period: 23,
 		Kind: deadline.Soft, Deadline: 5, MinUseful: 2,
@@ -413,7 +405,7 @@ func synthetic(addrs []string, conns, ops int, deadln uint64) error {
 // and no-deadline reads, each sent to the shard that owns it.
 func drive(cs []*client.Client, id, ops int, deadln uint64) {
 	route := func(object string) *client.Client { return cs[cs[0].ShardFor(object)] }
-	home := queryHome()
+	home := route("temp") // status_q and temp_q both read temp
 	for op := 0; op < ops; op++ {
 		switch op % 5 {
 		case 0:
@@ -424,31 +416,35 @@ func drive(cs []*client.Client, id, ops int, deadln uint64) {
 		case 2:
 			_ = route("pressure").InjectSample("pressure", strconv.Itoa(99+(id+op)%4))
 		case 3:
-			_, _ = route(home["status_q"]).Query(client.Query{
+			_, _ = home.Query(client.Query{
 				Query: "status_q", Candidate: "ok",
 				Kind: deadline.Firm, Deadline: timeseq.Time(deadln), MinUseful: 1,
 			})
 		case 4:
 			if op%2 == 0 {
-				_, _ = route(home["temp_q"]).Query(client.Query{
+				_, _ = home.Query(client.Query{
 					Query: "temp_q",
 					Kind:  deadline.Soft, Deadline: timeseq.Time(deadln),
 					MinUseful: 2,
 					Decay:     rtwire.Decay{ID: rtwire.DecayHyperbolic, Max: 10},
 				})
 			} else {
-				_, _ = route(home["temp_q"]).Query(client.Query{Query: "temp_q"})
+				_, _ = home.Query(client.Query{Query: "temp_q"})
 			}
 		}
 	}
 }
 
-// report prints m — the metrics table summed over the shards — the wire
-// counters summed over their listeners, the periodic tallies and each
-// shard's share of the load, and checks the conservation law end-to-end:
-// each shard's block satisfies it independently, so the sum must too.
-func report(m server.MetricsSnapshot, servers []*server.Server, set []*netserve.Server) error {
+// report prints the metrics table summed over the shards, the wire counters
+// summed over their listeners, the periodic tallies and each shard's share
+// of the load, and checks the conservation law end-to-end: each shard's
+// block satisfies it independently, so the sum must too.
+func report(servers []*server.Server, set []*netserve.Server) error {
 	shards := len(servers)
+	var m server.MetricsSnapshot
+	for _, srv := range servers {
+		m.Add(srv.MetricsSnapshot())
+	}
 	var wire netserve.WireSnapshot
 	for _, ns := range set {
 		wire.Add(ns.Wire.Snapshot())
@@ -561,7 +557,7 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 		}
 	}
 	srv := r.Server()
-	if err := registerPeriodic(srv.RegisterPeriodic, srv.Now(), evalCost); err != nil {
+	if err := registerPeriodic(srv, evalCost); err != nil {
 		_ = r.Close()
 		return err
 	}
@@ -571,5 +567,5 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 	if err := r.Close(); err != nil {
 		return err
 	}
-	return report(srv.MetricsSnapshot(), []*server.Server{srv}, []*netserve.Server{ns})
+	return report([]*server.Server{srv}, []*netserve.Server{ns})
 }

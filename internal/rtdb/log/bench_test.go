@@ -78,7 +78,7 @@ func BenchmarkAppendGroupSync(b *testing.B) {
 		b.Run(fmt.Sprintf("%dwriters", writers), func(b *testing.B) {
 			l, err := Open(Options{
 				Dir: b.TempDir(), SegmentSize: 64 << 20, Sync: true,
-				GroupWindow: 200 * time.Microsecond, GroupMaxBatch: 64,
+				GroupWindow: 200 * time.Microsecond,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -33,6 +33,10 @@ import (
 // errClosed is returned by appends on a closed log.
 var errClosed = errors.New("log: closed")
 
+// groupMaxBatch caps how many appends one commit batch accumulates before
+// its window closes early.
+const groupMaxBatch = 64
+
 // batch is one commit window's worth of appended-but-not-yet-fsynced
 // events. done is closed at release, after err is set; early is closed to
 // seal the batch (no more joiners) and wake the leader before the window
@@ -144,7 +148,7 @@ func (l *Log) joinBatchLocked(firm bool) (*Ticket, bool) {
 		lead = true
 	}
 	b.tickets++
-	if firm || b.tickets >= uint64(l.opts.GroupMaxBatch) {
+	if firm || b.tickets >= groupMaxBatch {
 		l.sealLocked(b)
 	}
 	return &Ticket{b: b, seq: l.st.Events}, lead

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rtc/internal/faultfs"
+	"rtc/internal/timeseq"
 )
 
 // groupOptions is the grouped-WAL configuration the edge tests share: big
@@ -149,19 +150,24 @@ func TestGroupFirmSealsWindow(t *testing.T) {
 	}
 }
 
-// TestGroupBatchMaxSeals: the GroupMaxBatch-th joiner seals the window —
+// TestGroupBatchMaxSeals: the groupMaxBatch-th joiner seals the window —
 // a saturated batch never waits for the timer.
 func TestGroupBatchMaxSeals(t *testing.T) {
 	mem := faultfs.NewMem(4)
-	opts := groupOptions(mem, time.Hour)
-	opts.GroupMaxBatch = 3
-	l, err := Open(opts)
+	l, err := Open(groupOptions(mem, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tickets := make([]*Ticket, 0, 3)
-	for _, e := range []Event{Image("temp", 5), Sample(1, "temp", "a"), Sample(2, "temp", "b")} {
+	events := []Event{Image("temp", 5)}
+	for i := 1; i < groupMaxBatch; i++ {
+		events = append(events, Sample(timeseq.Time(i), "temp", "v"+itoa(i)))
+	}
+	tickets := make([]*Ticket, 0, groupMaxBatch)
+	for i, e := range events {
+		if i == groupMaxBatch-1 && tickets[0].Resolved() {
+			t.Fatalf("batch released after %d joiners, before the %dth", i, groupMaxBatch)
+		}
 		tk, err := l.AppendTicket(e, false)
 		if err != nil {
 			t.Fatal(err)
@@ -173,8 +179,8 @@ func TestGroupBatchMaxSeals(t *testing.T) {
 			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
-	if st := l.Stats(); st.GroupCommits != 1 || st.GroupBatchMax != 3 {
-		t.Fatalf("stats = commits %d max %d, want 1 commit of 3", st.GroupCommits, st.GroupBatchMax)
+	if st := l.Stats(); st.GroupCommits != 1 || st.GroupBatchMax != groupMaxBatch {
+		t.Fatalf("stats = commits %d max %d, want 1 commit of %d", st.GroupCommits, st.GroupBatchMax, groupMaxBatch)
 	}
 }
 
@@ -448,7 +454,7 @@ func TestGroupAmortizedCostGate(t *testing.T) {
 	const (
 		syncCost  = 144_000 // ns per fsync on the virtual disk
 		writeCost = 2_000   // ns per buffered write
-		writers   = 64
+		writers   = groupMaxBatch
 		rounds    = 4
 	)
 
@@ -476,9 +482,7 @@ func TestGroupAmortizedCostGate(t *testing.T) {
 	// window guarantees every commit is a full batch, so the op counts are
 	// exact, not schedule-dependent.
 	memG := faultfs.NewMem(10)
-	opts := groupOptions(memG, time.Hour)
-	opts.GroupMaxBatch = writers
-	lg, err := Open(opts)
+	lg, err := Open(groupOptions(memG, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,6 @@ type Options struct {
 	// window elapses (or earlier — full batch, firm append, CloseWindow).
 	// 0 (the default) keeps the per-append fsync. See group.go.
 	GroupWindow time.Duration
-	// GroupMaxBatch caps how many appends one commit batch accumulates
-	// before its window closes early (default 64). Only meaningful with
-	// GroupWindow > 0.
-	GroupMaxBatch int
 	// FS is the filesystem the log talks to. Nil means the real one
 	// (faultfs.OS); the crash-torture harness injects fault-bearing
 	// implementations here.
@@ -47,9 +43,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 1 << 20
-	}
-	if o.GroupMaxBatch <= 0 {
-		o.GroupMaxBatch = 64
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS{}

@@ -181,23 +181,6 @@ func New(srv *server.Server, opt Options) *Server {
 	return n
 }
 
-// NewShardSet wraps every shard of a sharded deployment in its own
-// listener: shard i's Welcome announces (i, N) so clients compute
-// placement with rtwire.ShardOf and route object traffic to the owning
-// shard's address, and each listener carries its own shard's replication
-// stream — a follower subscribed to shard i's listener replicates exactly
-// shard i's WAL. The set shares one Options template; Shard/Shards are
-// overwritten per listener.
-func NewShardSet(ss *server.ShardedServer, opt Options) []*Server {
-	out := make([]*Server, ss.NumShards())
-	for i := range out {
-		o := opt
-		o.Shard, o.Shards = i, ss.NumShards()
-		out[i] = New(ss.Shard(i), o)
-	}
-	return out
-}
-
 // Serve accepts connections on ln until Close. It blocks; run it in a
 // goroutine. After Close it returns ErrServerClosed.
 func (n *Server) Serve(ln net.Listener) error {

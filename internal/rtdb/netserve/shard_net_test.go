@@ -78,36 +78,33 @@ func shardNetSpec(n int) (server.Config, map[string]string) {
 }
 
 // startShardSet stands up a sharded deployment behind one listener per
-// shard and returns the per-shard addresses.
-func startShardSet(t *testing.T, shards int, logs []*wal.Log) (*server.ShardedServer, []string) {
+// shard and returns the shards and their addresses.
+func startShardSet(t *testing.T, shards int, logs []*wal.Log) ([]*server.Server, []string) {
 	t.Helper()
-	cfg, home := shardNetSpec(4 * shards)
-	ss, err := server.NewSharded(server.ShardedConfig{
-		Base: cfg, Shards: shards, Logs: logs, QueryHome: home,
-	})
+	cfg, _ := shardNetSpec(4 * shards)
+	srvs, err := server.NewShards(cfg, shards, logs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.Start()
-	set := NewShardSet(ss, Options{
-		HeartbeatInterval: 25 * time.Millisecond,
-		ReplBatch:         4, ReplWindow: 16,
-	})
-	addrs := make([]string, len(set))
-	for i, ns := range set {
+	addrs := make([]string, shards)
+	for i, s := range srvs {
+		s.Start()
+		ns := New(s, Options{
+			HeartbeatInterval: 25 * time.Millisecond,
+			ReplBatch:         4, ReplWindow: 16,
+			Shard: i, Shards: shards,
+		})
+		t.Cleanup(func() {
+			_ = ns.Close()
+			s.Stop()
+		})
 		a, err := ns.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = a.String()
 	}
-	t.Cleanup(func() {
-		for _, ns := range set {
-			_ = ns.Close()
-		}
-		ss.Stop()
-	})
-	return ss, addrs
+	return srvs, addrs
 }
 
 // TestShardSetWelcomeRouting: every listener of the set announces its
@@ -116,7 +113,7 @@ func startShardSet(t *testing.T, shards int, logs []*wal.Log) (*server.ShardedSe
 // lands every sample on the shard that owns it.
 func TestShardSetWelcomeRouting(t *testing.T) {
 	const shards = 4
-	ss, addrs := startShardSet(t, shards, nil)
+	srvs, addrs := startShardSet(t, shards, nil)
 
 	clients := make([]*client.Client, shards)
 	for i, addr := range addrs {
@@ -164,7 +161,7 @@ func TestShardSetWelcomeRouting(t *testing.T) {
 	// Every shard did real work: the keyspace is wide enough that no
 	// listener sat idle.
 	for i := 0; i < shards; i++ {
-		if m := ss.Shard(i).Metrics.Snapshot(); m.SamplesApplied == 0 {
+		if m := srvs[i].Metrics.Snapshot(); m.SamplesApplied == 0 {
 			t.Errorf("shard %d applied no samples", i)
 		}
 	}
@@ -235,7 +232,7 @@ func TestShardMetricsRows(t *testing.T) {
 // workload is pushed over the wire into N listeners — one client per
 // listener, every sample placed by ShardFor, every query sent to its home
 // object's shard — and into the oracle, one plain server.New behind one
-// netserve.New built without NewSharded. What sharding must preserve is
+// netserve.New, no split at all. What sharding must preserve is
 // compared: every query's answers and deadline verdict, the conservation
 // sums, each object's write order as its WAL made it durable, and each
 // object's latest value read back as of its own shard's horizon. Chronon
@@ -273,42 +270,32 @@ func runShardDiff(t *testing.T, shards int, seed int64, nObjs int) shardDiffOutc
 		return l
 	}
 
-	var (
-		dirs  []string
-		logs  []*wal.Log
-		srvs  []*server.Server
-		set   []*Server
-		start func()
-	)
-	if shards == 0 {
-		dirs = []string{base}
-		logs = []*wal.Log{openLog(base)}
-		cfg.Log = logs[0]
-		s, err := server.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start = s.Start
-		srvs, set = []*server.Server{s}, []*Server{New(s, Options{})}
-	} else {
-		for i := 0; i < shards; i++ {
-			dirs = append(dirs, server.ShardDir(base, i, shards))
-			logs = append(logs, openLog(dirs[i]))
-		}
-		ss, err := server.NewSharded(server.ShardedConfig{Base: cfg, Shards: shards, Logs: logs, QueryHome: home})
-		if err != nil {
-			t.Fatal(err)
-		}
-		start = ss.Start
-		set = NewShardSet(ss, Options{})
-		for i := 0; i < shards; i++ {
-			srvs = append(srvs, ss.Shard(i))
-		}
+	n := max(shards, 1)
+	var dirs []string
+	var logs []*wal.Log
+	for i := 0; i < n; i++ {
+		dirs = append(dirs, server.ShardDir(base, i, n))
+		logs = append(logs, openLog(dirs[i]))
 	}
-	start()
-	clients := make([]*client.Client, len(set))
-	for i, ns := range set {
-		addr, err := ns.Listen("127.0.0.1:0")
+	var srvs []*server.Server
+	var err error
+	if shards == 0 {
+		cfg.Log = logs[0]
+		var s *server.Server
+		s, err = server.New(cfg)
+		srvs = []*server.Server{s}
+	} else {
+		srvs, err = server.NewShards(cfg, shards, logs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := make([]*Server, n)
+	clients := make([]*client.Client, n)
+	for i, s := range srvs {
+		s.Start()
+		set[i] = New(s, Options{Shard: i, Shards: n})
+		addr, err := set[i].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,31 +30,28 @@ func TestShardReplication(t *testing.T) {
 	for i := 0; i < 4*shards; i++ {
 		sp.Images = append(sp.Images, &rtdb.ImageObject{Name: fmt.Sprintf("obj-%02d", i), Period: 5})
 	}
-	ss, err := server.NewSharded(server.ShardedConfig{
-		Base: server.Config{Spec: sp}, Shards: shards, Logs: logs,
-	})
+	srvs, err := server.NewShards(server.Config{Spec: sp}, shards, logs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.Start()
-	set := netserve.NewShardSet(ss, netserve.Options{
-		HeartbeatInterval: 25 * time.Millisecond,
-		ReplBatch:         4, ReplWindow: 16,
-	})
-	addrs := make([]string, len(set))
-	for i, ns := range set {
+	addrs := make([]string, shards)
+	for i, s := range srvs {
+		s.Start()
+		ns := netserve.New(s, netserve.Options{
+			HeartbeatInterval: 25 * time.Millisecond,
+			ReplBatch:         4, ReplWindow: 16,
+			Shard: i, Shards: shards,
+		})
+		t.Cleanup(func() {
+			_ = ns.Close()
+			s.Stop()
+		})
 		a, err := ns.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = a.String()
 	}
-	t.Cleanup(func() {
-		for _, ns := range set {
-			_ = ns.Close()
-		}
-		ss.Stop()
-	})
 
 	const followShard = 1
 	r, err := Open(Config{
@@ -76,15 +73,17 @@ func TestShardReplication(t *testing.T) {
 	// stream must reach the replica.
 	for i := 0; i < 4*shards; i++ {
 		obj := fmt.Sprintf("obj-%02d", i)
-		sess := ss.Shard(rtwire.ShardOf(obj, shards)).Session(0)
+		sess := srvs[rtwire.ShardOf(obj, shards)].Session(0)
 		if err := sess.InjectSample(obj, "7"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < shards; i++ {
-		if err := ss.Shard(i).Session(0).Flush(); err != nil {
+	var applied uint64
+	for _, s := range srvs {
+		if err := s.Session(0).Flush(); err != nil {
 			t.Fatal(err)
 		}
+		applied += s.Metrics.Snapshot().SamplesApplied
 	}
 
 	want := logs[followShard].Seq()
@@ -102,7 +101,7 @@ func TestShardReplication(t *testing.T) {
 		}
 	}
 	// And the union view is still whole on the primary side.
-	if m := ss.MetricsSnapshot(); m.SamplesApplied != 4*shards {
-		t.Fatalf("sharded deployment applied %d of %d samples", m.SamplesApplied, 4*shards)
+	if applied != 4*shards {
+		t.Fatalf("sharded deployment applied %d of %d samples", applied, 4*shards)
 	}
 }

@@ -14,8 +14,8 @@
 // the concurrent client streams as first-class timed words whose merge is
 // the apply order.
 //
-// A Server is also the unit of sharding: ShardedServer (sharded.go) builds N
-// of them from one catalog, each with its own clock, and whoever holds an
+// A Server is also the unit of sharding: NewShards (sharded.go) splits one
+// catalog into N of them, each with its own clock, and whoever holds an
 // object's traffic places it with rtwire.ShardOf — no router sits in between.
 //
 // And it is the hot standby: NewFollower builds one in the follower role,

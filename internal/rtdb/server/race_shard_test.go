@@ -34,20 +34,18 @@ func TestRaceShardHammer(t *testing.T) {
 
 	base := filepath.Join(t.TempDir(), "wal")
 	logs := openShardLogs(t, base, shards, wal.Options{SegmentSize: 1 << 16, SnapshotEvery: 8})
-	cfg, home := shardedSpecConfig(nObjects)
+	cfg := shardedSpecConfig(nObjects)
 	cfg.Sessions = writers
 	cfg.QueueDepth = 8 // small on purpose: force backpressure rejections
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: shards, Logs: logs, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.RegisterPeriodic(PeriodicQuery{
+	srvs := newShards(t, cfg, shards, logs)
+	statusShard := srvs[rtwire.ShardOf(shardObjects(nObjects)[3], shards)] // status's image source
+	if err := statusShard.RegisterPeriodic(PeriodicQuery{
 		Name: "watch", Query: "status_q", Period: 7,
 		Kind: deadline.Firm, Deadline: 5, MinUseful: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ss.Start()
+	eachShard(srvs, (*Server).Start)
 
 	objs := shardObjects(nObjects)
 	stop := make(chan struct{})
@@ -66,7 +64,7 @@ func TestRaceShardHammer(t *testing.T) {
 				return
 			default:
 			}
-			sh := ss.Shard(victim % shards)
+			sh := srvs[victim%shards]
 			_ = sh.Tick(1)
 			_ = sh.Barrier()
 			victim++
@@ -89,14 +87,14 @@ func TestRaceShardHammer(t *testing.T) {
 				}
 				obj := objs[(r*13+i)%nObjects]
 				k := rtwire.ShardOf(obj, shards)
-				h := ss.Shard(k).HistoryHorizon()
+				h := srvs[k].HistoryHorizon()
 				if h < last[k] {
 					t.Errorf("shard %d horizon regressed: %d -> %d", k, last[k], h)
 					return
 				}
 				last[k] = h
-				ss.Shard(k).ValueAsOf(obj, h)
-				_ = ss.MetricsSnapshot()
+				srvs[k].ValueAsOf(obj, h)
+				_ = sumMetrics(srvs)
 			}
 		}(r)
 	}
@@ -108,7 +106,7 @@ func TestRaceShardHammer(t *testing.T) {
 			defer writerWg.Done()
 			for op := 0; op < opsEach; op++ {
 				obj := objs[(id*7+op)%nObjects]
-				c := ownerSession(ss, obj, id)
+				c := ownerSession(srvs, obj, id)
 				switch op % 4 {
 				case 0, 1:
 					_ = c.InjectSample(obj, strconv.Itoa((id+op)%100))
@@ -126,8 +124,8 @@ func TestRaceShardHammer(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	flushShards(t, ss)
-	m := ss.MetricsSnapshot()
+	flushShards(t, srvs)
+	m := sumMetrics(srvs)
 	if m.QueriesIn != m.QueriesAccounted() {
 		t.Fatalf("merged conservation violated: in=%d accounted=%d (rejected=%d hit=%d miss=%d none=%d)",
 			m.QueriesIn, m.QueriesAccounted(), m.QueriesRejected, m.DeadlineHit, m.DeadlineMiss, m.NoDeadline)
@@ -137,8 +135,8 @@ func TestRaceShardHammer(t *testing.T) {
 			m.SamplesIn, m.SamplesApplied, m.SamplesRejected)
 	}
 	var perShardIn, perShardAcc uint64
-	for i := 0; i < shards; i++ {
-		sm := ss.Shard(i).Metrics.Snapshot()
+	for i, s := range srvs {
+		sm := s.Metrics.Snapshot()
 		if sm.QueriesIn != sm.QueriesAccounted() {
 			t.Fatalf("shard %d conservation violated: in=%d accounted=%d", i, sm.QueriesIn, sm.QueriesAccounted())
 		}
@@ -150,7 +148,7 @@ func TestRaceShardHammer(t *testing.T) {
 			perShardIn, perShardAcc, m.QueriesIn, m.QueriesAccounted())
 	}
 
-	ss.Stop()
+	eachShard(srvs, (*Server).Stop)
 	closeLogs(t, logs)
 
 	// Goroutine-leak check: apply loops, forwarders, and parked durability
@@ -175,21 +173,18 @@ func TestRaceShardSingle(t *testing.T) {
 	const writers = 16
 	base := filepath.Join(t.TempDir(), "wal")
 	logs := openShardLogs(t, base, 1, wal.Options{SegmentSize: 1 << 16})
-	cfg, home := shardedSpecConfig(8)
+	cfg := shardedSpecConfig(8)
 	cfg.Sessions = writers
 	cfg.QueueDepth = 8
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: 1, Logs: logs, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.Start()
+	s := newShards(t, cfg, 1, logs)[0]
+	s.Start()
 	objs := shardObjects(8)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := ss.Shard(0).Session(id)
+			c := s.Session(id)
 			for op := 0; op < 60; op++ {
 				obj := objs[(id+op)%len(objs)]
 				if op%3 == 0 {
@@ -202,11 +197,11 @@ func TestRaceShardSingle(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	flushShards(t, ss)
-	m := ss.MetricsSnapshot()
+	flushShards(t, []*Server{s})
+	m := s.MetricsSnapshot()
 	if m.QueriesIn != m.QueriesAccounted() {
 		t.Fatalf("conservation violated: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
 	}
-	ss.Stop()
+	s.Stop()
 	closeLogs(t, logs)
 }

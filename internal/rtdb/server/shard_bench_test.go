@@ -17,7 +17,7 @@ import (
 // per-append fsync — the configuration whose throughput sharding exists to
 // multiply: each shard's fsync pipeline is an independent I/O wait, and N
 // apply loops overlap them.
-func benchSharded(b *testing.B, shards int, sync bool) (*ShardedServer, func()) {
+func benchSharded(b *testing.B, shards int, sync bool) ([]*Server, func()) {
 	b.Helper()
 	base := filepath.Join(b.TempDir(), "wal")
 	logs := make([]*wal.Log, shards)
@@ -32,16 +32,13 @@ func benchSharded(b *testing.B, shards int, sync bool) (*ShardedServer, func()) 
 		}
 		logs[i] = l
 	}
-	cfg, home := shardedSpecConfig(64)
+	cfg := shardedSpecConfig(64)
 	cfg.Sessions = shards // one writer goroutine per shard
 	cfg.QueueDepth = 1024
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: shards, Logs: logs, QueryHome: home})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ss.Start()
-	return ss, func() {
-		ss.Stop()
+	srvs := newShards(b, cfg, shards, logs)
+	eachShard(srvs, (*Server).Start)
+	return srvs, func() {
+		eachShard(srvs, (*Server).Stop)
 		for _, l := range logs {
 			_ = l.Close()
 		}
@@ -73,7 +70,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 			if runtime.GOMAXPROCS(0) < shards {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
 			}
-			ss, done := benchSharded(b, shards, true)
+			srvs, done := benchSharded(b, shards, true)
 			defer done()
 			// Partition the keyspace by owner so each writer feeds
 			// exactly one shard's queue.
@@ -93,7 +90,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					c := ss.Shard(g).Session(g)
+					c := srvs[g].Session(g)
 					mine := byShard[g]
 					for i := 0; ; i++ {
 						if issued.Add(1) > int64(b.N) {
@@ -110,7 +107,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 				}(g)
 			}
 			wg.Wait()
-			flushShards(b, ss)
+			flushShards(b, srvs)
 		})
 	}
 }

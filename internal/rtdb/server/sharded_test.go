@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"rtc/internal/deadline"
@@ -28,7 +29,7 @@ func shardObjects(n int) []string {
 // invariant, a derived object over one image (co-located by construction),
 // one per-image latest-value query, and a rule bound to one image's sample
 // stream (installed on every shard, firing only where its image lives).
-func shardedSpecConfig(n int) (Config, map[string]string) {
+func shardedSpecConfig(n int) Config {
 	objs := shardObjects(n)
 	spec := rtdb.Spec{
 		Invariants: map[string]rtdb.Value{"limit": "50"},
@@ -48,7 +49,6 @@ func shardedSpecConfig(n int) (Config, map[string]string) {
 			return nil
 		},
 	}
-	home := map[string]string{"status_q": statusSrc}
 	for _, o := range objs {
 		o := o
 		cat["q-"+o] = func(v *rtdb.View) []rtdb.Value {
@@ -57,7 +57,6 @@ func shardedSpecConfig(n int) (Config, map[string]string) {
 			}
 			return nil
 		}
-		home["q-"+o] = o
 	}
 	rules := []rtdb.Rule{{
 		Name: "mark", On: "sample:" + objs[0], Mode: rtdb.Immediate,
@@ -74,7 +73,7 @@ func shardedSpecConfig(n int) (Config, map[string]string) {
 			"status": statusDerive2(statusSrc),
 		},
 		Rules: rules,
-	}, home
+	}
 }
 
 func statusDerive2(src string) func(map[string]rtdb.Value) rtdb.Value {
@@ -113,19 +112,45 @@ func closeLogs(t testing.TB, logs []*wal.Log) {
 	}
 }
 
+// newShards is NewShards for a split that must succeed.
+func newShards(t testing.TB, cfg Config, shards int, logs []*wal.Log) []*Server {
+	t.Helper()
+	srvs, err := NewShards(cfg, shards, logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srvs
+}
+
+// eachShard is the loop a deployment runs to start or stop its shards:
+// eachShard(srvs, (*Server).Start).
+func eachShard(srvs []*Server, f func(*Server)) {
+	for _, s := range srvs {
+		f(s)
+	}
+}
+
+// sumMetrics folds every shard's snapshot into one, as rtdbd's report does.
+func sumMetrics(srvs []*Server) (m MetricsSnapshot) {
+	for _, s := range srvs {
+		m.Add(s.MetricsSnapshot())
+	}
+	return m
+}
+
 // ownerSession is the placement a client computes: session i of the shard
 // rtwire.ShardOf names for obj.
-func ownerSession(ss *ShardedServer, obj string, i int) *Session {
-	return ss.Shard(rtwire.ShardOf(obj, ss.NumShards())).Session(i)
+func ownerSession(srvs []*Server, obj string, i int) *Session {
+	return srvs[rtwire.ShardOf(obj, len(srvs))].Session(i)
 }
 
 // flushShards flushes every session of every shard — between them, what the
 // deployment's clients do with one Flush per connection.
-func flushShards(t testing.TB, ss *ShardedServer) {
+func flushShards(t testing.TB, srvs []*Server) {
 	t.Helper()
-	for i := 0; i < ss.NumShards(); i++ {
-		for j := 0; j < ss.Shard(i).Sessions(); j++ {
-			if err := ss.Shard(i).Session(j).Flush(); err != nil {
+	for _, s := range srvs {
+		for j := 0; j < s.Sessions(); j++ {
+			if err := s.Session(j).Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -137,18 +162,14 @@ func flushShards(t testing.TB, ss *ShardedServer) {
 // object rides with its image source.
 func TestShardPlacement(t *testing.T) {
 	const shards = 8
-	cfg, home := shardedSpecConfig(16)
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: shards, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.NumShards() != shards {
-		t.Fatalf("NumShards = %d", ss.NumShards())
+	srvs := newShards(t, shardedSpecConfig(16), shards, nil)
+	if len(srvs) != shards {
+		t.Fatalf("NewShards built %d servers", len(srvs))
 	}
 	for _, o := range shardObjects(16) {
 		want := rtwire.ShardOf(o, shards)
 		for i := 0; i < shards; i++ {
-			_, ok := ss.Shard(i).DB().Image(o)
+			_, ok := srvs[i].DB().Image(o)
 			if ok != (i == want) {
 				t.Fatalf("image %q on shard %d: present=%v, want shard %d only", o, i, ok, want)
 			}
@@ -156,45 +177,54 @@ func TestShardPlacement(t *testing.T) {
 	}
 	statusShard := rtwire.ShardOf(shardObjects(16)[3], shards)
 	for i := 0; i < shards; i++ {
-		_, ok := ss.Shard(i).DB().Derived("status")
+		_, ok := srvs[i].DB().Derived("status")
 		if ok != (i == statusShard) {
 			t.Fatalf("derived status on shard %d: present=%v, want shard %d only", i, ok, statusShard)
 		}
 	}
-	if got := ss.homeShard("status_q"); got != statusShard {
-		t.Fatalf("homeShard(status_q) = %d, want %d", got, statusShard)
-	}
 }
 
-// TestShardSplitRejectsSpanningDerived: a derived object whose image
-// sources hash to different shards must be refused at construction, not
-// silently mis-derived at run time.
+// TestShardSplitRejectsSpanningDerived: NewShards refuses, at construction,
+// every input it cannot split faithfully — a derived object whose image
+// sources hash to different shards (not silently mis-derived at run time),
+// one that reads an undeclared source, and a log count that is not the shard
+// count — and accepts the spanning spec at one shard, where everything is
+// co-located.
 func TestShardSplitRejectsSpanningDerived(t *testing.T) {
-	// temp→shard 0 and pressure→shard 4 at 8 shards (pinned by the rtwire
-	// golden routing test).
-	cfg := Config{
-		Spec: rtdb.Spec{
+	spec := func(sources ...string) Config {
+		return Config{Spec: rtdb.Spec{
 			Images: []*rtdb.ImageObject{{Name: "temp", Period: 5}, {Name: "pressure", Period: 5}},
 			Derived: []*rtdb.DerivedObject{{
-				Name: "span", Sources: []string{"temp", "pressure"},
+				Name: "span", Sources: sources,
 				Derive: func(map[string]rtdb.Value) rtdb.Value { return "" },
 			}},
-		},
-		Catalog: rtdb.Catalog{},
+		}}
 	}
-	if _, err := NewSharded(ShardedConfig{Base: cfg, Shards: 8}); err == nil {
-		t.Fatal("NewSharded accepted a derived object spanning shards")
-	}
-	// The same spec at one shard is fine: everything is co-located.
-	if _, err := NewSharded(ShardedConfig{Base: cfg, Shards: 1}); err != nil {
-		t.Fatalf("single-shard split: %v", err)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		shards  int
+		logs    []*wal.Log
+		wantErr string // "" accepts
+	}{
+		// temp→shard 0 and pressure→shard 4 at 8 shards (pinned by the rtwire
+		// golden routing test).
+		{"spanning derived", spec("temp", "pressure"), 8, nil, "reads sources on shards 0 and 4"},
+		{"one shard co-locates", spec("temp", "pressure"), 1, nil, ""},
+		{"unknown source", spec("temp", "humidity"), 8, nil, `reads unknown source "humidity"`},
+		{"logs per shard", spec("temp"), 4, make([]*wal.Log, 2), "2 logs for 4 shards"},
+	} {
+		_, err := NewShards(tc.cfg, tc.shards, tc.logs)
+		if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
 // TestShardSingleByteIdentical is the degrade guarantee: the same driver
-// sequence against a raw Server and a ShardedServer with Shards == 1 must
-// leave byte-identical WAL directories — the composition at N == 1 is that
-// one Server, adding no events, no reordering, no timestamp drift.
+// sequence against New(cfg) and NewShards(cfg, 1, logs)[0] must leave
+// byte-identical WAL directories — a one-way split is that one Server,
+// adding no events, no reordering, no timestamp drift.
 func TestShardSingleByteIdentical(t *testing.T) {
 	dirRaw := filepath.Join(t.TempDir(), "wal-raw")
 	dirSharded := filepath.Join(t.TempDir(), "wal-sharded")
@@ -247,7 +277,7 @@ func TestShardSingleByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, _ := shardedSpecConfig(16)
+		cfg := shardedSpecConfig(16)
 		cfg.Log = l
 		s, err := New(cfg)
 		if err != nil {
@@ -267,23 +297,19 @@ func TestShardSingleByteIdentical(t *testing.T) {
 		}
 	}
 
-	// ShardedServer with one shard over the same driver.
+	// The one shard of a one-way split over the same driver.
 	{
-		cfg, home := shardedSpecConfig(16)
 		logs := openShardLogs(t, dirSharded, 1, opt)
-		ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: 1, Logs: logs, QueryHome: home})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.RegisterPeriodic(PeriodicQuery{
+		s := newShards(t, shardedSpecConfig(16), 1, logs)[0]
+		if err := s.RegisterPeriodic(PeriodicQuery{
 			Name: "watch", Query: "status_q", Period: 16,
 			Kind: deadline.Firm, Deadline: 8, MinUseful: 1,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		ss.Start()
-		drive(ss.Shard(0).Session(0), ss.Shard(0).Tick)
-		ss.Stop()
+		s.Start()
+		drive(s.Session(0), s.Tick)
+		s.Stop()
 		closeLogs(t, logs)
 	}
 
@@ -320,16 +346,12 @@ func TestShardSingleByteIdentical(t *testing.T) {
 // TestShardMetricsAggregate: the merged snapshot sums the per-shard blocks
 // and the conservation laws hold on the sum exactly as they do per shard.
 func TestShardMetricsAggregate(t *testing.T) {
-	cfg, home := shardedSpecConfig(64)
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: 4, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.Start()
-	defer ss.Stop()
+	srvs := newShards(t, shardedSpecConfig(64), 4, nil)
+	eachShard(srvs, (*Server).Start)
+	defer eachShard(srvs, (*Server).Stop)
 	objs := shardObjects(64)
 	for i := 0; i < 128; i++ {
-		c := ownerSession(ss, objs[i%64], 0)
+		c := ownerSession(srvs, objs[i%64], 0)
 		if err := c.InjectSample(objs[i%64], strconv.Itoa(i%100)); err != nil {
 			t.Fatal(err)
 		}
@@ -341,8 +363,8 @@ func TestShardMetricsAggregate(t *testing.T) {
 			}
 		}
 	}
-	flushShards(t, ss)
-	m := ss.MetricsSnapshot()
+	flushShards(t, srvs)
+	m := sumMetrics(srvs)
 	if m.SamplesApplied != 128 {
 		t.Fatalf("merged SamplesApplied = %d, want 128", m.SamplesApplied)
 	}
@@ -351,8 +373,8 @@ func TestShardMetricsAggregate(t *testing.T) {
 	}
 	var perShard uint64
 	shardsWithSamples := 0
-	for i := 0; i < ss.NumShards(); i++ {
-		sm := ss.Shard(i).Metrics.Snapshot()
+	for i, s := range srvs {
+		sm := s.Metrics.Snapshot()
 		if sm.QueriesIn != sm.QueriesAccounted() {
 			t.Fatalf("shard %d conservation: in=%d accounted=%d", i, sm.QueriesIn, sm.QueriesAccounted())
 		}
@@ -384,7 +406,6 @@ func TestShardAmortizedCostGate(t *testing.T) {
 		syncCost  = 144_000 // ns per fsync, measured ratio vs write below
 		writeCost = 2_000   // ns per write
 	)
-	cfg, home := shardedSpecConfig(64)
 	mems := make([]*faultfs.Mem, shards)
 	logs := make([]*wal.Log, shards)
 	for i := range logs {
@@ -398,20 +419,17 @@ func TestShardAmortizedCostGate(t *testing.T) {
 		}
 		logs[i] = l
 	}
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: shards, Logs: logs, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srvs := newShards(t, shardedSpecConfig(64), shards, logs)
 	// Baseline op counts after recovery/catalog installation.
 	w0 := make([]uint64, shards)
 	s0 := make([]uint64, shards)
 	for i, m := range mems {
 		w0[i], s0[i] = m.Writes(), m.Syncs()
 	}
-	ss.Start()
+	eachShard(srvs, (*Server).Start)
 	objs := shardObjects(64)
 	for i := 0; i < samples; i++ {
-		c := ownerSession(ss, objs[i%len(objs)], 0)
+		c := ownerSession(srvs, objs[i%len(objs)], 0)
 		for {
 			err := c.InjectSample(objs[i%len(objs)], strconv.Itoa(i%100))
 			if err == nil {
@@ -425,8 +443,8 @@ func TestShardAmortizedCostGate(t *testing.T) {
 			}
 		}
 	}
-	flushShards(t, ss)
-	ss.Stop()
+	flushShards(t, srvs)
+	eachShard(srvs, (*Server).Stop)
 	closeLogs(t, logs)
 
 	var total, max uint64
@@ -449,46 +467,41 @@ func TestShardAmortizedCostGate(t *testing.T) {
 
 // TestShardRecovery: stop a sharded deployment, reopen the per-shard logs,
 // and rebuild — every object's history survives on its own shard and no
-// shard's clock resumes past where the deployment stopped.
+// shard's clock resumes past where that shard stopped.
 func TestShardRecovery(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "wal")
 	opt := wal.Options{SegmentSize: 4096, SnapshotEvery: 16}
-	cfg, home := shardedSpecConfig(16)
+	cfg := shardedSpecConfig(16)
 	objs := shardObjects(16)
 
 	logs := openShardLogs(t, base, 4, opt)
-	ss, err := NewSharded(ShardedConfig{Base: cfg, Shards: 4, Logs: logs, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss.Start()
+	srvs := newShards(t, cfg, 4, logs)
+	eachShard(srvs, (*Server).Start)
 	for i := 0; i < 64; i++ {
-		if err := ownerSession(ss, objs[i%16], 0).InjectSample(objs[i%16], strconv.Itoa(i)); err != nil {
+		if err := ownerSession(srvs, objs[i%16], 0).InjectSample(objs[i%16], strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	flushShards(t, ss)
-	wasNow := ss.Now()
-	ss.Stop()
+	flushShards(t, srvs)
+	eachShard(srvs, (*Server).Stop)
 	closeLogs(t, logs)
 
 	logs2 := openShardLogs(t, base, 4, opt)
-	ss2, err := NewSharded(ShardedConfig{Base: cfg, Shards: 4, Logs: logs2, QueryHome: home})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss2.Start()
+	srvs2 := newShards(t, cfg, 4, logs2)
+	eachShard(srvs2, (*Server).Start)
 	defer func() {
-		ss2.Stop()
+		eachShard(srvs2, (*Server).Stop)
 		closeLogs(t, logs2)
 	}()
-	if ss2.Now() > wasNow {
-		t.Fatalf("recovered clock %d beyond stopped clock %d", ss2.Now(), wasNow)
+	for i, s := range srvs2 {
+		if now, was := s.Now(), srvs[i].Now(); now > was {
+			t.Fatalf("shard %d: recovered clock %d beyond its stopped clock %d", i, now, was)
+		}
 	}
-	flushShards(t, ss2)
+	flushShards(t, srvs2)
 	for i := 48; i < 64; i++ { // the newest write to each object
 		obj := objs[i%16]
-		sh := ss2.Shard(rtwire.ShardOf(obj, 4))
+		sh := srvs2[rtwire.ShardOf(obj, 4)]
 		h := sh.HistoryHorizon() // each owner's own horizon: there is no cross-shard cut
 		v, ok := sh.ValueAsOf(obj, h)
 		if !ok || v != strconv.Itoa(i) {
