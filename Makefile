@@ -87,10 +87,13 @@ torture:
 	$(GO) run ./cmd/rttorture -mode all -seeds 3 -events 90 -v
 
 # Bounded sweep for CI: the torture + faultfs test suites under -race, then
-# a single-seed strided sweep of every fault family.
+# a single-seed strided sweep of every fault family, then the groupcommit and
+# shard rows under -nosync.
 torture-short:
 	$(GO) test -race -count=1 ./internal/faultfs/ ./internal/rtdb/torture/
 	$(GO) run ./cmd/rttorture -mode all -seeds 1 -events 60 -stride 2
+	$(GO) run ./cmd/rttorture -mode groupcommit -seeds 1 -events 30 -nosync
+	$(GO) run ./cmd/rttorture -mode shard -seeds 1 -events 30 -nosync
 
 # Full shard sweep: crash one shard's WAL at every fault point of a
 # 4-shard deployment — rotating the victim through every shard — while the
@@ -135,37 +138,38 @@ race-partition:
 # regression that makes publish or read cost grow with total history.
 SOAK_PORT ?= 7693
 soak-short:
-	$(GO) build -o /tmp/rtdbd-soak ./cmd/rtdbd
-	$(GO) build -o /tmp/rtdbload-soak ./cmd/rtdbload
-	/tmp/rtdbd-soak -listen 127.0.0.1:$(SOAK_PORT) -sessions 8 & \
-	pid=$$!; sleep 1; \
-	/tmp/rtdbload-soak -addr 127.0.0.1:$(SOAK_PORT) -soak 60000; rc=$$?; \
-	kill $$pid 2>/dev/null; exit $$rc
+	@bin=$$(mktemp -d); trap 'rm -rf $$bin' EXIT; \
+	$(GO) build -o $$bin/ ./cmd/rtdbd ./cmd/rtdbload || exit 1; \
+	bash scripts/serve-and-load.sh $$bin $(SOAK_PORT) $$bin/rtdbd.out '-sessions 8' '-soak 60000' '^soak: '
 
-# rtdbd's synthetic mode end to end, at the default evaluation cost and at the
-# one that equals status-watch's period (a periodic schedule the server cannot
-# keep up with once hung the apply loop here). The binary audits its own
-# standing query before it prints the conservation line and exits non-zero
-# when either set of books stays open; the timeout turns a hang into a failure.
-# The third run is durable with group commit: its drain report must show the
-# log's live rows, fsync_count > 0 and grouped_appends == wal_appends. Then a
-# durable four-shard pair over one directory: both runs must close the
-# cross-shard books, and the second must recover every shard's own WAL.
+# rtdbd and rtdbload end to end, two processes per run (scripts/serve-and-load.sh:
+# rtdbd -listen, rtdbload once it serves, then SIGINT; both must exit 0 with
+# their books closed, all under timeout). The mixed load runs against the
+# default configuration, where its conservation line must carry a non-zero
+# no-deadline term, and at the evaluation cost that equals status-watch's
+# period (a periodic schedule the server cannot keep up with once hung the
+# apply loop here), which also serves a -fanout run: every subscriber audits
+# its cursor arithmetic. The durable group-commit run's drain report must show
+# fsync_count > 0 and grouped_appends == wal_appends. Then a durable four-shard
+# pair over one directory: both runs must close the cross-shard books, and the
+# second must recover every shard's own WAL.
+SMOKE_PORT ?= 7740
 rtdbd-smoke:
-	@dir=$$(mktemp -d); sdir=$$(mktemp -d); trap 'rm -rf $$dir $$sdir' EXIT; \
-	for args in '-ops 40' '-eval-cost 11 -ops 40' "-dir $$dir -fsync -fsync-window 200us -ops 40"; do \
-		out=$$(timeout 120 $(GO) run ./cmd/rtdbd $$args) || { echo "$$out" | tail -5; echo "rtdbd $$args: failed or timed out"; exit 1; }; \
-		echo "$$out" | grep 'conservation: .* ✓' || { echo "rtdbd $$args: no closed conservation line"; exit 1; }; \
-	done; \
-	echo "$$out" | awk '$$1 == "fsync_count" { f = $$2 } $$1 == "wal_appends" { w = $$2 } $$1 == "grouped_appends" { g = $$2 } \
-		END { printf "fsync_count %d, grouped_appends %d == wal_appends %d\n", f, g, w; exit !(f > 0 && g == w) }' \
+	@bin=$$(mktemp -d); dir=$$(mktemp -d); sdir=$$(mktemp -d); trap 'rm -rf $$bin $$dir $$sdir' EXIT; \
+	$(GO) build -o $$bin/ ./cmd/rtdbd ./cmd/rtdbload || exit 1; \
+	pair() { bash scripts/serve-and-load.sh $$bin $(SMOKE_PORT) $$bin/rtdbd.out "$$@"; }; \
+	pair '' '-ops 40' 'conservation.* [1-9][0-9]* no-deadline ✓' || exit 1; \
+	pair '-eval-cost 11' '-ops 40' || exit 1; \
+	pair '-eval-cost 11' '-fanout 4 -writers 2 -ops 40' '4/4 subscriptions closed exactly' || exit 1; \
+	pair "-dir $$dir -fsync -fsync-window 200us" '-ops 40' || exit 1; \
+	awk '$$1 == "fsync_count" { f = $$2 } $$1 == "wal_appends" { w = $$2 } $$1 == "grouped_appends" { g = $$2 } \
+		END { printf "fsync_count %d, grouped_appends %d == wal_appends %d\n", f, g, w; exit !(f > 0 && g == w) }' $$bin/rtdbd.out \
 		|| { echo "rtdbd -fsync: want fsync_count > 0 and grouped_appends == wal_appends"; exit 1; }; \
 	for run in 1 2; do \
-		out=$$(timeout 120 $(GO) run ./cmd/rtdbd -dir $$sdir -shards 4 -ops 40) || { echo "$$out" | tail -5; echo "rtdbd -shards 4 run $$run: failed or timed out"; exit 1; }; \
-		echo "$$out" | grep 'cross-shard conservation: .* ✓' || { echo "rtdbd -shards 4 run $$run: no closed cross-shard conservation line"; exit 1; }; \
+		pair "-dir $$sdir -shards 4" '-ops 40' 'cross-shard conservation: .* ✓' || exit 1; \
 	done; \
-	echo "$$out" | grep '^shard [0-3]/4: recovered'; \
-	[ $$(echo "$$out" | grep -c '^shard [0-3]/4: recovered') -eq 4 ] || { echo "rtdbd -shards 4: want four 'shard i/4: recovered' lines on the second run"; exit 1; }
+	grep '^shard [0-3]/4: recovered' $$bin/rtdbd.out; \
+	[ $$(grep -c '^shard [0-3]/4: recovered' $$bin/rtdbd.out) -eq 4 ] || { echo "rtdbd -shards 4: want four 'shard i/4: recovered' lines on the second run"; exit 1; }
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -1,22 +1,21 @@
-// Command rtdbd runs the durable, concurrent real-time database server —
-// now on the wire. It loads (or crash-recovers) a write-ahead log
+// Command rtdbd runs the durable, concurrent real-time database server on
+// the wire. It loads (or crash-recovers) a write-ahead log
 // directory and serves the rtwire protocol over TCP: timed sensor samples,
 // firm/soft-deadline queries whose deadlines travel with them, temporal
 // as-of reads, and metrics snapshots, with periodic standing queries
 // evaluated server-side.
 //
-// With -listen it serves real sockets until interrupted:
+// It serves -listen until SIGINT or SIGTERM, then drains and prints its
+// books:
 //
 //	go run ./cmd/rtdbd -dir /tmp/rtdbd -listen 127.0.0.1:7677 -sessions 32
 //
-// and a load generator drives it from another terminal:
+// Its input is produced outside it: rtdbload is the load generator, run
+// from another terminal:
 //
 //	go run ./cmd/rtdbload -addr 127.0.0.1:7677 -conns 8 -ops 500
 //
-// Without -listen it runs the synthetic workload — the same client mix,
-// but routed through the client package against an in-process loopback
-// listener, so the synthetic and network paths cannot diverge. Run it
-// twice against the same -dir to watch recovery replay the log.
+// Restart it against the same -dir to watch recovery install the log.
 //
 // -shards N runs N complete single-shard stacks — one WAL directory
 // (dir/shard-NN), one apply loop, one clock, one rtwire listener each.
@@ -33,13 +32,11 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb"
-	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/replica"
@@ -51,16 +48,14 @@ import (
 func main() {
 	var (
 		dir      = flag.String("dir", "", "WAL directory (empty: run without durability)")
-		listen   = flag.String("listen", "", "serve rtwire over TCP on this address until interrupted (empty: run the synthetic workload)")
+		listen   = flag.String("listen", "127.0.0.1:7677", "serve rtwire over TCP on this address until interrupted (shard i serves on port+i)")
 		shards   = flag.Int("shards", 1, "shard the keyspace over this many single-shard stacks, one WAL directory and one listener each (1: unsharded, byte-identical layout)")
 		sessions = flag.Int("sessions", 8, "server sessions == max concurrent connections")
-		ops      = flag.Int("ops", 200, "operations per synthetic connection")
 		segSize  = flag.Int64("segment-size", 1<<20, "WAL segment rotation size (bytes)")
 		snapshot = flag.Uint64("snapshot-every", 2000, "WAL catalog snapshot period (events, 0: never)")
 		fsync    = flag.Bool("fsync", false, "fsync the WAL after every append")
 		fsyncWin = flag.Duration("fsync-window", 200*time.Microsecond, "group-commit window with -fsync: concurrent appends share one fsync per window (0: fsync each append)")
 		evalCost = flag.Uint64("eval-cost", 2, "chronons one query evaluation costs")
-		deadln   = flag.Uint64("deadline", 40, "relative firm deadline for synthetic client queries (chronons)")
 		queue    = flag.Int("queue-depth", 64, "per-session queue depth")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
@@ -80,7 +75,7 @@ func main() {
 	case *replicaOf != "":
 		err = runReplica(*dir, *listen, *replicaOf, *promoteAfter, *sessions, *segSize, *snapshot, *fsync, *fsyncWin, *evalCost, *queue)
 	default:
-		err = run(*dir, *listen, max(*shards, 1), *sessions, *ops, *segSize, *snapshot, *fsync, *fsyncWin, *promote, *evalCost, *deadln, *queue)
+		err = run(*dir, *listen, max(*shards, 1), *sessions, *segSize, *snapshot, *fsync, *fsyncWin, *promote, *evalCost, *queue)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtdbd:", err)
@@ -96,8 +91,8 @@ func shardLabel(i, shards int) string {
 	return fmt.Sprintf("shard %d/%d: ", i, shards)
 }
 
-func run(dir, listen string, shards, sessions, ops int, segSize int64, snapshot uint64, fsync bool,
-	fsyncWin time.Duration, promote bool, evalCost, deadln uint64, queue int) error {
+func run(dir, listen string, shards, sessions int, segSize int64, snapshot uint64, fsync bool,
+	fsyncWin time.Duration, promote bool, evalCost uint64, queue int) error {
 	var logs []*wal.Log
 	if dir != "" {
 		for i := 0; i < shards; i++ {
@@ -133,7 +128,7 @@ func run(dir, listen string, shards, sessions, ops int, segSize int64, snapshot 
 	} else if promote {
 		return fmt.Errorf("-promote needs -dir (the replica's WAL to take over)")
 	}
-	return serve(serverConfig(sessions, queue, evalCost), logs, shards, listen, ops, evalCost, deadln)
+	return serve(serverConfig(sessions, queue, evalCost), logs, shards, listen, evalCost)
 }
 
 // sensorBank widens the demo keyspace: temp and pressure alone hash to one
@@ -201,16 +196,16 @@ func serverConfig(sessions, queue int, evalCost uint64) server.Config {
 }
 
 // serve runs a primary to completion: periodic queries, one rtwire listener
-// per shard, then either real traffic until a signal or the synthetic
-// workload, and finally the metrics report with the conservation check.
-// logs is nil (no durability) or one log per shard.
-func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops int, evalCost, deadln uint64) error {
+// per shard, traffic until SIGINT or SIGTERM, then the drain and the metrics
+// report with the conservation check. logs is nil (no durability) or one log
+// per shard.
+func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, evalCost uint64) error {
 	srvs, err := server.NewShards(cfg, shards, logs)
 	if err != nil {
 		return err
 	}
 	// Both periodic queries read temp (status derives from temp and limit),
-	// so they run on temp's shard — the one drive sends them to.
+	// so they run on temp's shard — the one clients send them to.
 	if err := registerPeriodic(srvs[rtwire.ShardOf("temp", shards)], evalCost); err != nil {
 		return err
 	}
@@ -227,35 +222,27 @@ func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, ops in
 			srvs[i].Stop() // syncs its WAL
 		}
 	}
+	// Listen for the signal first, so one sent the moment the serving line
+	// appears drains instead of killing the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	// One listener per shard: with -listen host:port, shard i serves on
-	// port+i; synthetic mode uses ephemeral loopback ports.
-	addrs := make([]string, shards)
+	// port+i.
 	for i, ns := range set {
-		a := "127.0.0.1:0"
-		if listen != "" {
-			if a, err = shardAddr(listen, i); err != nil {
-				stop()
-				return err
-			}
+		a, err := shardAddr(listen, i)
+		if err != nil {
+			stop()
+			return err
 		}
 		bound, err := ns.Listen(a)
 		if err != nil {
 			stop()
 			return err
 		}
-		addrs[i] = bound.String()
 		fmt.Printf("%sserving rtwire on %s (%d sessions)\n", shardLabel(i, shards), bound, cfg.Sessions)
 	}
-
-	if listen != "" {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		fmt.Println("\ndraining...")
-	} else if err := synthetic(addrs, cfg.Sessions, ops, deadln); err != nil {
-		stop()
-		return err
-	}
+	<-sig
+	fmt.Println("\ndraining...")
 	stop()
 	return report(srvs, set)
 }
@@ -294,145 +281,6 @@ func shardAddr(listen string, i int) (string, error) {
 		return "", fmt.Errorf("-listen %q: the port must be numeric, shard i serves on port+i: %w", listen, err)
 	}
 	return net.JoinHostPort(host, strconv.Itoa(p+i)), nil
-}
-
-// synthetic drives the deployment with conns concurrent network clients — the
-// same op mix a real deployment would send, through the same client package
-// and TCP stack rtdbload uses, routed by client-side placement: every
-// connection holds one client per shard listener and sends each sample to
-// rtwire.ShardOf's owner, each query to its home shard — while one
-// standing-query subscription watches status_q over the same wire, so every
-// run demonstrates the push path next to the polled one.
-func synthetic(addrs []string, conns, ops int, deadln uint64) error {
-	tempShard := addrs[rtwire.ShardOf("temp", len(addrs))]
-	// One session is reserved for the subscriber riding along.
-	if conns > 1 {
-		conns--
-	}
-	sc, err := client.Dial(tempShard, client.Options{Name: "syn-sub"})
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	subscription, err := sc.Subscribe(client.SubSpec{
-		Query: "status_q", Period: 7,
-		Kind: deadline.Soft, Deadline: timeseq.Time(deadln), MinUseful: 1,
-		Depth: 16, Buffer: 32,
-	})
-	if err != nil {
-		return err
-	}
-	var pushes, hits uint64
-	subDone := make(chan struct{})
-	go func() {
-		defer close(subDone)
-		for p := range subscription.Pushes() {
-			pushes++
-			if !p.Missed {
-				hits++
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, conns)
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cs := make([]*client.Client, len(addrs))
-			for s, addr := range addrs {
-				c, err := client.Dial(addr, client.Options{Name: fmt.Sprintf("syn-%d-%d", id, s)})
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer c.Close()
-				cs[s] = c
-			}
-			drive(cs, id, ops, deadln)
-			for _, c := range cs {
-				if err := c.Flush(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-
-	// Close out the standing query and audit its stream with the cursor
-	// arithmetic every subscriber can run locally. The drivers are flushed,
-	// so every tick is scheduled; a short settle lets the pump deliver the
-	// tail before the audit coordinates are read.
-	time.Sleep(300 * time.Millisecond)
-	cursor, receivedC := subscription.Cursor(), subscription.Received()
-	dropped, expired := subscription.Tallies()
-	local := subscription.LocalDrops()
-	if err := subscription.Close(); err != nil {
-		return err
-	}
-	<-subDone
-	if receivedC+dropped+expired+local != cursor {
-		return fmt.Errorf("standing query audit open: received %d + dropped %d + expired %d + local %d != cursor %d",
-			receivedC, dropped, expired, local, cursor)
-	}
-	fmt.Printf("standing query: %d pushes (%d deadline hits), cursor %d == %d received + %d dropped + %d expired + %d shed ✓\n",
-		pushes, hits, cursor, receivedC, dropped, expired, local)
-
-	// A temporal read against the published history, over the wire: first
-	// learn the horizon, then read the temperature half a horizon ago.
-	c, err := client.Dial(tempShard, client.Options{Name: "syn-asof"})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if _, _, horizon, err := c.AsOf("temp", 0); err == nil && horizon > 0 {
-		if v, ok, _, err := c.AsOf("temp", horizon/2); err == nil && ok {
-			fmt.Printf("as-of read: temp was %q at chronon %d (horizon %d)\n", v, horizon/2, horizon)
-		}
-	}
-	return nil
-}
-
-// drive is one synthetic connection — one client per shard, cs[i] to shard
-// i: a deterministic mix of sensor samples, firm- and soft-deadline queries,
-// and no-deadline reads, each sent to the shard that owns it.
-func drive(cs []*client.Client, id, ops int, deadln uint64) {
-	route := func(object string) *client.Client { return cs[cs[0].ShardFor(object)] }
-	home := route("temp") // status_q and temp_q both read temp
-	for op := 0; op < ops; op++ {
-		switch op % 5 {
-		case 0:
-			_ = route("temp").InjectSample("temp", strconv.Itoa(18+(id*7+op)%12))
-		case 1:
-			sensor := sensorName(id + op)
-			_ = route(sensor).InjectSample(sensor, strconv.Itoa(op%100))
-		case 2:
-			_ = route("pressure").InjectSample("pressure", strconv.Itoa(99+(id+op)%4))
-		case 3:
-			_, _ = home.Query(client.Query{
-				Query: "status_q", Candidate: "ok",
-				Kind: deadline.Firm, Deadline: timeseq.Time(deadln), MinUseful: 1,
-			})
-		case 4:
-			if op%2 == 0 {
-				_, _ = home.Query(client.Query{
-					Query: "temp_q",
-					Kind:  deadline.Soft, Deadline: timeseq.Time(deadln),
-					MinUseful: 2,
-					Decay:     rtwire.Decay{ID: rtwire.DecayHyperbolic, Max: 10},
-				})
-			} else {
-				_, _ = home.Query(client.Query{Query: "temp_q"})
-			}
-		}
-	}
 }
 
 // report prints the metrics table summed over the shards, the wire counters
@@ -515,11 +363,7 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 	}
 	r.Start()
 
-	addr := listen
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		_ = r.Close()
 		return err

@@ -74,7 +74,7 @@ func main() {
 
 // tally is the run's closed-loop outcome count, over all connections.
 type tally struct {
-	queries, hits, misses, expired, backpressure atomic.Uint64
+	queries, hits, misses, noDeadline, expired, backpressure atomic.Uint64
 
 	// Failover accounting across all connections.
 	readOnly, opFailed                 atomic.Uint64
@@ -165,22 +165,30 @@ func run(addrs []string, conns, ops int, deadln uint64, chronon time.Duration) e
 						Query: "status_q", Candidate: "ok",
 						Kind: deadline.Firm, Deadline: timeseq.Time(deadln), MinUseful: 1,
 					}
-					if op%10 == 4 {
+					switch op % 10 {
+					case 4:
 						q = client.Query{
 							Query: "temp_q",
 							Kind:  deadline.Soft, Deadline: timeseq.Time(deadln),
 							MinUseful: 2,
 							Decay:     rtwire.Decay{ID: rtwire.DecayHyperbolic, Max: 10},
 						}
+					case 9:
+						q = client.Query{Query: "temp_q"}
 					}
+					timed := q.Kind != deadline.None
 					qs := time.Now()
 					// Both demo queries read temp's shard.
 					res, err := cs[cs[0].ShardFor("temp")].Query(q)
 					t.queries.Add(1)
 					switch {
-					case err == client.ErrBackpressure || (err != nil && res.Missed):
+					case errors.Is(err, client.ErrBackpressure):
+						// The server booked it rejected; only a query that
+						// carried a deadline missed one.
 						t.backpressure.Add(1)
-						t.misses.Add(1)
+						if timed {
+							t.misses.Add(1)
+						}
 					case errors.Is(err, client.ErrReadOnly):
 						// Mid-failover: a firm query landed on a standby.
 						t.misses.Add(1)
@@ -188,7 +196,11 @@ func run(addrs []string, conns, ops int, deadln uint64, chronon time.Duration) e
 						// An outage longer than the retry budget: the op
 						// failed; the run keeps going and reports it.
 						t.opFailed.Add(1)
-						t.misses.Add(1)
+						if timed {
+							t.misses.Add(1)
+						}
+					case !timed:
+						t.noDeadline.Add(1)
 					case res.ExpiredOnArrival:
 						t.expired.Add(1)
 						t.misses.Add(1)
@@ -223,8 +235,8 @@ func run(addrs []string, conns, ops int, deadln uint64, chronon time.Duration) e
 	fmt.Printf("%d conns × %d ops over %d shards in %v (%.0f ops/s closed-loop)\n",
 		conns, ops, shards, elapsed.Round(time.Millisecond),
 		float64(totalOps)/elapsed.Seconds())
-	fmt.Printf("queries: %d  hit %d  miss %d (expired-on-arrival %d, backpressure %d)\n",
-		t.queries.Load(), t.hits.Load(), t.misses.Load(), t.expired.Load(), t.backpressure.Load())
+	fmt.Printf("queries: %d  hit %d  miss %d  no-deadline %d (expired-on-arrival %d, backpressure %d)\n",
+		t.queries.Load(), t.hits.Load(), t.misses.Load(), t.noDeadline.Load(), t.expired.Load(), t.backpressure.Load())
 	if len(latencies) > 0 {
 		s := stats.Summarize(latencies)
 		fmt.Printf("query rtt µs: mean %.0f  median %.0f  min %.0f  max %.0f\n",

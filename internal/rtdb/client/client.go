@@ -520,13 +520,6 @@ func (c *Client) ShardFor(object string) uint64 {
 	return uint64(rtwire.ShardOf(object, int(c.shards)))
 }
 
-// Owns reports whether the connected listener's shard owns the object.
-func (c *Client) Owns(object string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards <= 1 || uint64(rtwire.ShardOf(object, int(c.shards))) == c.shard
-}
-
 // readLoop dispatches incoming frames to waiting callers until the
 // connection dies.
 func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {

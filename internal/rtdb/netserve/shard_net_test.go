@@ -137,8 +137,8 @@ func TestShardSetWelcomeRouting(t *testing.T) {
 			t.Fatalf("client places %q on shard %d, rtwire.ShardOf says %d", obj, owner, want)
 		}
 		for s, c := range clients {
-			if got := c.Owns(obj); got != (uint64(s) == owner) {
-				t.Fatalf("shard %d Owns(%q) = %v, owner is %d", s, obj, got, owner)
+			if got := c.ShardFor(obj) == c.Shard(); got != (uint64(s) == owner) {
+				t.Fatalf("shard %d owns %q: %v, owner is %d", s, obj, got, owner)
 			}
 		}
 		if err := clients[owner].InjectSample(obj, fmt.Sprintf("%d", 100+i)); err != nil {

@@ -182,8 +182,8 @@ func (c Config) shardPoint(p *point, w *shardWorkload, victim int) error {
 			return fmt.Errorf("shard %d close after recovery: %v", s, err)
 		}
 	}
-	if err := crossShardSum(recoveredSum, ackedSum); err != nil {
+	if err := crossShardSum(recoveredSum, ackedSum, !c.NoSync); err != nil {
 		return err
 	}
-	return horizonHeld(ackHorizon, recHorizon)
+	return horizonHeld(ackHorizon, recHorizon, !c.NoSync)
 }

@@ -72,9 +72,10 @@ var scenarios = []scenario{
 	{ModeFailover, "at events nosync fsync-window shards victim", func(c *Config, ev []wal.Event) []lane {
 		return []lane{{victim: c.Victim, run: func(p *point) error { return c.failoverPoint(p, ev) }}}
 	}},
-	// The crash lane, then the EIO lane, over the grouped appender.
-	{ModeGroupCommit, "at events nosync", func(c *Config, ev []wal.Event) []lane {
-		c.GroupWindow = groupWindow
+	// The crash lane, then the EIO lane, over the grouped appender. The row's
+	// premise is fsync batching, so it forces Sync as it forces the window.
+	{ModeGroupCommit, "at events", func(c *Config, ev []wal.Event) []lane {
+		c.GroupWindow, c.NoSync = groupWindow, false
 		return []lane{
 			{run: func(p *point) error { return c.crashPoint(p, ev, true, true) }},
 			{numbering: probed, run: func(p *point) error { return c.eioPoint(p, ev, true) }},

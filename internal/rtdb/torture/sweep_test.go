@@ -212,12 +212,15 @@ func TestInvariants(t *testing.T) {
 		{"ackedWrites", ackedWrites(5, 7, samples(7, 5)), ""},
 		{"ackedWrites lost", ackedWrites(5, 7, samples(7, 4)), "lost acked writes: 5 acked, 4 applied"},
 		{"ackedWrites duplicated", ackedWrites(5, 7, samples(8, 5)), "duplicated writes: 7 sent, 8 arrived"},
-		{"crossShardSum =acked", crossShardSum(20, 20), ""},
-		{"crossShardSum =acked+1", crossShardSum(21, 20), ""},
-		{"crossShardSum acked+2", crossShardSum(22, 20), "cross-shard sum conservation violated: recovered 22, acked 20"},
-		{"crossShardSum acked-1", crossShardSum(19, 20), "cross-shard sum conservation violated"},
-		{"horizonHeld", horizonHeld(5, 5), ""},
-		{"horizonHeld regressed", horizonHeld(5, 4), "consistent horizon regressed: acked 5, recovered 4"},
+		{"crossShardSum =acked", crossShardSum(20, 20, true), ""},
+		{"crossShardSum =acked+1", crossShardSum(21, 20, true), ""},
+		{"crossShardSum unsynced acked-1", crossShardSum(19, 20, false), ""},
+		{"crossShardSum acked+2", crossShardSum(22, 20, true), "cross-shard sum conservation violated: recovered 22, acked 20"},
+		{"crossShardSum acked-1", crossShardSum(19, 20, true), "cross-shard sum conservation violated"},
+		{"crossShardSum unsynced acked+2", crossShardSum(22, 20, false), "cross-shard sum conservation violated"},
+		{"horizonHeld", horizonHeld(5, 5, true), ""},
+		{"horizonHeld unsynced regressed", horizonHeld(5, 4, false), ""},
+		{"horizonHeld regressed", horizonHeld(5, 4, true), "consistent horizon regressed: acked 5, recovered 4"},
 	} {
 		rep := selfTest(tc.err)
 		switch {

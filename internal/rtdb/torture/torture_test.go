@@ -46,6 +46,15 @@ func TestCrashSweepNoSync(t *testing.T) {
 	report(t, rep)
 }
 
+// TestNoSyncRows runs the groupcommit and shard rows under -nosync. The
+// groupcommit row batches fsyncs, so it syncs regardless; the shard row drops
+// only the lower bounds of its laws. Neither may report a failure.
+func TestNoSyncRows(t *testing.T) {
+	for _, m := range []Mode{ModeGroupCommit, ModeShard} {
+		report(t, Config{Seed: 1, Events: 30, Stride: 2, NoSync: true, Logf: t.Logf}.Sweep(m))
+	}
+}
+
 func TestCrashPointRepro(t *testing.T) {
 	// The -at reproduction path exercises exactly one fault point.
 	rep := Config{Seed: 1, Events: 40, At: 17}.Sweep(ModeCrash)
