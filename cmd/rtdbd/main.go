@@ -37,6 +37,7 @@ import (
 
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb"
+	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/replica"
@@ -355,8 +356,8 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 			Dir: dir, SegmentSize: segSize, SnapshotEvery: snapshot, Sync: fsync,
 			GroupWindow: fsyncWin,
 		},
-		Name:         "rtdbd-replica",
 		PromoteAfter: promoteAfter,
+		Client:       client.Options{Name: "rtdbd-replica"},
 	}, serverConfig(sessions, queue, evalCost))
 	if err != nil {
 		return err

@@ -54,9 +54,9 @@ func runFanout(addr string, subscribers, writers, ops int, deadln, period uint64
 	subClients := make([]*client.Client, nconn)
 	for i := range subClients {
 		c, err := client.Dial(addr, client.Options{
-			Name:            fmt.Sprintf("fan-sub-%d", i),
-			ChrononDuration: chronon,
-			RetryAttempts:   -1, // failover: exhaust the address list
+			Name:              fmt.Sprintf("fan-sub-%d", i),
+			ChrononDuration:   chronon,
+			RetryAttempts:     -1, // failover: exhaust the address list
 			HeartbeatInterval: 100 * time.Millisecond,
 		})
 		if err != nil {
@@ -107,9 +107,9 @@ func runFanout(addr string, subscribers, writers, ops int, deadln, period uint64
 		go func(w int) {
 			defer wg.Done()
 			c, err := client.Dial(addr, client.Options{
-				Name:            fmt.Sprintf("fan-writer-%d", w),
-				ChrononDuration: chronon,
-				RetryAttempts:   -1,
+				Name:              fmt.Sprintf("fan-writer-%d", w),
+				ChrononDuration:   chronon,
+				RetryAttempts:     -1,
 				HeartbeatInterval: 100 * time.Millisecond,
 			})
 			if err != nil {

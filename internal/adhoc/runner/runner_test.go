@@ -48,7 +48,7 @@ func (p *panicProto) OnTick(a *adhoc.API) {
 		panic("deliberate protocol failure")
 	}
 }
-func (p *panicProto) OnPacket(*adhoc.API, *adhoc.Packet)   {}
+func (p *panicProto) OnPacket(*adhoc.API, *adhoc.Packet)  {}
 func (p *panicProto) Originate(*adhoc.API, adhoc.Message) {}
 
 // TestGridBackedMatrix drives the parallel runner over grid-backed

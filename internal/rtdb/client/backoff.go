@@ -15,8 +15,9 @@ import (
 // client's schedule is a private random walk between base and max, so
 // reconnects arrive spread out. The seed makes a single client's schedule
 // reproducible (the torture and unit suites rely on that) while different
-// seeds give different schedules. The replica's tailer redials its primary
-// on the same walk.
+// seeds give different schedules. Dial and Query walk one each; every
+// re-attach — a subscription's resume, a follow stream's re-subscribe —
+// walks one through rejoin.
 type Backoff struct {
 	base, max time.Duration
 	prev      time.Duration
@@ -48,7 +49,3 @@ func (b *Backoff) Next() time.Duration {
 	b.prev = next
 	return next
 }
-
-// Reset returns the walk to its start, keeping the generator's state: the
-// pause after a clean end of stream should not inherit an outage's growth.
-func (b *Backoff) Reset() { b.prev = b.base }

@@ -24,6 +24,10 @@
 // primary. Fencing: the client remembers the highest epoch it has seen in
 // any Welcome or PromoteInfo and refuses to connect to a node announcing
 // an older one — a deposed primary cannot recapture its former clients.
+//
+// Replication runs on the same engine (Follow): Subscribe{AfterSeq} is a
+// cursor, each WalBatch a push handed to the follower, and its WalAcks leave
+// through the flusher; a lost stream re-subscribes on the jittered walk.
 package client
 
 import (
@@ -232,6 +236,10 @@ type Client struct {
 	smu  sync.Mutex
 	subs map[uint64]*Subscription
 
+	// follow is the stream of a client made by Follow; lost wakes its loop.
+	follow *FollowSpec
+	lost   chan struct{}
+
 	// wmu serializes socket writes: flush holds it from taking out until the
 	// write has returned, so bytes reach the socket in the order they were
 	// accepted while mu — and with it every sender that does not wait — stays
@@ -260,27 +268,13 @@ const outHigh = 4096
 // Options. addr may be a comma-separated failover list; dial failures
 // rotate through it.
 func Dial(addr string, opt Options) (*Client, error) {
-	opt.defaults()
-	var addrs []string
-	for _, a := range strings.Split(addr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
+	c := newClient(addr, opt)
+	if len(c.addrs) == 0 {
+		return nil, errNoAddr
 	}
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("client: no address to dial")
-	}
-	c := &Client{
-		addrs: addrs, opt: opt,
-		pending: make(map[uint64]chan any),
-		subs:    make(map[uint64]*Subscription),
-		kick:    make(chan struct{}, 1),
-		flushed: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	bo := NewBackoff(opt.Seed, opt.RetryBackoff, opt.RetryBackoffMax)
+	bo := NewBackoff(c.opt.Seed, c.opt.RetryBackoff, c.opt.RetryBackoffMax)
 	var err error
-	for attempt := 0; attempt <= opt.RetryAttempts; attempt++ {
+	for attempt := 0; attempt <= c.opt.RetryAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(bo.Next())
 		}
@@ -295,12 +289,91 @@ func Dial(addr string, opt Options) (*Client, error) {
 	return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 }
 
+var errNoAddr = errors.New("client: no address to dial")
+
+// newClient builds an unconnected client over the comma-separated list addr.
+func newClient(addr string, opt Options) *Client {
+	opt.defaults()
+	var addrs []string
+	for _, a := range strings.Split(addr, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	return &Client{
+		addrs: addrs, opt: opt,
+		pending: make(map[uint64]chan any),
+		subs:    make(map[uint64]*Subscription),
+		kick:    make(chan struct{}, 1),
+		flushed: make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+}
+
+// FollowSpec is the follower's side of a replication stream. The client
+// calls After and Adopt holding its own lock: they must not call into it,
+// and nothing holding a lock they take may either.
+type FollowSpec struct {
+	// After is the follower's tail: every connection subscribes after it,
+	// and every WalAck reports it.
+	After func() uint64
+	// Apply folds one WalBatch in; an error ends the attachment.
+	Apply func(rtwire.WalBatch) error
+	// Adopt sees every epoch the primary announces (Welcome, Heartbeat,
+	// PromoteInfo) before the client's own fencing check, and refuses a
+	// stale one with false: the follower's persisted epoch is the floor of
+	// the client's fencing watermark.
+	Adopt func(epoch uint64) bool
+	// Retry is told of every re-subscribe attempt after a lost stream.
+	Retry func()
+}
+
+// Follow opens a replication stream to the primary at addr and returns at
+// once. It dials in the background, and every connection's first frame is
+// Subscribe{After()}. Any loss — a dead or silent link, a stale epoch, a
+// Bye, an Err, a refused Apply — re-subscribes after a jittered pause, until
+// Close. Acks share socket writes through the flusher. A follower makes no
+// calls and issues no queries, so CallTimeout, RetryAttempts and
+// ChrononDuration go unused; 3 HeartbeatIntervals bound the silence.
+func Follow(addr string, opt Options, spec FollowSpec) *Client {
+	c := newClient(addr, opt)
+	c.follow, c.lost = &spec, make(chan struct{}, 1)
+	go c.flushLoop()
+	go c.followLoop()
+	return c
+}
+
+// followLoop keeps the stream attached: connect and flush (connectOneLocked
+// queues the Subscribe) on the re-attach walk, wait for the loss, pause.
+func (c *Client) followLoop() {
+	bo := c.backoff()
+	for lost := false; ; lost = true {
+		if lost && !c.sleep(bo.Next()) {
+			return
+		}
+		err := c.rejoin(bo, -1, func() error {
+			if lost {
+				c.follow.Retry()
+			}
+			return c.send(nil, true, true)
+		})
+		if err != nil {
+			return // closed
+		}
+		select {
+		case <-c.lost:
+		case <-c.done:
+			return
+		}
+	}
+}
+
 // connectLocked establishes a connection, walking the whole address ring
 // once: a dead or stale node rotates to the next address within the same
 // attempt, so one attempt fails only when every address does. Caller
 // holds mu.
 func (c *Client) connectLocked() error {
-	var err error
+	err := errNoAddr
 	for range c.addrs {
 		if err = c.connectOneLocked(); err == nil {
 			return nil
@@ -325,18 +398,17 @@ func (c *Client) connectOneLocked() error {
 	if err != nil {
 		return fail(nil, err)
 	}
-	m, br, err := Handshake(conn, c.opt.Name, c.opt.WriteTimeout, c.opt.DialTimeout)
+	m, br, err := handshake(conn, c.opt.Name, c.opt.WriteTimeout, c.opt.DialTimeout)
 	if err != nil {
 		return fail(conn, err)
 	}
-	if m.Epoch < c.epoch {
+	if c.staleLocked(m.Epoch) {
 		// A deposed primary still answering on its old address: its
 		// epoch predates one we have already seen. Refuse it.
 		c.Stats.StaleRejected.Add(1)
 		return fail(conn, fmt.Errorf("%w: %s announced epoch %d, newest seen is %d",
 			ErrStale, addr, m.Epoch, c.epoch))
 	}
-	c.epoch = m.Epoch
 	c.role = m.Role
 	c.Session = m.Session
 	c.shard, c.shards = m.Shard, m.Shards
@@ -354,6 +426,10 @@ func (c *Client) connectOneLocked() error {
 		}
 	}
 	c.lastAddr = addr
+	if c.follow != nil {
+		// The connection's first frame: out is empty, dropLocked saw to it.
+		c.out = rtwire.Subscribe{AfterSeq: c.follow.After(), Follower: c.opt.Name}.AppendTo(c.out)
+	}
 	c.gen++
 	gen := c.gen
 	c.lastRead.Store(time.Now().UnixNano())
@@ -364,13 +440,10 @@ func (c *Client) connectOneLocked() error {
 	return nil
 }
 
-// Handshake runs the opening exchange every dialling role shares — this
-// client and the replica's tailer: Hello out under writeTimeout, the first
-// frame back under readTimeout (the caller re-arms or clears the read
-// deadline afterwards). It returns the Welcome and the buffered reader the
-// connection must go on being read through; a refusal comes back as its
-// rtwire.Err. What a stale epoch means is the caller's decision.
-func Handshake(conn net.Conn, name string, writeTimeout, readTimeout time.Duration) (w rtwire.Welcome, br *bufio.Reader, err error) {
+// handshake sends Hello under writeTimeout and reads the Welcome under
+// readTimeout, returning it with the reader the connection goes on through;
+// a refusal comes back as its rtwire.Err.
+func handshake(conn net.Conn, name string, writeTimeout, readTimeout time.Duration) (w rtwire.Welcome, br *bufio.Reader, err error) {
 	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(rtwire.Hello{Client: name}.Encode()); err != nil {
 		return w, nil, err
@@ -420,7 +493,7 @@ func (c *Client) heartbeatLoop(conn net.Conn, gen int) {
 		if stale {
 			return
 		}
-		if time.Since(time.Unix(0, c.lastRead.Load())) >= 3*iv {
+		if c.Silence() >= 3*iv {
 			c.Stats.HeartbeatTimeouts.Add(1)
 			conn.Close() // the read loop unblocks and fails the pending calls
 			c.advance()  // and the next redial tries a different node first
@@ -436,26 +509,35 @@ func (c *Client) heartbeatLoop(conn net.Conn, gen int) {
 	}
 }
 
-// noteEpoch folds a peer-announced epoch into the fencing watermark; true
-// means the peer is stale (older than the newest epoch seen).
-func (c *Client) noteEpoch(e uint64) (stale bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e < c.epoch {
+// Silence is how long the peer has said nothing — zero until the first
+// connection.
+func (c *Client) Silence() time.Duration {
+	if last := c.lastRead.Load(); last != 0 {
+		return time.Since(time.Unix(0, last))
+	}
+	return 0
+}
+
+// staleLocked folds a peer-announced epoch into the fencing watermark; true
+// means the peer is stale: older than the newest epoch seen or, on a follow
+// stream, refused by Adopt. Caller holds mu.
+func (c *Client) staleLocked(e uint64) bool {
+	if c.follow != nil && !c.follow.Adopt(e) || e < c.epoch {
 		return true
 	}
 	c.epoch = e
 	return false
 }
 
-// notePromoted records that the connected node announced itself primary.
-func (c *Client) notePromoted(e uint64) {
+// noteEpoch is staleLocked for a frame the read loop took; a PromoteInfo's
+// epoch (promoted) that is not stale also marks the node primary.
+func (c *Client) noteEpoch(e uint64, promoted bool) (stale bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e >= c.epoch {
-		c.epoch = e
+	if stale = c.staleLocked(e); promoted && !stale {
 		c.role = rtwire.RolePrimary
 	}
+	return stale
 }
 
 // rotate abandons the current connection and advances to the next address;
@@ -564,8 +646,22 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 			c.deliver(m.ID, msg)
 		case rtwire.SubAck:
 			c.deliver(m.ID, msg)
+		case rtwire.WalBatch:
+			if c.follow == nil || c.follow.Apply(m) != nil {
+				conn.Close() // unasked for, or refused: a follower re-subscribes
+				return
+			}
+			// Time spent applying (fsync, replay) is not the primary's silence.
+			c.lastRead.Store(time.Now().UnixNano())
+			_ = c.send(func(b []byte) []byte { return rtwire.WalAck{Seq: c.follow.After()}.AppendTo(b) }, false, false)
 		case rtwire.Err:
 			if !c.deliver(m.ID, msg) {
+				if c.follow != nil {
+					// A refusal ends the attachment: a follower never sits
+					// connected and unfed.
+					conn.Close()
+					return
+				}
 				switch m.Code {
 				case rtwire.CodeBackpressure:
 					// A bounced fire-and-forget sample.
@@ -576,7 +672,7 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 				}
 			}
 		case rtwire.Heartbeat:
-			if c.noteEpoch(m.Epoch) {
+			if c.noteEpoch(m.Epoch, false) {
 				// A heartbeat from a deposed primary: cut the link.
 				conn.Close()
 				return
@@ -588,7 +684,7 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 				}
 			}
 		case rtwire.PromoteInfo:
-			c.notePromoted(m.Epoch)
+			c.noteEpoch(m.Epoch, true)
 		case rtwire.Bye:
 			return
 		}
@@ -641,10 +737,11 @@ func (c *Client) dropLocked() {
 }
 
 // send accepts one frame for the connection. encode appends the frame to
-// the buffer it is given (a message's AppendTo). redial controls whether a
-// dead connection is re-established first; wait says the caller waits on
-// this frame, so it — and everything accepted ahead of it — is handed to
-// the socket before send returns.
+// the buffer it is given (a message's AppendTo; nil: no frame, the follow
+// stream's connect-and-flush). redial controls whether a dead connection is
+// re-established first; wait says the caller waits on this frame, so it —
+// and everything accepted ahead of it — is handed to the socket before send
+// returns.
 func (c *Client) send(encode func([]byte) []byte, redial, wait bool) error {
 	return c.sendTimeout(encode, redial, wait, c.opt.WriteTimeout)
 }
@@ -668,7 +765,9 @@ func (c *Client) sendTimeout(encode func([]byte) []byte, redial, wait bool, wt t
 		}
 		c.Stats.Redials.Add(1)
 	}
-	c.out = encode(c.out)
+	if encode != nil {
+		c.out = encode(c.out)
+	}
 	gen, full := c.gen, len(c.out) >= outHigh
 	c.mu.Unlock()
 	if wait || full {

@@ -2,8 +2,8 @@ package client
 
 import "rtc/internal/rtwire"
 
-// newBackoff is the constructor's name from before the replica's tailer
-// shared the walk; the TestBackoff* suite is kept as it was written.
+// newBackoff is the constructor's name from before the walk was exported;
+// the TestBackoff* suite is kept as it was written.
 var newBackoff = NewBackoff
 
 // SendWaited is the send half of a Flush and of a Query — the frames their

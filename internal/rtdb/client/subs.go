@@ -164,8 +164,14 @@ func (c *Client) attach(s *Subscription, resume bool) error {
 
 // resumeSubs relaunches every live subscription after a connection loss.
 // Subscriptions already mid-resume keep their own retry loop; everyone
-// else gets one.
+// else gets one. The follow stream's loop is woken to re-subscribe.
 func (c *Client) resumeSubs() {
+	if c.follow != nil {
+		select {
+		case c.lost <- struct{}{}:
+		default: // a loss is already pending
+		}
+	}
 	c.smu.Lock()
 	var list []*Subscription
 	for id, s := range c.subs {
@@ -180,33 +186,37 @@ func (c *Client) resumeSubs() {
 	}
 }
 
-// resumeLoop re-attaches one subscription with backoff, walking the
-// failover ring through the normal redial path. Liveness failures retry;
-// a refusal or client shutdown ends the subscription with that error.
+// resumeLoop re-attaches one subscription, walking the failover ring
+// through the normal redial path. A refusal, running out of attempts or
+// client shutdown ends the subscription with that error.
 func (c *Client) resumeLoop(s *Subscription) {
 	defer s.endResume()
-	bo := NewBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
-		c.opt.RetryBackoff, c.opt.RetryBackoffMax)
-	var lastErr error
-	for attempt := 0; attempt <= c.opt.RetryAttempts; attempt++ {
-		if attempt > 0 {
-			if !c.sleep(bo.Next()) {
-				s.finish(ErrClosed)
-				return
-			}
-		}
-		err := c.attach(s, true)
-		if err == nil {
-			c.Stats.Resubscribes.Add(1)
-			return
-		}
-		lastErr = err
-		if errors.Is(err, ErrConnDown) || errors.Is(err, ErrTimeout) {
-			continue
-		}
-		break
+	if err := c.rejoin(c.backoff(), c.opt.RetryAttempts+1, func() error { return c.attach(s, true) }); err != nil {
+		s.finish(err)
+		return
 	}
-	s.finish(lastErr)
+	c.Stats.Resubscribes.Add(1)
+}
+
+// backoff starts a walk of its own, spread from the client's other walks.
+func (c *Client) backoff() *Backoff {
+	return NewBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
+		c.opt.RetryBackoff, c.opt.RetryBackoffMax)
+}
+
+// rejoin is the one re-attach walk, a resume's and the follow stream's: it
+// tries attach, pausing on bo after each liveness failure (ErrConnDown,
+// ErrTimeout), tries times in all (< 0: until Close).
+func (c *Client) rejoin(bo *Backoff, tries int, attach func() error) error {
+	for attempt := 1; ; attempt++ {
+		err := attach()
+		if err == nil || !errors.Is(err, ErrConnDown) && !errors.Is(err, ErrTimeout) || attempt == tries {
+			return err
+		}
+		if !c.sleep(bo.Next()) {
+			return ErrClosed
+		}
+	}
 }
 
 // dispatchPush routes one push frame to its subscription. An unknown id is

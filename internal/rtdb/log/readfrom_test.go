@@ -133,7 +133,7 @@ func TestReadFromTwoFollowers(t *testing.T) {
 }
 
 // TestReadFromAcrossSegmentsAndCompaction: a position walks over segment
-// boundaries like ReadSince does, and one whose segment compaction removed
+// boundaries as a fresh one does, and one whose segment compaction removed
 // is located again — served if its events survive, told to resync if not.
 func TestReadFromAcrossSegmentsAndCompaction(t *testing.T) {
 	l, err := Open(Options{Dir: t.TempDir(), SegmentSize: 64})

@@ -169,12 +169,6 @@ func (l *Log) placeRead(pos ReadPos, max int) (p ReadPos, skip uint64, n int, er
 	return pos, pos.Seq + 1 - first, n, nil
 }
 
-// ReadSince is ReadFrom for a reader that keeps no position: it locates
-// afterSeq from scratch on every call.
-func (l *Log) ReadSince(afterSeq uint64, max int) ([]SeqEvent, error) {
-	return l.ReadFrom(&ReadPos{Seq: afterSeq}, max)
-}
-
 // Advanced returns a channel that is closed once a ReadFrom at afterSeq has
 // something new to report: the shippable tail is past afterSeq, or the log
 // closed or poisoned. It is already closed when that holds now, so a reader

@@ -24,9 +24,11 @@ func fillLog(t *testing.T, l *Log, n int) []Event {
 	return events
 }
 
-// TestReadSinceGaps is the table-driven gap battery for Subscribe handling:
-// afterSeq past the tail, inside a compacted-away segment (forces a full
-// resync), exactly at a segment boundary, at the tail, and mid-segment.
+// TestReadSinceGaps is the table-driven gap battery for Subscribe handling —
+// a fresh ReadFrom position at the follower's afterSeq, as a new
+// subscription starts: afterSeq past the tail, inside a compacted-away
+// segment (forces a full resync), exactly at a segment boundary, at the
+// tail, and mid-segment.
 func TestReadSinceGaps(t *testing.T) {
 	// Small segments so the log rotates: each Append is ~20 bytes, so
 	// SegmentSize 64 seals a segment every ~3 events.
@@ -50,7 +52,7 @@ func TestReadSinceGaps(t *testing.T) {
 	t.Run("past_tail", func(t *testing.T) {
 		l, _ := mk(t, false)
 		defer l.Close()
-		if _, err := l.ReadSince(31, 100); !errors.Is(err, ErrSeqFuture) {
+		if _, err := l.ReadFrom(&ReadPos{Seq: 31}, 100); !errors.Is(err, ErrSeqFuture) {
 			t.Fatalf("afterSeq past tail: err = %v, want ErrSeqFuture", err)
 		}
 	})
@@ -58,7 +60,7 @@ func TestReadSinceGaps(t *testing.T) {
 	t.Run("at_tail", func(t *testing.T) {
 		l, _ := mk(t, false)
 		defer l.Close()
-		got, err := l.ReadSince(30, 100)
+		got, err := l.ReadFrom(&ReadPos{Seq: 30}, 100)
 		if err != nil || len(got) != 0 {
 			t.Fatalf("afterSeq at tail: got %d events, err %v; want 0, nil", len(got), err)
 		}
@@ -69,7 +71,7 @@ func TestReadSinceGaps(t *testing.T) {
 		defer l.Close()
 		// After Snapshot+Compact only the active segment survives; a
 		// subscriber that is far behind must be told to resync in full.
-		if _, err := l.ReadSince(0, 100); !errors.Is(err, ErrSeqCompacted) {
+		if _, err := l.ReadFrom(&ReadPos{Seq: 0}, 100); !errors.Is(err, ErrSeqCompacted) {
 			t.Fatalf("afterSeq in compacted segment: err = %v, want ErrSeqCompacted", err)
 		}
 	})
@@ -89,7 +91,7 @@ func TestReadSinceGaps(t *testing.T) {
 			t.Fatalf("want ≥ 3 segments for a boundary test, got %d", len(boundaries))
 		}
 		for _, after := range boundaries {
-			got, err := l.ReadSince(after, len(events))
+			got, err := l.ReadFrom(&ReadPos{Seq: after}, len(events))
 			if err != nil {
 				t.Fatalf("afterSeq %d at boundary: %v", after, err)
 			}
@@ -111,7 +113,7 @@ func TestReadSinceGaps(t *testing.T) {
 	t.Run("mid_segment_with_max", func(t *testing.T) {
 		l, events := mk(t, false)
 		defer l.Close()
-		got, err := l.ReadSince(7, 5)
+		got, err := l.ReadFrom(&ReadPos{Seq: 7}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +142,7 @@ func TestReadSinceGaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l2.Close()
-		got, err := l2.ReadSince(0, len(events))
+		got, err := l2.ReadFrom(&ReadPos{Seq: 0}, len(events))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,12 +228,12 @@ func TestBootstrapAlignsSequence(t *testing.T) {
 	if err := dst.Append(Sample(100, "temp", "x")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dst.ReadSince(seq, 10)
+	got, err := dst.ReadFrom(&ReadPos{Seq: seq}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Seq != seq+1 {
-		t.Fatalf("post-bootstrap ReadSince: %+v", got)
+		t.Fatalf("post-bootstrap ReadFrom: %+v", got)
 	}
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"rtc/internal/faultfs"
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
-	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
 	"rtc/internal/timeseq"
 )
@@ -32,9 +31,9 @@ func BenchmarkReplicaCatchup(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r, err := Open(Config{
-					Primary:      addr,
-					WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(uint64(i))},
-					RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 1,
+					Primary: addr,
+					WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(uint64(i))},
+					Client:  client.Options{RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 1},
 				}, server.Config{})
 				if err != nil {
 					b.Fatal(err)
@@ -68,9 +67,9 @@ func BenchmarkFailover(b *testing.B) {
 			}
 		}
 		r, err := Open(Config{
-			Primary:      addr,
-			WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(uint64(i))},
-			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 1,
+			Primary: addr,
+			WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(uint64(i))},
+			Client:  client.Options{RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 1},
 		}, testServer())
 		if err != nil {
 			b.Fatal(err)
@@ -121,11 +120,8 @@ func benchStandby(b *testing.B) (*wal.Log, *Replica, *client.Client) {
 	if !r.WaitSeq(lp.Seq(), 10*time.Second) {
 		b.Fatalf("replica stuck at %d", r.Seq())
 	}
-	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := client.Dial(la.String(), client.Options{Name: "bench"})
+	la := listenStandby(b, r)
+	c, err := client.Dial(la, client.Options{Name: "bench"})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rtc/internal/faultfs"
+	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
@@ -50,9 +51,10 @@ func TestBatchedShippingWatermark(t *testing.T) {
 			Dir: "rwal", FS: memR, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20,
 			Sync: true,
 		},
-		Name:         "gc-follower",
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-		Seed: 9, HeartbeatTimeout: 5 * time.Second,
+		Client: client.Options{Name: "gc-follower",
+			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
+			Seed: 9, HeartbeatInterval: 5 * time.Second / 3,
+		},
 	}, testServer())
 	if err != nil {
 		t.Fatal(err)

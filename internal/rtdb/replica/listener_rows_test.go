@@ -30,12 +30,9 @@ func TestStandbyMetricsDurabilityRows(t *testing.T) {
 	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
 		t.Fatalf("replica stuck at seq %d, want %d", r.Seq(), len(events))
 	}
-	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	la := listenStandby(t, r)
 
-	nc, err := net.Dial("tcp", la.String())
+	nc, err := net.Dial("tcp", la)
 	if err != nil {
 		t.Fatal(err)
 	}

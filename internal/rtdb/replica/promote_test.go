@@ -10,7 +10,6 @@ import (
 	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
-	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 )
@@ -25,14 +24,11 @@ func TestStandbyBoundsConnections(t *testing.T) {
 	sc.Sessions = 2
 	r := openTestReplica(t, addr, sc)
 	defer r.Close()
-	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	la := listenStandby(t, r)
 	for i := 0; i < sc.Sessions; i++ {
-		standbyConn(t, la.String())
+		standbyConn(t, la)
 	}
-	nc, err := net.Dial("tcp", la.String())
+	nc, err := net.Dial("tcp", la)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +88,8 @@ func TestPlannedPromotionKeepsConnection(t *testing.T) {
 	}
 	replicate(append(testEvents(0), hot(1, 4)...)...)
 
-	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := client.Dial(la.String(), client.Options{Name: "planned", HeartbeatInterval: -1})
+	la := listenStandby(t, r)
+	c, err := client.Dial(la, client.Options{Name: "planned", HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

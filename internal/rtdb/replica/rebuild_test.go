@@ -9,6 +9,7 @@ import (
 	"rtc/internal/deadline"
 	"rtc/internal/faultfs"
 	"rtc/internal/rtdb"
+	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
@@ -201,11 +202,12 @@ func TestReconnectMidSegmentGroupCommit(t *testing.T) {
 	memR := faultfs.NewMem(52)
 	follow := func() *Replica {
 		r, err := Open(Config{
-			Primary:      addr.String(),
-			WAL:          wal.Options{Dir: "rwal", FS: memR, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20, Sync: true},
-			Name:         "gc-follower",
-			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-			Seed: 9, HeartbeatTimeout: 5 * time.Second,
+			Primary: addr.String(),
+			WAL:     wal.Options{Dir: "rwal", FS: memR, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20, Sync: true},
+			Client: client.Options{Name: "gc-follower",
+				RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
+				Seed: 9, HeartbeatInterval: 5 * time.Second / 3,
+			},
 		}, testServer())
 		if err != nil {
 			t.Fatal(err)

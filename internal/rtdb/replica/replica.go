@@ -1,11 +1,12 @@
 // Package replica is the follower side of rtdbd replication: a node that
-// dials the primary, tails its write-ahead log over the rtwire replication
-// frames (Subscribe → WalBatch/WalAck) into a log of its own, and serves
-// hot-standby reads through one server.Server in the follower role: the same
-// sessions, copy-on-write as-of snapshots and standing-query engine a
-// primary serves through, refusing writes and firm-deadline queries with
-// server.ErrReadOnly and answering the rest degraded from replicated state.
-// Promote flips that server to a primary in place.
+// follows the primary's write-ahead log — one client.Follow stream over the
+// rtwire replication frames (Subscribe → WalBatch/WalAck), the client's own
+// connection engine — into a log of its own, and serves hot-standby reads
+// through one server.Server in the follower role: the same sessions,
+// copy-on-write as-of snapshots and standing-query engine a primary serves
+// through, refusing writes and firm-deadline queries with server.ErrReadOnly
+// and answering the rest degraded from replicated state. Promote flips that
+// server to a primary in place.
 //
 // Correctness rests on three invariants:
 //
@@ -24,20 +25,18 @@
 //   - Fencing. Every replication frame carries the primary's epoch. A
 //     frame with an epoch older than the replica's own persisted epoch is
 //     from a deposed primary and is refused; a newer epoch is adopted and
-//     persisted before any of its events apply. Promote bumps the epoch,
-//     so a promoted replica can never be recaptured by its old primary.
+//     persisted before any of its events apply — from a Welcome, Heartbeat
+//     or PromoteInfo too, batch or no batch. Promote bumps the epoch, so a
+//     promoted replica can never be recaptured by its old primary.
 package replica
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"rtc/internal/faultnet"
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
@@ -53,98 +52,45 @@ type Config struct {
 	// independent of the primary's: a replica with Sync on survives its own
 	// crashes at the sequence it acked).
 	WAL wal.Options
-	// Name identifies this follower in its Subscribe frame.
-	Name string
-
-	// DialTimeout bounds one connect to the primary (default 5s).
-	DialTimeout time.Duration
-	// RetryBackoff / RetryBackoffMax bound the jittered reconnect pauses
-	// (defaults 50ms / 2s); Seed makes the schedule reproducible.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	Seed            uint64
-	// HeartbeatTimeout cuts the primary connection after this much inbound
-	// silence (default 45s — 3× the primary's default beacon interval).
-	HeartbeatTimeout time.Duration
 	// PromoteAfter, when positive, promotes the replica automatically once
 	// the primary has been silent (counting failed redials) for this long.
 	// Zero means promotion is manual (Promote).
 	PromoteAfter time.Duration
-	// WriteTimeout bounds one write of the tailer's own frames (Hello,
-	// Subscribe, WalAck) to the primary (default 10s).
-	WriteTimeout time.Duration
-	// Dialer makes the tailer's connections to the primary (default
-	// faultnet.OS — a real TCP dial). Torture tests inject partitions and
-	// stalls into the replication stream through it.
-	Dialer faultnet.Dialer
+	// Client tunes the follow stream's connection, with the client's
+	// defaults: name, timeouts, redial walk, beacon interval (3 bound the
+	// primary's silence) and the Dialer torture tests inject faults through.
+	Client client.Options
 }
 
-func (c *Config) defaults() {
-	if c.Name == "" {
-		c.Name = "replica"
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = uint64(time.Now().UnixNano())
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 45 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.Dialer == nil {
-		c.Dialer = faultnet.OS{}
-	}
-}
-
-// Replication protocol states surfaced as errors inside the tailer.
+// Replication protocol states surfaced as errors to the follow stream.
 var (
 	errStaleBatch = errors.New("replica: batch from a deposed primary epoch")
 	errGap        = errors.New("replica: sequence gap; re-subscribe required")
-	errPromoted   = errors.New("replica: promoted; the stream is over")
+	errStopped    = errors.New("replica: promoted or closed; the stream is over")
 	errNoLog      = errors.New("replica: no log: a failed resync could not reopen the directory")
 )
-
-// readMsg is the tailer's decode path.
-func readMsg(br *bufio.Reader) (any, error) {
-	f, err := rtwire.ReadFrame(br)
-	if err != nil {
-		return nil, err
-	}
-	return rtwire.Decode(f)
-}
 
 // Replica is one follower node.
 type Replica struct {
 	cfg Config
-	srv *server.Server // its Repl books are the tailer's to keep
+	srv *server.Server // its Repl books are the follow stream's to keep
 
-	// mu guards log/pendingSnap/conn/promoted/seqCh/ns and is held across a
-	// whole batch — its log append and its server.Replicate — so Seq never
-	// sees a sequence whose events the server has not applied, and Promote
-	// never lands inside a batch. Holding it across the server's requests
-	// cannot deadlock: the apply loop never takes it, and a stopped server
-	// answers ErrClosed. The replica owns log: it opened it, and Close
-	// closes it; srv reads it.
+	// mu guards log/pendingSnap/cl/promoted/closed/seqCh/ns and is held
+	// across a whole batch — its log append and its server.Replicate — so Seq
+	// never sees a sequence whose events the server has not applied, and
+	// Promote never lands inside a batch. Holding it across the server's
+	// requests cannot deadlock: the apply loop never takes it, and a stopped
+	// server answers ErrClosed. The stream's client calls its hooks holding
+	// its own lock, so nothing here calls the client holding mu. The replica
+	// owns log: it opened it, and Close closes it; srv reads it.
 	mu          sync.Mutex
 	log         *wal.Log
 	pendingSnap []wal.Event
-	conn        net.Conn // live tailer connection
+	cl          *client.Client // the follow stream, once Start ran
 	promoted    bool
+	closed      bool
 	seqCh       chan struct{}    // closed and replaced on every applied batch
 	ns          *netserve.Server // the standby listener, once ServeOn ran
-
-	lastHeard atomic.Int64 // unix nanos of the newest primary frame
-	connected atomic.Bool  // a subscription succeeded at least once
 
 	promotedCh chan struct{}
 	quit       chan struct{}
@@ -155,10 +101,9 @@ type Replica struct {
 // Open loads (or creates) the replica's local WAL and starts a follower
 // server over it (server.NewFollower) with sc — whose catalog and registry
 // answer degraded reads, whose Sessions bound the standby's connections and
-// whose Rules are installed at promotion; sc.Log is ignored. The tailer is
-// not started; call Start.
+// whose Rules are installed at promotion; sc.Log is ignored. The follow
+// stream is not started; call Start.
 func Open(cfg Config, sc server.Config) (*Replica, error) {
-	cfg.defaults()
 	l, err := wal.Open(cfg.WAL)
 	if err != nil {
 		return nil, err
@@ -172,19 +117,25 @@ func Open(cfg Config, sc server.Config) (*Replica, error) {
 		promotedCh: make(chan struct{}),
 		quit:       make(chan struct{}),
 	}
-	r.lastHeard.Store(time.Now().UnixNano())
 	r.srv.Start()
 	return r, nil
 }
 
-// Start launches the tailer (and the auto-promotion watchdog when
+// Start opens the follow stream (and the auto-promotion watchdog when
 // configured).
 func (r *Replica) Start() {
-	r.wg.Add(1)
-	go r.tail()
+	cl := client.Follow(r.cfg.Primary, r.cfg.Client, client.FollowSpec{
+		After: r.Seq,
+		Apply: r.applyBatch,
+		Adopt: r.adoptEpoch,
+		Retry: func() { r.srv.Repl.Reconnects.Add(1) },
+	})
+	r.mu.Lock()
+	r.cl = cl
+	r.mu.Unlock()
 	if r.cfg.PromoteAfter > 0 {
 		r.wg.Add(1)
-		go r.watchdog()
+		go r.watchdog(cl)
 	}
 }
 
@@ -246,19 +197,6 @@ func (r *Replica) WaitSeq(seq uint64, timeout time.Duration) bool {
 	}
 }
 
-// Listen starts the standby listener on addr in a background goroutine and
-// returns the bound address. opt is what a primary's listener would take.
-func (r *Replica) Listen(addr string, opt netserve.Options) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.ServeOn(ln, opt); err != nil {
-		return nil, err
-	}
-	return ln.Addr(), nil
-}
-
 // ServeOn serves the node on an already-bound listener — the injection
 // point torture tests use to put the standby behind a faultnet fabric — and
 // returns the listener's server, which keeps serving through a promotion.
@@ -281,7 +219,7 @@ func (r *Replica) ServeOn(ln net.Listener, opt netserve.Options) (*netserve.Serv
 }
 
 // Promote fences the old primary and turns this node into the new one in
-// place: the tailer stops, and the server bumps and persists the epoch,
+// place: the follow stream stops, and the server bumps and persists the epoch,
 // installs its rules and takes writes from then on (server.Promote). The
 // listener keeps running, so connections and subscriptions survive; every
 // connected client is told (PromoteInfo, best-effort: Promote never waits on
@@ -299,31 +237,34 @@ func (r *Replica) Promote() (uint64, error) {
 		return 0, err
 	}
 	r.promoted = true
-	if r.conn != nil {
-		r.conn.Close()
-	}
-	seq, ns := r.log.Seq(), r.ns
+	seq, ns, cl := r.log.Seq(), r.ns, r.cl
 	r.mu.Unlock()
 	r.srv.Repl.Promotions.Add(1) // counted before anyone waiting on Promoted wakes
 	close(r.promotedCh)
 	if ns != nil {
 		ns.PromoteInfo(epoch, seq)
 	}
+	// Last: a Bye to a stalled primary may wait out a write timeout, and
+	// nothing the stream still reads can land (applyBatch refuses it).
+	if cl != nil {
+		cl.Close()
+	}
 	return epoch, nil
 }
 
-// Close stops the tailer, drains the listener (each client gets a Bye and
-// its subscriptions' books are closed), stops the server and closes the
-// local WAL — in either role.
+// Close stops the follow stream, drains the listener (each client gets a
+// Bye and its subscriptions' books are closed), stops the server and closes
+// the local WAL — in either role.
 func (r *Replica) Close() error {
 	r.closeOnce.Do(func() {
 		close(r.quit)
 		r.mu.Lock()
-		if r.conn != nil {
-			r.conn.Close()
-		}
-		ns := r.ns
+		r.closed = true // the stream's read loop is not ours to wait for: refuse it
+		cl, ns := r.cl, r.ns
 		r.mu.Unlock()
+		if cl != nil {
+			cl.Close()
+		}
 		if ns != nil {
 			_ = ns.Close()
 		}
@@ -338,121 +279,6 @@ func (r *Replica) Close() error {
 	return r.log.Close()
 }
 
-// tail is the follower loop: connect, subscribe, stream, and on any loss
-// redial on the client's decorrelated-jitter walk.
-func (r *Replica) tail() {
-	defer r.wg.Done()
-	bo := client.NewBackoff(r.cfg.Seed, r.cfg.RetryBackoff, r.cfg.RetryBackoffMax)
-	for {
-		select {
-		case <-r.quit:
-			return
-		case <-r.promotedCh:
-			return
-		default:
-		}
-		if err := r.streamOnce(); err == nil {
-			bo.Reset() // clean end (Bye)
-		}
-		select {
-		case <-r.quit:
-			return
-		case <-r.promotedCh:
-			return
-		default:
-		}
-		r.srv.Repl.Reconnects.Add(1)
-		select {
-		case <-time.After(bo.Next()):
-		case <-r.quit:
-			return
-		case <-r.promotedCh:
-			return
-		}
-	}
-}
-
-// streamOnce runs one subscription: handshake, Subscribe from the local
-// tail, then apply WalBatch frames until the stream dies.
-func (r *Replica) streamOnce() error {
-	conn, err := r.cfg.Dialer.DialTimeout("tcp", r.cfg.Primary, r.cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	if r.promoted {
-		r.mu.Unlock()
-		conn.Close()
-		return nil
-	}
-	r.conn = conn
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		if r.conn == conn {
-			r.conn = nil
-		}
-		r.mu.Unlock()
-		conn.Close()
-	}()
-
-	w, br, err := client.Handshake(conn, r.cfg.Name, r.cfg.WriteTimeout, r.cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	if w.Epoch < r.Epoch() {
-		// The "primary" is itself deposed; refuse to follow it.
-		r.srv.Repl.StaleBatches.Add(1)
-		return fmt.Errorf("replica: primary %s announces stale epoch %d (have %d)",
-			r.cfg.Primary, w.Epoch, r.Epoch())
-	}
-	_ = r.adoptEpoch(w.Epoch)
-
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	subscribe := rtwire.Subscribe{AfterSeq: r.Seq(), Follower: r.cfg.Name}
-	if _, err := conn.Write(subscribe.Encode()); err != nil {
-		return err
-	}
-	r.connected.Store(true)
-	r.lastHeard.Store(time.Now().UnixNano())
-
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.HeartbeatTimeout))
-		msg, err := readMsg(br)
-		if err != nil {
-			return err
-		}
-		r.lastHeard.Store(time.Now().UnixNano())
-		switch m := msg.(type) {
-		case rtwire.WalBatch:
-			// The server has served every standing-query tick the batch
-			// made due before applyBatch returns, so the pushes an acked seq
-			// implies are queued by the time anyone can observe that seq.
-			if err := r.applyBatch(m); err != nil {
-				return err // a gap redials; Subscribe restarts from the local tail
-			}
-			_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-			if _, err := conn.Write(rtwire.WalAck{Seq: r.Seq()}.Encode()); err != nil {
-				return err
-			}
-		case rtwire.Heartbeat:
-			if m.Epoch < r.Epoch() {
-				r.srv.Repl.StaleBatches.Add(1)
-				return errStaleBatch
-			}
-			_ = r.adoptEpoch(m.Epoch)
-		case rtwire.PromoteInfo:
-			_ = r.adoptEpoch(m.Epoch)
-		case rtwire.Err:
-			return fmt.Errorf("replica: primary refused: %v", m)
-		case rtwire.Bye:
-			return nil
-		default:
-			// Tolerated: unknown-but-decodable frames don't kill the stream.
-		}
-	}
-}
-
 // applyBatch folds one WalBatch into the local log and then the server. It
 // is the unit the protocol tests drive directly: epoch fencing, duplicate
 // skipping, gap detection, and snapshot bootstrap all live here.
@@ -460,8 +286,8 @@ func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch {
-	case r.promoted:
-		return errPromoted // read before the promotion; it must not land after
+	case r.promoted || r.closed:
+		return errStopped // read before the promotion or Close; it must not land after
 	case r.log == nil:
 		return errNoLog
 	case b.Epoch < r.log.Epoch():
@@ -548,20 +374,26 @@ func (r *Replica) appliedLocked() {
 	r.seqCh = make(chan struct{})
 }
 
-// adoptEpoch persists a newer primary epoch.
-func (r *Replica) adoptEpoch(e uint64) error {
+// adoptEpoch is the follow stream's fence (client.FollowSpec.Adopt): it
+// persists a newer primary epoch, and refuses an older one, counted.
+func (r *Replica) adoptEpoch(e uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.log == nil {
-		return errNoLog
+	switch {
+	case r.promoted || r.closed || r.log == nil:
+		return false
+	case e < r.log.Epoch():
+		r.srv.Repl.StaleBatches.Add(1)
+		return false
 	}
-	return r.log.AdoptEpoch(e)
+	_ = r.log.AdoptEpoch(e) // a failed write fails the batch behind it
+	return true
 }
 
 // watchdog auto-promotes once the primary has been silent for PromoteAfter.
-// It only fires after at least one successful subscription — a replica that
-// never reached any primary has nothing worth promoting.
-func (r *Replica) watchdog() {
+// It only fires after the stream first connected — a replica that never
+// reached any primary has nothing worth promoting.
+func (r *Replica) watchdog(cl *client.Client) {
 	defer r.wg.Done()
 	tick := r.cfg.PromoteAfter / 4
 	if tick <= 0 {
@@ -572,11 +404,7 @@ func (r *Replica) watchdog() {
 	for {
 		select {
 		case <-t.C:
-			if !r.connected.Load() {
-				continue
-			}
-			silent := time.Since(time.Unix(0, r.lastHeard.Load()))
-			if silent >= r.cfg.PromoteAfter {
+			if cl.Silence() >= r.cfg.PromoteAfter {
 				_, _ = r.Promote()
 				return
 			}

@@ -11,6 +11,7 @@ import (
 
 	"rtc/internal/faultfs"
 	"rtc/internal/rtdb"
+	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
@@ -20,6 +21,30 @@ import (
 
 // newFrameReader wraps a raw test connection for readMsg.
 func newFrameReader(nc net.Conn) *bufio.Reader { return bufio.NewReader(nc) }
+
+// readMsg reads and decodes the next frame of a raw test connection.
+func readMsg(br *bufio.Reader) (any, error) {
+	f, err := rtwire.ReadFrame(br)
+	if err != nil {
+		return nil, err
+	}
+	return rtwire.Decode(f)
+}
+
+// listenStandby serves r's standby listener on a loopback port with default
+// options and returns its address.
+func listenStandby(t testing.TB, r *Replica) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ServeOn(ln, netserve.Options{}); err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	return ln.Addr().String()
+}
 
 // testEvents is a small deterministic workload: the catalog prologue plus n
 // samples spread over the images.
@@ -116,11 +141,12 @@ func newTestReplica(t testing.TB, primary string) *Replica {
 func openTestReplica(t testing.TB, primary string, sc server.Config) *Replica {
 	t.Helper()
 	r, err := Open(Config{
-		Primary:      primary,
-		WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 2048, SnapshotEvery: 32},
-		Name:         "t-follower",
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-		Seed: 7, HeartbeatTimeout: 5 * time.Second,
+		Primary: primary,
+		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 2048, SnapshotEvery: 32},
+		Client: client.Options{Name: "t-follower",
+			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
+			Seed: 7, HeartbeatInterval: 5 * time.Second / 3,
+		},
 	}, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +234,8 @@ func TestCompactedCatchupResyncs(t *testing.T) {
 	if err := lp.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lp.ReadSince(0, 1); err != wal.ErrSeqCompacted {
-		t.Fatalf("precondition: ReadSince(0) = %v, want ErrSeqCompacted", err)
+	if _, err := lp.ReadFrom(&wal.ReadPos{}, 1); !errors.Is(err, wal.ErrSeqCompacted) {
+		t.Fatalf("precondition: ReadFrom(0) = %v, want ErrSeqCompacted", err)
 	}
 
 	r := newTestReplica(t, addr)
@@ -298,7 +324,7 @@ func TestApplyBatchDiscipline(t *testing.T) {
 }
 
 // TestPromoteFencesAndSurvives: promotion bumps the epoch durably and stops
-// the tailer; the promoted server logs the writes it takes.
+// the follow stream; the promoted server logs the writes it takes.
 func TestPromoteFencesAndSurvives(t *testing.T) {
 	lp, _, addr := newTestPrimary(t, 1<<16, 1<<20)
 	events := testEvents(10)
@@ -309,9 +335,9 @@ func TestPromoteFencesAndSurvives(t *testing.T) {
 	}
 	fs := faultfs.NewMem(4)
 	r, err := Open(Config{
-		Primary:      addr,
-		WAL:          wal.Options{Dir: "rwal", FS: fs, SegmentSize: 2048, SnapshotEvery: 32},
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 9,
+		Primary: addr,
+		WAL:     wal.Options{Dir: "rwal", FS: fs, SegmentSize: 2048, SnapshotEvery: 32},
+		Client:  client.Options{RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 9},
 	}, testServer())
 	if err != nil {
 		t.Fatal(err)
@@ -371,11 +397,12 @@ func TestWatchdogAutoPromotes(t *testing.T) {
 		}
 	}
 	r, err := Open(Config{
-		Primary:      addr,
-		WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(5), SegmentSize: 2048, SnapshotEvery: 32},
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 10 * time.Millisecond, Seed: 11,
-		HeartbeatTimeout: 100 * time.Millisecond,
-		PromoteAfter:     200 * time.Millisecond,
+		Primary: addr,
+		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(5), SegmentSize: 2048, SnapshotEvery: 32},
+		Client: client.Options{RetryBackoff: time.Millisecond, RetryBackoffMax: 10 * time.Millisecond, Seed: 11,
+			HeartbeatInterval: 100 * time.Millisecond / 3,
+		},
+		PromoteAfter: 200 * time.Millisecond,
 	}, testServer())
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"rtc/internal/faultfs"
 	"rtc/internal/rtdb"
+	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
@@ -57,11 +58,13 @@ func TestShardReplication(t *testing.T) {
 	r, err := Open(Config{
 		Primary: addrs[followShard],
 		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(99), Sync: true},
-		Name:    "shard-follower",
-		Seed:    7,
+		Client: client.Options{
+			Name: "shard-follower",
+			Seed: 7,
 
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-		HeartbeatTimeout: 5 * time.Second,
+			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
+			HeartbeatInterval: 5 * time.Second / 3,
+		},
 	}, server.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"rtc/internal/deadline"
 	wal "rtc/internal/rtdb/log"
-	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 )
@@ -69,11 +68,8 @@ func TestStandbySubscriptions(t *testing.T) {
 	}
 	append4(1, 4)
 
-	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, br := standbyConn(t, la.String())
+	la := listenStandby(t, r)
+	nc, br := standbyConn(t, la)
 
 	// Firm subscriptions belong on the primary.
 	if _, err := nc.Write(rtwire.SubOpen{
@@ -199,8 +195,9 @@ func TestStandbySubscriptions(t *testing.T) {
 		t.Fatalf("first resumed push: %T %+v", msg, msg)
 	}
 
-	// Quiesce before reading the books: Close waits out the tailer and the
-	// listener, so every scheduled tick has reached its terminal outcome.
+	// Quiesce before reading the books: Close waits out a batch mid-apply
+	// and the listener, so every scheduled tick has reached its terminal
+	// outcome.
 	nc.Close()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -241,11 +238,8 @@ func TestStandbySubExpiry(t *testing.T) {
 	if !r.WaitSeq(seq, 10*time.Second) {
 		t.Fatalf("replica stuck at %d, want %d", r.Seq(), seq)
 	}
-	la, err := r.Listen("127.0.0.1:0", netserve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, br := standbyConn(t, la.String())
+	la := listenStandby(t, r)
+	nc, br := standbyConn(t, la)
 
 	// Period 1, soft deadline 2, no decay floor: a tick more than one
 	// chronon stale at serve time is inadmissible.

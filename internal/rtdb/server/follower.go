@@ -13,15 +13,15 @@ import (
 )
 
 // This file is the follower role: a hot standby is a Server whose clock and
-// database move only with a replication stream. A tailer (package replica)
-// appends each shipped batch to the follower's log itself, then hands the
+// database move only with a replication stream. Its follower (package
+// replica) appends each shipped batch to the follower's log itself, then hands the
 // events to Replicate; a full-state resync goes through Resync; Promote
 // flips the role once, one way, while sessions, connections and standing
 // queries stay where they are. What a follower refuses and how it serves
 // the rest are branches at the usual decision points: Session.InjectSample
 // and Session.Query, SubscribeWake, serveQuery and serveGroupTick.
 
-// ReplMetrics is a follower's replication books, kept by its tailer and
+// ReplMetrics is a follower's replication books, kept by its replica and
 // reported under their tags' rows while the server follows.
 type ReplMetrics struct {
 	BatchesIn       atomic.Uint64 `metric:"repl_batches_in"`       // WalBatch frames applied
@@ -30,7 +30,7 @@ type ReplMetrics struct {
 	GapResubscribes atomic.Uint64 `metric:"repl_gap_resubscribes"` // batches past tail+1 → re-subscribe
 	Resyncs         atomic.Uint64 `metric:"repl_resyncs"`          // full-state bootstraps completed
 	StaleBatches    atomic.Uint64 `metric:"repl_stale_batches"`    // frames refused for an old fencing epoch
-	Reconnects      atomic.Uint64 `metric:"repl_reconnects"`       // tailer redials after a lost stream
+	Reconnects      atomic.Uint64 `metric:"repl_reconnects"`       // re-subscribe attempts after a lost stream
 	Promotions      atomic.Uint64 `metric:"repl_promotions"`       // 0 or 1
 }
 
@@ -38,7 +38,7 @@ type ReplMetrics struct {
 var replRows = NewRows((*ReplMetrics)(nil), (*ReplMetrics)(nil))
 
 // NewFollower builds a server in the follower role over cfg.Log, the log a
-// replication tailer appends to. It recovers the log's state as New does,
+// replica's follow stream appends to. It recovers the log's state as New does,
 // but installs neither cfg.Spec nor cfg.Rules and never writes the log. A
 // state it cannot rebuild — a derived object cfg.Registry cannot bind —
 // leaves it incomplete: it refuses queries read-only rather than answer
@@ -57,12 +57,12 @@ func (s *Server) Role() rtwire.Role {
 	return rtwire.RolePrimary
 }
 
-// Replicate applies events a follower's tailer has already logged, as one
+// Replicate applies events a follower's replica has already logged, as one
 // apply-loop request. Catalog events enter the database, each sample is
 // injected at its own chronon, and firings and query records — the
 // primary's bookkeeping — are skipped. The clock then jumps to the batch's
 // newest timestamp, the standing-query ticks it made due are served and an
-// as-of snapshot is published, all before Replicate returns: a tailer that
+// as-of snapshot is published, all before Replicate returns: a stream that
 // acks the batch afterwards has every push it implies already queued.
 func (s *Server) Replicate(events []wal.Event) error {
 	return s.apply(func() {

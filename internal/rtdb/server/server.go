@@ -191,7 +191,7 @@ type Server struct {
 	lastTicket *wal.Ticket
 
 	Metrics Metrics
-	// Repl is a follower's replication books, kept by its tailer.
+	// Repl is a follower's replication books, kept by its replica.
 	Repl ReplMetrics
 	// subs is the one periodic schedule: subscriptions and registered
 	// periodic queries are its members. periodic lists the registrations'
@@ -372,7 +372,7 @@ func (s *Server) Epoch() uint64 {
 }
 
 // Seq returns the newest sequence in the log (0 without one): on a follower,
-// the position its tailer has appended through.
+// the position its replica has appended through.
 func (s *Server) Seq() uint64 {
 	s.logMu.RLock()
 	defer s.logMu.RUnlock()
@@ -587,7 +587,7 @@ func (s *Server) walAppend(e wal.Event) *wal.Ticket {
 // walAppendFirm is walAppend with an immediate-flush request: firm seals
 // the open commit window so a firm-deadline ack is never held hostage to
 // the window's tail — the §4.1 admission promise extends through the WAL.
-// A follower never appends: its tailer logs what the primary logged.
+// A follower never appends: its replica logs what the primary logged.
 func (s *Server) walAppendFirm(e wal.Event, firm bool) *wal.Ticket {
 	if s.log == nil || s.following.Load() {
 		return nil

@@ -1,6 +1,7 @@
 package subspec
 
 import (
+	"net"
 	"strconv"
 	"testing"
 	"time"
@@ -348,11 +349,12 @@ func startPrimary(t *testing.T) *tcpEnv {
 func (e *tcpEnv) startReplica(t *testing.T) {
 	t.Helper()
 	r, err := replica.Open(replica.Config{
-		Primary:      e.addrP,
-		WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 1 << 16, SnapshotEvery: 1 << 20},
-		Name:         "subspec-follower",
-		RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-		Seed: 11, HeartbeatTimeout: 10 * time.Second,
+		Primary: e.addrP,
+		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 1 << 16, SnapshotEvery: 1 << 20},
+		Client: client.Options{Name: "subspec-follower",
+			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
+			Seed: 11, HeartbeatInterval: 10 * time.Second / 3,
+		},
 	}, nodeConfig(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -382,11 +384,14 @@ func newTCPEnv(t *testing.T, failover bool) env {
 	ring := e.addrP
 	if failover {
 		e.startReplica(t)
-		sa, err := e.r.Listen("127.0.0.1:0", netserve.Options{})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.addrS = sa.String()
+		if _, err := e.r.ServeOn(ln, netserve.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		e.addrS = ln.Addr().String()
 		ring = e.addrP + "," + e.addrS
 	}
 	e.dial(t, ring, nil)

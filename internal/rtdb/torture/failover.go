@@ -40,7 +40,7 @@ func (c Config) failoverPoint(p *point, events []wal.Event) error {
 		// and fail over exactly as in the unsharded sweep.
 		nopt.Shard, nopt.Shards = c.Victim%c.Shards, c.Shards
 	}
-	st, err := c.newStack(stackSpec{seed: ps, net: nopt, follower: replica.Config{HeartbeatTimeout: 5 * time.Second}})
+	st, err := c.newStack(stackSpec{seed: ps, net: nopt, follower: replica.Config{Client: client.Options{HeartbeatInterval: 5 * time.Second / 3}}})
 	p.mem = st.memP
 	if err != nil {
 		return err

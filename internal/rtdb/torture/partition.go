@@ -59,11 +59,11 @@ func (c Config) fabricStack(fab *faultnet.Fabric, seed uint64, sessions int) (*s
 			ReplBatch:         8, ReplWindow: 16,
 			ReplStallTimeout: 300 * time.Millisecond,
 		},
-		follower: replica.Config{
-			DialTimeout:      150 * time.Millisecond,
-			HeartbeatTimeout: 300 * time.Millisecond,
-			WriteTimeout:     150 * time.Millisecond,
-		},
+		follower: replica.Config{Client: client.Options{
+			DialTimeout:       150 * time.Millisecond,
+			HeartbeatInterval: 300 * time.Millisecond / 3,
+			WriteTimeout:      150 * time.Millisecond,
+		}},
 	})
 }
 

@@ -94,10 +94,10 @@ func (c Config) newStack(sp stackSpec) (st *stack, err error) {
 	st.primary = pln.Addr().String()
 
 	f := sp.follower
-	f.Primary, f.WAL, f.Seed, f.Name = st.primary, c.followerWAL(st.memR), sp.seed, "torture-follower"
-	f.RetryBackoff, f.RetryBackoffMax = time.Millisecond, 20*time.Millisecond
+	f.Primary, f.WAL, f.Client.Seed, f.Client.Name = st.primary, c.followerWAL(st.memR), sp.seed, "torture-follower"
+	f.Client.RetryBackoff, f.Client.RetryBackoffMax = time.Millisecond, 20*time.Millisecond
 	if sp.fab != nil {
-		f.Dialer = sp.fab.Dialer("replica")
+		f.Client.Dialer = sp.fab.Dialer("replica")
 	}
 	// The follower runs the full server's config: its catalog answers
 	// degraded reads, and its alarm rule is installed when it is promoted.
