@@ -92,6 +92,7 @@ torture:
 torture-short:
 	$(GO) test -race -count=1 ./internal/faultfs/ ./internal/rtdb/torture/
 	$(GO) run ./cmd/rttorture -mode all -seeds 1 -events 60 -stride 2
+	$(GO) run ./cmd/rttorture -mode crash -seeds 1 -events 60 -fsync-window 50us
 	$(GO) run ./cmd/rttorture -mode groupcommit -seeds 1 -events 30 -nosync
 	$(GO) run ./cmd/rttorture -mode shard -seeds 1 -events 30 -nosync
 

@@ -54,8 +54,8 @@ func main() {
 		sessions = flag.Int("sessions", 8, "server sessions == max concurrent connections")
 		segSize  = flag.Int64("segment-size", 1<<20, "WAL segment rotation size (bytes)")
 		snapshot = flag.Uint64("snapshot-every", 2000, "WAL catalog snapshot period (events, 0: never)")
-		fsync    = flag.Bool("fsync", false, "fsync the WAL after every append")
-		fsyncWin = flag.Duration("fsync-window", 200*time.Microsecond, "group-commit window with -fsync: concurrent appends share one fsync per window (0: fsync each append)")
+		fsync    = flag.Bool("fsync", false, "ack an append only once an fsync covers it (grouped by -fsync-window)")
+		fsyncWin = flag.Duration("fsync-window", 200*time.Microsecond, "group-commit window with -fsync: concurrent appends share one fsync per window (0: the window closes at once, a lone writer pays one fsync per append)")
 		evalCost = flag.Uint64("eval-cost", 2, "chronons one query evaluation costs")
 		queue    = flag.Int("queue-depth", 64, "per-session queue depth")
 

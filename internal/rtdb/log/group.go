@@ -1,14 +1,16 @@
 package log
 
-// Group commit: leader-based fsync batching.
+// Group commit: leader-based fsync batching, the one commit path.
 //
-// With Options.Sync set and Options.GroupWindow > 0, an append writes and
-// applies its frame immediately (under the log mutex, preserving the
-// validate → write → apply order) but defers the fsync: the append joins
-// the open commit batch and receives a Ticket. The first append to open a
-// batch is its leader; the leader waits out the commit window (or an early
-// close: batch full, a firm append, or CloseWindow), then issues ONE fsync
-// and releases every ticket written so far. Because a segment fsync covers
+// With Options.Sync set, an append writes and applies its frame immediately
+// (under the log mutex, preserving the validate → write → apply order) but
+// defers the fsync: the append joins the open commit batch and receives a
+// Ticket. The first append to open a batch is its leader; the leader waits
+// out the commit window (or an early close: batch full, a firm append, or
+// CloseWindow), then issues ONE fsync and releases every ticket written so
+// far. GroupWindow 0 closes every window at once: each append seals its own
+// batch and its leader commits as soon as it holds the mutex, so a serial
+// blocking Append pays exactly one fsync. Because a segment fsync covers
 // every frame written before it, any successful fsync — a leader's commit,
 // an explicit Sync, a segment rotation, a snapshot's segment-first fsync —
 // releases ALL pending batches, in sequence order.
@@ -19,7 +21,7 @@ package log
 // resolves; it resolves nil only after the fsync that covers its frame
 // succeeded.
 //
-// The shippable tail moves with durability: in grouped mode ReadFrom serves
+// The shippable tail moves with durability: with Sync set ReadFrom serves
 // nothing past the newest fsynced sequence, and every release wakes the
 // readers waiting in Advanced, so a follower's sender reads a commit batch
 // the moment its fsync lands — whole batches ship, and the follower's fsync
@@ -52,12 +54,10 @@ type batch struct {
 
 // Ticket is one append's claim on a group commit. It resolves when the
 // fsync covering the append completes (nil) or the log poisons (the poison
-// error). A ticket from an ungrouped append (per-append fsync, or Sync
-// off) is born resolved.
+// error). A ticket from a log without Sync is born resolved.
 type Ticket struct {
 	b   *batch
 	seq uint64
-	err error
 }
 
 // Seq returns the appended event's WAL sequence number.
@@ -66,7 +66,7 @@ func (t *Ticket) Seq() uint64 { return t.seq }
 // Wait blocks until the ticket resolves and returns its commit outcome.
 func (t *Ticket) Wait() error {
 	if t.b == nil {
-		return t.err
+		return nil
 	}
 	<-t.b.done
 	return t.b.err
@@ -86,26 +86,16 @@ func (t *Ticket) Resolved() bool {
 	}
 }
 
-// grouped reports whether appends batch their fsyncs.
-func (l *Log) grouped() bool { return l.opts.Sync && l.opts.GroupWindow > 0 }
-
 // AppendTicket appends one event and returns its commit ticket without
 // waiting for durability — the asynchronous form of Append for callers
 // (the server's apply loop) that must never block on the commit window.
-// firm seals the open batch so the fsync happens as soon as the leader
-// wakes, not at the end of the window — the §4.1 escape hatch that keeps
-// firm-deadline acks off the window's tail latency. In ungrouped modes the
-// returned ticket is born resolved.
+// An append that opens a batch spawns its leader. firm seals the open batch
+// so the fsync happens as soon as the leader wakes, not at the end of the
+// window — the §4.1 escape hatch that keeps firm-deadline acks off the
+// window's tail latency.
 func (l *Log) AppendTicket(e Event, firm bool) (*Ticket, error) {
 	l.mu.Lock()
-	if !l.grouped() {
-		defer l.mu.Unlock()
-		if err := l.appendUngroupedLocked(e); err != nil {
-			return nil, err
-		}
-		return &Ticket{seq: l.st.Events}, nil
-	}
-	t, lead, err := l.appendGroupedLocked(e, firm)
+	t, lead, err := l.appendLocked(e, firm)
 	l.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -113,32 +103,13 @@ func (l *Log) AppendTicket(e Event, firm bool) (*Ticket, error) {
 	if lead {
 		go l.lead(t.b)
 	}
-	return t, nil
-}
-
-// appendGroupedLocked writes and applies one event, joins it to the open
-// commit batch, and runs the post-append housekeeping (rotation,
-// auto-snapshot). lead reports that this append opened the batch and the
-// caller must run (or spawn) its leader.
-func (l *Log) appendGroupedLocked(e Event, firm bool) (t *Ticket, lead bool, err error) {
-	if err := l.writeApplyLocked(e); err != nil {
-		return nil, false, err
-	}
-	// Join before housekeeping: if rotation or an auto-snapshot fsyncs the
-	// segment below, this event is covered and its ticket releases there.
-	t, lead = l.joinBatchLocked(firm)
-	if err := l.maintainLocked(); err != nil {
-		// The poison released every pending ticket (including this one)
-		// with the error; the append itself fails the same way.
-		return nil, false, err
-	}
-	return t, lead, nil
+	return &t, nil
 }
 
 // joinBatchLocked adds the event just applied to the open commit batch
-// (opening a new one if needed) and returns its ticket. firm — or a full
-// batch — seals the window.
-func (l *Log) joinBatchLocked(firm bool) (*Ticket, bool) {
+// (opening a new one if needed) and returns the batch, and whether this
+// event opened it. firm — or a full batch — seals the window.
+func (l *Log) joinBatchLocked(firm bool) (*batch, bool) {
 	lead := false
 	b := l.cur
 	if b == nil {
@@ -151,7 +122,7 @@ func (l *Log) joinBatchLocked(firm bool) (*Ticket, bool) {
 	if firm || b.tickets >= groupMaxBatch {
 		l.sealLocked(b)
 	}
-	return &Ticket{b: b, seq: l.st.Events}, lead
+	return b, lead
 }
 
 // sealLocked closes a batch's window: no more joiners, and its leader is
@@ -185,13 +156,17 @@ func (l *Log) CloseWindow() {
 // commits. Run by the append that opened the batch — inline when the
 // caller blocks on its ticket anyway, as a goroutine from AppendTicket.
 func (l *Log) lead(b *batch) {
-	timer := time.NewTimer(l.opts.GroupWindow)
 	select {
-	case <-b.early:
-	case <-b.done:
-	case <-timer.C:
+	case <-b.early: // sealed already (firm, full, or window 0): no timer
+	default:
+		timer := time.NewTimer(l.opts.GroupWindow)
+		select {
+		case <-b.early:
+		case <-b.done:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
-	timer.Stop()
 	l.mu.Lock()
 	l.commitLocked(b)
 	l.mu.Unlock()
@@ -254,8 +229,8 @@ func (l *Log) poisonLocked(err error) error {
 }
 
 // DurableSeq returns the sequence number of the newest event known to be
-// fsynced. It equals Seq() after any successful Sync; in group-commit mode
-// the tail may transiently run ahead of it by at most the open window's
+// fsynced. It equals Seq() after any successful Sync; with Options.Sync set
+// the tail may transiently run ahead of it by at most the pending batches'
 // events.
 func (l *Log) DurableSeq() uint64 {
 	l.mu.Lock()
@@ -266,38 +241,33 @@ func (l *Log) DurableSeq() uint64 {
 // AppendBatch appends a slice of events paying ONE fsync for the whole
 // batch — the follower-side mirror of a primary's group commit, used by
 // the replica so its fsync cadence matches the shipped batch cadence
-// instead of per-event. Events are validated, written, and applied one by
-// one (rotation and auto-snapshots run between them as usual); the single
-// fsync at the end releases them — and any batches already pending — in
-// sequence order. It returns how many events were written and applied:
-// on a mid-batch error the prefix [0,applied) is in the log's state (the
-// caller's server must absorb exactly that prefix); on an fsync failure
-// applied covers the whole slice but the error reports the poison.
+// instead of per-event. Each event runs the one append body (rotation and
+// auto-snapshots run between them as usual); the single commit at the end
+// releases them — and any batches already pending — in sequence order. It
+// returns how many events were written and applied: on a mid-batch error
+// the prefix [0,applied) is in the log's state (the caller's server must
+// absorb exactly that prefix) and, when the log is still usable, durable
+// like a whole batch; on an fsync failure applied covers the whole slice
+// but the error reports the poison.
 func (l *Log) AppendBatch(events []Event) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
 		return 0, err
 	}
-	applied := 0
+	before := l.st.Events
+	var err error
 	for _, e := range events {
-		if err := l.writeApplyLocked(e); err != nil {
-			return applied, err
-		}
-		if l.opts.Sync {
-			l.joinBatchLocked(false)
-		} else {
-			l.advancedLocked()
-		}
-		applied++
-		if err := l.maintainLocked(); err != nil {
-			return applied, err
+		if _, _, err = l.appendLocked(e, false); err != nil {
+			break
 		}
 	}
-	if l.opts.Sync && len(l.pending) > 0 {
-		if err := l.syncLocked(); err != nil {
-			return applied, err
+	// Commit what was applied on every exit that leaves the log usable —
+	// a healed write fault included: the batches it joined have no leader.
+	if len(l.pending) > 0 && l.usableLocked() == nil {
+		if serr := l.syncLocked(); serr != nil {
+			err = serr
 		}
 	}
-	return applied, nil
+	return int(l.st.Events - before), err
 }

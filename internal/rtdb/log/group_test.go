@@ -19,49 +19,50 @@ func groupOptions(fs faultfs.FS, window time.Duration) Options {
 	}
 }
 
-// TestGroupWindowZeroDegrades: GroupWindow=0 IS the old per-append-fsync
-// log. AppendTicket degrades to a born-resolved ticket, every append pays
-// its own fsync, and the produced segment bytes are identical to the
-// ungrouped writer's — group commit off is not merely equivalent, it is
-// byte-for-byte the same log.
+// TestGroupWindowZeroDegrades: GroupWindow=0 is group commit whose window
+// closes at once. Serial blocking appends pay exactly one fsync each — a
+// segment rotation's seal fsync is that append's commit, not a second one —
+// and the segment bytes equal a windowed log's over the same events: the
+// window decides only when fsyncs happen, never what is written.
 func TestGroupWindowZeroDegrades(t *testing.T) {
 	events := workload(30)
+	opts := func(fs faultfs.FS, window time.Duration) Options {
+		o := groupOptions(fs, window)
+		o.SegmentSize = 256 // several rotations inside the workload
+		return o
+	}
 
 	memA := faultfs.NewMem(1)
-	la, err := Open(groupOptions(memA, 0))
+	la, err := Open(opts(memA, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := memA.Syncs()
-	for _, e := range events {
-		tk, err := la.AppendTicket(e, false)
-		if err != nil {
+	for i, e := range events {
+		base := memA.Syncs()
+		if err := la.Append(e); err != nil {
 			t.Fatal(err)
 		}
-		if !tk.Resolved() {
-			t.Fatalf("window=0 ticket for seq %d not born resolved", tk.Seq())
+		if got := memA.Syncs() - base; got != 1 {
+			t.Fatalf("window=0 append %d paid %d fsyncs, want exactly 1", i, got)
 		}
-		if err := tk.Wait(); err != nil {
-			t.Fatal(err)
+		if ds, sq := la.DurableSeq(), la.Seq(); ds != sq {
+			t.Fatalf("window=0 append %d returned with DurableSeq=%d != Seq=%d", i, ds, sq)
 		}
 	}
-	if got, want := memA.Syncs()-base, uint64(len(events)); got != want {
-		t.Fatalf("window=0 paid %d fsyncs for %d appends, want one each", got, want)
-	}
-	if st := la.Stats(); st.GroupCommits != 0 {
-		t.Fatalf("window=0 recorded %d group commits, want 0", st.GroupCommits)
+	if st := la.Stats(); st.Segments < 3 {
+		t.Fatalf("workload rotated into %d segments, want several", st.Segments)
 	}
 	if err := la.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	memB := faultfs.NewMem(1)
-	lb, err := Open(Options{Dir: "wal", FS: memB, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20, Sync: true})
+	lb, err := Open(opts(memB, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range events {
-		if err := lb.Append(e); err != nil {
+		if _, err := lb.AppendTicket(e, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,6 +73,13 @@ func TestGroupWindowZeroDegrades(t *testing.T) {
 	names, err := memA.ReadDir("wal")
 	if err != nil {
 		t.Fatal(err)
+	}
+	namesB, err := memB.ReadDir("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != len(namesB) {
+		t.Fatalf("window=0 wrote %d files, the windowed log %d", len(names), len(namesB))
 	}
 	for _, name := range names {
 		a, b := memA.DumpFile("wal/"+name), memB.DumpFile("wal/"+name)
@@ -311,6 +319,44 @@ func fired(ch <-chan struct{}) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// TestAppendBatchHealedFaultCommits: a write fault in the middle of a
+// batch is healed and costs only that event, and the prefix applied before
+// it is committed like a whole batch — durable when the call returns, its
+// commit batch released — at a closed window and an open one alike. A
+// follower re-subscribes after its own Seq, so a prefix left unfsynced
+// there would be acknowledged to the primary before it is durable.
+func TestAppendBatchHealedFaultCommits(t *testing.T) {
+	for _, window := range []time.Duration{0, 200 * time.Microsecond} {
+		mem := faultfs.NewMem(9)
+		l, err := Open(groupOptions(mem, window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := workload(12)
+		if _, err := l.AppendBatch(events[:4]); err != nil {
+			t.Fatal(err)
+		}
+		mem.FailWrite(mem.Writes() + 5) // the second batch's 5th frame
+		applied, err := l.AppendBatch(events[4:])
+		if applied != 4 || !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("window %v: applied %d, err %v; want 4 and the healed fault", window, applied, err)
+		}
+		if perr := l.Err(); perr != nil {
+			t.Fatalf("window %v: a healed write fault poisoned the log: %v", window, perr)
+		}
+		l.mu.Lock()
+		pending := len(l.pending)
+		l.mu.Unlock()
+		if ds, sq := l.DurableSeq(), l.Seq(); ds != sq || sq != 8 || pending != 0 {
+			t.Fatalf("window %v: after the healed fault DurableSeq=%d Seq=%d (want 8 = 8), %d batches pending",
+				window, ds, sq, pending)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -25,14 +25,17 @@ type Options struct {
 	// SnapshotEvery writes a catalog snapshot after every N appends.
 	// 0 disables automatic snapshots.
 	SnapshotEvery uint64
-	// Sync fsyncs after every append (the durable setting; off by default
-	// so tests and benchmarks can measure the code path separately).
+	// Sync makes every append durable before it is acknowledged: its
+	// ticket resolves once an fsync covering its frame completed (the
+	// durable setting; off by default so tests and benchmarks can measure
+	// the code path separately).
 	Sync bool
-	// GroupWindow enables leader-based group commit when Sync is set:
-	// instead of one fsync per append, concurrent appends share the open
-	// commit batch and the batch leader issues a single fsync once the
-	// window elapses (or earlier — full batch, firm append, CloseWindow).
-	// 0 (the default) keeps the per-append fsync. See group.go.
+	// GroupWindow is how long a commit batch stays open when Sync is set:
+	// concurrent appends join it and its leader issues one fsync for all
+	// of them once the window elapses (or earlier — full batch, firm
+	// append, CloseWindow). 0 (the default) closes every window at once:
+	// each append is a batch of its own, and serial blocking appends pay
+	// one fsync each. See group.go.
 	GroupWindow time.Duration
 	// FS is the filesystem the log talks to. Nil means the real one
 	// (faultfs.OS); the crash-torture harness injects fault-bearing
@@ -345,31 +348,18 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Append durably records one event and applies it to the in-memory state.
-// The order is validate → write → apply → fsync: a failed write is healed
-// by truncating the torn frame (the event is simply not logged and the
-// state untouched, so a transient EIO costs one event, not the log), while
-// a failed fsync poisons the log — after fsync failure the page cache
-// cannot be trusted, so no retry is sound.
-//
-// In group-commit mode (Sync with a GroupWindow) the fsync is batched:
-// Append blocks on a commit ticket and returns once the fsync covering its
-// frame completed — the first waiter of a window leads the batch and
-// issues one fsync for everyone. AppendTicket is the non-blocking form.
+// Append durably records one event and applies it to the in-memory state:
+// AppendTicket's blocking form. With Sync set it returns once the fsync
+// covering the event completed; the append that opens a commit batch leads
+// it inline, since the caller waits out the window anyway.
 func (l *Log) Append(e Event) error {
 	l.mu.Lock()
-	if !l.grouped() {
-		defer l.mu.Unlock()
-		return l.appendUngroupedLocked(e)
-	}
-	t, lead, err := l.appendGroupedLocked(e, false)
+	t, lead, err := l.appendLocked(e, false)
 	l.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	if lead {
-		// The blocking caller waits out the window anyway, so it runs the
-		// leader inline instead of paying for a goroutine.
 		l.lead(t.b)
 	}
 	return t.Wait()
@@ -386,58 +376,56 @@ func (l *Log) usableLocked() error {
 	return nil
 }
 
-// writeApplyLocked is the one append body every path shares: validate →
-// encode → write → apply. The frame is rendered straight into l.buf. A
-// failed write is healed and costs only this event; once the frame is on
-// disk a failed Apply poisons (check passed, so Apply cannot fail — if it
-// somehow does, the state is suspect).
-func (l *Log) writeApplyLocked(e Event) error {
+// appendLocked is the one append body: validate → encode → write → apply →
+// join the commit batch → housekeeping. The frame is rendered straight into
+// l.buf. A failed write is healed and costs only this event (the state is
+// untouched, so a transient EIO costs one event, not the log); once the
+// frame is on disk a failed Apply poisons (check passed, so Apply cannot
+// fail — if it somehow does, the state is suspect). With Sync set the event
+// joins the open commit batch, sealing it when firm or when GroupWindow is
+// 0, and lead reports that it opened the batch: the caller must run (or
+// spawn) its leader. Without Sync the ticket is born resolved.
+func (l *Log) appendLocked(e Event, firm bool) (t Ticket, lead bool, err error) {
 	if err := l.usableLocked(); err != nil {
-		return err
+		return t, false, err
 	}
 	if err := l.st.check(e); err != nil {
-		return err
+		return t, false, err
 	}
 	l.buf = AppendEvent(l.buf[:0], e)
 	if _, err := l.f.Write(l.buf); err != nil {
-		return l.heal(err)
+		return t, false, l.heal(err)
 	}
 	l.segSize += int64(len(l.buf))
 	if err := l.st.Apply(e); err != nil {
-		return l.poisonLocked(err)
+		return t, false, l.poisonLocked(err)
 	}
 	l.stats.Appends++
-	return nil
-}
-
-// appendUngroupedLocked is the classic append path — per-append fsync when
-// Sync is set, byte- and op-identical to the pre-group-commit log.
-func (l *Log) appendUngroupedLocked(e Event) error {
-	if err := l.writeApplyLocked(e); err != nil {
-		return err
-	}
+	t.seq = l.st.Events
 	if l.opts.Sync {
-		// A leftover AppendBatch tail (possible on a Sync log without a
-		// window) is covered by this fsync too.
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
+		// Join before housekeeping: if rotation or an auto-snapshot fsyncs
+		// the segment below, this event is covered and its ticket releases
+		// there.
+		t.b, lead = l.joinBatchLocked(firm || l.opts.GroupWindow == 0)
+	} else {
+		l.advancedLocked()
 	}
 	if err := l.maintainLocked(); err != nil {
-		return err
+		// The poison released every pending ticket (including this one)
+		// with the error; the append itself fails the same way.
+		return t, false, err
 	}
-	l.advancedLocked()
-	return nil
+	return t, lead, nil
 }
 
-// maintainLocked is the post-append housekeeping shared by every append
-// path: segment rotation at the size threshold, then the automatic
-// snapshot cadence.
+// maintainLocked is the post-append housekeeping: segment rotation at the
+// size threshold, then the automatic snapshot cadence.
 func (l *Log) maintainLocked() error {
 	if l.segSize >= l.opts.SegmentSize {
 		if err := l.rotate(); err != nil {
-			// The event is durable but the segment boundary is in an
-			// unknown state; no further append can land safely.
+			// The segment boundary is in an unknown state (and the
+			// event too, if the seal fsync failed); no further append
+			// can land safely.
 			return l.poisonLocked(fmt.Errorf("log: rotation failed, log poisoned: %w", err))
 		}
 	}
@@ -448,8 +436,8 @@ func (l *Log) maintainLocked() error {
 			// failed one (EIO, rename fault) is counted and retried after
 			// the next SnapshotEvery appends. The append itself succeeded —
 			// unless the segment fsync inside the snapshot poisoned the log
-			// while the append's own frames were still waiting on a group
-			// commit; then the append fails like its pending tickets.
+			// before any fsync covered the append's frame; then the append
+			// fails like its pending tickets.
 			l.stats.SnapshotErrors++
 			if l.err != nil && l.durableSeq < l.st.Events {
 				return l.err
@@ -523,9 +511,10 @@ func (l *Log) Snapshot() error {
 func (l *Log) snapshotLocked() error {
 	l.sinceSnapshot = 0
 	// A snapshot must never reference a log position that is not yet
-	// durable: with per-append fsync off, a crash could otherwise drop the
-	// segment's unsynced tail while keeping the (always-fsynced) snapshot,
-	// leaving it pointing past the end of the segment it replays from.
+	// durable: a crash could otherwise drop the segment's unsynced tail
+	// (Sync off, or an open commit batch) while keeping the
+	// (always-fsynced) snapshot, leaving it pointing past the end of the
+	// segment it replays from.
 	if l.f != nil {
 		// The segment fsync covers every pending commit batch.
 		if err := l.syncLocked(); err != nil {
@@ -653,9 +642,9 @@ func (l *Log) Compact() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment. In group-commit mode it is
-// the synchronous commit point: every pending ticket resolves before Sync
-// returns — nil on success, the poison error if the fsync failed.
+// Sync forces an fsync of the active segment. It is the synchronous commit
+// point: every pending ticket resolves before Sync returns — nil on
+// success, the poison error if the fsync failed.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

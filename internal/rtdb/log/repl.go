@@ -57,12 +57,12 @@ type ReadPos struct {
 	off int64
 }
 
-// shippableLocked is the newest sequence a follower may be handed. Under
-// group commit frames sit written-but-unfsynced inside the open window, and
+// shippableLocked is the newest sequence a follower may be handed. With
+// Sync set frames sit written-but-unfsynced in pending commit batches, and
 // a follower must never apply an event the primary could still lose, so the
 // shippable tail is the durable tail: it moves at batch release.
 func (l *Log) shippableLocked() uint64 {
-	if l.grouped() && l.durableSeq < l.st.Events {
+	if l.opts.Sync {
 		return l.durableSeq
 	}
 	return l.st.Events
@@ -190,8 +190,8 @@ func (l *Log) Advanced(afterSeq uint64) <-chan struct{} {
 }
 
 // advancedLocked wakes every reader waiting in Advanced. Called wherever the
-// shippable tail moves — the end of an ungrouped append, every release of
-// the pending commit batches — and where the log stops for good.
+// shippable tail moves — an append without Sync, every release of the
+// pending commit batches — and where the log stops for good.
 func (l *Log) advancedLocked() {
 	if l.advanced != nil {
 		close(l.advanced)
@@ -292,7 +292,7 @@ func (l *Log) indexSegments(segs []uint64, pos replayPos, snapEvents uint64, rd 
 // DumpState flattens the current state into a replayable event sequence
 // plus the sequence number and last timestamp it corresponds to — the
 // payload of a full-state resync. The state is only shippable once it is
-// durable, so under group commit DumpState first commits the open window;
+// durable, so with Sync set DumpState first commits the pending batches;
 // if that fsync fails it returns the poison error instead of a dump.
 func (l *Log) DumpState() ([]Event, uint64, timeseq.Time, error) {
 	l.mu.Lock()

@@ -157,7 +157,7 @@ func TestReadSinceGaps(t *testing.T) {
 	})
 }
 
-// TestAdvancedWakesPerAppend: on an ungrouped log every append moves the
+// TestAdvancedWakesPerAppend: on a log without Sync every append moves the
 // shippable tail, so a caught-up reader waiting in Advanced is woken by the
 // next append — once per advance, with the event readable when it wakes —
 // and a reader that is behind is never made to wait.

@@ -444,7 +444,7 @@ func (s *Server) step(r request) {
 	case reqQuery:
 		resp := s.serveQuery(r, now)
 		// The session's ack waits for the query's WAL issue record to be
-		// fsynced (a no-op outside group-commit mode); a firm query sealed
+		// fsynced (a no-op on a log without Sync); a firm query sealed
 		// the window in serveQuery, so its ack is not window-delayed.
 		s.replyAfterDurable(r.reply, resp)
 	case reqTick:
@@ -604,7 +604,7 @@ func (s *Server) walAppendFirm(e wal.Event, firm bool) *wal.Ticket {
 
 // replyAfterDurable delivers a response once the newest WAL append this
 // request produced is fsynced — group commit's ack-after-fsync discipline.
-// With no log, per-append fsync, or an already-committed batch the reply
+// With no log, a log without Sync, or an already-committed batch the reply
 // is immediate; otherwise a goroutine parks on the ticket so the apply
 // loop keeps serving other sessions while the window fills. The reply
 // channel is buffered, so the send cannot block even when the requester

@@ -21,8 +21,8 @@ import (
 // TestPartitionSweepFull's.
 func TestSweepPointCounts(t *testing.T) {
 	want := map[Mode]int{
-		ModeCrash: 141, ModeEIO: 67, ModeRename: 2, ModeFailover: 141,
-		ModeGroupCommit: 159, ModeShard: 179, ModeChaos: 1,
+		ModeCrash: 139, ModeEIO: 67, ModeRename: 2, ModeFailover: 139,
+		ModeGroupCommit: 159, ModeShard: 178, ModeChaos: 1,
 	}
 	c := flagDefaults
 	c.Events = 60

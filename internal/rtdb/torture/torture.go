@@ -90,9 +90,9 @@ type Config struct {
 	// NoSync disables per-append fsync; the invariant then weakens to
 	// "recovered state is a prefix of the issued events" (0 ≤ n ≤ issued).
 	NoSync bool
-	// GroupWindow, when > 0, enables leader-based group commit on every WAL
-	// the sweep opens (wal.Options.GroupWindow): appends batch their fsyncs
-	// behind a commit window instead of paying one each.
+	// GroupWindow is the commit window of every WAL the sweep opens
+	// (wal.Options.GroupWindow): when > 0, concurrent appends batch their
+	// fsyncs behind a live window timer; 0 closes each window at once.
 	GroupWindow time.Duration
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -130,7 +130,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Shards, "shards", d.Shards, "deployment width of the shard sweep")
 	fs.IntVar(&c.Victim, "victim", d.Victim, "shard whose WAL takes the cut when -at pins one shard-sweep point")
 	fs.BoolVar(&c.NoSync, "nosync", d.NoSync, "disable per-append fsync (weakens the durability bound)")
-	fs.DurationVar(&c.GroupWindow, "fsync-window", d.GroupWindow, "run the crash/eio/rename/failover sweeps with this group-commit window (0: per-append fsync; groupcommit mode always batches)")
+	fs.DurationVar(&c.GroupWindow, "fsync-window", d.GroupWindow, "run the crash/eio/rename/failover sweeps with this group-commit window (0: the window closes at once, one fsync per blocking append; groupcommit mode always batches)")
 }
 
 // Failure is one fault point whose run violated an invariant.
