@@ -151,7 +151,9 @@ soak-short:
 # period (a periodic schedule the server cannot keep up with once hung the
 # apply loop here), which also serves a -fanout run: every subscriber audits
 # its cursor arithmetic. The durable group-commit run's drain report must show
-# fsync_count > 0 and grouped_appends == wal_appends. Then a durable four-shard
+# fsync_count > 0 and grouped_appends == wal_appends. An idle primary and
+# -replica-of standby pair (scripts/idle-standby.sh) must hold the standby's
+# one link on its beacons: net_conns_accepted 1. Then a durable four-shard
 # pair over one directory: both runs must close the cross-shard books, and the
 # second must recover every shard's own WAL.
 SMOKE_PORT ?= 7740
@@ -166,6 +168,7 @@ rtdbd-smoke:
 	awk '$$1 == "fsync_count" { f = $$2 } $$1 == "wal_appends" { w = $$2 } $$1 == "grouped_appends" { g = $$2 } \
 		END { printf "fsync_count %d, grouped_appends %d == wal_appends %d\n", f, g, w; exit !(f > 0 && g == w) }' $$bin/rtdbd.out \
 		|| { echo "rtdbd -fsync: want fsync_count > 0 and grouped_appends == wal_appends"; exit 1; }; \
+	bash scripts/idle-standby.sh $$bin $(SMOKE_PORT) $$bin/rtdbd.out || exit 1; \
 	for run in 1 2; do \
 		pair "-dir $$sdir -shards 4" '-ops 40' 'cross-shard conservation: .* ✓' || exit 1; \
 	done; \

@@ -46,6 +46,11 @@ import (
 	"rtc/internal/timeseq"
 )
 
+// beacon is the one link cadence: every listener requires a Heartbeat this
+// often (cutting a link after 3 of silence) and a standby's follow stream
+// sends one this often; an idle primary sends nothing but their echoes.
+const beacon = time.Second
+
 func main() {
 	var (
 		dir      = flag.String("dir", "", "WAL directory (empty: run without durability)")
@@ -63,7 +68,7 @@ func main() {
 
 		replicaOf    = flag.String("replica-of", "", "follow this primary address as a hot standby (requires -dir)")
 		promote      = flag.Bool("promote", false, "bump the fencing epoch in -dir before serving (turn a stopped replica into the new primary)")
-		promoteAfter = flag.Duration("promote-after", 0, "replica mode: auto-promote after this much primary silence (0: manual, SIGHUP); use several times the primary heartbeat interval (1s)")
+		promoteAfter = flag.Duration("promote-after", 0, "replica mode: auto-promote after this much primary silence (0: manual, SIGHUP); at least 3s, the 3 beacons of 1s after which a silent link is cut")
 	)
 	flag.Parse()
 	if *pprofAddr != "" {
@@ -73,6 +78,8 @@ func main() {
 	switch {
 	case *replicaOf != "" && *shards > 1:
 		err = fmt.Errorf("-replica-of follows one shard's listener; run one replica per shard (drop -shards)")
+	case *replicaOf != "" && *promoteAfter > 0 && *promoteAfter < 3*beacon:
+		err = fmt.Errorf("-promote-after %v is below %v, the 3 beacons of %v after which a silent link is cut: it would promote against a live primary", *promoteAfter, 3*beacon, beacon)
 	case *replicaOf != "":
 		err = runReplica(*dir, *listen, *replicaOf, *promoteAfter, *sessions, *segSize, *snapshot, *fsync, *fsyncWin, *evalCost, *queue)
 	default:
@@ -213,9 +220,7 @@ func serve(cfg server.Config, logs []*wal.Log, shards int, listen string, evalCo
 	set := make([]*netserve.Server, shards)
 	for i, srv := range srvs {
 		srv.Start()
-		// A 1s beacon keeps replication links visibly alive, so a replica's
-		// -promote-after only needs to clear seconds of genuine silence.
-		set[i] = netserve.New(srv, netserve.Options{HeartbeatInterval: time.Second, Shard: i, Shards: shards})
+		set[i] = netserve.New(srv, netserve.Options{HeartbeatInterval: beacon, Shard: i, Shards: shards})
 	}
 	stop := func() {
 		for i, ns := range set {
@@ -357,7 +362,7 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 			GroupWindow: fsyncWin,
 		},
 		PromoteAfter: promoteAfter,
-		Client:       client.Options{Name: "rtdbd-replica"},
+		Client:       client.Options{Name: "rtdbd-replica", HeartbeatInterval: beacon},
 	}, serverConfig(sessions, queue, evalCost))
 	if err != nil {
 		return err
@@ -369,8 +374,7 @@ func runReplica(dir, listen, primary string, promoteAfter time.Duration,
 		_ = r.Close()
 		return err
 	}
-	// A 1s beacon, as serve's listeners send once this one is a primary's.
-	ns, err := r.ServeOn(ln, netserve.Options{HeartbeatInterval: time.Second})
+	ns, err := r.ServeOn(ln, netserve.Options{HeartbeatInterval: beacon})
 	if err != nil {
 		_ = r.Close()
 		return err

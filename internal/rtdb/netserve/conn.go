@@ -49,9 +49,9 @@ type conn struct {
 	sem      chan struct{}
 	inflight sync.WaitGroup
 
-	// ackCh carries WalAck sequence numbers from the read loop to the
-	// replication sender; repl guards against a second Subscribe.
-	ackCh chan uint64
+	// acked is a one-slot token the read loop posts on each booked WalAck to
+	// wake the replication sender; repl guards against a second Subscribe.
+	acked chan struct{}
 	repl  bool
 
 	// subs is the attached subscriptions in attach order. Only the read
@@ -413,8 +413,8 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 	case rtwire.WalAck:
 		c.n.replAck(c, m.Seq)
 		select {
-		case c.ackCh <- m.Seq:
-		default: // sender reads acks in batches; a stale one is harmless
+		case c.acked <- struct{}{}:
+		default: // a token is already waiting; the sender reads the registry
 		}
 	case rtwire.SubOpen:
 		spec, expired := translateSub(m.Query, m.Period, m.Kind, m.Deadline, m.Elapsed, m.MinUseful, m.Decay)

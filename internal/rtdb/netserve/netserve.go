@@ -70,9 +70,10 @@ type Options struct {
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds the Hello/Welcome exchange (default 5s).
 	HandshakeTimeout time.Duration
-	// HeartbeatInterval paces the liveness beacons the replication sender
-	// emits on idle links; client heartbeats are echoed regardless
-	// (default 15s).
+	// HeartbeatInterval is the beacon interval this listener requires of
+	// its clients, followers included: a connection silent for 3× of it is
+	// cut. The listener beacons nothing itself; it echoes each client
+	// Heartbeat (default 15s).
 	HeartbeatInterval time.Duration
 	// ReplWindow bounds the unacknowledged events in flight to one
 	// follower; a follower that stops acking stalls only its own sender
@@ -148,8 +149,8 @@ type Server struct {
 	// Replication durability watermark: replAcked tracks the highest seq
 	// each live follower has acknowledged; replDurable is the monotone max
 	// of the minimum across followers — the highest seq known to survive
-	// this node's death. Client-facing heartbeats advertise it (never the
-	// local WAL tail), so a client's failover watermark only ever covers
+	// this node's death. Every heartbeat a primary echoes advertises it (never
+	// the local WAL tail), so a client's failover watermark only ever covers
 	// writes a standby actually holds. Sticky on follower disconnect: what
 	// was once replicated stays replicated.
 	replMu      sync.Mutex
@@ -368,6 +369,13 @@ func (n *Server) replAdvance(min uint64) {
 	}
 }
 
+// replAckedBy is the highest seq follower c has acked: its send window base.
+func (n *Server) replAckedBy(c *conn) uint64 {
+	n.replMu.Lock()
+	defer n.replMu.Unlock()
+	return n.replAcked[c]
+}
+
 func (n *Server) replForget(c *conn) {
 	n.replMu.Lock()
 	delete(n.replAcked, c)
@@ -416,7 +424,7 @@ func (n *Server) handle(nc net.Conn) {
 		wdone:       make(chan struct{}),
 		rstop:       make(chan struct{}),
 		sem:         make(chan struct{}, n.opt.MaxInflight),
-		ackCh:       make(chan uint64, 16),
+		acked:       make(chan struct{}, 1),
 		wfree:       make(chan []byte, n.opt.WriteQueue+1),
 		wake:        make(chan struct{}, 1),
 	}

@@ -24,10 +24,12 @@ import (
 // the durable tail, so the read that follows a release returns that commit
 // batch and it ships as one frame.
 //
-// The send window (opt.ReplWindow) bounds unacknowledged events in flight;
-// a follower that stops acking stalls only this goroutine. The apply loop
-// is never blocked: an append closes a channel, and a read takes the log's
-// mutex to find its place, not while it reads.
+// The send window (opt.ReplWindow) bounds unacknowledged events in flight,
+// as the durability registry books them (replAck); a follower that stops
+// acking stalls only this goroutine. The apply loop is never blocked: an
+// append closes a channel, and a read takes the log's mutex to find its
+// place, not while it reads. The sender keeps no clock: an idle link lives
+// on the follower client's own beacons, which the read loop echoes.
 //
 // Teardown rides on rstop (closed the moment the connection's read loop
 // returns) rather than done, because this goroutine is inflight-counted
@@ -37,13 +39,6 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 	l := c.n.srv.WAL()
 	epoch := c.n.srv.Epoch()
 	pos := wal.ReadPos{Seq: sub.AfterSeq} // pos.Seq is the last sequence sent
-	acked := sub.AfterSeq
-	hb := time.NewTicker(c.n.opt.HeartbeatInterval)
-	defer hb.Stop()
-
-	heartbeat := func() {
-		c.tryEnqueue(rtwire.Heartbeat{Epoch: epoch, Chronon: c.n.srv.Now(), Seq: l.Seq()}.Encode())
-	}
 	for {
 		events, err := l.ReadFrom(&pos, c.n.opt.ReplBatch)
 		switch {
@@ -73,7 +68,7 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 				return
 			}
 			c.n.Wire.ReplBatchesOut.Add(1)
-			if !c.awaitAcks(pos.Seq, &acked, hb, heartbeat) {
+			if !c.awaitAcks(pos.Seq) {
 				return
 			}
 			continue
@@ -82,10 +77,6 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 		// after the read above, so no wake-up is lost.
 		select {
 		case <-l.Advanced(pos.Seq):
-		case ack := <-c.ackCh:
-			acked = max(acked, ack)
-		case <-hb.C:
-			heartbeat()
 		case <-c.rstop:
 			return
 		case <-c.n.quit:
@@ -128,33 +119,25 @@ func (c *conn) sendResync(l *wal.Log, epoch uint64) (uint64, bool) {
 	return seq, true
 }
 
-// awaitAcks folds in the follower acks already queued, then blocks while the
-// unacked backlog exceeds the send window, folding in acks as they arrive.
-// (ackCh is bounded and the read loop drops into a full one, so a sender
-// that looked only when its window filled could wait on an ack that was
-// dropped.) A follower whose window stays full with zero ack progress for
-// ReplStallTimeout is evicted: the read loop is interrupted so the whole
-// connection tears down, and the follower redials into a fresh catch-up.
-// False means stop streaming — teardown, quit, or eviction.
-func (c *conn) awaitAcks(sent uint64, acked *uint64, hb *time.Ticker, heartbeat func()) bool {
-	for queued := true; queued; {
-		select {
-		case ack := <-c.ackCh:
-			*acked = max(*acked, ack)
-		default:
-			queued = false
-		}
-	}
-	if sent-*acked <= uint64(c.n.opt.ReplWindow) {
+// awaitAcks blocks while the follower's unacked backlog — sent less what
+// the registry holds for this link — exceeds the send window, looking again
+// each time the read loop posts an ack token. A follower whose window stays
+// full with zero ack progress for ReplStallTimeout is evicted: the read loop
+// is interrupted so the whole connection tears down, and the follower
+// redials into a fresh catch-up. False means stop streaming — teardown,
+// quit, or eviction.
+func (c *conn) awaitAcks(sent uint64) bool {
+	acked := c.n.replAckedBy(c)
+	if sent-acked <= uint64(c.n.opt.ReplWindow) {
 		return true
 	}
 	stall := time.NewTimer(c.n.opt.ReplStallTimeout)
 	defer stall.Stop()
-	for sent-*acked > uint64(c.n.opt.ReplWindow) {
+	for sent-acked > uint64(c.n.opt.ReplWindow) {
 		select {
-		case ack := <-c.ackCh:
-			if ack > *acked {
-				*acked = ack
+		case <-c.acked:
+			if a := c.n.replAckedBy(c); a > acked {
+				acked = a
 				// Progress: push the eviction horizon out.
 				if !stall.Stop() {
 					select {
@@ -164,8 +147,6 @@ func (c *conn) awaitAcks(sent uint64, acked *uint64, hb *time.Ticker, heartbeat 
 				}
 				stall.Reset(c.n.opt.ReplStallTimeout)
 			}
-		case <-hb.C:
-			heartbeat()
 		case <-stall.C:
 			c.n.Wire.ReplStallEvictions.Add(1)
 			c.interruptRead()

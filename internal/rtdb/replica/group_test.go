@@ -35,7 +35,7 @@ func TestBatchedShippingWatermark(t *testing.T) {
 	}
 	srv.Start()
 	ns := netserve.New(srv, netserve.Options{
-		HeartbeatInterval: 25 * time.Millisecond,
+		HeartbeatInterval: testBeacon,
 		ReplBatch:         4, ReplWindow: 16,
 	})
 	addr, err := ns.Listen("127.0.0.1:0")
@@ -53,7 +53,7 @@ func TestBatchedShippingWatermark(t *testing.T) {
 		},
 		Client: client.Options{Name: "gc-follower",
 			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-			Seed: 9, HeartbeatInterval: 5 * time.Second / 3,
+			Seed: 9, HeartbeatInterval: testBeacon,
 		},
 	}, testServer())
 	if err != nil {

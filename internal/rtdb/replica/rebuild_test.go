@@ -192,7 +192,7 @@ func TestReconnectMidSegmentGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	ns := netserve.New(srv, netserve.Options{HeartbeatInterval: 25 * time.Millisecond, ReplBatch: 4, ReplWindow: 16})
+	ns := netserve.New(srv, netserve.Options{HeartbeatInterval: testBeacon, ReplBatch: 4, ReplWindow: 16})
 	addr, err := ns.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestReconnectMidSegmentGroupCommit(t *testing.T) {
 			WAL:     wal.Options{Dir: "rwal", FS: memR, SegmentSize: 1 << 20, SnapshotEvery: 1 << 20, Sync: true},
 			Client: client.Options{Name: "gc-follower",
 				RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-				Seed: 9, HeartbeatInterval: 5 * time.Second / 3,
+				Seed: 9, HeartbeatInterval: testBeacon,
 			},
 		}, testServer())
 		if err != nil {

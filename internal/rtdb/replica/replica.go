@@ -54,7 +54,9 @@ type Config struct {
 	WAL wal.Options
 	// PromoteAfter, when positive, promotes the replica automatically once
 	// the primary has been silent (counting failed redials) for this long.
-	// Zero means promotion is manual (Promote).
+	// Zero means promotion is manual (Promote). The primary only speaks on
+	// an idle link to echo the follower's beacons, so it needs them on
+	// (Client.HeartbeatInterval ≥ 0) and should clear 3 beacon intervals.
 	PromoteAfter time.Duration
 	// Client tunes the follow stream's connection, with the client's
 	// defaults: name, timeouts, redial walk, beacon interval (3 bound the
@@ -104,6 +106,9 @@ type Replica struct {
 // whose Rules are installed at promotion; sc.Log is ignored. The follow
 // stream is not started; call Start.
 func Open(cfg Config, sc server.Config) (*Replica, error) {
+	if cfg.PromoteAfter > 0 && cfg.Client.HeartbeatInterval < 0 {
+		return nil, errors.New("replica: PromoteAfter needs the follower's beacons (Client.HeartbeatInterval ≥ 0): an idle primary says nothing else")
+	}
 	l, err := wal.Open(cfg.WAL)
 	if err != nil {
 		return nil, err

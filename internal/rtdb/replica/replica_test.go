@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +102,12 @@ func newTestPrimary(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, fu
 	return lp, stop, addr
 }
 
+// testBeacon is the test stacks' one link cadence: each primary listener
+// requires a beacon this often (cutting a link after 3× of silence) and each
+// follower sends one this often, so an idle link holds rather than churning
+// through re-subscribes.
+const testBeacon = 100 * time.Millisecond
+
 // newTestPrimaryNS is newTestPrimary that also hands back the listener, for
 // tests that read the primary's replication watermark.
 func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, *netserve.Server, func(), string) {
@@ -120,7 +127,7 @@ func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, 
 	// without it the (Sessions: 1) pool wedges after the first disconnect.
 	srv.Start()
 	ns := netserve.New(srv, netserve.Options{
-		HeartbeatInterval: 25 * time.Millisecond,
+		HeartbeatInterval: testBeacon,
 		ReplBatch:         4, ReplWindow: 16,
 	})
 	addr, err := ns.Listen("127.0.0.1:0")
@@ -145,7 +152,7 @@ func openTestReplica(t testing.TB, primary string, sc server.Config) *Replica {
 		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(2), SegmentSize: 2048, SnapshotEvery: 32},
 		Client: client.Options{Name: "t-follower",
 			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-			Seed: 7, HeartbeatInterval: 5 * time.Second / 3,
+			Seed: 7, HeartbeatInterval: testBeacon,
 		},
 	}, sc)
 	if err != nil {
@@ -424,5 +431,62 @@ func TestWatchdogAutoPromotes(t *testing.T) {
 	}
 	if got := r.Epoch(); got < 2 {
 		t.Fatalf("auto-promotion left epoch at %d", got)
+	}
+}
+
+// TestOpenRefusesPromoteAfterWithoutBeacons: an idle primary says nothing
+// but the echoes of its follower's beacons, so a watchdog over a follower
+// that sends none would promote against a live primary. Open refuses that
+// pair, and only that pair.
+func TestOpenRefusesPromoteAfterWithoutBeacons(t *testing.T) {
+	open := func(promoteAfter time.Duration) (*Replica, error) {
+		return Open(Config{
+			Primary:      "127.0.0.1:1",
+			WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(3)},
+			PromoteAfter: promoteAfter,
+			Client:       client.Options{HeartbeatInterval: -1},
+		}, testServer())
+	}
+	if r, err := open(time.Second); err == nil {
+		r.Close()
+		t.Fatal("Open took PromoteAfter with the follower's beacons off")
+	} else if !strings.Contains(err.Error(), "HeartbeatInterval") {
+		t.Fatalf("refusal %q does not name Client.HeartbeatInterval", err)
+	}
+	r, err := open(0) // manual promotion needs no beacons
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+}
+
+// TestIdleFollowerHoldsItsLink: the primary sends nothing on an idle link of
+// its own accord, so a caught-up follower holds its one connection on its
+// own beacons alone — the listener echoes each, and neither side's silence
+// bound fires however long nothing is written.
+func TestIdleFollowerHoldsItsLink(t *testing.T) {
+	lp, ns, _, addr := newTestPrimaryNS(t, 1<<16, 1<<20)
+	events := testEvents(10)
+	for _, e := range events {
+		if err := lp.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := newTestReplica(t, addr)
+	defer r.Close()
+	r.Start()
+	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
+		t.Fatalf("replica stuck at %d", r.Seq())
+	}
+	reconnects := r.srv.Repl.Reconnects.Load()
+	time.Sleep(6 * testBeacon) // twice the listener's silence bound
+	if got := r.srv.Repl.Reconnects.Load(); got != reconnects {
+		t.Errorf("Repl.Reconnects %d → %d while idle, want unchanged", reconnects, got)
+	}
+	if got := ns.Wire.ConnsAccepted.Load(); got != 1 {
+		t.Errorf("primary accepted %d connections, want the follower's one", got)
+	}
+	if got := ns.Wire.HeartbeatsIn.Load(); got < 1 {
+		t.Error("primary echoed no follower beacon on the idle link")
 	}
 }

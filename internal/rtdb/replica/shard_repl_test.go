@@ -39,7 +39,7 @@ func TestShardReplication(t *testing.T) {
 	for i, s := range srvs {
 		s.Start()
 		ns := netserve.New(s, netserve.Options{
-			HeartbeatInterval: 25 * time.Millisecond,
+			HeartbeatInterval: testBeacon,
 			ReplBatch:         4, ReplWindow: 16,
 			Shard: i, Shards: shards,
 		})
@@ -63,7 +63,7 @@ func TestShardReplication(t *testing.T) {
 			Seed: 7,
 
 			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-			HeartbeatInterval: 5 * time.Second / 3,
+			HeartbeatInterval: testBeacon,
 		},
 	}, server.Config{})
 	if err != nil {

@@ -110,9 +110,9 @@ const (
 	// KindWalAck acknowledges application of events through Seq
 	// (follower → primary); it opens the primary's send window.
 	KindWalAck
-	// KindHeartbeat is the liveness beacon: sent on idle replication links
-	// and idle client connections, echoed by the server, so a silently dead
-	// peer is detected within HeartbeatInterval×3 instead of a call timeout.
+	// KindHeartbeat is the liveness beacon a client (a follower too) sends
+	// on an idle connection and the server echoes, so a silently dead peer
+	// is detected within HeartbeatInterval×3 instead of a call timeout.
 	KindHeartbeat
 	// KindPromoteInfo announces a promotion (standby → its read clients):
 	// the sender is now primary at Epoch, with its log at Seq.
