@@ -47,7 +47,8 @@ race-net:
 	$(GO) test -race ./internal/rtwire/ ./internal/rtdb/netserve/ ./internal/rtdb/client/
 
 # WAL-streaming replication under the race detector: the replica package
-# (streaming at the tail, catch-up, resync, promotion fencing, auto-promote watchdog, the
+# (streaming at the tail, catch-up, resync, promotion fencing, auto-promotion at the follow
+# stream's redials and a follower's own slow fsync that must not set it off, the
 # follower server's hardening, stalled-subscriber and in-place promotion tests) plus the
 # torture failover sweep's short configuration. CI runs this target.
 race-repl:
@@ -153,7 +154,9 @@ soak-short:
 # its cursor arithmetic. The durable group-commit run's drain report must show
 # fsync_count > 0 and grouped_appends == wal_appends. An idle primary and
 # -replica-of standby pair (scripts/idle-standby.sh) must hold the standby's
-# one link on its beacons: net_conns_accepted 1. Then a durable four-shard
+# one link on its beacons: net_conns_accepted 1; its failover leg, a fresh
+# pair with the standby at -promote-after 3s, must not promote while idle and
+# must promote within 6s of a kill -9 of the primary. Then a durable four-shard
 # pair over one directory: both runs must close the cross-shard books, and the
 # second must recover every shard's own WAL.
 SMOKE_PORT ?= 7740

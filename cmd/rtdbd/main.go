@@ -68,7 +68,7 @@ func main() {
 
 		replicaOf    = flag.String("replica-of", "", "follow this primary address as a hot standby (requires -dir)")
 		promote      = flag.Bool("promote", false, "bump the fencing epoch in -dir before serving (turn a stopped replica into the new primary)")
-		promoteAfter = flag.Duration("promote-after", 0, "replica mode: auto-promote after this much primary silence (0: manual, SIGHUP); at least 3s, the 3 beacons of 1s after which a silent link is cut")
+		promoteAfter = flag.Duration("promote-after", 0, "replica mode: auto-promote once the follow stream, cut and redialling, has heard nothing from the primary for this long (0: manual, SIGHUP); at least 3s: the stream is cut only after 3 silent beacons of 1s")
 	)
 	flag.Parse()
 	if *pprofAddr != "" {
@@ -79,7 +79,7 @@ func main() {
 	case *replicaOf != "" && *shards > 1:
 		err = fmt.Errorf("-replica-of follows one shard's listener; run one replica per shard (drop -shards)")
 	case *replicaOf != "" && *promoteAfter > 0 && *promoteAfter < 3*beacon:
-		err = fmt.Errorf("-promote-after %v is below %v, the 3 beacons of %v after which a silent link is cut: it would promote against a live primary", *promoteAfter, 3*beacon, beacon)
+		err = fmt.Errorf("-promote-after %v is below %v: the follow stream is cut only after 3 silent beacons of %v, so promotion cannot act sooner", *promoteAfter, 3*beacon, beacon)
 	case *replicaOf != "":
 		err = runReplica(*dir, *listen, *replicaOf, *promoteAfter, *sessions, *segSize, *snapshot, *fsync, *fsyncWin, *evalCost, *queue)
 	default:

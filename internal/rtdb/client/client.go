@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,11 +71,12 @@ type Options struct {
 	// Seed makes the jittered retry schedule reproducible; 0 derives one
 	// from the wall clock.
 	Seed uint64
-	// HeartbeatInterval paces liveness beacons on an idle connection: the
-	// client sends a Heartbeat after this much inbound silence and closes
-	// the connection after 3× of it, so a silently dead peer is detected
-	// in bounded time instead of hanging until CallTimeout. Default 15s;
-	// negative disables heartbeats.
+	// HeartbeatInterval paces liveness beacons: the flusher sends a
+	// Heartbeat this often, and a socket read that waits 3× of it for the
+	// peer closes the connection, so a silently dead peer is detected in
+	// bounded time instead of hanging until CallTimeout. Time the client
+	// spends between reads on its own work is not silence. Default 15s;
+	// negative disables both.
 	HeartbeatInterval time.Duration
 	// ChrononDuration is the wall-clock length of one client chronon used
 	// for deadline translation (default 1ms). A query's Elapsed field is
@@ -179,7 +181,7 @@ type Stats struct {
 	StaleRejected     atomic.Uint64 // connections refused for an old fencing epoch
 	Degraded          atomic.Uint64 // queries answered by a standby
 	ReadOnlyRejects   atomic.Uint64 // submissions refused with CodeReadOnly
-	HeartbeatTimeouts atomic.Uint64 // connections cut by the liveness watchdog
+	HeartbeatTimeouts atomic.Uint64 // connections cut by a read that waited 3 heartbeat intervals
 	Resubscribes      atomic.Uint64 // subscriptions re-attached after a reconnect
 	CorruptFrames     atomic.Uint64 // connections dropped on a damaged inbound frame
 
@@ -209,8 +211,9 @@ type Client struct {
 	ids   atomic.Uint64
 	boSeq atomic.Uint64
 
-	// lastRead is the unix-nano timestamp of the newest inbound frame;
-	// the heartbeat watchdog reads it.
+	// lastRead is the unix-nano instant the newest socket read began to wait
+	// on the peer, stamped as silenceReader arms the silence bound; silence
+	// reads it.
 	lastRead atomic.Int64
 
 	mu   sync.Mutex // guards conn/out, address rotation, and (re)dials
@@ -254,8 +257,8 @@ type Client struct {
 	flushed chan struct{}
 
 	// done closes when Close is called; every waiter that outlives a call —
-	// the flusher, the heartbeat watchdog, retry backoff pauses, resume
-	// loops — selects on it so Close leaks neither goroutines nor timers.
+	// the flusher and its beacon ticker, retry backoff pauses, resume loops —
+	// selects on it so Close leaks neither goroutines nor timers.
 	done chan struct{}
 }
 
@@ -324,8 +327,12 @@ type FollowSpec struct {
 	// stale one with false: the follower's persisted epoch is the floor of
 	// the client's fencing watermark.
 	Adopt func(epoch uint64) bool
-	// Retry is told of every re-subscribe attempt after a lost stream.
-	Retry func()
+	// Retry is told of every re-subscribe attempt after a lost stream, with
+	// how long the stream's last read had waited on the primary (zero if no
+	// connection ever armed one). The follower's own work between reads —
+	// fsync, replay — never counts, and Retry only runs while the stream is
+	// down.
+	Retry func(silence time.Duration)
 }
 
 // Follow opens a replication stream to the primary at addr and returns at
@@ -353,7 +360,7 @@ func (c *Client) followLoop() {
 		}
 		err := c.rejoin(bo, -1, func() error {
 			if lost {
-				c.follow.Retry()
+				c.follow.Retry(c.silence())
 			}
 			return c.send(nil, true, true)
 		})
@@ -398,7 +405,9 @@ func (c *Client) connectOneLocked() error {
 	if err != nil {
 		return fail(nil, err)
 	}
-	m, br, err := handshake(conn, c.opt.Name, c.opt.WriteTimeout, c.opt.DialTimeout)
+	sr := &silenceReader{nc: conn, last: &c.lastRead}
+	br := bufio.NewReader(sr)
+	m, err := handshake(conn, br, c.opt.Name, c.opt.WriteTimeout, c.opt.DialTimeout)
 	if err != nil {
 		return fail(conn, err)
 	}
@@ -416,6 +425,7 @@ func (c *Client) connectOneLocked() error {
 		c.shards = 1
 	}
 	_ = conn.SetReadDeadline(time.Time{})
+	sr.bound = 3 * c.opt.HeartbeatInterval
 	c.conn = conn
 	if c.lastAddr != "" && c.lastAddr != addr {
 		c.Stats.FailedOver.Add(1)
@@ -431,87 +441,63 @@ func (c *Client) connectOneLocked() error {
 		c.out = rtwire.Subscribe{AfterSeq: c.follow.After(), Follower: c.opt.Name}.AppendTo(c.out)
 	}
 	c.gen++
-	gen := c.gen
-	c.lastRead.Store(time.Now().UnixNano())
-	go c.readLoop(conn, br, gen)
-	if c.opt.HeartbeatInterval > 0 {
-		go c.heartbeatLoop(conn, gen)
-	}
+	go c.readLoop(sr, br, c.gen)
 	return nil
 }
 
-// handshake sends Hello under writeTimeout and reads the Welcome under
-// readTimeout, returning it with the reader the connection goes on through;
-// a refusal comes back as its rtwire.Err.
-func handshake(conn net.Conn, name string, writeTimeout, readTimeout time.Duration) (w rtwire.Welcome, br *bufio.Reader, err error) {
+// handshake sends Hello under writeTimeout and reads the Welcome from br,
+// the reader the connection goes on through, under readTimeout; a refusal
+// comes back as its rtwire.Err.
+func handshake(conn net.Conn, br *bufio.Reader, name string, writeTimeout, readTimeout time.Duration) (w rtwire.Welcome, err error) {
 	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(rtwire.Hello{Client: name}.Encode()); err != nil {
-		return w, nil, err
+		return w, err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
-	br = bufio.NewReader(conn)
 	f, err := rtwire.ReadFrame(br)
 	if err != nil {
-		return w, nil, fmt.Errorf("handshake read: %w", err)
+		return w, fmt.Errorf("handshake read: %w", err)
 	}
 	msg, err := rtwire.Decode(f)
 	if err != nil {
-		return w, nil, fmt.Errorf("handshake decode: %w", err)
+		return w, fmt.Errorf("handshake decode: %w", err)
 	}
 	switch m := msg.(type) {
 	case rtwire.Welcome:
-		return m, br, nil
+		return m, nil
 	case rtwire.Err:
-		return w, nil, m
+		return w, m
 	}
-	return w, nil, fmt.Errorf("handshake: unexpected %s frame", f.Kind)
+	return w, fmt.Errorf("handshake: unexpected %s frame", f.Kind)
 }
 
-// heartbeatLoop is the liveness watchdog for one connection generation: it
-// beacons a Heartbeat every interval and cuts the connection after 3
-// intervals of inbound silence — a silently dead peer (a half-open socket
-// behind a one-way partition) costs bounded time, not a CallTimeout. The
-// ticker runs at a quarter interval so the silence check is fine-grained
-// enough to cut at ~3 intervals instead of quantizing up to 4; beacons
-// stay paced at the full interval.
-func (c *Client) heartbeatLoop(conn net.Conn, gen int) {
-	iv := c.opt.HeartbeatInterval
-	t := time.NewTicker(max(iv/4, time.Millisecond))
-	defer t.Stop()
-	var lastBeacon time.Time
-	for {
-		select {
-		case <-t.C:
-		case <-c.done:
-			// Close must not strand this goroutine (and its ticker) for up
-			// to an interval; exit the moment the client goes away.
-			return
-		}
-		c.mu.Lock()
-		stale := c.closed || c.gen != gen
-		c.mu.Unlock()
-		if stale {
-			return
-		}
-		if c.Silence() >= 3*iv {
-			c.Stats.HeartbeatTimeouts.Add(1)
-			conn.Close() // the read loop unblocks and fails the pending calls
-			c.advance()  // and the next redial tries a different node first
-			return
-		}
-		if now := time.Now(); now.Sub(lastBeacon) >= iv {
-			lastBeacon = now
-			// The beacon's write deadline is clamped to one interval: a
-			// stalled socket must not pin this goroutine for the full
-			// WriteTimeout while the watchdog is trying to detect it.
-			_ = c.sendTimeout(rtwire.Heartbeat{}.AppendTo, false, true, min(iv, c.opt.WriteTimeout))
-		}
-	}
+// silenceReader arms a connection's inbound-silence bound at each socket
+// read under its bufio.Reader, as netserve's deadlineReader does on the other
+// end: silence is time spent waiting to read, so a burst that arrived in one
+// segment is one deadline, and the client's own work between reads — a
+// follower's fsync and replay — never counts against its peer. While bound
+// is 0 (the handshake, or heartbeats off) reads pass through.
+type silenceReader struct {
+	nc    net.Conn
+	bound time.Duration
+	last  *atomic.Int64 // the instant the newest read was armed
+	cut   bool          // the newest read outlived its deadline
 }
 
-// Silence is how long the peer has said nothing — zero until the first
-// connection.
-func (c *Client) Silence() time.Duration {
+func (r *silenceReader) Read(p []byte) (int, error) {
+	if r.bound > 0 {
+		now := time.Now()
+		r.last.Store(now.UnixNano())
+		_ = r.nc.SetReadDeadline(now.Add(r.bound))
+	}
+	n, err := r.nc.Read(p)
+	r.cut = errors.Is(err, os.ErrDeadlineExceeded)
+	return n, err
+}
+
+// silence is how long ago the newest socket read began to wait on the peer
+// — zero until one armed the silence bound.
+func (c *Client) silence() time.Duration {
 	if last := c.lastRead.Load(); last != 0 {
 		return time.Since(time.Unix(0, last))
 	}
@@ -550,7 +536,7 @@ func (c *Client) rotate() {
 }
 
 // advance rotates the dial cursor without touching the live connection —
-// the heartbeat watchdog uses it after closing a half-open socket, so the
+// the read loop uses it when a read outlived the silence bound, so the
 // redial starts at a different node instead of the one that went silent.
 func (c *Client) advance() {
 	c.mu.Lock()
@@ -604,15 +590,22 @@ func (c *Client) ShardFor(object string) uint64 {
 
 // readLoop dispatches incoming frames to waiting callers until the
 // connection dies.
-func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
+func (c *Client) readLoop(sr *silenceReader, br *bufio.Reader, gen int) {
 	defer c.failPending(gen)
+	conn := sr.nc
 	// One payload buffer for the connection's lifetime; Decode copies the
 	// field strings out before the next frame overwrites it.
 	var rbuf []byte
 	for {
 		f, err := rtwire.ReadFrameBuf(br, &rbuf)
 		if err != nil {
-			if rtwire.IsCorruptFrame(err) {
+			if sr.cut {
+				// 3 intervals of waiting heard nothing: a silently dead peer
+				// or a half-open socket. failPending closes it, and the
+				// redial tries a different node first.
+				c.Stats.HeartbeatTimeouts.Add(1)
+				c.advance()
+			} else if rtwire.IsCorruptFrame(err) {
 				// Byte damage on the wire: the CRC (or framing) caught it.
 				// Frame boundaries are unrecoverable — count it and let the
 				// connection die; a redial resynchronizes from a handshake.
@@ -621,7 +614,6 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 			}
 			return
 		}
-		c.lastRead.Store(time.Now().UnixNano())
 		if f.Kind == rtwire.KindPush {
 			// The one kind that arrives in bulk decodes into a stack value;
 			// every other message is boxed for its waiting caller anyway.
@@ -651,8 +643,6 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 				conn.Close() // unasked for, or refused: a follower re-subscribes
 				return
 			}
-			// Time spent applying (fsync, replay) is not the primary's silence.
-			c.lastRead.Store(time.Now().UnixNano())
 			_ = c.send(func(b []byte) []byte { return rtwire.WalAck{Seq: c.follow.After()}.AppendTo(b) }, false, false)
 		case rtwire.Err:
 			if !c.deliver(m.ID, msg) {
@@ -746,8 +736,8 @@ func (c *Client) send(encode func([]byte) []byte, redial, wait bool) error {
 	return c.sendTimeout(encode, redial, wait, c.opt.WriteTimeout)
 }
 
-// sendTimeout is send with an explicit write deadline; the heartbeat
-// beacon clamps it to one interval.
+// sendTimeout is send with an explicit write deadline; the beacon clamps it
+// to one interval.
 func (c *Client) sendTimeout(encode func([]byte) []byte, redial, wait bool, wt time.Duration) error {
 	c.mu.Lock()
 	if c.closed {
@@ -814,15 +804,25 @@ func (c *Client) flush(gen int, wt time.Duration) error {
 // flushLoop is the connection's flusher: a frame nobody waits on is not
 // flushed by its caller, it is flushed here, one goroutine wake-up after
 // the first of a burst was accepted — so a lone sample leaves at once and a
-// tight loop of them, outrunning the wake-up, shares a socket write. There
-// is no timer to tune. It never redials: a failed write drops the
-// connection and the next send finds out.
+// tight loop of them, outrunning the wake-up, shares a socket write. Its one
+// timer paces the beacons, every HeartbeatInterval. It never redials: a
+// failed write drops the connection and the next send finds out.
 func (c *Client) flushLoop() {
 	defer close(c.flushed)
+	var beacon <-chan time.Time
+	if iv := c.opt.HeartbeatInterval; iv > 0 {
+		t := time.NewTicker(iv)
+		defer t.Stop()
+		beacon = t.C
+	}
 	for {
 		select {
 		case <-c.kick:
 			_ = c.flush(0, c.opt.WriteTimeout)
+		case <-beacon:
+			// Clamped to one interval: a stalled socket must not hold the
+			// flusher for a whole WriteTimeout.
+			_ = c.sendTimeout(rtwire.Heartbeat{}.AppendTo, false, true, min(c.opt.HeartbeatInterval, c.opt.WriteTimeout))
 		case <-c.done:
 			return
 		}

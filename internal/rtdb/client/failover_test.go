@@ -50,8 +50,8 @@ func fakeNode(t *testing.T, epoch uint64, freeze bool, accepts int) string {
 
 // TestHeartbeatDetectsFrozenPeer: the server handshakes and then its writer
 // freezes solid. Without heartbeats the pending query would sit until
-// CallTimeout (30s); the liveness watchdog must cut the connection within
-// 3 heartbeat intervals instead and fail the call with ErrConnDown.
+// CallTimeout (30s); the read's silence bound must cut the connection
+// within 3 heartbeat intervals instead and fail the call with ErrConnDown.
 func TestHeartbeatDetectsFrozenPeer(t *testing.T) {
 	addr := fakeNode(t, 1, true, 1)
 	c, err := client.Dial(addr, client.Options{
@@ -72,7 +72,7 @@ func TestHeartbeatDetectsFrozenPeer(t *testing.T) {
 		t.Fatalf("frozen peer took %v to detect; want ~3×50ms", d)
 	}
 	if got := c.Stats.HeartbeatTimeouts.Load(); got == 0 {
-		t.Fatal("watchdog cut the link but HeartbeatTimeouts == 0")
+		t.Fatal("the silence bound cut the link but HeartbeatTimeouts == 0")
 	}
 }
 

@@ -44,11 +44,11 @@ func noFlusher(t *testing.T) {
 	}
 }
 
-// TestCloseLeaksNoGoroutines: a client with a live connection, an armed
-// heartbeat watchdog, and an active subscription must shed every goroutine
-// and timer on Close — the watchdog's old `for range ticker.C` shape kept
-// the goroutine (and its ticker) alive for up to a full interval after
-// Close, which this test pins at a long interval to make the leak loud.
+// TestCloseLeaksNoGoroutines: a client with a live connection, a beacon
+// ticker, and an active subscription must shed every goroutine and timer on
+// Close — a heartbeat goroutine shaped `for range ticker.C` once kept
+// itself (and its ticker) alive for up to a full interval after Close,
+// which this test pins at a long interval to make such a leak loud.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	_, addr := startServer(t)
 	base := runtime.NumGoroutine()
@@ -176,9 +176,9 @@ func startFabricServer(t *testing.T, fab *faultnet.Fabric, addr string) {
 }
 
 // fabricLeakOptions are the client options every fabric teardown test
-// uses: a live heartbeat watchdog (the only detector for a blackholed
-// flow), short write deadlines, and a fast retry ladder — all the
-// machinery whose goroutines must die with Close.
+// uses: live beacons and the read's silence bound (the only detector for a
+// blackholed flow), short write deadlines, and a fast retry ladder — all
+// the machinery whose goroutines must die with Close.
 func fabricLeakOptions(fab *faultnet.Fabric, label string) client.Options {
 	return client.Options{
 		Name: label, Dialer: fab.Dialer(label),
@@ -192,9 +192,9 @@ func fabricLeakOptions(fab *faultnet.Fabric, label string) client.Options {
 
 // TestCloseAfterPartitionCutLeaksNoGoroutines: a client whose connection
 // is first blackholed (the half-open socket: writes "succeed", nothing
-// arrives, so the watchdog trips into a redial loop whose dials hang in
-// the partition) and then hard-reset must still shed every goroutine the
-// moment Close is called — the watchdog ticker, the redial ladder, the
+// arrives, so the silence bound trips into a redial loop whose dials hang
+// in the partition) and then hard-reset must still shed every goroutine the
+// moment Close is called — the beacon ticker, the redial ladder, the
 // reader, and the subscription drainer all included.
 func TestCloseAfterPartitionCutLeaksNoGoroutines(t *testing.T) {
 	fab := faultnet.NewFabric(31)
@@ -223,7 +223,7 @@ func TestCloseAfterPartitionCutLeaksNoGoroutines(t *testing.T) {
 		}
 	}()
 
-	// Blackhole both directions, give the watchdog time to cut and start
+	// Blackhole both directions, give the silence bound time to cut and start
 	// redialing into the partition, then RST what is left of the old
 	// connection.
 	fab.PartitionNow(

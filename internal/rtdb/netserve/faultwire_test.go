@@ -38,8 +38,8 @@ func startFabricNet(t *testing.T, fab *faultnet.Fabric, addr string, opt Options
 }
 
 // fabricClient dials through the fabric with torture-scaled timeouts. hb
-// < 0 disables the client heartbeat watchdog (for tests that need a quiet
-// wire between arm and fire).
+// < 0 turns off the client's beacons and its reads' silence bound (for
+// tests that need a quiet wire between arm and fire).
 func fabricClient(t *testing.T, fab *faultnet.Fabric, label, addr string, hb time.Duration) *client.Client {
 	t.Helper()
 	c, err := client.Dial(addr, client.Options{

@@ -8,7 +8,7 @@ import (
 	"rtc/internal/rtdb/client"
 )
 
-// TestHeartbeatOneWayPartition pins the two halves of the watchdog
+// TestHeartbeatOneWayPartition pins the two halves of the silence-bound
 // contract against a genuine half-open socket: one direction of the
 // connection is blackholed (writes look like success, nothing arrives)
 // while the other keeps flowing, and whichever side stops hearing frames
@@ -17,9 +17,9 @@ import (
 //   - client→server blackholed: the client's beacons vanish, the server
 //     still writes fine — only its inbound-silence bound
 //     (min(2 min, 3×HeartbeatInterval)) can detect the loss.
-//   - server→client blackholed: heartbeat echoes vanish, the client's
-//     watchdog (3 intervals without an inbound frame, checked every
-//     interval/4) cuts and rotates.
+//   - server→client blackholed: heartbeat echoes vanish, and the client's
+//     read, armed with a deadline of 3 intervals, ends; it cuts and
+//     rotates.
 func TestHeartbeatOneWayPartition(t *testing.T) {
 	const iv = 60 * time.Millisecond
 	cases := []struct {

@@ -302,8 +302,8 @@ func (n *Server) PromoteInfo(epoch, seq uint64) {
 }
 
 // ReplDurable is the replication durability watermark: the highest WAL
-// sequence every follower that has subscribed is known to have acknowledged
-// (applied and persisted). Zero until a follower acks. Monotone: a follower
+// sequence every connected follower is known to have acknowledged (applied
+// and persisted). Zero until a follower acks. Monotone: a follower
 // disconnecting does not retract what it already holds.
 func (n *Server) ReplDurable() uint64 { return n.replDurable.Load() }
 
@@ -323,32 +323,32 @@ func (n *Server) heartbeatSeq() uint64 {
 // with the old connection — must still advance the watermark, or a fault
 // that eats exactly the last ack wedges ReplDurable forever.
 func (n *Server) replSubscribe(c *conn, afterSeq uint64) {
-	n.replMu.Lock()
-	n.replAcked[c] = afterSeq
-	min, ok := n.replMinLocked()
-	n.replMu.Unlock()
-	if ok {
-		n.replAdvance(min)
-	}
+	n.replUpdate(func() { n.replAcked[c] = afterSeq })
 }
 
-// replAck records one follower acknowledgment and advances the watermark to
-// the minimum acked seq across live followers (CAS-max: never backward).
+// replAck records one follower acknowledgment.
 func (n *Server) replAck(c *conn, seq uint64) {
-	n.replMu.Lock()
-	if cur, ok := n.replAcked[c]; ok && seq > cur {
-		n.replAcked[c] = seq
-	}
-	min, ok := n.replMinLocked()
-	n.replMu.Unlock()
-	if ok {
-		n.replAdvance(min)
-	}
+	n.replUpdate(func() {
+		if cur, ok := n.replAcked[c]; ok && seq > cur {
+			n.replAcked[c] = seq
+		}
+	})
 }
 
-// replMinLocked is the lowest seq held across live followers; false with
-// no followers registered.
-func (n *Server) replMinLocked() (uint64, bool) {
+// replForget drops a departing follower connection, and with it the low seq
+// it may hold: the follower's next connection can already have subscribed
+// holding more, and an idle follower sends no later ack that would move the
+// watermark past a stale entry.
+func (n *Server) replForget(c *conn) {
+	n.replUpdate(func() { delete(n.replAcked, c) })
+}
+
+// replUpdate applies one change to the durability registry, then advances
+// the watermark to the lowest seq held across live followers; with none
+// registered it stays.
+func (n *Server) replUpdate(change func()) {
+	n.replMu.Lock()
+	change()
 	var min uint64
 	first := true
 	for _, s := range n.replAcked {
@@ -356,7 +356,10 @@ func (n *Server) replMinLocked() (uint64, bool) {
 			min, first = s, false
 		}
 	}
-	return min, !first
+	n.replMu.Unlock()
+	if !first {
+		n.replAdvance(min)
+	}
 }
 
 // replAdvance CAS-maxes the durability watermark — never backward.
@@ -374,12 +377,6 @@ func (n *Server) replAckedBy(c *conn) uint64 {
 	n.replMu.Lock()
 	defer n.replMu.Unlock()
 	return n.replAcked[c]
-}
-
-func (n *Server) replForget(c *conn) {
-	n.replMu.Lock()
-	delete(n.replAcked, c)
-	n.replMu.Unlock()
 }
 
 // handle runs one accepted socket: handshake, session checkout, read loop,

@@ -32,7 +32,7 @@ func caughtUpFollower(t *testing.T, mem *faultfs.Mem, opt Options) (*wal.Log, *S
 	}
 	t.Cleanup(func() { l.Close() })
 	cfg := testConfig()
-	cfg.Log = l
+	cfg.Log, cfg.Sessions = l, 2 // room for the follower's next connection
 	_, ns, addr := startNet(t, cfg, opt)
 	rc := dialRaw(t, addr)
 	rc.handshake()
@@ -206,5 +206,36 @@ func TestSendWindowReadsAcks(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < stall {
 		t.Fatalf("evicted after %v, before ReplStallTimeout", elapsed)
+	}
+}
+
+// TestDepartingFollowerReleasesWatermark: a follower's stale connection —
+// its last ack lost with it — can still be registered when the follower's
+// next connection subscribes holding everything. Once the stale one is torn
+// down, the watermark must move to what the live connection holds at once:
+// an idle follower sends no further ack that would move it later.
+func TestDepartingFollowerReleasesWatermark(t *testing.T) {
+	l, ns, stale := caughtUpFollower(t, faultfs.NewMem(44), Options{})
+	held := l.Seq()
+	if err := l.Append(wal.Sample(1, "temp", "21")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stale.read().(rtwire.WalBatch); !ok {
+		t.Fatal("the stale connection was not shipped the new event")
+	}
+	live := dialRaw(t, ns.Addr().String())
+	live.handshake()
+	live.write(rtwire.Subscribe{AfterSeq: l.Seq(), Follower: "raw"}.Encode())
+	// The listener reads the beacon after the Subscribe: once its echo is
+	// back, both connections are registered.
+	live.write(rtwire.Heartbeat{}.Encode())
+	if hb, ok := live.read().(rtwire.Heartbeat); !ok || hb.Seq != held {
+		t.Fatalf("echo %+v, want the watermark %d the stale connection holds", hb, held)
+	}
+	stale.nc.Close()
+	for deadline := time.Now().Add(5 * time.Second); ns.ReplDurable() < l.Seq(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("watermark stuck at %d after the stale connection left; the live one holds %d", ns.ReplDurable(), l.Seq())
+		}
 	}
 }

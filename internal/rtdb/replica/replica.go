@@ -52,11 +52,15 @@ type Config struct {
 	// independent of the primary's: a replica with Sync on survives its own
 	// crashes at the sequence it acked).
 	WAL wal.Options
-	// PromoteAfter, when positive, promotes the replica automatically once
-	// the primary has been silent (counting failed redials) for this long.
-	// Zero means promotion is manual (Promote). The primary only speaks on
-	// an idle link to echo the follower's beacons, so it needs them on
-	// (Client.HeartbeatInterval ≥ 0) and should clear 3 beacon intervals.
+	// PromoteAfter, when positive, promotes the replica automatically at the
+	// first re-subscribe attempt after the stream's reads have waited this
+	// long on the primary (counting failed redials). Only a lost stream
+	// retries, so the replica's own fsync and replay never promote it, nor
+	// does a primary it never reached. Zero means promotion is manual
+	// (Promote). The primary only speaks on an idle link to echo the
+	// follower's beacons, so it needs them on (Client.HeartbeatInterval ≥ 0);
+	// the stream is cut only after 3 beacon intervals of silence, so a
+	// shorter PromoteAfter acts no sooner.
 	PromoteAfter time.Duration
 	// Client tunes the follow stream's connection, with the client's
 	// defaults: name, timeouts, redial walk, beacon interval (3 bound the
@@ -107,7 +111,7 @@ type Replica struct {
 // stream is not started; call Start.
 func Open(cfg Config, sc server.Config) (*Replica, error) {
 	if cfg.PromoteAfter > 0 && cfg.Client.HeartbeatInterval < 0 {
-		return nil, errors.New("replica: PromoteAfter needs the follower's beacons (Client.HeartbeatInterval ≥ 0): an idle primary says nothing else")
+		return nil, errors.New("replica: PromoteAfter needs the follower's beacons (Client.HeartbeatInterval ≥ 0): without them nothing bounds the stream's silence, and an idle primary says nothing else")
 	}
 	l, err := wal.Open(cfg.WAL)
 	if err != nil {
@@ -126,21 +130,26 @@ func Open(cfg Config, sc server.Config) (*Replica, error) {
 	return r, nil
 }
 
-// Start opens the follow stream (and the auto-promotion watchdog when
-// configured).
+// Start opens the follow stream.
 func (r *Replica) Start() {
 	cl := client.Follow(r.cfg.Primary, r.cfg.Client, client.FollowSpec{
 		After: r.Seq,
 		Apply: r.applyBatch,
 		Adopt: r.adoptEpoch,
-		Retry: func() { r.srv.Repl.Reconnects.Add(1) },
+		Retry: r.retry,
 	})
 	r.mu.Lock()
 	r.cl = cl
 	r.mu.Unlock()
-	if r.cfg.PromoteAfter > 0 {
-		r.wg.Add(1)
-		go r.watchdog(cl)
+}
+
+// retry is the follow stream's re-subscribe hook (client.FollowSpec.Retry):
+// it books the reconnect and, once the primary has been silent for
+// PromoteAfter, promotes the replica.
+func (r *Replica) retry(silence time.Duration) {
+	r.srv.Repl.Reconnects.Add(1)
+	if r.cfg.PromoteAfter > 0 && silence >= r.cfg.PromoteAfter {
+		_, _ = r.Promote()
 	}
 }
 
@@ -229,12 +238,17 @@ func (r *Replica) ServeOn(ln net.Listener, opt netserve.Options) (*netserve.Serv
 // listener keeps running, so connections and subscriptions survive; every
 // connected client is told (PromoteInfo, best-effort: Promote never waits on
 // a client's socket). A follower the server refuses to promote (its
-// database is incomplete) keeps following.
+// database is incomplete) keeps following, and once Close has begun Promote
+// refuses.
 func (r *Replica) Promote() (uint64, error) {
 	r.mu.Lock()
-	if r.promoted {
+	switch {
+	case r.promoted:
 		r.mu.Unlock()
 		return r.srv.Epoch(), nil
+	case r.closed:
+		r.mu.Unlock()
+		return 0, errStopped
 	}
 	epoch, err := r.srv.Promote()
 	if err != nil {
@@ -393,30 +407,4 @@ func (r *Replica) adoptEpoch(e uint64) bool {
 	}
 	_ = r.log.AdoptEpoch(e) // a failed write fails the batch behind it
 	return true
-}
-
-// watchdog auto-promotes once the primary has been silent for PromoteAfter.
-// It only fires after the stream first connected — a replica that never
-// reached any primary has nothing worth promoting.
-func (r *Replica) watchdog(cl *client.Client) {
-	defer r.wg.Done()
-	tick := r.cfg.PromoteAfter / 4
-	if tick <= 0 {
-		tick = r.cfg.PromoteAfter
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if cl.Silence() >= r.cfg.PromoteAfter {
-				_, _ = r.Promote()
-				return
-			}
-		case <-r.promotedCh:
-			return
-		case <-r.quit:
-			return
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,7 +395,8 @@ func TestPromoteFencesAndSurvives(t *testing.T) {
 }
 
 // TestWatchdogAutoPromotes: with PromoteAfter set, losing the primary for
-// long enough promotes the replica without operator action.
+// long enough promotes the replica without operator action, at a redial of
+// the follow stream (the name is older than the decision's place).
 func TestWatchdogAutoPromotes(t *testing.T) {
 	lp, stopPrimary, addr := newTestPrimary(t, 1<<16, 1<<20)
 	events := testEvents(5)
@@ -435,9 +437,9 @@ func TestWatchdogAutoPromotes(t *testing.T) {
 }
 
 // TestOpenRefusesPromoteAfterWithoutBeacons: an idle primary says nothing
-// but the echoes of its follower's beacons, so a watchdog over a follower
-// that sends none would promote against a live primary. Open refuses that
-// pair, and only that pair.
+// but the echoes of its follower's beacons, and a follower that sends none
+// arms no silence bound on its reads, so PromoteAfter would have nothing to
+// measure. Open refuses that pair, and only that pair.
 func TestOpenRefusesPromoteAfterWithoutBeacons(t *testing.T) {
 	open := func(promoteAfter time.Duration) (*Replica, error) {
 		return Open(Config{
@@ -488,5 +490,87 @@ func TestIdleFollowerHoldsItsLink(t *testing.T) {
 	}
 	if got := ns.Wire.HeartbeatsIn.Load(); got < 1 {
 		t.Error("primary echoed no follower beacon on the idle link")
+	}
+}
+
+// stallFS is the follower's own slow disk: while armed, every fsync takes a
+// second.
+type stallFS struct {
+	faultfs.FS
+	armed atomic.Bool
+}
+
+func (s *stallFS) OpenWrite(name string) (faultfs.File, error) {
+	f, err := s.FS.OpenWrite(name)
+	return stallFile{f, s}, err
+}
+
+func (s *stallFS) Create(name string) (faultfs.File, error) {
+	f, err := s.FS.Create(name)
+	return stallFile{f, s}, err
+}
+
+type stallFile struct {
+	faultfs.File
+	fs *stallFS
+}
+
+func (f stallFile) Sync() error {
+	if f.fs.armed.Load() {
+		time.Sleep(time.Second)
+	}
+	return f.File.Sync()
+}
+
+// TestOwnApplyIsNotSilence: a follower whose own fsync stalls for longer
+// than PromoteAfter, mid-apply, has not heard silence from its primary — it
+// was not waiting on it. The link holds, and the replica neither
+// re-subscribes nor promotes itself against the live primary.
+func TestOwnApplyIsNotSilence(t *testing.T) {
+	lp, ns, _, addr := newTestPrimaryNS(t, 1<<16, 1<<20)
+	events := testEvents(10)
+	for _, e := range events {
+		if err := lp.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := &stallFS{FS: faultfs.NewMem(4)}
+	r, err := Open(Config{
+		Primary: addr,
+		WAL:     wal.Options{Dir: "rwal", FS: fs, SegmentSize: 2048, SnapshotEvery: 32, Sync: true},
+		Client: client.Options{Name: "t-follower",
+			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
+			Seed: 7, HeartbeatInterval: testBeacon,
+		},
+		PromoteAfter: 3 * testBeacon,
+	}, testServer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Start()
+	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
+		t.Fatalf("replica stuck at %d", r.Seq())
+	}
+	epoch, reconnects := r.Epoch(), r.srv.Repl.Reconnects.Load()
+
+	fs.armed.Store(true)
+	if err := lp.Append(wal.Sample(100, "temp", "30")); err != nil {
+		t.Fatal(err)
+	}
+	if !r.WaitSeq(uint64(len(events))+1, 10*time.Second) {
+		t.Fatalf("replica stuck at %d", r.Seq())
+	}
+	fs.armed.Store(false)
+	time.Sleep(2 * testBeacon) // room for a promotion the stall set off
+
+	if got := r.Epoch(); got != epoch {
+		t.Errorf("epoch %d → %d: the replica promoted against a live primary", epoch, got)
+	}
+	if got := r.srv.Repl.Reconnects.Load(); got != reconnects {
+		t.Errorf("Repl.Reconnects %d → %d across its own slow fsync, want unchanged", reconnects, got)
+	}
+	if got := ns.Wire.ConnsAccepted.Load(); got != 1 {
+		t.Errorf("primary accepted %d connections, want the follower's one", got)
 	}
 }

@@ -9,8 +9,20 @@ import (
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/netserve"
-	"rtc/internal/rtdb/replica"
 )
+
+// failoverStack is the failover row's stack: loopback TCP, the primary a
+// replication sender's shell, one 50 ms beacon.
+func (c Config) failoverStack(seed uint64) (*stack, error) {
+	nopt := netserve.Options{ReplBatch: 8, ReplWindow: 32}
+	if c.Shards > 0 {
+		// Sharded rerun: the primary poses as one listener of an N-wide
+		// deployment. The replica must ignore the placement announcement
+		// and fail over exactly as in the unsharded sweep.
+		nopt.Shard, nopt.Shards = c.Victim%c.Shards, c.Shards
+	}
+	return c.newStack(stackSpec{seed: seed, beacon: 50 * time.Millisecond, net: nopt})
+}
 
 // failoverPoint is the replicated variant of the crash point: a primary WAL
 // behind a live rtwire replication stream, a replica acking every event, and
@@ -30,17 +42,7 @@ import (
 //   - reopens the promoted log: the bumped epoch must have been persisted.
 func (c Config) failoverPoint(p *point, events []wal.Event) error {
 	ps := pointSeed(c.Seed, p.at)
-	nopt := netserve.Options{
-		HeartbeatInterval: 50 * time.Millisecond,
-		ReplBatch:         8, ReplWindow: 32,
-	}
-	if c.Shards > 0 {
-		// Sharded rerun: the primary poses as one listener of an N-wide
-		// deployment. The replica must ignore the placement announcement
-		// and fail over exactly as in the unsharded sweep.
-		nopt.Shard, nopt.Shards = c.Victim%c.Shards, c.Shards
-	}
-	st, err := c.newStack(stackSpec{seed: ps, net: nopt, follower: replica.Config{Client: client.Options{HeartbeatInterval: 5 * time.Second / 3}}})
+	st, err := c.failoverStack(ps)
 	p.mem = st.memP
 	if err != nil {
 		return err

@@ -3,6 +3,10 @@ package torture
 import (
 	"testing"
 	"time"
+
+	"rtc/internal/faultnet"
+	wal "rtc/internal/rtdb/log"
+	"rtc/internal/timeseq"
 )
 
 // TestFailoverSweepShort is the tier-1 bounded variant: a handful of kill
@@ -60,4 +64,53 @@ func TestFailoverPointRepro(t *testing.T) {
 		t.Fatalf("At should pin exactly one point, got %d", rep.Points)
 	}
 	report(t, rep)
+}
+
+// TestStacksHoldIdleLinks: each wire row's stack runs its listeners and its
+// follower on one beacon, so a caught-up replication link left idle holds —
+// no silence cut, no re-subscribe.
+func TestStacksHoldIdleLinks(t *testing.T) {
+	c := Config{}
+	c.defaults()
+	// The failover row's primary is a bare sender over an empty log; the
+	// partition row's full server has already logged its catalog.
+	samples := []wal.Event{wal.Image("temp", 5)}
+	for i := 1; i <= 10; i++ {
+		samples = append(samples, wal.Sample(timeseq.Time(i), "temp", "20"))
+	}
+	rows := []struct {
+		name   string
+		stack  func(fab *faultnet.Fabric) (*stack, error)
+		events []wal.Event
+	}{
+		{"failover", func(*faultnet.Fabric) (*stack, error) { return c.failoverStack(1) }, samples},
+		{"partition", func(fab *faultnet.Fabric) (*stack, error) { return c.fabricStack(fab, 1, 6) }, samples[1:]},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			fab := faultnet.NewFabric(1)
+			defer fab.Close()
+			st, err := row.stack(fab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.close()
+			for _, e := range row.events {
+				if err := st.lp.Append(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !st.rp.WaitSeq(st.lp.Seq(), 10*time.Second) {
+				t.Fatalf("replica stuck at %d, primary at %d", st.rp.Seq(), st.lp.Seq())
+			}
+			reconnects := st.rp.Server().Repl.Reconnects.Load()
+			time.Sleep(time.Second)
+			if got := st.rp.Server().Repl.Reconnects.Load(); got != reconnects {
+				t.Errorf("Repl.Reconnects %d → %d while idle, want unchanged", reconnects, got)
+			}
+			if got := st.ns.Wire.ConnsAccepted.Load(); got != 1 {
+				t.Errorf("primary accepted %d connections, want the follower's one", got)
+			}
+		})
+	}
 }

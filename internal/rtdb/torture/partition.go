@@ -13,11 +13,11 @@ import (
 	"rtc/internal/rtwire"
 )
 
-// partScenario is one armed network fault family. hb enables the client
-// heartbeat watchdog (the only detector for blackholed flows); promote
-// marks the two-way isolation scenario that fails over to the standby
-// mid-partition and then tries to walk the client back into the deposed
-// primary.
+// partScenario is one armed network fault family. hb turns on the client's
+// beacons and its reads' silence bound (the only detector for blackholed
+// flows); promote marks the two-way isolation scenario that fails over to
+// the standby mid-partition and then tries to walk the client back into the
+// deposed primary.
 type partScenario struct {
 	name    string
 	fault   faultnet.Fault
@@ -48,21 +48,19 @@ func partScenarios() []partScenario {
 }
 
 // fabricStack builds the stack entirely on a faultnet fabric, with
-// heartbeat-scaled timeouts so watchdogs act within a point's lifetime.
+// beacon-scaled timeouts so silence bounds act within a point's lifetime.
 func (c Config) fabricStack(fab *faultnet.Fabric, seed uint64, sessions int) (*stack, error) {
 	return c.newStack(stackSpec{
-		fab: fab, seed: seed, sessions: sessions,
+		fab: fab, seed: seed, sessions: sessions, beacon: 100 * time.Millisecond,
 		net: netserve.Options{
-			HeartbeatInterval: 40 * time.Millisecond,
-			WriteTimeout:      150 * time.Millisecond,
-			HandshakeTimeout:  500 * time.Millisecond,
-			ReplBatch:         8, ReplWindow: 16,
+			WriteTimeout:     150 * time.Millisecond,
+			HandshakeTimeout: 500 * time.Millisecond,
+			ReplBatch:        8, ReplWindow: 16,
 			ReplStallTimeout: 300 * time.Millisecond,
 		},
 		follower: replica.Config{Client: client.Options{
-			DialTimeout:       150 * time.Millisecond,
-			HeartbeatInterval: 300 * time.Millisecond / 3,
-			WriteTimeout:      150 * time.Millisecond,
+			DialTimeout:  150 * time.Millisecond,
+			WriteTimeout: 150 * time.Millisecond,
 		}},
 	})
 }
@@ -209,11 +207,9 @@ func (c Config) partitionPoint(p *point) (err error) {
 		}
 		// Lockstep pre-fault so the replica's position is pinned when the
 		// fault lands.
-		target, start := st.lp.Seq(), time.Now()
-		for !r.fired() && !st.rp.WaitSeq(target, 50*time.Millisecond) {
-			if time.Since(start) > 3*time.Second && !r.fired() {
-				return fmt.Errorf("replica stalled at %d (want %d) with no fault", st.rp.Seq(), target)
-			}
+		target := st.lp.Seq()
+		if !poll(3*time.Second, func() bool { return r.fired() || st.rp.WaitSeq(target, 50*time.Millisecond) }) {
+			return fmt.Errorf("replica stalled at %d (want %d) with no fault", st.rp.Seq(), target)
 		}
 	}
 
@@ -269,6 +265,17 @@ func (r *partRun) flush() bool {
 	return true
 }
 
+// poll retries step every 2 ms until it holds, or reports false once bound
+// has passed.
+func poll(bound time.Duration, step func() bool) bool {
+	for dl := time.Now().Add(bound); !step(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(dl) {
+			return false
+		}
+	}
+	return true
+}
+
 // rideOut is the common back half of a fault point: heal, reach the
 // primary again, and check durability, conservation, convergence, and the
 // durability watermark.
@@ -281,17 +288,14 @@ func (r *partRun) rideOut() error {
 	// below re-heal on every pass: a fault armed at an op the drive
 	// phase never reached fires during this phase's own writes, after
 	// the first heal.
-	for dl := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		if !time.Now().Before(dl) {
-			return fmt.Errorf("post-heal flush never reached the primary")
-		}
+	if !poll(5*time.Second, func() bool {
 		r.fab.Heal()
 		if r.cl.Role() != rtwire.RolePrimary {
 			_, _ = r.cl.Query(statusQuery(deadline.Firm))
 		}
-		if r.flush() {
-			break
-		}
+		return r.flush()
+	}) {
+		return fmt.Errorf("post-heal flush never reached the primary")
 	}
 	r.fab.Heal()
 	if _, err := r.cl.Query(statusQuery(deadline.Soft)); err != nil {
@@ -313,16 +317,11 @@ func (r *partRun) rideOut() error {
 	// The replica converges to the primary's WAL tip and the replication
 	// durability watermark follows.
 	seq := r.lp.Seq()
-	for start := time.Now(); !r.rp.WaitSeq(seq, 50*time.Millisecond); r.fab.Heal() {
-		if time.Since(start) > 5*time.Second {
-			return fmt.Errorf("replica never converged: at %d, primary at %d", r.rp.Seq(), seq)
-		}
+	if !poll(5*time.Second, func() bool { r.fab.Heal(); return r.rp.WaitSeq(seq, 50*time.Millisecond) }) {
+		return fmt.Errorf("replica never converged: at %d, primary at %d", r.rp.Seq(), seq)
 	}
-	for dl := time.Now().Add(5 * time.Second); r.ns.ReplDurable() < seq; time.Sleep(2 * time.Millisecond) {
-		r.fab.Heal()
-		if time.Now().After(dl) {
-			return fmt.Errorf("durability watermark stuck at %d, primary at %d", r.ns.ReplDurable(), seq)
-		}
+	if !poll(5*time.Second, func() bool { r.fab.Heal(); return r.ns.ReplDurable() >= seq }) {
+		return fmt.Errorf("durability watermark stuck at %d, primary at %d", r.ns.ReplDurable(), seq)
 	}
 	return queryConservation("standby", r.rp.Server().Metrics.Snapshot())
 }
@@ -340,11 +339,14 @@ func (r *partRun) promote() error {
 	}
 
 	// The client must find the promoted standby and learn the new epoch.
-	for dl := time.Now().Add(5 * time.Second); r.cl.Epoch() < epoch; time.Sleep(time.Millisecond) {
-		if time.Now().After(dl) {
-			return fmt.Errorf("client never saw epoch %d (at %d)", epoch, r.cl.Epoch())
+	if !poll(5*time.Second, func() bool {
+		if r.cl.Epoch() >= epoch {
+			return true
 		}
 		_, _ = r.cl.Query(statusQuery(deadline.Soft))
+		return false
+	}) {
+		return fmt.Errorf("client never saw epoch %d (at %d)", epoch, r.cl.Epoch())
 	}
 
 	// Replicated durability across the failover: everything the client
@@ -370,13 +372,8 @@ func (r *partRun) promote() error {
 
 	// Lift the forced detour: the promoted standby must serve again.
 	r.fab.Heal()
-	for dl := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		if _, err := r.cl.Query(statusQuery(deadline.Soft)); err == nil {
-			break
-		}
-		if time.Now().After(dl) {
-			return fmt.Errorf("post-heal query never reached the promoted standby")
-		}
+	if !poll(5*time.Second, func() bool { _, err := r.cl.Query(statusQuery(deadline.Soft)); return err == nil }) {
+		return fmt.Errorf("post-heal query never reached the promoted standby")
 	}
 
 	// Conservation still holds on both sides of the healed cut.

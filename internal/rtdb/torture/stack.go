@@ -36,7 +36,11 @@ type stackSpec struct {
 	// is appended directly to the WAL, so a kill point stays deterministic
 	// in filesystem ops.
 	sessions int
-	net      netserve.Options // both listeners
+	// beacon is the stack's one link cadence: each listener requires a beacon
+	// this often (cutting a link after 3× of silence) and the follower sends
+	// one this often, so an idle replication link holds.
+	beacon   time.Duration
+	net      netserve.Options // both listeners; newStack sets the beacon
 	follower replica.Config   // the follower's timeouts; newStack fills in the rest
 }
 
@@ -85,6 +89,7 @@ func (c Config) newStack(sp stackSpec) (st *stack, err error) {
 		return st, fmt.Errorf("primary server: %v", err)
 	}
 	st.srv.Start()
+	sp.net.HeartbeatInterval = sp.beacon
 	st.ns = netserve.New(st.srv, sp.net)
 	pln, err := listen(partPrimary)
 	if err != nil {
@@ -96,6 +101,7 @@ func (c Config) newStack(sp stackSpec) (st *stack, err error) {
 	f := sp.follower
 	f.Primary, f.WAL, f.Client.Seed, f.Client.Name = st.primary, c.followerWAL(st.memR), sp.seed, "torture-follower"
 	f.Client.RetryBackoff, f.Client.RetryBackoffMax = time.Millisecond, 20*time.Millisecond
+	f.Client.HeartbeatInterval = sp.beacon
 	if sp.fab != nil {
 		f.Client.Dialer = sp.fab.Dialer("replica")
 	}
