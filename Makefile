@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc rtbench rtbench-smoke rtdbd-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
+.PHONY: all build vet test loc rtbench rtbench-smoke rtdbd-smoke bench-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
 
 all: build vet test
 
@@ -180,6 +180,13 @@ rtdbd-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Every benchmark of the root package and the log, netserve and replica
+# packages, run once: they still build and run (BenchmarkReplicaCatchup and
+# BenchmarkNetFanout included). Seconds; CI runs this target.
+BENCH_SMOKE_PKGS = . ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/
+bench-smoke:
+	$(GO) test -bench=. -benchtime=1x -run='^$$' $(BENCH_SMOKE_PKGS)
 
 # rtbench is the repository's benchmark (BENCHMARK.json, bench/README.md): a
 # nested module the root `go test ./...` does not see. rtbench-smoke vets it

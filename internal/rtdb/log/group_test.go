@@ -2,6 +2,7 @@ package log
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -336,13 +337,13 @@ func TestAppendBatchHealedFaultCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 		events := workload(12)
-		if _, err := l.AppendBatch(events[:4]); err != nil {
+		if _, err := l.AppendBatch(payloadsOf(events[:4])); err != nil {
 			t.Fatal(err)
 		}
 		mem.FailWrite(mem.Writes() + 5) // the second batch's 5th frame
-		applied, err := l.AppendBatch(events[4:])
-		if applied != 4 || !errors.Is(err, faultfs.ErrInjected) {
-			t.Fatalf("window %v: applied %d, err %v; want 4 and the healed fault", window, applied, err)
+		applied, err := l.AppendBatch(payloadsOf(events[4:]))
+		if len(applied) != 4 || !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("window %v: applied %d, err %v; want 4 and the healed fault", window, len(applied), err)
 		}
 		if perr := l.Err(); perr != nil {
 			t.Fatalf("window %v: a healed write fault poisoned the log: %v", window, perr)
@@ -374,12 +375,12 @@ func TestAppendBatchSingleFsync(t *testing.T) {
 
 	events := workload(10)
 	base := mem.Syncs()
-	applied, err := l.AppendBatch(events)
+	applied, err := l.AppendBatch(payloadsOf(events))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != len(events) {
-		t.Fatalf("applied %d of %d", applied, len(events))
+	if len(applied) != len(events) {
+		t.Fatalf("applied %d of %d", len(applied), len(events))
 	}
 	if got := mem.Syncs() - base; got != 1 {
 		t.Fatalf("AppendBatch paid %d fsyncs for %d events, want 1", got, len(events))
@@ -390,17 +391,16 @@ func TestAppendBatchSingleFsync(t *testing.T) {
 	if !fired(adv) {
 		t.Fatal("the batch's fsync did not wake the waiting reader")
 	}
-	got, err := l.ReadFrom(&ReadPos{}, len(events)+1)
+	pos := &ReadPos{}
+	got, err := l.ReadFrom(pos, len(events)+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(events) {
 		t.Fatalf("read %d events after the batch, want all %d: the read must cover the whole batch", len(got), len(events))
 	}
-	for i, se := range got {
-		if se.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d, want %d", i, se.Seq, i+1)
-		}
+	if want := payloadsOf(events); pos.Seq != uint64(len(events)) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %q to seq %d, want %q in order", got, pos.Seq, want)
 	}
 }
 
@@ -438,8 +438,8 @@ func TestGroupTailPublishAfterCommit(t *testing.T) {
 		t.Fatal("the release did not wake the waiting reader")
 	}
 	got, err := l.ReadFrom(pos, 8)
-	if err != nil || len(got) != 1 || got[0].Seq != tk.Seq() {
-		t.Fatalf("after the commit read %+v (err %v), want seq %d", got, err, tk.Seq())
+	if err != nil || len(got) != 1 || pos.Seq != tk.Seq() {
+		t.Fatalf("after the commit read %q to seq %d (err %v), want seq %d", got, pos.Seq, err, tk.Seq())
 	}
 }
 

@@ -192,13 +192,6 @@ func (st *State) visit(emit func(Event)) {
 	}
 }
 
-// dump collects visit's sequence — the payload of a full-state resync.
-func (st *State) dump() []Event {
-	var out []Event
-	st.visit(func(e Event) { out = append(out, e) })
-	return out
-}
-
 func splitFiring(s string) (timeseq.Time, string, bool) {
 	for i := 0; i < len(s); i++ {
 		if s[i] == ':' {

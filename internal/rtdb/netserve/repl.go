@@ -12,8 +12,8 @@ import (
 // subscribed follower, running one loop over one source — the segment files,
 // read through a position this goroutine owns.
 //
-//	read  up to ReplBatch events after the position (ReadFrom)
-//	ship  them as one WalBatch
+//	read  the payloads of up to ReplBatch events after the position (ReadFrom)
+//	ship  them, as framed, in one WalBatch
 //	wait  while the unacknowledged backlog exceeds the send window
 //	sleep when the read came back empty, until the log's shippable tail
 //	      moves (Advanced) — then read again
@@ -40,7 +40,8 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 	epoch := c.n.srv.Epoch()
 	pos := wal.ReadPos{Seq: sub.AfterSeq} // pos.Seq is the last sequence sent
 	for {
-		events, err := l.ReadFrom(&pos, c.n.opt.ReplBatch)
+		first := pos.Seq + 1
+		payloads, err := l.ReadFrom(&pos, c.n.opt.ReplBatch)
 		switch {
 		case errors.Is(err, wal.ErrSeqCompacted):
 			seq, ok := c.sendResync(l, epoch)
@@ -57,13 +58,9 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 			return
 		case err != nil:
 			return // log closed or poisoned; the follower will redial
-		case len(events) > 0:
-			payloads := make([]string, len(events))
-			for i, se := range events {
-				payloads[i] = string(se.Event.Payload())
-			}
+		case len(payloads) > 0:
 			if !c.sendRepl(rtwire.WalBatch{
-				Epoch: epoch, FirstSeq: events[0].Seq, Events: payloads,
+				Epoch: epoch, FirstSeq: first, Events: payloads,
 			}.Encode()) {
 				return
 			}
@@ -91,20 +88,16 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 // were compacted away. A log that cannot make its state durable has no dump
 // to give: the connection is torn down and the follower redials.
 func (c *conn) sendResync(l *wal.Log, epoch uint64) (uint64, bool) {
-	events, seq, lastAt, err := l.DumpState()
+	payloads, seq, lastAt, err := l.DumpState()
 	if err != nil {
 		c.interruptRead()
 		return 0, false
 	}
 	c.n.Wire.ReplResyncs.Add(1)
-	for start := 0; start < len(events); start += c.n.opt.ReplBatch {
-		end := min(start+c.n.opt.ReplBatch, len(events))
-		payloads := make([]string, end-start)
-		for i, e := range events[start:end] {
-			payloads[i] = string(e.Payload())
-		}
+	for start := 0; start < len(payloads); start += c.n.opt.ReplBatch {
+		end := min(start+c.n.opt.ReplBatch, len(payloads))
 		if !c.sendRepl(rtwire.WalBatch{
-			Epoch: epoch, Snap: rtwire.SnapPart, Events: payloads,
+			Epoch: epoch, Snap: rtwire.SnapPart, Events: payloads[start:end],
 		}.Encode()) {
 			return 0, false
 		}

@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"testing"
+	"time"
 
 	"rtc/internal/deadline"
 	"rtc/internal/rtwire"
@@ -210,6 +211,14 @@ collect2:
 			resumed = append(resumed, m)
 		case rtwire.Flushed:
 			break collect2
+		}
+	}
+	// The Flush ack schedules the pushes its samples matured; it does not
+	// order them ahead of itself (the writer serves acks and pushes as they
+	// come), so the first resumed push may follow Flushed.
+	for end := time.Now().Add(5 * time.Second); len(resumed) == 0 && time.Now().Before(end); {
+		if m, ok := rc.read().(rtwire.Push); ok {
+			resumed = append(resumed, m)
 		}
 	}
 	if len(resumed) == 0 {

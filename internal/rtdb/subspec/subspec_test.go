@@ -533,10 +533,10 @@ func (e *standbyEnv) subscribe(t *testing.T, s client.SubSpec) (handle, error) {
 // returns once the standby has acked them: ticks are scheduled before the ack.
 func (e *standbyEnv) advance(t *testing.T, n int) {
 	t.Helper()
-	batch := make([]wal.Event, n)
+	batch := make([]string, n)
 	for i := range batch {
 		e.at++
-		batch[i] = wal.Sample(e.at, "temp", "30")
+		batch[i] = string(wal.Sample(e.at, "temp", "30").Payload())
 	}
 	if _, err := e.log.AppendBatch(batch); err != nil {
 		t.Fatal(err)

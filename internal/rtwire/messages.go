@@ -244,10 +244,10 @@ const (
 )
 
 // WalBatch carries a contiguous run of WAL events from the primary's log.
-// Each entry of Events is the raw record payload of one log event (the
-// bytes of its $f1@f2@…$ encoding) — opaque to the wire layer, decoded by
-// the follower's log package. Epoch fences the stream: a follower rejects
-// batches from an epoch older than the newest it has seen.
+// Each entry of Events is one log event's record payload ($f1@f2@…$) as the
+// primary framed it — opaque to the wire layer and the replica; the
+// follower's log decodes it and frames the same bytes. Epoch fences the
+// stream: a follower rejects batches from an epoch older than its newest.
 type WalBatch struct {
 	Epoch      uint64
 	FirstSeq   uint64
