@@ -211,9 +211,9 @@ type Client struct {
 	ids   atomic.Uint64
 	boSeq atomic.Uint64
 
-	// lastRead is the unix-nano instant the newest socket read began to wait
-	// on the peer, stamped as silenceReader arms the silence bound; silence
-	// reads it.
+	// lastRead is the unix-nano instant the read loop began to wait on the
+	// peer for the frame it is reading, stamped as silenceReader arms the
+	// silence bound; silence reads it.
 	lastRead atomic.Int64
 
 	mu   sync.Mutex // guards conn/out, address rotation, and (re)dials
@@ -320,7 +320,9 @@ type FollowSpec struct {
 	// After is the follower's tail: every connection subscribes after it,
 	// and every WalAck reports it.
 	After func() uint64
-	// Apply folds one WalBatch in; an error ends the attachment.
+	// Apply folds one WalBatch in; an error ends the attachment. A resync
+	// dump arrives whole, in its SnapFinal batch: its chunks collect per
+	// connection, so one cut short by a lost connection never arrives.
 	Apply func(rtwire.WalBatch) error
 	// Adopt sees every epoch the primary announces (Welcome, Heartbeat,
 	// PromoteInfo) before the client's own fencing check, and refuses a
@@ -328,10 +330,10 @@ type FollowSpec struct {
 	// the client's fencing watermark.
 	Adopt func(epoch uint64) bool
 	// Retry is told of every re-subscribe attempt after a lost stream, with
-	// how long the stream's last read had waited on the primary (zero if no
-	// connection ever armed one). The follower's own work between reads —
-	// fsync, replay — never counts, and Retry only runs while the stream is
-	// down.
+	// how long the stream had waited on the primary for its last frame (zero
+	// if no connection ever armed a wait); the follower's own work between
+	// frames never counts. A loss both a write and the read loop saw can call it once
+	// more on a live stream, whose silence is then a live link's.
 	Retry func(silence time.Duration)
 }
 
@@ -472,31 +474,37 @@ func handshake(conn net.Conn, br *bufio.Reader, name string, writeTimeout, readT
 }
 
 // silenceReader arms a connection's inbound-silence bound at each socket
-// read under its bufio.Reader, as netserve's deadlineReader does on the other
-// end: silence is time spent waiting to read, so a burst that arrived in one
-// segment is one deadline, and the client's own work between reads — a
-// follower's fsync and replay — never counts against its peer. While bound
-// is 0 (the handshake, or heartbeats off) reads pass through.
+// read under its bufio.Reader: silence is time spent waiting for the frame
+// being read, so the client's own work between frames — a follower's fsync
+// and replay — never counts against its peer, and bytes trickling in behind
+// a frame that never completes (a length corrupted upward) do not hold the
+// link open. The read loop marks each frame fresh; its first socket read
+// starts the clock that every read until the frame is whole shares. While
+// bound is 0 (the handshake, or heartbeats off) reads pass through.
 type silenceReader struct {
 	nc    net.Conn
 	bound time.Duration
-	last  *atomic.Int64 // the instant the newest read was armed
+	last  *atomic.Int64 // the instant the current frame's wait began
+	fresh bool          // a frame begins: the next read starts its clock
+	start time.Time     // that instant, as a deadline base
 	cut   bool          // the newest read outlived its deadline
 }
 
 func (r *silenceReader) Read(p []byte) (int, error) {
 	if r.bound > 0 {
-		now := time.Now()
-		r.last.Store(now.UnixNano())
-		_ = r.nc.SetReadDeadline(now.Add(r.bound))
+		if r.fresh {
+			r.fresh, r.start = false, time.Now()
+			r.last.Store(r.start.UnixNano())
+		}
+		_ = r.nc.SetReadDeadline(r.start.Add(r.bound))
 	}
 	n, err := r.nc.Read(p)
 	r.cut = errors.Is(err, os.ErrDeadlineExceeded)
 	return n, err
 }
 
-// silence is how long ago the newest socket read began to wait on the peer
-// — zero until one armed the silence bound.
+// silence is how long ago the read loop began to wait on the peer for the
+// frame it is reading — zero until a read armed the silence bound.
 func (c *Client) silence() time.Duration {
 	if last := c.lastRead.Load(); last != 0 {
 		return time.Since(time.Unix(0, last))
@@ -596,13 +604,16 @@ func (c *Client) readLoop(sr *silenceReader, br *bufio.Reader, gen int) {
 	// One payload buffer for the connection's lifetime; Decode copies the
 	// field strings out before the next frame overwrites it.
 	var rbuf []byte
+	var dump []string // a resync's chunks so far, this connection's alone
 	for {
+		sr.fresh = true
 		f, err := rtwire.ReadFrameBuf(br, &rbuf)
 		if err != nil {
 			if sr.cut {
-				// 3 intervals of waiting heard nothing: a silently dead peer
-				// or a half-open socket. failPending closes it, and the
-				// redial tries a different node first.
+				// 3 intervals of waiting brought no whole frame: a silently
+				// dead peer, a half-open socket or a corrupted length.
+				// failPending closes it, and the redial tries a different
+				// node first.
 				c.Stats.HeartbeatTimeouts.Add(1)
 				c.advance()
 			} else if rtwire.IsCorruptFrame(err) {
@@ -639,6 +650,12 @@ func (c *Client) readLoop(sr *silenceReader, br *bufio.Reader, gen int) {
 		case rtwire.SubAck:
 			c.deliver(m.ID, msg)
 		case rtwire.WalBatch:
+			if m.Snap == rtwire.SnapPart && c.follow != nil {
+				dump = append(dump, m.Events...)
+				continue
+			} else if m.Snap == rtwire.SnapFinal {
+				m.Events, dump = append(dump, m.Events...), nil
+			}
 			if c.follow == nil || c.follow.Apply(m) != nil {
 				conn.Close() // unasked for, or refused: a follower re-subscribes
 				return

@@ -19,3 +19,7 @@ func (c *Client) SendWaited(q Query) error {
 	}
 	return c.send(wq.AppendTo, true, true)
 }
+
+// PostLoss posts a follow stream's loss token, as a dead connection's read
+// loop does — whether or not the stream has been re-attached since.
+func (c *Client) PostLoss() { c.lost <- struct{}{} }

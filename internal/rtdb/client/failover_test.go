@@ -2,6 +2,8 @@ package client_test
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -73,6 +75,59 @@ func TestHeartbeatDetectsFrozenPeer(t *testing.T) {
 	}
 	if got := c.Stats.HeartbeatTimeouts.Load(); got == 0 {
 		t.Fatal("the silence bound cut the link but HeartbeatTimeouts == 0")
+	}
+}
+
+// TestSilenceBoundsAFrame: the server's first frame after the handshake has
+// its length corrupted upward (still under MaxPayload), so it never
+// completes, while the server keeps talking behind it. The bytes trickling
+// in must not hold the link open: 3 heartbeat intervals after the client
+// began to wait for that frame the connection is cut, and the pending query
+// fails with ErrConnDown rather than at CallTimeout.
+func TestSilenceBoundsAFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := rtwire.ReadFrame(br); err != nil {
+			return
+		}
+		_, _ = conn.Write(rtwire.Welcome{Epoch: 1, Role: rtwire.RolePrimary}.Encode())
+		go func() { _, _ = io.Copy(io.Discard, br) }()
+		f := rtwire.Heartbeat{Epoch: 1}.Encode()
+		binary.LittleEndian.PutUint32(f[3:7], binary.LittleEndian.Uint32(f[3:7])+40000)
+		for {
+			if _, err := conn.Write(f); err != nil {
+				return
+			}
+			f = rtwire.Heartbeat{Epoch: 1}.Encode()
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	c, err := client.Dial(ln.Addr().String(), client.Options{
+		RetryAttempts: -1, HeartbeatInterval: 50 * time.Millisecond, CallTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	if _, err := c.Query(client.Query{Query: "anything"}); !errors.Is(err, client.ErrConnDown) {
+		t.Fatalf("query behind a frame that never completes: %v, want ErrConnDown", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("the link held for %v behind a corrupted length; want ~3×50ms", d)
+	}
+	if got := c.Stats.HeartbeatTimeouts.Load(); got != 1 {
+		t.Fatalf("HeartbeatTimeouts = %d, want 1", got)
 	}
 }
 

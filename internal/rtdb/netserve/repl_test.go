@@ -52,6 +52,13 @@ func caughtUpFollower(t *testing.T, mem *faultfs.Mem, opt Options) (*wal.Log, *S
 	if n := senders(); n != 1 {
 		t.Fatalf("%d replication senders running, want 1", n)
 	}
+	// The last ack is written, not yet booked: wait until the listener has
+	// read it, so the follower is caught up in the registry too.
+	for deadline := time.Now().Add(5 * time.Second); ns.ReplDurable() < l.Seq(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("watermark %d never reached the acked %d", ns.ReplDurable(), l.Seq())
+		}
+	}
 	return l, ns, rc
 }
 
