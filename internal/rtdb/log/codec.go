@@ -17,6 +17,7 @@
 package log
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -210,9 +211,28 @@ var errTorn = fmt.Errorf("log: torn record")
 // ReadFrame reads one framed payload from r into *buf, growing it as
 // needed: the returned payload aliases *buf and is valid until the next
 // call, so a replay loop reads every frame of a segment through one buffer
-// (a nil buf reads into a fresh one). It returns the payload and the number
-// of bytes consumed. io.EOF signals a clean end; errTorn a damaged record.
+// (a nil buf reads into a fresh one). When r is a *bufio.Reader whose buffer
+// holds the whole frame, the payload is checked and returned in place — it
+// aliases the reader's buffer instead, valid until the next read from r —
+// and nothing is copied. It returns the payload and the number of bytes
+// consumed. io.EOF signals a clean end; errTorn a damaged record.
 func ReadFrame(r io.Reader, buf *[]byte) (payload []byte, n int, err error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		// Anything but an intact frame that fits — short input, an
+		// oversized or damaged one — takes the copying path below, which
+		// alone decides what a bad frame consumed.
+		if hdr, _ := br.Peek(frameHeaderSize); len(hdr) == frameHeaderSize {
+			length := binary.LittleEndian.Uint32(hdr[0:4])
+			sum := binary.LittleEndian.Uint32(hdr[4:8])
+			if size := frameHeaderSize + int64(length); size <= int64(br.Size()) {
+				fr, _ := br.Peek(int(size))
+				if len(fr) == int(size) && crc32.Checksum(fr[frameHeaderSize:], crcTable) == sum {
+					br.Discard(int(size))
+					return fr[frameHeaderSize:], int(size), nil
+				}
+			}
+		}
+	}
 	if buf == nil {
 		buf = new([]byte)
 	}
@@ -276,9 +296,10 @@ func DecodeEvent[T encoding.Bytes](payload T) (Event, bool) {
 }
 
 // decodeEvent is DecodeEvent with interning: a sample's Name found in names
-// is taken from there instead of being allocated, so replaying a history
-// costs one string per sample (its value). Recovery registers each image
-// name as its catalog record goes by.
+// is taken from there instead of being allocated, so a sample replayed from
+// a segment costs one string, its value. Recovery registers each image name
+// as its catalog record goes by. A snapshot's plain samples do not come here
+// at all: loadSnapshot takes them a run at a time, one string per run.
 func decodeEvent[T encoding.Bytes](payload T, names map[string]string) (Event, bool) {
 	sc := encoding.Scan(payload)
 	tag, esc0, ok0 := sc.Next()

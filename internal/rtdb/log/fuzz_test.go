@@ -1,9 +1,12 @@
 package log
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"rtc/internal/encoding"
@@ -201,16 +204,47 @@ func FuzzSegmentRecovery(f *testing.F) {
 }
 
 // FuzzDecodeFrame: arbitrary bytes never panic the frame reader or the
-// decoder — they either parse or are reported torn/invalid.
+// decoder, and the frame reader reads them alike whether it checks a frame
+// in place or copies it — through a bufio.Reader of 16 bytes, which leaves
+// all but the smallest frames to the copying path, one of 64 KiB, and a
+// bytes.Reader, which is the copying path: the same payloads, consumed-byte
+// counts and errors, frame after frame. Those counts are the offsets
+// recovery truncates a torn tail at.
 func FuzzDecodeFrame(f *testing.F) {
+	two := append(EncodeEvent(Image("temp", 5)), EncodeEvent(Sample(3, "temp", "20"))...)
+	flip := append([]byte(nil), two...)
+	flip[len(flip)-2] ^= 0x10
 	f.Add([]byte{})
 	f.Add(EncodeEvent(Sample(3, "temp", "20")))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add(make([]byte, 20)) // two empty frames and a short header
+	f.Add(two)
+	f.Add(two[:len(two)-3]) // torn tail
+	f.Add(flip)             // checksum mismatch in the second frame
+	f.Add(append(EncodeEvent(Sample(3, "temp", strings.Repeat("v", 40))), two...))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		payload, _, err := ReadFrame(bytes.NewReader(b), nil)
-		if err != nil {
-			return
+		type step struct {
+			payload string
+			n       int
+			err     error
 		}
-		DecodeEvent(payload)
+		read := func(r io.Reader) []step {
+			var steps []step
+			var buf []byte
+			for {
+				payload, n, err := ReadFrame(r, &buf)
+				steps = append(steps, step{string(payload), n, err})
+				if err != nil {
+					return steps
+				}
+				DecodeEvent(payload)
+			}
+		}
+		want := read(bytes.NewReader(b))
+		for _, size := range []int{16, 64 << 10} {
+			if got := read(bufio.NewReaderSize(bytes.NewReader(b), size)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("through a %d-byte bufio.Reader: %+v\nthrough a bytes.Reader: %+v", size, got, want)
+			}
+		}
 	})
 }

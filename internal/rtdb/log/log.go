@@ -2,6 +2,7 @@ package log
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"rtc/internal/encoding"
 	"rtc/internal/faultfs"
+	"rtc/internal/rtdb"
 	"rtc/internal/timeseq"
 )
 
@@ -107,6 +109,11 @@ type Log struct {
 	// segFirstSeq maps each on-disk segment to the sequence number of its
 	// first frame — the index ReadFrom locates a reader's position with.
 	segFirstSeq map[uint64]uint64
+	// preSnap is what indexing the segments up to the snapshot Open loaded
+	// from still needs, nil once placeRead has done it (see repl.go);
+	// compacted is the segment below which Compact removed every one.
+	preSnap   *preSnapIndex
+	compacted uint64
 	// advanced is what caught-up readers wait on (see Advanced in repl.go):
 	// nil while nobody waits, closed and dropped when the shippable tail
 	// moves or the log stops.
@@ -171,7 +178,7 @@ func Open(opts Options) (*Log, error) {
 	// during snapshot write leaves a torn .snap behind — the log is the
 	// source of truth, the snapshot only an accelerator).
 	pos := replayPos{seg: 1, off: 0}
-	rd := &reader{br: bufio.NewReader(nil), names: map[string]string{}}
+	rd := newReader()
 	for i := len(snaps) - 1; i >= 0; i-- {
 		st, p, err := loadSnapshot(l.fs, filepath.Join(opts.Dir, snapName(snaps[i])), rd)
 		if err != nil {
@@ -206,7 +213,8 @@ func Open(opts Options) (*Log, error) {
 		start := int64(0)
 		if seg == pos.seg {
 			start = pos.off
-		} else {
+		}
+		if start == 0 {
 			// Replay enters this segment at offset 0, so the next event
 			// applied is its first frame.
 			l.segFirstSeq[seg] = l.st.Events + 1
@@ -228,7 +236,11 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("log: segment %d referenced by snapshot is missing", pos.seg)
 	}
 	l.stats.Segments = uint64(len(segs))
-	l.indexSegments(segs, pos, snapEvents, rd)
+	if l.snapSeq != 0 {
+		// The segments before the snapshot position are indexed when a
+		// reader first asks for a sequence in them (placeRead).
+		l.preSnap = &preSnapIndex{segs: segs, pos: pos, events: snapEvents}
+	}
 	// Everything replayed came off disk: the recovered tail is durable.
 	l.durableSeq = l.st.Events
 	return l, nil
@@ -242,6 +254,15 @@ type reader struct {
 	br    *bufio.Reader
 	buf   []byte
 	names map[string]string
+}
+
+// recoveryBuffer is the size of the read buffer recovery reads snapshots and
+// segments through: ReadFrame checks every frame that fits it in place.
+const recoveryBuffer = 64 << 10
+
+// newReader returns the reader one recovery pass carries.
+func newReader() *reader {
+	return &reader{br: bufio.NewReaderSize(nil, recoveryBuffer), names: map[string]string{}}
 }
 
 // event decodes one event payload, registering image names as they go by.
@@ -566,15 +587,21 @@ func (l *Log) snapshotLocked() error {
 // of a well-formed header, event records that apply, and a commit trailer
 // whose count matches is an error — the caller falls back to an older
 // snapshot or to the segments.
+//
+// A snapshot holds each image's samples back to back (State.visit), so the
+// plain ones — $S@t@name@value$, nothing escaped — are taken as runs: the
+// image is looked up once per run and the run's values become one string
+// (sampleRun). Every other record, escaped or not a sample, flushes the run
+// and goes through decodeEvent and Apply, which decide what it means.
 func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, replayPos{}, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	rd.br.Reset(f)
 
-	payload, _, err := ReadFrame(r, &rd.buf)
+	payload, _, err := ReadFrame(rd.br, &rd.buf)
 	if err != nil {
 		return nil, replayPos{}, fmt.Errorf("log: unreadable snapshot header: %w", err)
 	}
@@ -584,11 +611,19 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 	}
 
 	st := NewState()
+	var run sampleRun
 	for n := uint64(0); ; n++ {
-		payload, _, err := ReadFrame(r, &rd.buf)
+		payload, _, err := ReadFrame(rd.br, &rd.buf)
 		if err != nil {
 			return nil, replayPos{}, fmt.Errorf("log: snapshot truncated before commit")
 		}
+		if at, name, value, ok := plainSample(payload); ok {
+			if err := run.add(st, at, name, value); err != nil {
+				return nil, replayPos{}, err
+			}
+			continue
+		}
+		run.flush()
 		e, ok := rd.event(payload)
 		if !ok {
 			var count [1]uint64
@@ -611,6 +646,92 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 	return st, replayPos{seg: head[0], off: int64(head[1])}, nil
 }
 
+// plainSample splits a sample record with no escape, exactly four fields
+// and a non-empty value — what decodeEvent would read as Sample(at, name,
+// value) with nothing to unescape. ok is false for every other payload,
+// valid or not. (An empty value is left to decodeEvent so that it does not
+// point into, and keep alive, a run's string.) It is a byte loop of its own
+// rather than an encoding.Scan: through the generic scanner BenchmarkOpen
+// takes a quarter longer.
+func plainSample(p []byte) (at timeseq.Time, name, value []byte, ok bool) {
+	if len(p) < 4 || string(p[:3]) != "$S@" || p[len(p)-1] != '$' {
+		return 0, nil, nil, false
+	}
+	body := p[3 : len(p)-1]
+	var cut [2]int
+	seps := 0
+	for i, b := range body {
+		switch b {
+		case '@':
+			if seps == len(cut) {
+				return 0, nil, nil, false
+			}
+			cut[seps] = i
+			seps++
+		case '$', '#', '%':
+			return 0, nil, nil, false
+		}
+	}
+	if seps != len(cut) || cut[1] == len(body)-1 {
+		return 0, nil, nil, false
+	}
+	t, err := encoding.ParseUint(body[:cut[0]])
+	if err != nil {
+		return 0, nil, nil, false
+	}
+	return timeseq.Time(t), body[cut[0]+1 : cut[1]], body[cut[1]+1:], true
+}
+
+// sampleRun collects consecutive plain samples of one image while a
+// snapshot loads: their times, and their values back to back in one
+// buffer. flush turns the values into one string and appends the samples,
+// each value a slice of it, to the image's history, grown to the exact size
+// once. So a loaded history costs an allocation per run, not per sample —
+// and a value kept alive keeps its whole run's string alive with it.
+type sampleRun struct {
+	img  *ImageState
+	name []byte
+	at   []timeseq.Time
+	ends []int // ends[i]: the end of sample i's value in vals
+	vals []byte
+}
+
+// add appends one sample to the run, flushing the run first when the
+// sample is for another image. A sample for an unregistered image is an
+// error, as it is to Apply.
+func (r *sampleRun) add(st *State, at timeseq.Time, name, value []byte) error {
+	if r.img == nil || !bytes.Equal(name, r.name) {
+		r.flush()
+		img, ok := st.Images[string(name)]
+		if !ok {
+			return fmt.Errorf("log: sample for unregistered image %q", name)
+		}
+		r.img, r.name = img, append(r.name[:0], name...)
+	}
+	r.vals = append(r.vals, value...)
+	r.at = append(r.at, at)
+	r.ends = append(r.ends, len(r.vals))
+	return nil
+}
+
+// flush appends the run to its image's history and empties it.
+func (r *sampleRun) flush() {
+	if r.img == nil {
+		return
+	}
+	vals, s := string(r.vals), r.img.Samples
+	if cap(s)-len(s) < len(r.at) {
+		s = append(make([]rtdb.Sample, 0, len(s)+len(r.at)), s...)
+	}
+	start := 0
+	for i, end := range r.ends {
+		s = append(s, rtdb.Sample{At: r.at[i], Value: vals[start:end]})
+		start = end
+	}
+	r.img.Samples = s
+	r.img, r.at, r.ends, r.vals = nil, r.at[:0], r.ends[:0], r.vals[:0]
+}
+
 // Compact removes segments wholly covered by the newest snapshot and all
 // older snapshots. The active segment is never removed.
 func (l *Log) Compact() error {
@@ -626,6 +747,7 @@ func (l *Log) Compact() error {
 	if err != nil {
 		return err
 	}
+	l.compacted = l.lastSnap.seg
 	for _, name := range names {
 		if v, ok := parseSeq(name, "seg-", ".wal"); ok && v < l.lastSnap.seg {
 			if err := l.fs.Remove(filepath.Join(l.opts.Dir, name)); err != nil {

@@ -1,7 +1,9 @@
 package log
 
 import (
+	"bytes"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,17 +17,17 @@ import (
 // the linearity tests assert on, free of any stopwatch.
 type countFS struct {
 	faultfs.FS
-	read   *int64
-	onOpen func() // runs before every read-only open, if set
+	read   *int64            // nil: count nothing
+	onOpen func(name string) // runs before every read-only open, if set
 }
 
 func (c countFS) Open(name string) (faultfs.File, error) {
 	if c.onOpen != nil {
-		c.onOpen()
+		c.onOpen(name)
 	}
 	f, err := c.FS.Open(name)
-	if err != nil {
-		return nil, err
+	if err != nil || c.read == nil {
+		return f, err
 	}
 	return countFile{f, c.read}, nil
 }
@@ -231,7 +233,7 @@ func TestAdvancedFiresOnCloseAndPoison(t *testing.T) {
 func TestReadFromCompactedMidRead(t *testing.T) {
 	var l *Log
 	compact := false
-	fs := countFS{FS: faultfs.NewMem(33), read: new(int64), onOpen: func() {
+	fs := countFS{FS: faultfs.NewMem(33), read: new(int64), onOpen: func(string) {
 		if compact {
 			compact = false
 			if err := l.Snapshot(); err != nil {
@@ -349,4 +351,217 @@ func TestReadFromHammer(t *testing.T) {
 	rg.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// preSnapLog writes a log of n events over several segments with its one
+// snapshot in the newest, closes it, and reopens it on a filesystem whose
+// read-only opens call *onOpen when it is set, then or later. It
+// returns the reopened log, the number of its newest segment, and the
+// payloads of every frame in the segment files, in sequence order.
+func preSnapLog(t *testing.T, n int, onOpen *func(name string)) (*Log, uint64, []string) {
+	t.Helper()
+	mem := faultfs.NewMem(35)
+	l, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillLog(t, l, n)
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	newest := l.segIndex
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if newest < 4 {
+		t.Fatalf("want ≥ 4 segments, got %d", newest)
+	}
+	var onDisk []string
+	for seg := uint64(1); seg <= newest; seg++ {
+		r := bytes.NewReader(mem.DumpFile("wal/" + segName(seg)))
+		for {
+			p, _, err := ReadFrame(r, nil)
+			if err != nil {
+				break
+			}
+			onDisk = append(onDisk, string(p))
+		}
+	}
+	fs := countFS{FS: mem, onOpen: func(name string) {
+		if *onOpen != nil {
+			(*onOpen)(name)
+		}
+	}}
+	l, err = Open(Options{Dir: "wal", FS: fs, SegmentSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l, newest, onDisk
+}
+
+// olderSegment reports whether name is a segment file numbered below newest.
+func olderSegment(name string, newest uint64) bool {
+	seg, ok := parseSeq(filepath.Base(name), "seg-", ".wal")
+	return ok && seg < newest
+}
+
+// TestPreSnapshotIndexOnDemand: Open indexes only the segments it replays,
+// and the segments behind the snapshot are counted the first time a reader
+// asks for a sequence in them — outside the log's mutex, so an append never
+// waits on the count, and never installing a segment Compact removed.
+func TestPreSnapshotIndexOnDemand(t *testing.T) {
+	const n = 60
+	t.Run("open_reads_no_older_segment", func(t *testing.T) {
+		var opened []string
+		hook := func(name string) { opened = append(opened, name) }
+		l, newest, _ := preSnapLog(t, n, &hook)
+		if len(opened) == 0 {
+			t.Fatal("the reopen opened no file for reading")
+		}
+		for _, name := range opened {
+			if olderSegment(name, newest) {
+				t.Fatalf("Open of a log whose snapshot is in segment %d opened %s (all opens: %q)", newest, name, opened)
+			}
+		}
+		if l.Seq() != n {
+			t.Fatalf("recovered %d events, want %d", l.Seq(), n)
+		}
+	})
+	t.Run("first_read_streams_the_segment_bytes", func(t *testing.T) {
+		var hook func(string)
+		l, _, onDisk := preSnapLog(t, n, &hook)
+		got, err := l.ReadFrom(&ReadPos{Seq: 0}, 2*n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, onDisk) {
+			t.Fatalf("ReadFrom(0) after reopen: %d payloads, want the %d framed in the segment files", len(got), len(onDisk))
+		}
+	})
+	t.Run("concurrent_first_reads", func(t *testing.T) {
+		// Every reader that finds the index missing waits for the one
+		// count, and each streams the same bytes while appends go on.
+		var hook func(string)
+		l, _, onDisk := preSnapLog(t, n, &hook)
+		const readers = 4
+		errs := make(chan error, readers+1)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := l.ReadFrom(&ReadPos{Seq: 0}, len(onDisk))
+				if err == nil && !reflect.DeepEqual(got, onDisk) {
+					err = errors.New("payloads differ from the segment files")
+				}
+				errs <- err
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := l.Append(Sample(timeseq.Time(n+i), "temp", "v")); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("concurrent ReadFrom(0): %v", err)
+			}
+		}
+	})
+	t.Run("compact_before_the_first_read", func(t *testing.T) {
+		var hook func(string)
+		l, _, _ := preSnapLog(t, n, &hook)
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.ReadFrom(&ReadPos{Seq: 0}, n); !errors.Is(err, ErrSeqCompacted) {
+			t.Fatalf("ReadFrom(0) after Compact: err = %v, want ErrSeqCompacted", err)
+		}
+	})
+	t.Run("append_while_the_count_is_blocked", func(t *testing.T) {
+		var hook func(string)
+		l, newest, onDisk := preSnapLog(t, n, &hook)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		hook = func(name string) {
+			if olderSegment(name, newest) {
+				once.Do(func() { close(entered) })
+				<-release
+			}
+		}
+		type result struct {
+			got []string
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			got, err := l.ReadFrom(&ReadPos{Seq: 0}, len(onDisk))
+			done <- result{got, err}
+		}()
+		<-entered
+		appended := make(chan error, 1)
+		go func() { appended <- l.Append(Sample(n+1, "temp", "v")) }()
+		select {
+		case err := <-appended:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatal("Append waited on the pre-snapshot count")
+		}
+		close(release)
+		r := <-done
+		if r.err != nil || !reflect.DeepEqual(r.got, onDisk) {
+			t.Fatalf("ReadFrom(0) behind the blocked count: %d payloads, err %v; want the %d on disk", len(r.got), r.err, len(onDisk))
+		}
+	})
+	t.Run("compact_during_the_count_wins", func(t *testing.T) {
+		// The count walks back from the snapshot's segment; block it at the
+		// oldest one, when the others are counted, and compact them away.
+		var hook func(string)
+		l, _, _ := preSnapLog(t, n, &hook)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		hook = func(name string) {
+			if olderSegment(name, 2) {
+				once.Do(func() { close(entered) })
+				<-release
+			}
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := l.ReadFrom(&ReadPos{Seq: 0}, n)
+			done <- err
+		}()
+		<-entered
+		compacted := make(chan error, 1)
+		go func() { compacted <- l.Compact() }()
+		select {
+		case err := <-compacted:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatal("Compact waited on the pre-snapshot count")
+		}
+		close(release)
+		if err := <-done; !errors.Is(err, ErrSeqCompacted) {
+			t.Fatalf("ReadFrom(0) with Compact inside the count: err = %v, want ErrSeqCompacted", err)
+		}
+		// Mid-log, in a segment the count got through before Compact
+		// removed it: no index entry may outlive the file.
+		if _, err := l.ReadFrom(&ReadPos{Seq: n / 2}, n); !errors.Is(err, ErrSeqCompacted) {
+			t.Fatalf("ReadFrom(%d) after the count: err = %v, want ErrSeqCompacted", n/2, err)
+		}
+	})
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"rtc/internal/timeseq"
 )
@@ -80,6 +82,10 @@ func (l *Log) shippableLocked() uint64 {
 // events when the reader is caught up (Advanced is what to wait on then).
 func (l *Log) ReadFrom(pos *ReadPos, max int) ([]string, error) {
 	p, skip, n, err := l.placeRead(*pos, max)
+	if err == errUnindexed {
+		l.indexPreSnap()
+		p, skip, n, err = l.placeRead(*pos, max)
+	}
 	if err != nil || n == 0 {
 		return nil, err
 	}
@@ -128,7 +134,8 @@ func (l *Log) ReadFrom(pos *ReadPos, max int) ([]string, error) {
 // placeRead is the locked half of ReadFrom: how many events (at most max)
 // a reader at pos may be handed, and where the first one's frame is — pos
 // itself once located, else the start of the segment that holds Seq+1 and
-// the number of frames to skip inside it.
+// the number of frames to skip inside it. errUnindexed asks the caller to
+// index the segments behind Open's snapshot and place the read again.
 func (l *Log) placeRead(pos ReadPos, max int) (p ReadPos, skip uint64, n int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -156,6 +163,9 @@ func (l *Log) placeRead(pos ReadPos, max int) (p ReadPos, skip uint64, n int, er
 		}
 	}
 	if first == 0 {
+		if l.preSnap != nil {
+			return pos, 0, 0, errUnindexed
+		}
 		return pos, 0, 0, ErrSeqCompacted
 	}
 	pos.off = 0
@@ -248,38 +258,76 @@ func (l *Log) countFrames(seg uint64, limit int64, rd *reader) (uint64, error) {
 	return n, nil
 }
 
-// indexSegments fills segFirstSeq for the snapshot's segment and every
-// surviving earlier segment. Segments after the snapshot position were
-// indexed during replay. An unreadable pre-snapshot region is not fatal:
-// those segments simply stay unindexed, and catch-up requests that need
-// them fall back to a full resync.
-func (l *Log) indexSegments(segs []uint64, pos replayPos, snapEvents uint64, rd *reader) {
-	pre, err := l.countFrames(pos.seg, pos.off, rd)
-	if err != nil || pre > snapEvents {
+// errUnindexed: placeRead found no indexed segment holding the sequence
+// while the segments behind Open's snapshot are still to be indexed.
+var errUnindexed = errors.New("log: segments before the snapshot not indexed yet")
+
+// preSnapIndex is what indexing the segments up to the snapshot Open loaded
+// from needs: the segments on disk then, the snapshot position, and the
+// event count there. Recovery never needs that index, so Open leaves it to
+// the first reader that asks for a sequence no indexed segment holds.
+type preSnapIndex struct {
+	once   sync.Once
+	segs   []uint64
+	pos    replayPos
+	events uint64
+}
+
+// indexPreSnap fills segFirstSeq for the snapshot's segment and every
+// surviving earlier one, once; concurrent callers wait for the first.
+// Segments after the snapshot position were indexed during replay. The
+// frames are counted outside the mutex — sealed segments never change, nor
+// does the active one below the snapshot position — so appends do not wait
+// on the count, and installed under it, minus the segments Compact removed
+// meanwhile: a reader that needed those is told to resync in full.
+func (l *Log) indexPreSnap() {
+	l.mu.Lock()
+	pre := l.preSnap
+	l.mu.Unlock()
+	if pre == nil {
 		return
 	}
-	first := snapEvents + 1 - pre
-	l.segFirstSeq[pos.seg] = first
-	j := -1
-	for i, seg := range segs {
-		if seg == pos.seg {
-			j = i
-			break
+	pre.once.Do(func() {
+		firsts := l.countPreSnap(pre)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for seg, first := range firsts {
+			if seg >= l.compacted {
+				l.segFirstSeq[seg] = first
+			}
 		}
+		l.preSnap = nil
+	})
+}
+
+// countPreSnap returns the first sequence of the snapshot's segment and of
+// each earlier segment back to the first gap in their numbering. An
+// unreadable pre-snapshot region is not fatal: the count stops there, and
+// catch-up requests that need the segments behind it fall back to a full
+// resync.
+func (l *Log) countPreSnap(pre *preSnapIndex) map[uint64]uint64 {
+	rd := newReader()
+	firsts := map[uint64]uint64{}
+	n, err := l.countFrames(pre.pos.seg, pre.pos.off, rd)
+	if err != nil || n > pre.events {
+		return firsts
 	}
-	prev := pos.seg
-	for i := j - 1; i >= 0; i-- {
-		if segs[i] != prev-1 {
-			return // numbering gap: cannot chain counts further back
+	first := pre.events + 1 - n
+	firsts[pre.pos.seg] = first
+	prev := pre.pos.seg
+	for i := slices.Index(pre.segs, prev) - 1; i >= 0; i-- {
+		if pre.segs[i] != prev-1 {
+			return firsts // numbering gap: cannot chain counts further back
 		}
-		cnt, err := l.countFrames(segs[i], -1, rd)
+		cnt, err := l.countFrames(pre.segs[i], -1, rd)
 		if err != nil || cnt >= first {
-			return
+			return firsts
 		}
 		first -= cnt
-		prev = segs[i]
-		l.segFirstSeq[prev] = first
+		prev = pre.segs[i]
+		firsts[prev] = first
 	}
+	return firsts
 }
 
 // DumpState renders the current state as the record payloads of a

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rtc/internal/faultfs"
 	"rtc/internal/rtdb"
 	"rtc/internal/timeseq"
 	"rtc/internal/vtime"
@@ -187,4 +188,58 @@ func TestReplayAllocatesPerImageNotPerSample(t *testing.T) {
 		t.Fatalf("rebuild of %d samples: %.0f allocs, want <= %.0f", images*perImage, allocs, limit)
 	}
 	t.Logf("rebuild of %d samples: %.0f allocs", images*perImage, allocs)
+}
+
+// TestSnapshotLoadAllocatesPerRunNotPerSample is the same pin one step
+// earlier: a snapshot holds each image's samples back to back, and loading
+// it takes them as one run per image — one string for the run's values and
+// one exactly sized history. Snapshots of N and 2N samples over the same
+// images therefore cost the same allocations, give or take the doublings of
+// the run's scratch buffers.
+func TestSnapshotLoadAllocatesPerRunNotPerSample(t *testing.T) {
+	const images = 8
+	load := func(perImage int) float64 {
+		payloads := [][]byte{[]byte("$SNAPSHOT@1@0@0@0$")}
+		for i := 0; i < images; i++ {
+			payloads = append(payloads, Image(fmt.Sprintf("img-%d", i), 5).Payload())
+		}
+		for i := 0; i < images; i++ {
+			for k := 0; k < perImage; k++ {
+				payloads = append(payloads, Sample(timeseq.Time(k), fmt.Sprintf("img-%d", i), fmt.Sprint(k)).Payload())
+			}
+		}
+		payloads = append(payloads, []byte(fmt.Sprintf("$COMMIT@%d$", len(payloads)-1)))
+		mem := faultfs.NewMem(1)
+		w, err := mem.Create("snap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(frames(payloads...)); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		rd := newReader()
+		var st *State
+		allocs := testing.AllocsPerRun(5, func() {
+			if st, _, err = loadSnapshot(mem, "snap", rd); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i := 0; i < images; i++ {
+			img := st.Images[fmt.Sprintf("img-%d", i)]
+			if len(img.Samples) != perImage || cap(img.Samples) != perImage {
+				t.Fatalf("img-%d: %d samples in a history of capacity %d, want %d in %d", i, len(img.Samples), cap(img.Samples), perImage, perImage)
+			}
+			if last := img.Samples[perImage-1]; last.Value != fmt.Sprint(perImage-1) {
+				t.Fatalf("img-%d: last sample %+v", i, last)
+			}
+		}
+		return allocs
+	}
+	const n = 2000
+	once, twice := load(n), load(2*n)
+	if twice-once > 16 {
+		t.Fatalf("loading %d samples: %.0f allocs, %d samples: %.0f — the difference grows with the samples", images*n, once, images*2*n, twice)
+	}
+	t.Logf("snapshot load of %d / %d samples over %d images: %.0f / %.0f allocs", images*n, images*2*n, images, once, twice)
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"rtc/internal/faultfs"
@@ -37,7 +38,7 @@ func loadBytes(t testing.TB, image []byte) (*State, replayPos, error) {
 		t.Fatal(err)
 	}
 	w.Close()
-	return loadSnapshot(mem, "snap", &reader{names: map[string]string{}})
+	return loadSnapshot(mem, "snap", newReader())
 }
 
 // snapshotPayloads writes a real snapshot and returns the writer's state
@@ -194,6 +195,52 @@ func TestOpenSkipsDamagedSnapshot(t *testing.T) {
 	}
 }
 
+// runSnapshot is one snapshot file image, payloads one per line, and
+// whether it loads.
+type runSnapshot struct {
+	name  string
+	image []byte
+	loads bool
+}
+
+// runSnapshots are snapshots with the samples the loader hands to the
+// generic path instead of a run, and with runs that break and resume, behind
+// three images, one of them with an escaped name.
+func runSnapshots() []runSnapshot {
+	snap := func(samples ...string) []byte {
+		lines := append([]string{"$SNAPSHOT@1@0@9@9$", "$I@0@a@@5$", "$I@0@b@@5$", "$I@0@c%@d@@5$"}, samples...)
+		lines = append(lines, "$COMMIT@"+strconv.Itoa(len(lines)-1)+"$")
+		return []byte(strings.Join(lines, "\n"))
+	}
+	return []runSnapshot{
+		{"escaped value", snap("$S@1@a@x$", "$S@2@a@y%%z$", "$S@3@a@w$", "$S@4@a@y%@z$"), true},
+		{"escaped tag", snap("$S@1@a@x$", "$%S@2@a@y$", "$S@3@a@w$"), true},
+		{"escaped name", snap("$S@1@c%@d@x$", "$S@2@c%@d@y$", "$S@3@a@w$"), true},
+		{"five fields", snap("$S@1@a@x$", "$S@2@a@y@z$", "$S@3@a@w$"), true},
+		{"empty value", snap("$S@1@a@x$", "$S@2@a@$", "$S@3@a@w$"), true},
+		{"runs of a, b, a", snap("$S@1@a@x$", "$S@2@b@y$", "$S@3@a@w$"), true},
+		{"unregistered image", snap("$S@1@a@x$", "$S@2@nowhere@y$"), false},
+		{"damage past the fifth field", snap("$S@1@a@x$", "$S@2@a@y@z@#$"), false},
+		{"bare number sign", snap("$S@1@a@x$", "$S@2@a@#y$"), false},
+	}
+}
+
+// TestRunSnapshotsLoad: the seeds FuzzSnapshotLoad checks the sample runs
+// with reach the runs — each that should load does, to the oracle's state,
+// and the rest are refused, as Apply and the record scanner refuse them.
+func TestRunSnapshotsLoad(t *testing.T) {
+	for _, c := range runSnapshots() {
+		payloads := bytes.Split(c.image, []byte("\n"))
+		st, _, err := loadBytes(t, frames(payloads...))
+		if (err == nil) != c.loads {
+			t.Fatalf("%s: load err = %v", c.name, err)
+		}
+		if ref, _, ok := oracleSnapshot(payloads); err == nil && (!ok || st.Diff(ref) != "") {
+			t.Fatalf("%s: loaded state differs from the oracle's (oracle ok = %v)", c.name, ok)
+		}
+	}
+}
+
 // FuzzSnapshotLoad: a snapshot file of arbitrary CRC-valid records (the
 // input is the payloads, one per line; the harness frames them) never
 // panics the loader, and loads exactly when — and to exactly the state
@@ -210,6 +257,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(join(append([][]byte{[]byte("$SNAPSHOT$")}, good[1:]...)))
 	f.Add([]byte("$SNAPSHOT@1@0@0@0$\n$COMMIT@0$"))
 	f.Add([]byte("$SNAPSHOT@18446744073709551616@0@0@0$\n$COMMIT@0$")) // 2^64 does not wrap to 0
+	for _, c := range runSnapshots() {
+		f.Add(c.image)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		payloads := bytes.Split(b, []byte("\n"))
 		st, pos, err := loadBytes(t, frames(payloads...))
