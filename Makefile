@@ -60,7 +60,7 @@ race-repl:
 # leak checks), the window-edge table tests, and the server's ack-barrier
 # test that pins "reply only after the covering fsync".
 race-gc:
-	$(GO) test -race -run='GroupCommit|Group(Window|Single|Firm|Batch|FsyncFailure|Close|Tail|Amortized)|AppendBatch|BatchedShipping' ./internal/rtdb/log/ ./internal/rtdb/server/ ./internal/rtdb/replica/
+	$(GO) test -race -run='GroupCommit|Group(Window|Single|Firm|Batch|FsyncFailure|Close|Tail|Amortized)|AppendBatch|BatchedShipping|CommitBatchOneWrite|WriteFaultTwice' ./internal/rtdb/log/ ./internal/rtdb/server/ ./internal/rtdb/replica/
 
 # Keyspace sharding under the race detector: the 8-shard × 32-writer
 # hammer (concurrent samples, queries, ticks, and flushes, each placed on
@@ -94,6 +94,7 @@ torture-short:
 	$(GO) test -race -count=1 ./internal/faultfs/ ./internal/rtdb/torture/
 	$(GO) run ./cmd/rttorture -mode all -seeds 1 -events 60 -stride 2
 	$(GO) run ./cmd/rttorture -mode crash -seeds 1 -events 60 -fsync-window 50us
+	$(GO) run ./cmd/rttorture -mode eio -seeds 1 -events 60 -fsync-window 50us
 	$(GO) run ./cmd/rttorture -mode groupcommit -seeds 1 -events 30 -nosync
 	$(GO) run ./cmd/rttorture -mode shard -seeds 1 -events 30 -nosync
 

@@ -2,30 +2,37 @@ package log
 
 // Group commit: leader-based fsync batching, the one commit path.
 //
-// With Options.Sync set, an append writes and applies its frame immediately
-// (under the log mutex, preserving the validate → write → apply order) but
-// defers the fsync: the append joins the open commit batch and receives a
-// Ticket. The first append to open a batch is its leader; the leader waits
-// out the commit window (or an early close: batch full, a firm append, or
-// CloseWindow), then issues ONE fsync and releases every ticket written so
-// far. GroupWindow 0 closes every window at once: each append seals its own
+// With Options.Sync set, an append validates and applies its event and holds
+// its frame (under the log mutex, preserving the validate → apply order) but
+// defers both the write and the fsync: the append joins the open commit
+// batch and receives a Ticket. The first append to open a batch is its
+// leader; the leader waits out the commit window (or an early close: batch
+// full, a firm append, or CloseWindow), then writes every held frame in ONE
+// write(2), issues ONE fsync and releases every ticket appended so far.
+// GroupWindow 0 closes every window at once: each append seals its own
 // batch and its leader commits as soon as it holds the mutex, so a serial
-// blocking Append pays exactly one fsync. Because a segment fsync covers
-// every frame written before it, any successful fsync — a leader's commit,
-// an explicit Sync, a segment rotation, a snapshot's segment-first fsync —
-// releases ALL pending batches, in sequence order.
+// blocking Append pays exactly one write and one fsync. Because a segment
+// fsync covers every frame written before it, and every path that fsyncs
+// the active segment — a leader's commit, an explicit Sync, a segment
+// rotation, a snapshot's segment-first fsync, Close, AppendBatch's commit —
+// first writes the held frames, any successful fsync releases ALL pending
+// batches, in sequence order. Without Sync a frame's batch commits at once:
+// the same write runs inside the append, and nothing is held between
+// appends.
 //
 // Failure semantics are whole-batch: every path that poisons the log
-// (fsync failure, unhealable torn append, failed rotation) releases every
-// pending ticket with the poison error. A ticket therefore always
-// resolves; it resolves nil only after the fsync that covers its frame
-// succeeded.
+// (fsync failure, a held write that fails again after its heal and retry,
+// failed rotation) releases every pending ticket with the poison error. A
+// ticket therefore always resolves; it resolves nil only after the fsync
+// that covers its frame succeeded. A failed write is healed — truncated
+// back to the last written offset — and retried once, so a transient fault
+// costs no event; an fsync is never retried.
 //
 // The shippable tail moves with durability: with Sync set ReadFrom serves
-// nothing past the newest fsynced sequence, and every release wakes the
-// readers waiting in Advanced, so a follower's sender reads a commit batch
-// the moment its fsync lands — whole batches ship, and the follower's fsync
-// cadence matches the primary's.
+// nothing past the newest fsynced sequence — every such frame has been
+// written — and every release wakes the readers waiting in Advanced, so a
+// follower's sender reads a commit batch the moment its fsync lands — whole
+// batches ship, and the follower's fsync cadence matches the primary's.
 
 import (
 	"errors"
@@ -240,17 +247,17 @@ func (l *Log) DurableSeq() uint64 {
 	return l.durableSeq
 }
 
-// AppendBatch appends shipped record payloads paying ONE fsync for the
-// whole batch — the follower-side mirror of a primary's group commit, so
-// the replica's fsync cadence matches the shipped batch cadence. Each
-// payload is decoded once, to check and apply it, framed byte for byte as
-// shipped and run through the one append body (rotation and auto-snapshots
-// run between them as usual); the single commit at the end releases them —
-// and any batches already pending — in sequence order. It returns the
-// events that reached the log's state: on a mid-batch error (an undecodable
-// payload too) exactly that prefix, which the caller's server must absorb,
-// durable when the log is still usable; on an fsync failure all of them,
-// with the poison.
+// AppendBatch appends shipped record payloads paying ONE write and ONE
+// fsync for the whole batch — the follower-side mirror of a primary's group
+// commit, so the replica's fsync cadence matches the shipped batch cadence.
+// Each payload is decoded once, to check and apply it, framed byte for byte
+// as shipped and run through the one append body (rotation and
+// auto-snapshots run between them as usual); the single commit at the end
+// writes their frames and releases them — and any batches already pending —
+// in sequence order. It returns the events that reached the log's state: on
+// a mid-batch error (an undecodable or invalid payload) exactly that
+// prefix, which the caller's server must absorb, durable when the log is
+// still usable; on a failed commit all of them, with the poison.
 func (l *Log) AppendBatch(payloads []string) ([]Event, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -272,8 +279,8 @@ func (l *Log) AppendBatch(payloads []string) ([]Event, error) {
 			break
 		}
 	}
-	// Commit what was applied on every exit that leaves the log usable —
-	// a healed write fault included: the batches it joined have no leader.
+	// Commit what was applied on every exit that leaves the log usable: the
+	// batches it joined have no leader.
 	if len(l.pending) > 0 && l.usableLocked() == nil {
 		if serr := l.syncLocked(); serr != nil {
 			err = serr

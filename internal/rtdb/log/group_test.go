@@ -323,12 +323,12 @@ func fired(ch <-chan struct{}) bool {
 	}
 }
 
-// TestAppendBatchHealedFaultCommits: a write fault in the middle of a
-// batch is healed and costs only that event, and the prefix applied before
-// it is committed like a whole batch — durable when the call returns, its
-// commit batch released — at a closed window and an open one alike. A
-// follower re-subscribes after its own Seq, so a prefix left unfsynced
-// there would be acknowledged to the primary before it is durable.
+// TestAppendBatchHealedFaultCommits: a write fault on a shipped batch's
+// commit is healed and the write retried, at a closed window and an open
+// one alike: every payload is applied and durable when the call returns,
+// its commit batch released, and recovery holds them all. A follower
+// re-subscribes after its own Seq, so a batch left unfsynced there would be
+// acknowledged to the primary before it is durable.
 func TestAppendBatchHealedFaultCommits(t *testing.T) {
 	for _, window := range []time.Duration{0, 200 * time.Microsecond} {
 		mem := faultfs.NewMem(9)
@@ -340,10 +340,10 @@ func TestAppendBatchHealedFaultCommits(t *testing.T) {
 		if _, err := l.AppendBatch(payloadsOf(events[:4])); err != nil {
 			t.Fatal(err)
 		}
-		mem.FailWrite(mem.Writes() + 5) // the second batch's 5th frame
+		mem.TearWrite(mem.Writes() + 1) // the second batch's one write
 		applied, err := l.AppendBatch(payloadsOf(events[4:]))
-		if len(applied) != 4 || !errors.Is(err, faultfs.ErrInjected) {
-			t.Fatalf("window %v: applied %d, err %v; want 4 and the healed fault", window, len(applied), err)
+		if len(applied) != len(events)-4 || err != nil {
+			t.Fatalf("window %v: applied %d, err %v; want %d and no error", window, len(applied), err, len(events)-4)
 		}
 		if perr := l.Err(); perr != nil {
 			t.Fatalf("window %v: a healed write fault poisoned the log: %v", window, perr)
@@ -351,13 +351,140 @@ func TestAppendBatchHealedFaultCommits(t *testing.T) {
 		l.mu.Lock()
 		pending := len(l.pending)
 		l.mu.Unlock()
-		if ds, sq := l.DurableSeq(), l.Seq(); ds != sq || sq != 8 || pending != 0 {
-			t.Fatalf("window %v: after the healed fault DurableSeq=%d Seq=%d (want 8 = 8), %d batches pending",
-				window, ds, sq, pending)
+		if ds, sq := l.DurableSeq(), l.Seq(); ds != sq || sq != uint64(len(events)) || pending != 0 {
+			t.Fatalf("window %v: after the healed fault DurableSeq=%d Seq=%d (want %d), %d batches pending",
+				window, ds, sq, len(events), pending)
+		}
+		if st := l.Stats(); st.Heals != 1 || mem.Injected() != 1 {
+			t.Fatalf("window %v: Heals = %d for %d injected faults, want 1 for 1", window, st.Heals, mem.Injected())
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
+		l2, err := Open(groupOptions(mem, window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := reference(events).Diff(l2.State()); d != "" {
+			t.Fatalf("window %v: recovered state: %s", window, d)
+		}
+		l2.Close()
+	}
+}
+
+// TestWriteFaultTwicePoisons: a commit whose write fails, is healed, and
+// fails again on its retry poisons the log — the state holds its events
+// already — and every pending ticket fails with the fault; the torn bytes
+// of the retry are healed too, so recovery returns exactly the durable
+// prefix.
+func TestWriteFaultTwicePoisons(t *testing.T) {
+	mem := faultfs.NewMem(12)
+	l, err := Open(groupOptions(mem, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := workload(20)
+	durable, rest := events[:10], events[10:]
+	for _, e := range durable {
+		if _, err := l.AppendTicket(e, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var tickets []*Ticket
+	for _, e := range rest[:len(rest)-1] {
+		tk, err := l.AppendTicket(e, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	mem.FailWrite(mem.Writes() + 1)
+	mem.TearWrite(mem.Writes() + 2) // the retry
+	if err := l.Sync(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("sync over two write faults: %v", err)
+	}
+	for i, tk := range tickets {
+		if !tk.Resolved() {
+			t.Fatalf("ticket %d unresolved after poison", i)
+		}
+		if err := tk.Wait(); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("ticket %d resolved %v, want the injected write error", i, err)
+		}
+	}
+	if l.Err() == nil {
+		t.Fatal("a write that failed its retry must poison the log")
+	}
+	if ds := l.DurableSeq(); ds != uint64(len(durable)) {
+		t.Fatalf("DurableSeq = %d, want the %d events committed before the faults", ds, len(durable))
+	}
+	if _, err := l.AppendTicket(rest[len(rest)-1], false); err == nil {
+		t.Fatal("poisoned log accepted an append")
+	}
+	l.Close()
+	l2, err := Open(groupOptions(mem, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if d := reference(durable).Diff(l2.State()); d != "" {
+		t.Fatalf("recovered state is not the durable prefix: %s", d)
+	}
+}
+
+// TestCommitBatchOneWrite: a batch's frames are held until it commits and
+// then leave in one write — a full 64-append commit batch costs exactly one
+// write and one fsync, and so does a follower's shipped batch.
+func TestCommitBatchOneWrite(t *testing.T) {
+	mem := faultfs.NewMem(13)
+	l, err := Open(groupOptions(mem, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ptk, err := l.AppendTicket(Image("temp", 5), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ptk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	baseW, baseS := mem.Writes(), mem.Syncs()
+	var tickets []*Ticket
+	for i := 0; i < groupMaxBatch; i++ {
+		if i == groupMaxBatch-1 && mem.Writes() != baseW {
+			t.Fatalf("%d appends into an open batch wrote %d times, want 0", i, mem.Writes()-baseW)
+		}
+		tk, err := l.AppendTicket(Sample(timeseq.Time(i), "temp", "21.5"), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for _, tk := range tickets { // the 64th sealed the batch; its leader commits
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, s := mem.Writes()-baseW, mem.Syncs()-baseS; w != 1 || s != 1 {
+		t.Fatalf("a %d-append commit batch cost %d writes and %d fsyncs, want 1 and 1", groupMaxBatch, w, s)
+	}
+
+	memF := faultfs.NewMem(14)
+	f, err := Open(groupOptions(memF, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events := workload(40)
+	baseW, baseS = memF.Writes(), memF.Syncs()
+	if _, err := f.AppendBatch(payloadsOf(events)); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := memF.Writes()-baseW, memF.Syncs()-baseS; w != 1 || s != 1 {
+		t.Fatalf("AppendBatch of %d payloads cost %d writes and %d fsyncs, want 1 and 1", len(events), w, s)
 	}
 }
 

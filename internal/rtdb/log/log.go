@@ -62,7 +62,7 @@ type Stats struct {
 	Segments        uint64 // segments created over the log's lifetime
 	Snapshots       uint64
 	SnapshotErrors  uint64 // automatic snapshots that failed (retried later)
-	Heals           uint64 // failed appends healed by truncating the torn frame
+	Heals           uint64 `metric:"wal_heals"` // failed segment writes truncated back and retried
 	FsyncCount      uint64 `metric:"fsync_count"`
 	FsyncNanos      uint64 `metric:"fsync_total_ns"` // total time spent in fsync
 	FsyncMaxNanos   uint64 `metric:"fsync_max_ns" agg:"max"`
@@ -95,10 +95,15 @@ type Log struct {
 
 	f        faultfs.File
 	segIndex uint64
-	segSize  int64
+	segSize  int64 // bytes written to the active segment
+	// held is the frames appended since the last write to the active
+	// segment: with Sync set, the pending commit batches' frames, written
+	// in one call by the fsync that commits them (group.go); without Sync,
+	// empty between appends.
+	held []byte
 
 	// err poisons the log: set when the on-disk state can no longer be
-	// trusted (fsync failure, unhealable torn append). Every later call
+	// trusted (a failed fsync, a segment write that failed its retry). Every later call
 	// returns it; recovery happens by reopening the directory.
 	err error
 
@@ -398,15 +403,17 @@ func (l *Log) usableLocked() error {
 	return nil
 }
 
-// appendLocked is the one append body: validate → write e's frame → apply →
-// join the commit batch → housekeeping. A failed write is healed and costs
-// only this event (the state is untouched, so a transient EIO costs one
-// event, not the log); once the frame is on disk a failed Apply poisons
-// (check passed, so Apply cannot fail — if it somehow does, the state is
-// suspect). With Sync set the event joins the open commit batch, sealing it
-// when firm or when GroupWindow is 0, and lead reports that it opened the
-// batch: the caller must run (or spawn) its leader. Without Sync the ticket
-// is born resolved.
+// appendLocked is the one append body: validate → apply → hold e's frame
+// → join the commit batch → housekeeping. A failed Apply poisons (check
+// passed, so Apply cannot fail — if it somehow does, the state is suspect).
+// With Sync set the frame waits in held for the fsync that commits its
+// batch, which writes it with the rest of the batch (writeLocked); the
+// event joins the open commit batch, sealing it when firm or when
+// GroupWindow is 0, and lead reports that it opened the batch: the caller
+// must run (or spawn) its leader. Without Sync the frame's batch commits at
+// once — the same write runs straight away — and the ticket is born
+// resolved. Either way a write that fails after its retry poisons the log:
+// the state already holds the event.
 func (l *Log) appendLocked(e Event, frame []byte, firm bool) (t Ticket, lead bool, err error) {
 	if err := l.usableLocked(); err != nil {
 		return t, false, err
@@ -414,13 +421,10 @@ func (l *Log) appendLocked(e Event, frame []byte, firm bool) (t Ticket, lead boo
 	if err := l.st.check(e); err != nil {
 		return t, false, err
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		return t, false, l.heal(err)
-	}
-	l.segSize += int64(len(frame))
 	if err := l.st.Apply(e); err != nil {
 		return t, false, l.poisonLocked(err)
 	}
+	l.held = append(l.held, frame...)
 	l.stats.Appends++
 	t.seq = l.st.Events
 	if l.opts.Sync {
@@ -429,6 +433,9 @@ func (l *Log) appendLocked(e Event, frame []byte, firm bool) (t Ticket, lead boo
 		// there.
 		t.b, lead = l.joinBatchLocked(firm || l.opts.GroupWindow == 0)
 	} else {
+		if err := l.writeLocked(); err != nil {
+			return t, false, l.poisonLocked(fmt.Errorf("log: append failed, log poisoned: %w", err))
+		}
 		l.advancedLocked()
 	}
 	if err := l.maintainLocked(); err != nil {
@@ -442,7 +449,7 @@ func (l *Log) appendLocked(e Event, frame []byte, firm bool) (t Ticket, lead boo
 // maintainLocked is the post-append housekeeping: segment rotation at the
 // size threshold, then the automatic snapshot cadence.
 func (l *Log) maintainLocked() error {
-	if l.segSize >= l.opts.SegmentSize {
+	if l.segSize+int64(len(l.held)) >= l.opts.SegmentSize {
 		if err := l.rotate(); err != nil {
 			// The segment boundary is in an unknown state (and the
 			// event too, if the seal fsync failed); no further append
@@ -468,24 +475,50 @@ func (l *Log) maintainLocked() error {
 	return nil
 }
 
-// heal recovers the active segment after a failed append write: the frame
-// may have landed partially, so the segment is truncated back to the last
-// good offset and the write cursor restored. On success the log stays
-// usable and the caller's event is simply not logged; if the heal itself
-// fails the log is poisoned.
-func (l *Log) heal(cause error) error {
-	path := filepath.Join(l.opts.Dir, segName(l.segIndex))
-	if terr := l.fs.Truncate(path, l.segSize); terr != nil {
-		return l.poisonLocked(fmt.Errorf("log: append failed (%v) and heal failed, log poisoned: %w", cause, terr))
+// writeLocked writes the held frames to the active segment in one call. A
+// failed write may have landed partially, so the segment is healed —
+// truncated back to the last written offset, the write cursor restored —
+// and the write retried once. The error it returns (a second failure, or a
+// failed heal) is the caller's to poison on: the held frames' events are in
+// the state already, and their tickets cannot resolve nil.
+func (l *Log) writeLocked() error {
+	if len(l.held) == 0 {
+		return nil
 	}
-	if _, serr := l.f.Seek(l.segSize, io.SeekStart); serr != nil {
-		return l.poisonLocked(fmt.Errorf("log: append failed (%v) and reseek failed, log poisoned: %w", cause, serr))
+	for retried := false; ; retried = true {
+		_, err := l.f.Write(l.held)
+		if err == nil {
+			break
+		}
+		if herr := l.heal(); herr != nil {
+			return fmt.Errorf("log: segment write failed (%v) and heal failed: %w", err, herr)
+		}
+		if retried {
+			return fmt.Errorf("log: segment write failed twice: %w", err)
+		}
+		l.stats.Heals++
 	}
-	l.stats.Heals++
-	return fmt.Errorf("log: append failed (segment healed): %w", cause)
+	l.segSize += int64(len(l.held))
+	l.held = l.held[:0]
+	return nil
 }
 
+// heal truncates the active segment back to the last written offset and
+// restores the write cursor there, undoing whatever a failed write landed.
+func (l *Log) heal() error {
+	if err := l.fs.Truncate(filepath.Join(l.opts.Dir, segName(l.segIndex)), l.segSize); err != nil {
+		return err
+	}
+	_, err := l.f.Seek(l.segSize, io.SeekStart)
+	return err
+}
+
+// fsync writes the held frames, then fsyncs the active segment: one write
+// and one fsync per commit.
 func (l *Log) fsync() error {
+	if err := l.writeLocked(); err != nil {
+		return err
+	}
 	t0 := time.Now()
 	err := l.f.Sync()
 	d := uint64(time.Since(t0).Nanoseconds())
@@ -495,8 +528,9 @@ func (l *Log) fsync() error {
 		l.stats.FsyncMaxNanos = d
 	}
 	if err == nil {
-		// The active segment's fsync covers every frame written so far
-		// (earlier segments were fsynced when rotation sealed them).
+		// The active segment's fsync covers every frame written so far —
+		// every frame appended, as none is held any more (earlier segments
+		// were fsynced when rotation sealed them).
 		l.durableSeq = l.st.Events
 	}
 	return err
@@ -764,9 +798,9 @@ func (l *Log) Compact() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment. It is the synchronous commit
-// point: every pending ticket resolves before Sync returns — nil on
-// success, the poison error if the fsync failed.
+// Sync writes the held frames and fsyncs the active segment. It is the
+// synchronous commit point: every pending ticket resolves before Sync
+// returns — nil on success, the poison error if the commit failed.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -779,19 +813,20 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// syncLocked commits everything written to the active segment: on success
-// every pending batch releases, on failure the log poisons and they all
-// fail with it.
+// syncLocked commits everything appended to the active segment: on success
+// every pending batch releases, on failure — of the fsync, or of the write
+// before it — the log poisons and they all fail with it.
 func (l *Log) syncLocked() error {
 	if err := l.fsync(); err != nil {
-		return l.poisonLocked(fmt.Errorf("log: fsync failed, log poisoned: %w", err))
+		return l.poisonLocked(fmt.Errorf("log: commit failed, log poisoned: %w", err))
 	}
 	l.releaseAllLocked(nil)
 	return nil
 }
 
-// Close syncs and closes the active segment. Pending commit tickets
-// resolve with the final fsync's outcome — none is left hanging.
+// Close commits the held frames and closes the active segment. Pending
+// commit tickets resolve with the final commit's outcome — none is left
+// hanging.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

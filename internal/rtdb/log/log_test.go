@@ -285,52 +285,51 @@ func TestCorruptMidFinalSegmentSurfaced(t *testing.T) {
 	}
 }
 
-// TestTransientEIOHealed: a failed append write is healed (torn frame
-// truncated) — the log stays usable, the failed event is not logged, and
-// recovery sees exactly the acknowledged events.
+// TestTransientEIOHealed: a failed segment write — torn or plain EIO — is
+// healed (the torn bytes truncated away) and retried: the append that met
+// it succeeds like every other, the log stays usable, and recovery sees
+// every event.
 func TestTransientEIOHealed(t *testing.T) {
-	mem := faultfs.NewMem(11)
-	l, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 1 << 20, Sync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := workload(30)
-	var acked []Event
-	mem.TearWrite(12) // tear the 12th append's frame write
-	failures := 0
-	for _, e := range events {
-		if err := l.Append(e); err != nil {
-			if !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("append: %v", err)
-			}
-			failures++
-			continue
+	for name, inject := range map[string]func(*faultfs.Mem, uint64){
+		"torn": (*faultfs.Mem).TearWrite,
+		"eio":  (*faultfs.Mem).FailWrite,
+	} {
+		mem := faultfs.NewMem(11)
+		l, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 1 << 20, Sync: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		acked = append(acked, e)
-	}
-	if failures != 1 {
-		t.Fatalf("injected %d failures, want 1", failures)
-	}
-	if st := l.Stats(); st.Heals != 1 {
-		t.Fatalf("Heals = %d, want 1", st.Heals)
-	}
-	if l.Err() != nil {
-		t.Fatalf("transient EIO must not poison the log: %v", l.Err())
-	}
-	want := reference(acked)
-	if d := want.Diff(l.State()); d != "" {
-		t.Fatalf("live state after heal: %s", d)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if d := want.Diff(l2.State()); d != "" {
-		t.Fatalf("recovered state after heal: %s", d)
+		events := workload(30)
+		inject(mem, 12) // the 12th append's frame write
+		for i, e := range events {
+			if err := l.Append(e); err != nil {
+				t.Fatalf("%s: append %d: %v", name, i, err)
+			}
+		}
+		if n := mem.Injected(); n != 1 {
+			t.Fatalf("%s: %d faults fired, want 1", name, n)
+		}
+		if st := l.Stats(); st.Heals != 1 {
+			t.Fatalf("%s: Heals = %d, want 1", name, st.Heals)
+		}
+		if l.Err() != nil {
+			t.Fatalf("%s: transient EIO must not poison the log: %v", name, l.Err())
+		}
+		want := reference(events)
+		if d := want.Diff(l.State()); d != "" {
+			t.Fatalf("%s: live state after heal: %s", name, d)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := want.Diff(l2.State()); d != "" {
+			t.Fatalf("%s: recovered state after heal: %s", name, d)
+		}
+		l2.Close()
 	}
 }
 

@@ -23,8 +23,9 @@ var (
 		"degraded", "periodic_issued", "periodic_hit", "periodic_miss",
 		"subs_opened", "subs_closed", "push_scheduled", "pushed",
 		"push_dropped", "push_expired", "asof_reads", "rule_firings",
-		"cascade_depth_max", "wal_appends", "wal_errors", "fsync_count",
-		"fsync_total_ns", "fsync_max_ns", "group_commits", "grouped_appends",
+		"cascade_depth_max", "wal_appends", "wal_errors", "wal_heals",
+		"fsync_count", "fsync_total_ns", "fsync_max_ns", "group_commits",
+		"grouped_appends",
 	}
 	wireRowNames = []string{
 		"net_conns_accepted", "net_conns_refused", "net_conns_closed",

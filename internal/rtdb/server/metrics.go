@@ -95,8 +95,8 @@ type Metrics struct {
 }
 
 // MetricsSnapshot is a plain copy of the counters at one instant, with the
-// log's fsync and group-commit counters (GroupedAppends / GroupCommits is
-// the realized amortization factor).
+// log's heal, fsync and group-commit counters (GroupedAppends /
+// GroupCommits is the realized amortization factor).
 type MetricsSnapshot struct {
 	Chronon uint64
 
@@ -113,7 +113,7 @@ type MetricsSnapshot struct {
 
 	AsOfReads, RuleFirings, CascadeDepthMax uint64
 
-	WalAppends, WalErrors                 uint64
+	WalAppends, WalErrors, Heals          uint64
 	FsyncCount, FsyncNanos, FsyncMaxNanos uint64
 	GroupCommits, GroupedAppends          uint64
 }

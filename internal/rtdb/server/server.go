@@ -449,7 +449,6 @@ func (s *Server) step(r request) {
 		s.replyAfterDurable(r.reply, resp)
 	case reqTick:
 		s.tickTo(now + timeseq.Time(r.chronons))
-		r.reply <- Response{}
 	case reqBarrier:
 		// Flush is the durability barrier: close the open commit window so
 		// the batch leader fsyncs now, and ack once it has.
@@ -463,6 +462,11 @@ func (s *Server) step(r request) {
 	}
 	s.runSubs()
 	s.maybePublish()
+	if r.kind == reqTick {
+		// Answered after the trailing pass: a Tick's caller that reads the
+		// periodic books next must not catch a tick mid-tally.
+		r.reply <- Response{}
+	}
 }
 
 // tickTo advances idle time to target chronon by chronon with respect to

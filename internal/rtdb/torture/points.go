@@ -1,7 +1,6 @@
 package torture
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -143,10 +142,11 @@ func (c Config) crashPoint(p *point, events []wal.Event, grouped, fsynced bool) 
 
 // eioPoint injects one transient fault — alternating torn short write and
 // plain EIO — into data write p.at of the workload (0: none, the probe that
-// counts the writes). The log must heal (or, for a fault on a snapshot
-// write, defer the snapshot), stay unpoisoned, acknowledge every other
-// append — grouped: release every surviving ticket nil at the final fsync —
-// and recover to exactly the acknowledged events.
+// counts the writes). The log must heal and retry a segment write (or, for a
+// fault on a snapshot write, defer the snapshot), stay unpoisoned,
+// acknowledge every append — grouped: release every ticket nil at the final
+// fsync — count the fault exactly once, as a heal or a snapshot error, and
+// recover to exactly the workload.
 func (c Config) eioPoint(p *point, events []wal.Event, grouped bool) error {
 	mem := faultfs.NewMem(pointSeed(c.Seed, p.at))
 	p.mem = mem
@@ -163,24 +163,12 @@ func (c Config) eioPoint(p *point, events []wal.Event, grouped bool) error {
 	}
 	defer func() { l.Close() }()
 	a := &appender{l: l, grouped: grouped}
-	var acked []wal.Event
-	faulted := 0
-	for _, e := range events {
-		err := a.append(e)
-		switch {
-		case err == nil:
-			acked = append(acked, e)
-			if err := a.commit(); err != nil {
-				return fmt.Errorf("sync failed after heal: %v", err)
-			}
-		case errors.Is(err, faultfs.ErrInjected):
-			faulted++
-		case faulted > 0:
-			// The fault may have cost a catalog event (an image or derived
-			// registration); later events depending on it are then rightly
-			// rejected by validation — neither acked nor applied.
-		default:
-			return fmt.Errorf("append returned unexpected error: %v", err)
+	for i, e := range events {
+		if err := a.append(e); err != nil {
+			return fmt.Errorf("append %d failed under a transient fault: %v", i, err)
+		}
+		if err := a.commit(); err != nil {
+			return fmt.Errorf("sync failed after heal: %v", err)
 		}
 	}
 	p.ops = mem.Writes()
@@ -203,17 +191,19 @@ func (c Config) eioPoint(p *point, events []wal.Event, grouped bool) error {
 	if perr := l.Err(); perr != nil {
 		return fmt.Errorf("transient fault poisoned the log: %v", perr)
 	}
-	if faulted > 1 {
-		return fmt.Errorf("one injected write fault surfaced %d append errors", faulted)
+	st := l.Stats()
+	if armed, fired := min(p.at, 1), mem.Injected(); fired != armed || st.Heals+st.SnapshotErrors != fired {
+		return fmt.Errorf("%d write faults armed, %d fired, counted %d heals + %d snapshot errors: each must be counted exactly once",
+			armed, fired, st.Heals, st.SnapshotErrors)
 	}
-	if st := l.Stats(); grouped && st.GroupCommits == 0 {
+	if grouped && st.GroupCommits == 0 {
 		return fmt.Errorf("grouped run recorded zero group commits (%d appends)", st.Appends)
 	}
-	want := Reference(acked)
+	want := Reference(events)
 	if err := sameState("live state after heal", want, l.State()); err != nil {
 		return err
 	}
-	l, err = c.reopensTo("recovered state != acked events", l, mem, want)
+	l, err = c.reopensTo("recovered state != workload", l, mem, want)
 	return err
 }
 

@@ -22,7 +22,7 @@ import (
 func TestSweepPointCounts(t *testing.T) {
 	want := map[Mode]int{
 		ModeCrash: 139, ModeEIO: 67, ModeRename: 2, ModeFailover: 139,
-		ModeGroupCommit: 159, ModeShard: 178, ModeChaos: 1,
+		ModeGroupCommit: 61, ModeShard: 178, ModeChaos: 1,
 	}
 	c := flagDefaults
 	c.Events = 60
