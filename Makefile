@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc rtbench rtbench-smoke rtdbd-smoke bench-smoke race race-grid race-rtdb race-net race-repl race-sub race-gc race-shard race-partition bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
+.PHONY: all build vet test loc rtbench rtbench-smoke rtdbd-smoke bench-smoke race race-grid race-rtdb race-net race-repl race-spec race-gc race-shard race-partition race-patterns bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
 
 all: build vet test
 
@@ -16,8 +16,9 @@ test:
 # Go line counts, non-test and test, for the root module (bench/ is its own
 # module), the serving stack's packages and the fault-injection harness: net
 # negative line counts are a success metric (ROADMAP), so a PR that claims
-# one quotes this before and after.
-LOC_DIRS = internal/rtdb/log internal/rtdb/client internal/rtdb/netserve internal/rtdb/replica internal/rtdb/server internal/rtdb/sub internal/rtwire cmd/rtdbd cmd/rtdbload internal/rtdb/torture cmd/rttorture internal/faultfs internal/faultnet
+# one quotes this before and after. internal/rtdb/spec is the conformance
+# suite, almost all test lines.
+LOC_DIRS = internal/rtdb/log internal/rtdb/client internal/rtdb/netserve internal/rtdb/replica internal/rtdb/server internal/rtdb/sub internal/rtdb/spec internal/rtwire cmd/rtdbd cmd/rtdbload internal/rtdb/torture cmd/rttorture internal/faultfs internal/faultnet
 loc:
 	@for d in . $(LOC_DIRS); do \
 		src=$$(find $$d -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l); \
@@ -47,10 +48,10 @@ race-net:
 	$(GO) test -race ./internal/rtwire/ ./internal/rtdb/netserve/ ./internal/rtdb/client/
 
 # WAL-streaming replication under the race detector: the replica package
-# (streaming at the tail, catch-up, resync, promotion fencing, auto-promotion at the follow
-# stream's redials and a follower's own slow fsync that must not set it off, the
-# follower server's hardening, stalled-subscriber and in-place promotion tests) plus the
-# torture failover sweep's short configuration. CI runs this target.
+# (the follower's protocol against a scripted primary, resync, rebuild and
+# batched shipping) plus the torture failover sweep's short configuration.
+# The REPL- rows of the conformance suite run under make race-spec. CI runs
+# this target.
 race-repl:
 	$(GO) test -race ./internal/rtdb/replica/
 	$(GO) test -race -run=TestFailover ./internal/rtdb/torture/
@@ -66,17 +67,27 @@ race-gc:
 # hammer (concurrent samples, queries, ticks, and flushes, each placed on
 # its owning shard, against the cross-shard conservation sums), the
 # differential suite in netserve that runs one workload over the wire into
-# N listeners and into one unsharded server behind one listener, and the
-# sharded failover sweep with its placement-announcing Welcome.
+# N listeners and into one unsharded server behind one listener, the
+# sharded failover sweep with its placement-announcing Welcome, and the
+# conformance suite's SHARD- rows (placement, metrics rows, per-shard
+# replication).
 race-shard:
 	$(GO) test -race -run='TestRaceShard|TestShard' ./internal/rtdb/server/
-	$(GO) test -race -run='TestShard|TestFailoverSharded' ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/torture/
+	$(GO) test -race -run='TestShard|TestFailoverSharded' ./internal/rtdb/netserve/ ./internal/rtdb/torture/
+	$(GO) test -race -run='TestSpecs/shards' ./internal/rtdb/spec/
 
-# Standing queries under the race detector: the sub package's queue/table,
-# the SUB-xxx conformance suite on both transports, and the 32-subscriber ×
-# 4-writer hammer with a mid-flight listener drain and resume.
-race-sub:
-	$(GO) test -race ./internal/rtdb/sub/ ./internal/rtdb/subspec/
+# The conformance suite under the race detector — every SUB-, WIRE-, REPL-
+# and SHARD- row on every target it applies to — with the sub package's
+# queue/table and the 32-subscriber × 4-writer hammer with a mid-flight
+# listener drain and resume.
+race-spec:
+	$(GO) test -race ./internal/rtdb/sub/ ./internal/rtdb/spec/
+
+# No silent race target: every -run pattern above must match a test in each
+# package it names (go test -list), or the target would pass running nothing.
+# CI runs this target.
+race-patterns:
+	bash scripts/race-patterns.sh Makefile
 
 # Full crash-torture sweep: deterministic fault points (power cuts at
 # every mutating op, transient EIO / torn writes on every data write,
@@ -127,11 +138,14 @@ torture-partition:
 # chaos-shaped faultnet fabric (split writes, jittered delivery) while a
 # fault monkey cuts, stalls, and partitions links at random — every
 # watchdog, eviction, redial, and teardown path under the race detector,
-# plus the short deterministic sweep and the fabric-driven corruption,
-# heartbeat, and client-teardown suites.
+# plus the short deterministic sweep, netserve's corrupted-frame,
+# dropped-header and one-way-partition tests, the conformance suite's WIRE-
+# rows on its fabric targets (corruption, one-way partitions, silence per
+# frame, write-timeout eviction), and the client-teardown suites.
 race-partition:
 	$(GO) test -race -count=1 -run='TestPartitionHammer|TestPartitionSweepShort|TestPartitionPointRepro' ./internal/rtdb/torture/
 	$(GO) test -race -count=1 -run='TestCorruptedFrame|TestDropSpan|TestHeartbeatOneWay' ./internal/rtdb/netserve/
+	$(GO) test -race -count=1 -run='TestSpecs/(faultnet|standby|promoted)/WIRE' ./internal/rtdb/spec/
 	$(GO) test -race -count=1 -run='TestClose(AfterPartitionCut|DuringSlowLoris)' ./internal/rtdb/client/
 	$(GO) test -race -count=1 ./internal/faultnet/
 

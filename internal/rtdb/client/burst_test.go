@@ -182,7 +182,7 @@ func wantSamples(t *testing.T, frames []any, n int) []any {
 // socket writes — the parked one, one for what queued behind it, one for the
 // Flush — in submit order, all applied. One write per frame is 65.
 func TestBurstSharesAWrite(t *testing.T) {
-	s, addr := startServer(t)
+	s, addr := startServer(t, nil, "")
 	d := &tapDialer{gate: make(chan struct{})}
 	c, err := client.Dial(addr, client.Options{Dialer: d, HeartbeatInterval: -1})
 	if err != nil {
@@ -214,7 +214,7 @@ func TestBurstSharesAWrite(t *testing.T) {
 // TestLoneSampleLeaves: one InjectSample and no further client call — the
 // flusher alone must carry it to the server.
 func TestLoneSampleLeaves(t *testing.T) {
-	s, addr := startServer(t)
+	s, addr := startServer(t, nil, "")
 	c, err := client.Dial(addr, client.Options{HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestLoneSampleLeaves(t *testing.T) {
 // TestOrderAcrossKinds: samples nobody waits on and queries that are waited
 // on, interleaved on one connection, reach the wire in program order.
 func TestOrderAcrossKinds(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startServer(t, nil, "")
 	d := &tapDialer{}
 	c, err := client.Dial(addr, client.Options{Dialer: d, HeartbeatInterval: -1})
 	if err != nil {
@@ -275,7 +275,7 @@ func TestOrderAcrossKinds(t *testing.T) {
 // TestCloseLosesNothingAccepted: samples accepted behind a parked write are
 // on the wire, in order, before Close's Bye — and nothing follows it.
 func TestCloseLosesNothingAccepted(t *testing.T) {
-	s, addr := startServer(t)
+	s, addr := startServer(t, nil, "")
 	d := &tapDialer{gate: make(chan struct{})}
 	c, err := client.Dial(addr, client.Options{Dialer: d, HeartbeatInterval: -1})
 	if err != nil {

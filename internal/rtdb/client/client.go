@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,10 +210,7 @@ type Client struct {
 	ids   atomic.Uint64
 	boSeq atomic.Uint64
 
-	// lastRead is the unix-nano instant the read loop began to wait on the
-	// peer for the frame it is reading, stamped as silenceReader arms the
-	// silence bound; silence reads it.
-	lastRead atomic.Int64
+	reading atomic.Pointer[rtwire.SilenceReader] // the newest connection's: how long it has waited
 
 	mu   sync.Mutex // guards conn/out, address rotation, and (re)dials
 	conn net.Conn
@@ -362,7 +358,7 @@ func (c *Client) followLoop() {
 		}
 		err := c.rejoin(bo, -1, func() error {
 			if lost {
-				c.follow.Retry(c.silence())
+				c.follow.Retry(c.reading.Load().Waited())
 			}
 			return c.send(nil, true, true)
 		})
@@ -407,7 +403,7 @@ func (c *Client) connectOneLocked() error {
 	if err != nil {
 		return fail(nil, err)
 	}
-	sr := &silenceReader{nc: conn, last: &c.lastRead}
+	sr := &rtwire.SilenceReader{Conn: conn}
 	br := bufio.NewReader(sr)
 	m, err := handshake(conn, br, c.opt.Name, c.opt.WriteTimeout, c.opt.DialTimeout)
 	if err != nil {
@@ -427,7 +423,8 @@ func (c *Client) connectOneLocked() error {
 		c.shards = 1
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	sr.bound = 3 * c.opt.HeartbeatInterval
+	sr.Bound = 3 * c.opt.HeartbeatInterval
+	c.reading.Store(sr)
 	c.conn = conn
 	if c.lastAddr != "" && c.lastAddr != addr {
 		c.Stats.FailedOver.Add(1)
@@ -443,7 +440,7 @@ func (c *Client) connectOneLocked() error {
 		c.out = rtwire.Subscribe{AfterSeq: c.follow.After(), Follower: c.opt.Name}.AppendTo(c.out)
 	}
 	c.gen++
-	go c.readLoop(sr, br, c.gen)
+	go c.readLoop(conn, sr, br, c.gen)
 	return nil
 }
 
@@ -471,45 +468,6 @@ func handshake(conn net.Conn, br *bufio.Reader, name string, writeTimeout, readT
 		return w, m
 	}
 	return w, fmt.Errorf("handshake: unexpected %s frame", f.Kind)
-}
-
-// silenceReader arms a connection's inbound-silence bound at each socket
-// read under its bufio.Reader: silence is time spent waiting for the frame
-// being read, so the client's own work between frames — a follower's fsync
-// and replay — never counts against its peer, and bytes trickling in behind
-// a frame that never completes (a length corrupted upward) do not hold the
-// link open. The read loop marks each frame fresh; its first socket read
-// starts the clock that every read until the frame is whole shares. While
-// bound is 0 (the handshake, or heartbeats off) reads pass through.
-type silenceReader struct {
-	nc    net.Conn
-	bound time.Duration
-	last  *atomic.Int64 // the instant the current frame's wait began
-	fresh bool          // a frame begins: the next read starts its clock
-	start time.Time     // that instant, as a deadline base
-	cut   bool          // the newest read outlived its deadline
-}
-
-func (r *silenceReader) Read(p []byte) (int, error) {
-	if r.bound > 0 {
-		if r.fresh {
-			r.fresh, r.start = false, time.Now()
-			r.last.Store(r.start.UnixNano())
-		}
-		_ = r.nc.SetReadDeadline(r.start.Add(r.bound))
-	}
-	n, err := r.nc.Read(p)
-	r.cut = errors.Is(err, os.ErrDeadlineExceeded)
-	return n, err
-}
-
-// silence is how long ago the read loop began to wait on the peer for the
-// frame it is reading — zero until a read armed the silence bound.
-func (c *Client) silence() time.Duration {
-	if last := c.lastRead.Load(); last != 0 {
-		return time.Since(time.Unix(0, last))
-	}
-	return 0
 }
 
 // staleLocked folds a peer-announced epoch into the fencing watermark; true
@@ -598,18 +556,17 @@ func (c *Client) ShardFor(object string) uint64 {
 
 // readLoop dispatches incoming frames to waiting callers until the
 // connection dies.
-func (c *Client) readLoop(sr *silenceReader, br *bufio.Reader, gen int) {
+func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Reader, gen int) {
 	defer c.failPending(gen)
-	conn := sr.nc
 	// One payload buffer for the connection's lifetime; Decode copies the
 	// field strings out before the next frame overwrites it.
 	var rbuf []byte
 	var dump []string // a resync's chunks so far, this connection's alone
 	for {
-		sr.fresh = true
+		sr.Next()
 		f, err := rtwire.ReadFrameBuf(br, &rbuf)
 		if err != nil {
-			if sr.cut {
+			if sr.Cut() {
 				// 3 intervals of waiting brought no whole frame: a silently
 				// dead peer, a half-open socket or a corrupted length.
 				// failPending closes it, and the redial tries a different

@@ -2,11 +2,13 @@ package client_test
 
 import (
 	"errors"
+	"net"
 	"strconv"
 	"testing"
 	"time"
 
 	"rtc/internal/deadline"
+	"rtc/internal/faultnet"
 	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
 	"rtc/internal/rtdb/netserve"
@@ -44,10 +46,11 @@ func testServerConfig() server.Config {
 	}
 }
 
-// startServer stands up a started server behind a loopback listener and
-// hands back the server, so a test can wait on what it has applied, and the
-// listener's address.
-func startServer(t *testing.T) (*server.Server, string) {
+// startServer stands up a started server behind a loopback listener — or,
+// given a fabric, behind its listener at addr with the short beacon and write
+// deadlines the teardown tests blackhole, reset and stall — and hands back
+// the server, so a test can wait on what it has applied, and the address.
+func startServer(t *testing.T, fab *faultnet.Fabric, addr string) (*server.Server, string) {
 	t.Helper()
 	cfg := testServerConfig()
 	cfg.QueueDepth = 256 // a 64-sample burst arriving at wire speed fits
@@ -56,17 +59,24 @@ func startServer(t *testing.T) (*server.Server, string) {
 		t.Fatal(err)
 	}
 	s.Start()
-	ns := netserve.New(s, netserve.Options{})
-	addr, err := ns.Listen("127.0.0.1:0")
+	opt, ln := netserve.Options{}, net.Listener(nil)
+	if fab == nil {
+		ln, err = net.Listen("tcp", "127.0.0.1:0")
+	} else {
+		opt = netserve.Options{HeartbeatInterval: 50 * time.Millisecond, WriteTimeout: 100 * time.Millisecond}
+		ln, err = fab.Listen(addr)
+	}
 	if err != nil {
 		s.Stop()
 		t.Fatal(err)
 	}
+	ns := netserve.New(s, opt)
+	go func() { _ = ns.Serve(ln) }()
 	t.Cleanup(func() {
 		_ = ns.Close()
 		s.Stop()
 	})
-	return s, addr.String()
+	return s, ln.Addr().String()
 }
 
 // TestDialFailureIsFast: with retries disabled a dial against a dead port
@@ -87,7 +97,7 @@ func TestDialFailureIsFast(t *testing.T) {
 // TestClientEndToEnd drives the whole public client surface against a
 // live loopback server.
 func TestClientEndToEnd(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startServer(t, nil, "")
 	c, err := client.Dial(addr, client.Options{Name: "e2e"})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +152,7 @@ func TestClientEndToEnd(t *testing.T) {
 // whatever Elapsed the client stamps, E ≥ 0 = D holds, so the server must
 // reject it unevaluated and report the miss.
 func TestZeroDeadlineFirmExpires(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startServer(t, nil, "")
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package client_test
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"io"
 	"net"
 	"testing"
@@ -48,87 +46,6 @@ func fakeNode(t *testing.T, epoch uint64, freeze bool, accepts int) string {
 		_ = ln.Close()
 	}()
 	return ln.Addr().String()
-}
-
-// TestHeartbeatDetectsFrozenPeer: the server handshakes and then its writer
-// freezes solid. Without heartbeats the pending query would sit until
-// CallTimeout (30s); the read's silence bound must cut the connection
-// within 3 heartbeat intervals instead and fail the call with ErrConnDown.
-func TestHeartbeatDetectsFrozenPeer(t *testing.T) {
-	addr := fakeNode(t, 1, true, 1)
-	c, err := client.Dial(addr, client.Options{
-		RetryAttempts:     -1,
-		HeartbeatInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	start := time.Now()
-	_, err = c.Query(client.Query{Query: "anything"})
-	if err == nil {
-		t.Fatal("query against a frozen peer succeeded")
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("frozen peer took %v to detect; want ~3×50ms", d)
-	}
-	if got := c.Stats.HeartbeatTimeouts.Load(); got == 0 {
-		t.Fatal("the silence bound cut the link but HeartbeatTimeouts == 0")
-	}
-}
-
-// TestSilenceBoundsAFrame: the server's first frame after the handshake has
-// its length corrupted upward (still under MaxPayload), so it never
-// completes, while the server keeps talking behind it. The bytes trickling
-// in must not hold the link open: 3 heartbeat intervals after the client
-// began to wait for that frame the connection is cut, and the pending query
-// fails with ErrConnDown rather than at CallTimeout.
-func TestSilenceBoundsAFrame(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		if _, err := rtwire.ReadFrame(br); err != nil {
-			return
-		}
-		_, _ = conn.Write(rtwire.Welcome{Epoch: 1, Role: rtwire.RolePrimary}.Encode())
-		go func() { _, _ = io.Copy(io.Discard, br) }()
-		f := rtwire.Heartbeat{Epoch: 1}.Encode()
-		binary.LittleEndian.PutUint32(f[3:7], binary.LittleEndian.Uint32(f[3:7])+40000)
-		for {
-			if _, err := conn.Write(f); err != nil {
-				return
-			}
-			f = rtwire.Heartbeat{Epoch: 1}.Encode()
-			time.Sleep(10 * time.Millisecond)
-		}
-	}()
-	c, err := client.Dial(ln.Addr().String(), client.Options{
-		RetryAttempts: -1, HeartbeatInterval: 50 * time.Millisecond, CallTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if _, err := c.Query(client.Query{Query: "anything"}); !errors.Is(err, client.ErrConnDown) {
-		t.Fatalf("query behind a frame that never completes: %v, want ErrConnDown", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("the link held for %v behind a corrupted length; want ~3×50ms", d)
-	}
-	if got := c.Stats.HeartbeatTimeouts.Load(); got != 1 {
-		t.Fatalf("HeartbeatTimeouts = %d, want 1", got)
-	}
 }
 
 // TestStaleEpochFenced: the client first reaches a node at epoch 5; after

@@ -50,7 +50,7 @@ func noFlusher(t *testing.T) {
 // itself (and its ticker) alive for up to a full interval after Close,
 // which this test pins at a long interval to make such a leak loud.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startServer(t, nil, "")
 	base := runtime.NumGoroutine()
 
 	c, err := client.Dial(addr, client.Options{
@@ -150,31 +150,6 @@ func TestCloseUnblocksRetryBackoff(t *testing.T) {
 	}
 }
 
-// startFabricServer mirrors startServer behind a faultnet fabric so the
-// teardown tests can blackhole, reset, and stall the client's wire.
-func startFabricServer(t *testing.T, fab *faultnet.Fabric, addr string) {
-	t.Helper()
-	s, err := server.New(testServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	ns := netserve.New(s, netserve.Options{
-		HeartbeatInterval: 50 * time.Millisecond,
-		WriteTimeout:      100 * time.Millisecond,
-	})
-	ln, err := fab.Listen(addr)
-	if err != nil {
-		s.Stop()
-		t.Fatal(err)
-	}
-	go func() { _ = ns.Serve(ln) }()
-	t.Cleanup(func() {
-		_ = ns.Close()
-		s.Stop()
-	})
-}
-
 // fabricLeakOptions are the client options every fabric teardown test
 // uses: live beacons and the read's silence bound (the only detector for a
 // blackholed flow), short write deadlines, and a fast retry ladder — all
@@ -199,7 +174,7 @@ func fabricLeakOptions(fab *faultnet.Fabric, label string) client.Options {
 func TestCloseAfterPartitionCutLeaksNoGoroutines(t *testing.T) {
 	fab := faultnet.NewFabric(31)
 	defer fab.Close()
-	startFabricServer(t, fab, "leak:1")
+	startServer(t, fab, "leak:1")
 	base := runtime.NumGoroutine()
 
 	c, err := client.Dial("leak:1", fabricLeakOptions(fab, "part-cut"))
@@ -261,7 +236,7 @@ func TestCloseAfterPartitionCutLeaksNoGoroutines(t *testing.T) {
 func TestCloseDuringSlowLorisLeaksNoGoroutines(t *testing.T) {
 	fab := faultnet.NewFabric(32)
 	defer fab.Close()
-	startFabricServer(t, fab, "loris:1")
+	startServer(t, fab, "loris:1")
 	base := runtime.NumGoroutine()
 
 	c, err := client.Dial("loris:1", fabricLeakOptions(fab, "slow"))
@@ -331,7 +306,7 @@ func TestCloseDuringSlowLorisLeaksNoGoroutines(t *testing.T) {
 // real connection — admitted subscribe, cursored pushes as samples advance
 // the server clock, clean Close.
 func TestClientSubscribeEndToEnd(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startServer(t, nil, "")
 	c, err := client.Dial(addr, client.Options{Name: "sub-e2e"})
 	if err != nil {
 		t.Fatal(err)

@@ -21,23 +21,10 @@ func benchNet(b *testing.B, nConns int) (*server.Server, []*client.Client) {
 	cfg := testConfig()
 	cfg.Sessions = nConns
 	cfg.QueueDepth = 256
-	s, err := server.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Start()
-	ns := New(s, Options{WriteQueue: 256, MaxInflight: 64})
-	addr, err := ns.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		_ = ns.Close()
-		s.Stop()
-	})
+	s, _, addr := startNet(b, cfg, Options{WriteQueue: 256, MaxInflight: 64}, nil)
 	conns := make([]*client.Client, nConns)
 	for i := range conns {
-		c, err := client.Dial(addr.String(), client.Options{Name: fmt.Sprintf("bench-%d", i)})
+		c, err := client.Dial(addr, client.Options{Name: fmt.Sprintf("bench-%d", i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +115,7 @@ func BenchmarkClientIngest(b *testing.B) {
 	cfg := testConfig()
 	cfg.Sessions = 1
 	cfg.QueueDepth = 256 // the whole burst fits: nothing bounces
-	_, _, addr := startNet(b, cfg, Options{})
+	_, _, addr := startNet(b, cfg, Options{}, nil)
 	d := &writeCounter{}
 	c, err := client.Dial(addr, client.Options{Name: "ingest", Dialer: d})
 	if err != nil {

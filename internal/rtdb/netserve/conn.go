@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -21,7 +20,7 @@ type conn struct {
 
 	// interrupted closes, once, when the connection must stop reading before
 	// its client is done — a failed writer, a stalled follower's eviction, a
-	// drain. deadlineReader checks it after arming each read's deadline.
+	// drain. The silence reader checks it after arming each read's deadline.
 	interrupted   chan struct{}
 	interruptOnce sync.Once
 
@@ -134,37 +133,6 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 	return w.nc.Write(p)
 }
 
-// deadlineReader is deadlineWriter's twin under the connection's
-// bufio.Reader: the inbound-silence bound is armed once per socket read, not
-// once per frame — a burst of samples that arrived in one segment is one
-// timer update, and silence is measured where it happens, between socket
-// reads. It checks quit and interrupted after arming, never before: Close
-// closes quit, and interruptRead closes interrupted, before interrupting the
-// read with a deadline of their own, so either this check sees the channel
-// or the interrupt lands on the deadline armed here — a re-arm can never
-// overwrite it. While idle is 0 it passes reads through: the handshake runs
-// under its own single deadline, and handle sets idle once it is over.
-type deadlineReader struct {
-	nc          net.Conn
-	idle        time.Duration
-	quit        <-chan struct{}
-	interrupted <-chan struct{}
-}
-
-func (r *deadlineReader) Read(p []byte) (int, error) {
-	if r.idle > 0 {
-		_ = r.nc.SetReadDeadline(time.Now().Add(r.idle))
-		select {
-		case <-r.quit:
-			return 0, ErrServerClosed
-		case <-r.interrupted:
-			return 0, os.ErrDeadlineExceeded
-		default:
-		}
-	}
-	return r.nc.Read(p)
-}
-
 // writeLoop is the connection's only writer and its subscriptions' pump: it
 // sleeps on the write queue and on the shared wake channel, copies queued
 // frames and drained pushes into one bufio.Writer, and flushes once nothing
@@ -263,12 +231,13 @@ func (c *conn) discard() {
 
 // readLoop consumes the connection's timed word frame by frame until the
 // client says Bye, the connection dies, the idle timeout fires, or the
-// server drains (deadlineReader, under c.br, sees the last two).
-func (c *conn) readLoop() {
+// server drains (sr, under c.br, sees the last two).
+func (c *conn) readLoop(sr *rtwire.SilenceReader) {
 	// One payload buffer for the connection's lifetime: Decode copies the
 	// field strings out, so the next frame may overwrite it.
 	var rbuf []byte
 	for {
+		sr.Next()
 		f, err := rtwire.ReadFrameBuf(c.br, &rbuf)
 		if err != nil {
 			if rtwire.IsProtocolError(err) {

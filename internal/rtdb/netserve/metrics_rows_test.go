@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"testing"
+	"time"
 
 	"rtc/internal/faultfs"
 	"rtc/internal/rtdb/client"
@@ -24,6 +25,18 @@ func fetchMetricRows(t *testing.T, addr string) map[string]uint64 {
 	return m.Map()
 }
 
+// memLog opens a write-ahead log on an in-memory file system.
+func memLog(t *testing.T, opt wal.Options) *wal.Log {
+	t.Helper()
+	opt.Dir, opt.FS = "wal", faultfs.NewMem(1)
+	l, err := wal.Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	return l
+}
+
 // TestMetricsDurabilityRows: the wire metrics of a WAL-backed primary must
 // carry the durability coordinates failover tooling reads — wal_seq (the
 // durable tail a promoted node is checked against), epoch (the fencing
@@ -36,7 +49,7 @@ func TestMetricsDurabilityRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	_, _, addr := startNet(t, server.Config{Sessions: 2, Log: l}, Options{})
+	_, _, addr := startNet(t, server.Config{Sessions: 2, Log: l}, Options{}, nil)
 
 	mm := fetchMetricRows(t, addr)
 	for _, name := range []string{"wal_seq", "wal_durable", "epoch", "repl_durable"} {
@@ -62,7 +75,7 @@ func TestMetricsDurabilityRows(t *testing.T) {
 // The torture sweeps and dashboards dereference these by name to prove no
 // drop path is silent; losing a row un-counts a whole failure family.
 func TestMetricsFaultPathRows(t *testing.T) {
-	_, _, addr := startNet(t, server.Config{Sessions: 2}, Options{})
+	_, _, addr := startNet(t, server.Config{Sessions: 2}, Options{}, nil)
 
 	mm := fetchMetricRows(t, addr)
 	for _, name := range []string{
@@ -79,7 +92,7 @@ func TestMetricsFaultPathRows(t *testing.T) {
 // reports epoch and repl_durable; wal_seq is rightly absent because there
 // is no durable tail to advertise.
 func TestMetricsDurabilityRowsNoWAL(t *testing.T) {
-	_, _, addr := startNet(t, server.Config{Sessions: 2}, Options{})
+	_, _, addr := startNet(t, server.Config{Sessions: 2}, Options{}, nil)
 
 	mm := fetchMetricRows(t, addr)
 	for _, name := range []string{"epoch", "repl_durable"} {
@@ -89,5 +102,48 @@ func TestMetricsDurabilityRowsNoWAL(t *testing.T) {
 	}
 	if _, ok := mm["wal_seq"]; ok {
 		t.Error("ephemeral server advertises wal_seq with no WAL behind it")
+	}
+}
+
+// TestMetricsLiveFsyncRows: a running primary reports its log's fsync and
+// group-commit counters as they stand, not as they stood at the last Stop.
+// A WAL-less one reports the same rows, at zero.
+func TestMetricsLiveFsyncRows(t *testing.T) {
+	const samples = 10
+	cfg := testConfig()
+	cfg.Sessions = 2 // the load client and the metrics probe
+	cfg.Log = memLog(t, wal.Options{Sync: true, GroupWindow: 200 * time.Microsecond})
+	_, _, addr := startNet(t, cfg, Options{}, nil)
+	c, err := client.Dial(addr, client.Options{Name: "fsync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < samples; i++ {
+		if err := c.InjectSample("temp", "20"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mm := fetchMetricRows(t, addr)
+	if mm["wal_appends"] < samples {
+		t.Fatalf("wal_appends = %d, want ≥ %d", mm["wal_appends"], samples)
+	}
+	if mm["fsync_count"] == 0 || mm["group_commits"] == 0 {
+		t.Errorf("running primary reports fsync_count %d, group_commits %d; want both > 0",
+			mm["fsync_count"], mm["group_commits"])
+	}
+	if mm["grouped_appends"] != mm["wal_appends"] {
+		t.Errorf("grouped_appends %d != wal_appends %d after a Flush", mm["grouped_appends"], mm["wal_appends"])
+	}
+
+	_, _, plainAddr := startNet(t, testConfig(), Options{}, nil)
+	plain := fetchMetricRows(t, plainAddr)
+	for _, name := range []string{"fsync_count", "fsync_total_ns", "fsync_max_ns", "group_commits", "grouped_appends"} {
+		if v, ok := plain[name]; !ok || v != 0 {
+			t.Errorf("WAL-less %s = %d (present %v), want 0", name, v, ok)
+		}
 	}
 }

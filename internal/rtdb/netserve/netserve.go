@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -388,8 +389,17 @@ func (n *Server) handle(nc net.Conn) {
 	// Handshake: the first frame must be a Hello within the timeout.
 	_ = nc.SetReadDeadline(time.Now().Add(n.opt.HandshakeTimeout))
 	interrupted := make(chan struct{})
-	dr := &deadlineReader{nc: nc, quit: n.quit, interrupted: interrupted}
-	br := bufio.NewReader(dr)
+	sr := &rtwire.SilenceReader{Conn: nc, Check: func() error {
+		select {
+		case <-n.quit:
+			return ErrServerClosed
+		case <-interrupted:
+			return os.ErrDeadlineExceeded
+		default:
+			return nil
+		}
+	}}
+	br := bufio.NewReader(sr)
 	f, err := rtwire.ReadFrame(br)
 	if err != nil || f.Kind != rtwire.KindHello {
 		n.Wire.ConnsRefused.Add(1)
@@ -406,12 +416,11 @@ func (n *Server) handle(nc net.Conn) {
 	}
 	defer func() { n.pool <- id }()
 
-	// The handshake ran under its own deadline; from here the reader arms the
-	// inbound-silence bound at each socket read. The bound is the tighter of
-	// idleCap and three heartbeat intervals: a client that beacons every
-	// interval but goes silent behind a one-way partition is cut in bounded
-	// time — the server-side half of the watchdog contract.
-	dr.idle = min(idleCap, 3*n.opt.HeartbeatInterval)
+	// The handshake ran under its own deadline; from here sr bounds the
+	// silence before each frame by the tighter of idleCap and three heartbeat
+	// intervals: a client that beacons but goes silent behind a one-way
+	// partition is cut in bounded time — the watchdog's server-side half.
+	sr.Bound = min(idleCap, 3*n.opt.HeartbeatInterval)
 	c := &conn{
 		n: n, nc: nc, br: br,
 		sess:        n.srv.Session(id),
@@ -437,7 +446,7 @@ func (n *Server) handle(nc net.Conn) {
 	defer n.Wire.ConnsClosed.Add(1)
 
 	go c.writeLoop()
-	c.readLoop()
+	c.readLoop(sr)
 
 	// Drain: stop the replication sender first (it exits on rstop, so the
 	// inflight wait below cannot deadlock on it), cancel the subscriptions

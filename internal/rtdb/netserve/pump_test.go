@@ -15,6 +15,24 @@ import (
 	"rtc/internal/rtwire"
 )
 
+// expectSubAck reads frames until a SubAck arrives, collecting the pushes
+// that precede it.
+func expectSubAck(t *testing.T, rc *rawConn, pushes *[]rtwire.Push) rtwire.SubAck {
+	t.Helper()
+	for {
+		switch m := rc.read().(type) {
+		case rtwire.Push:
+			if pushes != nil {
+				*pushes = append(*pushes, m)
+			}
+		case rtwire.SubAck:
+			return m
+		default:
+			t.Fatalf("waiting for SubAck, got %T: %+v", m, m)
+		}
+	}
+}
+
 // These tests pin the writer-as-pump: the connection's one writer drains
 // every subscription attached to it. None of them measures time; they count
 // frames, socket writes, goroutines and the server's books.
@@ -64,7 +82,7 @@ func TestPumpFanoutOrderAndAccounting(t *testing.T) {
 	const members = 8
 	cfg := testConfig()
 	cfg.Sessions = 2
-	s, ns, addr := startNet(t, cfg, Options{})
+	s, ns, addr := startNet(t, cfg, Options{}, nil)
 	rc := dialRaw(t, addr)
 
 	var frames, bytes, pushes uint64
@@ -184,18 +202,8 @@ func serveCounting(t *testing.T, ln net.Listener) (*server.Server, *Server, <-ch
 	t.Helper()
 	cfg := testConfig()
 	cfg.Sessions = 2
-	s, err := server.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	ns := New(s, Options{})
 	cl := countingListener{Listener: ln, conns: make(chan *countingConn, cfg.Sessions)}
-	go func() { _ = ns.Serve(cl) }()
-	t.Cleanup(func() {
-		_ = ns.Close()
-		s.Stop()
-	})
+	s, ns, _ := startNet(t, cfg, Options{}, cl)
 	return s, ns, cl.conns
 }
 
@@ -254,7 +262,7 @@ func TestPumpOneWritePerTick(t *testing.T) {
 // TestPumpNoGoroutinePerSubscription: attaching 32 subscriptions to a live
 // connection starts no goroutine — the connection's writer is their pump.
 func TestPumpNoGoroutinePerSubscription(t *testing.T) {
-	_, _, addr := startNet(t, testConfig(), Options{})
+	_, _, addr := startNet(t, testConfig(), Options{}, nil)
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	// One subscription first, so whatever the first attach could start
@@ -401,7 +409,7 @@ func TestStalledSubscriberIsolated(t *testing.T) {
 func TestSubCancelRacingDrain(t *testing.T) {
 	cfg := testConfig()
 	cfg.Sessions = 2
-	s, _, addr := startNet(t, cfg, Options{})
+	s, _, addr := startNet(t, cfg, Options{}, nil)
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	feeder, err := client.Dial(addr, client.Options{Name: "feeder"})
@@ -548,22 +556,12 @@ func (l gatedListener) Accept() (net.Conn, error) {
 // connection lingers for the whole bound (two minutes here).
 func TestWriterFailureEndsParkedReader(t *testing.T) {
 	const wt = 100 * time.Millisecond
-	s, err := server.New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	ns := New(s, Options{MaxInflight: 1, WriteQueue: 1, WriteTimeout: wt, HeartbeatInterval: time.Minute})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	gl := gatedListener{Listener: ln, conns: make(chan *gatedConn, 1)}
-	go func() { _ = ns.Serve(gl) }()
-	t.Cleanup(func() {
-		_ = ns.Close()
-		s.Stop()
-	})
+	s, ns, _ := startNet(t, testConfig(), Options{MaxInflight: 1, WriteQueue: 1, WriteTimeout: wt, HeartbeatInterval: time.Minute}, gl)
 	rc := dialRaw(t, ln.Addr().String())
 	gc := <-gl.conns
 	rc.handshake()

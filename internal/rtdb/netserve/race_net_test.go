@@ -30,7 +30,7 @@ func TestNetRaceHammer(t *testing.T) {
 	cfg := testConfig()
 	cfg.Sessions = clients
 	cfg.QueueDepth = 16
-	s, ns, addr := startNet(t, cfg, Options{})
+	s, ns, addr := startNet(t, cfg, Options{}, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -119,7 +119,7 @@ func TestDrainMidFlight(t *testing.T) {
 	const clients = 8
 	cfg := testConfig()
 	cfg.Sessions = clients
-	s, ns, addr := startNet(t, cfg, Options{})
+	s, ns, addr := startNet(t, cfg, Options{}, nil)
 
 	var wg sync.WaitGroup
 	started := make(chan struct{}, clients)
@@ -189,7 +189,7 @@ func TestSubChurnHammer(t *testing.T) {
 	)
 	cfg := testConfig()
 	cfg.Sessions = 2
-	s, ns, addr := startNet(t, cfg, Options{})
+	s, ns, addr := startNet(t, cfg, Options{}, nil)
 	subConn, err := client.Dial(addr, client.Options{Name: "churn-subs"})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,25 +92,17 @@ func testServer() server.Config {
 	}
 }
 
-// newTestPrimary stands up a WAL-backed replication sender (an unstarted
-// server shell, exactly what the torture sweep uses) on a loopback port.
-// The returned stop function is idempotent and stops the shell before the
-// transport — the unstarted shell has no apply loop, so a connection
-// draining through Session.Flush only unblocks once Stop closes quit.
-func newTestPrimary(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, func(), string) {
-	lp, _, stop, addr := newTestPrimaryNS(t, segSize, snapEvery)
-	return lp, stop, addr
-}
-
 // testBeacon is the test stacks' one link cadence: each primary listener
 // requires a beacon this often (cutting a link after 3× of silence) and each
 // follower sends one this often, so an idle link holds rather than churning
 // through re-subscribes.
 const testBeacon = 100 * time.Millisecond
 
-// newTestPrimaryNS is newTestPrimary that also hands back the listener, for
-// tests that read the primary's replication watermark.
-func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, *netserve.Server, func(), string) {
+// newTestPrimary stands up a WAL-backed replication sender on a loopback
+// port. Its apply loop runs: a follower disconnect flushes its session during
+// netserve teardown, and only a started server completes that flush. The
+// returned stop function is idempotent.
+func newTestPrimary(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, func(), string) {
 	t.Helper()
 	lp, err := wal.Open(wal.Options{
 		Dir: "wal", FS: faultfs.NewMem(1), SegmentSize: segSize, SnapshotEvery: snapEvery,
@@ -123,9 +114,6 @@ func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run the apply loop: a follower disconnect flushes its session during
-	// netserve teardown, and only a started server completes that flush —
-	// without it the (Sessions: 1) pool wedges after the first disconnect.
 	srv.Start()
 	ns := netserve.New(srv, netserve.Options{
 		HeartbeatInterval: testBeacon,
@@ -137,7 +125,7 @@ func newTestPrimaryNS(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, 
 	}
 	stop := func() { srv.Stop(); ns.Close() }
 	t.Cleanup(stop)
-	return lp, ns, stop, addr.String()
+	return lp, stop, addr.String()
 }
 
 func newTestReplica(t testing.TB, primary string) *Replica {
@@ -187,41 +175,6 @@ func TestLiveReplication(t *testing.T) {
 	}
 	if r.srv.Repl.EventsApplied.Load() != uint64(len(events)) {
 		t.Fatalf("EventsApplied = %d, want %d", r.srv.Repl.EventsApplied.Load(), len(events))
-	}
-}
-
-// TestCatchupThenTail: the replica starts after the primary already has a
-// history — catch-up from segments must hand off seamlessly to the live
-// tail.
-func TestCatchupThenTail(t *testing.T) {
-	lp, _, addr := newTestPrimary(t, 1<<16, 1<<20)
-	events := testEvents(30)
-	half := len(events) / 2
-	for _, e := range events[:half] {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	r := newTestReplica(t, addr)
-	defer r.Close()
-	r.Start()
-	if !r.WaitSeq(uint64(half), 10*time.Second) {
-		t.Fatalf("catch-up stuck at %d, want %d", r.Seq(), half)
-	}
-	for _, e := range events[half:] {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
-		t.Fatalf("live tail stuck at %d, want %d", r.Seq(), len(events))
-	}
-	r.mu.Lock()
-	d := lp.State().Diff(r.log.State())
-	r.mu.Unlock()
-	if d != "" {
-		t.Fatalf("replicated state diverged: %s", d)
 	}
 }
 
@@ -331,111 +284,6 @@ func TestApplyBatchDiscipline(t *testing.T) {
 	}
 }
 
-// TestPromoteFencesAndSurvives: promotion bumps the epoch durably and stops
-// the follow stream; the promoted server logs the writes it takes.
-func TestPromoteFencesAndSurvives(t *testing.T) {
-	lp, _, addr := newTestPrimary(t, 1<<16, 1<<20)
-	events := testEvents(10)
-	for _, e := range events {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs := faultfs.NewMem(4)
-	r, err := Open(Config{
-		Primary: addr,
-		WAL:     wal.Options{Dir: "rwal", FS: fs, SegmentSize: 2048, SnapshotEvery: 32},
-		Client:  client.Options{RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond, Seed: 9},
-	}, testServer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
-		t.Fatalf("replica stuck at %d", r.Seq())
-	}
-
-	sess := r.Server().Session(0)
-	if err := sess.InjectSample("temp", "pre"); !errors.Is(err, server.ErrReadOnly) {
-		t.Fatalf("follower took a write: err = %v, want ErrReadOnly", err)
-	}
-	epoch, err := r.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch < 2 {
-		t.Fatalf("promotion left epoch at %d", epoch)
-	}
-	select {
-	case <-r.Promoted():
-	default:
-		t.Fatal("Promoted channel not closed")
-	}
-	if err := sess.InjectSample("temp", "post"); err != nil {
-		t.Fatalf("promoted server refused a write: %v", err)
-	}
-	if err := sess.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := wal.Open(wal.Options{Dir: "rwal", FS: fs, SegmentSize: 2048, SnapshotEvery: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if got := l2.Epoch(); got != epoch {
-		t.Fatalf("epoch %d not persisted; reopened as %d", epoch, got)
-	}
-	if got := l2.Seq(); got != uint64(len(events))+1 {
-		t.Fatalf("reopened seq = %d, want %d", got, len(events)+1)
-	}
-}
-
-// TestWatchdogAutoPromotes: with PromoteAfter set, losing the primary for
-// long enough promotes the replica without operator action, at a redial of
-// the follow stream (the name is older than the decision's place).
-func TestWatchdogAutoPromotes(t *testing.T) {
-	lp, stopPrimary, addr := newTestPrimary(t, 1<<16, 1<<20)
-	events := testEvents(5)
-	for _, e := range events {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := Open(Config{
-		Primary: addr,
-		WAL:     wal.Options{Dir: "rwal", FS: faultfs.NewMem(5), SegmentSize: 2048, SnapshotEvery: 32},
-		Client: client.Options{RetryBackoff: time.Millisecond, RetryBackoffMax: 10 * time.Millisecond, Seed: 11,
-			HeartbeatInterval: 100 * time.Millisecond / 3,
-		},
-		PromoteAfter: 200 * time.Millisecond,
-	}, testServer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.Start()
-	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
-		t.Fatalf("replica stuck at %d", r.Seq())
-	}
-
-	stopPrimary() // the primary vanishes
-	select {
-	case <-r.Promoted():
-	case <-time.After(10 * time.Second):
-		t.Fatal("watchdog never promoted after the primary vanished")
-	}
-	if got := r.srv.Repl.Promotions.Load(); got != 1 {
-		t.Fatalf("Promotions = %d, want 1", got)
-	}
-	if got := r.Epoch(); got < 2 {
-		t.Fatalf("auto-promotion left epoch at %d", got)
-	}
-}
-
 // TestOpenRefusesPromoteAfterWithoutBeacons: an idle primary says nothing
 // but the echoes of its follower's beacons, and a follower that sends none
 // arms no silence bound on its reads, so PromoteAfter would have nothing to
@@ -460,117 +308,4 @@ func TestOpenRefusesPromoteAfterWithoutBeacons(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
-}
-
-// TestIdleFollowerHoldsItsLink: the primary sends nothing on an idle link of
-// its own accord, so a caught-up follower holds its one connection on its
-// own beacons alone — the listener echoes each, and neither side's silence
-// bound fires however long nothing is written.
-func TestIdleFollowerHoldsItsLink(t *testing.T) {
-	lp, ns, _, addr := newTestPrimaryNS(t, 1<<16, 1<<20)
-	events := testEvents(10)
-	for _, e := range events {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := newTestReplica(t, addr)
-	defer r.Close()
-	r.Start()
-	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
-		t.Fatalf("replica stuck at %d", r.Seq())
-	}
-	reconnects := r.srv.Repl.Reconnects.Load()
-	time.Sleep(6 * testBeacon) // twice the listener's silence bound
-	if got := r.srv.Repl.Reconnects.Load(); got != reconnects {
-		t.Errorf("Repl.Reconnects %d → %d while idle, want unchanged", reconnects, got)
-	}
-	if got := ns.Wire.ConnsAccepted.Load(); got != 1 {
-		t.Errorf("primary accepted %d connections, want the follower's one", got)
-	}
-	if got := ns.Wire.HeartbeatsIn.Load(); got < 1 {
-		t.Error("primary echoed no follower beacon on the idle link")
-	}
-}
-
-// stallFS is the follower's own slow disk: while armed, every fsync takes a
-// second.
-type stallFS struct {
-	faultfs.FS
-	armed atomic.Bool
-}
-
-func (s *stallFS) OpenWrite(name string) (faultfs.File, error) {
-	f, err := s.FS.OpenWrite(name)
-	return stallFile{f, s}, err
-}
-
-func (s *stallFS) Create(name string) (faultfs.File, error) {
-	f, err := s.FS.Create(name)
-	return stallFile{f, s}, err
-}
-
-type stallFile struct {
-	faultfs.File
-	fs *stallFS
-}
-
-func (f stallFile) Sync() error {
-	if f.fs.armed.Load() {
-		time.Sleep(time.Second)
-	}
-	return f.File.Sync()
-}
-
-// TestOwnApplyIsNotSilence: a follower whose own fsync stalls for longer
-// than PromoteAfter, mid-apply, has not heard silence from its primary — it
-// was not waiting on it. The link holds, and the replica neither
-// re-subscribes nor promotes itself against the live primary.
-func TestOwnApplyIsNotSilence(t *testing.T) {
-	lp, ns, _, addr := newTestPrimaryNS(t, 1<<16, 1<<20)
-	events := testEvents(10)
-	for _, e := range events {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs := &stallFS{FS: faultfs.NewMem(4)}
-	r, err := Open(Config{
-		Primary: addr,
-		WAL:     wal.Options{Dir: "rwal", FS: fs, SegmentSize: 2048, SnapshotEvery: 32, Sync: true},
-		Client: client.Options{Name: "t-follower",
-			RetryBackoff: time.Millisecond, RetryBackoffMax: 20 * time.Millisecond,
-			Seed: 7, HeartbeatInterval: testBeacon,
-		},
-		PromoteAfter: 3 * testBeacon,
-	}, testServer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.Start()
-	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
-		t.Fatalf("replica stuck at %d", r.Seq())
-	}
-	epoch, reconnects := r.Epoch(), r.srv.Repl.Reconnects.Load()
-
-	fs.armed.Store(true)
-	if err := lp.Append(wal.Sample(100, "temp", "30")); err != nil {
-		t.Fatal(err)
-	}
-	if !r.WaitSeq(uint64(len(events))+1, 10*time.Second) {
-		t.Fatalf("replica stuck at %d", r.Seq())
-	}
-	fs.armed.Store(false)
-	time.Sleep(2 * testBeacon) // room for a promotion the stall set off
-
-	if got := r.Epoch(); got != epoch {
-		t.Errorf("epoch %d → %d: the replica promoted against a live primary", epoch, got)
-	}
-	if got := r.srv.Repl.Reconnects.Load(); got != reconnects {
-		t.Errorf("Repl.Reconnects %d → %d across its own slow fsync, want unchanged", reconnects, got)
-	}
-	if got := ns.Wire.ConnsAccepted.Load(); got != 1 {
-		t.Errorf("primary accepted %d connections, want the follower's one", got)
-	}
 }

@@ -120,32 +120,32 @@ func liveness(what string, a *appender, e wal.Event) error {
 	return nil
 }
 
-// servedLive is liveness through a server: a node promoted in place is live
-// — a sample one of its sessions takes lands in its log by the Flush that
-// acknowledges it.
+// servedLive (REPL-007) is liveness through a server: a node promoted in
+// place is live — a sample one of its sessions takes lands in its log by the
+// Flush that acknowledges it.
 func servedLive(what string, srv *server.Server) error {
 	before := srv.Seq()
 	sess := srv.Session(0)
 	if err := sess.InjectSample("temp", "live"); err != nil {
-		return fmt.Errorf("%s: %v", what, err)
+		return fmt.Errorf("REPL-007: %s: %v", what, err)
 	}
 	if err := sess.Flush(); err != nil {
-		return fmt.Errorf("%s: flush: %v", what, err)
+		return fmt.Errorf("REPL-007: %s: flush: %v", what, err)
 	}
-	return law(srv.Seq() > before, "%s: the log stayed at %d", what, before)
+	return law(srv.Seq() > before, "REPL-007: %s: the log stayed at %d", what, before)
 }
 
-// queryConservation is QueriesIn == QueriesAccounted: a query that entered
-// a node was rejected, hit, missed or carried no deadline — and counted as
-// exactly one of them, never lost. who names the node.
+// queryConservation (WIRE-001) is QueriesIn == QueriesAccounted: a query
+// that entered a node was rejected, hit, missed or carried no deadline — and
+// counted as exactly one of them, never lost. who names the node.
 func queryConservation(who string, m server.MetricsSnapshot) error {
 	acc := m.QueriesAccounted()
-	return law(m.QueriesIn == acc, "%s conservation broken: in=%d accounted=%d", who, m.QueriesIn, acc)
+	return law(m.QueriesIn == acc, "WIRE-001: %s conservation broken: in=%d accounted=%d", who, m.QueriesIn, acc)
 }
 
-// sampleConservation: every sample a session accepted was applied.
+// sampleConservation (WIRE-001): every sample a session accepted was applied.
 func sampleConservation(m server.MetricsSnapshot) error {
-	return law(m.SamplesIn == m.SamplesApplied, "sample conservation violated: in=%d applied=%d", m.SamplesIn, m.SamplesApplied)
+	return law(m.SamplesIn == m.SamplesApplied, "WIRE-001: sample conservation violated: in=%d applied=%d", m.SamplesIn, m.SamplesApplied)
 }
 
 // periodicConservation: every periodic invocation issued was tallied a hit
@@ -161,40 +161,40 @@ func walConservation(recovered, appends uint64) error {
 	return law(recovered == appends, "WAL conservation violated: recovered %d events, %d appends acknowledged", recovered, appends)
 }
 
-// epochAdvanced: a promotion fences the old primary — the epoch it returns
-// is past the initial one.
+// epochAdvanced (REPL-007): a promotion fences the old primary — the epoch
+// it returns is past the initial one.
 func epochAdvanced(epoch uint64) error {
-	return law(epoch >= 2, "promotion left epoch at %d", epoch)
+	return law(epoch >= 2, "REPL-007: promotion left epoch at %d", epoch)
 }
 
-// epochPersisted: the bumped epoch survives a restart of the promoted node.
+// epochPersisted (REPL-007): the bumped epoch survives a promoted restart.
 func epochPersisted(promoted, reopened uint64) error {
-	return law(reopened == promoted, "promoted epoch %d not persisted (reopened as %d)", promoted, reopened)
+	return law(reopened == promoted, "REPL-007: promoted epoch %d not persisted (reopened as %d)", promoted, reopened)
 }
 
-// cursorMonotone: a subscription's cursors strictly increase across every
-// stall-induced resume and failover re-attach.
+// cursorMonotone (SUB-005, SUB-006): a subscription's cursors strictly
+// increase across every stall-induced resume and failover re-attach.
 func cursorMonotone(last, next uint64) error {
-	return law(next > last, "subscription cursor regressed: cursor %d after %d", next, last)
+	return law(next > last, "SUB-005/SUB-006: subscription cursor regressed: cursor %d after %d", next, last)
 }
 
-// ackedWrites is zero lost acked writes over the wire, acked ≤ applied and
-// arrived ≤ sent: a sample the client saw acknowledged was applied, and no
-// retry or resume delivered one twice.
+// ackedWrites (REPL-001) is zero lost acked writes over the wire, acked ≤
+// applied and arrived ≤ sent: a sample the client saw acknowledged was
+// applied, and no retry or resume delivered one twice.
 func ackedWrites(acked, sent int, m server.MetricsSnapshot) error {
-	if err := law(int(m.SamplesApplied) >= acked, "lost acked writes: %d acked, %d applied", acked, m.SamplesApplied); err != nil {
+	if err := law(int(m.SamplesApplied) >= acked, "REPL-001: lost acked writes: %d acked, %d applied", acked, m.SamplesApplied); err != nil {
 		return err
 	}
-	return law(int(m.SamplesIn) <= sent, "duplicated writes: %d sent, %d arrived", sent, m.SamplesIn)
+	return law(int(m.SamplesIn) <= sent, "REPL-001: duplicated writes: %d sent, %d arrived", sent, m.SamplesIn)
 }
 
-// crossShardSum: the shards together recover Σ acked ≤ Σ n ≤ Σ acked + 1 —
-// only the victim's single in-flight append may exceed the group's acks.
-// Without a covering fsync on the victim (fsynced false) only the upper
-// half holds.
+// crossShardSum (SHARD-001): the shards together recover Σ acked ≤ Σ n ≤
+// Σ acked + 1 — only the victim's single in-flight append may exceed the
+// group's acks. Without a covering fsync on the victim (fsynced false) only
+// the upper half holds.
 func crossShardSum(recovered, acked int, fsynced bool) error {
 	return law((!fsynced || acked <= recovered) && recovered <= acked+1,
-		"cross-shard sum conservation violated: recovered %d, acked %d", recovered, acked)
+		"SHARD-001: cross-shard sum conservation violated: recovered %d, acked %d", recovered, acked)
 }
 
 // horizonHeld: every acknowledged write is durable, so the consistent

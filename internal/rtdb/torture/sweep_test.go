@@ -194,28 +194,28 @@ func TestInvariants(t *testing.T) {
 		{"liveness grouped", live(true, false), ""},
 		{"liveness closed log", live(false, true), "append after recovery"},
 		{"servedLive", served(false), ""},
-		{"servedLive stopped server", served(true), "append after promotion"},
+		{"servedLive stopped server", served(true), "REPL-007: append after promotion"},
 		{"queryConservation", queryConservation("standby", queries(10)), ""},
-		{"queryConservation in=accounted+1", queryConservation("standby", queries(11)), "standby conservation broken: in=11 accounted=10"},
+		{"queryConservation in=accounted+1", queryConservation("standby", queries(11)), "WIRE-001: standby conservation broken: in=11 accounted=10"},
 		{"sampleConservation", sampleConservation(samples(9, 9)), ""},
-		{"sampleConservation in!=applied", sampleConservation(samples(9, 8)), "sample conservation violated: in=9 applied=8"},
+		{"sampleConservation in!=applied", sampleConservation(samples(9, 8)), "WIRE-001: sample conservation violated: in=9 applied=8"},
 		{"periodicConservation", periodicConservation(server.MetricsSnapshot{PeriodicIssued: 5, PeriodicHit: 3, PeriodicMiss: 2}), ""},
 		{"periodicConservation lost one", periodicConservation(server.MetricsSnapshot{PeriodicIssued: 5, PeriodicHit: 3, PeriodicMiss: 1}), "periodic conservation violated"},
 		{"walConservation", walConservation(40, 40), ""},
 		{"walConservation short", walConservation(39, 40), "WAL conservation violated: recovered 39 events, 40 appends acknowledged"},
 		{"epochAdvanced", epochAdvanced(2), ""},
-		{"epochAdvanced stuck", epochAdvanced(1), "promotion left epoch at 1"},
+		{"epochAdvanced stuck", epochAdvanced(1), "REPL-007: promotion left epoch at 1"},
 		{"epochPersisted", epochPersisted(3, 3), ""},
-		{"epochPersisted lost", epochPersisted(3, 2), "promoted epoch 3 not persisted (reopened as 2)"},
+		{"epochPersisted lost", epochPersisted(3, 2), "REPL-007: promoted epoch 3 not persisted (reopened as 2)"},
 		{"cursorMonotone", cursorMonotone(5, 6), ""},
-		{"cursorMonotone repeat", cursorMonotone(5, 5), "subscription cursor regressed: cursor 5 after 5"},
+		{"cursorMonotone repeat", cursorMonotone(5, 5), "SUB-005/SUB-006: subscription cursor regressed: cursor 5 after 5"},
 		{"ackedWrites", ackedWrites(5, 7, samples(7, 5)), ""},
-		{"ackedWrites lost", ackedWrites(5, 7, samples(7, 4)), "lost acked writes: 5 acked, 4 applied"},
-		{"ackedWrites duplicated", ackedWrites(5, 7, samples(8, 5)), "duplicated writes: 7 sent, 8 arrived"},
+		{"ackedWrites lost", ackedWrites(5, 7, samples(7, 4)), "REPL-001: lost acked writes: 5 acked, 4 applied"},
+		{"ackedWrites duplicated", ackedWrites(5, 7, samples(8, 5)), "REPL-001: duplicated writes: 7 sent, 8 arrived"},
 		{"crossShardSum =acked", crossShardSum(20, 20, true), ""},
 		{"crossShardSum =acked+1", crossShardSum(21, 20, true), ""},
 		{"crossShardSum unsynced acked-1", crossShardSum(19, 20, false), ""},
-		{"crossShardSum acked+2", crossShardSum(22, 20, true), "cross-shard sum conservation violated: recovered 22, acked 20"},
+		{"crossShardSum acked+2", crossShardSum(22, 20, true), "SHARD-001: cross-shard sum conservation violated: recovered 22, acked 20"},
 		{"crossShardSum acked-1", crossShardSum(19, 20, true), "cross-shard sum conservation violated"},
 		{"crossShardSum unsynced acked+2", crossShardSum(22, 20, false), "cross-shard sum conservation violated"},
 		{"horizonHeld", horizonHeld(5, 5, true), ""},

@@ -28,6 +28,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"os"
+	"sync/atomic"
+	"time"
 
 	"rtc/internal/encoding"
 	"rtc/internal/timeseq"
@@ -290,6 +294,64 @@ func ReadFrameBuf(r io.Reader, buf *[]byte) (Frame, error) {
 		return Frame{}, ErrChecksum
 	}
 	return f, nil
+}
+
+// SilenceReader bounds a connection's inbound silence per frame, at either
+// end of a link. It sits under the connection's bufio.Reader, and the read
+// loop calls Next before each frame: the frame's first socket read starts the
+// clock, and every read until it is whole shares that deadline, armed once
+// per socket read. The owner's work between frames never counts against its
+// peer, and bytes trickling in behind a frame that never completes (a length
+// corrupted upward) do not hold the link open. Bound 0 passes reads through.
+//
+// It checks quit and interrupted after arming, never before: Close closes
+// quit, and interruptRead closes interrupted, before interrupting the read
+// with a deadline of their own, so either this check sees the channel or the
+// interrupt lands on the deadline armed here — a re-arm can never overwrite
+// it. (Check is that hook, nil for none; netserve's reports its channels.)
+type SilenceReader struct {
+	Conn  net.Conn
+	Bound time.Duration
+	Check func() error
+	start atomic.Int64 // unix-nano start of the current frame's wait; 0 until its first read
+	cut   bool         // the newest read ended at the bound
+}
+
+// Next marks a frame boundary: the next socket read starts a fresh clock.
+func (r *SilenceReader) Next() { r.start.Store(0) }
+
+// Cut reports whether the newest read ended at the silence bound.
+func (r *SilenceReader) Cut() bool { return r.cut }
+
+// Waited is how long the reader has waited for the frame it is reading: zero
+// before that frame's first read, or for a nil reader. Safe from any goroutine.
+func (r *SilenceReader) Waited() time.Duration {
+	if r == nil {
+		return 0
+	}
+	if s := r.start.Load(); s != 0 {
+		return time.Since(time.Unix(0, s))
+	}
+	return 0
+}
+
+func (r *SilenceReader) Read(p []byte) (int, error) {
+	if r.Bound > 0 {
+		start := r.start.Load()
+		if start == 0 {
+			start = time.Now().UnixNano()
+			r.start.Store(start)
+		}
+		_ = r.Conn.SetReadDeadline(time.Unix(0, start).Add(r.Bound))
+		if r.Check != nil {
+			if err := r.Check(); err != nil {
+				return 0, err
+			}
+		}
+	}
+	n, err := r.Conn.Read(p)
+	r.cut = errors.Is(err, os.ErrDeadlineExceeded)
+	return n, err
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame
