@@ -84,8 +84,9 @@ race-spec:
 	$(GO) test -race ./internal/rtdb/sub/ ./internal/rtdb/spec/
 
 # No silent race target: every -run pattern above must match a test in each
-# package it names (go test -list), or the target would pass running nothing.
-# CI runs this target.
+# package it names (go test -list), and a TestSpecs pattern's levels must
+# name the suite's targets and requirement IDs, or the target would pass
+# running nothing. CI runs this target.
 race-patterns:
 	bash scripts/race-patterns.sh Makefile
 

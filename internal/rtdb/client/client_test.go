@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rtc/internal/deadline"
 	"rtc/internal/faultnet"
 	"rtc/internal/rtdb"
 	"rtc/internal/rtdb/client"
@@ -144,28 +143,5 @@ func TestClientEndToEnd(t *testing.T) {
 	// The client is closed: further calls fail with ErrClosed.
 	if _, err := c.Query(client.Query{Query: "status_q"}); !errors.Is(err, client.ErrClosed) {
 		t.Fatalf("query after close: %v", err)
-	}
-}
-
-// TestZeroDeadlineFirmExpires: a firm query with relative deadline 0 is
-// the deterministic expired-on-arrival case through the full client path —
-// whatever Elapsed the client stamps, E ≥ 0 = D holds, so the server must
-// reject it unevaluated and report the miss.
-func TestZeroDeadlineFirmExpires(t *testing.T) {
-	_, addr := startServer(t, nil, "")
-	c, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	r, err := c.Query(client.Query{
-		Query: "status_q", Kind: deadline.Firm, Deadline: 0, MinUseful: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Missed || r.Evaluated || !r.ExpiredOnArrival {
-		t.Fatalf("zero-deadline firm: %+v", r)
 	}
 }

@@ -109,7 +109,7 @@ func BenchmarkFailover(b *testing.B) {
 func benchStandby(b *testing.B) (*wal.Log, *Replica, *client.Client) {
 	b.Helper()
 	lp, _, addr := newTestPrimary(b, 1<<20, 1<<30)
-	r := newTestReplica(b, addr)
+	r := openTestReplica(b, addr, testServer())
 	b.Cleanup(func() { r.Close() })
 	r.Start()
 	for _, e := range append(testEvents(0), wal.Sample(1, "temp", "30")) {

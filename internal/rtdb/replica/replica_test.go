@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +18,6 @@ import (
 	"rtc/internal/rtwire"
 	"rtc/internal/timeseq"
 )
-
-// newFrameReader wraps a raw test connection for readMsg.
-func newFrameReader(nc net.Conn) *bufio.Reader { return bufio.NewReader(nc) }
 
 // readMsg reads and decodes the next frame of a raw test connection.
 func readMsg(br *bufio.Reader) (any, error) {
@@ -72,22 +68,17 @@ func testDerive(src map[string]rtdb.Value) rtdb.Value {
 	return "ok"
 }
 
-func testCatalog() rtdb.Catalog {
-	return rtdb.Catalog{
-		"status_q": func(v *rtdb.View) []rtdb.Value {
-			if s, ok := v.DeriveNow("status"); ok {
-				return []rtdb.Value{s}
-			}
-			return nil
-		},
-	}
-}
-
 // testServer is the follower server the tests run: the test catalog, and
 // room for a few connections.
 func testServer() server.Config {
 	return server.Config{
-		Catalog: testCatalog(), Registry: rtdb.DeriveRegistry{"status": testDerive},
+		Catalog: rtdb.Catalog{"status_q": func(v *rtdb.View) []rtdb.Value {
+			if s, ok := v.DeriveNow("status"); ok {
+				return []rtdb.Value{s}
+			}
+			return nil
+		}},
+		Registry: rtdb.DeriveRegistry{"status": testDerive},
 		Sessions: 4,
 	}
 }
@@ -128,12 +119,8 @@ func newTestPrimary(t testing.TB, segSize int64, snapEvery uint64) (*wal.Log, fu
 	return lp, stop, addr.String()
 }
 
-func newTestReplica(t testing.TB, primary string) *Replica {
-	t.Helper()
-	return openTestReplica(t, primary, testServer())
-}
-
-// openTestReplica is newTestReplica with the follower's server config.
+// openTestReplica opens an unstarted replica of primary, on the tests' log
+// and follower options, serving sc.
 func openTestReplica(t testing.TB, primary string, sc server.Config) *Replica {
 	t.Helper()
 	r, err := Open(Config{
@@ -148,34 +135,6 @@ func openTestReplica(t testing.TB, primary string, sc server.Config) *Replica {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// TestLiveReplication: events appended on the primary while the replica is
-// subscribed arrive in order and reproduce the exact state.
-func TestLiveReplication(t *testing.T) {
-	lp, _, addr := newTestPrimary(t, 1<<16, 1<<20)
-	r := newTestReplica(t, addr)
-	defer r.Close()
-	r.Start()
-
-	events := testEvents(40)
-	for _, e := range events {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
-		t.Fatalf("replica stuck at seq %d, want %d", r.Seq(), len(events))
-	}
-	r.mu.Lock()
-	d := lp.State().Diff(r.log.State())
-	r.mu.Unlock()
-	if d != "" {
-		t.Fatalf("replicated state diverged: %s", d)
-	}
-	if r.srv.Repl.EventsApplied.Load() != uint64(len(events)) {
-		t.Fatalf("EventsApplied = %d, want %d", r.srv.Repl.EventsApplied.Load(), len(events))
-	}
 }
 
 // TestCompactedCatchupResyncs: when the events a fresh replica needs were
@@ -199,7 +158,7 @@ func TestCompactedCatchupResyncs(t *testing.T) {
 		t.Fatalf("precondition: ReadFrom(0) = %v, want ErrSeqCompacted", err)
 	}
 
-	r := newTestReplica(t, addr)
+	r := openTestReplica(t, addr, testServer())
 	defer r.Close()
 	r.Start()
 	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
@@ -282,30 +241,4 @@ func TestApplyBatchDiscipline(t *testing.T) {
 	if err := r.applyBatch(rtwire.WalBatch{Epoch: 1, FirstSeq: 5, Events: []string{payload(ev[0])}}); err != errStaleBatch {
 		t.Fatalf("deposed epoch after adoption: err = %v, want errStaleBatch", err)
 	}
-}
-
-// TestOpenRefusesPromoteAfterWithoutBeacons: an idle primary says nothing
-// but the echoes of its follower's beacons, and a follower that sends none
-// arms no silence bound on its reads, so PromoteAfter would have nothing to
-// measure. Open refuses that pair, and only that pair.
-func TestOpenRefusesPromoteAfterWithoutBeacons(t *testing.T) {
-	open := func(promoteAfter time.Duration) (*Replica, error) {
-		return Open(Config{
-			Primary:      "127.0.0.1:1",
-			WAL:          wal.Options{Dir: "rwal", FS: faultfs.NewMem(3)},
-			PromoteAfter: promoteAfter,
-			Client:       client.Options{HeartbeatInterval: -1},
-		}, testServer())
-	}
-	if r, err := open(time.Second); err == nil {
-		r.Close()
-		t.Fatal("Open took PromoteAfter with the follower's beacons off")
-	} else if !strings.Contains(err.Error(), "HeartbeatInterval") {
-		t.Fatalf("refusal %q does not name Client.HeartbeatInterval", err)
-	}
-	r, err := open(0) // manual promotion needs no beacons
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
 }

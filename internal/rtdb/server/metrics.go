@@ -46,8 +46,8 @@ type Metrics struct {
 	Chronon atomic.Uint64 `metric:"chronon" agg:"max"` // current virtual time (chronons)
 
 	SamplesIn       atomic.Uint64 `metric:"samples_in"`       // samples accepted into a session queue
-	SamplesRejected atomic.Uint64 `metric:"samples_rejected"` // samples rejected by backpressure
-	SamplesApplied  atomic.Uint64 `metric:"samples_applied"`  // samples applied to the database
+	SamplesRejected atomic.Uint64 `metric:"samples_rejected"` // samples refused: backpressure, or a follower's read-only role
+	SamplesApplied  atomic.Uint64 `metric:"samples_applied"`  // samples applied to the database: SamplesIn once queues drain
 
 	QueriesIn       atomic.Uint64 `metric:"queries_in"`       // aperiodic query submissions (attempts)
 	QueriesRejected atomic.Uint64 `metric:"queries_rejected"` // rejected by backpressure

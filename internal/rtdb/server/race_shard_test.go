@@ -36,7 +36,7 @@ func TestRaceShardHammer(t *testing.T) {
 	logs := openShardLogs(t, base, shards, wal.Options{SegmentSize: 1 << 16, SnapshotEvery: 8})
 	cfg := shardedSpecConfig(nObjects)
 	cfg.Sessions = writers
-	cfg.QueueDepth = 8 // small on purpose: force backpressure rejections
+	cfg.QueueDepth = 8 // small: a sample may bounce, and is then counted rejected, never in
 	srvs := newShards(t, cfg, shards, logs)
 	statusShard := srvs[rtwire.ShardOf(shardObjects(nObjects)[3], shards)] // status's image source
 	if err := statusShard.RegisterPeriodic(PeriodicQuery{
@@ -130,8 +130,8 @@ func TestRaceShardHammer(t *testing.T) {
 		t.Fatalf("merged conservation violated: in=%d accounted=%d (rejected=%d hit=%d miss=%d none=%d)",
 			m.QueriesIn, m.QueriesAccounted(), m.QueriesRejected, m.DeadlineHit, m.DeadlineMiss, m.NoDeadline)
 	}
-	if m.SamplesIn != m.SamplesApplied+m.SamplesRejected {
-		t.Fatalf("merged sample conservation violated: in=%d applied=%d rejected=%d",
+	if m.SamplesIn != m.SamplesApplied {
+		t.Fatalf("merged sample conservation violated: in=%d applied=%d (rejected %d)",
 			m.SamplesIn, m.SamplesApplied, m.SamplesRejected)
 	}
 	var perShardIn, perShardAcc uint64

@@ -67,11 +67,11 @@ func (c *Session) InjectSample(image, value string) error {
 	if c.srv.closed.Load() {
 		return ErrClosed
 	}
-	c.srv.Metrics.SamplesIn.Add(1)
 	if c.srv.following.Load() {
 		c.srv.Metrics.SamplesRejected.Add(1)
 		return ErrReadOnly
 	}
+	c.srv.Metrics.SamplesIn.Add(1)
 	r := request{kind: reqSample, session: c.id, image: image, value: value}
 	if !c.trySubmit(r) {
 		c.srv.Metrics.SamplesIn.Add(^uint64(0)) // undo: never entered a queue

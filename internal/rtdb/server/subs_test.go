@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"testing"
 
 	"rtc/internal/deadline"
@@ -121,38 +120,6 @@ func TestSubscribeGroupSharing(t *testing.T) {
 	}
 }
 
-func TestSubscribeRefusals(t *testing.T) {
-	s, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	defer s.Stop()
-
-	if _, err := s.Subscribe(sub.Spec{Query: "nope_q", Period: 4}, 0, 8); err == nil {
-		t.Fatal("unknown catalog query must be refused")
-	}
-	if _, err := s.Subscribe(sub.Spec{Query: "status_q"}, 0, 8); err == nil {
-		t.Fatal("zero period must be refused")
-	}
-	// EvalCost 1 ≥ firm deadline 1: even an on-time start finishes late.
-	if _, err := s.Subscribe(sub.Spec{
-		Query: "status_q", Period: 4, Kind: deadline.Firm, Deadline: 1, MinUseful: 1,
-	}, 0, 8); !errors.Is(err, ErrNotAdmissible) {
-		t.Fatalf("impossible firm envelope: err = %v, want ErrNotAdmissible", err)
-	}
-	// A deadline-free standing query at utilization ≥ 1 has nothing for
-	// admission to shed and is refused outright.
-	if _, err := s.Subscribe(sub.Spec{
-		Query: "status_q", Period: 1, Kind: deadline.None,
-	}, 0, 8); !errors.Is(err, ErrNotAdmissible) {
-		t.Fatalf("deadline-free utilization ≥ 1: err = %v, want ErrNotAdmissible", err)
-	}
-	if n := s.Metrics.SubsOpened.Load(); n != 0 {
-		t.Fatalf("refused subscriptions counted as opened: %d", n)
-	}
-}
-
 // TestPerTickAdmissionExpiry: a tick that falls due while the clock is busy
 // elsewhere (here: inside aperiodic evaluations) is re-checked against the
 // translated deadline and expired without evaluation — a counted cursor
@@ -233,58 +200,5 @@ func TestDropOldestAccounting(t *testing.T) {
 	}
 	if m.PushAccounted() != m.PushScheduled {
 		t.Fatalf("conservation: scheduled %d accounted %d", m.PushScheduled, m.PushAccounted())
-	}
-}
-
-// TestSubscribeResumeContinuesCursor: attaching with after=N continues the
-// cursor at N+1 — the resume path the transports build on.
-func TestSubscribeResumeContinuesCursor(t *testing.T) {
-	s, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	defer s.Stop()
-
-	ss, err := s.Subscribe(sub.Spec{Query: "status_q", Period: 3, Kind: deadline.Soft, Deadline: 5}, 7, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Tick(3); err != nil {
-		t.Fatal(err)
-	}
-	got := drain(ss)
-	if len(got) != 1 || got[0].Cursor != 8 || got[0].Expired != 0 {
-		t.Fatalf("resumed push: %+v", got)
-	}
-}
-
-// TestPushMetricsRowsPinned: the push conservation rows ship under their
-// pinned names — rtdbload and the spec suite read them remotely by name, so
-// a rename is a cross-binary break, caught here.
-func TestPushMetricsRowsPinned(t *testing.T) {
-	var m Metrics
-	m.SubsOpened.Add(2)
-	m.PushScheduled.Add(5)
-	m.Pushed.Add(3)
-	m.PushDropped.Add(1)
-	m.PushExpired.Add(1)
-	rows := map[string]uint64{}
-	for _, p := range m.Snapshot().Pairs() {
-		rows[p.Name] = p.Value
-	}
-	want := map[string]uint64{
-		"subs_opened": 2, "subs_closed": 0,
-		"push_scheduled": 5, "pushed": 3,
-		"push_dropped": 1, "push_expired": 1,
-	}
-	for name, v := range want {
-		got, ok := rows[name]
-		if !ok {
-			t.Fatalf("pinned metrics row %q missing", name)
-		}
-		if got != v {
-			t.Fatalf("row %q = %d, want %d", name, got, v)
-		}
 	}
 }

@@ -39,10 +39,44 @@ func payloads(t *testing.T, l *wal.Log, n uint64) []string {
 }
 
 // REPL-001: a follower started behind a primary's history catches up from
-// its segments and hands off to the live tail without a seam. Its log holds
-// the payloads its primary framed, byte for byte, its state is the
-// primary's, and it applied every event once.
+// its segments and hands off to the live tail without a seam: its state is
+// the primary's, and it applied every event once.
 func replCatchupThenTail(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
+	tg.advance(t, 20)
+	r := tg.follower(t, replica.Config{}, nodeConfig(nil))
+	caughtUp(t, r, tg.log.Seq())
+	tg.advance(t, 20)
+	sameReplica(t, tg, r)
+}
+
+// sameReplica waits for r to hold the primary's whole log, then requires
+// its state to be the primary's, every event applied once.
+func sameReplica(t *testing.T, tg *target, r *replica.Replica) {
+	t.Helper()
+	seq := tg.log.Seq()
+	caughtUp(t, r, seq)
+	if d := tg.log.State().Diff(r.Log().State()); d != "" {
+		t.Fatalf("replicated state diverged: %s", d)
+	}
+	if n := r.Server().Repl.EventsApplied.Load(); n != seq {
+		t.Fatalf("EventsApplied = %d, want %d", n, seq)
+	}
+}
+
+// REPL-011: events a primary appends while a follower is subscribed reach it
+// in order: its state is the primary's, every event applied once.
+func replLiveTail(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
+	r := tg.follower(t, replica.Config{}, nodeConfig(nil))
+	caughtUp(t, r, tg.log.Seq())
+	tg.advance(t, 40)
+	sameReplica(t, tg, r)
+}
+
+// REPL-012: a follower's log holds the payloads its primary framed, byte for
+// byte, through catch-up and the live tail alike.
+func replLogIsPrimaryBytes(t *testing.T, mk maker) {
 	tg := mk(t, setup{})
 	tg.advance(t, 20)
 	r := tg.follower(t, replica.Config{}, nodeConfig(nil))
@@ -54,12 +88,6 @@ func replCatchupThenTail(t *testing.T, mk maker) {
 		if got[i] != want {
 			t.Fatalf("seq %d: follower holds %q, primary %q", i+1, got[i], want)
 		}
-	}
-	if d := tg.log.State().Diff(r.Log().State()); d != "" {
-		t.Fatalf("replicated state diverged: %s", d)
-	}
-	if n := r.Server().Repl.EventsApplied.Load(); n != seq {
-		t.Fatalf("EventsApplied = %d, want %d", n, seq)
 	}
 }
 
@@ -423,7 +451,8 @@ func replSenderOnlyEchoes(t *testing.T, mk maker) {
 
 // REPL-007: a standby refuses writes until Promote, which bumps the fencing
 // epoch durably; the promoted node takes writes and logs them, and its log,
-// reopened, carries the new epoch and every write.
+// reopened, carries the new epoch and every write. The books close on both
+// roles: the refused sample is counted rejected, never in.
 func replPromotionFences(t *testing.T, mk maker) {
 	tg := mk(t, setup{})
 	tg.advance(t, 4)
@@ -445,7 +474,7 @@ func replPromotionFences(t *testing.T, mk maker) {
 		t.Fatalf("the promoted node refused a write: %v", err)
 	}
 	must(t, sess.Flush())
-	tg.close()
+	tg.finish(t)
 	l, err := wal.Open(wal.Options{Dir: "rwal", FS: tg.rfs})
 	must(t, err)
 	defer l.Close()
@@ -479,20 +508,9 @@ func replIdleLinkHolds(t *testing.T, mk maker) {
 
 // REPL-009: a standby with PromoteAfter set promotes itself, at a redial of
 // its follow stream, once its primary has been gone that long — once, into a
-// new epoch. PromoteAfter measures a silence only the follower's beacons
-// bound, so Open refuses it with the beacons off, and only then.
+// new epoch.
 func replWatchdogPromotes(t *testing.T, mk maker) {
 	tg := mk(t, setup{promote: 200 * time.Millisecond})
-	open := func(after time.Duration) (*replica.Replica, error) {
-		return replica.Open(replica.Config{Primary: tg.primary.addr, WAL: wal.Options{Dir: "w", FS: faultfs.NewMem(5)},
-			PromoteAfter: after, Client: client.Options{HeartbeatInterval: -1}}, nodeConfig(nil))
-	}
-	if _, err := open(time.Second); err == nil || !strings.Contains(err.Error(), "HeartbeatInterval") {
-		t.Fatalf("Open with PromoteAfter and no beacons: %v, want a refusal naming Client.HeartbeatInterval", err)
-	}
-	r, err := open(0)
-	must(t, err)
-	r.Close()
 	tg.advance(t, 4)
 	tg.primary.close()
 	select {
@@ -503,6 +521,26 @@ func replWatchdogPromotes(t *testing.T, mk maker) {
 	if n, e := tg.srv.Repl.Promotions.Load(), tg.r.Epoch(); n != 1 || e < 2 {
 		t.Fatalf("repl_promotions %d epoch %d, want 1 and ≥ 2", n, e)
 	}
+}
+
+// REPL-013: PromoteAfter measures a silence only the follower's beacons
+// bound — an idle primary says nothing but their echoes — so Open refuses it
+// with the beacons off, naming Client.HeartbeatInterval, and only then.
+func replPromoteAfterNeedsBeacons(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
+	open := func(after time.Duration) (*replica.Replica, error) {
+		return replica.Open(replica.Config{Primary: tg.primary.addr, WAL: wal.Options{Dir: "w", FS: faultfs.NewMem(5)},
+			PromoteAfter: after, Client: client.Options{HeartbeatInterval: -1}}, nodeConfig(nil))
+	}
+	if r, err := open(time.Second); err == nil || !strings.Contains(err.Error(), "HeartbeatInterval") {
+		if r != nil {
+			r.Close()
+		}
+		t.Fatalf("Open with PromoteAfter and no beacons: %v, want a refusal naming Client.HeartbeatInterval", err)
+	}
+	r, err := open(0) // manual promotion needs no beacons
+	must(t, err)
+	r.Close()
 }
 
 // stallFS is a follower's own slow disk: while armed, every fsync takes a

@@ -2,6 +2,8 @@ package spec
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,15 +11,19 @@ import (
 	"rtc/internal/rtdb/client"
 	wal "rtc/internal/rtdb/log"
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtwire"
 )
 
 // Target sets, by what a requirement needs of the node: every way a node
-// serves, every listener, every listener on a fabric, every primary listener.
+// serves, every listener, every listener on a fabric, every primary listener,
+// every listener started as a primary (so a row can choose its log, or none,
+// or hold its apply loop).
 var (
 	serving   = []string{"inproc", "tcp", "faultnet", "standby", "promoted"}
 	listeners = []string{"tcp", "faultnet", "standby", "promoted"}
 	fabrics   = []string{"faultnet", "standby", "promoted"}
 	primaries = []string{"tcp", "faultnet", "promoted"}
+	fresh     = []string{"tcp", "faultnet"}
 )
 
 // requirements is the suite's one table: each numbered requirement once,
@@ -33,6 +39,8 @@ var requirements = []struct {
 	{"SUB-005_resume_reconnect", serving},
 	{"SUB-006_resume_failover", []string{"inproc", "tcp"}},
 	{"SUB-007_stale_ticks_expire", []string{"standby"}},
+	{"SUB-008_subscribe_refusals", serving},
+	{"SUB-009_resume_at_cursor", serving},
 	{"WIRE-001_every_request_kind", primaries},
 	{"WIRE-002_expired_on_arrival", primaries},
 	{"WIRE-003_handshake_and_pool", listeners},
@@ -43,7 +51,18 @@ var requirements = []struct {
 	{"WIRE-008_metrics_rows", listeners},
 	{"WIRE-009_write_timeout_evicts", fabrics},
 	{"WIRE-010_admission_at_dequeue", primaries},
-	{"WIRE-011_sample_backpressure", []string{"tcp", "faultnet"}},
+	{"WIRE-011_sample_backpressure", fresh},
+	{"WIRE-012_first_frame_hello", listeners},
+	{"WIRE-013_handshake_timeout", listeners},
+	{"WIRE-014_refusals_counted", listeners},
+	{"WIRE-015_subscription_refusals", listeners},
+	{"WIRE-016_push_rows", serving},
+	{"WIRE-017_frozen_peer", fabrics},
+	{"WIRE-018_durability_rows", listeners},
+	{"WIRE-019_walless_rows", fresh},
+	{"WIRE-020_live_fsync_rows", fresh},
+	{"WIRE-021_fault_path_rows", listeners},
+	{"WIRE-022_zero_deadline_firm", primaries},
 	{"REPL-001_catchup_then_tail", primaries},
 	{"REPL-002_send_window", primaries},
 	{"REPL-003_departing_follower", primaries},
@@ -54,6 +73,9 @@ var requirements = []struct {
 	{"REPL-008_idle_link_holds", primaries},
 	{"REPL-009_watchdog_promotes", []string{"standby"}},
 	{"REPL-010_own_apply_is_not_silence", primaries},
+	{"REPL-011_live_tail", primaries},
+	{"REPL-012_log_is_primary_bytes", primaries},
+	{"REPL-013_promote_after_needs_beacons", []string{"standby"}},
 	{"SHARD-001_placement", []string{"shards"}},
 	{"SHARD-002_metrics_rows", []string{"shards"}},
 	{"SHARD-003_replication", []string{"shards"}},
@@ -62,52 +84,84 @@ var requirements = []struct {
 // rows holds each requirement's check, by ID. A row gets the constructor of
 // the target it runs on and builds what it needs with it.
 var rows = map[string]func(t *testing.T, mk maker){
-	"SUB-001_subscribe_ack":               specSubscribeAck,
-	"SUB-002_periodic_delivery":           specPeriodicDelivery,
-	"SUB-003_drop_oldest":                 specDropOldest,
-	"SUB-004_cancel":                      specCancel,
-	"SUB-005_resume_reconnect":            specResumeReconnect,
-	"SUB-006_resume_failover":             specResumeFailover,
-	"SUB-007_stale_ticks_expire":          specStaleTicksExpire,
-	"WIRE-001_every_request_kind":         wireEveryRequestKind,
-	"WIRE-002_expired_on_arrival":         wireExpiredOnArrival,
-	"WIRE-003_handshake_and_pool":         wireHandshakeAndPool,
-	"WIRE-004_subscription_frames":        wireSubscriptionFrames,
-	"WIRE-005_corrupt_frame_resets":       wireCorruptFrameResets,
-	"WIRE-006_one_way_partition":          wireOneWayPartition,
-	"WIRE-007_silence_per_frame":          wireSilencePerFrame,
-	"WIRE-008_metrics_rows":               wireMetricsRows,
-	"WIRE-009_write_timeout_evicts":       wireWriteTimeoutEvicts,
-	"WIRE-010_admission_at_dequeue":       wireAdmissionAtDequeue,
-	"WIRE-011_sample_backpressure":        wireSampleBackpressure,
-	"REPL-001_catchup_then_tail":          replCatchupThenTail,
-	"REPL-002_send_window":                replSendWindow,
-	"REPL-003_departing_follower":         replDepartingFollower,
-	"REPL-004_stalled_standby_subscriber": replStalledSubscriber,
-	"REPL-005_planned_promotion":          replPlannedPromotion,
-	"REPL-006_sender_only_echoes":         replSenderOnlyEchoes,
-	"REPL-007_promotion_fences":           replPromotionFences,
-	"REPL-008_idle_link_holds":            replIdleLinkHolds,
-	"REPL-009_watchdog_promotes":          replWatchdogPromotes,
-	"REPL-010_own_apply_is_not_silence":   replOwnApplyIsNotSilence,
-	"SHARD-001_placement":                 shardPlacement,
-	"SHARD-002_metrics_rows":              shardMetricsRows,
-	"SHARD-003_replication":               shardReplication,
+	"SUB-001_subscribe_ack":                specSubscribeAck,
+	"SUB-002_periodic_delivery":            specPeriodicDelivery,
+	"SUB-003_drop_oldest":                  specDropOldest,
+	"SUB-004_cancel":                       specCancel,
+	"SUB-005_resume_reconnect":             specResumeReconnect,
+	"SUB-006_resume_failover":              specResumeFailover,
+	"SUB-007_stale_ticks_expire":           specStaleTicksExpire,
+	"SUB-008_subscribe_refusals":           specSubscribeRefusals,
+	"SUB-009_resume_at_cursor":             specResumeAtCursor,
+	"WIRE-001_every_request_kind":          wireEveryRequestKind,
+	"WIRE-002_expired_on_arrival":          wireExpiredOnArrival,
+	"WIRE-003_handshake_and_pool":          wireSessionPool,
+	"WIRE-004_subscription_frames":         wireSubscriptionFrames,
+	"WIRE-005_corrupt_frame_resets":        wireCorruptFrameResets,
+	"WIRE-006_one_way_partition":           wireOneWayPartition,
+	"WIRE-007_silence_per_frame":           wireSilencePerFrame,
+	"WIRE-008_metrics_rows":                wireMetricsRows,
+	"WIRE-009_write_timeout_evicts":        wireWriteTimeoutEvicts,
+	"WIRE-010_admission_at_dequeue":        wireAdmissionAtDequeue,
+	"WIRE-011_sample_backpressure":         wireSampleBackpressure,
+	"WIRE-012_first_frame_hello":           wireFirstFrameHello,
+	"WIRE-013_handshake_timeout":           wireHandshakeTimeout,
+	"WIRE-014_refusals_counted":            wireRefusalsCounted,
+	"WIRE-015_subscription_refusals":       wireSubscriptionRefusals,
+	"WIRE-016_push_rows":                   wirePushRows,
+	"WIRE-017_frozen_peer":                 wireFrozenPeer,
+	"WIRE-018_durability_rows":             wireDurabilityRows,
+	"WIRE-019_walless_rows":                wireWALlessRows,
+	"WIRE-020_live_fsync_rows":             wireLiveFsyncRows,
+	"WIRE-021_fault_path_rows":             wireFaultPathRows,
+	"WIRE-022_zero_deadline_firm":          wireZeroDeadlineFirm,
+	"REPL-001_catchup_then_tail":           replCatchupThenTail,
+	"REPL-002_send_window":                 replSendWindow,
+	"REPL-003_departing_follower":          replDepartingFollower,
+	"REPL-004_stalled_standby_subscriber":  replStalledSubscriber,
+	"REPL-005_planned_promotion":           replPlannedPromotion,
+	"REPL-006_sender_only_echoes":          replSenderOnlyEchoes,
+	"REPL-007_promotion_fences":            replPromotionFences,
+	"REPL-008_idle_link_holds":             replIdleLinkHolds,
+	"REPL-009_watchdog_promotes":           replWatchdogPromotes,
+	"REPL-010_own_apply_is_not_silence":    replOwnApplyIsNotSilence,
+	"REPL-011_live_tail":                   replLiveTail,
+	"REPL-012_log_is_primary_bytes":        replLogIsPrimaryBytes,
+	"REPL-013_promote_after_needs_beacons": replPromoteAfterNeedsBeacons,
+	"SHARD-001_placement":                  shardPlacement,
+	"SHARD-002_metrics_rows":               shardMetricsRows,
+	"SHARD-003_replication":                shardReplication,
 }
 
 // TestSpecs runs every requirement on every target it applies to, targets
-// side by side. An (ID, target) pair with no row, a row no requirement
-// names, and a target with no constructor all fail the run.
+// side by side. An ID that appears twice, a family that skips a number, an
+// (ID, target) pair with no row, a row no requirement names, and a target
+// with no constructor all fail the run before any row runs.
 func TestSpecs(t *testing.T) {
-	named := map[string]bool{}
+	named, ids := map[string]bool{}, map[string]bool{}
+	perFamily := map[string]int{}
 	for _, req := range requirements {
 		named[req.id] = true
+		id, _, _ := strings.Cut(req.id, "_")
+		if ids[id] {
+			t.Errorf("%s appears twice in requirements", id)
+		}
+		ids[id] = true
+		family, _, _ := strings.Cut(id, "-")
+		perFamily[family]++
 		for _, tn := range req.targets {
 			if mkOf(tn) == nil {
 				t.Errorf("%s applies to %q, which has no constructor", req.id, tn)
 			}
 			if rows[req.id] == nil {
 				t.Errorf("%s on %s: no row", req.id, tn)
+			}
+		}
+	}
+	for family, n := range perFamily {
+		for i := 1; i <= n; i++ {
+			if id := fmt.Sprintf("%s-%03d", family, i); !ids[id] {
+				t.Errorf("the %s- family skips %s", family, id)
 			}
 		}
 	}
@@ -167,17 +221,30 @@ func drain(h handle, idle time.Duration) []push {
 	}
 }
 
-// SUB-001: subscribe answers exactly once — an admission for a servable
-// envelope, a refusal for an unknown query, a dead period, a firm deadline
-// no evaluation can meet (EvalCost 1 ≥ deadline 1), and a deadline-free
-// query at utilization ≥ 1, which admission could never shed. Refusals open
-// nothing.
+// SUB-001: a servable envelope is admitted: one subscription opens, its
+// cursor at 0.
 func specSubscribeAck(t *testing.T, mk maker) {
 	e := mk(t, setup{})
 	h, err := e.subscribe(t, base())
 	if err != nil {
 		t.Fatalf("servable envelope refused: %v", err)
 	}
+	if c := h.seen(); c != 0 {
+		t.Fatalf("admitted at cursor %d, want 0", c)
+	}
+	e.finish(t, h)
+	if n := e.srv.Metrics.SubsOpened.Load(); n != 1 {
+		t.Errorf("subs opened %d, want 1", n)
+	}
+}
+
+// SUB-008: subscribe refuses, once each, an unknown query, a dead period, a
+// firm deadline no evaluation can meet (EvalCost 1 ≥ deadline 1), and a
+// deadline-free query at utilization ≥ 1, which admission could never shed
+// — over a listener as a refused subscription, in process the last two as
+// not admissible. Refusals open nothing.
+func specSubscribeRefusals(t *testing.T, mk maker) {
+	e := mk(t, setup{})
 	for i, bad := range []func(*client.SubSpec){
 		func(s *client.SubSpec) { s.Query = "nope_q" },
 		func(s *client.SubSpec) { s.Period = 0 },
@@ -192,9 +259,9 @@ func specSubscribeAck(t *testing.T, mk maker) {
 			t.Fatalf("envelope %d: %v, want a refusal", i, err)
 		}
 	}
-	e.finish(t, h)
-	if n := e.srv.Metrics.SubsOpened.Load(); n != 1 {
-		t.Errorf("subs opened %d, want 1: refusals open nothing", n)
+	e.finish(t)
+	if n := e.srv.Metrics.SubsOpened.Load(); n != 0 {
+		t.Errorf("subs opened %d, want 0: refusals open nothing", n)
 	}
 }
 
@@ -221,6 +288,9 @@ func specPeriodicDelivery(t *testing.T, mk maker) {
 		if len(p.answers) != 1 || p.answers[0] != "high" {
 			t.Fatalf("push %d answers: %v", i, p.answers)
 		}
+	}
+	if h.seen() < got[2].cursor || h.received() < 3 {
+		t.Fatalf("bookkeeping: cursor %d received %d after 3 pushes to cursor %d", h.seen(), h.received(), got[2].cursor)
 	}
 	e.finish(t, h)
 }
@@ -323,6 +393,62 @@ func specResumeReconnect(t *testing.T, mk maker) {
 func specResumeFailover(t *testing.T, mk maker) {
 	e := mk(t, setup{failover: true})
 	resumeShape(t, e, e.failover)
+}
+
+// SUB-009: a subscription resumed at the cursor its cancel answered with
+// continues at cursor+1 with fresh tallies: nothing replayed, nothing
+// skipped. Over a listener the closing SubAck carries the cursor and a
+// SubResume names it; in process Cancel returns it and a new attachment
+// takes it.
+func specResumeAtCursor(t *testing.T, mk maker) {
+	e := mk(t, setup{})
+	if e.ns == nil {
+		s := toSubSpec(base())
+		ss, err := e.srv.Subscribe(s, 0, 16)
+		must(t, err)
+		e.advance(t, 8)
+		if _, ok := (&lbHandle{ss: ss}).next(5 * time.Second); !ok {
+			t.Fatal("no push before cancel")
+		}
+		held, err := ss.Cancel()
+		must(t, err)
+		ss, err = e.srv.Subscribe(s, held, 16)
+		must(t, err)
+		h := &lbHandle{spec: base(), ss: ss}
+		e.advance(t, 8)
+		if p, ok := h.next(5 * time.Second); !ok || p.cursor != held+1 || p.dropped != 0 || p.expired != 0 {
+			t.Fatalf("first resumed push: %+v (ok %v), want cursor %d with fresh tallies", p, ok, held+1)
+		}
+		e.finish(t, h)
+		return
+	}
+	rc := e.raw(t, "resume", true)
+	open := rtwire.SubOpen{ID: 1, Query: "status_q", Period: 2, Kind: deadline.Soft, Deadline: 50, MinUseful: 1, Depth: 16}
+	rc.write(open.Encode())
+	if a := expectSubAck(t, rc, nil); a.State != rtwire.SubAdmitted {
+		t.Fatalf("open ack: %+v", a)
+	}
+	e.advance(t, 8)
+	if p, ok := rc.read().(rtwire.Push); !ok {
+		t.Fatalf("want a push before cancel, got %+v", p)
+	}
+	rc.write(rtwire.SubCancel{ID: 1}.Encode())
+	closed := expectSubAck(t, rc, nil)
+	if closed.State != rtwire.SubClosed {
+		t.Fatalf("close ack %+v", closed)
+	}
+	rc.write(rtwire.SubResume{ID: 2, Query: open.Query, Period: open.Period, Kind: open.Kind, Deadline: open.Deadline,
+		MinUseful: open.MinUseful, Depth: open.Depth, AfterCursor: closed.Cursor}.Encode())
+	if a := expectSubAck(t, rc, nil); a.ID != 2 || a.State != rtwire.SubAdmitted || a.Cursor != closed.Cursor {
+		t.Fatalf("resume ack: %+v", a)
+	}
+	e.advance(t, 8)
+	if p, ok := rc.read().(rtwire.Push); !ok || p.ID != 2 || p.Cursor != closed.Cursor+1 || p.Dropped != 0 || p.Expired != 0 {
+		t.Fatalf("first resumed push: %+v, want cursor %d with fresh tallies", p, closed.Cursor+1)
+	}
+	rc.write(rtwire.SubCancel{ID: 2}.Encode())
+	expectSubAck(t, rc, nil)
+	e.finish(t)
 }
 
 // SUB-007: a horizon that leaps past a tight soft envelope expires the stale

@@ -58,9 +58,8 @@ func wireEveryRequestKind(t *testing.T, mk maker) {
 
 // WIRE-002: a firm query whose budget was consumed in transit is rejected
 // unevaluated, answered missed and counted expired-on-arrival — decided from
-// the frame alone (Elapsed ≥ Deadline), with no clocks involved, and so is a
-// client's zero-deadline firm query. A live query on the same connection
-// still evaluates.
+// the frame alone (Elapsed ≥ Deadline), with no clocks involved. A live
+// query on the same connection still evaluates.
 func wireExpiredOnArrival(t *testing.T, mk maker) {
 	tg := mk(t, setup{})
 	rc := tg.raw(t, "raw", true)
@@ -72,46 +71,59 @@ func wireExpiredOnArrival(t *testing.T, mk maker) {
 	if res, ok := rc.read().(rtwire.Result); !ok || res.Missed || !res.Evaluated || res.ExpiredOnArrival {
 		t.Fatalf("live query after an expired one: %+v", res)
 	}
+	rc.write(rtwire.Bye{Reason: "done"}.Encode())
+	tg.finish(t)
+	expiredBooks(t, tg, 2, 1)
+}
+
+// expiredBooks requires the node to have taken queries queries, one of them
+// expired on arrival and counted so on the wire, and met the rest.
+func expiredBooks(t *testing.T, tg *target, queries, hits uint64) {
+	t.Helper()
+	m := tg.srv.Metrics.Snapshot()
+	if m.ExpiredOnArrival != 1 || m.QueriesIn != queries || m.DeadlineMiss != 1 || m.DeadlineHit != hits {
+		t.Errorf("accounting: %+v", m)
+	}
+	if got := tg.ns.Wire.ExpiredOnArrival.Load(); got != 1 {
+		t.Errorf("wire ExpiredOnArrival = %d, want 1", got)
+	}
+}
+
+// WIRE-022: a client's firm query with relative deadline 0 is expired on
+// arrival through the whole client path — whatever Elapsed the client
+// stamps, E ≥ 0 = D holds — so the node rejects it unevaluated and
+// answers the miss.
+func wireZeroDeadlineFirm(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
 	r, err := tg.client(t).Query(client.Query{Query: "status_q", Kind: deadline.Firm, Deadline: 0, MinUseful: 1})
 	if err != nil || !r.Missed || r.Evaluated || !r.ExpiredOnArrival {
 		t.Fatalf("zero-deadline firm query: %+v %v", r, err)
 	}
-	rc.write(rtwire.Bye{Reason: "done"}.Encode())
 	tg.finish(t)
-	m := tg.srv.Metrics.Snapshot()
-	if m.ExpiredOnArrival != 2 || m.QueriesIn != 3 || m.DeadlineMiss != 2 || m.DeadlineHit != 1 {
-		t.Errorf("accounting: %+v", m)
+	expiredBooks(t, tg, 1, 0)
+}
+
+// refused reads the Err that answers a refused handshake, then requires the
+// listener to close the connection.
+func refused(t *testing.T, rc *rawConn, code rtwire.ErrCode, what string) {
+	t.Helper()
+	if e, ok := rc.read().(rtwire.Err); !ok || e.Code != code {
+		t.Fatalf("%s: %+v, want Err code %d", what, e, code)
 	}
-	if got := tg.ns.Wire.ExpiredOnArrival.Load(); got != 2 {
-		t.Errorf("wire ExpiredOnArrival = %d, want 2", got)
+	if _, err := rc.next(5 * time.Second); err == nil {
+		t.Fatalf("%s: connection left open after the refusal", what)
 	}
 }
 
-// WIRE-003: a first frame that is not Hello, and a handshake that never
-// comes, are refused CodeBadRequest and closed; the node's Sessions bound
-// its connections (the next is refused CodeServerFull), a freed session is
-// reusable, and every refusal is counted.
-func wireHandshakeAndPool(t *testing.T, mk maker) {
-	tg := mk(t, setup{sessions: 2, opt: netserve.Options{HandshakeTimeout: 100 * time.Millisecond}})
-	refused := func(rc *rawConn, code rtwire.ErrCode, what string) {
-		t.Helper()
-		if e, ok := rc.read().(rtwire.Err); !ok || e.Code != code {
-			t.Fatalf("%s: %+v, want Err code %d", what, e, code)
-		}
-	}
-	rude := tg.raw(t, "rude", false)
-	rude.write(rtwire.AsOf{ID: 1, Image: "temp", At: 1}.Encode())
-	refused(rude, rtwire.CodeBadRequest, "non-hello first frame")
-	mute := tg.raw(t, "mute", false)
-	refused(mute, rtwire.CodeBadRequest, "silent handshake")
-	if _, err := mute.next(5 * time.Second); err == nil {
-		t.Fatal("connection left open after a handshake timeout")
-	}
+// WIRE-003: the node's Sessions bound its connections: a Hello past the pool
+// is refused CodeServerFull, and a freed session is reusable.
+func wireSessionPool(t *testing.T, mk maker) {
+	tg := mk(t, setup{sessions: 2})
 	held := tg.raw(t, "one", true)
 	tg.raw(t, "two", true)
 	extra := tg.raw(t, "three", false)
 	extra.write(rtwire.Hello{Client: "three"}.Encode())
-	refused(extra, rtwire.CodeServerFull, "connection past the session pool")
+	refused(t, extra, rtwire.CodeServerFull, "connection past the session pool")
 	held.nc.Close()
 	await(t, "freed session reused", func() bool {
 		rc := tg.raw(t, "again", false)
@@ -119,9 +131,56 @@ func wireHandshakeAndPool(t *testing.T, mk maker) {
 		_, ok := rc.read().(rtwire.Welcome)
 		return ok
 	})
-	// Polling may collect more server-full refusals: 3 is a floor.
-	if got := tg.ns.Wire.ConnsRefused.Load(); got < 3 {
-		t.Errorf("ConnsRefused = %d, want ≥ 3", got)
+}
+
+// handshakeRefused dials the listener as label and sends first (nothing when
+// nil): the handshake must be refused CodeBadRequest and the refusal counted
+// in net_conns_refused.
+func handshakeRefused(t *testing.T, tg *target, label string, first []byte) {
+	t.Helper()
+	rc := tg.raw(t, label, false)
+	if first != nil {
+		rc.write(first)
+	}
+	refused(t, rc, rtwire.CodeBadRequest, label)
+	if got := tg.metrics(t).Map()["net_conns_refused"]; got != 1 {
+		t.Errorf("net_conns_refused = %d, want 1", got)
+	}
+}
+
+// WIRE-012: a first frame that is not Hello is refused.
+func wireFirstFrameHello(t *testing.T, mk maker) {
+	handshakeRefused(t, mk(t, setup{}), "rude", rtwire.AsOf{ID: 1, Image: "temp", At: 1}.Encode())
+}
+
+// WIRE-013: a handshake that never comes is refused once HandshakeTimeout
+// passes.
+func wireHandshakeTimeout(t *testing.T, mk maker) {
+	handshakeRefused(t, mk(t, setup{opt: netserve.Options{HandshakeTimeout: 50 * time.Millisecond}}), "mute", nil)
+}
+
+// WIRE-014: every refused connection counts once in net_conns_refused,
+// under that row name on every listener, and the connection books balance:
+// net_conns_accepted == net_conns_closed + net_conns_refused + the
+// connections still live. A Hello past the pool, a non-Hello first frame and
+// a silent handshake make three refusals beside two live connections.
+func wireRefusalsCounted(t *testing.T, mk maker) {
+	tg := mk(t, setup{sessions: 2, opt: netserve.Options{HandshakeTimeout: 50 * time.Millisecond}})
+	c := tg.client(t)
+	tg.raw(t, "held", true) // the pool's second session
+	extra := tg.raw(t, "extra", false)
+	extra.write(rtwire.Hello{Client: "extra"}.Encode())
+	refused(t, extra, rtwire.CodeServerFull, "connection past the session pool")
+	rude := tg.raw(t, "rude", false)
+	rude.write(rtwire.AsOf{ID: 1, Image: "temp", At: 1}.Encode())
+	refused(t, rude, rtwire.CodeBadRequest, "non-hello first frame")
+	refused(t, tg.raw(t, "mute", false), rtwire.CodeBadRequest, "silent handshake")
+	m, err := c.Metrics()
+	must(t, err)
+	mm := m.Map()
+	if mm["net_conns_refused"] != 3 || mm["net_conns_accepted"] != mm["net_conns_closed"]+3+2 {
+		t.Errorf("net_conns_refused %d, accepted %d, closed %d; want 3 refused and accepted = closed + 3 + 2 live",
+			mm["net_conns_refused"], mm["net_conns_accepted"], mm["net_conns_closed"])
 	}
 }
 
@@ -143,42 +202,16 @@ func expectSubAck(t *testing.T, rc *rawConn, pushes *[]rtwire.Push) rtwire.SubAc
 	}
 }
 
-// WIRE-004: the standing-query frames, one by one. An unknown query is a
-// refused SubAck; a firm envelope is refused — read-only on a standby,
-// dead on arrival on a primary; an admitted SubOpen acks cursor 0, pushes
-// carry contiguous cursors whose audit closes (Degraded on a standby); a
-// duplicate id and a cancel of an unknown id are protocol errors; the
-// closing SubAck carries the resume point, and SubResume continues at
-// cursor+1 with fresh tallies. Refusals open nothing, and the metrics reply
-// carries the subscription books.
+// WIRE-004: an admitted SubOpen acks cursor 0; its pushes carry contiguous
+// cursors from 1 whose audit closes and the catalog's answers, Degraded on a
+// standby; the closing SubAck carries a cursor no older than the last push.
+// The listener counts the frame in and the pushes out.
 func wireSubscriptionFrames(t *testing.T, mk maker) {
 	tg := mk(t, setup{})
 	rc := tg.raw(t, "subs", true)
-	rc.write(rtwire.SubOpen{ID: 1, Query: "nope_q", Period: 2}.Encode())
-	if a := expectSubAck(t, rc, nil); a.ID != 1 || a.State != rtwire.SubRefused {
-		t.Fatalf("unknown query: %+v", a)
-	}
-	firm := rtwire.SubOpen{ID: 2, Query: "status_q", Period: 4, Kind: deadline.Firm, Deadline: 3, MinUseful: 1}
-	if tg.standby {
-		rc.write(firm.Encode())
-		if e, ok := rc.read().(rtwire.Err); !ok || e.Code != rtwire.CodeReadOnly {
-			t.Fatalf("firm SubOpen on a standby: %+v", e)
-		}
-	} else {
-		firm.Elapsed = 5
-		rc.write(firm.Encode())
-		if a := expectSubAck(t, rc, nil); a.ID != 2 || a.State != rtwire.SubRefused {
-			t.Fatalf("expired envelope: %+v", a)
-		}
-	}
-	open := rtwire.SubOpen{ID: 3, Query: "status_q", Period: 2, Kind: deadline.Soft, Deadline: 50, MinUseful: 1, Depth: 16}
-	rc.write(open.Encode())
+	rc.write(rtwire.SubOpen{ID: 3, Query: "status_q", Period: 2, Kind: deadline.Soft, Deadline: 50, MinUseful: 1, Depth: 16}.Encode())
 	if a := expectSubAck(t, rc, nil); a.ID != 3 || a.State != rtwire.SubAdmitted || a.Cursor != 0 {
 		t.Fatalf("open ack: %+v", a)
-	}
-	rc.write(open.Encode())
-	if e, ok := rc.read().(rtwire.Err); !ok || e.ID != 3 || e.Code != rtwire.CodeBadRequest {
-		t.Fatalf("duplicate id: %+v", e)
 	}
 	tg.advance(t, 8)
 	var pushes []rtwire.Push
@@ -202,36 +235,95 @@ func wireSubscriptionFrames(t *testing.T, mk maker) {
 			t.Fatalf("push %d: audit or answers: %+v", i, p)
 		}
 	}
-	rc.write(rtwire.SubCancel{ID: 3}.Encode())
-	if e, ok := rc.read().(rtwire.Err); !ok || e.ID != 3 || e.Code != rtwire.CodeBadRequest {
-		t.Fatalf("cancel of a closed id: %+v", e)
-	}
-	rc.write(rtwire.SubResume{ID: 4, Query: "status_q", Period: 2, Kind: deadline.Soft, Deadline: 50, MinUseful: 1, Depth: 16,
-		AfterCursor: closed.Cursor}.Encode())
-	if a := expectSubAck(t, rc, nil); a.ID != 4 || a.State != rtwire.SubAdmitted || a.Cursor != closed.Cursor {
-		t.Fatalf("resume ack: %+v", a)
-	}
-	tg.advance(t, 8)
-	if p, ok := rc.read().(rtwire.Push); !ok || p.ID != 4 || p.Cursor != closed.Cursor+1 || p.Dropped != 0 || p.Expired != 0 {
-		t.Fatalf("first resumed push: %+v, want cursor %d with fresh tallies", p, closed.Cursor+1)
-	}
-	rc.write(rtwire.SubCancel{ID: 4}.Encode())
-	expectSubAck(t, rc, nil)
-	if w := tg.ns.Wire.Snapshot(); w.PushesOut == 0 || w.SubsIn != 5 {
-		t.Errorf("wire pushes_out %d subs_in %d, want > 0 and the 5 SubOpen/SubResume frames", w.PushesOut, w.SubsIn)
-	}
-	// The books ship in the metrics reply under their pinned names.
-	rows, m := tg.metrics(t).Map(), tg.srv.Metrics.Snapshot()
-	for name, v := range map[string]uint64{"subs_opened": m.SubsOpened, "subs_closed": m.SubsClosed,
-		"push_scheduled": m.PushScheduled, "pushed": m.Pushed, "push_dropped": m.PushDropped, "push_expired": m.PushExpired} {
-		if rows[name] != v {
-			t.Errorf("row %s = %d, the node's books say %d", name, rows[name], v)
-		}
+	if w := tg.ns.Wire.Snapshot(); w.PushesOut < uint64(len(pushes)) || w.SubsIn != 1 {
+		t.Errorf("wire pushes_out %d subs_in %d, want ≥ %d and 1", w.PushesOut, w.SubsIn, len(pushes))
 	}
 	tg.finish(t)
-	if m.SubsOpened != 2 || tg.standby && m.Degraded == 0 {
-		t.Errorf("subs opened %d (want 2: refusals open nothing), degraded %d", m.SubsOpened, m.Degraded)
+	if m := tg.srv.Metrics.Snapshot(); m.SubsOpened != 1 || tg.standby && m.Degraded == 0 {
+		t.Errorf("subs opened %d (want 1), degraded %d", m.SubsOpened, m.Degraded)
 	}
+}
+
+// WIRE-015: a SubOpen the node will not serve is answered and opens
+// nothing. An unknown query is a refused SubAck; a firm envelope is refused
+// — read-only on a standby; on a primary when its budget was consumed in
+// transit (Elapsed ≥ Deadline), while the same envelope live is admitted. A
+// duplicate id and a cancel of an id never opened are protocol errors.
+func wireSubscriptionRefusals(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
+	rc := tg.raw(t, "refusals", true)
+	protocolError := func(id uint64, what string) {
+		t.Helper()
+		if e, ok := rc.read().(rtwire.Err); !ok || e.ID != id || e.Code != rtwire.CodeBadRequest {
+			t.Fatalf("%s: %+v, want CodeBadRequest for id %d", what, e, id)
+		}
+	}
+	rc.write(rtwire.SubOpen{ID: 1, Query: "nope_q", Period: 2}.Encode())
+	if a := expectSubAck(t, rc, nil); a.ID != 1 || a.State != rtwire.SubRefused {
+		t.Fatalf("unknown query: %+v", a)
+	}
+	live := rtwire.SubOpen{ID: 3, Query: "status_q", Period: 4, Kind: deadline.Firm, Deadline: 3, MinUseful: 1}
+	expired := live
+	if expired.ID = 2; !tg.standby {
+		expired.Elapsed = 5
+	}
+	rc.write(expired.Encode())
+	if tg.standby {
+		if e, ok := rc.read().(rtwire.Err); !ok || e.Code != rtwire.CodeReadOnly {
+			t.Fatalf("firm SubOpen on a standby: %+v", e)
+		}
+		live.Kind, live.Deadline = deadline.Soft, 50
+	} else if a := expectSubAck(t, rc, nil); a.ID != 2 || a.State != rtwire.SubRefused {
+		t.Fatalf("expired envelope: %+v", a)
+	}
+	rc.write(live.Encode())
+	if a := expectSubAck(t, rc, nil); a.ID != 3 || a.State != rtwire.SubAdmitted {
+		t.Fatalf("live envelope: %+v", a)
+	}
+	rc.write(live.Encode())
+	protocolError(3, "duplicate id")
+	rc.write(rtwire.SubCancel{ID: 9}.Encode())
+	protocolError(9, "cancel of an id never opened")
+	rc.write(rtwire.SubCancel{ID: 3}.Encode())
+	expectSubAck(t, rc, nil)
+	tg.finish(t)
+	if n := tg.srv.Metrics.SubsOpened.Load(); n != 1 {
+		t.Errorf("subs opened %d, want 1: refusals open nothing", n)
+	}
+}
+
+// WIRE-016: the subscription books ship under their pinned names with the
+// node's values — in the server's own row list in process, in the metrics
+// reply on a listener, where net_subs_in and net_pushes_out ride beside them.
+func wirePushRows(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
+	h, err := tg.subscribe(t, base())
+	must(t, err)
+	tg.advance(t, 8)
+	if _, ok := h.next(5 * time.Second); !ok {
+		t.Fatal("no push")
+	}
+	h.cancel(t)
+	reply := rtwire.Metrics{Pairs: tg.srv.Metrics.Snapshot().Pairs()}
+	if tg.ns != nil {
+		reply = tg.metrics(t)
+	}
+	rows := reply.Map()
+	m := tg.srv.Metrics.Snapshot()
+	want := map[string]uint64{"subs_opened": m.SubsOpened, "subs_closed": m.SubsClosed,
+		"push_scheduled": m.PushScheduled, "pushed": m.Pushed, "push_dropped": m.PushDropped, "push_expired": m.PushExpired}
+	if tg.ns != nil {
+		want["net_subs_in"], want["net_pushes_out"] = tg.ns.Wire.SubsIn.Load(), tg.ns.Wire.PushesOut.Load()
+	}
+	for name, v := range want {
+		if got, ok := rows[name]; !ok || got != v {
+			t.Errorf("row %s = %d (present %v), the node's books say %d", name, got, ok, v)
+		}
+	}
+	if m.SubsOpened != 1 || m.SubsClosed != 1 || m.Pushed == 0 {
+		t.Errorf("books: opened %d closed %d pushed %d, want 1, 1 and > 0", m.SubsOpened, m.SubsClosed, m.Pushed)
+	}
+	tg.finish(t)
 }
 
 // fabricClient dials through the fabric as label with beacons every hb (< 0:
@@ -250,7 +342,7 @@ func (tg *target) fabricClient(t *testing.T, label string, hb time.Duration, att
 // decode_errors, and resets the connection, answering nothing but the
 // teardown's Bye; a client whose query was damaged redials and retries it.
 // Outbound, the client counts the damaged result, rotates, and the query
-// retries on the fresh connection.
+// retries on the fresh connection. Either way the answer is the node's.
 func wireCorruptFrameResets(t *testing.T, mk maker) {
 	tg := mk(t, setup{})
 	w := &tg.ns.Wire
@@ -263,15 +355,23 @@ func wireCorruptFrameResets(t *testing.T, mk maker) {
 			w.CorruptFrames.Load(), w.DecodeErrors.Load(), w.AsOfReads.Load())
 	}
 	// The wire is quiet (no beacons): op+1 is the client's query, op+2 the
-	// listener's result. Either damaged, the query retries on a fresh link.
+	// listener's result. Either damaged, the query retries on a fresh link
+	// and reads back the sample taken before.
 	c := tg.fabricClient(t, "victim", -1, 6)
+	if tg.standby {
+		tg.advance(t, 1)
+	} else {
+		must(t, c.InjectSample("temp", "30"))
+		must(t, c.Flush())
+	}
+	q := client.Query{Query: "temp_q", Candidate: "30"}
 	for _, at := range []uint64{1, 2} {
-		if _, err := c.Query(client.Query{Query: "temp_q"}); err != nil {
+		if _, err := c.Query(q); err != nil {
 			t.Fatal(err)
 		}
 		tg.fab.ArmAt(tg.fab.Ops()+at, faultnet.Fault{Kind: faultnet.FaultCorrupt})
-		if _, err := c.Query(client.Query{Query: "temp_q"}); err != nil {
-			t.Fatalf("query through a damaged frame (op +%d) never recovered: %v", at, err)
+		if r, err := c.Query(q); err != nil || !r.Match {
+			t.Fatalf("query through a damaged frame (op +%d) never recovered: %+v %v", at, r, err)
 		}
 		if fired, _ := tg.fab.Fired(); !fired {
 			t.Fatal("armed corruption never fired")
@@ -283,20 +383,22 @@ func wireCorruptFrameResets(t *testing.T, mk maker) {
 	}
 }
 
-// WIRE-006: whichever end of a half-open link stops hearing frames cuts it
-// within 3 heartbeat intervals — never before 2, which would be an error
-// path, not the bound. Client→listener blackholed, the listener's bound
-// cuts; listener→client blackholed (a frozen peer), the client's does, and
-// the pending call fails then rather than at CallTimeout.
+// within reports a link cut after start, failing unless it took about 3
+// heartbeat intervals iv — never under 2, which would be an error path, not
+// the bound.
+func within(t *testing.T, start time.Time, iv time.Duration, what string) {
+	t.Helper()
+	if d := time.Since(start); d < 2*iv || d > 3*iv+time.Second {
+		t.Fatalf("%s cut after %v, want ≈ 3 intervals (%v)", what, d, 3*iv)
+	}
+}
+
+// WIRE-006: a listener whose client goes mute on a half-open link — its
+// beacons blackholed while the listener's writes still succeed — cuts the
+// link within 3 heartbeat intervals, on its own silence bound.
 func wireOneWayPartition(t *testing.T, mk maker) {
 	const iv = 60 * time.Millisecond
 	tg := mk(t, setup{opt: netserve.Options{HeartbeatInterval: iv}})
-	within := func(start time.Time, what string) {
-		t.Helper()
-		if d := time.Since(start); d < 2*iv || d > 3*iv+2*time.Second {
-			t.Fatalf("%s cut after %v, want ≈ 3 intervals (%v)", what, d, 3*iv)
-		}
-	}
 	c := tg.fabricClient(t, "mute", iv, 6)
 	if _, _, _, err := c.AsOf("temp", 1); err != nil {
 		t.Fatal(err)
@@ -304,20 +406,27 @@ func wireOneWayPartition(t *testing.T, mk maker) {
 	start := time.Now()
 	tg.fab.PartitionNow(faultnet.Direction{From: "mute", To: tg.addr})
 	await(t, "listener cut the half-open link", func() bool { return tg.ns.Wire.ConnsClosed.Load() >= 1 })
-	within(start, "listener")
+	within(t, start, iv, "listener")
 	tg.fab.Heal()
-	c.Close()
+}
 
-	c = tg.fabricClient(t, "deaf", iv, -1)
+// WIRE-017: a client whose listener freezes — the listener's frames
+// blackholed while the client's writes still succeed — cuts the link within
+// 3 heartbeat intervals, counted once, and its pending call fails then
+// rather than at CallTimeout.
+func wireFrozenPeer(t *testing.T, mk maker) {
+	const iv = 60 * time.Millisecond
+	tg := mk(t, setup{opt: netserve.Options{HeartbeatInterval: iv}})
+	c := tg.fabricClient(t, "deaf", iv, -1)
 	if _, _, _, err := c.AsOf("temp", 1); err != nil {
 		t.Fatal(err)
 	}
 	tg.fab.PartitionNow(faultnet.Direction{From: tg.addr, To: "deaf"})
-	start = time.Now()
+	start := time.Now()
 	if _, _, _, err := c.AsOf("temp", 1); err == nil {
 		t.Fatal("a call through a frozen peer succeeded")
 	}
-	within(start, "client")
+	within(t, start, iv, "client")
 	if got := c.Stats.HeartbeatTimeouts.Load(); got != 1 {
 		t.Fatalf("HeartbeatTimeouts = %d, want 1", got)
 	}
@@ -461,54 +570,99 @@ func rowNames(m rtwire.Metrics) []string {
 }
 
 // WIRE-008: the metrics reply is the complete, ordered row list of the
-// node's shape — a WAL-backed primary, a WAL-less one (no wal_seq: no
-// durable tail to advertise), a follower before or after promotion — and
-// its durability coordinates are the node's own. A promoted follower
-// reports a primary's. A running primary's fsync
-// and group-commit rows are live; a WAL-less one reports them at zero.
+// node's shape — a primary's, or a follower's — and counts the connection
+// that asked for it.
 func wireMetricsRows(t *testing.T, mk maker) {
-	const samples = 10
-	tg := mk(t, setup{wal: wal.Options{Sync: true, GroupWindow: 200 * time.Microsecond}})
-	tg.advance(t, samples)
+	tg := mk(t, setup{})
 	m := tg.metrics(t)
-	mm := m.Map()
 	want := slices.Concat(serverRowNames, wireRowNames, primaryRowNames)
 	if tg.standby {
 		want = slices.Concat(serverRowNames, wireRowNames, followerRowNames)
 	}
-	if tg.r == nil { // the row's own log, fsynced under a group window
-		if mm["wal_durable"] != mm["wal_seq"] {
-			t.Errorf("wal_durable %d != wal_seq %d after a Flush", mm["wal_durable"], mm["wal_seq"])
-		}
-		if mm["wal_appends"] < samples || mm["fsync_count"] == 0 || mm["group_commits"] == 0 || mm["grouped_appends"] != mm["wal_appends"] {
-			t.Errorf("live fsync rows: wal_appends %d fsync_count %d group_commits %d grouped_appends %d",
-				mm["wal_appends"], mm["fsync_count"], mm["group_commits"], mm["grouped_appends"])
-		}
-	}
-	conns := uint64(1) // this probe, and the suite's client if the row dialled it
-	if tg.c != nil {
-		conns++
-	}
-	if mm["net_conns_accepted"] != conns {
-		t.Errorf("net_conns_accepted = %d, want %d", mm["net_conns_accepted"], conns)
-	}
 	if got := rowNames(m); !reflect.DeepEqual(got, want) {
 		t.Errorf("rows\n got %q\nwant %q", got, want)
 	}
-	if mm["wal_seq"] != tg.log.Seq() || mm["epoch"] != tg.log.Epoch() {
-		t.Errorf("wal_seq %d epoch %d, want the node's %d and %d", mm["wal_seq"], mm["epoch"], tg.log.Seq(), tg.log.Epoch())
+	if got := m.Map()["net_conns_accepted"]; got != 1 {
+		t.Errorf("net_conns_accepted = %d, want 1: the probe", got)
 	}
-	if tg.r != nil {
-		return
+}
+
+// WIRE-018: the durability coordinates in the metrics reply are the node's
+// own: wal_seq its log's tail, epoch its fencing epoch, and on a primary
+// whose log fsyncs, wal_durable the tail once a Flush has returned.
+func wireDurabilityRows(t *testing.T, mk maker) {
+	tg := mk(t, setup{wal: wal.Options{Sync: true}})
+	tg.advance(t, 4)
+	mm := tg.metrics(t).Map()
+	if mm["wal_seq"] != tg.log.Seq() || mm["wal_seq"] == 0 || mm["epoch"] != tg.log.Epoch() {
+		t.Errorf("wal_seq %d epoch %d, want the node's %d (> 0) and %d", mm["wal_seq"], mm["epoch"], tg.log.Seq(), tg.log.Epoch())
 	}
-	plain := mk(t, setup{noWAL: true}).metrics(t)
-	if got, want := rowNames(plain), slices.Concat(serverRowNames, wireRowNames, []string{"epoch", "repl_durable"}); !reflect.DeepEqual(got, want) {
+	if tg.r == nil && mm["wal_durable"] != mm["wal_seq"] {
+		t.Errorf("wal_durable %d != wal_seq %d after a Flush", mm["wal_durable"], mm["wal_seq"])
+	}
+}
+
+// WIRE-019: a primary without a log reports epoch and repl_durable and no
+// wal_seq or wal_durable — it has no durable tail to advertise.
+func wireWALlessRows(t *testing.T, mk maker) {
+	m := mk(t, setup{noWAL: true}).metrics(t)
+	if got, want := rowNames(m), slices.Concat(serverRowNames, wireRowNames, []string{"epoch", "repl_durable"}); !reflect.DeepEqual(got, want) {
 		t.Errorf("WAL-less rows\n got %q\nwant %q", got, want)
 	}
+}
+
+// WIRE-020: a running primary reports its log's fsync and group-commit rows
+// as they stand, not as they stood at the last Stop; one without a log
+// reports the same rows at zero.
+func wireLiveFsyncRows(t *testing.T, mk maker) {
+	const samples = 10
+	tg := mk(t, setup{wal: wal.Options{Sync: true, GroupWindow: 200 * time.Microsecond}})
+	tg.advance(t, samples)
+	mm := tg.metrics(t).Map()
+	if mm["wal_appends"] < samples || mm["fsync_count"] == 0 || mm["group_commits"] == 0 || mm["grouped_appends"] != mm["wal_appends"] {
+		t.Errorf("live fsync rows: wal_appends %d fsync_count %d group_commits %d grouped_appends %d",
+			mm["wal_appends"], mm["fsync_count"], mm["group_commits"], mm["grouped_appends"])
+	}
+	plain := mk(t, setup{noWAL: true}).metrics(t).Map()
 	for _, name := range []string{"fsync_count", "fsync_total_ns", "fsync_max_ns", "group_commits", "grouped_appends"} {
-		if v := plain.Map()[name]; v != 0 {
-			t.Errorf("WAL-less %s = %d, want 0", name, v)
+		if v, ok := plain[name]; !ok || v != 0 {
+			t.Errorf("WAL-less %s = %d (present %v), want 0", name, v, ok)
 		}
+	}
+}
+
+// WIRE-021: every wire-hardening drop path reports under its pinned row
+// name with the listener's own count, so none is silent: corrupt frames,
+// decode errors, write timeouts, write drops and replication stall
+// evictions. On a fabric a damaged frame first puts a count on two of them.
+// The counts are compared over a reply during which they held still.
+func wireFaultPathRows(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
+	if tg.fab != nil {
+		rc := tg.raw(t, "corrupter", true)
+		tg.fab.ArmAt(tg.fab.Ops()+1, faultnet.Fault{Kind: faultnet.FaultCorrupt})
+		rc.write(rtwire.AsOf{ID: 1, Image: "temp", At: 1}.Encode())
+		rc.reset(5 * time.Second)
+	}
+	faults := func() map[string]uint64 {
+		w := tg.ns.Wire.Snapshot()
+		return map[string]uint64{"net_corrupt_frames": w.CorruptFrames, "net_decode_errors": w.DecodeErrors,
+			"net_write_timeouts": w.WriteTimeouts, "net_write_drops": w.WriteDrops, "net_repl_stall_evictions": w.ReplStallEvictions}
+	}
+	var rows, want map[string]uint64
+	await(t, "a metrics reply while the fault-path counts held still", func() bool {
+		before := faults()
+		rows, want = tg.metrics(t).Map(), faults()
+		return reflect.DeepEqual(before, want)
+	})
+	for name, v := range want {
+		if got, ok := rows[name]; !ok || got != v {
+			t.Errorf("row %s = %d (present %v), the listener counted %d", name, got, ok, v)
+		}
+	}
+	if tg.fab != nil && (want["net_corrupt_frames"] != 1 || want["net_decode_errors"] != 1) {
+		t.Errorf("corrupt_frames %d decode_errors %d after one damaged frame, want 1 and 1",
+			want["net_corrupt_frames"], want["net_decode_errors"])
 	}
 }
 

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
 
 	"rtc/internal/faultfs"
@@ -21,31 +22,27 @@ func law(holds bool, format string, args ...any) error {
 	return fmt.Errorf(format, args...)
 }
 
-// durabilityBound is the recovery law of a power cut, acked ≤ n ≤ issued+1:
-// every append the log acknowledged survives the crash, and beyond the
-// events issued at most the single in-flight one may appear — nothing
+// durabilityBound (WAL-001) is the recovery law of a power cut, acked ≤ n ≤
+// issued+1: every append the log acknowledged survives the crash, and beyond
+// the events issued at most the single in-flight one may appear — nothing
 // resurrects. Without a covering fsync (fsynced false) only the upper half
-// holds. issued is acked for per-append acks and the ticket count for a
-// grouped run.
+// holds. issued is acked for per-append acks and the ticket count for a grouped
+// run.
 func durabilityBound(who string, n, acked, issued int, fsynced bool) error {
-	switch {
-	case fsynced && n < acked:
-		return fmt.Errorf("%s %d events but %d were acked+fsynced (durability lost)", who, n, acked)
-	case n > issued+1:
-		return fmt.Errorf("%s %d events but only %d were issued before the cut (resurrection)", who, n, issued+1)
-	}
-	return nil
+	return errors.Join(
+		law(!fsynced || n >= acked, "WAL-001: %s %d events but %d were acked+fsynced (durability lost)", who, n, acked),
+		law(n <= issued+1, "WAL-001: %s %d events but only %d were issued before the cut (resurrection)", who, n, issued+1))
 }
 
-// batchWindowBound is the grouped half of the durability contract,
+// batchWindowBound (WAL-002) is the grouped half of the durability contract,
 // n − acked ≤ groupBatchEvery+1: at most one unacked batch window, plus the
 // in-flight frame, survives the cut.
 func batchWindowBound(n, acked int) error {
 	return law(n-acked <= groupBatchEvery+1,
-		"recovered %d events with only %d acked: more than one batch window survived unacked", n, acked)
+		"WAL-002: recovered %d events with only %d acked: more than one batch window survived unacked", n, acked)
 }
 
-// ackedPrefix takes the commit outcomes of a grouped run in issue order and
+// ackedPrefix (WAL-003) takes the commit outcomes of a grouped run in issue order and
 // returns how many committed. The nil outcomes must form a prefix: a later
 // batch committing over an earlier uncommitted one would reorder durability.
 func ackedPrefix(outcomes []error) (acked int, err error) {
@@ -55,7 +52,7 @@ func ackedPrefix(outcomes []error) (acked int, err error) {
 		case o != nil && firstErr < 0:
 			firstErr = i
 		case o == nil && firstErr >= 0:
-			return 0, fmt.Errorf("nil-resolved tickets not a prefix: ticket %d committed after ticket %d failed", i, firstErr)
+			return 0, fmt.Errorf("WAL-003: nil-resolved tickets not a prefix: ticket %d committed after ticket %d failed", i, firstErr)
 		case o == nil:
 			acked++
 		}
@@ -63,61 +60,59 @@ func ackedPrefix(outcomes []error) (acked int, err error) {
 	return acked, nil
 }
 
-// survivorExact: a shard that took no fault recovers exactly what it acked.
+// survivorExact (WAL-008): a shard that took no fault recovers exactly what it acked.
 func survivorExact(shard, n, acked int) error {
-	return law(n == acked, "survivor shard %d recovered %d events, acked %d — survivors must be exact", shard, n, acked)
+	return law(n == acked, "WAL-008: survivor shard %d recovered %d events, acked %d — survivors must be exact", shard, n, acked)
 }
 
-// sameState is the deep-equal every recovery is held to: got must be
-// exactly want — no reordering, no partial applies, no healed frame back
-// from the dead. what names the comparison in the failure.
-func sameState(what string, want, got *wal.State) error {
+// sameState is the deep-equal every recovery is held to: got must be exactly
+// want — no reordering, no partial applies, no healed frame back from the
+// dead. id names the law (WAL-004, WAL-005) and what the comparison.
+func sameState(id, what string, want, got *wal.State) error {
 	d := want.Diff(got)
-	return law(d == "", "%s: %s", what, d)
+	return law(d == "", "%s: %s: %s", id, what, d)
 }
 
-// referencePrefix: a state recovered with n events is exactly the
+// referencePrefix (WAL-004): a state recovered with n events is exactly the
 // reference replay of the first n events issued. It returns that reference.
 func referencePrefix(who string, issued []wal.Event, n int, got *wal.State) (*wal.State, error) {
 	if n > len(issued) {
-		return nil, fmt.Errorf("%srecovered %d events, workload only has %d", who, n, len(issued))
+		return nil, fmt.Errorf("WAL-004: %srecovered %d events, workload only has %d", who, n, len(issued))
 	}
 	want := Reference(issued[:n])
-	return want, sameState(fmt.Sprintf("%srecovery invariant violated at prefix %d", who, n), want, got)
+	return want, sameState("WAL-004", fmt.Sprintf("%srecovery invariant violated at prefix %d", who, n), want, got)
 }
 
-// reopensTo closes l and opens its directory again: what is on disk must be
+// reopensTo (WAL-005) closes l and opens its directory again: what is on disk must be
 // exactly want. After a crash recovery this is idempotence — the first Open
 // normalized the torn tail, so a second one reproduces the identical state.
 // It returns the log the caller now owns: the reopened one, or l (closed)
 // when it could not be reopened.
 func (c Config) reopensTo(what string, l *wal.Log, mem *faultfs.Mem, want *wal.State) (*wal.Log, error) {
 	if err := l.Close(); err != nil {
-		return l, fmt.Errorf("close: %v", err)
+		return l, fmt.Errorf("WAL-005: close: %v", err)
 	}
 	l2, err := wal.Open(c.walOptions(mem))
 	if err != nil {
-		return l, fmt.Errorf("recovery Open: %v", err)
+		return l, fmt.Errorf("WAL-005: recovery Open: %v", err)
 	}
-	return l2, sameState(what, want, l2.State())
+	return l2, sameState("WAL-005", what, want, l2.State())
 }
 
-// liveness: a recovered (or promoted) log is live — an append past the
+// liveness (WAL-006): a recovered (or promoted) log is live — an append past the
 // fault lands, and through a grouped appender commits at the next Sync.
 func liveness(what string, a *appender, e wal.Event) error {
 	if err := a.append(e); err != nil {
-		return fmt.Errorf("%s: %v", what, err)
+		return fmt.Errorf("WAL-006: %s: %v", what, err)
 	}
 	if !a.grouped {
 		return nil
 	}
 	if err := a.l.Sync(); err != nil {
-		return fmt.Errorf("sync after recovery: %v", err)
+		return fmt.Errorf("WAL-006: sync after recovery: %v", err)
 	}
-	if err := a.tickets[len(a.tickets)-1].Wait(); err != nil {
-		return fmt.Errorf("post-crash ticket resolved %v after a clean sync", err)
-	}
-	return nil
+	err := a.tickets[len(a.tickets)-1].Wait()
+	return law(err == nil, "WAL-006: post-crash ticket resolved %v after a clean sync", err)
 }
 
 // servedLive (REPL-007) is liveness through a server: a node promoted in
@@ -155,10 +150,10 @@ func periodicConservation(m server.MetricsSnapshot) error {
 		"periodic conservation violated: %d != %d+%d", m.PeriodicIssued, m.PeriodicHit, m.PeriodicMiss)
 }
 
-// walConservation: exactly the appends the server saw acknowledged come
+// walConservation (WAL-007): exactly the appends the server saw acknowledged come
 // back from the WAL.
 func walConservation(recovered, appends uint64) error {
-	return law(recovered == appends, "WAL conservation violated: recovered %d events, %d appends acknowledged", recovered, appends)
+	return law(recovered == appends, "WAL-007: WAL conservation violated: recovered %d events, %d appends acknowledged", recovered, appends)
 }
 
 // epochAdvanced (REPL-007): a promotion fences the old primary — the epoch
@@ -182,10 +177,8 @@ func cursorMonotone(last, next uint64) error {
 // applied and arrived ≤ sent: a sample the client saw acknowledged was
 // applied, and no retry or resume delivered one twice.
 func ackedWrites(acked, sent int, m server.MetricsSnapshot) error {
-	if err := law(int(m.SamplesApplied) >= acked, "REPL-001: lost acked writes: %d acked, %d applied", acked, m.SamplesApplied); err != nil {
-		return err
-	}
-	return law(int(m.SamplesIn) <= sent, "REPL-001: duplicated writes: %d sent, %d arrived", sent, m.SamplesIn)
+	return errors.Join(law(int(m.SamplesApplied) >= acked, "REPL-001: lost acked writes: %d acked, %d applied", acked, m.SamplesApplied),
+		law(int(m.SamplesIn) <= sent, "REPL-001: duplicated writes: %d sent, %d arrived", sent, m.SamplesIn))
 }
 
 // crossShardSum (SHARD-001): the shards together recover Σ acked ≤ Σ n ≤
@@ -197,11 +190,11 @@ func crossShardSum(recovered, acked int, fsynced bool) error {
 		"SHARD-001: cross-shard sum conservation violated: recovered %d, acked %d", recovered, acked)
 }
 
-// horizonHeld: every acknowledged write is durable, so the consistent
+// horizonHeld (WAL-009): every acknowledged write is durable, so the consistent
 // horizon (min over shards of the last chronon) recomputed from the
 // recovered shards is never behind the one the group had acknowledged.
 // Without a covering fsync (fsynced false) an acknowledged write may be
 // lost, and there is no lower bound to hold.
 func horizonHeld(acked, recovered timeseq.Time, fsynced bool) error {
-	return law(!fsynced || recovered >= acked, "consistent horizon regressed: acked %d, recovered %d", acked, recovered)
+	return law(!fsynced || recovered >= acked, "WAL-009: consistent horizon regressed: acked %d, recovered %d", acked, recovered)
 }

@@ -200,7 +200,7 @@ func (c Config) eioPoint(p *point, events []wal.Event, grouped bool) error {
 		return fmt.Errorf("grouped run recorded zero group commits (%d appends)", st.Appends)
 	}
 	want := Reference(events)
-	if err := sameState("live state after heal", want, l.State()); err != nil {
+	if err := sameState("WAL-004", "live state after heal", want, l.State()); err != nil {
 		return err
 	}
 	l, err = c.reopensTo("recovered state != workload", l, mem, want)

@@ -176,23 +176,23 @@ func TestInvariants(t *testing.T) {
 		{"durabilityBound n=acked+1", durabilityBound("recovered", 6, 5, 5, true), ""},
 		{"durabilityBound grouped n=issued+1", durabilityBound("recovered", 9, 5, 8, true), ""},
 		{"durabilityBound unsynced n<acked", durabilityBound("recovered", 0, 5, 5, false), ""},
-		{"durabilityBound n=acked-1", durabilityBound("recovered", 4, 5, 5, true), "recovered 4 events but 5 were acked+fsynced (durability lost)"},
-		{"durabilityBound n=acked+2", durabilityBound("recovered", 7, 5, 5, true), "recovered 7 events but only 6 were issued before the cut (resurrection)"},
-		{"durabilityBound unsynced n=acked+2", durabilityBound("recovered", 7, 5, 5, false), "(resurrection)"},
+		{"durabilityBound n=acked-1", durabilityBound("recovered", 4, 5, 5, true), "WAL-001: recovered 4 events but 5 were acked+fsynced (durability lost)"},
+		{"durabilityBound n=acked+2", durabilityBound("recovered", 7, 5, 5, true), "WAL-001: recovered 7 events but only 6 were issued before the cut (resurrection)"},
+		{"durabilityBound unsynced n=acked+2", durabilityBound("recovered", 7, 5, 5, false), "WAL-001: recovered 7 events"},
 		{"batchWindowBound +1", batchWindowBound(5+groupBatchEvery+1, 5), ""},
-		{"batchWindowBound +2", batchWindowBound(5+groupBatchEvery+2, 5), "more than one batch window survived unacked"},
+		{"batchWindowBound +2", batchWindowBound(5+groupBatchEvery+2, 5), "WAL-002: recovered 11 events with only 5 acked: more than one batch window survived unacked"},
 		{"ackedPrefix prefix", first(ackedPrefix([]error{nil, nil, boom, boom})), ""},
-		{"ackedPrefix hole", first(ackedPrefix([]error{nil, boom, nil})), "nil-resolved tickets not a prefix: ticket 2 committed after ticket 1 failed"},
+		{"ackedPrefix hole", first(ackedPrefix([]error{nil, boom, nil})), "WAL-003: nil-resolved tickets not a prefix: ticket 2 committed after ticket 1 failed"},
 		{"survivorExact", survivorExact(2, 7, 7), ""},
-		{"survivorExact off by one", survivorExact(2, 8, 7), "survivor shard 2 recovered 8 events, acked 7"},
+		{"survivorExact off by one", survivorExact(2, 8, 7), "WAL-008: survivor shard 2 recovered 8 events, acked 7"},
 		{"referencePrefix", first(referencePrefix("", events, 7, Reference(events[:7]))), ""},
-		{"referencePrefix wrong prefix", first(referencePrefix("", events, 6, Reference(events[:7]))), "recovery invariant violated at prefix 6"},
-		{"referencePrefix past the workload", first(referencePrefix("", events, len(events)+1, Reference(events))), "workload only has"},
+		{"referencePrefix wrong prefix", first(referencePrefix("", events, 6, Reference(events[:7]))), "WAL-004: recovery invariant violated at prefix 6"},
+		{"referencePrefix past the workload", first(referencePrefix("", events, len(events)+1, Reference(events))), "WAL-004: recovered 18 events, workload only has 17"},
 		{"reopensTo", reopened(Reference(events)), ""},
-		{"reopensTo other state", reopened(Reference(events[:len(events)-1])), "recovery not idempotent"},
+		{"reopensTo other state", reopened(Reference(events[:len(events)-1])), "WAL-005: recovery not idempotent"},
 		{"liveness", live(false, false), ""},
 		{"liveness grouped", live(true, false), ""},
-		{"liveness closed log", live(false, true), "append after recovery"},
+		{"liveness closed log", live(false, true), "WAL-006: append after recovery"},
 		{"servedLive", served(false), ""},
 		{"servedLive stopped server", served(true), "REPL-007: append after promotion"},
 		{"queryConservation", queryConservation("standby", queries(10)), ""},
@@ -202,7 +202,7 @@ func TestInvariants(t *testing.T) {
 		{"periodicConservation", periodicConservation(server.MetricsSnapshot{PeriodicIssued: 5, PeriodicHit: 3, PeriodicMiss: 2}), ""},
 		{"periodicConservation lost one", periodicConservation(server.MetricsSnapshot{PeriodicIssued: 5, PeriodicHit: 3, PeriodicMiss: 1}), "periodic conservation violated"},
 		{"walConservation", walConservation(40, 40), ""},
-		{"walConservation short", walConservation(39, 40), "WAL conservation violated: recovered 39 events, 40 appends acknowledged"},
+		{"walConservation short", walConservation(39, 40), "WAL-007: WAL conservation violated: recovered 39 events, 40 appends acknowledged"},
 		{"epochAdvanced", epochAdvanced(2), ""},
 		{"epochAdvanced stuck", epochAdvanced(1), "REPL-007: promotion left epoch at 1"},
 		{"epochPersisted", epochPersisted(3, 3), ""},
@@ -220,7 +220,7 @@ func TestInvariants(t *testing.T) {
 		{"crossShardSum unsynced acked+2", crossShardSum(22, 20, false), "cross-shard sum conservation violated"},
 		{"horizonHeld", horizonHeld(5, 5, true), ""},
 		{"horizonHeld unsynced regressed", horizonHeld(5, 4, false), ""},
-		{"horizonHeld regressed", horizonHeld(5, 4, true), "consistent horizon regressed: acked 5, recovered 4"},
+		{"horizonHeld regressed", horizonHeld(5, 4, true), "WAL-009: consistent horizon regressed: acked 5, recovered 4"},
 	} {
 		rep := selfTest(tc.err)
 		switch {
