@@ -48,8 +48,8 @@ race-net:
 	$(GO) test -race ./internal/rtwire/ ./internal/rtdb/netserve/ ./internal/rtdb/client/
 
 # WAL-streaming replication under the race detector: the replica package
-# (the follower's protocol against a scripted primary, resync, rebuild and
-# batched shipping) plus the torture failover sweep's short configuration.
+# (the follower's protocol against a scripted primary, rebuild and batched
+# shipping) plus the torture failover sweep's short configuration.
 # The REPL- rows of the conformance suite run under make race-spec. CI runs
 # this target.
 race-repl:

@@ -316,9 +316,8 @@ type FollowSpec struct {
 	// After is the follower's tail: every connection subscribes after it,
 	// and every WalAck reports it.
 	After func() uint64
-	// Apply folds one WalBatch in; an error ends the attachment. A resync
-	// dump arrives whole, in its SnapFinal batch: its chunks collect per
-	// connection, so one cut short by a lost connection never arrives.
+	// Apply folds one WalBatch in, as it arrived; an error ends the
+	// attachment. No node sends a Snap batch, so a follower refuses one.
 	Apply func(rtwire.WalBatch) error
 	// Adopt sees every epoch the primary announces (Welcome, Heartbeat,
 	// PromoteInfo) before the client's own fencing check, and refuses a
@@ -561,7 +560,6 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 	// One payload buffer for the connection's lifetime; Decode copies the
 	// field strings out before the next frame overwrites it.
 	var rbuf []byte
-	var dump []string // a resync's chunks so far, this connection's alone
 	for {
 		sr.Next()
 		f, err := rtwire.ReadFrameBuf(br, &rbuf)
@@ -607,12 +605,6 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 		case rtwire.SubAck:
 			c.deliver(m.ID, msg)
 		case rtwire.WalBatch:
-			if m.Snap == rtwire.SnapPart && c.follow != nil {
-				dump = append(dump, m.Events...)
-				continue
-			} else if m.Snap == rtwire.SnapFinal {
-				m.Events, dump = append(dump, m.Events...), nil
-			}
 			if c.follow == nil || c.follow.Apply(m) != nil {
 				conn.Close() // unasked for, or refused: a follower re-subscribes
 				return

@@ -12,13 +12,13 @@ import (
 	"rtc/internal/rtwire"
 )
 
-// TestFollowDumpOutlivesStaleLoss: a loss token that reaches a live stream
-// in the middle of a resync dump — a loss seen twice, by a failed write and
-// by the dead connection's read loop — runs Retry on the live link, and the
-// dump still reaches Apply once and whole: the chunks before the token and
-// after it, in one SnapFinal batch, over the one connection.
-func TestFollowDumpOutlivesStaleLoss(t *testing.T) {
-	dump := []string{"$I@0@temp$", "$S@1@temp@20$", "$S@2@temp@21$", "$S@3@temp@22$"}
+// TestFollowBatchesOutliveStaleLoss: a loss token that reaches a live
+// stream between two batches — a loss seen twice, by a failed write and by
+// the dead connection's read loop — runs Retry on the live link, and each
+// batch still reaches Apply once, in order: the one before the token and the
+// one after it, over the one connection.
+func TestFollowBatchesOutliveStaleLoss(t *testing.T) {
+	events := []string{"$I@0@temp$", "$S@1@temp@20$", "$S@2@temp@21$", "$S@3@temp@22$"}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +43,10 @@ func TestFollowDumpOutlivesStaleLoss(t *testing.T) {
 				if _, err := rtwire.ReadFrame(br); err != nil { // Subscribe
 					return
 				}
-				_, _ = conn.Write(rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapPart, Events: dump[:2]}.Encode())
-				_, _ = conn.Write(rtwire.Heartbeat{Epoch: 1, Seq: 77}.Encode()) // marks the first chunk read
+				_, _ = conn.Write(rtwire.WalBatch{Epoch: 1, FirstSeq: 1, Events: events[:2]}.Encode())
+				_, _ = conn.Write(rtwire.Heartbeat{Epoch: 1, Seq: 77}.Encode()) // marks the first batch read
 				<-release
-				_, _ = conn.Write(rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapPart, Events: dump[2:]}.Encode())
-				_, _ = conn.Write(rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapFinal, SnapSeq: 9, SnapLastAt: 3}.Encode())
+				_, _ = conn.Write(rtwire.WalBatch{Epoch: 1, FirstSeq: 3, Events: events[2:]}.Encode())
 				_, _ = io.Copy(io.Discard, br)
 			}(conn)
 		}
@@ -66,7 +65,7 @@ func TestFollowDumpOutlivesStaleLoss(t *testing.T) {
 	defer c.Close()
 	for end := time.Now().Add(10 * time.Second); c.Stats.MaxPrimarySeq.Load() != 77; time.Sleep(time.Millisecond) {
 		if time.Now().After(end) {
-			t.Fatal("the first chunk never arrived")
+			t.Fatal("the first batch never arrived")
 		}
 	}
 	c.PostLoss()
@@ -76,17 +75,19 @@ func TestFollowDumpOutlivesStaleLoss(t *testing.T) {
 		t.Fatal("the stale loss never reached Retry")
 	}
 	close(release)
-	select {
-	case b := <-applied:
-		if b.Snap != rtwire.SnapFinal || b.SnapSeq != 9 || !reflect.DeepEqual(b.Events, dump) {
-			t.Fatalf("Apply got %+v, want one SnapFinal at 9 carrying the whole dump %q", b, dump)
+	for _, want := range []rtwire.WalBatch{{Epoch: 1, FirstSeq: 1, Events: events[:2]}, {Epoch: 1, FirstSeq: 3, Events: events[2:]}} {
+		select {
+		case b := <-applied:
+			if !reflect.DeepEqual(b, want) {
+				t.Fatalf("Apply got %+v, want %+v", b, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("batch at %d never reached Apply", want.FirstSeq)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the dump never reached Apply")
 	}
 	select {
 	case b := <-applied:
-		t.Fatalf("a second batch reached Apply: %+v", b)
+		t.Fatalf("a third batch reached Apply: %+v", b)
 	case <-time.After(50 * time.Millisecond):
 	}
 	if n := len(accepted); n != 1 {

@@ -570,53 +570,6 @@ func TestGroupTailPublishAfterCommit(t *testing.T) {
 	}
 }
 
-// TestGroupDumpStateCommitsWindow: a full-state resync is shipping too, so
-// it never hands a follower events the primary could still lose — DumpState
-// commits the open window first and its seq is the durable tail. If that
-// commit fails there is no dump, only the poison error.
-func TestGroupDumpStateCommitsWindow(t *testing.T) {
-	mem := faultfs.NewMem(11)
-	l, err := Open(groupOptions(mem, time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var tickets []*Ticket
-	for _, e := range []Event{Image("temp", 5), Sample(1, "temp", "a")} {
-		tk, err := l.AppendTicket(e, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	if ds, sq := l.DurableSeq(), l.Seq(); ds >= sq {
-		t.Fatalf("window not open: DurableSeq=%d Seq=%d", ds, sq)
-	}
-	dump, seq, _, err := l.DumpState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds := l.DurableSeq(); seq != ds || seq != 2 || len(dump) != 2 {
-		t.Fatalf("dump of %d events at seq %d with DurableSeq %d, want 2 at the durable tail 2", len(dump), seq, ds)
-	}
-	for i, tk := range tickets {
-		if !tk.Resolved() || tk.Wait() != nil {
-			t.Fatalf("ticket %d not committed by the dump", i)
-		}
-	}
-
-	if _, err := l.AppendTicket(Sample(2, "temp", "b"), false); err != nil {
-		t.Fatal(err)
-	}
-	mem.FailSync(mem.Syncs() + 1)
-	if dump, _, _, err := l.DumpState(); !errors.Is(err, faultfs.ErrInjected) || dump != nil {
-		t.Fatalf("dump over a failing commit: %d events, err %v; want the injected fsync error", len(dump), err)
-	}
-	if l.Err() == nil {
-		t.Fatal("the failed commit must poison the log")
-	}
-}
-
 // TestGroupAmortizedCostGate is the deterministic CI-safe form of the
 // benchmark acceptance gate: on the faultfs.Mem op clock — fsyncs cost
 // ~144µs, buffered writes ~2µs, the ratio of a real disk — 64 lockstep

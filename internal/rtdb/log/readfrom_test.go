@@ -136,7 +136,7 @@ func TestReadFromTwoFollowers(t *testing.T) {
 
 // TestReadFromAcrossSegmentsAndCompaction: a position walks over segment
 // boundaries as a fresh one does, and one whose segment compaction removed
-// is located again — served if its events survive, told to resync if not.
+// is located again — served if its events survive, told they are gone if not.
 func TestReadFromAcrossSegmentsAndCompaction(t *testing.T) {
 	l, err := Open(Options{Dir: t.TempDir(), SegmentSize: 64})
 	if err != nil {
@@ -229,7 +229,8 @@ func TestAdvancedFiresOnCloseAndPoison(t *testing.T) {
 // TestReadFromCompactedMidRead: the frames are read outside the log's mutex
 // (the hook below would deadlock otherwise), so Compact can delete a segment
 // between a read's placement and its open. The reader is told its position
-// was compacted away — the resync path — not that the log is damaged.
+// was compacted away — the answer a sender refuses its follower with — not
+// that the log is damaged.
 func TestReadFromCompactedMidRead(t *testing.T) {
 	var l *Log
 	compact := false
@@ -266,8 +267,8 @@ func TestReadFromCompactedMidRead(t *testing.T) {
 // TestReadFromHammer: readers stream a log through ReadFrom and Advanced
 // while grouped writers append to it, segments rotate under them and an
 // antagonist snapshots and compacts. Every reader must be handed a gap-free
-// run of sequences that were durable when it read them, resync (as a sender
-// does) when its position is compacted away, and finish at the tail. Run
+// run of sequences that were durable when it read them, jump to the durable
+// tail when its position is compacted away, and finish at the tail. Run
 // under -race: the frames are read outside the log's mutex.
 func TestReadFromHammer(t *testing.T) {
 	const writers, perWriter, readers = 4, 400, 3
@@ -325,12 +326,7 @@ func TestReadFromHammer(t *testing.T) {
 				from := pos.Seq
 				got, err := l.ReadFrom(pos, batch)
 				if errors.Is(err, ErrSeqCompacted) {
-					_, seq, _, err := l.DumpState()
-					if err != nil {
-						t.Errorf("DumpState: %v", err)
-						return
-					}
-					pos = &ReadPos{Seq: seq}
+					pos = &ReadPos{Seq: l.DurableSeq()}
 					continue
 				}
 				if err != nil {
@@ -409,7 +405,10 @@ func olderSegment(name string, newest uint64) bool {
 // TestPreSnapshotIndexOnDemand: Open indexes only the segments it replays,
 // and the segments behind the snapshot are counted the first time a reader
 // asks for a sequence in them — outside the log's mutex, so an append never
-// waits on the count, and never installing a segment Compact removed.
+// waits on the count, and never installing a segment Compact removed. A
+// segment there that cannot be read ends the count: the sequences behind it
+// answer ErrSeqCompacted, the one way a log never compacted gives that
+// answer, and the segments after it still stream.
 func TestPreSnapshotIndexOnDemand(t *testing.T) {
 	const n = 60
 	t.Run("open_reads_no_older_segment", func(t *testing.T) {
@@ -484,6 +483,30 @@ func TestPreSnapshotIndexOnDemand(t *testing.T) {
 		}
 		if _, err := l.ReadFrom(&ReadPos{Seq: 0}, n); !errors.Is(err, ErrSeqCompacted) {
 			t.Fatalf("ReadFrom(0) after Compact: err = %v, want ErrSeqCompacted", err)
+		}
+	})
+	t.Run("torn_segment_behind_the_snapshot", func(t *testing.T) {
+		l, _, onDisk := preSnapLog(t, n, new(func(string)))
+		var ends [4][]int64 // where each frame of segments 1..3 ends
+		for seg := uint64(1); seg <= 3; seg++ {
+			l.scanSegment(seg, 0, -1, newReader(), func(_ []byte, end int64) bool { ends[seg] = append(ends[seg], end); return true })
+		}
+		// Tear segment 2 in half, one byte into a frame, and reopen.
+		if err := l.opts.FS.Truncate("wal/"+segName(2), ends[2][len(ends[2])/2]+1); err != nil || l.Close() != nil {
+			t.Fatalf("tearing segment 2: %v", err)
+		}
+		l, err := Open(l.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if _, err := l.ReadFrom(&ReadPos{Seq: 0}, n); !errors.Is(err, ErrSeqCompacted) {
+			t.Fatalf("ReadFrom(0) behind a torn segment: err = %v, want ErrSeqCompacted", err)
+		}
+		first := len(ends[1]) + len(ends[2]) // the last sequence before segment 3
+		want := onDisk[first : first+len(ends[3])]
+		if got, err := l.ReadFrom(&ReadPos{Seq: uint64(first)}, len(want)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadFrom(%d), the first intact segment: %q, err %v; want its bytes %q", first, got, err, want)
 		}
 	})
 	t.Run("append_while_the_count_is_blocked", func(t *testing.T) {

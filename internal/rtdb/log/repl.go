@@ -8,33 +8,31 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-
-	"rtc/internal/timeseq"
 )
 
 // This file is the log's replication surface: sequence-addressed reads over
 // the on-disk segments through a position the follower's sender keeps, the
-// wake-up a caught-up sender sleeps on, state bootstrap (full resync when
-// the requested sequence was compacted away), and the persisted fencing
-// epoch. The segments are the only source replication reads: there is no
-// in-memory copy of the tail to fall behind, overflow or fall back from.
-// Replication moves record payloads, not events: ReadFrom hands back the
-// bytes as framed and a follower's AppendBatch frames them unchanged, so the
-// record format stays in this package.
+// wake-up a caught-up sender sleeps on, and the persisted fencing epoch. The
+// segments are the only source replication reads: there is no in-memory
+// copy of the tail, and no folded state to ship instead. Replication moves
+// record payloads, not events: ReadFrom hands back the bytes as framed and a
+// follower's AppendBatch frames them unchanged, so every replicated log is a
+// byte prefix of its primary's and the record format stays in this package.
 //
 // The sequence number of an event is its 1-based position in the log:
 // State.Events after a successful Append IS the appended event's sequence.
 // Replication therefore needs no new on-disk format — only an index from
 // segment to the sequence of its first frame.
 
-// Replication errors. Both are expected protocol states, not damage: the
-// primary answers ErrSeqFuture with a rejection (the follower is ahead —
-// a fencing violation) and ErrSeqCompacted with a full-state resync.
+// Replication errors. Both are expected protocol states, not damage, and
+// the primary answers both with one refusal: this log cannot extend the
+// follower's.
 var (
 	// ErrSeqFuture: the requested sequence is beyond the log's tail.
 	ErrSeqFuture = errors.New("log: sequence beyond the log tail")
 	// ErrSeqCompacted: the events after the requested sequence are no
-	// longer on disk — compaction removed their segments.
+	// longer readable — Compact removed their segments, or a sealed segment
+	// behind Open's snapshot cannot be read (see countPreSnap).
 	ErrSeqCompacted = errors.New("log: sequence compacted away")
 )
 
@@ -78,8 +76,9 @@ func (l *Log) shippableLocked() uint64 {
 // only to place the read, not for the read itself: frames at or below the
 // shippable tail never change, so appends do not wait on a reader's I/O.
 // It returns ErrSeqFuture when pos.Seq is past the shippable tail,
-// ErrSeqCompacted when the events after it are no longer on disk, and no
-// events when the reader is caught up (Advanced is what to wait on then).
+// ErrSeqCompacted when the events after it are no longer readable — either
+// way this log cannot extend the reader's — and no events when the reader is
+// caught up (Advanced is what to wait on then).
 func (l *Log) ReadFrom(pos *ReadPos, max int) ([]string, error) {
 	p, skip, n, err := l.placeRead(*pos, max)
 	if err == errUnindexed {
@@ -155,7 +154,7 @@ func (l *Log) placeRead(pos ReadPos, max int) (p ReadPos, skip uint64, n int, er
 	// Not located yet, or compaction removed the segment under it. The
 	// start segment is the one with the largest first-sequence that is
 	// still ≤ Seq+1; if none qualifies the target predates every indexed
-	// segment and only a full resync can serve it.
+	// segment and this log cannot serve it.
 	var first uint64
 	for seg, f := range l.segFirstSeq {
 		if f <= pos.Seq+1 && f > first {
@@ -279,7 +278,7 @@ type preSnapIndex struct {
 // frames are counted outside the mutex — sealed segments never change, nor
 // does the active one below the snapshot position — so appends do not wait
 // on the count, and installed under it, minus the segments Compact removed
-// meanwhile: a reader that needed those is told to resync in full.
+// meanwhile: a reader that needed those gets ErrSeqCompacted.
 func (l *Log) indexPreSnap() {
 	l.mu.Lock()
 	pre := l.preSnap
@@ -302,9 +301,9 @@ func (l *Log) indexPreSnap() {
 
 // countPreSnap returns the first sequence of the snapshot's segment and of
 // each earlier segment back to the first gap in their numbering. An
-// unreadable pre-snapshot region is not fatal: the count stops there, and
-// catch-up requests that need the segments behind it fall back to a full
-// resync.
+// unreadable pre-snapshot region is not fatal: the count stops there, and a
+// read that needs the segments behind it gets ErrSeqCompacted — the one way
+// a log that was never compacted answers it.
 func (l *Log) countPreSnap(pre *preSnapIndex) map[uint64]uint64 {
 	rd := newReader()
 	firsts := map[uint64]uint64{}
@@ -328,92 +327,6 @@ func (l *Log) countPreSnap(pre *preSnapIndex) map[uint64]uint64 {
 		firsts[prev] = first
 	}
 	return firsts
-}
-
-// DumpState renders the current state as the record payloads of a
-// replayable event sequence, with the sequence number and last timestamp it
-// stands for — a full-state resync. The state is only shippable once it is
-// durable, so with Sync set DumpState first commits the pending batches;
-// if that fsync fails it returns the poison error instead of a dump.
-func (l *Log) DumpState() ([]string, uint64, timeseq.Time, error) {
-	l.mu.Lock()
-	if l.shippableLocked() < l.st.Events {
-		err := l.usableLocked()
-		if err == nil {
-			err = l.syncLocked()
-		}
-		if err != nil {
-			l.mu.Unlock()
-			return nil, 0, 0, err
-		}
-	}
-	var events []Event
-	l.st.visit(func(e Event) { events = append(events, e) })
-	seq, lastAt := l.st.Events, l.st.LastAt
-	l.mu.Unlock()
-	// Rendered unlocked, so appends wait for the visit only.
-	dump, buf := make([]string, len(events)), []byte(nil)
-	for i, e := range events {
-		buf = AppendEvent(buf[:0], e)
-		dump[i] = string(buf[frameHeaderSize:])
-	}
-	return dump, seq, lastAt, nil
-}
-
-// DecodeDump rebuilds the state a dump stands for — the payloads of
-// DumpState, its sequence and last timestamp — for Bootstrap to lay down. A
-// payload that does not decode or apply refuses the whole dump.
-func DecodeDump(payloads []string, seq uint64, lastAt timeseq.Time) (*State, error) {
-	st := NewState()
-	for i, p := range payloads {
-		e, ok := DecodeEvent(p)
-		if !ok {
-			return nil, fmt.Errorf("log: dump rejected: undecodable record %d", i+1)
-		}
-		if err := st.Apply(e); err != nil {
-			return nil, fmt.Errorf("log: dump rejected: %w", err)
-		}
-	}
-	st.Events, st.LastAt = seq, lastAt
-	return st, nil
-}
-
-// Bootstrap replaces the log directory's contents with st, a DecodeDump
-// result, aligned so the next append gets sequence st.Events+1 — the
-// follower-side terminal of a full-state resync. The fencing epoch file, if
-// present, is preserved: resync changes a node's data, not its identity.
-// The state is persisted as a snapshot before Bootstrap returns, so a crash
-// right after recovers to exactly this state.
-func Bootstrap(opts Options, st *State) (*Log, error) {
-	opts.defaults()
-	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
-		return nil, err
-	}
-	names, err := opts.FS.ReadDir(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		_, isSeg := parseSeq(name, "seg-", ".wal")
-		_, isSnap := parseSeq(name, "snap-", ".snap")
-		if isSeg || isSnap {
-			if err := opts.FS.Remove(filepath.Join(opts.Dir, name)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	l := &Log{opts: opts, fs: opts.FS, st: st}
-	l.epoch = l.readEpoch()
-	l.segFirstSeq = map[uint64]uint64{1: st.Events + 1}
-	if err := l.openSegment(1, 0); err != nil {
-		return nil, err
-	}
-	l.stats.Segments = 1
-	if err := l.snapshotLocked(); err != nil {
-		l.f.Close()
-		return nil, err
-	}
-	return l, nil
 }
 
 // epochName is the fencing-epoch file: one framed record ["EPOCH", n].

@@ -36,7 +36,7 @@ func payloadsOf(events []Event) []string {
 // TestReadSinceGaps is the table-driven gap battery for Subscribe handling —
 // a fresh ReadFrom position at the follower's afterSeq, as a new
 // subscription starts: afterSeq past the tail, inside a compacted-away
-// segment (forces a full resync), exactly at a segment boundary, at the
+// segment (refused, as past the tail is), exactly at a segment boundary, at the
 // tail, and mid-segment.
 func TestReadSinceGaps(t *testing.T) {
 	// Small segments so the log rotates: each Append is ~20 bytes, so
@@ -79,7 +79,7 @@ func TestReadSinceGaps(t *testing.T) {
 		l, _ := mk(t, true)
 		defer l.Close()
 		// After Snapshot+Compact only the active segment survives; a
-		// subscriber that is far behind must be told to resync in full.
+		// subscriber that is far behind is told its events are gone.
 		if _, err := l.ReadFrom(&ReadPos{Seq: 0}, 100); !errors.Is(err, ErrSeqCompacted) {
 			t.Fatalf("afterSeq in compacted segment: err = %v, want ErrSeqCompacted", err)
 		}
@@ -206,63 +206,6 @@ func TestAdvancedWakesPerAppend(t *testing.T) {
 	if !idle {
 		t.Fatal("a fired wake-up channel was kept: appends with no waiter must find nil")
 	}
-}
-
-func TestBootstrapAlignsSequence(t *testing.T) {
-	// Source log with some history.
-	src, err := Open(Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	events := fillLog(t, src, 12)
-	dump, seq, lastAt, err := src.DumpState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 12 {
-		t.Fatalf("dump seq = %d, want 12", seq)
-	}
-
-	dir := t.TempDir()
-	st, err := DecodeDump(dump, seq, lastAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := Bootstrap(Options{Dir: dir}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := src.State().Diff(dst.State()); diff != "" {
-		t.Fatalf("bootstrapped state diverges: %s", diff)
-	}
-	// The next append must get seq+1, as if the follower had replayed the
-	// whole prefix.
-	if err := dst.Append(Sample(100, "temp", "x")); err != nil {
-		t.Fatal(err)
-	}
-	pos := &ReadPos{Seq: seq}
-	got, err := dst.ReadFrom(pos, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || pos.Seq != seq+1 {
-		t.Fatalf("post-bootstrap ReadFrom: %q to seq %d", got, pos.Seq)
-	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bootstrap persists its state as a snapshot: recovery restores it.
-	re, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.State().Events != seq+1 {
-		t.Fatalf("recovered Events = %d, want %d", re.State().Events, seq+1)
-	}
-	_ = events
 }
 
 func TestEpochPersistence(t *testing.T) {

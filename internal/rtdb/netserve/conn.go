@@ -376,7 +376,6 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 			return true
 		}
 		c.repl = true
-		c.n.replSubscribe(c, m.AfterSeq)
 		c.inflight.Add(1)
 		go c.serveReplication(m)
 	case rtwire.WalAck:

@@ -41,7 +41,6 @@ type WireMetrics struct {
 
 	HeartbeatsIn   atomic.Uint64 `metric:"net_heartbeats_in"`    // client heartbeats echoed
 	ReplBatchesOut atomic.Uint64 `metric:"net_repl_batches_out"` // WalBatch frames streamed to followers
-	ReplResyncs    atomic.Uint64 `metric:"net_repl_resyncs"`     // full-state resyncs forced by compaction
 
 	CorruptFrames      atomic.Uint64 `metric:"net_corrupt_frames"`       // inbound frames with byte damage (CRC/framing)
 	WriteTimeouts      atomic.Uint64 `metric:"net_write_timeouts"`       // connections cut on a failed/stalled write
@@ -60,7 +59,6 @@ type WireSnapshot struct {
 	WriteDrops, DecodeErrors             uint64
 
 	HeartbeatsIn, ReplBatchesOut uint64
-	ReplResyncs                  uint64
 
 	CorruptFrames, WriteTimeouts uint64
 	ReplStallEvictions           uint64

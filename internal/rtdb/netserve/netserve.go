@@ -319,7 +319,8 @@ func (n *Server) heartbeatSeq() uint64 {
 }
 
 // replSubscribe registers a follower connection in the durability registry
-// with the seq it claims to already hold. The claim is an implicit ack: a
+// with the seq it claims to already hold, once the sender's first read has
+// accepted it. The claim is an implicit ack: a
 // follower that reconnects already caught up — its final ack frame died
 // with the old connection — must still advance the watermark, or a fault
 // that eats exactly the last ack wedges ReplDurable forever.
@@ -449,15 +450,13 @@ func (n *Server) handle(nc net.Conn) {
 	c.readLoop(sr)
 
 	// Drain: stop the replication sender first (it exits on rstop, so the
-	// inflight wait below cannot deadlock on it), cancel the subscriptions
+	// inflight wait below cannot deadlock on it, and drops its follower's
+	// durability entry as it goes), cancel the subscriptions
 	// still attached, wait for in-flight queries/flushes to enqueue their
 	// responses, flush this connection's session so every sample it
 	// submitted is applied (SamplesIn == SamplesApplied survives mid-flight
 	// shutdown), announce the close, then let the writer finish the queue.
 	close(c.rstop)
-	if c.repl {
-		n.replForget(c)
-	}
 	c.subTeardown()
 	c.inflight.Wait()
 	_ = c.sess.Flush()

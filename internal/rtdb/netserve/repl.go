@@ -18,11 +18,14 @@ import (
 //	sleep when the read came back empty, until the log's shippable tail
 //	      moves (Advanced) — then read again
 //
-// with two exits: a position that compaction has removed forces a full-state
-// resync (chunked Snap frames) and the loop resumes after it; a follower
-// ahead of this log is refused. Under group commit the shippable tail is
-// the durable tail, so the read that follows a release returns that commit
-// batch and it ships as one frame.
+// with one refusal: a position this log cannot extend — past its tail
+// (ErrSeqFuture: history this node never wrote) or behind what is still
+// readable (ErrSeqCompacted) — is answered with Err{CodeStale} and the log's
+// error text. Only a position the first read accepted enters the durability
+// registry, until the loop ends, so a refused follower never moves
+// ReplDurable. Under group commit the shippable tail is the durable tail, so
+// the read that follows a release returns that commit batch and it ships as
+// one frame.
 //
 // The send window (opt.ReplWindow) bounds unacknowledged events in flight,
 // as the durability registry books them (replAck); a follower that stops
@@ -39,26 +42,27 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 	l := c.n.srv.WAL()
 	epoch := c.n.srv.Epoch()
 	pos := wal.ReadPos{Seq: sub.AfterSeq} // pos.Seq is the last sequence sent
+	registered := false
+	defer func() {
+		if registered {
+			c.n.replForget(c)
+		}
+	}()
 	for {
 		first := pos.Seq + 1
 		payloads, err := l.ReadFrom(&pos, c.n.opt.ReplBatch)
 		switch {
-		case errors.Is(err, wal.ErrSeqCompacted):
-			seq, ok := c.sendResync(l, epoch)
-			if !ok {
-				return
-			}
-			pos = wal.ReadPos{Seq: seq}
-			continue
-		case errors.Is(err, wal.ErrSeqFuture):
-			// The follower claims a longer log than ours: it has history
-			// we never wrote (a deposed-primary scenario). Refuse rather
-			// than stream a divergent suffix.
-			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeStale, Msg: "follower is ahead of this log"}.Encode())
+		case errors.Is(err, wal.ErrSeqFuture), errors.Is(err, wal.ErrSeqCompacted):
+			// Refuse rather than ship a divergent suffix or a hole.
+			c.tryEnqueue(rtwire.Err{Code: rtwire.CodeStale, Msg: err.Error()}.Encode())
 			return
 		case err != nil:
 			return // log closed or poisoned; the follower will redial
-		case len(payloads) > 0:
+		case !registered: // the first read accepted the follower's position
+			c.n.replSubscribe(c, sub.AfterSeq)
+			registered = true
+		}
+		if len(payloads) > 0 {
 			if !c.sendRepl(rtwire.WalBatch{
 				Epoch: epoch, FirstSeq: first, Events: payloads,
 			}.Encode()) {
@@ -80,36 +84,6 @@ func (c *conn) serveReplication(sub rtwire.Subscribe) {
 			return
 		}
 	}
-}
-
-// sendResync streams a full state dump in chunked Snap frames, returning
-// the sequence the dump corresponds to. The follower wipes its log and
-// bootstraps from the dump — the only recovery when the events it needs
-// were compacted away. A log that cannot make its state durable has no dump
-// to give: the connection is torn down and the follower redials.
-func (c *conn) sendResync(l *wal.Log, epoch uint64) (uint64, bool) {
-	payloads, seq, lastAt, err := l.DumpState()
-	if err != nil {
-		c.interruptRead()
-		return 0, false
-	}
-	c.n.Wire.ReplResyncs.Add(1)
-	for start := 0; start < len(payloads); start += c.n.opt.ReplBatch {
-		end := min(start+c.n.opt.ReplBatch, len(payloads))
-		if !c.sendRepl(rtwire.WalBatch{
-			Epoch: epoch, Snap: rtwire.SnapPart, Events: payloads[start:end],
-		}.Encode()) {
-			return 0, false
-		}
-		c.n.Wire.ReplBatchesOut.Add(1)
-	}
-	if !c.sendRepl(rtwire.WalBatch{
-		Epoch: epoch, Snap: rtwire.SnapFinal, SnapSeq: seq, SnapLastAt: lastAt,
-	}.Encode()) {
-		return 0, false
-	}
-	c.n.Wire.ReplBatchesOut.Add(1)
-	return seq, true
 }
 
 // awaitAcks blocks while the follower's unacked backlog — sent less what

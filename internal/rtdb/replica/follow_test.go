@@ -191,9 +191,9 @@ const undecodable = "$S@soon@temp@21$"
 //	(e) a live batch with an undecodable payload in the middle lands its
 //	    prefix durable, the server absorbs exactly that prefix, and the
 //	    batch fails;
-//	(f) a dump holding an undecodable payload is refused by DecodeDump: the
-//	    follower keeps its Seq, content and open log, and no resync is
-//	    counted.
+//	(f) a state-dump batch (Snap set), which no primary sends, is refused
+//	    before the log is touched: the follower keeps its Seq, content,
+//	    log and epoch, whatever epoch the batch carries.
 func TestFollowerProtocol(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -294,31 +294,20 @@ func TestFollowerProtocol(t *testing.T) {
 			},
 		},
 		{
-			name: "f/undecodable-dump", welcome: 1,
+			name: "f/snap-batch-refused", welcome: 1,
 			onSubscribe: func(s rtwire.Subscribe) [][]byte {
 				if s.AfterSeq == 0 { // the history to keep, then a cut
 					return [][]byte{batchOf(1, 1, 5), rtwire.Err{Code: rtwire.CodeClosed, Msg: "cut"}.Encode()}
 				}
-				dump := payloadsOf(testEvents(8))
-				dump[6] = undecodable
-				return [][]byte{
-					rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapPart, Events: dump}.Encode(),
-					rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapFinal, SnapSeq: 12, SnapLastAt: 8}.Encode(),
-				}
+				return [][]byte{rtwire.WalBatch{Epoch: 7, Snap: rtwire.SnapPart, Events: payloadsOf(testEvents(8))}.Encode()}
 			},
 			check: func(t *testing.T, p *stubPrimary, r *Replica) {
-				waitFor(t, "two refused dumps", func() bool { return p.subscribes.Load() >= 3 && p.cuts.Load() >= 3 })
-				if got := r.Seq(); got != 5 {
-					t.Fatalf("seq %d after a refused dump, want the previous 5", got)
+				waitFor(t, "two refused Snap batches", func() bool { return p.subscribes.Load() >= 3 && p.cuts.Load() >= 3 })
+				if seq, appends, epoch := r.Seq(), r.Log().Stats().Appends, r.Epoch(); seq != 5 || appends != 5 || epoch != 1 {
+					t.Fatalf("after Snap batches at epoch 7: seq %d, %d appends, epoch %d; want the log untouched at 5, 5, 1", seq, appends, epoch)
 				}
 				if d := diffLog(r, stateOf(t, testEvents(1))); d != "" {
-					t.Fatalf("content after a refused dump: %s", d)
-				}
-				if got := r.srv.Repl.Resyncs.Load(); got != 0 {
-					t.Fatalf("repl_resyncs %d after refused dumps, want 0", got)
-				}
-				if got := r.Log().Stats().Appends; got != 5 {
-					t.Fatalf("the log counts %d appends, want its 5: a refused dump must not reopen it", got)
+					t.Fatalf("content after a refused Snap batch: %s", d)
 				}
 			},
 		},
@@ -430,38 +419,6 @@ func TestAcksCoalesce(t *testing.T) {
 	}
 	if got := r.Seq(); got != batches || p.lastAck.Load() != got {
 		t.Fatalf("last ack %d, tail %d, want both %d", p.lastAck.Load(), got, batches)
-	}
-}
-
-// TestResyncCutMidDumpStartsOver: a full-state resync whose stream is cut
-// after part of the dump arrived starts over on the next stream: the part
-// already held is dropped, not bootstrapped in front of the dump sent again.
-func TestResyncCutMidDumpStartsOver(t *testing.T) {
-	events := testEvents(8)
-	dump := payloadsOf(events)
-	var streams atomic.Int64
-	p := newStubPrimary(t, 1, func(rtwire.Subscribe) [][]byte {
-		if streams.Add(1) == 1 {
-			return [][]byte{
-				rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapPart, Events: dump[:6]}.Encode(),
-				rtwire.Err{Code: rtwire.CodeClosed, Msg: "cut mid-dump"}.Encode(),
-			}
-		}
-		return [][]byte{
-			rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapPart, Events: dump}.Encode(),
-			rtwire.WalBatch{Epoch: 1, Snap: rtwire.SnapFinal, SnapSeq: 12, SnapLastAt: 8}.Encode(),
-		}
-	})
-	r := openStubFollower(t, p.addr(), wal.Options{Dir: "rwal", FS: faultfs.NewMem(9)}, nil)
-	r.Start()
-	if !r.WaitSeq(12, 10*time.Second) {
-		t.Fatalf("resync stuck at seq %d, want 12", r.Seq())
-	}
-	if d := diffLog(r, stateOf(t, events)); d != "" {
-		t.Fatalf("resynced state is not the dump: %s", d)
-	}
-	if got := r.srv.Repl.Resyncs.Load(); got != 1 {
-		t.Fatalf("repl_resyncs %d, want 1", got)
 	}
 }
 

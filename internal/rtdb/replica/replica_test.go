@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -135,44 +134,6 @@ func openTestReplica(t testing.TB, primary string, sc server.Config) *Replica {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// TestCompactedCatchupResyncs: when the events a fresh replica needs were
-// compacted away on the primary, the sender must fall back to a full-state
-// resync (snapshot frames → Bootstrap) and the states must still match.
-func TestCompactedCatchupResyncs(t *testing.T) {
-	lp, _, addr := newTestPrimary(t, 256, 8)
-	events := testEvents(60)
-	for _, e := range events {
-		if err := lp.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lp.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lp.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lp.ReadFrom(&wal.ReadPos{}, 1); !errors.Is(err, wal.ErrSeqCompacted) {
-		t.Fatalf("precondition: ReadFrom(0) = %v, want ErrSeqCompacted", err)
-	}
-
-	r := openTestReplica(t, addr, testServer())
-	defer r.Close()
-	r.Start()
-	if !r.WaitSeq(uint64(len(events)), 10*time.Second) {
-		t.Fatalf("resync stuck at %d, want %d", r.Seq(), len(events))
-	}
-	if got := r.srv.Repl.Resyncs.Load(); got == 0 {
-		t.Fatal("catch-up past compaction did not count a resync")
-	}
-	r.mu.Lock()
-	d := lp.State().Diff(r.log.State())
-	r.mu.Unlock()
-	if d != "" {
-		t.Fatalf("resynced state diverged: %s", d)
-	}
 }
 
 // TestApplyBatchDiscipline drives applyBatch directly: epoch fencing,

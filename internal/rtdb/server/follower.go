@@ -15,7 +15,7 @@ import (
 // This file is the follower role: a hot standby is a Server whose clock and
 // database move only with a replication stream. Its follower (package
 // replica) appends each shipped batch to the follower's log itself, then hands the
-// events to Replicate; a full-state resync goes through Resync; Promote
+// events to Replicate; Resync swaps the follower onto another log; Promote
 // flips the role once, one way, while sessions, connections and standing
 // queries stay where they are. What a follower refuses and how it serves
 // the rest are branches at the usual decision points: Session.InjectSample
@@ -28,7 +28,6 @@ type ReplMetrics struct {
 	EventsApplied   atomic.Uint64 `metric:"repl_events_applied"`   // events appended to the local log
 	DupSkipped      atomic.Uint64 `metric:"repl_dup_skipped"`      // duplicate events skipped (overlap with tail)
 	GapResubscribes atomic.Uint64 `metric:"repl_gap_resubscribes"` // batches past tail+1 → re-subscribe
-	Resyncs         atomic.Uint64 `metric:"repl_resyncs"`          // full-state bootstraps completed
 	StaleBatches    atomic.Uint64 `metric:"repl_stale_batches"`    // frames refused for an old fencing epoch
 	Reconnects      atomic.Uint64 `metric:"repl_reconnects"`       // re-subscribe attempts after a lost stream
 	Promotions      atomic.Uint64 `metric:"repl_promotions"`       // 0 or 1
@@ -104,13 +103,12 @@ func (s *Server) absorb(e wal.Event) bool {
 	return true
 }
 
-// Resync rebuilds a follower over a replaced log — the terminal of a
-// full-state resync. On the apply loop, with every off-loop reader of the
-// log held off, the follower's log is closed and open's takes its place;
-// the database is then rebuilt from the new log's state into a fresh
-// rtdb.DB, as New recovers one. Attached standing queries stay attached.
-// It returns the log open returned; a follower left with none is
-// incomplete.
+// Resync rebuilds a follower over a replaced log; no replication path calls
+// it today. On the apply loop, with every off-loop reader of the log held
+// off, the follower's log is closed and open's takes its place; the
+// database is then rebuilt from the new log's state into a fresh rtdb.DB,
+// as New recovers one. Attached standing queries stay attached. It returns
+// the log open returned; a follower left with none is incomplete.
 func (s *Server) Resync(open func() (*wal.Log, error)) (*wal.Log, error) {
 	var l *wal.Log
 	var err error

@@ -350,7 +350,7 @@ func (s *Server) DB() *rtdb.DB { return s.db }
 
 // WAL exposes the write-ahead log the replication senders ship from: nil
 // when the server runs without one, and nil on a follower — replicas do not
-// chain, and a follower's log is the only one Resync ever replaces.
+// chain. Only a follower's log is ever replaced, and only through Resync.
 func (s *Server) WAL() *wal.Log {
 	s.logMu.RLock()
 	defer s.logMu.RUnlock()

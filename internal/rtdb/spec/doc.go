@@ -19,10 +19,12 @@
 // follower, 004 stalled standby subscriber, 005 planned promotion, 006 the
 // sender only echoes, 007 promotion fences, 008 an idle link holds, 009 the
 // watchdog promotes, 010 own apply is not silence, 011 live tail, 012 the
-// log is the primary's bytes, 013 PromoteAfter needs beacons. SHARD-: 001
-// placement, 002 metrics rows, 003 per-shard replication. WAL- are laws, not
-// rows, in torture/invariants.go: 001 the durability bound, 002 one batch
-// window, 003 acked tickets a prefix, 004 the reference state, 005 reopen
-// idempotent, 006 liveness, 007 WAL conservation, 008 survivors exact, 009
-// horizon held. A torture law's message names the ID it checks.
+// log is the primary's bytes, 013 PromoteAfter needs beacons, 014 a follower
+// the log cannot extend is refused (on tcp and faultnet, whose log the row
+// sizes, snapshots and compacts). SHARD-: 001 placement, 002 metrics rows,
+// 003 per-shard replication. WAL- are laws, not rows, in
+// torture/invariants.go: 001 the durability bound, 002 one batch window, 003
+// acked tickets a prefix, 004 the reference state, 005 reopen idempotent,
+// 006 liveness, 007 WAL conservation, 008 survivors exact, 009 horizon held.
+// A torture law's message names the ID it checks.
 package spec

@@ -543,6 +543,46 @@ func replPromoteAfterNeedsBeacons(t *testing.T, mk maker) {
 	r.Close()
 }
 
+// REPL-014: a follower this log cannot extend — past its tail, or behind
+// what Compact left — is refused with Err{CodeStale}, shipped nothing, and
+// moves no watermark: repl_durable stays at or below wal_seq. A replica of
+// such a primary applies nothing and keeps re-subscribing; refused at once,
+// it hears no silence and does not promote, however long past PromoteAfter.
+func replRefusedFollower(t *testing.T, mk maker) {
+	const promoteAfter = 100 * time.Millisecond
+	tg := mk(t, setup{wal: wal.Options{SegmentSize: 256, SnapshotEvery: 1 << 20}})
+	tg.advance(t, 40)
+	watermark := func(stage string) {
+		t.Helper()
+		if mm := tg.metrics(t).Map(); mm["repl_durable"] > mm["wal_seq"] {
+			t.Errorf("%s: repl_durable %d past wal_seq %d", stage, mm["repl_durable"], mm["wal_seq"])
+		}
+	}
+	refused := func(afterSeq uint64, why error) {
+		t.Helper()
+		rc := tg.raw(t, "raw-follower", true)
+		defer rc.nc.Close()
+		rc.write(rtwire.Subscribe{AfterSeq: afterSeq, Follower: "raw"}.Encode())
+		if msg := rc.read(); msg != (rtwire.Err{Code: rtwire.CodeStale, Msg: why.Error()}) {
+			t.Errorf("Subscribe after %d: %+v, want Err{CodeStale, %q}", afterSeq, msg, why)
+		} else if msg, err := rc.next(100 * time.Millisecond); !isTimeout(err) {
+			t.Errorf("Subscribe after %d: %+v (%v) after the refusal, want nothing", afterSeq, msg, err)
+		}
+		watermark("Subscribe after " + strconv.FormatUint(afterSeq, 10))
+	}
+	refused(tg.log.Seq()+1000, wal.ErrSeqFuture)
+	must(t, tg.log.Snapshot())
+	must(t, tg.log.Compact())
+	refused(0, wal.ErrSeqCompacted)
+	r := tg.follower(t, replica.Config{PromoteAfter: promoteAfter}, nodeConfig(nil))
+	time.Sleep(5 * promoteAfter)
+	await(t, "the refused replica re-subscribing", func() bool { return r.Server().Repl.Reconnects.Load() >= 3 })
+	if rs := r.Server(); r.Seq() != 0 || rs.Repl.EventsApplied.Load() != 0 || rs.Role() != rtwire.RoleStandby || rs.Repl.Promotions.Load() != 0 {
+		t.Fatalf("a refused replica: seq %d, %d events applied, role %v", r.Seq(), rs.Repl.EventsApplied.Load(), rs.Role())
+	}
+	watermark("a refused replica")
+}
+
 // stallFS is a follower's own slow disk: while armed, every fsync takes a
 // second.
 type stallFS struct {

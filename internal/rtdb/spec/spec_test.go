@@ -16,8 +16,8 @@ import (
 
 // Target sets, by what a requirement needs of the node: every way a node
 // serves, every listener, every listener on a fabric, every primary listener,
-// every listener started as a primary (so a row can choose its log, or none,
-// or hold its apply loop).
+// every listener started as a primary (so a row can choose its log and its
+// segment size, or none, or hold its apply loop).
 var (
 	serving   = []string{"inproc", "tcp", "faultnet", "standby", "promoted"}
 	listeners = []string{"tcp", "faultnet", "standby", "promoted"}
@@ -76,6 +76,7 @@ var requirements = []struct {
 	{"REPL-011_live_tail", primaries},
 	{"REPL-012_log_is_primary_bytes", primaries},
 	{"REPL-013_promote_after_needs_beacons", []string{"standby"}},
+	{"REPL-014_refused_follower", fresh},
 	{"SHARD-001_placement", []string{"shards"}},
 	{"SHARD-002_metrics_rows", []string{"shards"}},
 	{"SHARD-003_replication", []string{"shards"}},
@@ -128,6 +129,7 @@ var rows = map[string]func(t *testing.T, mk maker){
 	"REPL-011_live_tail":                   replLiveTail,
 	"REPL-012_log_is_primary_bytes":        replLogIsPrimaryBytes,
 	"REPL-013_promote_after_needs_beacons": replPromoteAfterNeedsBeacons,
+	"REPL-014_refused_follower":            replRefusedFollower,
 	"SHARD-001_placement":                  shardPlacement,
 	"SHARD-002_metrics_rows":               shardMetricsRows,
 	"SHARD-003_replication":                shardReplication,

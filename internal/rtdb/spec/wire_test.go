@@ -550,14 +550,14 @@ var (
 		"net_samples_in", "net_queries_in", "net_asof_reads", "net_subs_in",
 		"net_pushes_out", "net_expired_on_arrival", "net_backpressure_frames",
 		"net_write_drops", "net_decode_errors", "net_heartbeats_in",
-		"net_repl_batches_out", "net_repl_resyncs", "net_corrupt_frames",
+		"net_repl_batches_out", "net_corrupt_frames",
 		"net_write_timeouts", "net_repl_stall_evictions",
 	}
 	primaryRowNames  = []string{"wal_seq", "wal_durable", "epoch", "repl_durable"}
 	followerRowNames = []string{
 		"wal_seq", "epoch", "repl_seq", "repl_epoch", "repl_batches_in",
 		"repl_events_applied", "repl_dup_skipped", "repl_gap_resubscribes",
-		"repl_resyncs", "repl_stale_batches", "repl_reconnects", "repl_promotions",
+		"repl_stale_batches", "repl_reconnects", "repl_promotions",
 	}
 )
 

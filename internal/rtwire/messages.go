@@ -229,17 +229,18 @@ type Subscribe struct {
 	Follower string // follower name, for the primary's logs
 }
 
-// Snap classifies a WalBatch: live events, one chunk of a full-state
-// resync, or the resync's terminating frame.
+// Snap classifies a WalBatch. Only SnapNone is ever sent: the two state-dump
+// values stay in the format (Version 4 encodes and decodes them, and the
+// golden fixtures pin them), but no node ships a dump, and a follower
+// refuses a batch carrying either one before it touches its log.
 const (
 	// SnapNone: Events are live WAL events, FirstSeq the first one's seq.
 	SnapNone uint8 = iota
-	// SnapPart: Events are one chunk of a state-dump resync; sequence
-	// numbers do not apply until the final chunk arrives.
+	// SnapPart: Events would be one chunk of a state dump. Sent by no node.
 	SnapPart
-	// SnapFinal: the resync is complete. SnapSeq/SnapLastAt are the WAL
-	// sequence and last timestamp the dumped state corresponds to; the
-	// follower bootstraps its log from the accumulated dump.
+	// SnapFinal: a state dump's terminating frame, SnapSeq/SnapLastAt the
+	// sequence and last timestamp the dumped state stands for. Sent by no
+	// node.
 	SnapFinal
 )
 

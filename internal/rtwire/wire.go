@@ -108,8 +108,7 @@ const (
 	// server streams every log event after AfterSeq (follower → primary).
 	KindSubscribe
 	// KindWalBatch carries a contiguous run of WAL events (primary →
-	// follower), or one chunk of a full-state resync when the requested
-	// sequence has been compacted away.
+	// follower), as the primary framed them.
 	KindWalBatch
 	// KindWalAck acknowledges application of events through Seq
 	// (follower → primary); it opens the primary's send window.
