@@ -197,10 +197,11 @@ rtdbd-smoke:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Every benchmark of the root package and the log, netserve and replica
-# packages, run once: they still build and run (BenchmarkReplicaCatchup and
-# BenchmarkNetFanout included). Seconds; CI runs this target.
-BENCH_SMOKE_PKGS = . ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/
+# Every benchmark of the root package and the log, netserve, replica and
+# server packages, run once: they still build and run (BenchmarkReplicaCatchup,
+# BenchmarkNetFanout and the BenchmarkInjectSample and BenchmarkAsOfRead that
+# DESIGN §11 quotes included). Seconds; CI runs this target.
+BENCH_SMOKE_PKGS = . ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/server/
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' $(BENCH_SMOKE_PKGS)
 

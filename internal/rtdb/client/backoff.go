@@ -15,9 +15,10 @@ import (
 // client's schedule is a private random walk between base and max, so
 // reconnects arrive spread out. The seed makes a single client's schedule
 // reproducible (the torture and unit suites rely on that) while different
-// seeds give different schedules. Dial and Query walk one each; every
-// re-attach — a subscription's resume, a follow stream's re-subscribe —
-// walks one through rejoin.
+// seeds give different schedules. Dial walks one, and so does a Query once
+// it retries: its seed is drawn when the call starts, the walk is built at
+// the first retry. Every re-attach — a subscription's resume, a follow
+// stream's re-subscribe — walks one through rejoin.
 type Backoff struct {
 	base, max time.Duration
 	prev      time.Duration
@@ -48,4 +49,16 @@ func (b *Backoff) Next() time.Duration {
 	}
 	b.prev = next
 	return next
+}
+
+// backoffSeed draws the seed of one more walk of this client's; the
+// golden-ratio multiplier spreads its walks, concurrent calls' included,
+// apart from each other.
+func (c *Client) backoffSeed() uint64 {
+	return c.opt.Seed + c.boSeq.Add(1)*0x9e3779b97f4a7c15
+}
+
+// backoff starts the walk of a seed backoffSeed drew.
+func (c *Client) backoff(seed uint64) *Backoff {
+	return NewBackoff(seed, c.opt.RetryBackoff, c.opt.RetryBackoffMax)
 }

@@ -72,3 +72,20 @@ func TestBackoffDegenerateRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkSeedsSpread: the n-th walk a client draws — a retrying Query's, a
+// subscription resume's, a follow stream's — is seeded Seed + n·φ·2⁶⁴, so a
+// Query that builds its walk only at its first retry still walks the
+// schedule its seed has always given, and successive walks differ.
+func TestWalkSeedsSpread(t *testing.T) {
+	c := newClient("127.0.0.1:1", Options{Seed: 42, RetryBackoff: 10 * time.Millisecond})
+	for n := uint64(1); n <= 3; n++ {
+		got := c.backoff(c.backoffSeed())
+		want := newBackoff(42+n*0x9e3779b97f4a7c15, 10*time.Millisecond, time.Second)
+		for i := 0; i < 16; i++ {
+			if g, w := got.Next(), want.Next(); g != w {
+				t.Fatalf("walk %d, step %d: %v, want %v", n, i, g, w)
+			}
+		}
+	}
+}

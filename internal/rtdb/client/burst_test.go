@@ -1,14 +1,17 @@
 package client_test
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"rtc/internal/encoding"
 	"rtc/internal/faultnet"
 	"rtc/internal/rtdb/client"
 	"rtc/internal/rtdb/server"
@@ -346,32 +349,96 @@ func TestFlusherFindsDeadSocket(t *testing.T) {
 	}
 }
 
-// TestSendAllocGates pins the send side beside rtwire's TestAllocGates: a
-// warm InjectSample allocates nothing, and the send half of a waited-on call
-// (Flush, Query) encodes into the connection's buffer, not a fresh slice.
+// TestSendAllocGates pins the client's hot paths beside rtwire's
+// TestAllocGates, with counts, which repeat where clocks do not: a warm
+// InjectSample allocates nothing, a warm Flush round trip at most 1, and a
+// warm Query round trip whose Result carries one answer at most 2 — the
+// answers slice and its string, which the caller keeps. The peer allocates
+// nothing itself (allocFreeNode), so every count is the client's.
 func TestSendAllocGates(t *testing.T) {
-	addr := fakeNode(t, 1, true, 1) // a sink: reads and discards
-	c, err := client.Dial(addr, client.Options{HeartbeatInterval: -1})
+	c, err := client.Dial(allocFreeNode(t, "21"), client.Options{HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	q := client.Query{Query: "status_q", Candidate: "ok", Deadline: 8, MinUseful: 1}
-	for name, send := range map[string]func() error{
-		"InjectSample": func() error { return c.InjectSample("temp", "21") },
-		"Flush+Query":  func() error { return c.SendWaited(q) },
+	for _, g := range []struct {
+		name string
+		max  float64
+		call func() error
+	}{
+		{"InjectSample", 0, func() error { return c.InjectSample("temp", "21") }},
+		{"Flush", 1, c.Flush},
+		{"Query", 2, func() error {
+			r, err := c.Query(q)
+			if err == nil && (len(r.Answers) != 1 || r.Answers[0] != "21") {
+				err = fmt.Errorf("answers %q, want [21]", r.Answers)
+			}
+			return err
+		}},
 	} {
 		var err error
 		// AllocsPerRun warms up with one call of its own.
 		if allocs := testing.AllocsPerRun(200, func() {
-			if e := send(); e != nil {
+			if e := g.call(); e != nil {
 				err = e
 			}
-		}); allocs != 0 {
-			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}); allocs > g.max {
+			t.Errorf("%s: %v allocs per call, budget %v", g.name, allocs, g.max)
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", g.name, err)
 		}
 	}
+}
+
+// allocFreeNode is a one-connection peer that allocates nothing once it has
+// handshaken: it reads every frame into one buffer with ReadFrameBuf, takes
+// the request id from the payload's first field, and answers a Query with a
+// Result carrying answer and a Flush with a Flushed, each encoded into one
+// reused buffer. Any other frame it drops.
+func allocFreeNode(t *testing.T, answer string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := rtwire.ReadFrame(br); err != nil {
+			return
+		}
+		if _, err := conn.Write(rtwire.Welcome{Epoch: 1, Role: rtwire.RolePrimary}.Encode()); err != nil {
+			return
+		}
+		answers := []string{answer}
+		var rbuf, out []byte
+		for {
+			f, err := rtwire.ReadFrameBuf(br, &rbuf)
+			if err != nil {
+				return
+			}
+			sc := encoding.Scan(f.Payload)
+			raw, _, _ := sc.Next()
+			id, _ := encoding.ParseUint(raw)
+			switch f.Kind {
+			case rtwire.KindQuery:
+				out = rtwire.Result{ID: id, Match: true, Evaluated: true, Answers: answers}.AppendTo(out[:0])
+			case rtwire.KindFlush:
+				out = rtwire.Flushed{ID: id}.AppendTo(out[:0])
+			default:
+				continue
+			}
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
 }

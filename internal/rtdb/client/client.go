@@ -227,8 +227,11 @@ type Client struct {
 	shard    uint64 // this listener's shard index, from the Welcome
 	shards   uint64 // deployment width announced in the Welcome (>=1)
 
+	// pmu guards the calls waiting on a reply, by request id, and the
+	// waiters no call is using (call says when one comes back).
 	pmu     sync.Mutex
-	pending map[uint64]chan any
+	pending map[uint64]*waiter
+	idle    []*waiter
 
 	// smu guards the live subscription registry, keyed by the wire id of
 	// each subscription's current attachment (SubOpen/SubResume frame id).
@@ -301,7 +304,7 @@ func newClient(addr string, opt Options) *Client {
 	}
 	return &Client{
 		addrs: addrs, opt: opt,
-		pending: make(map[uint64]chan any),
+		pending: make(map[uint64]*waiter),
 		subs:    make(map[uint64]*Subscription),
 		kick:    make(chan struct{}, 1),
 		flushed: make(chan struct{}),
@@ -350,7 +353,7 @@ func Follow(addr string, opt Options, spec FollowSpec) *Client {
 // followLoop keeps the stream attached: connect and flush (connectOneLocked
 // queues the Subscribe) on the re-attach walk, wait for the loss, pause.
 func (c *Client) followLoop() {
-	bo := c.backoff()
+	bo := c.backoff(c.backoffSeed())
 	for lost := false; ; lost = true {
 		if lost && !c.sleep(bo.Next()) {
 			return
@@ -580,11 +583,22 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 			}
 			return
 		}
-		if f.Kind == rtwire.KindPush {
-			// The one kind that arrives in bulk decodes into a stack value;
-			// every other message is boxed for its waiting caller anyway.
+		// The kinds that arrive in bulk or that a hot path waits on decode
+		// into stack values: pushes, query results and flush acks.
+		switch f.Kind {
+		case rtwire.KindPush:
 			if m, err := rtwire.DecodePush(f); err == nil {
 				c.dispatchPush(m)
+			}
+			continue
+		case rtwire.KindResult:
+			if m, err := rtwire.DecodeResult(f); err == nil {
+				c.deliver(m.ID, reply{kind: f.Kind, res: m})
+			}
+			continue
+		case rtwire.KindFlushed:
+			if m, err := rtwire.DecodeFlushed(f); err == nil {
+				c.deliver(m.ID, reply{kind: f.Kind})
 			}
 			continue
 		}
@@ -592,18 +606,14 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 		if err != nil {
 			continue
 		}
-		// Replies reach deliver as the interface Decode already boxed.
+		// Every other reply reaches deliver as the interface Decode boxed.
 		switch m := msg.(type) {
-		case rtwire.Result:
-			c.deliver(m.ID, msg)
 		case rtwire.AsOfResult:
-			c.deliver(m.ID, msg)
+			c.deliver(m.ID, reply{kind: f.Kind, msg: msg})
 		case rtwire.Metrics:
-			c.deliver(m.ID, msg)
-		case rtwire.Flushed:
-			c.deliver(m.ID, msg)
+			c.deliver(m.ID, reply{kind: f.Kind, msg: msg})
 		case rtwire.SubAck:
-			c.deliver(m.ID, msg)
+			c.deliver(m.ID, reply{kind: f.Kind, msg: msg})
 		case rtwire.WalBatch:
 			if c.follow == nil || c.follow.Apply(m) != nil {
 				conn.Close() // unasked for, or refused: a follower re-subscribes
@@ -611,7 +621,7 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 			}
 			_ = c.send(func(b []byte) []byte { return rtwire.WalAck{Seq: c.follow.After()}.AppendTo(b) }, false, false)
 		case rtwire.Err:
-			if !c.deliver(m.ID, msg) {
+			if !c.deliver(m.ID, reply{kind: f.Kind, msg: msg}) {
 				if c.follow != nil {
 					// A refusal ends the attachment: a follower never sits
 					// connected and unfed.
@@ -647,16 +657,16 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 	}
 }
 
-// deliver hands a response to its waiting caller.
-func (c *Client) deliver(id uint64, msg any) bool {
+// deliver hands a reply to the call waiting on id; false: none is.
+func (c *Client) deliver(id uint64, r reply) bool {
 	c.pmu.Lock()
-	ch, ok := c.pending[id]
+	w, ok := c.pending[id]
 	if ok {
 		delete(c.pending, id)
 	}
 	c.pmu.Unlock()
 	if ok {
-		ch <- msg
+		w.ch <- r
 	}
 	return ok
 }
@@ -673,9 +683,9 @@ func (c *Client) failPending(gen int) {
 		return
 	}
 	c.pmu.Lock()
-	for id, ch := range c.pending {
+	for id, w := range c.pending {
 		delete(c.pending, id)
-		ch <- error(ErrConnDown)
+		w.ch <- reply{msg: ErrConnDown}
 	}
 	c.pmu.Unlock()
 	c.resumeSubs()
@@ -795,35 +805,87 @@ func (c *Client) flushLoop() {
 	}
 }
 
-// call sends an id-carrying frame and waits for its response.
-func (c *Client) call(id uint64, encode func([]byte) []byte) (any, error) {
-	ch := make(chan any, 1)
+// reply is what the read loop hands a waiting call: a Result as
+// DecodeResult left it, a Flushed by its kind alone, and any other reply —
+// an rtwire.Err, or the ErrConnDown of a dead connection, included — in msg,
+// as rtwire.Decode boxed it.
+type reply struct {
+	kind rtwire.Kind
+	res  rtwire.Result
+	msg  any
+}
+
+// waiter is one call's rendezvous with the read loop: the channel its reply
+// arrives on (capacity 1, so a sender never waits) and the timer that bounds
+// the wait. A warm call reuses one and allocates neither.
+type waiter struct {
+	ch    chan reply
+	timer *time.Timer
+}
+
+// call sends an id-carrying frame and waits for its reply.
+//
+// Its waiter comes from idle and goes back only when nothing can still send
+// on either of its channels: the reply was received and the timer stopped
+// before firing, or the call took its own entry out of pending — no reply is
+// on its way — and its timer was never armed or its tick was received.
+// go.mod's go 1.22 keeps the old timer semantics, where a timer that fired
+// may still hold its tick after Stop, so a waiter whose Stop reports false,
+// or whose reply is already on its way, is dropped, never Reset.
+func (c *Client) call(id uint64, encode func([]byte) []byte) (reply, error) {
 	c.pmu.Lock()
-	c.pending[id] = ch
+	var w *waiter
+	if n := len(c.idle); n > 0 {
+		w, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		w = &waiter{ch: make(chan reply, 1)}
+	}
+	c.pending[id] = w
 	c.pmu.Unlock()
 	if err := c.send(encode, true, true); err != nil {
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		return nil, err
+		c.release(id, w)
+		return reply{}, err
 	}
-	timer := time.NewTimer(c.opt.CallTimeout)
-	defer timer.Stop()
+	if w.timer == nil {
+		w.timer = time.NewTimer(c.opt.CallTimeout)
+	} else {
+		w.timer.Reset(c.opt.CallTimeout)
+	}
 	select {
-	case msg := <-ch:
-		if err, ok := msg.(error); ok {
-			if we, isWire := msg.(rtwire.Err); !isWire || we.Code != rtwire.CodeBackpressure {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: %v", ErrBackpressure, msg)
+	case r := <-w.ch:
+		if w.timer.Stop() {
+			c.pmu.Lock()
+			c.idle = append(c.idle, w)
+			c.pmu.Unlock()
 		}
-		return msg, nil
-	case <-timer.C:
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		return nil, ErrTimeout
+		if err, ok := r.msg.(error); ok {
+			if we, isWire := r.msg.(rtwire.Err); !isWire || we.Code != rtwire.CodeBackpressure {
+				return reply{}, err
+			}
+			return reply{}, fmt.Errorf("%w: %v", ErrBackpressure, r.msg)
+		}
+		return r, nil
+	case <-w.timer.C:
+		c.release(id, w)
+		return reply{}, ErrTimeout
 	}
+}
+
+// release takes a call's entry out of pending and, if the entry was still
+// there, puts its waiter back on idle: nobody took it to send a reply.
+func (c *Client) release(id uint64, w *waiter) {
+	c.pmu.Lock()
+	if c.pending[id] == w {
+		delete(c.pending, id)
+		c.idle = append(c.idle, w)
+	}
+	c.pmu.Unlock()
+}
+
+// unexpected is the error of a reply whose kind is not the one its call
+// asked for.
+func unexpected(r reply) error {
+	return fmt.Errorf("client: unexpected %s reply", r.kind)
 }
 
 // nextID allocates a request id (never 0; 0 marks connection-level Errs).
@@ -834,13 +896,16 @@ func (c *Client) nextID() uint64 { return c.ids.Add(1) }
 // the server-side remainder instead of resetting it.
 func (c *Client) Query(q Query) (Result, error) {
 	issue := time.Now()
-	// Each call walks its own jittered backoff; the golden-ratio multiplier
-	// spreads concurrent calls of one client apart as well.
-	bo := NewBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
-		c.opt.RetryBackoff, c.opt.RetryBackoffMax)
+	// Each call has a jittered walk of its own. Its seed is drawn now, as
+	// every walk's is, but the walk itself — a math/rand source seeded by
+	// hundreds of steps — is built only when the call first retries.
+	seed, bo := c.backoffSeed(), (*Backoff)(nil)
 	var lastErr error
 	for attempt := 0; attempt <= c.opt.RetryAttempts; attempt++ {
 		if attempt > 0 {
+			if bo == nil {
+				bo = c.backoff(seed)
+			}
 			if !c.sleep(bo.Next()) {
 				return Result{}, ErrClosed
 			}
@@ -852,7 +917,7 @@ func (c *Client) Query(q Query) (Result, error) {
 			Elapsed:   timeseq.Time(time.Since(issue) / c.opt.ChrononDuration),
 			MinUseful: q.MinUseful, Decay: q.Decay,
 		}
-		msg, err := c.call(id, wq.AppendTo)
+		rep, err := c.call(id, wq.AppendTo)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, ErrConnDown) {
@@ -874,10 +939,10 @@ func (c *Client) Query(q Query) (Result, error) {
 			}
 			return Result{}, err
 		}
-		r, ok := msg.(rtwire.Result)
-		if !ok {
-			return Result{}, fmt.Errorf("client: unexpected response %T", msg)
+		if rep.kind != rtwire.KindResult {
+			return Result{}, unexpected(rep)
 		}
+		r := rep.res
 		if c.Role() == rtwire.RoleStandby {
 			c.Stats.Degraded.Add(1)
 		}
@@ -911,13 +976,13 @@ func (c *Client) InjectSample(image, value string) error {
 // through which as-of reads are current.
 func (c *Client) AsOf(image string, at timeseq.Time) (value string, ok bool, horizon timeseq.Time, err error) {
 	id := c.nextID()
-	msg, err := c.call(id, rtwire.AsOf{ID: id, Image: image, At: at}.AppendTo)
+	rep, err := c.call(id, rtwire.AsOf{ID: id, Image: image, At: at}.AppendTo)
 	if err != nil {
 		return "", false, 0, err
 	}
-	r, isR := msg.(rtwire.AsOfResult)
+	r, isR := rep.msg.(rtwire.AsOfResult)
 	if !isR {
-		return "", false, 0, fmt.Errorf("client: unexpected response %T", msg)
+		return "", false, 0, unexpected(rep)
 	}
 	return r.Value, r.OK, r.Horizon, nil
 }
@@ -926,13 +991,13 @@ func (c *Client) AsOf(image string, at timeseq.Time) (value string, ok bool, hor
 // pairs (server rows first, then the net_* wire rows).
 func (c *Client) Metrics() (rtwire.Metrics, error) {
 	id := c.nextID()
-	msg, err := c.call(id, rtwire.MetricsReq{ID: id}.AppendTo)
+	rep, err := c.call(id, rtwire.MetricsReq{ID: id}.AppendTo)
 	if err != nil {
 		return rtwire.Metrics{}, err
 	}
-	m, ok := msg.(rtwire.Metrics)
+	m, ok := rep.msg.(rtwire.Metrics)
 	if !ok {
-		return rtwire.Metrics{}, fmt.Errorf("client: unexpected response %T", msg)
+		return rtwire.Metrics{}, unexpected(rep)
 	}
 	return m, nil
 }
@@ -941,12 +1006,12 @@ func (c *Client) Metrics() (rtwire.Metrics, error) {
 // been applied by the server.
 func (c *Client) Flush() error {
 	id := c.nextID()
-	msg, err := c.call(id, rtwire.Flush{ID: id}.AppendTo)
+	rep, err := c.call(id, rtwire.Flush{ID: id}.AppendTo)
 	if err != nil {
 		return err
 	}
-	if _, ok := msg.(rtwire.Flushed); !ok {
-		return fmt.Errorf("client: unexpected response %T", msg)
+	if rep.kind != rtwire.KindFlushed {
+		return unexpected(rep)
 	}
 	return nil
 }

@@ -1,9 +1,13 @@
 package client_test
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +16,7 @@ import (
 	"rtc/internal/rtdb/client"
 	"rtc/internal/rtdb/netserve"
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtwire"
 )
 
 func statusDerive(src map[string]rtdb.Value) rtdb.Value {
@@ -144,4 +149,130 @@ func TestClientEndToEnd(t *testing.T) {
 	if _, err := c.Query(client.Query{Query: "status_q"}); !errors.Is(err, client.ErrClosed) {
 		t.Fatalf("query after close: %v", err)
 	}
+}
+
+// TestLateReplyNeverReachesNextCall: a call's waiter is reused once the call
+// is done with it, so a reply that arrives after its call gave up must find
+// nobody waiting under its id — never the next call, on the reused waiter.
+// First, the peer holds each "held" query's Result until the next query
+// arrives, well after the held call's CallTimeout, then writes the stale
+// Result and the fresh one back to back: the fresh call must get its own
+// answer. The held call puts its waiter back when it times out, so from the
+// first round on a waiter is certainly reused. Then the peer answers each
+// "racing" query within half a millisecond of its timeout, so the reply races
+// the timer, while four goroutines call at once: every call must get its own
+// answer or an ErrTimeout that waited the whole timeout — never another
+// call's answer, nor the tick of a timer that fired for an earlier call.
+func TestLateReplyNeverReachesNextCall(t *testing.T) {
+	const timeout = 30 * time.Millisecond
+	addr := lateNode(t, timeout)
+	c, err := client.Dial(addr, client.Options{HeartbeatInterval: -1, CallTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// ask returns the call's error, or one naming the answer of another call.
+	ask := func(candidate string) error {
+		r, err := c.Query(client.Query{Query: "q", Candidate: candidate})
+		if err == nil && (len(r.Answers) != 1 || r.Answers[0] != candidate) {
+			err = fmt.Errorf("got the answers %q", r.Answers)
+		}
+		return err
+	}
+	for round := 0; round < 10; round++ {
+		k := strconv.Itoa(round)
+		if err := ask("held-" + k); !errors.Is(err, client.ErrTimeout) {
+			t.Fatalf("held call %d: err = %v, want ErrTimeout", round, err)
+		}
+		if c.IdleWaiters() == 0 {
+			t.Fatalf("round %d: the timed-out call's waiter is not back for the next call", round)
+		}
+		if err := ask("fresh-" + k); err != nil {
+			t.Fatalf("fresh call %d: %v", round, err)
+		}
+	}
+	// Four callers at once, so waiters also pass between goroutines.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				k := strconv.Itoa(g) + "-" + strconv.Itoa(round)
+				start := time.Now()
+				if err := ask("racing-" + k); err != nil && (!errors.Is(err, client.ErrTimeout) || time.Since(start) < timeout) {
+					t.Errorf("racing call %s: %v after %v", k, err, time.Since(start))
+					return
+				}
+				if err := ask("fresh-" + k); err != nil {
+					t.Errorf("fresh call after racing call %s: %v", k, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// lateNode is a one-connection peer that answers each Query with a Result
+// whose one answer is the query's Candidate. A "held-" query's Result waits
+// for the next query and is written just ahead of that one's; the i-th
+// "racing-" query's Result is written timeout + (i mod 21 − 10)·50µs after it
+// arrived; every other query is answered at once.
+func lateNode(t *testing.T, timeout time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var late sync.WaitGroup // racing replies not yet written
+	t.Cleanup(func() {
+		_ = ln.Close()
+		late.Wait()
+	})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := rtwire.ReadFrame(br); err != nil {
+			return
+		}
+		var mu sync.Mutex // racing replies write from their own goroutines
+		write := func(b []byte) {
+			mu.Lock()
+			_, _ = conn.Write(b)
+			mu.Unlock()
+		}
+		write(rtwire.Welcome{Epoch: 1, Role: rtwire.RolePrimary}.Encode())
+		var held []byte
+		for racing := 0; ; {
+			f, err := rtwire.ReadFrame(br)
+			if err != nil {
+				return
+			}
+			q, err := rtwire.DecodeQuery(f)
+			if err != nil {
+				continue
+			}
+			res := rtwire.Result{ID: q.ID, Evaluated: true, Answers: []string{q.Candidate}}.Encode()
+			switch {
+			case strings.HasPrefix(q.Candidate, "held-"):
+				held = res
+			case strings.HasPrefix(q.Candidate, "racing-"):
+				late.Add(1)
+				time.AfterFunc(timeout+time.Duration(racing%21-10)*50*time.Microsecond, func() {
+					defer late.Done()
+					write(res)
+				})
+				racing++
+			default:
+				write(append(held, res...))
+				held = nil
+			}
+		}
+	}()
+	return ln.Addr().String()
 }

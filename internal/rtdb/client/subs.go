@@ -145,15 +145,15 @@ func (c *Client) attach(s *Subscription, resume bool) error {
 		}
 		c.smu.Unlock()
 	}
-	msg, err := c.call(id, frame)
+	rep, err := c.call(id, frame)
 	if err != nil {
 		deregister()
 		return err
 	}
-	ack, ok := msg.(rtwire.SubAck)
+	ack, ok := rep.msg.(rtwire.SubAck)
 	if !ok {
 		deregister()
-		return fmt.Errorf("client: unexpected subscription response %T", msg)
+		return unexpected(rep)
 	}
 	if ack.State != rtwire.SubAdmitted {
 		deregister()
@@ -191,17 +191,11 @@ func (c *Client) resumeSubs() {
 // client shutdown ends the subscription with that error.
 func (c *Client) resumeLoop(s *Subscription) {
 	defer s.endResume()
-	if err := c.rejoin(c.backoff(), c.opt.RetryAttempts+1, func() error { return c.attach(s, true) }); err != nil {
+	if err := c.rejoin(c.backoff(c.backoffSeed()), c.opt.RetryAttempts+1, func() error { return c.attach(s, true) }); err != nil {
 		s.finish(err)
 		return
 	}
 	c.Stats.Resubscribes.Add(1)
-}
-
-// backoff starts a walk of its own, spread from the client's other walks.
-func (c *Client) backoff() *Backoff {
-	return NewBackoff(c.opt.Seed+c.boSeq.Add(1)*0x9e3779b97f4a7c15,
-		c.opt.RetryBackoff, c.opt.RetryBackoffMax)
 }
 
 // rejoin is the one re-attach walk, a resume's and the follow stream's: it

@@ -402,6 +402,40 @@ func olderSegment(name string, newest uint64) bool {
 	return ok && seg < newest
 }
 
+// TestPreSnapshotCutAtFrameBoundary: a sealed segment behind the snapshot
+// cut exactly at a frame boundary tears no frame, so no count fails, but the
+// counts then fall short of sequence 1. No read may hand a frame under
+// another frame's sequence: each answers ErrSeqCompacted or the frames the
+// files held at those sequences — ReadFrom(7) among the refused, and the
+// snapshot's own segment, which the snapshot anchors, among the served.
+func TestPreSnapshotCutAtFrameBoundary(t *testing.T) {
+	const n = 60
+	l, _, onDisk := preSnapLog(t, n, new(func(string)))
+	var ends []int64 // where each frame of segment 2 ends
+	l.scanSegment(2, 0, -1, newReader(), func(_ []byte, end int64) bool { ends = append(ends, end); return true })
+	// Cut segment 2 at the boundary just before its middle frame, and reopen.
+	if err := l.opts.FS.Truncate("wal/"+segName(2), ends[len(ends)/2-1]); err != nil || l.Close() != nil {
+		t.Fatalf("cutting segment 2: %v", err)
+	}
+	l, err := Open(l.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got, err := l.ReadFrom(&ReadPos{Seq: 7}, 3); !errors.Is(err, ErrSeqCompacted) {
+		t.Fatalf("ReadFrom(7) behind a cut segment: %q, err %v; want ErrSeqCompacted", got, err)
+	}
+	for from := 0; from < n; from++ {
+		got, err := l.ReadFrom(&ReadPos{Seq: uint64(from)}, 3)
+		if want := onDisk[from:min(from+3, n)]; err != nil && !errors.Is(err, ErrSeqCompacted) || err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadFrom(%d): %q, err %v; want ErrSeqCompacted or %q", from, got, err, want)
+		}
+	}
+	if got, err := l.ReadFrom(&ReadPos{Seq: n - 1}, 1); err != nil || !reflect.DeepEqual(got, onDisk[n-1:]) {
+		t.Fatalf("ReadFrom(%d), in the snapshot's segment: %q, err %v; want %q", n-1, got, err, onDisk[n-1:])
+	}
+}
+
 // TestPreSnapshotIndexOnDemand: Open indexes only the segments it replays,
 // and the segments behind the snapshot are counted the first time a reader
 // asks for a sequence in them — outside the log's mutex, so an append never

@@ -32,7 +32,7 @@ var (
 	ErrSeqFuture = errors.New("log: sequence beyond the log tail")
 	// ErrSeqCompacted: the events after the requested sequence are no
 	// longer readable — Compact removed their segments, or a sealed segment
-	// behind Open's snapshot cannot be read (see countPreSnap).
+	// behind Open's snapshot cannot be read or numbered (see countPreSnap).
 	ErrSeqCompacted = errors.New("log: sequence compacted away")
 )
 
@@ -299,32 +299,31 @@ func (l *Log) indexPreSnap() {
 	})
 }
 
-// countPreSnap returns the first sequence of the snapshot's segment and of
-// each earlier segment back to the first gap in their numbering. An
-// unreadable pre-snapshot region is not fatal: the count stops there, and a
-// read that needs the segments behind it gets ErrSeqCompacted — the one way
-// a log that was never compacted answers it.
+// countPreSnap returns the first sequence of the snapshot's segment, which
+// the snapshot's position anchors, and of each earlier segment back to the
+// first that is missing or unreadable; a read behind those gets
+// ErrSeqCompacted, the one way a log never compacted answers it. A count
+// that reaches segment 1 must land on sequence 1: a segment cut at a frame
+// boundary tears no frame, and a miss keeps the anchored segment alone.
 func (l *Log) countPreSnap(pre *preSnapIndex) map[uint64]uint64 {
 	rd := newReader()
-	firsts := map[uint64]uint64{}
 	n, err := l.countFrames(pre.pos.seg, pre.pos.off, rd)
 	if err != nil || n > pre.events {
-		return firsts
+		return nil
 	}
 	first := pre.events + 1 - n
-	firsts[pre.pos.seg] = first
-	prev := pre.pos.seg
-	for i := slices.Index(pre.segs, prev) - 1; i >= 0; i-- {
-		if pre.segs[i] != prev-1 {
-			return firsts // numbering gap: cannot chain counts further back
-		}
-		cnt, err := l.countFrames(pre.segs[i], -1, rd)
+	firsts := map[uint64]uint64{pre.pos.seg: first}
+	i := slices.Index(pre.segs, pre.pos.seg)
+	for ; i > 0 && pre.segs[i-1] == pre.segs[i]-1; i-- {
+		cnt, err := l.countFrames(pre.segs[i-1], -1, rd)
 		if err != nil || cnt >= first {
 			return firsts
 		}
 		first -= cnt
-		prev = pre.segs[i]
-		firsts[prev] = first
+		firsts[pre.segs[i-1]] = first
+	}
+	if pre.segs[i] == 1 && first != 1 {
+		return map[uint64]uint64{pre.pos.seg: pre.events + 1 - n}
 	}
 	return firsts
 }
