@@ -197,11 +197,12 @@ rtdbd-smoke:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Every benchmark of the root package and the log, netserve, replica and
-# server packages, run once: they still build and run (BenchmarkReplicaCatchup,
-# BenchmarkNetFanout and the BenchmarkInjectSample and BenchmarkAsOfRead that
-# DESIGN §11 quotes included). Seconds; CI runs this target.
-BENCH_SMOKE_PKGS = . ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/server/
+# Every benchmark of the root package and the rtwire, log, netserve, replica,
+# server and sub packages, run once: they still build and run
+# (BenchmarkReplicaCatchup, BenchmarkNetFanout and the BenchmarkInjectSample
+# and BenchmarkAsOfRead that DESIGN §11 quotes included). Seconds; CI runs
+# this target.
+BENCH_SMOKE_PKGS = . ./internal/rtwire/ ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/server/ ./internal/rtdb/sub/
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' $(BENCH_SMOKE_PKGS)
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -390,13 +391,94 @@ func TestSendAllocGates(t *testing.T) {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 	}
+
+	// A warm push whose answers equal a recent set is delivered in that
+	// set: decoding it and handing it to the consumer allocate nothing.
+	s, err := c.Subscribe(client.SubSpec{Query: "status_q", Period: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if e := c.InjectSample("temp", "21"); e != nil {
+			err = e
+		} else if p := <-s.Pushes(); len(p.Answers) != 1 || p.Answers[0] != "21" {
+			err = fmt.Errorf("answers %q, want [21]", p.Answers)
+		}
+	}); allocs > 0 {
+		t.Errorf("Push: %v allocs per push, budget 0", allocs)
+	}
+	if err != nil {
+		t.Fatalf("Push: %v", err)
+	}
+}
+
+// TestPushAnswersShared: the pushes of one tick to two subscriptions on one
+// connection arrive in one answers slice, which both consumers read at
+// once, and a tick whose answers change arrives with its own answers — never
+// a recent set of the same length or a prefix of it.
+func TestPushAnswersShared(t *testing.T) {
+	c, err := client.Dial(allocFreeNode(t, "21"), client.Options{HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec := client.SubSpec{Query: "status_q", Period: 8, Buffer: 64}
+	subs := make([]*client.Subscription, 2)
+	for i := range subs {
+		if subs[i], err = c.Subscribe(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Six distinct sets, more than the client keeps.
+	ticks := []string{"ok", "ok", "high", "ok", "ok,high", "ok,low", "ok", "low", "low", "ok,low,x"}
+	for _, v := range ticks {
+		if err := c.InjectSample("temp", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([][][]string, len(subs))
+	var wg sync.WaitGroup
+	for i, s := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range ticks {
+				select {
+				case p := <-s.Pushes():
+					got[i] = append(got[i], p.Answers)
+					_ = strings.Join(p.Answers, ",") // read while the other consumer reads
+				case <-time.After(10 * time.Second):
+					t.Errorf("subscription %d: %d of %d pushes", i, len(got[i]), len(ticks))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for k, v := range ticks {
+		a, b := got[0][k], got[1][k]
+		if strings.Join(a, ",") != v || strings.Join(b, ",") != v {
+			t.Fatalf("tick %d: answers %q and %q, want %q", k, a, b, v)
+		}
+		if &a[0] != &b[0] {
+			t.Errorf("tick %d: the two pushes hold separate slices, want one shared", k)
+		}
+	}
 }
 
 // allocFreeNode is a one-connection peer that allocates nothing once it has
 // handshaken: it reads every frame into one buffer with ReadFrameBuf, takes
 // the request id from the payload's first field, and answers a Query with a
 // Result carrying answer and a Flush with a Flushed, each encoded into one
-// reused buffer. Any other frame it drops.
+// reused buffer. A SubOpen it admits, and a Sample is a tick: one Push to
+// every admitted subscription, whose answers are the sample's value split at
+// commas — built anew only when the value changes. Any other frame it drops.
 func allocFreeNode(t *testing.T, answer string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -419,6 +501,10 @@ func allocFreeNode(t *testing.T, answer string) string {
 		}
 		answers := []string{answer}
 		var rbuf, out []byte
+		var subs []uint64
+		var ticks uint64
+		var value string
+		var tick []string
 		for {
 			f, err := rtwire.ReadFrameBuf(br, &rbuf)
 			if err != nil {
@@ -432,6 +518,23 @@ func allocFreeNode(t *testing.T, answer string) string {
 				out = rtwire.Result{ID: id, Match: true, Evaluated: true, Answers: answers}.AppendTo(out[:0])
 			case rtwire.KindFlush:
 				out = rtwire.Flushed{ID: id}.AppendTo(out[:0])
+			case rtwire.KindSubOpen:
+				subs = append(subs, id)
+				out = rtwire.SubAck{ID: id, State: rtwire.SubAdmitted}.AppendTo(out[:0])
+			case rtwire.KindSample:
+				if len(subs) == 0 {
+					continue
+				}
+				sc.Next() // the image
+				if raw, _, _ = sc.Next(); string(raw) != value {
+					value = string(raw)
+					tick = strings.Split(value, ",")
+				}
+				ticks++
+				out = out[:0]
+				for _, sub := range subs {
+					out = rtwire.Push{ID: sub, Cursor: ticks, Useful: 1, Evaluated: true, Answers: tick}.AppendTo(out)
+				}
 			default:
 				continue
 			}

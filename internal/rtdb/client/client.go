@@ -563,6 +563,7 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 	// One payload buffer for the connection's lifetime; Decode copies the
 	// field strings out before the next frame overwrites it.
 	var rbuf []byte
+	var recent answerRing
 	for {
 		sr.Next()
 		f, err := rtwire.ReadFrameBuf(br, &rbuf)
@@ -587,7 +588,7 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 		// into stack values: pushes, query results and flush acks.
 		switch f.Kind {
 		case rtwire.KindPush:
-			if m, err := rtwire.DecodePush(f); err == nil {
+			if m, err := recent.decodePush(f); err == nil {
 				c.dispatchPush(m)
 			}
 			continue
@@ -655,6 +656,33 @@ func (c *Client) readLoop(conn net.Conn, sr *rtwire.SilenceReader, br *bufio.Rea
 			return
 		}
 	}
+}
+
+// answerRing holds the answer sets of the last pushes one connection
+// decoded, so the pushes of one tick to many subscriptions share one set.
+// The server's writer drains its queues one by one, so the pushes of two
+// ticks interleave on the wire: one set would be evicted before its tick's
+// last push arrived.
+type answerRing struct {
+	sets [4][]string
+	next int
+}
+
+// decodePush decodes a push frame, sharing the answers of a recent set the
+// frame's answers equal, and remembers a fresh set in place of the oldest.
+func (a *answerRing) decodePush(f rtwire.Frame) (rtwire.Push, error) {
+	m, err := rtwire.DecodePushShared(f, a.sets[:])
+	if err != nil || len(m.Answers) == 0 {
+		return m, err
+	}
+	for _, set := range a.sets {
+		if len(set) > 0 && &set[0] == &m.Answers[0] {
+			return m, nil
+		}
+	}
+	a.sets[a.next] = m.Answers
+	a.next = (a.next + 1) % len(a.sets)
+	return m, nil
 }
 
 // deliver hands a reply to the call waiting on id; false: none is.

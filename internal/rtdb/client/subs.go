@@ -57,7 +57,9 @@ type Push struct {
 	// Degraded marks a push served by a hot standby from replicated state.
 	Degraded      bool
 	Issue, Served timeseq.Time // server chronons
-	Answers       []string
+	// Answers is read-only: pushes with equal answers, of one subscription
+	// or of several on the connection, may share one slice.
+	Answers []string
 }
 
 // Subscription is one attached standing query. Read pushes from Pushes();

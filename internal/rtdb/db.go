@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 
 	"rtc/internal/timeseq"
 	"rtc/internal/vtime"
@@ -161,12 +160,14 @@ type DB struct {
 	// listeners counts rules per event kind; raising an event no rule
 	// listens to can then skip building the event entirely.
 	listeners map[string]int
-	// view is the cached ViewNow result, dropped on every mutation.
+	// view is the cached ViewNow result. A sample updates its image's
+	// history in it; registering an object drops it.
 	view *View
 
-	deferred        []func()
-	deferredArmed   bool
-	fired           []string // firing log: "time:rule" for tests/diagnostics
+	deferred      []func()
+	deferredArmed bool
+	// fired holds the rule firings not yet taken by ClearFirings.
+	fired           []Firing
 	cascadeDepthCap int
 	raiseDepth      int
 	maxCascade      int
@@ -222,10 +223,18 @@ func (db *DB) AddImage(o *ImageObject) {
 	db.sched.Every(start, o.Period, prioSample, func() {
 		t := db.sched.Now()
 		v := o.Read(t)
-		o.history = append(o.history, Sample{At: t, Value: v})
-		db.view = nil
+		db.appendSample(o, Sample{At: t, Value: v})
 		db.raiseSample(o, t, v)
 	})
+}
+
+// appendSample extends an image's history and the cached view's copy of
+// its slice header.
+func (db *DB) appendSample(o *ImageObject, s Sample) {
+	o.history = append(o.history, s)
+	if db.view != nil {
+		db.view.Samples[o.Name] = o.history
+	}
 }
 
 // raiseSample raises the "sample:<name>" event for a fresh sample — unless
@@ -252,8 +261,7 @@ func (db *DB) InjectSample(name string, v Value) error {
 	if n := len(o.history); n > 0 && o.history[n-1].At > t {
 		return fmt.Errorf("rtdb: sample for %q at %d precedes last sample at %d", name, t, o.history[n-1].At)
 	}
-	o.history = append(o.history, Sample{At: t, Value: v})
-	db.view = nil
+	db.appendSample(o, Sample{At: t, Value: v})
 	db.raiseSample(o, t, v)
 	return nil
 }
@@ -382,9 +390,15 @@ func (db *DB) raise(e Event, depth int) {
 	}
 }
 
-// logFiring appends "time:rule" to the firing log.
+// Firing is one recorded rule firing.
+type Firing struct {
+	At   timeseq.Time
+	Rule string
+}
+
+// logFiring records a firing of rule at the current time.
 func (db *DB) logFiring(rule string) {
-	db.fired = append(db.fired, strconv.FormatUint(uint64(db.Now()), 10)+":"+rule)
+	db.fired = append(db.fired, Firing{At: db.Now(), Rule: rule})
 }
 
 func (db *DB) runAction(r Rule, e Event, depth int) {
@@ -405,8 +419,16 @@ func (db *DB) flushDeferred() {
 	}
 }
 
-// FiringLog returns the recorded rule firings ("time:rule").
-func (db *DB) FiringLog() []string { return db.fired }
+// Firings returns the rule firings recorded since the last ClearFirings,
+// oldest first. The slice is valid until the next firing or ClearFirings.
+func (db *DB) Firings() []Firing { return db.fired }
+
+// ClearFirings forgets the recorded firings, keeping the log's capacity:
+// a server that has logged them elsewhere holds none of them here.
+func (db *DB) ClearFirings() {
+	clear(db.fired)
+	db.fired = db.fired[:0]
+}
 
 // CascadeDepthMax returns the deepest rule cascade observed so far — an
 // observability hook for the serving layer's metrics block.
@@ -414,10 +436,13 @@ func (db *DB) CascadeDepthMax() int { return db.maxCascade }
 
 // ViewNow assembles the §5.1.3 View of the database's current state. The
 // maps and histories are shared, not copied: the view is a read-only window
-// valid until the database is next mutated, which is exactly the lifetime a
-// query evaluation inside a serializing apply loop needs. Between
-// mutations the view is cached (only its Now advances), so back-to-back
-// query evaluations stop paying a pair of map builds each.
+// onto the database, and it is cached. A sample overwrites its image's
+// history in the view's Samples map and Now advances on each call; only
+// registering an image, a derived object or an invariant builds it anew.
+// A holder must therefore finish with a view before the database is next
+// mutated, which is exactly the lifetime a query evaluation inside a
+// serializing apply loop has. Samples between queries then cost no map
+// builds.
 func (db *DB) ViewNow() *View {
 	if db.view == nil {
 		samples := make(map[string][]Sample, len(db.images))

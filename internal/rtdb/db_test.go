@@ -132,8 +132,8 @@ func TestFiringModes(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	if len(db.FiringLog()) != 3 {
-		t.Errorf("firing log = %v", db.FiringLog())
+	if len(db.Firings()) != 3 {
+		t.Errorf("firings = %v", db.Firings())
 	}
 }
 
@@ -257,5 +257,28 @@ func TestDBConsistency(t *testing.T) {
 	// added, at time 13): dispersion 27.
 	if db.RelativeConsistency(20) {
 		t.Error("large dispersion passed")
+	}
+}
+
+// TestViewFollowsSamples: a sample updates the cached view in place, so a
+// served database alternating samples and queries builds no view between
+// them and the view still shows every sample.
+func TestViewFollowsSamples(t *testing.T) {
+	db := New(vtime.New())
+	for i := 0; i < 65; i++ {
+		db.AddImage(&ImageObject{Name: "img" + strconv.Itoa(i), Period: 1})
+	}
+	db.ViewNow()
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := db.InjectSample("img7", "21"); err != nil {
+			t.Fatal(err)
+		}
+		db.ViewNow()
+	}); allocs != 0 {
+		t.Errorf("InjectSample + ViewNow: %v allocs/op, want 0", allocs)
+	}
+	img, _ := db.Image("img7")
+	if got, want := len(db.ViewNow().Samples["img7"]), len(img.History()); got != want || want != 201 {
+		t.Errorf("view holds %d samples of img7, the image %d, want 201", got, want)
 	}
 }

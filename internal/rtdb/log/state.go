@@ -21,7 +21,7 @@ type State struct {
 	Invariants map[string]string
 	Images     map[string]*ImageState
 	Derived    map[string]*DerivedState
-	Firings    []string     // "time:rule", mirroring rtdb.DB.FiringLog
+	Firings    []string     // "time:rule"
 	Queries    []QueryIssue // every admitted query issue, in log order
 	LastAt     timeseq.Time // largest timestamp applied
 	Events     uint64       // number of events applied

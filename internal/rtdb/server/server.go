@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -154,7 +153,6 @@ type Server struct {
 	db       *rtdb.DB
 	sched    *vtime.Scheduler
 	clock    atomic.Uint64
-	firings  int // length of db.FiringLog() already drained
 	lastSnap timeseq.Time
 	hist     atomic.Pointer[histSnap]
 
@@ -273,13 +271,11 @@ func (s *Server) recover(st *wal.State) error {
 	return err
 }
 
-// installRules installs cfg.Rules. The firing log drains from its current
-// length: empty by construction, since no rule ran before.
+// installRules installs cfg.Rules.
 func (s *Server) installRules() {
 	for _, r := range s.cfg.Rules {
 		s.db.AddRule(r)
 	}
-	s.firings = len(s.db.FiringLog())
 }
 
 // installSpec installs and write-ahead-logs the catalog.
@@ -561,19 +557,14 @@ func (s *Server) serveQuery(r request, now timeseq.Time) Response {
 	return resp
 }
 
-// drainFirings write-ahead-logs rule firings since the last drain and
-// updates the cascade metrics.
+// drainFirings write-ahead-logs the rule firings since the last drain, takes
+// them from the database and updates the cascade metrics.
 func (s *Server) drainFirings(now timeseq.Time) {
-	logged := s.db.FiringLog()
-	for _, f := range logged[s.firings:] {
+	for _, f := range s.db.Firings() {
 		s.Metrics.RuleFirings.Add(1)
-		rule := f
-		if i := strings.IndexByte(f, ':'); i >= 0 {
-			rule = f[i+1:]
-		}
-		s.walAppend(wal.Firing(now, rule))
+		s.walAppend(wal.Firing(now, f.Rule))
 	}
-	s.firings = len(logged)
+	s.db.ClearFirings()
 	if d := uint64(s.db.CascadeDepthMax()); d > s.Metrics.CascadeDepthMax.Load() {
 		s.Metrics.CascadeDepthMax.Store(d)
 	}

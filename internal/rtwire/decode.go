@@ -102,6 +102,30 @@ func (r *fieldReader) strs() []string {
 	return out
 }
 
+// shared reads every remaining field like strs, but returns the first of
+// recent that the fields equal byte for byte, in order and in number, and
+// allocates nothing. An escaped field never matches: it decodes fresh.
+func (r *fieldReader) shared(recent [][]string) []string {
+	for _, set := range recent {
+		if len(set) == 0 {
+			continue
+		}
+		sc, n := r.sc, 0 // look ahead on a copy
+		for raw, escaped, ok := sc.Next(); ok; raw, escaped, ok = sc.Next() {
+			if escaped || n == len(set) || string(raw) != set[n] {
+				n = -1
+				break
+			}
+			n++
+		}
+		if n == len(set) && !sc.Bad() {
+			r.sc, r.n = sc, r.n+n
+			return set
+		}
+	}
+	return r.strs()
+}
+
 // decay reads the three fields of a usefulness-decay shape.
 func (r *fieldReader) decay() Decay {
 	return Decay{ID: DecayID(r.upTo(uint64(DecayLinear))), Max: r.uint(), Span: r.time()}
@@ -303,12 +327,18 @@ func DecodeSubAck(f Frame) (m SubAck, err error) {
 
 // DecodePush decodes a KindPush frame: the answers slice and one string per
 // answer are all it allocates.
-func DecodePush(f Frame) (m Push, err error) {
+func DecodePush(f Frame) (Push, error) { return DecodePushShared(f, nil) }
+
+// DecodePushShared decodes a KindPush frame as DecodePush does, except when
+// the frame's answers equal one of recent byte for byte, in order and in
+// number, with no field escaped: Answers is then that slice itself and the
+// decode allocates nothing. A shared slice is read-only to every holder.
+func DecodePushShared(f Frame, recent [][]string) (m Push, err error) {
 	r := readFields(f, KindPush)
 	m.ID, m.Cursor, m.Dropped, m.Expired, m.Useful = r.uint(), r.uint(), r.uint(), r.uint(), r.uint()
 	m.Missed, m.Evaluated, m.Degraded = r.bool(), r.bool(), r.bool()
 	m.Issue, m.Served = r.time(), r.time()
-	m.Answers = r.strs()
+	m.Answers = r.shared(recent)
 	return m, r.end()
 }
 

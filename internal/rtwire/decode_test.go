@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -64,6 +66,38 @@ func checkAgainstOracle(t *testing.T, f Frame) {
 	if (terr == nil) != (wantErr == nil) || (terr == nil && !reflect.DeepEqual(typed, want)) {
 		t.Fatalf("%s %q: typed decoder = %#v, %v; oracle %#v, %v", f.Kind, f.Payload, typed, terr, want, wantErr)
 	}
+	if f.Kind == KindPush {
+		checkSharedPush(t, f)
+	}
+}
+
+// checkSharedPush holds DecodePushShared to DecodePush on one frame: with no
+// recent sets, with near misses of the frame's answers (one short, one more,
+// the last one changed) and with an equal set among them, which it must
+// return itself when the payload holds no escape pair.
+func checkSharedPush(t *testing.T, f Frame) {
+	t.Helper()
+	want, wantErr := DecodePush(f)
+	equal := slices.Clone(want.Answers)
+	var near [][]string
+	if n := len(equal); n > 0 {
+		changed := slices.Clone(equal)
+		changed[n-1] += "x"
+		near = append(near, slices.Clone(equal[:n-1]), append(slices.Clone(equal), "x"), changed)
+	}
+	for _, recent := range [][][]string{nil, near, append(near, equal)} {
+		got, err := DecodePushShared(f, recent)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q with recent %q: DecodePushShared = %#v, %v; DecodePush %#v, %v", f.Payload, recent, got, err, want, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		offered := len(recent) > len(near) && len(equal) > 0
+		if offered && &got.Answers[0] != &equal[0] && !bytes.ContainsRune(f.Payload, '%') {
+			t.Fatalf("%q with recent %q: decoded fresh, want the equal set shared", f.Payload, recent)
+		}
+	}
 }
 
 // hostilePayloads are record bytes chosen to sit on every accept/reject edge
@@ -98,14 +132,17 @@ var hostilePayloads = []string{
 	"$2@42@3@40@900$", // wal batch: snap out of range
 	"$2@42@2@40@900@e1@e%@2$",
 	"$5@0@3@1023$", "$5@4@3@1023$", "$5@3@9@1100$", // sub ack: state 0, 4, closed
-	"$5@3@1@1@9@0@1@1@1024@1026@ok@hi%@there$", // push with answers
-	"$5@3@1@1@9@0@1@1@1024@1026$",              // push without
-	"$5@3@1@1@9@0@1@2@1024@1026$",              // push: bool out of range
-	"$5@3@1@1@9@0@1@1@1024$",                   // push: one field short
-	"$5@status_q@8@1@6@1@1@2@9@4@16$",          // sub open
-	"$5@status_q@8@1@6@1@1@2@9@4$",             // sub open: no depth
-	"$5@status_q@8@2@6@2@2@1@10@0@16@3$",       // sub resume
-	"$5@status_q@8@2@6@2@2@1@10@0@16@x$",       // sub resume: bad cursor
+	"$5@3@1@1@9@0@1@1@1024@1026@ok@hi%@there$",         // push with answers
+	"$5@3@1@1@9@0@1@1@1024@1026$",                      // push without
+	"$5@3@1@1@9@0@1@1@1024@1026@a@b@c@d@e@f@g@h@i@j$",  // push: ten answers
+	"$5@3@1@1@9@0@1@1@1024@1026@a@b@c@d@e@f@g@h@%i@j$", // push: ten, one escaped
+	"$5@3@1@1@9@0@1@1@1024@1026@ok@ok@$",               // push: repeats, one empty
+	"$5@3@1@1@9@0@1@2@1024@1026$",                      // push: bool out of range
+	"$5@3@1@1@9@0@1@1@1024$",                           // push: one field short
+	"$5@status_q@8@1@6@1@1@2@9@4@16$",                  // sub open
+	"$5@status_q@8@1@6@1@1@2@9@4$",                     // sub open: no depth
+	"$5@status_q@8@2@6@2@2@1@10@0@16@3$",               // sub resume
+	"$5@status_q@8@2@6@2@2@1@10@0@16@x$",               // sub resume: bad cursor
 }
 
 // TestDecodeMatchesOracle runs the differential check over every message,
@@ -124,7 +161,8 @@ func TestDecodeMatchesOracle(t *testing.T) {
 
 // FuzzDecodeDifferential holds the one-pass decoders to the field-slice
 // oracle: arbitrary payload bytes under every kind byte are accepted or
-// rejected identically and decode to deep-equal messages.
+// rejected identically and decode to deep-equal messages, and a push decoded
+// against recent answer sets equals its fresh decode (checkSharedPush).
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, m := range allMessages() {
 		fr := frameOf(f, m.(encoder))
@@ -206,6 +244,12 @@ func TestAllocGates(t *testing.T) {
 	gate("DecodePush", 2, func() {
 		if _, err := DecodePush(pushFrame); err != nil {
 			t.Fatal(err)
+		}
+	})
+	recent := [][]string{{"high"}, {"ok"}}
+	gate("DecodePushShared", 0, func() {
+		if m, err := DecodePushShared(pushFrame, recent); err != nil || &m.Answers[0] != &recent[1][0] {
+			t.Fatalf("answers %q, err %v: want recent[1] itself", m.Answers, err)
 		}
 	})
 	sampleFrame := frameOf(t, Sample{ID: 7, Image: "temp", Value: "21"})
