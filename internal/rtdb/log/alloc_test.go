@@ -1,7 +1,10 @@
 package log
 
 import (
+	"runtime"
 	"testing"
+
+	"rtc/internal/timeseq"
 )
 
 // TestAllocGates pins the codec's allocation counts, which repeat exactly
@@ -44,5 +47,43 @@ func TestAllocGates(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("Log.Append of a sample, Sync off: %v allocs, want ≤ 2", n)
+	}
+}
+
+// TestFiringsAndQueriesKeepNoHeap: a firing or query record lives in its
+// segment and nowhere else. The state counts them; it does not keep them, so
+// after a warm-up 200 000 more (firing, query) pairs leave the log's live
+// heap, read after a collection, at most a byte a pair larger.
+func TestFiringsAndQueriesKeepNoHeap(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), SegmentSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendPairs := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			at := timeseq.Time(i)
+			if err := l.Append(Firing(at, "alarm")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(Query(at, "s1", "status_q", "ok", 1, 4, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const warm, pairs = 20_000, 200_000
+	appendPairs(0, warm)
+	before := liveHeap()
+	appendPairs(warm, pairs)
+	grown := float64(int64(liveHeap())-int64(before)) / pairs
+	t.Logf("live heap grew %.1f B per pair", grown)
+	if grown > 1 {
+		t.Errorf("live heap grew %.1f B per (firing, query) pair, want ≤ 1", grown)
 	}
 }

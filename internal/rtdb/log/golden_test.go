@@ -20,6 +20,56 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden WAL fixtures")
 
 const goldenFile = "testdata/golden_wal.txt"
 
+// readerFixtures are the fixtures no writer produces any more, kept for the
+// reader: the snapshot shape written while a snapshot re-emitted every
+// firing and query record. TestGoldenLegacySnapshot holds their bytes, and
+// TestGoldenDirectoryOpens and FuzzSnapshotLoad open them.
+var readerFixtures = []string{"snapshot_commit", "snapshot_file"}
+
+// goldenHex reads the fixture file: name → hex.
+func goldenHex(t testing.TB) map[string]string {
+	raw, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatalf("missing golden fixtures: %v", err)
+	}
+	fixtures := map[string]string{}
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if name, hexs, ok := strings.Cut(strings.TrimSpace(sc.Text()), " "); ok {
+			fixtures[name] = hexs
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return fixtures
+}
+
+// goldenBytes is goldenHex decoded.
+func goldenBytes(t testing.TB) map[string][]byte {
+	out := map[string][]byte{}
+	for name, hexs := range goldenHex(t) {
+		b, err := hex.DecodeString(hexs)
+		if err != nil {
+			t.Fatalf("fixture %q: %v", name, err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// splitFrames cuts a file image of whole frames into its frames.
+func splitFrames(b []byte) [][]byte {
+	var frames [][]byte
+	for len(b) > 0 {
+		n := frameHeaderSize + int(binary.LittleEndian.Uint32(b))
+		frames = append(frames, b[:n])
+		b = b[n:]
+	}
+	return frames
+}
+
 // goldenEvents is one deterministic event of every Kind, with the four
 // bytes the record encoding escapes in names and values and a multi-arg
 // Derived and Query.
@@ -128,17 +178,12 @@ func goldenFixtures(t *testing.T) []struct{ name, hex string } {
 		t.Fatal(err)
 	}
 	snap := mem.DumpFile("wal/" + snapName(1))
-	var frames [][]byte
-	for rest := snap; len(rest) > 0; {
-		n := frameHeaderSize + int(binary.LittleEndian.Uint32(rest))
-		frames = append(frames, rest[:n])
-		rest = rest[n:]
-	}
+	frames := splitFrames(snap)
 	add("snapshot_header", frames[0])
-	add("snapshot_commit", frames[len(frames)-1])
+	add("catalog_snapshot_commit", frames[len(frames)-1])
 	add("epoch_file", mem.DumpFile("wal/"+epochName))
 	add("segment_file", mem.DumpFile("wal/"+segName(1)))
-	add("snapshot_file", snap)
+	add("catalog_snapshot_file", snap)
 
 	tr := &traceFS{FS: faultfs.NewMem(1)}
 	opts := Options{Dir: "wal", FS: tr, SegmentSize: 2048, SnapshotEvery: 150}
@@ -176,38 +221,27 @@ func goldenFixtures(t *testing.T) []struct{ name, hex string } {
 // frame, the snapshot header and commit records, the epoch file, a whole
 // segment and snapshot — and the fs-op sequence that produces it to
 // checked-in fixtures captured from the encoder that predates the
-// byte-level codec. There is no WAL format version to bump: a mismatch
-// means old directories no longer open, so it is a bug, not a choice.
+// byte-level codec; the catalog snapshot's and the fs trace's were captured
+// again when snapshots stopped holding firing and query records. There is
+// no WAL format version to bump: a mismatch means old directories no longer
+// open, so it is a bug, not a choice. The reader fixtures must be present
+// too; -update keeps them as they are.
 func TestGoldenWAL(t *testing.T) {
 	got := goldenFixtures(t)
+	want := goldenHex(t)
 	if *updateGolden {
 		var b strings.Builder
 		for _, g := range got {
 			fmt.Fprintf(&b, "%s %s\n", g.name, g.hex)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
-			t.Fatal(err)
+		for _, name := range readerFixtures {
+			fmt.Fprintf(&b, "%s %s\n", name, want[name])
 		}
 		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s", goldenFile)
 		return
-	}
-	raw, err := os.ReadFile(goldenFile)
-	if err != nil {
-		t.Fatalf("missing golden fixtures: %v", err)
-	}
-	want := map[string]string{}
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		if name, hexs, ok := strings.Cut(strings.TrimSpace(sc.Text()), " "); ok {
-			want[name] = hexs
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	for _, g := range got {
 		fixture, ok := want[g.name]
@@ -220,56 +254,88 @@ func TestGoldenWAL(t *testing.T) {
 		}
 		delete(want, g.name)
 	}
+	for _, name := range readerFixtures {
+		if _, ok := want[name]; !ok {
+			t.Errorf("reader fixture %q missing from %s", name, goldenFile)
+		}
+		delete(want, name)
+	}
 	for name := range want {
 		t.Errorf("stale fixture %q", name)
 	}
 }
 
-// TestGoldenDirectoryOpens: a directory laid down by the encoder that
-// predates the byte-level codec — the golden segment, snapshot and epoch
-// files — opens under this one to the state its events define, from the
-// snapshot and from the segment alone.
-func TestGoldenDirectoryOpens(t *testing.T) {
-	raw, err := os.ReadFile(goldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := map[string][]byte{}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if name, hexs, ok := strings.Cut(line, " "); ok && strings.HasSuffix(name, "_file") {
-			if file[name], err = hex.DecodeString(hexs); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+// goldenReference is the state the golden events define.
+func goldenReference() *State {
 	var events []Event
 	for _, g := range goldenEvents() {
 		events = append(events, g.e)
 	}
-	for _, withSnapshot := range []bool{true, false} {
+	return reference(events)
+}
+
+// TestGoldenLegacySnapshot holds the reader fixtures: the snapshot written
+// while firing and query records were re-emitted is the catalog snapshot
+// with those two records, as the segment frames them, before a commit that
+// counts them, and it loads to the same state and replay position.
+func TestGoldenLegacySnapshot(t *testing.T) {
+	fix := goldenBytes(t)
+	catalog := splitFrames(fix["catalog_snapshot_file"])
+	legacy := bytes.Join(catalog[:len(catalog)-1], nil)
+	legacy = append(legacy, fix["event_firing"]...)
+	legacy = append(legacy, fix["event_query"]...)
+	legacy = append(legacy, fix["snapshot_commit"]...)
+	if !bytes.Equal(legacy, fix["snapshot_file"]) {
+		t.Errorf("snapshot_file is not catalog_snapshot_file with the firing and query records:\n got  %x\nwant %x", fix["snapshot_file"], legacy)
+	}
+	want := goldenReference()
+	var pos [2]replayPos
+	for i, name := range []string{"snapshot_file", "catalog_snapshot_file"} {
+		st, p, err := loadBytes(t, fix[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := st.Diff(want); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+		pos[i] = p
+	}
+	if pos[0] != pos[1] {
+		t.Errorf("replay positions %+v vs %+v", pos[0], pos[1])
+	}
+}
+
+// TestGoldenDirectoryOpens: a directory laid down by the encoder that
+// predates the byte-level codec — the golden segment and epoch files, with
+// either snapshot shape or none — opens under this one to the state its
+// events define, from the snapshot and from the segment alone.
+func TestGoldenDirectoryOpens(t *testing.T) {
+	fix := goldenBytes(t)
+	want := goldenReference()
+	for _, snapshot := range []string{"snapshot_file", "catalog_snapshot_file", ""} {
 		dir := t.TempDir()
 		write := func(name string, b []byte) {
 			if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		write(segName(1), file["segment_file"])
-		write(epochName, file["epoch_file"])
-		if withSnapshot {
-			write(snapName(1), file["snapshot_file"])
+		write(segName(1), fix["segment_file"])
+		write(epochName, fix["epoch_file"])
+		if snapshot != "" {
+			write(snapName(1), fix[snapshot])
 		}
 		l, err := Open(Options{Dir: dir})
 		if err != nil {
-			t.Fatalf("snapshot=%v: %v", withSnapshot, err)
+			t.Fatalf("snapshot %q: %v", snapshot, err)
 		}
-		if d := l.State().Diff(reference(events)); d != "" {
-			t.Errorf("snapshot=%v: %s", withSnapshot, d)
+		if d := l.State().Diff(want); d != "" {
+			t.Errorf("snapshot %q: %s", snapshot, d)
 		}
-		if got := l.Stats().RecoveredEvents; withSnapshot != (got == 0) {
-			t.Errorf("snapshot=%v: %d events replayed from the segment", withSnapshot, got)
+		if got := l.Stats().RecoveredEvents; (snapshot != "") != (got == 0) {
+			t.Errorf("snapshot %q: %d events replayed from the segment", snapshot, got)
 		}
 		if l.Epoch() != 2 {
-			t.Errorf("snapshot=%v: epoch %d, want 2", withSnapshot, l.Epoch())
+			t.Errorf("snapshot %q: epoch %d, want 2", snapshot, l.Epoch())
 		}
 		l.Close()
 	}

@@ -403,17 +403,15 @@ func (l *Log) usableLocked() error {
 	return nil
 }
 
-// appendLocked is the one append body: validate → apply → hold e's frame
-// → join the commit batch → housekeeping. A failed Apply poisons (check
-// passed, so Apply cannot fail — if it somehow does, the state is suspect).
-// With Sync set the frame waits in held for the fsync that commits its
-// batch, which writes it with the rest of the batch (writeLocked); the
-// event joins the open commit batch, sealing it when firm or when
-// GroupWindow is 0, and lead reports that it opened the batch: the caller
-// must run (or spawn) its leader. Without Sync the frame's batch commits at
-// once — the same write runs straight away — and the ticket is born
-// resolved. Either way a write that fails after its retry poisons the log:
-// the state already holds the event.
+// appendLocked is the one append body: check → apply → hold e's frame →
+// join the commit batch → housekeeping. With Sync set the frame waits in
+// held for the fsync that commits its batch, which writes it with the rest
+// of the batch (writeLocked); the event joins the open commit batch,
+// sealing it when firm or when GroupWindow is 0, and lead reports that it
+// opened the batch: the caller must run (or spawn) its leader. Without Sync
+// the frame's batch commits at once — the same write runs straight away —
+// and the ticket is born resolved. Either way a write that fails after its
+// retry poisons the log: the state already holds the event.
 func (l *Log) appendLocked(e Event, frame []byte, firm bool) (t Ticket, lead bool, err error) {
 	if err := l.usableLocked(); err != nil {
 		return t, false, err
@@ -421,9 +419,7 @@ func (l *Log) appendLocked(e Event, frame []byte, firm bool) (t Ticket, lead boo
 	if err := l.st.check(e); err != nil {
 		return t, false, err
 	}
-	if err := l.st.Apply(e); err != nil {
-		return t, false, l.poisonLocked(err)
-	}
+	l.st.apply(e)
 	l.held = append(l.held, frame...)
 	l.stats.Appends++
 	t.seq = l.st.Events
@@ -626,7 +622,10 @@ func (l *Log) snapshotLocked() error {
 // plain ones — $S@t@name@value$, nothing escaped — are taken as runs: the
 // image is looked up once per run and the run's values become one string
 // (sampleRun). Every other record, escaped or not a sample, flushes the run
-// and goes through decodeEvent and Apply, which decide what it means.
+// and goes through decodeEvent and Apply, which decide what it means. A
+// snapshot written before firings and queries stopped being folded still
+// holds their records; Apply validates and counts them, and the header sets
+// the count.
 func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, error) {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -673,8 +672,9 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 			return nil, replayPos{}, err
 		}
 	}
-	// The dump collapses catalog overwrites, so the replay counters are
-	// restored from the header rather than recomputed.
+	// The dump collapses catalog overwrites and holds no firing or query,
+	// so the replay counters are restored from the header rather than
+	// recomputed.
 	st.Events = head[2]
 	st.LastAt = timeseq.Time(head[3])
 	return st, replayPos{seg: head[0], off: int64(head[1])}, nil

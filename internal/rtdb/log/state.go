@@ -6,23 +6,23 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"strconv"
 
 	"rtc/internal/encoding"
 	"rtc/internal/rtdb"
 	"rtc/internal/timeseq"
 )
 
-// State is the in-memory image of the log: the database catalog plus the
-// timed history replay reconstructs. Two states built from the same event
-// sequence — one live, one by crash recovery — compare deep-equal; that is
-// the recovery invariant the tests pin down.
+// State is what the log folds its records into: the database catalog, each
+// image's sample history, the largest timestamp and the event count. Rule
+// firings and query issues are counted but not kept — their records live in
+// the segments, which ReadFrom serves byte for byte. Two states built from
+// the same event sequence — one live, one by crash recovery — compare
+// deep-equal; that is the recovery invariant the tests pin down, with the
+// segments' payloads for the records the state only counts.
 type State struct {
 	Invariants map[string]string
 	Images     map[string]*ImageState
 	Derived    map[string]*DerivedState
-	Firings    []string     // "time:rule"
-	Queries    []QueryIssue // every admitted query issue, in log order
 	LastAt     timeseq.Time // largest timestamp applied
 	Events     uint64       // number of events applied
 }
@@ -40,17 +40,6 @@ type DerivedState struct {
 	Sources []string
 }
 
-// QueryIssue is one recovered query issue with its deadline envelope.
-type QueryIssue struct {
-	At        timeseq.Time
-	Session   string
-	Query     string
-	Candidate string
-	Kind      uint64
-	Deadline  timeseq.Time
-	MinUseful uint64
-}
-
 // NewState returns an empty state.
 func NewState() *State {
 	return &State{
@@ -61,9 +50,9 @@ func NewState() *State {
 }
 
 // check validates an event against the current state without mutating it.
-// The log calls it before writing a frame so that everything Apply could
-// reject is caught while the disk is still untouched — after check passes,
-// Apply cannot fail.
+// It is the one validator: the log calls it before writing a frame, so that
+// everything Apply could reject is caught while the disk is still
+// untouched, and Apply calls it before apply.
 func (st *State) check(e Event) error {
 	switch e.Kind {
 	case KindInvariant, KindDerived, KindFiring:
@@ -94,60 +83,36 @@ func (st *State) check(e Event) error {
 	}
 }
 
-// Apply integrates one event.
+// Apply validates one event and integrates it.
 func (st *State) Apply(e Event) error {
+	if err := st.check(e); err != nil {
+		return err
+	}
+	st.apply(e)
+	return nil
+}
+
+// apply integrates one event check has passed, so it cannot fail. A firing
+// or a query moves only the counters.
+func (st *State) apply(e Event) {
 	switch e.Kind {
 	case KindInvariant:
 		st.Invariants[e.Name] = e.Value
 	case KindImage:
-		if len(e.Args) != 1 {
-			return fmt.Errorf("log: image record for %q needs a period", e.Name)
-		}
-		p, err := encoding.ParseUint(e.Args[0])
-		if err != nil {
-			return err
-		}
 		if _, ok := st.Images[e.Name]; !ok {
+			p, _ := encoding.ParseUint(e.Args[0])
 			st.Images[e.Name] = &ImageState{Period: timeseq.Time(p)}
 		}
 	case KindDerived:
 		st.Derived[e.Name] = &DerivedState{Sources: append([]string{}, e.Args...)}
 	case KindSample:
-		img, ok := st.Images[e.Name]
-		if !ok {
-			return fmt.Errorf("log: sample for unregistered image %q", e.Name)
-		}
+		img := st.Images[e.Name]
 		img.Samples = append(img.Samples, rtdb.Sample{At: e.At, Value: e.Value})
-	case KindFiring:
-		st.Firings = append(st.Firings, strconv.FormatUint(uint64(e.At), 10)+":"+e.Name)
-	case KindQuery:
-		if len(e.Args) != 4 {
-			return fmt.Errorf("log: query record for %q needs 4 args", e.Name)
-		}
-		kind, err := encoding.ParseUint(e.Args[1])
-		if err != nil {
-			return err
-		}
-		dead, err := encoding.ParseUint(e.Args[2])
-		if err != nil {
-			return err
-		}
-		min, err := encoding.ParseUint(e.Args[3])
-		if err != nil {
-			return err
-		}
-		st.Queries = append(st.Queries, QueryIssue{
-			At: e.At, Session: e.Args[0], Query: e.Name, Candidate: e.Value,
-			Kind: kind, Deadline: timeseq.Time(dead), MinUseful: min,
-		})
-	default:
-		return fmt.Errorf("log: unknown event kind %v", e.Kind)
 	}
 	if e.At > st.LastAt {
 		st.LastAt = e.At
 	}
 	st.Events++
-	return nil
 }
 
 // sortedKeys returns a catalog map's names sorted, for deterministic walks.
@@ -160,10 +125,11 @@ func sortedKeys[V any](m map[string]V) []string {
 	return names
 }
 
-// visit walks the state as a deterministic event sequence; replaying the
-// sequence into an empty state rebuilds an equal one. It is the snapshot
-// payload, streamed: a snapshot encodes each event as it is visited, so the
-// history is never materialized a second time.
+// visit walks the state as a deterministic event sequence — the catalog,
+// then each image's samples; replaying the sequence into an empty state and
+// restoring the counters from the snapshot header rebuilds an equal one. It
+// is the snapshot payload, streamed: a snapshot encodes each event as it is
+// visited, so the history is never materialized a second time.
 func (st *State) visit(emit func(Event)) {
 	for _, n := range sortedKeys(st.Invariants) {
 		emit(Invariant(n, st.Invariants[n]))
@@ -180,29 +146,6 @@ func (st *State) visit(emit func(Event)) {
 			emit(Sample(s.At, n, s.Value))
 		}
 	}
-	for _, f := range st.Firings {
-		at, rule, ok := splitFiring(f)
-		if !ok {
-			continue
-		}
-		emit(Firing(at, rule))
-	}
-	for _, q := range st.Queries {
-		emit(Query(q.At, q.Session, q.Query, q.Candidate, q.Kind, uint64(q.Deadline), q.MinUseful))
-	}
-}
-
-func splitFiring(s string) (timeseq.Time, string, bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ':' {
-			at, err := encoding.ParseUint(s[:i])
-			if err != nil {
-				return 0, "", false
-			}
-			return timeseq.Time(at), s[i+1:], true
-		}
-	}
-	return 0, "", false
 }
 
 // Diff returns a description of the first divergence between two states,
@@ -246,22 +189,6 @@ func (st *State) Diff(other *State) string {
 	}
 	if len(st.Images) != len(other.Images) {
 		return fmt.Sprintf("image count %d vs %d", len(st.Images), len(other.Images))
-	}
-	if len(st.Firings) != len(other.Firings) {
-		return fmt.Sprintf("firing count %d vs %d", len(st.Firings), len(other.Firings))
-	}
-	for i := range st.Firings {
-		if st.Firings[i] != other.Firings[i] {
-			return fmt.Sprintf("firing %d: %q vs %q", i, st.Firings[i], other.Firings[i])
-		}
-	}
-	if len(st.Queries) != len(other.Queries) {
-		return fmt.Sprintf("query count %d vs %d", len(st.Queries), len(other.Queries))
-	}
-	for i := range st.Queries {
-		if st.Queries[i] != other.Queries[i] {
-			return fmt.Sprintf("query %d: %+v vs %+v", i, st.Queries[i], other.Queries[i])
-		}
 	}
 	if !reflect.DeepEqual(st, other) {
 		return "states differ outside the compared fields"

@@ -392,7 +392,7 @@ func replPlannedPromotion(t *testing.T, mk maker) {
 	tg.advance(t, 4) // two ticks
 	expect(2, true)
 	m := &tg.srv.Metrics
-	firings := len(tg.log.State().Firings)
+	before := tg.log.Seq()
 	if got := m.RuleFirings.Load(); got != 0 {
 		t.Fatalf("the rule fired %d times while the node followed", got)
 	}
@@ -404,9 +404,15 @@ func replPlannedPromotion(t *testing.T, mk maker) {
 	if res, err := c.Query(client.Query{Query: "status_q", Kind: deadline.Firm, Deadline: 1 << 20, MinUseful: 1}); err != nil || !res.Evaluated || res.Missed {
 		t.Fatalf("firm query on the promoted node: %+v, err %v", res, err)
 	}
-	if m.SamplesApplied.Load() != 4 || m.RuleFirings.Load() != 4 || len(tg.log.State().Firings)-firings != 4 {
+	logged := 0
+	for _, p := range payloads(t, tg.log, tg.log.Seq())[before:] {
+		if e, ok := wal.DecodeEvent(p); ok && e.Kind == wal.KindFiring {
+			logged++
+		}
+	}
+	if m.SamplesApplied.Load() != 4 || m.RuleFirings.Load() != 4 || logged != 4 {
 		t.Errorf("after the flip: %d samples applied, %d rule firings, %d logged; want 4 each",
-			m.SamplesApplied.Load(), m.RuleFirings.Load(), len(tg.log.State().Firings)-firings)
+			m.SamplesApplied.Load(), m.RuleFirings.Load(), logged)
 	}
 	if re, rs := c.Stats.Redials.Load(), c.Stats.Resubscribes.Load(); re != 0 || rs != 0 {
 		t.Errorf("the promotion cost %d redials and %d resubscribes", re, rs)

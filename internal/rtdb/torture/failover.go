@@ -108,7 +108,7 @@ func (c Config) failoverPoint(p *point, events []wal.Event) error {
 	if err := durabilityBound("replica has", n, acked, acked, true); err != nil {
 		return err
 	}
-	if _, err := referencePrefix("promoted ", events, n, st.rp.Log().State()); err != nil {
+	if err := referencePrefix("promoted ", events, st.rp.Log()); err != nil {
 		return err
 	}
 	if n >= 2 { // catalog prologue replicated, image exists

@@ -3,6 +3,7 @@ package torture
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"rtc/internal/faultfs"
 	wal "rtc/internal/rtdb/log"
@@ -65,30 +66,57 @@ func survivorExact(shard, n, acked int) error {
 	return law(n == acked, "WAL-008: survivor shard %d recovered %d events, acked %d — survivors must be exact", shard, n, acked)
 }
 
-// sameState is the deep-equal every recovery is held to: got must be exactly
-// want — no reordering, no partial applies, no healed frame back from the
-// dead. id names the law (WAL-004, WAL-005) and what the comparison.
-func sameState(id, what string, want, got *wal.State) error {
-	d := want.Diff(got)
-	return law(d == "", "%s: %s: %s", id, what, d)
+// sameLog is what every recovery is held to: l must hold exactly want — no
+// reordering, no partial applies, no healed frame back from the dead. Its
+// state must deep-equal want's reference replay, and because the state only
+// counts firings and query issues, the records l serves through ReadFrom,
+// from the first sequence it still serves to its tail, must be want's
+// payloads byte for byte. id names the law (WAL-004, WAL-005) and what the
+// comparison.
+func sameLog(id, what string, want []wal.Event, l *wal.Log) error {
+	if d := Reference(want).Diff(l.State()); d != "" {
+		return fmt.Errorf("%s: %s: %s", id, what, d)
+	}
+	tail := l.Seq()
+	pos := wal.ReadPos{Seq: uint64(sort.Search(int(tail), func(s int) bool {
+		_, err := l.ReadFrom(&wal.ReadPos{Seq: uint64(s)}, 1)
+		return !errors.Is(err, wal.ErrSeqCompacted)
+	}))}
+	for pos.Seq < tail {
+		from := pos.Seq
+		got, err := l.ReadFrom(&pos, 256)
+		if err == nil && len(got) == 0 {
+			err = errors.New("nothing served below the tail")
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %s: read after sequence %d of %d: %v", id, what, from, tail, err)
+		}
+		for i, p := range got {
+			seq := from + uint64(i) + 1
+			if issued := want[seq-1].Payload(); p != string(issued) {
+				return fmt.Errorf("%s: %s: record %d is %q, issued %q", id, what, seq, p, issued)
+			}
+		}
+	}
+	return nil
 }
 
-// referencePrefix (WAL-004): a state recovered with n events is exactly the
-// reference replay of the first n events issued. It returns that reference.
-func referencePrefix(who string, issued []wal.Event, n int, got *wal.State) (*wal.State, error) {
+// referencePrefix (WAL-004): a log recovered with n events holds exactly the
+// first n events issued.
+func referencePrefix(who string, issued []wal.Event, l *wal.Log) error {
+	n := int(l.Seq())
 	if n > len(issued) {
-		return nil, fmt.Errorf("WAL-004: %srecovered %d events, workload only has %d", who, n, len(issued))
+		return fmt.Errorf("WAL-004: %srecovered %d events, workload only has %d", who, n, len(issued))
 	}
-	want := Reference(issued[:n])
-	return want, sameState("WAL-004", fmt.Sprintf("%srecovery invariant violated at prefix %d", who, n), want, got)
+	return sameLog("WAL-004", fmt.Sprintf("%srecovery invariant violated at prefix %d", who, n), issued[:n], l)
 }
 
 // reopensTo (WAL-005) closes l and opens its directory again: what is on disk must be
 // exactly want. After a crash recovery this is idempotence — the first Open
-// normalized the torn tail, so a second one reproduces the identical state.
+// normalized the torn tail, so a second one reproduces the identical log.
 // It returns the log the caller now owns: the reopened one, or l (closed)
 // when it could not be reopened.
-func (c Config) reopensTo(what string, l *wal.Log, mem *faultfs.Mem, want *wal.State) (*wal.Log, error) {
+func (c Config) reopensTo(what string, l *wal.Log, mem *faultfs.Mem, want []wal.Event) (*wal.Log, error) {
 	if err := l.Close(); err != nil {
 		return l, fmt.Errorf("WAL-005: close: %v", err)
 	}
@@ -96,7 +124,7 @@ func (c Config) reopensTo(what string, l *wal.Log, mem *faultfs.Mem, want *wal.S
 	if err != nil {
 		return l, fmt.Errorf("WAL-005: recovery Open: %v", err)
 	}
-	return l2, sameState("WAL-005", what, want, l2.State())
+	return l2, sameLog("WAL-005", what, want, l2)
 }
 
 // liveness (WAL-006): a recovered (or promoted) log is live — an append past the

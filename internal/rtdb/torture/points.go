@@ -126,15 +126,14 @@ func (c Config) crashPoint(p *point, events []wal.Event, grouped, fsynced bool) 
 	if ds, sq := l2.DurableSeq(), l2.Seq(); ds != sq {
 		return fmt.Errorf("recovered log's durable tail %d != tail %d", ds, sq)
 	}
-	want, err := referencePrefix("", events, n, l2.State())
-	if err != nil {
+	if err := referencePrefix("", events, l2); err != nil {
 		return err
 	}
-	if l2, err = c.reopensTo("recovery not idempotent", l2, mem, want); err != nil {
+	if l2, err = c.reopensTo("recovery not idempotent", l2, mem, events[:n]); err != nil {
 		return err
 	}
 	if n >= 2 { // catalog prologue replayed, image exists
-		post := wal.Sample(want.LastAt+1, "temp", "post-crash")
+		post := wal.Sample(l2.State().LastAt+1, "temp", "post-crash")
 		return liveness("append after recovery", &appender{l: l2, grouped: grouped}, post)
 	}
 	return nil
@@ -199,11 +198,10 @@ func (c Config) eioPoint(p *point, events []wal.Event, grouped bool) error {
 	if grouped && st.GroupCommits == 0 {
 		return fmt.Errorf("grouped run recorded zero group commits (%d appends)", st.Appends)
 	}
-	want := Reference(events)
-	if err := sameState("WAL-004", "live state after heal", want, l.State()); err != nil {
+	if err := sameLog("WAL-004", "live log after heal", events, l); err != nil {
 		return err
 	}
-	l, err = c.reopensTo("recovered state != workload", l, mem, want)
+	l, err = c.reopensTo("recovered state != workload", l, mem, events)
 	return err
 }
 
@@ -231,6 +229,6 @@ func (c Config) renamePoint(p *point, events []wal.Event) error {
 	if st := l.Stats(); p.at > 0 && st.SnapshotErrors == 0 {
 		return fmt.Errorf("rename fault was never counted (SnapshotErrors=0, %d snapshots)", st.Snapshots)
 	}
-	l, err = c.reopensTo("recovered state after failed snapshot rename", l, mem, Reference(events))
+	l, err = c.reopensTo("recovered state after failed snapshot rename", l, mem, events)
 	return err
 }

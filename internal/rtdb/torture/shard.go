@@ -164,7 +164,7 @@ func (c Config) shardPoint(p *point, w *shardWorkload, victim int) error {
 		if err != nil {
 			return err
 		}
-		if _, err := referencePrefix(fmt.Sprintf("shard %d ", s), issued[s], n, st); err != nil {
+		if err := referencePrefix(fmt.Sprintf("shard %d ", s), issued[s], l2); err != nil {
 			return err
 		}
 		if s == victim {

@@ -115,22 +115,38 @@ func TestInvariants(t *testing.T) {
 	events := Workload(1, 12)
 	c := Config{}
 	c.defaults()
-	// reopened appends n events to a fresh WAL and asks reopensTo for want.
-	reopened := func(want *wal.State) error {
-		mem := faultfs.NewMem(1)
+	// logged opens a fresh WAL on mem holding evs.
+	logged := func(mem *faultfs.Mem, evs []wal.Event) *wal.Log {
 		l, err := wal.Open(c.walOptions(mem))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		for _, e := range events {
+		t.Cleanup(func() { l.Close() })
+		for _, e := range evs {
 			if err := l.Append(e); err != nil {
-				return err
+				t.Fatal(err)
 			}
 		}
-		l, err = c.reopensTo("recovery not idempotent", l, mem, want)
+		return l
+	}
+	// prefix asks referencePrefix whether a log holding evs is a prefix of
+	// events.
+	prefix := func(evs []wal.Event) error {
+		return referencePrefix("", events, logged(faultfs.NewMem(1), evs))
+	}
+	// reopened appends evs to a fresh WAL and asks reopensTo for want.
+	reopened := func(evs, want []wal.Event) error {
+		mem := faultfs.NewMem(1)
+		l, err := c.reopensTo("recovery not idempotent", logged(mem, evs), mem, want)
 		l.Close()
 		return err
 	}
+	// firing is the catalog prologue and one firing of rule: a state counts
+	// the firing, only the log's payloads tell two rules apart.
+	firing := func(rule string) []wal.Event {
+		return append(slices.Clone(events[:5]), wal.Firing(0, rule))
+	}
+	diverged := append(slices.Clone(events[:5]), wal.Invariant("limit", "-1"))
 	// live checks liveness on a log that is open, or was closed under it.
 	live := func(grouped, closed bool) error {
 		gc := c
@@ -185,11 +201,13 @@ func TestInvariants(t *testing.T) {
 		{"ackedPrefix hole", first(ackedPrefix([]error{nil, boom, nil})), "WAL-003: nil-resolved tickets not a prefix: ticket 2 committed after ticket 1 failed"},
 		{"survivorExact", survivorExact(2, 7, 7), ""},
 		{"survivorExact off by one", survivorExact(2, 8, 7), "WAL-008: survivor shard 2 recovered 8 events, acked 7"},
-		{"referencePrefix", first(referencePrefix("", events, 7, Reference(events[:7]))), ""},
-		{"referencePrefix wrong prefix", first(referencePrefix("", events, 6, Reference(events[:7]))), "WAL-004: recovery invariant violated at prefix 6"},
-		{"referencePrefix past the workload", first(referencePrefix("", events, len(events)+1, Reference(events))), "WAL-004: recovered 18 events, workload only has 17"},
-		{"reopensTo", reopened(Reference(events)), ""},
-		{"reopensTo other state", reopened(Reference(events[:len(events)-1])), "WAL-005: recovery not idempotent"},
+		{"referencePrefix", prefix(events[:7]), ""},
+		{"referencePrefix wrong prefix", prefix(diverged), "WAL-004: recovery invariant violated at prefix 6"},
+		{"referencePrefix other record", referencePrefix("", firing("alarm"), logged(faultfs.NewMem(1), firing("other"))), "WAL-004: recovery invariant violated at prefix 6: record 6"},
+		{"referencePrefix past the workload", prefix(append(slices.Clone(events), wal.Firing(0, "alarm"))), "WAL-004: recovered 18 events, workload only has 17"},
+		{"reopensTo", reopened(events, events), ""},
+		{"reopensTo other state", reopened(events, events[:len(events)-1]), "WAL-005: recovery not idempotent"},
+		{"reopensTo other record", reopened(firing("other"), firing("alarm")), "WAL-005: recovery not idempotent: record 6"},
 		{"liveness", live(false, false), ""},
 		{"liveness grouped", live(true, false), ""},
 		{"liveness closed log", live(false, true), "WAL-006: append after recovery"},
