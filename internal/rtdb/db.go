@@ -48,11 +48,19 @@ func (o *ImageObject) Latest() (Sample, bool) {
 
 // At returns the sample that was current at time t (the archival lookup).
 func (o *ImageObject) At(t timeseq.Time) (Sample, bool) {
-	i := sort.Search(len(o.history), func(i int) bool { return o.history[i].At > t })
-	if i == 0 {
+	return SampleAt(o.history, t, timeseq.Infinity)
+}
+
+// SampleAt is the one archival lookup over a time-ordered history: the last
+// sample with At ≤ t, so a later sample at the same instant shadows an
+// earlier one, and nothing for t past horizon. It binary-searches and
+// allocates nothing.
+func SampleAt(h []Sample, t, horizon timeseq.Time) (Sample, bool) {
+	i := sort.Search(len(h), func(i int) bool { return h[i].At > t })
+	if i == 0 || t > horizon {
 		return Sample{}, false
 	}
-	return o.history[i-1], true
+	return h[i-1], true
 }
 
 // History returns all archival samples, oldest first.

@@ -270,6 +270,5 @@ func (st *State) Historical(now timeseq.Time) *rtdb.HistoricalDatabase {
 		// of O(n²) row inserts.
 		out.Add(rtdb.NewTimelineRelation(n, st.Images[n].Samples, now))
 	}
-	out.SetHorizon(now)
 	return out
 }

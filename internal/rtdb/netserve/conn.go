@@ -350,10 +350,8 @@ func (c *conn) onMessage(kind rtwire.Kind, msg any) bool {
 	switch m := msg.(type) {
 	case rtwire.AsOf:
 		c.n.Wire.AsOfReads.Add(1)
-		v, ok := c.n.srv.ValueAsOf(m.Image, m.At)
-		c.enqueue(rtwire.AsOfResult{
-			ID: m.ID, OK: ok, Value: v, Horizon: c.n.srv.HistoryHorizon(),
-		}.AppendTo(c.getBuf()))
+		v, ok, horizon := c.n.srv.AsOfValue(m.Image, m.At)
+		c.enqueue(rtwire.AsOfResult{ID: m.ID, OK: ok, Value: v, Horizon: horizon}.AppendTo(c.getBuf()))
 	case rtwire.MetricsReq:
 		var rows []rtwire.MetricPair
 		if c.n.opt.Shards > 1 {

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"rtc/internal/rtdb"
+	"rtc/internal/rtdb/client"
 	"rtc/internal/rtdb/server"
 	"rtc/internal/rtwire"
+	"rtc/internal/timeseq"
 )
 
 func statusDerive(src map[string]rtdb.Value) rtdb.Value {
@@ -147,5 +149,60 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = w.Snapshot() }); n != 0 {
 		t.Errorf("WireMetrics.Snapshot allocates %v times", n)
+	}
+}
+
+// TestAsOfReplyIsOneSnapshot: an AsOf reply's value and horizon come from
+// one published snapshot. A writer ticks the clock, publishing every
+// chronon, while a reader asks 10 000 times for temp one chronon past the
+// last horizon it was told. temp holds a sample from chronon 0 on, so a
+// reply whose horizon covers the instant asked must answer it, and one
+// whose horizon does not must not.
+func TestAsOfReplyIsOneSnapshot(t *testing.T) {
+	cfg := testConfig()
+	cfg.SnapshotEvery = 1
+	s, _, addr := startNet(t, cfg, Options{}, nil)
+	if err := s.Session(0).InjectSample("temp", "21"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Session(0).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr, client.Options{Name: "asof"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := s.Tick(1); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	var horizon timeseq.Time
+	for i := 0; i < 10_000; i++ {
+		at := horizon + 1
+		v, ok, h, err := c.AsOf("temp", at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (at <= h) != (ok && v == "21") {
+			t.Fatalf("AsOf(temp, %d) = %q, ok %v under horizon %d", at, v, ok, h)
+		}
+		horizon = h
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,7 +3,7 @@
 // rtwire replication frames (Subscribe → WalBatch/WalAck), the client's own
 // connection engine — into a log of its own, and serves hot-standby reads
 // through one server.Server in the follower role: the same sessions,
-// copy-on-write as-of snapshots and standing-query engine a primary serves
+// as-of snapshots and standing-query engine a primary serves
 // through, refusing writes and firm-deadline queries with server.ErrReadOnly
 // and answering the rest degraded from replicated state. Promote flips that
 // server to a primary in place.

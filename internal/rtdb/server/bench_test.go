@@ -102,13 +102,14 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 	})
 }
 
-// agedServer builds an unstarted server whose single image already holds
-// `age` samples, injected directly through the database (the apply loop is
-// bypassed so aging a million chronons takes milliseconds, not minutes).
-// The clock sits at chronon age-1 with a fresh snapshot published.
-func agedServer(b *testing.B, age int) *Server {
+// agedServer builds an unstarted server over an n-image catalog whose temp
+// image already holds `age` samples, injected directly through the database
+// (the apply loop is bypassed so aging a million chronons takes
+// milliseconds, not minutes). The clock sits at chronon age-1 with a fresh
+// snapshot published.
+func agedServer(b *testing.B, images, age int) *Server {
 	b.Helper()
-	s, err := New(testConfig())
+	s, err := New(wideConfig(images))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,16 +125,18 @@ func agedServer(b *testing.B, age int) *Server {
 	return s
 }
 
-// BenchmarkPublishAtAge measures one incremental publish with a one-sample
-// delta at three server ages. The per-publish cost must stay flat as the
-// history grows — publish is O(#images + delta), never O(total history).
+// BenchmarkPublishAtAge measures one publish with a one-sample delta at
+// three server ages, and at the youngest age over a 65-image catalog. The
+// per-publish cost must stay flat as the history grows — publish is
+// O(#images), never O(total history) — and its allocations flat as the
+// catalog grows.
 func BenchmarkPublishAtAge(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		age  int
-	}{{"1k", 1_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
+		name        string
+		images, age int
+	}{{"1k", 1, 1_000}, {"100k", 1, 100_000}, {"1M", 1, 1_000_000}, {"65images", 65, 1_000}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := agedServer(b, bc.age)
+			s := agedServer(b, bc.images, bc.age)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -157,7 +160,7 @@ func BenchmarkQueryAtAge(b *testing.B) {
 		age  int
 	}{{"1k", 1_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := agedServer(b, bc.age)
+			s := agedServer(b, 1, bc.age)
 			q := s.cfg.Catalog["temp_q"]
 			b.ReportAllocs()
 			b.ResetTimer()

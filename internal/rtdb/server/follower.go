@@ -129,7 +129,7 @@ func (s *Server) Resync(open func() (*wal.Log, error)) (*wal.Log, error) {
 		s.sched = vtime.New()
 		s.db = rtdb.New(s.sched)
 		s.incomplete.Store(s.recover(l.State()) != nil)
-		s.pubLen = nil
+		s.cat = nil
 		s.publishSnapshot()
 	}); aerr != nil {
 		return nil, aerr

@@ -4,8 +4,8 @@
 // per-session queues (reject, never block — firm semantics are preserved by
 // accounting a miss instead of waiting), firm/soft-deadline admission
 // control driven by the §4.1 usefulness functions, temporal as-of reads
-// served from published HistoricalDatabase snapshots without the write
-// lock, and write-ahead logging through internal/rtdb/log.
+// served from published snapshots of the image histories without the
+// write lock, and write-ahead logging through internal/rtdb/log.
 //
 // Concurrency model: sessions are producers; one apply goroutine owns the
 // database and the virtual clock (an actor, so rtdb.DB itself needs no

@@ -2,7 +2,7 @@ package server
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,7 +39,7 @@ type Config struct {
 	// EvalCost is the number of chronons one query evaluation takes
 	// (default 1) — the P_w cost model of §4.1.
 	EvalCost uint64
-	// SnapshotEvery publishes a HistoricalDatabase snapshot for as-of
+	// SnapshotEvery publishes a snapshot of the image histories for as-of
 	// reads every so many chronons (default 16).
 	SnapshotEvery timeseq.Time
 	// Log, when set, write-ahead-logs catalog, samples, firings, and query
@@ -140,10 +140,41 @@ type request struct {
 	reply chan Response
 }
 
-// histSnap is one published as-of snapshot.
+// histSnap is one published as-of snapshot: the catalog it was captured
+// under, each image's history slice header (hist[i] is cat.names[i]'s) and
+// the publication instant, through which the newest sample of every image
+// stays valid. Histories are append-only, so a captured header's prefix
+// never changes underneath a reader.
 type histSnap struct {
-	at timeseq.Time
-	db *rtdb.HistoricalDatabase
+	at   timeseq.Time
+	cat  *pubCatalog
+	hist [][]rtdb.Sample
+}
+
+// pubCatalog is the image catalog snapshots are captured under. It is never
+// mutated: a catalog that grows or is replaced gets a new one, and
+// snapshots that share one share the positions of their headers.
+type pubCatalog struct {
+	names []string
+	idx   map[string]int
+}
+
+func newPubCatalog(names []string) *pubCatalog {
+	c := &pubCatalog{names: slices.Clone(names), idx: make(map[string]int, len(names))}
+	for i, n := range c.names {
+		c.idx[n] = i
+	}
+	return c
+}
+
+// valueAt is the as-of lookup inside one snapshot.
+func (h *histSnap) valueAt(image string, t timeseq.Time) (rtdb.Value, bool) {
+	i, ok := h.cat.idx[image]
+	if !ok {
+		return "", false
+	}
+	smp, ok := rtdb.SampleAt(h.hist[i], t, h.at)
+	return smp.Value, ok
 }
 
 // Server serves concurrent sessions over one rtdb.DB.
@@ -175,10 +206,9 @@ type Server struct {
 	// replicated catalog — so publishSnapshot walks this instead of
 	// collecting it every period.
 	names []string
-	// pubLen is each image's history length at its last capture; an image
-	// whose length is unchanged is clean and its published relation is
-	// shared by pointer into the next snapshot. nil: capture every image.
-	pubLen map[string]int
+	// cat is the catalog the next snapshot is captured under; it is rebuilt
+	// when names grows, and nil (rebuild) after Resync replaced names.
+	cat *pubCatalog
 	// sessLabels precomputes the "s<i>" WAL session labels.
 	sessLabels []string
 
@@ -615,8 +645,8 @@ func (s *Server) replyAfterDurable(reply chan Response, resp Response) {
 	reply <- resp
 }
 
-// maybePublish publishes a fresh HistoricalDatabase snapshot when the
-// publication period elapsed.
+// maybePublish publishes a fresh as-of snapshot when the publication
+// period elapsed.
 func (s *Server) maybePublish() {
 	now := timeseq.Time(s.clock.Load())
 	if now >= s.lastSnap+s.cfg.SnapshotEvery || s.hist.Load() == nil {
@@ -624,67 +654,71 @@ func (s *Server) maybePublish() {
 	}
 }
 
-// publishSnapshot publishes the as-of view incrementally: the previous
-// snapshot is cloned copy-on-write, images whose histories grew since
-// their last capture get a fresh O(1) timeline capture, and clean images'
-// relations are shared by pointer. The snapshot-level horizon extends
-// every shared relation's newest value to the publication instant, so a
-// quiet image still answers as-of reads up to the present. Publish cost is
-// O(#images + delta), independent of total history — the flat-latency
-// property the serving layer promises.
+// publishSnapshot publishes the as-of view: one header per image, copied
+// from the live histories. An image's header is taken afresh when its
+// history's length changed — histories only grow, so a changed length is
+// the only change there is — and when nothing changed the previous
+// snapshot's headers are shared whole. A publish therefore allocates the
+// snapshot and at most one slice of headers, whatever the number of images
+// or the length of their histories. The snapshot's instant extends every
+// image's newest value to the present, so a quiet image still answers
+// as-of reads up to now.
 func (s *Server) publishSnapshot() {
 	// Snapshot at the served clock, not the (possibly lagging) scheduler
 	// clock, so the newest sample's validity extends to the present.
 	now := timeseq.Time(s.clock.Load())
 	s.sched.RunUntil(now)
-	prev := s.hist.Load()
-	fresh := prev == nil || s.pubLen == nil
-	var out *rtdb.HistoricalDatabase
-	if fresh {
-		out = rtdb.NewHistoricalDatabase()
-		s.pubLen = make(map[string]int, len(s.names))
-	} else {
-		out = prev.db.Clone()
+	if s.cat == nil || len(s.cat.names) != len(s.names) {
+		s.cat = newPubCatalog(s.names)
 	}
-	for _, name := range s.names {
+	var hist [][]rtdb.Sample
+	own := true // hist is this publish's own slice, free to write
+	if prev := s.hist.Load(); prev != nil && prev.cat == s.cat {
+		hist, own = prev.hist, false
+	} else {
+		hist = make([][]rtdb.Sample, len(s.cat.names))
+	}
+	for i, name := range s.cat.names {
 		img, _ := s.db.Image(name)
-		if n := len(img.History()); fresh || n != s.pubLen[name] {
-			out.Add(rtdb.FromLiveImage(img, now))
-			s.pubLen[name] = n
+		if h := img.History(); own || len(h) != len(hist[i]) {
+			if !own {
+				hist, own = slices.Clone(hist), true
+			}
+			hist[i] = h
 		}
 	}
-	out.SetHorizon(now)
-	s.hist.Store(&histSnap{at: now, db: out})
+	s.hist.Store(&histSnap{at: now, cat: s.cat, hist: hist})
 	s.lastSnap = now
 }
 
 // HistoryHorizon returns the time through which as-of reads are current.
-func (s *Server) HistoryHorizon() timeseq.Time {
-	if h := s.hist.Load(); h != nil {
-		return h.at
-	}
-	return 0
-}
+func (s *Server) HistoryHorizon() timeseq.Time { return s.hist.Load().at }
 
 // AsOf evaluates a relational query against the published snapshot at time
-// t — §5.1.2's R(u, t) served without touching the write path.
+// t — §5.1.2's R(u, t) over relations built from the snapshot's headers.
 func (s *Server) AsOf(q relational.Query, t timeseq.Time) (*relational.Relation, error) {
 	h := s.hist.Load()
-	if h == nil {
-		return nil, fmt.Errorf("server: no snapshot published yet")
-	}
 	s.Metrics.AsOfReads.Add(1)
-	return h.db.QueryAt(q, t)
+	db := rtdb.NewHistoricalDatabase()
+	for i, name := range h.cat.names {
+		db.Add(rtdb.NewTimelineRelation(name, h.hist[i], h.at))
+	}
+	return db.QueryAt(q, t)
 }
 
-// ValueAsOf returns an image object's value at time t from the published
-// snapshot — a binary search over the image's captured timeline, so the
-// read costs O(log history), allocation-free, at any server age.
-func (s *Server) ValueAsOf(image string, t timeseq.Time) (rtdb.Value, bool) {
+// AsOfValue returns an image object's value at time t and the horizon of
+// the snapshot that answered, both from one published snapshot — a binary
+// search over the image's captured history, so the read costs
+// O(log history), allocation-free, at any server age.
+func (s *Server) AsOfValue(image string, t timeseq.Time) (rtdb.Value, bool, timeseq.Time) {
 	h := s.hist.Load()
-	if h == nil {
-		return "", false
-	}
 	s.Metrics.AsOfReads.Add(1)
-	return h.db.ValueAsOf(image, t)
+	v, ok := h.valueAt(image, t)
+	return v, ok, h.at
+}
+
+// ValueAsOf is AsOfValue without the horizon.
+func (s *Server) ValueAsOf(image string, t timeseq.Time) (rtdb.Value, bool) {
+	v, ok, _ := s.AsOfValue(image, t)
+	return v, ok
 }

@@ -28,12 +28,11 @@ type HistoricalTuple struct {
 //
 // Two backings exist. The general form stores explicit rows with lifespans
 // and supports arbitrary Insert/Terminate. The timeline form — built by
-// FromLiveImage and NewTimelineRelation — captures an image object's
-// append-only sample history by slice header: sample i is valid from its
-// own timestamp to just before the next sample's, and the last sample runs
-// to the horizon. Point lookups binary-search the samples instead of
-// scanning rows, and capturing a timeline is O(1) regardless of history
-// length, which is what makes incremental snapshot publication cheap.
+// NewTimelineRelation — captures an image object's append-only sample
+// history by slice header: sample i is valid from its own timestamp to just
+// before the next sample's, and the last sample runs to the horizon. Point
+// lookups binary-search the samples (SampleAt) instead of scanning rows,
+// and capturing a timeline is O(1) regardless of history length.
 // Mutating a timeline relation first thaws it into explicit rows.
 type HistoricalRelation struct {
 	Schema relational.Schema
@@ -75,25 +74,10 @@ func NewTimelineRelation(object string, samples []Sample, horizon timeseq.Time) 
 func (h *HistoricalRelation) timeline() bool { return h.samples != nil || h.object != "" }
 
 // valueAt is the timeline point lookup: the value current at t, bounded by
-// the given horizon. Binary search over the (sorted) samples; choosing the
-// last sample with At ≤ t makes same-instant shadowing come out right.
-func (h *HistoricalRelation) valueAt(t, horizon timeseq.Time) (Value, bool) {
-	if t > horizon {
-		return "", false
-	}
-	lo, hi := 0, len(h.samples)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if h.samples[mid].At <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return "", false
-	}
-	return h.samples[lo-1].Value, true
+// the relation's horizon.
+func (h *HistoricalRelation) valueAt(t timeseq.Time) (Value, bool) {
+	s, ok := SampleAt(h.samples, t, h.horizon)
+	return s.Value, ok
 }
 
 // tupleKey renders a tuple as a collision-free map key (length-prefixed so
@@ -210,15 +194,11 @@ func (h *HistoricalRelation) Terminate(t relational.Tuple, at timeseq.Time) {
 // HoldsAt is the predicate R(u, t) of §5.1.2: tuple u is in the relation at
 // time t.
 func (h *HistoricalRelation) HoldsAt(u relational.Tuple, t timeseq.Time) bool {
-	return h.holdsAt(u, t, h.horizon)
-}
-
-func (h *HistoricalRelation) holdsAt(u relational.Tuple, t, horizon timeseq.Time) bool {
 	if h.timeline() {
 		if len(u) != 2 || u[0] != h.object {
 			return false
 		}
-		v, ok := h.valueAt(t, horizon)
+		v, ok := h.valueAt(t)
 		return ok && v == u[1]
 	}
 	if h.index != nil {
@@ -237,13 +217,9 @@ func (h *HistoricalRelation) holdsAt(u relational.Tuple, t, horizon timeseq.Time
 
 // SnapshotAt materializes the instance I_t.
 func (h *HistoricalRelation) SnapshotAt(t timeseq.Time) *relational.Relation {
-	return h.snapshotAt(t, h.horizon)
-}
-
-func (h *HistoricalRelation) snapshotAt(t, horizon timeseq.Time) *relational.Relation {
 	r := relational.NewRelation(h.Schema)
 	if h.timeline() {
-		if v, ok := h.valueAt(t, horizon); ok {
+		if v, ok := h.valueAt(t); ok {
 			_ = r.Insert(relational.Tuple{h.object, v})
 		}
 		return r
@@ -327,43 +303,11 @@ func (h *HistoricalRelation) ChangePoints() []timeseq.Time {
 // extension of the §5.1.1 query model.
 type HistoricalDatabase struct {
 	rels map[string]*HistoricalRelation
-	// at is the serving horizon of a published snapshot. Timeline-backed
-	// relations shared by pointer from an older snapshot keep their capture
-	// horizon; at extends their newest value's validity to the publication
-	// instant — an image without new samples since its last capture still
-	// answers as-of reads up to the present. Zero means "each relation's
-	// own horizon", the standalone behavior.
-	at timeseq.Time
 }
 
 // NewHistoricalDatabase creates an empty instance.
 func NewHistoricalDatabase() *HistoricalDatabase {
 	return &HistoricalDatabase{rels: map[string]*HistoricalRelation{}}
-}
-
-// Clone returns a copy sharing every relation by pointer — the copy-on-
-// write step of incremental snapshot publication: replace only the
-// relations whose images changed, keep the rest.
-func (db *HistoricalDatabase) Clone() *HistoricalDatabase {
-	rels := make(map[string]*HistoricalRelation, len(db.rels))
-	for n, h := range db.rels {
-		rels[n] = h
-	}
-	return &HistoricalDatabase{rels: rels, at: db.at}
-}
-
-// SetHorizon sets the serving horizon (see the at field).
-func (db *HistoricalDatabase) SetHorizon(t timeseq.Time) { db.at = t }
-
-// Horizon returns the serving horizon.
-func (db *HistoricalDatabase) Horizon() timeseq.Time { return db.at }
-
-// effHorizon is the horizon a relation serves under inside this database.
-func (db *HistoricalDatabase) effHorizon(h *HistoricalRelation) timeseq.Time {
-	if db.at > h.horizon {
-		return db.at
-	}
-	return h.horizon
 }
 
 // Add registers a historical relation.
@@ -377,25 +321,16 @@ func (db *HistoricalDatabase) Relation(name string) (*HistoricalRelation, bool) 
 	return h, ok
 }
 
-// HoldsAt is R(u, t) routed through the database's serving horizon.
-func (db *HistoricalDatabase) HoldsAt(name string, u relational.Tuple, t timeseq.Time) bool {
-	h, ok := db.rels[name]
-	if !ok {
-		return false
-	}
-	return h.holdsAt(u, t, db.effHorizon(h))
-}
-
-// ValueAsOf returns the (Object, Value) relation's value at time t — the
-// indexed fast path behind Server.ValueAsOf. Timeline-backed relations
-// binary-search their samples; row-backed ones fall back to a scan.
+// ValueAsOf returns the (Object, Value) relation's value at time t.
+// Timeline-backed relations binary-search their samples; row-backed ones
+// fall back to a scan.
 func (db *HistoricalDatabase) ValueAsOf(name string, t timeseq.Time) (Value, bool) {
 	h, ok := db.rels[name]
 	if !ok {
 		return "", false
 	}
 	if h.timeline() {
-		return h.valueAt(t, db.effHorizon(h))
+		return h.valueAt(t)
 	}
 	for _, row := range h.rows {
 		if len(row.Tuple) == 2 && row.Tuple[0] == name && row.Valid.Contains(t) {
@@ -409,7 +344,7 @@ func (db *HistoricalDatabase) ValueAsOf(name string, t timeseq.Time) (Value, boo
 func (db *HistoricalDatabase) SnapshotAt(t timeseq.Time) *relational.Database {
 	out := relational.NewDatabase()
 	for _, h := range db.rels {
-		out.Add(h.snapshotAt(t, db.effHorizon(h)))
+		out.Add(h.SnapshotAt(t))
 	}
 	return out
 }
@@ -461,13 +396,4 @@ func (db *HistoricalDatabase) QueryDuring(q relational.Query, lo, hi timeseq.Tim
 		}
 	}
 	return out, nil
-}
-
-// FromLiveImage converts an image object's archival history into a
-// historical relation (Name, Value) — the "archival sets of image objects"
-// view of §5.1.2. The history slice is captured by header, not copied:
-// the conversion is O(1), and because the history is append-only the
-// captured prefix never changes underneath a published snapshot.
-func FromLiveImage(o *ImageObject, now timeseq.Time) *HistoricalRelation {
-	return NewTimelineRelation(o.Name, o.History(), now)
 }

@@ -133,13 +133,15 @@ func TestQueryAtAndDuring(t *testing.T) {
 	}
 }
 
-func TestFromLiveImage(t *testing.T) {
+// TestTimelineOfLiveImage captures an image's archival history as a
+// timeline relation by header, the way a server's as-of reads see it.
+func TestTimelineOfLiveImage(t *testing.T) {
 	s := vtime.New()
 	db := New(s)
 	db.AddImage(&ImageObject{Name: "temp", Period: 5, Read: tempRead})
 	s.RunUntil(12)
 	img, _ := db.Image("temp")
-	h := FromLiveImage(img, s.Now())
+	h := NewTimelineRelation(img.Name, img.History(), s.Now())
 	// Samples at 0, 5, 10 → lifespans [0,4], [5,9], [10,12].
 	if !h.HoldsAt(relational.Tuple{"temp", tempRead(0)}, 3) {
 		t.Error("sample 0 lifespan wrong")
