@@ -3,6 +3,7 @@ package log
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"rtc/internal/timeseq"
 )
@@ -47,6 +48,42 @@ func TestAllocGates(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("Log.Append of a sample, Sync off: %v allocs, want ≤ 2", n)
+	}
+}
+
+// TestTicketByValueAllocs: a caller that keeps its ticket by value, as the
+// server's apply loop does, pays nothing for the ticket — AppendTicket
+// inlines, so the ticket it points to stays in the caller's frame. A whole
+// commit batch under a long window then allocates the batch's share alone
+// (the batch, its channels, its leader's timer), never one per append. The
+// zero Ticket, held before any append, is resolved.
+func TestTicketByValueAllocs(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), SegmentSize: 64 << 20, Sync: true, GroupWindow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var kept Ticket
+	if !kept.Resolved() || kept.Wait() != nil {
+		t.Fatal("the zero Ticket is not resolved")
+	}
+	batch := func() {
+		for i := 0; i < groupMaxBatch; i++ { // the last append seals the batch
+			tk, err := l.AppendTicket(Firing(1, "alarm"), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = *tk
+		}
+		if err := kept.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
+	n := testing.AllocsPerRun(50, batch)
+	t.Logf("%v allocs per batch of %d appends", n, groupMaxBatch)
+	if n > 8 {
+		t.Errorf("a batch of %d appends with tickets kept by value: %v allocs, want ≤ 8", groupMaxBatch, n)
 	}
 }
 

@@ -62,7 +62,8 @@ type batch struct {
 
 // Ticket is one append's claim on a group commit. It resolves when the
 // fsync covering the append completes (nil) or the log poisons (the poison
-// error). A ticket from a log without Sync is born resolved.
+// error). A ticket from a log without Sync is born resolved, and so is the
+// zero Ticket, so a holder needs no nil case before its first append.
 type Ticket struct {
 	b   *batch
 	seq uint64
@@ -100,19 +101,25 @@ func (t *Ticket) Resolved() bool {
 // An append that opens a batch spawns its leader. firm seals the open batch
 // so the fsync happens as soon as the leader wakes, not at the end of the
 // window — the §4.1 escape hatch that keeps firm-deadline acks off the
-// window's tail latency.
+// window's tail latency. It inlines: a caller that keeps *t allocates none.
 func (l *Log) AppendTicket(e Event, firm bool) (*Ticket, error) {
+	t, err := l.appendTicket(e, firm)
+	if err != nil {
+		return nil, err
+	}
+	return &t, nil
+}
+
+// appendTicket is AppendTicket by value.
+func (l *Log) appendTicket(e Event, firm bool) (Ticket, error) {
 	l.mu.Lock()
 	l.buf = AppendEvent(l.buf[:0], e)
 	t, lead, err := l.appendLocked(e, l.buf, firm)
 	l.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if lead {
+	if err == nil && lead {
 		go l.lead(t.b)
 	}
-	return &t, nil
+	return t, err
 }
 
 // joinBatchLocked adds the event just applied to the open commit batch

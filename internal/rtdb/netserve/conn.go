@@ -259,13 +259,14 @@ func (c *conn) readLoop(sr *rtwire.SilenceReader) {
 }
 
 // dispatch handles one frame; false ends the connection. The kinds a loaded
-// connection is made of decode into stack values; the rest share Decode.
+// connection is made of decode into stack values; the rest share Decode. A
+// sample's image decodes to the server's catalog string when it names one.
 func (c *conn) dispatch(f rtwire.Frame) bool {
 	var err error
 	switch f.Kind {
 	case rtwire.KindSample:
 		var m rtwire.Sample
-		if m, err = rtwire.DecodeSample(f); err == nil {
+		if m, err = rtwire.DecodeSample(f, c.n.srv.ImageName); err == nil {
 			return c.onSample(m)
 		}
 	case rtwire.KindQuery:

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,5 +85,50 @@ func TestGroupCommitAckBarrier(t *testing.T) {
 	}
 	if ds, sq := l.DurableSeq(), l.Seq(); ds != sq {
 		t.Fatalf("firm reply with DurableSeq=%d Seq=%d: acked before its record's fsync", ds, sq)
+	}
+}
+
+// TestSampleStepAllocs: a WAL'd sample costs the apply loop no allocation of
+// its own under group commit — its ticket is kept by value — only its share
+// of each commit batch. Averaged over many batches, that is a fraction of an
+// allocation per sample; the value string is the caller's here, and no
+// as-of publish falls inside the run (TestPublishAllocs gates those).
+func TestSampleStepAllocs(t *testing.T) {
+	l, err := wal.Open(wal.Options{
+		Dir: t.TempDir(), SegmentSize: 64 << 20, SnapshotEvery: 1 << 20,
+		Sync: true, GroupWindow: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cfg := testConfig()
+	cfg.Log, cfg.SnapshotEvery = l, 1<<20
+	s, err := New(cfg) // not started: the test is the apply loop
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := request{kind: reqSample, image: "temp", value: "21"}
+	steps := func(n int) {
+		for i := 0; i < n; i++ {
+			s.step(r)
+		}
+	}
+	const warm, n = 1 << 14, 1 << 13 // past warm, the history grows by a rare copy
+	steps(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	steps(n)
+	runtime.ReadMemStats(&after)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.3f allocs per WAL'd sample", per)
+	if per > 0.25 {
+		t.Errorf("a WAL'd sample step: %.3f allocs per sample, want ≤ 0.25", per)
+	}
+	if m := s.Metrics.Snapshot(); m.SamplesApplied != warm+n || m.WalErrors != 0 {
+		t.Fatalf("applied %d samples with %d WAL errors, want %d and none", m.SamplesApplied, m.WalErrors, warm+n)
 	}
 }

@@ -45,8 +45,8 @@ import (
 type Metrics struct {
 	Chronon atomic.Uint64 `metric:"chronon" agg:"max"` // current virtual time (chronons)
 
-	SamplesIn       atomic.Uint64 `metric:"samples_in"`       // samples accepted into a session queue
-	SamplesRejected atomic.Uint64 `metric:"samples_rejected"` // samples refused: backpressure, or a follower's read-only role
+	SamplesIn       atomic.Uint64 `metric:"samples_in"`       // samples a session queue accepted, less those the apply loop refused
+	SamplesRejected atomic.Uint64 `metric:"samples_rejected"` // samples refused: backpressure, a follower's read-only role, or an unknown image
 	SamplesApplied  atomic.Uint64 `metric:"samples_applied"`  // samples applied to the database: SamplesIn once queues drain
 
 	QueriesIn       atomic.Uint64 `metric:"queries_in"`       // aperiodic query submissions (attempts)

@@ -208,15 +208,17 @@ type Server struct {
 	names []string
 	// cat is the catalog the next snapshot is captured under; it is rebuilt
 	// when names grows, and nil (rebuild) after Resync replaced names.
-	cat *pubCatalog
+	// imgs[i] is cat.names[i]'s image object, rebuilt with cat.
+	cat  *pubCatalog
+	imgs []*rtdb.ImageObject
 	// sessLabels precomputes the "s<i>" WAL session labels.
 	sessLabels []string
 
 	// lastTicket is the newest WAL commit ticket the apply loop produced —
 	// the durability frontier a barrier or query ack must wait behind when
-	// the log batches fsyncs (group commit). Apply-loop-owned: only read
-	// and written from step, never concurrently.
-	lastTicket *wal.Ticket
+	// the log batches fsyncs (group commit); the zero Ticket is resolved.
+	// Apply-loop-owned: only read and written from step, never concurrently.
+	lastTicket wal.Ticket
 
 	Metrics Metrics
 	// Repl is a follower's replication books, kept by its replica.
@@ -464,6 +466,9 @@ func (s *Server) step(r request) {
 		if err := s.db.InjectSample(r.image, r.value); err == nil {
 			s.Metrics.SamplesApplied.Add(1)
 			s.walAppend(wal.Sample(now, r.image, r.value))
+		} else { // an image the database lacks: refused, as by a full queue
+			s.Metrics.SamplesIn.Add(^uint64(0))
+			s.Metrics.SamplesRejected.Add(1)
 		}
 		s.drainFirings(now)
 		s.advance(now + 1)
@@ -478,7 +483,7 @@ func (s *Server) step(r request) {
 	case reqBarrier:
 		// Flush is the durability barrier: close the open commit window so
 		// the batch leader fsyncs now, and ack once it has.
-		if t := s.lastTicket; t != nil && !t.Resolved() && s.log != nil {
+		if !s.lastTicket.Resolved() && s.log != nil {
 			s.log.CloseWindow()
 		}
 		s.replyAfterDurable(r.reply, Response{})
@@ -600,31 +605,29 @@ func (s *Server) drainFirings(now timeseq.Time) {
 	}
 }
 
-// walAppend appends one event when a log is configured, returning the
-// commit ticket the caller may wait on for durability (nil when there is
-// no log or the append was rejected). The append itself never blocks on
-// the commit window — with group commit enabled the fsync happens later,
-// and acks that require durability park on the ticket off the apply loop.
-func (s *Server) walAppend(e wal.Event) *wal.Ticket {
-	return s.walAppendFirm(e, false)
+// walAppend appends one event when a log is configured, and makes its
+// commit ticket lastTicket. The append itself never blocks on the commit
+// window — with group commit enabled the fsync happens later, and acks
+// that require durability park on the ticket off the apply loop.
+func (s *Server) walAppend(e wal.Event) {
+	s.walAppendFirm(e, false)
 }
 
 // walAppendFirm is walAppend with an immediate-flush request: firm seals
 // the open commit window so a firm-deadline ack is never held hostage to
 // the window's tail — the §4.1 admission promise extends through the WAL.
 // A follower never appends: its replica logs what the primary logged.
-func (s *Server) walAppendFirm(e wal.Event, firm bool) *wal.Ticket {
+func (s *Server) walAppendFirm(e wal.Event, firm bool) {
 	if s.log == nil || s.following.Load() {
-		return nil
+		return
 	}
 	t, err := s.log.AppendTicket(e, firm)
 	if err != nil {
 		s.Metrics.WalErrors.Add(1)
-		return nil
+		return
 	}
 	s.Metrics.WalAppends.Add(1)
-	s.lastTicket = t
-	return t
+	s.lastTicket = *t // AppendTicket inlines: t never leaves this frame
 }
 
 // replyAfterDurable delivers a response once the newest WAL append this
@@ -635,7 +638,8 @@ func (s *Server) walAppendFirm(e wal.Event, firm bool) *wal.Ticket {
 // channel is buffered, so the send cannot block even when the requester
 // abandoned the wait at shutdown.
 func (s *Server) replyAfterDurable(reply chan Response, resp Response) {
-	if t := s.lastTicket; t != nil && !t.Resolved() {
+	if !s.lastTicket.Resolved() {
+		t := s.lastTicket // copied here only: the goroutine moves it to the heap
 		go func() {
 			_ = t.Wait()
 			reply <- resp
@@ -655,14 +659,14 @@ func (s *Server) maybePublish() {
 }
 
 // publishSnapshot publishes the as-of view: one header per image, copied
-// from the live histories. An image's header is taken afresh when its
-// history's length changed — histories only grow, so a changed length is
-// the only change there is — and when nothing changed the previous
-// snapshot's headers are shared whole. A publish therefore allocates the
-// snapshot and at most one slice of headers, whatever the number of images
-// or the length of their histories. The snapshot's instant extends every
-// image's newest value to the present, so a quiet image still answers
-// as-of reads up to now.
+// from the live histories. When no history's length changed — histories
+// only grow, so a changed length is the only change there is — the previous
+// snapshot's headers are shared whole; otherwise every header is taken
+// afresh into one new slice. A publish therefore allocates the snapshot and
+// at most one slice of headers, whatever the number of images or the length
+// of their histories, and looks no image up by name: s.imgs holds them. The
+// snapshot's instant extends every image's newest value to the present, so
+// a quiet image still answers as-of reads up to now.
 func (s *Server) publishSnapshot() {
 	// Snapshot at the served clock, not the (possibly lagging) scheduler
 	// clock, so the newest sample's validity extends to the present.
@@ -670,25 +674,38 @@ func (s *Server) publishSnapshot() {
 	s.sched.RunUntil(now)
 	if s.cat == nil || len(s.cat.names) != len(s.names) {
 		s.cat = newPubCatalog(s.names)
+		s.imgs = make([]*rtdb.ImageObject, len(s.cat.names))
+		for i, name := range s.cat.names {
+			s.imgs[i], _ = s.db.Image(name)
+		}
+	}
+	prev := s.hist.Load()
+	changed := prev == nil || prev.cat != s.cat
+	for i := 0; !changed && i < len(s.imgs); i++ {
+		changed = len(s.imgs[i].History()) != len(prev.hist[i])
 	}
 	var hist [][]rtdb.Sample
-	own := true // hist is this publish's own slice, free to write
-	if prev := s.hist.Load(); prev != nil && prev.cat == s.cat {
-		hist, own = prev.hist, false
+	if !changed {
+		hist = prev.hist // shared whole
 	} else {
-		hist = make([][]rtdb.Sample, len(s.cat.names))
-	}
-	for i, name := range s.cat.names {
-		img, _ := s.db.Image(name)
-		if h := img.History(); own || len(h) != len(hist[i]) {
-			if !own {
-				hist, own = slices.Clone(hist), true
-			}
-			hist[i] = h
+		hist = make([][]rtdb.Sample, len(s.imgs))
+		for i, img := range s.imgs {
+			hist[i] = img.History()
 		}
 	}
 	s.hist.Store(&histSnap{at: now, cat: s.cat, hist: hist})
 	s.lastSnap = now
+}
+
+// ImageName returns the published catalog's own string for the image named
+// by raw, without allocating; false when it has none. netserve decodes each
+// sample's image field through it (rtwire.DecodeSample).
+func (s *Server) ImageName(raw []byte) (string, bool) {
+	c := s.hist.Load().cat
+	if i, ok := c.idx[string(raw)]; ok {
+		return c.names[i], true
+	}
+	return "", false
 }
 
 // HistoryHorizon returns the time through which as-of reads are current.

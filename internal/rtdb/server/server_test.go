@@ -215,6 +215,31 @@ func TestBackpressureRejectsNotBlocks(t *testing.T) {
 	s.Stop()
 }
 
+// TestUnknownImageSampleRejected: a sample the apply loop refuses — its
+// image is not in the database — leaves samples_in and is counted in
+// samples_rejected, so samples_in == samples_applied still holds.
+func TestUnknownImageSampleRejected(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Stop()
+	c := s.Session(0)
+	for _, image := range []string{"nope", "temp"} {
+		if err := c.InjectSample(image, "1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics.Snapshot(); m.SamplesIn != 1 || m.SamplesApplied != 1 || m.SamplesRejected != 1 {
+		t.Fatalf("samples_in %d samples_applied %d samples_rejected %d, want 1 1 1",
+			m.SamplesIn, m.SamplesApplied, m.SamplesRejected)
+	}
+}
+
 func TestPeriodicScheduler(t *testing.T) {
 	s, err := New(testConfig())
 	if err != nil {

@@ -14,7 +14,8 @@
 // sample backpressure, 012 Hello first, 013 handshake timeout, 014 refusals
 // counted, 015 subscription refusals, 016 push rows, 017 a frozen listener
 // is cut, 018 durability rows, 019 WAL-less rows, 020 live fsync rows, 021
-// fault-path counts, 022 a client's zero deadline expires.
+// fault-path counts, 022 a client's zero deadline expires, 023 a sample for
+// an unknown image is rejected, a known one applied.
 // REPL- replication: 001 catch-up then tail, 002 send window, 003 departing
 // follower, 004 stalled standby subscriber, 005 planned promotion, 006 the
 // sender only echoes, 007 promotion fences, 008 an idle link holds, 009 the

@@ -63,6 +63,7 @@ var requirements = []struct {
 	{"WIRE-020_live_fsync_rows", fresh},
 	{"WIRE-021_fault_path_rows", listeners},
 	{"WIRE-022_zero_deadline_firm", primaries},
+	{"WIRE-023_sample_image", []string{"inproc", "tcp", "promoted"}},
 	{"REPL-001_catchup_then_tail", primaries},
 	{"REPL-002_send_window", primaries},
 	{"REPL-003_departing_follower", primaries},
@@ -116,6 +117,7 @@ var rows = map[string]func(t *testing.T, mk maker){
 	"WIRE-020_live_fsync_rows":             wireLiveFsyncRows,
 	"WIRE-021_fault_path_rows":             wireFaultPathRows,
 	"WIRE-022_zero_deadline_firm":          wireZeroDeadlineFirm,
+	"WIRE-023_sample_image":                wireSampleImage,
 	"REPL-001_catchup_then_tail":           replCatchupThenTail,
 	"REPL-002_send_window":                 replSendWindow,
 	"REPL-003_departing_follower":          replDepartingFollower,

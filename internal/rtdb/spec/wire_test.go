@@ -726,3 +726,42 @@ func wireSampleBackpressure(t *testing.T, mk maker) {
 		t.Errorf("BackpressureFrames = %d, want 1", got)
 	}
 }
+
+// WIRE-023: a sample whose image the node lacks is refused by the apply loop
+// and counted in samples_rejected, out of samples_in, so samples_in ==
+// samples_applied holds with it in the stream; a sample for a known image is
+// applied before and after an as-of publish. On promoted the image is one
+// the standby learned by replication, and the first sample lands before the
+// node has published as a primary.
+func wireSampleImage(t *testing.T, mk maker) {
+	tg := mk(t, setup{})
+	refused := func() {
+		t.Helper()
+		if tg.ns == nil {
+			must(t, tg.srv.Session(0).InjectSample("nope", "1"))
+		} else {
+			must(t, tg.client(t).InjectSample("nope", "1"))
+		}
+	}
+	base, horizon := tg.srv.Metrics.Snapshot(), tg.srv.HistoryHorizon()
+	books := func(in, rejected uint64, when string) {
+		t.Helper()
+		m := tg.srv.Metrics.Snapshot()
+		gotIn, gotApplied, gotRejected := m.SamplesIn-base.SamplesIn, m.SamplesApplied-base.SamplesApplied, m.SamplesRejected-base.SamplesRejected
+		if gotIn != in || gotApplied != in || gotRejected != rejected {
+			t.Fatalf("%s: samples_in %d samples_applied %d samples_rejected %d, want %d %d %d",
+				when, gotIn, gotApplied, gotRejected, in, in, rejected)
+		}
+	}
+	refused()
+	tg.advance(t, 1)
+	books(1, 1, "before a publish")
+	tg.advance(t, 17) // past the default 16-chronon publication period
+	if tg.srv.HistoryHorizon() == horizon {
+		t.Fatalf("no as-of publish after 18 chronons (horizon %d)", horizon)
+	}
+	refused()
+	tg.advance(t, 1)
+	books(19, 2, "after a publish")
+	tg.finish(t)
+}

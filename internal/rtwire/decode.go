@@ -71,18 +71,28 @@ func (r *fieldReader) bool() bool {
 	return s[0] == '1'
 }
 
-// next returns the next field as a string; false when none remain.
-func (r *fieldReader) next() (string, bool) {
+// next returns the next field as a string; false when none remain. When
+// lookup (if any) resolves the field's bytes, the string is the one it
+// returns and nothing is allocated; an escaped field is never looked up.
+func (r *fieldReader) next(lookup func([]byte) (string, bool)) (string, bool) {
 	raw, escaped, ok := r.sc.Next()
 	if !ok {
 		return "", false
 	}
 	r.n++
+	if lookup != nil && !escaped {
+		if s, ok := lookup(raw); ok {
+			return s, true
+		}
+	}
 	return encoding.FieldString(raw, escaped), true
 }
 
-func (r *fieldReader) str() string {
-	s, ok := r.next()
+func (r *fieldReader) str() string { return r.known(nil) }
+
+// known reads a required string field through lookup, as next does.
+func (r *fieldReader) known(lookup func([]byte) (string, bool)) string {
+	s, ok := r.next(lookup)
 	if !ok {
 		r.bad = true
 	}
@@ -96,7 +106,7 @@ func (r *fieldReader) strs() []string {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for s, ok := r.next(); ok; s, ok = r.next() {
+	for s, ok := r.next(nil); ok; s, ok = r.next(nil) {
 		out = append(out, s)
 	}
 	return out
@@ -168,10 +178,12 @@ func DecodeWelcome(f Frame) (m Welcome, err error) {
 	return m, r.end()
 }
 
-// DecodeSample decodes a KindSample frame.
-func DecodeSample(f Frame) (m Sample, err error) {
+// DecodeSample decodes a KindSample frame. images, if not nil, resolves the
+// image field's bytes to a string the caller holds (a server's catalog
+// name); a name it does not resolve, or an escaped one, decodes fresh.
+func DecodeSample(f Frame, images func([]byte) (string, bool)) (m Sample, err error) {
 	r := readFields(f, KindSample)
-	m.ID, m.Image, m.Value = r.uint(), r.str(), r.str()
+	m.ID, m.Image, m.Value = r.uint(), r.known(images), r.str()
 	return m, r.end()
 }
 
@@ -221,7 +233,7 @@ func DecodeMetricsReq(f Frame) (m MetricsReq, err error) {
 func DecodeMetrics(f Frame) (m Metrics, err error) {
 	r := readFields(f, KindMetrics)
 	m.ID = r.uint()
-	for name, ok := r.next(); ok; name, ok = r.next() {
+	for name, ok := r.next(nil); ok; name, ok = r.next(nil) {
 		// A name without its value reads as a missing number: bad.
 		m.Pairs = append(m.Pairs, MetricPair{Name: name, Value: r.uint()})
 	}
@@ -376,7 +388,7 @@ func boxed[M any](decode func(Frame) (M, error)) func(Frame) (any, error) {
 // decoders holds every kind's typed decoder, boxed, at the kind's index.
 var decoders = [KindSubResume + 1]func(Frame) (any, error){
 	KindHello: boxed(DecodeHello), KindWelcome: boxed(DecodeWelcome),
-	KindSample: boxed(DecodeSample), KindQuery: boxed(DecodeQuery), KindResult: boxed(DecodeResult),
+	KindSample: boxed(func(f Frame) (Sample, error) { return DecodeSample(f, nil) }), KindQuery: boxed(DecodeQuery), KindResult: boxed(DecodeResult),
 	KindAsOf: boxed(DecodeAsOf), KindAsOfResult: boxed(DecodeAsOfResult),
 	KindMetricsReq: boxed(DecodeMetricsReq), KindMetrics: boxed(DecodeMetrics),
 	KindFlush: boxed(DecodeFlush), KindFlushed: boxed(DecodeFlushed),

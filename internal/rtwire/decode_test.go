@@ -7,7 +7,11 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
+
+	"rtc/internal/encoding"
 )
 
 // frameOf is the frame a message encodes to.
@@ -51,7 +55,7 @@ func checkAgainstOracle(t *testing.T, f Frame) {
 	case KindPush:
 		typed, terr = DecodePush(f)
 	case KindSample:
-		typed, terr = DecodeSample(f)
+		typed, terr = DecodeSample(f, nil)
 	case KindQuery:
 		typed, terr = DecodeQuery(f)
 	case KindResult:
@@ -66,8 +70,45 @@ func checkAgainstOracle(t *testing.T, f Frame) {
 	if (terr == nil) != (wantErr == nil) || (terr == nil && !reflect.DeepEqual(typed, want)) {
 		t.Fatalf("%s %q: typed decoder = %#v, %v; oracle %#v, %v", f.Kind, f.Payload, typed, terr, want, wantErr)
 	}
-	if f.Kind == KindPush {
+	switch f.Kind {
+	case KindPush:
 		checkSharedPush(t, f)
+	case KindSample:
+		checkKnownSample(t, f)
+	}
+}
+
+// checkKnownSample holds DecodeSample with an image lookup to DecodeSample
+// without one on one frame: a lookup that knows no name, one that knows
+// only other names — the image field's raw bytes among them, which an
+// escaped field must not be looked up by — and one that knows the frame's
+// image too, whose own string the decode must return when the payload holds
+// no escape pair.
+func checkKnownSample(t *testing.T, f Frame) {
+	t.Helper()
+	want, wantErr := DecodeSample(f, nil)
+	own := strings.Clone(want.Image)
+	sc := encoding.Scan(f.Payload)
+	sc.Next()
+	raw, _, _ := sc.Next()
+	others := []string{"temp", own + "x", "", string(raw)}
+	for _, names := range [][]string{nil, others, append([]string{own}, others...)} {
+		lookup := func(raw []byte) (string, bool) {
+			for _, n := range names {
+				if string(raw) == n {
+					return n, true
+				}
+			}
+			return "", false
+		}
+		got, err := DecodeSample(f, lookup)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q knowing %q: DecodeSample = %#v, %v; without a lookup %#v, %v", f.Payload, names, got, err, want, wantErr)
+		}
+		known := len(names) > len(others) && own != ""
+		if err == nil && known && !bytes.ContainsRune(f.Payload, '%') && unsafe.StringData(got.Image) != unsafe.StringData(own) {
+			t.Fatalf("%q knowing %q: image decoded fresh, want the known string", f.Payload, names)
+		}
 	}
 }
 
@@ -161,8 +202,10 @@ func TestDecodeMatchesOracle(t *testing.T) {
 
 // FuzzDecodeDifferential holds the one-pass decoders to the field-slice
 // oracle: arbitrary payload bytes under every kind byte are accepted or
-// rejected identically and decode to deep-equal messages, and a push decoded
-// against recent answer sets equals its fresh decode (checkSharedPush).
+// rejected identically and decode to deep-equal messages, a push decoded
+// against recent answer sets equals its fresh decode (checkSharedPush), and
+// a sample decoded against known image names equals its decode without them
+// (checkKnownSample).
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, m := range allMessages() {
 		fr := frameOf(f, m.(encoder))
@@ -252,12 +295,30 @@ func TestAllocGates(t *testing.T) {
 			t.Fatalf("answers %q, err %v: want recent[1] itself", m.Answers, err)
 		}
 	})
-	sampleFrame := frameOf(t, Sample{ID: 7, Image: "temp", Value: "21"})
-	gate("DecodeSample", 2, func() {
-		if _, err := DecodeSample(sampleFrame); err != nil {
-			t.Fatal(err)
+	// A known image is the lookup's string: a sample then allocates its
+	// value alone, and nothing for a one-byte value (the runtime's own).
+	images := func(raw []byte) (string, bool) {
+		if string(raw) == "temp" {
+			return "temp", true
 		}
-	})
+		return "", false
+	}
+	for _, c := range []struct {
+		name   string
+		sample Sample
+		max    float64
+	}{
+		{"unknown image", Sample{ID: 7, Image: "humid", Value: "21"}, 2},
+		{"known image", Sample{ID: 7, Image: "temp", Value: "21"}, 1},
+		{"known image, one-byte value", Sample{ID: 7, Image: "temp", Value: "2"}, 0},
+	} {
+		f := frameOf(t, c.sample)
+		gate("DecodeSample "+c.name, c.max, func() {
+			if m, err := DecodeSample(f, images); err != nil || m != c.sample {
+				t.Fatalf("%+v, %v: want %+v", m, err, c.sample)
+			}
+		})
+	}
 	queryFrame := frameOf(t, Query{ID: 8, Query: "status_q", Candidate: "ok", Kind: 1, Deadline: 40, MinUseful: 1})
 	gate("DecodeQuery", 2, func() {
 		if _, err := DecodeQuery(queryFrame); err != nil {
