@@ -200,11 +200,12 @@ bench:
 # Every benchmark of the root package and the rtwire, log, netserve, replica,
 # server and sub packages, run once: they still build and run
 # (BenchmarkReplicaCatchup, BenchmarkNetFanout and the BenchmarkInjectSample
-# and BenchmarkAsOfRead that DESIGN §11 quotes included). Seconds; CI runs
-# this target.
+# and BenchmarkAsOfRead that DESIGN §11 quotes included), and with -benchmem
+# every log shows their B/op (BenchmarkRebuild/200k's history bytes among
+# them). Seconds; CI runs this target.
 BENCH_SMOKE_PKGS = . ./internal/rtwire/ ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/server/ ./internal/rtdb/sub/
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' $(BENCH_SMOKE_PKGS)
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' $(BENCH_SMOKE_PKGS)
 
 # rtbench is the repository's benchmark (BENCHMARK.json, bench/README.md): a
 # nested module the root `go test ./...` does not see. rtbench-smoke vets it

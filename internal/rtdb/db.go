@@ -2,7 +2,6 @@ package rtdb
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"rtc/internal/timeseq"
@@ -66,11 +65,15 @@ func SampleAt(h []Sample, t, horizon timeseq.Time) (Sample, bool) {
 // History returns all archival samples, oldest first.
 func (o *ImageObject) History() []Sample { return o.history }
 
-// InstallHistory copies a recovered, time-ordered history into an image that
-// holds none yet — one allocation, sized exactly, in place of one
-// InjectSample per sample. It enforces InjectSample's rule in one pass: no
-// sample precedes the one before it. Install before AddImage, which drops
-// the database's cached view.
+// InstallHistory adopts a recovered, time-ordered history into an image that
+// holds none yet, in place of one InjectSample per sample. It enforces
+// InjectSample's rule in one pass: no sample precedes the one before it.
+// Install before AddImage, which drops the database's cached view.
+//
+// The image keeps h's elements, not a copy, with its capacity clipped to its
+// length: the image's first append reallocates, and an owner that keeps
+// appending to h writes only past that length. Neither writes an element
+// the other can see, as long as both treat appended samples as immutable.
 func (o *ImageObject) InstallHistory(h []Sample) error {
 	if len(o.history) > 0 {
 		return fmt.Errorf("rtdb: image %q already holds %d samples", o.Name, len(o.history))
@@ -80,7 +83,7 @@ func (o *ImageObject) InstallHistory(h []Sample) error {
 			return fmt.Errorf("rtdb: sample for %q at %d precedes last sample at %d", o.Name, h[i].At, h[i-1].At)
 		}
 	}
-	o.history = slices.Clone(h)
+	o.history = h[:len(h):len(h)]
 	return nil
 }
 

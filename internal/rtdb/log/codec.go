@@ -208,6 +208,26 @@ func control(payload []byte, tag string, vals []uint64) bool {
 // a crash mid-append and is truncated away; anywhere else it is corruption.
 var errTorn = fmt.Errorf("log: torn record")
 
+// frameAt is the log's one frame check: it reports whether b starts with an
+// intact frame — a length within maxPayload, every byte of the frame inside
+// b, a CRC that matches — and returns its payload, aliasing b, and its size.
+// ReadFrame's in-place and copying paths, the snapshot walk and ContainsFrame
+// all decide through it.
+func frameAt(b []byte) (payload []byte, size int, ok bool) {
+	if len(b) < frameHeaderSize {
+		return nil, 0, false
+	}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	if length > maxPayload || frameHeaderSize+int(length) > len(b) {
+		return nil, 0, false
+	}
+	size = frameHeaderSize + int(length)
+	if crc32.Checksum(b[frameHeaderSize:size], crcTable) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, 0, false
+	}
+	return b[frameHeaderSize:size], size, true
+}
+
 // ReadFrame reads one framed payload from r into *buf, growing it as
 // needed: the returned payload aliases *buf and is valid until the next
 // call, so a replay loop reads every frame of a segment through one buffer
@@ -222,13 +242,11 @@ func ReadFrame(r io.Reader, buf *[]byte) (payload []byte, n int, err error) {
 		// oversized or damaged one — takes the copying path below, which
 		// alone decides what a bad frame consumed.
 		if hdr, _ := br.Peek(frameHeaderSize); len(hdr) == frameHeaderSize {
-			length := binary.LittleEndian.Uint32(hdr[0:4])
-			sum := binary.LittleEndian.Uint32(hdr[4:8])
-			if size := frameHeaderSize + int64(length); size <= int64(br.Size()) {
+			if size := frameHeaderSize + int64(binary.LittleEndian.Uint32(hdr)); size <= int64(br.Size()) {
 				fr, _ := br.Peek(int(size))
-				if len(fr) == int(size) && crc32.Checksum(fr[frameHeaderSize:], crcTable) == sum {
-					br.Discard(int(size))
-					return fr[frameHeaderSize:], int(size), nil
+				if payload, n, ok := frameAt(fr); ok {
+					br.Discard(n)
+					return payload, n, nil
 				}
 			}
 		}
@@ -236,8 +254,9 @@ func ReadFrame(r io.Reader, buf *[]byte) (payload []byte, n int, err error) {
 	if buf == nil {
 		buf = new([]byte)
 	}
-	// The header passes through the same buffer: a local array would
-	// escape through the io.Reader and cost an allocation per frame.
+	// The header passes through the same buffer as the payload behind it:
+	// a local array would escape through the io.Reader and cost an
+	// allocation per frame.
 	if cap(*buf) < frameHeaderSize {
 		*buf = make([]byte, frameHeaderSize, 256)
 	}
@@ -249,23 +268,23 @@ func ReadFrame(r io.Reader, buf *[]byte) (payload []byte, n int, err error) {
 	if err != nil {
 		return nil, got, errTorn
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	length := binary.LittleEndian.Uint32(hdr)
 	if length > maxPayload {
 		return nil, frameHeaderSize, errTorn
 	}
-	if uint32(cap(*buf)) < length {
-		*buf = make([]byte, length)
+	size := frameHeaderSize + int(length)
+	if cap(*buf) < size {
+		*buf = append(make([]byte, 0, size), hdr...)
 	}
-	payload = (*buf)[:length]
-	got, err = io.ReadFull(r, payload)
+	fr := (*buf)[:size]
+	got, err = io.ReadFull(r, fr[frameHeaderSize:])
 	if err != nil {
 		return nil, frameHeaderSize + got, errTorn
 	}
-	if crc32.Checksum(payload, crcTable) != sum {
-		return nil, frameHeaderSize + int(length), errTorn
+	if payload, _, ok := frameAt(fr); ok {
+		return payload, size, nil
 	}
-	return payload, frameHeaderSize + int(length), nil
+	return nil, size, errTorn
 }
 
 // ContainsFrame reports whether any alignment of b parses as a complete
@@ -274,13 +293,8 @@ func ReadFrame(r io.Reader, buf *[]byte) (payload []byte, n int, err error) {
 // (damage with committed records behind it). The CRC makes a false positive
 // on genuinely torn bytes a ~2^-32 event.
 func ContainsFrame(b []byte) bool {
-	for i := 0; i+frameHeaderSize <= len(b); i++ {
-		length := binary.LittleEndian.Uint32(b[i : i+4])
-		if length == 0 || length > maxPayload || i+frameHeaderSize+int(length) > len(b) {
-			continue
-		}
-		sum := binary.LittleEndian.Uint32(b[i+4 : i+8])
-		if crc32.Checksum(b[i+frameHeaderSize:i+frameHeaderSize+int(length)], crcTable) == sum {
+	for i := range b {
+		if payload, _, ok := frameAt(b[i:]); ok && len(payload) > 0 {
 			return true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -209,7 +210,10 @@ func FuzzSegmentRecovery(f *testing.F) {
 // all but the smallest frames to the copying path, one of 64 KiB, and a
 // bytes.Reader, which is the copying path: the same payloads, consumed-byte
 // counts and errors, frame after frame. Those counts are the offsets
-// recovery truncates a torn tail at.
+// recovery truncates a torn tail at. The whole-buffer walk a snapshot load
+// takes (frameWalk) yields the same payloads and counts up to the first
+// error, and stops at the end of the buffer exactly when the reader ends
+// at io.EOF.
 func FuzzDecodeFrame(f *testing.F) {
 	two := append(EncodeEvent(Image("temp", 5)), EncodeEvent(Sample(3, "temp", "20"))...)
 	flip := append([]byte(nil), two...)
@@ -245,6 +249,22 @@ func FuzzDecodeFrame(f *testing.F) {
 			if got := read(bufio.NewReaderSize(bytes.NewReader(b), size)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("through a %d-byte bufio.Reader: %+v\nthrough a bytes.Reader: %+v", size, got, want)
 			}
+		}
+		var walked []step
+		w := frameWalk{b: b}
+		for off := 0; ; off = w.off {
+			payload, ok := w.next()
+			if !ok {
+				break
+			}
+			walked = append(walked, step{string(payload), w.off - off, nil})
+		}
+		intact := want[:len(want)-1]
+		if !slices.Equal(walked, intact) {
+			t.Fatalf("walked in place: %+v\nthrough a bytes.Reader: %+v", walked, intact)
+		}
+		if end := want[len(want)-1].err == io.EOF; end != (w.off == len(b)) {
+			t.Fatalf("the walk stopped at %d of %d bytes; the reader ended with %v", w.off, len(b), want[len(want)-1].err)
 		}
 	})
 }

@@ -261,8 +261,9 @@ type reader struct {
 	names map[string]string
 }
 
-// recoveryBuffer is the size of the read buffer recovery reads snapshots and
-// segments through: ReadFrame checks every frame that fits it in place.
+// recoveryBuffer is the size of the read buffer recovery reads segments
+// through: ReadFrame checks every frame that fits it in place. A snapshot is
+// read whole instead (loadSnapshot).
 const recoveryBuffer = 64 << 10
 
 // newReader returns the reader one recovery pass carries.
@@ -308,7 +309,7 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int
 	// 0 of the rest is the damaged record itself; any later alignment hiding
 	// a CRC-valid frame means data past the damage was once committed.
 	path := filepath.Join(l.opts.Dir, segName(seg))
-	rest, err := l.readTail(path, off)
+	rest, err := readRest(l.fs, path, off)
 	if err != nil {
 		return 0, err
 	}
@@ -322,17 +323,29 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int
 	return off, nil
 }
 
-// readTail returns the bytes of the file at path from off to its end.
-func (l *Log) readTail(path string, off int64) ([]byte, error) {
-	f, err := l.fs.Open(path)
+// readRest returns the bytes of the file at path from off to its end, in
+// one read sized by the file's length.
+func readRest(fs faultfs.FS, path string, off int64) ([]byte, error) {
+	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	if off > size {
+		return nil, fmt.Errorf("log: offset %d past end of %s (%d bytes)", off, path, size)
+	}
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return nil, err
 	}
-	return io.ReadAll(f)
+	b := make([]byte, size-off)
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // openSegment opens segment seg for appending at offset off (creating it
@@ -618,25 +631,26 @@ func (l *Log) snapshotLocked() error {
 // whose count matches is an error — the caller falls back to an older
 // snapshot or to the segments.
 //
-// A snapshot holds each image's samples back to back (State.visit), so the
-// plain ones — $S@t@name@value$, nothing escaped — are taken as runs: the
-// image is looked up once per run and the run's values become one string
-// (sampleRun). Every other record, escaped or not a sample, flushes the run
-// and goes through decodeEvent and Apply, which decide what it means. A
-// snapshot written before firings and queries stopped being folded still
-// holds their records; Apply validates and counts them, and the header sets
-// the count.
+// The file is read whole, in one read, and its frames are walked in place
+// (frameWalk); nothing the state keeps points into that buffer, which is
+// garbage once the load returns. A snapshot holds each image's samples back
+// to back (State.visit), so the plain ones — $S@t@name@value$, nothing
+// escaped — are taken as runs: the image is looked up once per run and the
+// run's values become one string (sampleRun). Every other record, escaped
+// or not a sample, flushes the run and goes through decodeEvent and Apply,
+// which decide what it means. A snapshot written before firings and queries
+// stopped being folded still holds their records; Apply validates and
+// counts them, and the header sets the count. Bytes after the commit
+// trailer are ignored.
 func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, error) {
-	f, err := fs.Open(path)
+	data, err := readRest(fs, path, 0)
 	if err != nil {
 		return nil, replayPos{}, err
 	}
-	defer f.Close()
-	rd.br.Reset(f)
-
-	payload, _, err := ReadFrame(rd.br, &rd.buf)
-	if err != nil {
-		return nil, replayPos{}, fmt.Errorf("log: unreadable snapshot header: %w", err)
+	w := frameWalk{b: data}
+	payload, ok := w.next()
+	if !ok {
+		return nil, replayPos{}, fmt.Errorf("log: unreadable snapshot header")
 	}
 	var head [4]uint64 // segment, offset, events, last timestamp
 	if !control(payload, "SNAPSHOT", head[:]) {
@@ -646,8 +660,8 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 	st := NewState()
 	var run sampleRun
 	for n := uint64(0); ; n++ {
-		payload, _, err := ReadFrame(rd.br, &rd.buf)
-		if err != nil {
+		payload, ok := w.next()
+		if !ok {
 			return nil, replayPos{}, fmt.Errorf("log: snapshot truncated before commit")
 		}
 		if at, name, value, ok := plainSample(payload); ok {
@@ -678,6 +692,22 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 	st.Events = head[2]
 	st.LastAt = timeseq.Time(head[3])
 	return st, replayPos{seg: head[0], off: int64(head[1])}, nil
+}
+
+// frameWalk walks a buffer of back-to-back frames in place: each payload
+// aliases the buffer and nothing is copied. off is the offset just past the
+// last frame taken.
+type frameWalk struct {
+	b   []byte
+	off int
+}
+
+// next takes the frame at off. At the end of the buffer, or at bytes
+// frameAt refuses, it reports false and stays where it is.
+func (w *frameWalk) next() ([]byte, bool) {
+	payload, n, ok := frameAt(w.b[w.off:])
+	w.off += n
+	return payload, ok
 }
 
 // plainSample splits a sample record with no escape, exactly four fields

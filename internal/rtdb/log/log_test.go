@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rtc/internal/faultfs"
@@ -469,7 +470,17 @@ func TestCompact(t *testing.T) {
 }
 
 func TestBuildRebindsCatalog(t *testing.T) {
-	st := reference(workload(20))
+	l, err := Open(Options{Dir: "wal", FS: faultfs.NewMem(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, e := range workload(20) {
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := l.State()
 	db := rtdb.New(vtime.New())
 	reg := rtdb.DeriveRegistry{
 		"status": func(src map[string]rtdb.Value) rtdb.Value { return src["temp"] + "/" + src["limit"] },
@@ -481,13 +492,28 @@ func TestBuildRebindsCatalog(t *testing.T) {
 	if !ok {
 		t.Fatal("image catalog not rebuilt")
 	}
-	// The history is installed whole, as a copy: the log keeps appending to
-	// its own slice.
-	want := st.Images["temp"].Samples
+	want := slices.Clone(st.Images["temp"].Samples)
 	if got := img.History(); len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("installed history %v, want %v", got, want)
-	} else if &got[0] == &want[0] {
-		t.Fatal("installed history shares the log state's slice")
+	}
+	// The history is adopted copy-on-append: the log keeps appending to its
+	// state, the database to its image, and neither append reaches the
+	// other — also where the log's slice has room to grow in place.
+	if err := l.Append(Sample(st.LastAt, "temp", "log-side")); err != nil {
+		t.Fatal(err)
+	}
+	if got := img.History(); !slices.Equal(got, want) {
+		t.Fatalf("after a log append the installed history is %v, want %v", got, want)
+	}
+	logSide := slices.Clone(st.Images["temp"].Samples)
+	if err := db.InjectSample("temp", "db-side"); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Images["temp"].Samples; !slices.Equal(got, logSide) {
+		t.Fatalf("after a database append the log's history is %v, want %v", got, logSide)
+	}
+	if got := img.History(); len(got) != len(want)+1 || !slices.Equal(got[:len(want)], want) || got[len(want)].Value != "db-side" {
+		t.Fatalf("after a database append the installed history is %v", got)
 	}
 	if db.Now() != st.LastAt {
 		t.Fatalf("rebuilt clock at %d, want %d", db.Now(), st.LastAt)

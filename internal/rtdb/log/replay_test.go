@@ -2,8 +2,10 @@ package log
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -151,10 +153,10 @@ func TestRebuildRefusesObservableReplay(t *testing.T) {
 }
 
 // TestReplayAllocatesPerImageNotPerSample pins what a rebuild leaves on the
-// heap: each history is installed in one exactly sized copy, so the
-// allocation count depends on the number of images, not samples — no
-// history doubles its way up, and the garbage a recovery leaves behind does
-// not depend on when the collector happened to run.
+// heap: each history is adopted whole, so the allocation count depends on
+// the number of images, not samples — no history doubles its way up, and
+// the garbage a recovery leaves behind does not depend on when the
+// collector happened to run.
 func TestReplayAllocatesPerImageNotPerSample(t *testing.T) {
 	const images, perImage = 4, 5000
 	st := NewState()
@@ -188,6 +190,43 @@ func TestReplayAllocatesPerImageNotPerSample(t *testing.T) {
 		t.Fatalf("rebuild of %d samples: %.0f allocs, want <= %.0f", images*perImage, allocs, limit)
 	}
 	t.Logf("rebuild of %d samples: %.0f allocs", images*perImage, allocs)
+}
+
+// TestRebuildBytesPerImageNotPerSample pins the bytes behind those
+// allocations: Rebuild adopts each recovered history instead of copying it,
+// so rebuilding 200k samples over 64 images allocates a bounded amount per
+// image — the objects and the catalog — and nothing per sample. A copied
+// history costs 24 bytes a sample, 4.8 MB here.
+func TestRebuildBytesPerImageNotPerSample(t *testing.T) {
+	const images, samples = 64, 200_000
+	st := NewState()
+	for i := 0; i < images; i++ {
+		st.Images[fmt.Sprintf("sensor-%02d", i)] = &ImageState{Period: 5}
+	}
+	for k := 0; k < samples; k++ {
+		img := st.Images[fmt.Sprintf("sensor-%02d", k%images)]
+		img.Samples = append(img.Samples, rtdb.Sample{At: timeseq.Time(k / images), Value: "v"})
+	}
+	st.LastAt = samples / images
+	var ms runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 3; run++ {
+		db := rtdb.New(vtime.New())
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if err := st.Rebuild(db, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+		if img, _ := db.Image("sensor-00"); len(img.History()) != samples/images {
+			t.Fatalf("sensor-00 holds %d samples, want %d", len(img.History()), samples/images)
+		}
+	}
+	if limit := uint64(images << 10); least > limit {
+		t.Fatalf("rebuild of %d samples over %d images allocated %d bytes, want <= %d (1 KiB per image)", samples, images, least, limit)
+	}
+	t.Logf("rebuild of %d samples over %d images: %d bytes", samples, images, least)
 }
 
 // TestSnapshotLoadAllocatesPerRunNotPerSample is the same pin one step

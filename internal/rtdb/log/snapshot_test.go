@@ -41,15 +41,15 @@ func loadBytes(t testing.TB, image []byte) (*State, replayPos, error) {
 	return loadSnapshot(mem, "snap", newReader())
 }
 
-// snapshotPayloads writes a real snapshot and returns the writer's state
-// and the snapshot's record payloads.
-func snapshotPayloads(t testing.TB) (*State, [][]byte) {
+// snapshotPayloads writes a real snapshot of workload(20) and the extra
+// events and returns the writer's state and the snapshot's record payloads.
+func snapshotPayloads(t testing.TB, extra ...Event) (*State, [][]byte) {
 	mem := faultfs.NewMem(1)
 	l, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range workload(20) {
+	for _, e := range append(workload(20), extra...) {
 		if err := l.Append(e); err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +122,10 @@ func oracleSnapshot(payloads [][]byte) (*State, replayPos, bool) {
 
 // TestLoadSnapshotRejectsDamage: the loader returns an error — it does not
 // panic, and it does not hand back a partial state — for every way a
-// CRC-valid snapshot can be wrong. The one-field COMMIT used to index past
-// the end of its field list and take log.Open down with it.
+// CRC-valid snapshot can be wrong, and for frames its walk must refuse: a
+// checksum that fails in the middle of the file, a length that runs past
+// its end. The one-field COMMIT used to index past the end of its field
+// list and take log.Open down with it.
 func TestLoadSnapshotRejectsDamage(t *testing.T) {
 	want, good := snapshotPayloads(t)
 	last := len(good) - 1
@@ -148,8 +150,18 @@ func TestLoadSnapshotRejectsDamage(t *testing.T) {
 		"short event":             with(2, "$S@7@temp$"),
 		"sample before its image": append([][]byte{good[0], []byte("$S@1@nowhere@1$")}, good[1:]...),
 	}
+	images := map[string][]byte{}
 	for name, payloads := range cases {
-		if st, _, err := loadBytes(t, frames(payloads...)); err == nil {
+		images[name] = frames(payloads...)
+	}
+	at := len(frames(good[:len(good)/2]...)) // the middle frame's offset
+	flip, long := frames(good...), frames(good...)
+	flip[at+4] ^= 0x01
+	binary.LittleEndian.PutUint32(long[at:], uint32(len(long)))
+	images["checksum flip in a middle frame"] = flip
+	images["length past the end of the file"] = long
+	for name, image := range images {
+		if st, _, err := loadBytes(t, image); err == nil {
 			t.Errorf("%s: loaded a state with %d events, want an error", name, st.Events)
 		}
 	}
@@ -159,6 +171,33 @@ func TestLoadSnapshotRejectsDamage(t *testing.T) {
 	}
 	if d := st.Diff(want); d != "" || pos.seg != 1 {
 		t.Fatalf("intact snapshot: diff %q, position %+v", d, pos)
+	}
+}
+
+// TestLoadSnapshotAccepts: what the loader takes and what it leaves alone —
+// bytes after the commit trailer, a frame among them, are never parsed, and
+// a record larger than the segments' read buffer (an invariant value over
+// 64 KiB) loads like any other. Each loads to the writer's state.
+func TestLoadSnapshotAccepts(t *testing.T) {
+	want, good := snapshotPayloads(t)
+	bigWant, big := snapshotPayloads(t, Invariant("manual", strings.Repeat("x", 70<<10)))
+	for _, tc := range []struct {
+		name  string
+		image []byte
+		want  *State
+	}{
+		{"bytes after the commit", append(frames(good...), "trailing bytes"...), want},
+		{"a frame after the commit", append(frames(good...), EncodeEvent(Sample(99, "temp", "late"))...), want},
+		{"an invariant over 64 KiB", frames(big...), bigWant},
+	} {
+		st, _, err := loadBytes(t, tc.image)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if d := st.Diff(tc.want); d != "" {
+			t.Errorf("%s: loaded state differs from the writer's: %s", tc.name, d)
+		}
 	}
 }
 

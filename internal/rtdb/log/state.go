@@ -151,7 +151,10 @@ func (st *State) visit(emit func(Event)) {
 // Diff returns a description of the first divergence between two states,
 // or "" when they are deep-equal. The torture harness uses it to turn a
 // failed recovery invariant into an actionable message instead of a bare
-// deep-equal failure.
+// deep-equal failure. Every field is compared by hand, each sample once;
+// the deep-equal catch-all that follows runs on copies without the sample
+// histories, so a field added to State or ImageState later is still caught
+// without a second walk of every sample.
 func (st *State) Diff(other *State) string {
 	if other == nil {
 		return "other state is nil"
@@ -190,18 +193,49 @@ func (st *State) Diff(other *State) string {
 	if len(st.Images) != len(other.Images) {
 		return fmt.Sprintf("image count %d vs %d", len(st.Images), len(other.Images))
 	}
-	if !reflect.DeepEqual(st, other) {
+	for _, n := range sortedKeys(st.Derived) {
+		a, b := st.Derived[n], other.Derived[n]
+		if b == nil {
+			return fmt.Sprintf("derived %q missing", n)
+		}
+		if !slices.Equal(a.Sources, b.Sources) {
+			return fmt.Sprintf("derived %q sources %q vs %q", n, a.Sources, b.Sources)
+		}
+	}
+	if len(st.Derived) != len(other.Derived) {
+		return fmt.Sprintf("derived count %d vs %d", len(st.Derived), len(other.Derived))
+	}
+	if !reflect.DeepEqual(st.withoutSamples(), other.withoutSamples()) {
 		return "states differ outside the compared fields"
 	}
 	return ""
+}
+
+// withoutSamples is a shallow copy of the state whose images hold no
+// samples: what Diff's catch-all compares once the histories are done. The
+// image copies share one allocation.
+func (st *State) withoutSamples() State {
+	out := *st
+	out.Images = make(map[string]*ImageState, len(st.Images))
+	imgs := make([]ImageState, 0, len(st.Images))
+	for n, img := range st.Images {
+		imgs = append(imgs, *img)
+		imgs[len(imgs)-1].Samples = nil
+		out.Images[n] = &imgs[len(imgs)-1]
+	}
+	return out
 }
 
 // Rebuild is the one way a recovered state becomes a live database — server
 // recovery calls it, for a primary, a follower and a follower's resync. It
 // installs the catalog — invariants, served-mode images (nil Read: nothing is
 // scheduled), and derived objects re-bound through the registry, exactly as
-// the acceptor's DeriveRegistry re-binds enc(D) — copies each image's
-// history in whole, and leaves the clock at the state's last timestamp.
+// the acceptor's DeriveRegistry re-binds enc(D) — adopts each image's
+// history whole, copy-on-append (ImageObject.InstallHistory), and leaves the
+// clock at the state's last timestamp. The database and the state then share
+// each history's recovered samples: the state appends past their end and the
+// database's first append reallocates, so neither sees the other's samples,
+// and neither may rewrite a sample once appended.
 //
 // Installing a history is indistinguishable from re-injecting its samples
 // one by one at their original times as long as nothing can observe the
@@ -225,8 +259,14 @@ func (st *State) Rebuild(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
 	}
 	for _, n := range names {
 		img := &rtdb.ImageObject{Name: n, Period: st.Images[n].Period}
-		if err := img.InstallHistory(timeOrdered(st.Images[n].Samples)); err != nil {
-			return err
+		// The server only ever logs an image's samples on a monotone clock,
+		// so InstallHistory takes the history as it is; one that refuses it
+		// as out of time order gets the order a replay at the original
+		// times would have built.
+		if h := st.Images[n].Samples; img.InstallHistory(h) != nil {
+			if err := img.InstallHistory(timeOrdered(h)); err != nil {
+				return err
+			}
 		}
 		db.AddImage(img)
 	}
@@ -244,17 +284,11 @@ func (st *State) Rebuild(db *rtdb.DB, reg rtdb.DeriveRegistry) error {
 	return nil
 }
 
-// timeOrdered returns the samples in (time, position) order — the history a
-// replay at the original times would have built. The server only ever logs
-// an image's samples on a monotone clock, so this is the slice itself; a log
-// written some other way gets a stably sorted copy.
+// timeOrdered returns a copy of the samples stably sorted by time: (time,
+// position) order.
 func timeOrdered(samples []rtdb.Sample) []rtdb.Sample {
-	byTime := func(a, b rtdb.Sample) int { return cmp.Compare(a.At, b.At) }
-	if slices.IsSortedFunc(samples, byTime) {
-		return samples
-	}
 	samples = slices.Clone(samples)
-	slices.SortStableFunc(samples, byTime)
+	slices.SortStableFunc(samples, func(a, b rtdb.Sample) int { return cmp.Compare(a.At, b.At) })
 	return samples
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtc/internal/deadline"
 	wal "rtc/internal/rtdb/log"
@@ -199,4 +200,70 @@ func BenchmarkAsOfRead(b *testing.B) {
 			b.Fatal("missing value")
 		}
 	}
+}
+
+// BenchmarkFirstInjectAfterRecovery measures the work copy-on-append moves
+// out of recovery: one op recovers a 200k-sample log over 64 images — the
+// shape of rtbench's recover_replay fixture — outside the timer, then
+// injects the first sample after recovery into every image, then a second.
+// The database adopts each recovered history with no spare capacity, so the
+// first append to an image copies its history once, as append does at each
+// capacity doubling. ns/first-inject and ns/next-inject are per image.
+func BenchmarkFirstInjectAfterRecovery(b *testing.B) {
+	const images, samples = 64, 200_000
+	opts := wal.Options{Dir: filepath.Join(b.TempDir(), "wal"), SegmentSize: 64 << 20, SnapshotEvery: 65536}
+	l, err := wal.Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, images)
+	for i := range names {
+		names[i] = "sensor-" + strconv.Itoa(i)
+		if err := l.Append(wal.Image(names[i], 5)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < samples; i++ {
+		if err := l.Append(wal.Sample(timeseq.Time(i/8), names[i*7%images], strconv.Itoa(i%100))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var first, next time.Duration
+	inject := func(s *Server, at timeseq.Time) time.Duration {
+		t0 := time.Now()
+		s.sched.RunUntil(at)
+		for _, n := range names {
+			if err := s.db.InjectSample(n, "v"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(t0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l, err := wal.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.Log = l
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at := l.State().LastAt + 1
+		b.StartTimer()
+		first += inject(s, at)
+		next += inject(s, at+1)
+		b.StopTimer()
+		l.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(first.Nanoseconds())/float64(b.N*images), "ns/first-inject")
+	b.ReportMetric(float64(next.Nanoseconds())/float64(b.N*images), "ns/next-inject")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 
 	"rtc/internal/deadline"
@@ -92,5 +93,96 @@ func TestResyncOntoAnotherLog(t *testing.T) {
 	_, qerr := f.Session(0).Query(QueryRequest{Query: "temp_q"})
 	if _, perr := f.Promote(); !errors.Is(qerr, ErrReadOnly) || perr == nil || f.Role() != rtwire.RoleStandby {
 		t.Fatalf("a follower without a log: query err %v, Promote err %v; want ErrReadOnly and a refusal", qerr, perr)
+	}
+}
+
+// TestRecoveredHistoryIsCopyOnAppend is the follower's shape of the history
+// a recovery shares: the database adopts the log's recovered samples, then
+// the log appends shipped batches and the apply loop appends other samples
+// to the same image while readers poll as-of values — first in turns, past
+// the point where both have outgrown the shared capacity, then
+// concurrently. Neither owner may write a sample the other holds: in turns
+// a shared write shows as the other's value, concurrently as a -race
+// report. Each ends with the recovered prefix and its own samples.
+func TestRecoveredHistoryIsCopyOnAppend(t *testing.T) {
+	const recovered, inTurns, rounds = 12, 8, 200
+	l := historyLog(t, faultfs.NewMem(1), "a", 0, recovered) // temp is i at chronon i
+	defer l.Close()
+	if s := l.State().Images["temp"].Samples; cap(s)-len(s) >= inTurns || cap(s) == len(s) {
+		t.Fatalf("the log's history has room for %d samples in place, want 1 to %d", cap(s)-len(s), inTurns-1)
+	}
+	cfg := testConfig()
+	cfg.Log = l
+	f := NewFollower(cfg)
+	f.Start()
+	defer f.Stop()
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	defer readers.Wait()
+	defer close(stop)
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, ok := f.ValueAsOf("temp", 5); !ok || v != "5" {
+					t.Errorf("temp as of 5 = %q, %v; want the recovered 5", v, ok)
+					return
+				}
+				f.ValueAsOf("temp", f.HistoryHorizon())
+			}
+		}()
+	}
+	logAppend := func(i int) error {
+		p := wal.Sample(timeseq.Time(recovered+i), "temp", "log-"+strconv.Itoa(i)).Payload()
+		_, err := l.AppendBatch([]string{string(p)})
+		return err
+	}
+	dbAppend := func(i int) error {
+		return f.Replicate([]wal.Event{wal.Sample(timeseq.Time(recovered+i), "temp", "db-"+strconv.Itoa(i))})
+	}
+	for i := 1; i <= inTurns; i++ {
+		if err := errors.Join(logAppend(i), dbAppend(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logDone := make(chan error, 1)
+	go func() {
+		var err error
+		for i := inTurns + 1; i <= rounds && err == nil; i++ {
+			err = logAppend(i)
+		}
+		logDone <- err
+	}()
+	for i := inTurns + 1; i <= rounds; i++ {
+		if err := dbAppend(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-logDone; err != nil {
+		t.Fatal(err)
+	}
+
+	logHist := l.State().Images["temp"].Samples
+	if len(logHist) != recovered+rounds {
+		t.Fatalf("the log holds %d samples, want %d", len(logHist), recovered+rounds)
+	}
+	for at := 1; at <= recovered+rounds; at++ {
+		want, logWant := strconv.Itoa(at), strconv.Itoa(at)
+		if at > recovered {
+			want, logWant = "db-"+strconv.Itoa(at-recovered), "log-"+strconv.Itoa(at-recovered)
+		}
+		if v, ok := f.ValueAsOf("temp", timeseq.Time(at)); !ok || v != want {
+			t.Fatalf("the database's temp as of %d = %q, %v; want %q", at, v, ok, want)
+		}
+		if v := logHist[at-1].Value; v != logWant {
+			t.Fatalf("the log's temp sample %d = %q; want %q", at, v, logWant)
+		}
 	}
 }
