@@ -7,12 +7,12 @@
 // served from published snapshots of the image histories without the
 // write lock, and write-ahead logging through internal/rtdb/log.
 //
-// Concurrency model: sessions are producers; one apply goroutine owns the
-// database and the virtual clock (an actor, so rtdb.DB itself needs no
-// locking), mirroring how the paper's machine consumes one merged timed
-// word — Hui & Chikkagoudar's parallel model (PAPERS.md) motivates treating
-// the concurrent client streams as first-class timed words whose merge is
-// the apply order.
+// Concurrency model: sessions are producers; one apply goroutine, the
+// server's only one, owns the database and the virtual clock (an actor, so
+// rtdb.DB needs no locking) and merges the session queues round-robin, as
+// the paper's machine consumes one merged timed word — Hui & Chikkagoudar's
+// parallel model (PAPERS.md) treats the concurrent client streams as
+// first-class timed words whose merge is the apply order.
 //
 // A Server is also the unit of sharding: NewShards (sharded.go) splits one
 // catalog into N of them, each with its own clock, and whoever holds an

@@ -151,8 +151,8 @@ func TestRaceShardHammer(t *testing.T) {
 	eachShard(srvs, (*Server).Stop)
 	closeLogs(t, logs)
 
-	// Goroutine-leak check: apply loops, forwarders, and parked durability
-	// waiters must all exit with Stop. Allow the runtime a moment to reap.
+	// Goroutine-leak check: apply loops and parked durability waiters must
+	// all exit with Stop. Allow the runtime a moment to reap.
 	deadlineAt := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {

@@ -33,8 +33,8 @@ type Config struct {
 
 	// Sessions is the number of client sessions served (default 1).
 	Sessions int
-	// QueueDepth bounds each session's request queue (default 64). A full
-	// queue rejects instead of blocking.
+	// QueueDepth is the most requests a session holds that the apply loop
+	// has not taken yet (default 64). A full queue rejects, never blocks.
 	QueueDepth int
 	// EvalCost is the number of chronons one query evaluation takes
 	// (default 1) — the P_w cost model of §4.1.
@@ -211,8 +211,6 @@ type Server struct {
 	// imgs[i] is cat.names[i]'s image object, rebuilt with cat.
 	cat  *pubCatalog
 	imgs []*rtdb.ImageObject
-	// sessLabels precomputes the "s<i>" WAL session labels.
-	sessLabels []string
 
 	// lastTicket is the newest WAL commit ticket the apply loop produced —
 	// the durability frontier a barrier or query ack must wait behind when
@@ -229,7 +227,10 @@ type Server struct {
 	subs     *sub.Table
 	periodic []*sub.Tally
 
+	// inbox carries Tick, Barrier and apply; ready holds a token when a
+	// session queue may hold a request the apply loop has not seen.
 	inbox    chan request
+	ready    chan struct{}
 	sessions []*Session
 	quit     chan struct{}
 	closed   atomic.Bool
@@ -257,6 +258,7 @@ func newServer(cfg Config, follower bool) (*Server, error) {
 		sched: vtime.New(),
 		subs:  sub.NewTable(),
 		inbox: make(chan request, cfg.Sessions),
+		ready: make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 	}
 	s.following.Store(follower)
@@ -277,12 +279,9 @@ func newServer(cfg Config, follower bool) (*Server, error) {
 	}
 	s.publishSnapshot()
 
-	s.sessLabels = make([]string, cfg.Sessions)
-	for i := 0; i < cfg.Sessions; i++ {
-		s.sessLabels[i] = "s" + strconv.Itoa(i)
-		s.sessions = append(s.sessions, &Session{
-			id: i, srv: s, queue: make(chan request, cfg.QueueDepth),
-		})
+	for i := range cfg.Sessions {
+		c := &Session{id: i, label: "s" + strconv.Itoa(i), srv: s, queue: make(chan request, cfg.QueueDepth)}
+		s.sessions = append(s.sessions, c)
 	}
 	return s, nil
 }
@@ -333,15 +332,11 @@ func (s *Server) installSpec() {
 	}
 }
 
-// Start launches the apply loop and the session forwarders.
+// Start launches the apply loop, the server's one goroutine.
 func (s *Server) Start() {
 	s.started.Store(true)
 	s.wg.Add(1)
 	go s.applyLoop()
-	for _, c := range s.sessions {
-		s.wg.Add(1)
-		go c.forward()
-	}
 }
 
 // Stop shuts the server down: no new submissions are accepted, in-flight
@@ -417,39 +412,65 @@ func (s *Server) Tick(n uint64) error {
 	return s.roundTrip(s.inbox, request{kind: reqTick, chronons: n})
 }
 
-// Barrier blocks until every request enqueued on the inbox before it has
-// been applied.
+// Barrier blocks until the apply loop has applied everything it took before
+// this: the inbox ahead of it, and what it took from session queues. What a
+// session queue still holds is that session's Flush's to wait for.
 func (s *Server) Barrier() error {
 	return s.roundTrip(s.inbox, request{kind: reqBarrier})
 }
 
-// roundTrip puts r on to — the inbox, or a session queue to stay FIFO behind
-// that session's requests — and waits for the apply loop's answer; a server
-// stopping on either side of the hand-off gives ErrClosed. Tick, Barrier,
-// apply (subs.go) and Session.Flush go through it.
+// roundTrip puts r on to — the inbox, or a session queue, waiting for room,
+// to stay FIFO behind that session — wakes the apply loop and awaits its
+// answer. Tick, Barrier, apply (subs.go) and Session.Flush go through it.
 func (s *Server) roundTrip(to chan<- request, r request) error {
 	r.reply = replyPool.Get().(chan Response)
 	select {
 	case to <- r:
+		s.wake()
 	case <-s.quit:
 		return ErrClosed
 	}
+	_, err := s.await(r.reply)
+	return err
+}
+
+// wake posts the apply loop's ready token, unless one is already posted.
+func (s *Server) wake() {
 	select {
-	case <-r.reply:
-		replyPool.Put(r.reply)
-		return nil
-	case <-s.quit:
-		return ErrClosed
+	case s.ready <- struct{}{}:
+	default:
 	}
 }
 
-// applyLoop is the actor that owns the database and the clock.
+// applyLoop is the actor that owns the database and the clock. It works in
+// passes: each takes at most one request from every session queue, in
+// session order, and then polls the inbox once, so sessions are served
+// round-robin, each in its own FIFO order. A pass that finds nothing sleeps
+// until the inbox fills, a session posts ready or the server stops.
 func (s *Server) applyLoop() {
 	defer s.wg.Done()
 	for {
+		took := false
+		for _, c := range s.sessions {
+			if len(c.queue) > 0 { // the loop is every queue's one receiver
+				s.step(<-c.queue)
+				took = true
+			}
+		}
+		if took {
+			select {
+			case r := <-s.inbox:
+				s.step(r)
+			case <-s.quit:
+				return
+			default:
+			}
+			continue
+		}
 		select {
 		case r := <-s.inbox:
 			s.step(r)
+		case <-s.ready:
 		case <-s.quit:
 			return
 		}
@@ -565,18 +586,11 @@ func (s *Server) serveQuery(r request, now timeseq.Time) Response {
 	}
 	resp.Evaluated = true
 	resp.Answers = q(s.db.ViewNow())
-	if r.q.Candidate != "" {
-		for _, a := range resp.Answers {
-			if a == r.q.Candidate {
-				resp.Match = true
-				break
-			}
-		}
-	}
+	resp.Match = r.q.Candidate != "" && slices.Contains(resp.Answers, r.q.Candidate)
 	if !r.degraded {
 		s.advance(finish)
 		if s.log != nil {
-			s.walAppendFirm(wal.Query(r.issue, s.sessLabels[r.session], r.q.Query, r.q.Candidate,
+			s.walAppendFirm(wal.Query(r.issue, s.sessions[r.session].label, r.q.Query, r.q.Candidate,
 				uint64(r.q.Kind), uint64(r.q.Deadline), r.q.MinUseful), r.q.Kind == deadline.Firm)
 		}
 	}

@@ -6,53 +6,44 @@ import (
 	"rtc/internal/deadline"
 )
 
-// replyPool recycles the one-slot response channels Query and roundTrip
-// block on. A channel is returned to the pool only after its response has
-// been received — a request abandoned on server shutdown keeps its channel,
-// so a late send can never leak into the next borrower's call.
+// replyPool recycles the one-slot response channels await blocks on. A
+// channel is returned to the pool only after its response has been received
+// — a request abandoned on server shutdown keeps its channel, so a late send
+// can never leak into the next borrower's call.
 var replyPool = sync.Pool{
 	New: func() any { return make(chan Response, 1) },
 }
 
-// Session is one client's handle on the server. Each session owns a
-// bounded queue; a full queue rejects immediately (reject-with-deadline-
-// miss) rather than blocking, so firm-deadline semantics survive overload.
+// await waits for the apply loop's answer on reply; ErrClosed if it stops.
+func (s *Server) await(reply chan Response) (Response, error) {
+	select {
+	case resp := <-reply:
+		replyPool.Put(reply)
+		return resp, nil
+	case <-s.quit:
+		return Response{}, ErrClosed
+	}
+}
+
+// Session is one client's handle on the server: a queue of at most
+// QueueDepth requests, from which the apply loop takes one per pass. A full
+// queue rejects at once (reject-with-deadline-miss) rather than block, so
+// firm-deadline semantics survive overload.
 type Session struct {
 	id    int
+	label string // "s<id>", the session's name in WAL query records
 	srv   *Server
 	queue chan request
 }
 
-// ID returns the session index.
-func (c *Session) ID() int { return c.id }
-
-// forward drains the session queue into the server inbox, preserving the
-// session's FIFO order. Backpressure composes: when the inbox is full the
-// forwarder stalls, the session queue fills, and submissions start being
-// rejected at the edge.
-func (c *Session) forward() {
-	defer c.srv.wg.Done()
-	for {
-		select {
-		case r := <-c.queue:
-			select {
-			case c.srv.inbox <- r:
-			case <-c.srv.quit:
-				return
-			}
-		case <-c.srv.quit:
-			return
-		}
-	}
-}
-
-// trySubmit enqueues without blocking.
+// trySubmit enqueues without blocking and wakes the apply loop.
 func (c *Session) trySubmit(r request) bool {
 	if c.srv.closed.Load() {
 		return false
 	}
 	select {
 	case c.queue <- r:
+		c.srv.wake()
 		return true
 	default:
 		return false
@@ -104,13 +95,7 @@ func (c *Session) Query(q QueryRequest) (Response, error) {
 	if refused == nil {
 		r.reply = replyPool.Get().(chan Response)
 		if c.trySubmit(r) {
-			select {
-			case resp := <-r.reply:
-				replyPool.Put(r.reply)
-				return resp, nil
-			case <-c.srv.quit:
-				return Response{}, ErrClosed
-			}
+			return c.srv.await(r.reply)
 		}
 		replyPool.Put(r.reply)
 		refused = ErrBackpressure

@@ -103,13 +103,6 @@ func (q *Queue) Dropped() uint64 {
 	return q.dropped
 }
 
-// Closed reports whether Close was called.
-func (q *Queue) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
 // Close discards everything still queued and returns how many pushes it
 // discarded (already added to the cumulative drop count); later Puts count
 // themselves as dropped. The caller accounts the discards so undelivered
