@@ -201,8 +201,9 @@ bench:
 # server and sub packages, run once: they still build and run
 # (BenchmarkReplicaCatchup, BenchmarkNetFanout and the BenchmarkInjectSample
 # and BenchmarkAsOfRead that DESIGN §11 quotes included), and with -benchmem
-# every log shows their B/op (BenchmarkRebuild/200k's history bytes among
-# them). Seconds; CI runs this target.
+# every log shows their B/op (BenchmarkRebuild/200k's history bytes and
+# BenchmarkOpen/200k's recovery bytes, ≈ 12.8 MB, among them). Seconds; CI
+# runs this target.
 BENCH_SMOKE_PKGS = . ./internal/rtwire/ ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/server/ ./internal/rtdb/sub/
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' $(BENCH_SMOKE_PKGS)

@@ -2,10 +2,10 @@ package log
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -635,13 +635,14 @@ func (l *Log) snapshotLocked() error {
 // (frameWalk); nothing the state keeps points into that buffer, which is
 // garbage once the load returns. A snapshot holds each image's samples back
 // to back (State.visit), so the plain ones — $S@t@name@value$, nothing
-// escaped — are taken as runs: the image is looked up once per run and the
-// run's values become one string (sampleRun). Every other record, escaped
-// or not a sample, flushes the run and goes through decodeEvent and Apply,
-// which decide what it means. A snapshot written before firings and queries
-// stopped being folded still holds their records; Apply validates and
-// counts them, and the header sets the count. Bytes after the commit
-// trailer are ignored.
+// escaped — are taken as runs, each sample parsed once (sampleRun.add):
+// the image is looked up once per run, the run's values become one string,
+// and the history grows once, with room for the samples replayed after it.
+// Every other record, escaped or not a sample, flushes the run and goes
+// through decodeEvent and Apply, which decide what it means. A snapshot
+// written before firings and queries stopped being folded still holds their
+// records; Apply validates and counts them, and the header sets the count.
+// Bytes after the commit trailer are ignored.
 func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, error) {
 	data, err := readRest(fs, path, 0)
 	if err != nil {
@@ -664,10 +665,9 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 		if !ok {
 			return nil, replayPos{}, fmt.Errorf("log: snapshot truncated before commit")
 		}
-		if at, name, value, ok := plainSample(payload); ok {
-			if err := run.add(st, at, name, value); err != nil {
-				return nil, replayPos{}, err
-			}
+		if ok, err := run.add(st, payload); err != nil {
+			return nil, replayPos{}, err
+		} else if ok {
 			continue
 		}
 		run.flush()
@@ -710,48 +710,13 @@ func (w *frameWalk) next() ([]byte, bool) {
 	return payload, ok
 }
 
-// plainSample splits a sample record with no escape, exactly four fields
-// and a non-empty value — what decodeEvent would read as Sample(at, name,
-// value) with nothing to unescape. ok is false for every other payload,
-// valid or not. (An empty value is left to decodeEvent so that it does not
-// point into, and keep alive, a run's string.) It is a byte loop of its own
-// rather than an encoding.Scan: through the generic scanner BenchmarkOpen
-// takes a quarter longer.
-func plainSample(p []byte) (at timeseq.Time, name, value []byte, ok bool) {
-	if len(p) < 4 || string(p[:3]) != "$S@" || p[len(p)-1] != '$' {
-		return 0, nil, nil, false
-	}
-	body := p[3 : len(p)-1]
-	var cut [2]int
-	seps := 0
-	for i, b := range body {
-		switch b {
-		case '@':
-			if seps == len(cut) {
-				return 0, nil, nil, false
-			}
-			cut[seps] = i
-			seps++
-		case '$', '#', '%':
-			return 0, nil, nil, false
-		}
-	}
-	if seps != len(cut) || cut[1] == len(body)-1 {
-		return 0, nil, nil, false
-	}
-	t, err := encoding.ParseUint(body[:cut[0]])
-	if err != nil {
-		return 0, nil, nil, false
-	}
-	return timeseq.Time(t), body[cut[0]+1 : cut[1]], body[cut[1]+1:], true
-}
-
 // sampleRun collects consecutive plain samples of one image while a
 // snapshot loads: their times, and their values back to back in one
 // buffer. flush turns the values into one string and appends the samples,
-// each value a slice of it, to the image's history, grown to the exact size
-// once. So a loaded history costs an allocation per run, not per sample —
-// and a value kept alive keeps its whole run's string alive with it.
+// each value a slice of it, to the image's history, grown once with a
+// quarter to spare, as append would, for the samples after the load. So a
+// loaded history costs an allocation per run, not per sample — and a
+// value kept alive keeps its whole run's string alive with it.
 type sampleRun struct {
 	img  *ImageState
 	name []byte
@@ -760,22 +725,66 @@ type sampleRun struct {
 	vals []byte
 }
 
-// add appends one sample to the run, flushing the run first when the
-// sample is for another image. A sample for an unregistered image is an
-// error, as it is to Apply.
-func (r *sampleRun) add(st *State, at timeseq.Time, name, value []byte) error {
-	if r.img == nil || !bytes.Equal(name, r.name) {
-		r.flush()
-		img, ok := st.Images[string(name)]
-		if !ok {
-			return fmt.Errorf("log: sample for unregistered image %q", name)
-		}
-		r.img, r.name = img, append(r.name[:0], name...)
+// add takes p into the run if it is a plain sample, $S@t@name@value$ with a
+// time that fits 64 bits, nothing escaped and a non-empty value: what
+// decodeEvent reads as Sample(t, name, value) with nothing to unescape (an
+// empty value is left to it, so as not to keep a run's string alive).
+// Inside a run, one prefix comparison with the run's name and '@' finds the
+// value, so only a run's first sample scans its name; another image's
+// sample flushes the run and opens its own, and is an error when the image
+// is unregistered, as it is to Apply. ok is false, and the run untouched,
+// for every other payload.
+func (r *sampleRun) add(st *State, p []byte) (ok bool, err error) {
+	if len(p) < 4 || string(p[:3]) != "$S@" || p[len(p)-1] != '$' {
+		return false, nil
 	}
-	r.vals = append(r.vals, value...)
-	r.at = append(r.at, at)
+	p = p[:len(p)-1]
+	var at uint64
+	i := 3
+	for ; i < len(p) && p[i] != '@'; i++ {
+		d := uint64(p[i] - '0')
+		if d > 9 || at > (math.MaxUint64-d)/10 {
+			return false, nil
+		}
+		at = at*10 + d
+	}
+	if i == 3 || i == len(p) {
+		return false, nil
+	}
+	rest := p[i+1:]
+	n := len(r.name)
+	same := r.img != nil && len(rest) > n && rest[n] == '@' && string(rest[:n]) == string(r.name)
+	if !same {
+		n = special(rest)
+	}
+	if n >= len(rest)-1 || rest[n] != '@' || special(rest[n+1:]) < len(rest)-n-1 {
+		return false, nil
+	}
+	if !same {
+		r.flush()
+		img, ok := st.Images[string(rest[:n])]
+		if !ok {
+			return false, fmt.Errorf("log: sample for unregistered image %q", rest[:n])
+		}
+		r.img, r.name = img, append(r.name[:0], rest[:n]...)
+	}
+	r.vals = append(r.vals, rest[n+1:]...)
+	r.at = append(r.at, timeseq.Time(at))
 	r.ends = append(r.ends, len(r.vals))
-	return nil
+	return true, nil
+}
+
+// special returns the index of b's first '$', '@', '#' or '%' — the bytes
+// a record field holds only escaped — or len(b) when it has none. It is a
+// loop of its own: with bytes.IndexAny, BenchmarkOpen takes a fifth longer.
+func special(b []byte) int {
+	for i, c := range b {
+		switch c {
+		case '$', '@', '#', '%':
+			return i
+		}
+	}
+	return len(b)
 }
 
 // flush appends the run to its image's history and empties it.
@@ -784,8 +793,8 @@ func (r *sampleRun) flush() {
 		return
 	}
 	vals, s := string(r.vals), r.img.Samples
-	if cap(s)-len(s) < len(r.at) {
-		s = append(make([]rtdb.Sample, 0, len(s)+len(r.at)), s...)
+	if n := len(s) + len(r.at); cap(s) < n {
+		s = append(make([]rtdb.Sample, 0, n+n/4), s...)
 	}
 	start := 0
 	for i, end := range r.ends {

@@ -533,3 +533,57 @@ func TestBuildRebindsCatalog(t *testing.T) {
 		t.Fatal("Rebuild with empty registry: want error")
 	}
 }
+
+// TestLoadedHistoryIsCopyOnAppend is TestBuildRebindsCatalog's
+// copy-on-append check over a history that loadSnapshot sized: the newest
+// snapshot covers every event, so nothing is replayed after it, and the
+// history the log and the database share keeps the room the load left for
+// the tail. A sample appended on either side stays on its side.
+func TestLoadedHistoryIsCopyOnAppend(t *testing.T) {
+	opts := Options{Dir: "wal", FS: faultfs.NewMem(1)}
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range workload(20) {
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	st := l.State()
+	if n := l.Stats().RecoveredEvents; n != 0 {
+		t.Fatalf("%d events replayed after the snapshot, want none", n)
+	}
+	if h := st.Images["temp"].Samples; len(h) == 0 || cap(h) == len(h) {
+		t.Fatalf("loaded history of %d samples in capacity %d: no room for the tail", len(h), cap(h))
+	}
+	db := rtdb.New(vtime.New())
+	if err := st.Rebuild(db, rtdb.DeriveRegistry{"status": func(map[string]rtdb.Value) rtdb.Value { return "" }}); err != nil {
+		t.Fatal(err)
+	}
+	img, _ := db.Image("temp")
+	want := slices.Clone(st.Images["temp"].Samples)
+	if err := l.Append(Sample(st.LastAt, "temp", "log-side")); err != nil {
+		t.Fatal(err)
+	}
+	logSide := slices.Clone(st.Images["temp"].Samples)
+	if err := db.InjectSample("temp", "db-side"); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Images["temp"].Samples; !slices.Equal(got, logSide) || got[len(want)].Value != "log-side" {
+		t.Fatalf("after both appends the log's history is %v, want %v", got, logSide)
+	}
+	if got := img.History(); len(got) != len(want)+1 || !slices.Equal(got[:len(want)], want) || got[len(want)].Value != "db-side" {
+		t.Fatalf("after both appends the installed history is %v", got)
+	}
+}

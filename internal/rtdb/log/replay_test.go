@@ -232,9 +232,11 @@ func TestRebuildBytesPerImageNotPerSample(t *testing.T) {
 // TestSnapshotLoadAllocatesPerRunNotPerSample is the same pin one step
 // earlier: a snapshot holds each image's samples back to back, and loading
 // it takes them as one run per image — one string for the run's values and
-// one exactly sized history. Snapshots of N and 2N samples over the same
-// images therefore cost the same allocations, give or take the doublings of
-// the run's scratch buffers.
+// one history, sized to the run and a quarter again. Snapshots of N and 2N
+// samples over the same images therefore cost the same allocations, give or
+// take the doublings of the run's scratch buffers; and the quarter is room
+// enough that the next sample applied to a loaded history, as the tail
+// replay applies it, does not move the history.
 func TestSnapshotLoadAllocatesPerRunNotPerSample(t *testing.T) {
 	const images = 8
 	load := func(perImage int) float64 {
@@ -266,11 +268,18 @@ func TestSnapshotLoadAllocatesPerRunNotPerSample(t *testing.T) {
 		})
 		for i := 0; i < images; i++ {
 			img := st.Images[fmt.Sprintf("img-%d", i)]
-			if len(img.Samples) != perImage || cap(img.Samples) != perImage {
-				t.Fatalf("img-%d: %d samples in a history of capacity %d, want %d in %d", i, len(img.Samples), cap(img.Samples), perImage, perImage)
+			if want := perImage + perImage/4; len(img.Samples) != perImage || cap(img.Samples) != want {
+				t.Fatalf("img-%d: %d samples in a history of capacity %d, want %d in %d", i, len(img.Samples), cap(img.Samples), perImage, want)
 			}
 			if last := img.Samples[perImage-1]; last.Value != fmt.Sprint(perImage-1) {
 				t.Fatalf("img-%d: last sample %+v", i, last)
+			}
+			first := &img.Samples[0]
+			if err := st.Apply(Sample(timeseq.Time(perImage), fmt.Sprintf("img-%d", i), "tail")); err != nil {
+				t.Fatal(err)
+			}
+			if &img.Samples[0] != first || len(img.Samples) != perImage+1 {
+				t.Fatalf("img-%d: the first sample after the load moved the history (%d samples)", i, len(img.Samples))
 			}
 		}
 		return allocs

@@ -243,8 +243,11 @@ type runSnapshot struct {
 }
 
 // runSnapshots are snapshots with the samples the loader hands to the
-// generic path instead of a run, and with runs that break and resume, behind
-// three images, one of them with an escaped name.
+// generic path instead of a run, with runs that break and resume, and with
+// the edges of a run's parse — a name the run's name is a prefix of, times
+// empty, at and past 64 bits or with leading zeros, escapes in a value —
+// behind three images, one of them with an escaped name, and a fourth where
+// a row registers it.
 func runSnapshots() []runSnapshot {
 	snap := func(samples ...string) []byte {
 		lines := append([]string{"$SNAPSHOT@1@0@9@9$", "$I@0@a@@5$", "$I@0@b@@5$", "$I@0@c%@d@@5$"}, samples...)
@@ -261,6 +264,13 @@ func runSnapshots() []runSnapshot {
 		{"unregistered image", snap("$S@1@a@x$", "$S@2@nowhere@y$"), false},
 		{"damage past the fifth field", snap("$S@1@a@x$", "$S@2@a@y@z@#$"), false},
 		{"bare number sign", snap("$S@1@a@x$", "$S@2@a@#y$"), false},
+		{"a run of a, then ab", snap("$I@0@ab@@5$", "$S@1@a@x$", "$S@2@ab@y$", "$S@3@ab@z$", "$S@4@a@w$"), true},
+		{"a run of a, then unregistered ab", snap("$S@1@a@x$", "$S@2@ab@y$"), false},
+		{"a 20-digit time in a run", snap("$S@1@a@x$", "$S@18446744073709551615@a@y$", "$S@3@a@w$"), true},
+		{"a time of 2^64 in a run", snap("$S@1@a@x$", "$S@18446744073709551616@a@y$", "$S@3@a@w$"), false},
+		{"an empty time in a run", snap("$S@1@a@x$", "$S@@a@y$"), false},
+		{"leading zeros in a run", snap("$S@1@a@x$", "$S@0002@a@y$", "$S@00@a@z$", "$S@3@a@w$"), true},
+		{"escaped %, # and @ in a run", snap("$S@1@a@x$", "$S@2@a@%%$", "$S@3@a@y%#$", "$S@4@a@%@z$", "$S@5@a@w$"), true},
 	}
 }
 
