@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test loc rtbench rtbench-smoke rtdbd-smoke bench-smoke race race-grid race-rtdb race-net race-repl race-spec race-gc race-shard race-partition race-patterns bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
+.PHONY: all build vet test loc rtbench rtbench-smoke rtdbd-smoke bench-smoke race race-grid race-rtdb race-net race-repl race-spec race-gc race-recovery race-shard race-partition race-patterns bench bench-json fuzz torture torture-short torture-failover torture-shard torture-partition soak-short examples experiments clean
 
 all: build vet test
 
@@ -62,6 +62,15 @@ race-repl:
 # test that pins "reply only after the covering fsync".
 race-gc:
 	$(GO) test -race -run='GroupCommit|Group(Window|Single|Firm|Batch|FsyncFailure|Close|Tail|Amortized)|AppendBatch|BatchedShipping|CommitBatchOneWrite|WriteFaultTwice' ./internal/rtdb/log/ ./internal/rtdb/server/ ./internal/rtdb/replica/
+
+# Recovery under the race detector at one, two and four processors: at one
+# a snapshot loads as the one loop, at two and four its samples are walked
+# as spans on their own goroutines (TestSnapshotSpansMatchOneLoop holds the
+# two to each other), so the loader's fuzz seeds, damage and golden rows
+# and Open's tests run on both paths. TestSnapshotLoadAllocatesPerRunNotPerSample
+# measures inside testing.AllocsPerRun, which runs at one processor.
+race-recovery:
+	$(GO) test -race -cpu 1,2,4 -run='Snapshot|Open' ./internal/rtdb/log/
 
 # Keyspace sharding under the race detector: the 8-shard × 32-writer
 # hammer (concurrent samples, queries, ticks, and flushes, each placed on

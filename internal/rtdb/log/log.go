@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -643,30 +644,68 @@ func (l *Log) snapshotLocked() error {
 // written before firings and queries stopped being folded still holds their
 // records; Apply validates and counts them, and the header sets the count.
 // Bytes after the commit trailer are ignored.
+//
+// With more than one processor, the sample section is walked as spans on
+// their own goroutines (walkSpans): the walk takes the catalog, hands the
+// samples to the spans at the first sample record, and takes the rest —
+// the commit trailer and anything after the last sample — from where the
+// last span stopped. When a span fails, whatever the reason, the load starts
+// over as the one loop on a fresh state, so the state, the position and
+// every error are the one loop's.
 func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, error) {
 	data, err := readRest(fs, path, 0)
 	if err != nil {
 		return nil, replayPos{}, err
 	}
+	st, pos, _, err := walkSnapshot(data, rd, runtime.GOMAXPROCS(0))
+	if err == errSpans {
+		st, pos, _, err = walkSnapshot(data, rd, 1)
+	}
+	return st, pos, err
+}
+
+// walkSnapshot loads the snapshot file image data, splitting its samples
+// into at most procs spans; it returns the spans that took them, none when
+// the one loop took every record, and errSpans when a span failed.
+func walkSnapshot(data []byte, rd *reader, procs int) (*State, replayPos, []span, error) {
 	w := frameWalk{b: data}
 	payload, ok := w.next()
 	if !ok {
-		return nil, replayPos{}, fmt.Errorf("log: unreadable snapshot header")
+		return nil, replayPos{}, nil, fmt.Errorf("log: unreadable snapshot header")
 	}
 	var head [4]uint64 // segment, offset, events, last timestamp
 	if !control(payload, "SNAPSHOT", head[:]) {
-		return nil, replayPos{}, fmt.Errorf("log: bad snapshot header")
+		return nil, replayPos{}, nil, fmt.Errorf("log: bad snapshot header")
 	}
 
 	st := NewState()
 	var run sampleRun
+	var spans []span
 	for n := uint64(0); ; n++ {
+		at := w.off
 		payload, ok := w.next()
 		if !ok {
-			return nil, replayPos{}, fmt.Errorf("log: snapshot truncated before commit")
+			return nil, replayPos{}, nil, fmt.Errorf("log: snapshot truncated before commit")
+		}
+		if procs > 1 && isSample(payload) {
+			// The first sample: the catalog is in, and the spans take
+			// the samples from here (or, when there are too few bytes
+			// to split, the loop goes on as it is).
+			spans = splitSpans(data, at, procs)
+			procs = 1
+			if spans != nil {
+				end, frames, ok := walkSpans(st, data, spans, rd.names)
+				if !ok {
+					return nil, replayPos{}, nil, errSpans
+				}
+				// The spans took frames records from at: the loop
+				// counts on from the last one and reads from end.
+				w.off, n = end, n+frames-1
+				continue
+			}
 		}
 		if ok, err := run.add(st, payload); err != nil {
-			return nil, replayPos{}, err
+			return nil, replayPos{}, nil, err
 		} else if ok {
 			continue
 		}
@@ -675,15 +714,15 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 		if !ok {
 			var count [1]uint64
 			if !control(payload, "COMMIT", count[:]) {
-				return nil, replayPos{}, fmt.Errorf("log: undecodable snapshot record")
+				return nil, replayPos{}, nil, fmt.Errorf("log: undecodable snapshot record")
 			}
 			if count[0] != n {
-				return nil, replayPos{}, fmt.Errorf("log: snapshot commit count mismatch")
+				return nil, replayPos{}, nil, fmt.Errorf("log: snapshot commit count mismatch")
 			}
 			break
 		}
 		if err := st.Apply(e); err != nil {
-			return nil, replayPos{}, err
+			return nil, replayPos{}, nil, err
 		}
 	}
 	// The dump collapses catalog overwrites and holds no firing or query,
@@ -691,7 +730,7 @@ func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, er
 	// recomputed.
 	st.Events = head[2]
 	st.LastAt = timeseq.Time(head[3])
-	return st, replayPos{seg: head[0], off: int64(head[1])}, nil
+	return st, replayPos{seg: head[0], off: int64(head[1])}, spans, nil
 }
 
 // frameWalk walks a buffer of back-to-back frames in place: each payload
@@ -735,7 +774,7 @@ type sampleRun struct {
 // is unregistered, as it is to Apply. ok is false, and the run untouched,
 // for every other payload.
 func (r *sampleRun) add(st *State, p []byte) (ok bool, err error) {
-	if len(p) < 4 || string(p[:3]) != "$S@" || p[len(p)-1] != '$' {
+	if !isSample(p) || p[len(p)-1] != '$' {
 		return false, nil
 	}
 	p = p[:len(p)-1]
@@ -772,6 +811,12 @@ func (r *sampleRun) add(st *State, p []byte) (ok bool, err error) {
 	r.at = append(r.at, timeseq.Time(at))
 	r.ends = append(r.ends, len(r.vals))
 	return true, nil
+}
+
+// isSample reports whether payload is laid out as a sample record,
+// $S@…, at least four bytes long.
+func isSample(payload []byte) bool {
+	return len(payload) > 3 && string(payload[:3]) == "$S@"
 }
 
 // special returns the index of b's first '$', '@', '#' or '%' — the bytes

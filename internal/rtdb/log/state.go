@@ -33,6 +33,12 @@ type ImageState struct {
 	Samples []rtdb.Sample
 }
 
+// add appends one sample to the history: what applying a sample record
+// does to its image, and all it does.
+func (img *ImageState) add(at timeseq.Time, value string) {
+	img.Samples = append(img.Samples, rtdb.Sample{At: at, Value: value})
+}
+
 // DerivedState is the recovered definition of one derived object. The
 // derivation function itself is code, not data; like the acceptor's
 // DeriveRegistry it is re-bound by name after recovery.
@@ -106,8 +112,7 @@ func (st *State) apply(e Event) {
 	case KindDerived:
 		st.Derived[e.Name] = &DerivedState{Sources: append([]string{}, e.Args...)}
 	case KindSample:
-		img := st.Images[e.Name]
-		img.Samples = append(img.Samples, rtdb.Sample{At: e.At, Value: e.Value})
+		st.Images[e.Name].add(e.At, e.Value)
 	}
 	if e.At > st.LastAt {
 		st.LastAt = e.At

@@ -249,10 +249,15 @@ type View struct {
 }
 
 // Latest returns the most recent sample of an image at or before Now.
-// Histories are append-only and timestamp-ordered, so this is a binary
-// search — the query path must not degrade as the history grows.
+// Histories are append-only and timestamp-ordered: a serving-time view's Now
+// is at or past the newest sample, which is answered without a search, and
+// an as-of view binary-searches — the query path must not degrade as the
+// history grows.
 func (v *View) Latest(name string) (Sample, bool) {
 	h := v.Samples[name]
+	if n := len(h); n > 0 && h[n-1].At <= v.Now {
+		return h[n-1], true
+	}
 	lo, hi := 0, len(h)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

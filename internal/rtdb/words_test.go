@@ -417,3 +417,43 @@ func TestDBWordMultipleImages(t *testing.T) {
 		t.Fatalf("streams missing: temp=%v pressure=%v", sawTemp, sawPressure)
 	}
 }
+
+// TestViewLatestMatchesScan: Latest answers what a linear scan for the last
+// sample at or before Now answers, with Now before the first sample, at it,
+// between samples, at a time two samples share, at the last sample and past
+// it — the newest-sample answer and the as-of search alike.
+func TestViewLatestMatchesScan(t *testing.T) {
+	h := []Sample{{At: 10, Value: "a"}, {At: 20, Value: "b"}, {At: 20, Value: "c"}, {At: 30, Value: "d"}, {At: 40, Value: "e"}}
+	scan := func(now timeseq.Time) (Sample, bool) {
+		var out Sample
+		found := false
+		for _, s := range h {
+			if s.At <= now {
+				out, found = s, true
+			}
+		}
+		return out, found
+	}
+	for _, tc := range []struct {
+		name string
+		now  timeseq.Time
+	}{
+		{"before the first", 5},
+		{"at the first", 10},
+		{"between samples", 15},
+		{"at a shared time", 20},
+		{"between the shared time and the next", 25},
+		{"at the last", 40},
+		{"past the last", 99},
+	} {
+		v := &View{Now: tc.now, Samples: map[string][]Sample{"temp": h, "empty": nil}}
+		got, ok := v.Latest("temp")
+		want, wantOK := scan(tc.now)
+		if got != want || ok != wantOK {
+			t.Errorf("%s (Now %d): Latest = %+v, %v; scan = %+v, %v", tc.name, tc.now, got, ok, want, wantOK)
+		}
+		if _, ok := v.Latest("empty"); ok {
+			t.Errorf("%s: an empty history answered", tc.name)
+		}
+	}
+}
