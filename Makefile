@@ -35,13 +35,13 @@ race-grid:
 	$(GO) test -run=TestGrid -race ./internal/adhoc/...
 
 # rtdbd server + WAL under the race detector: includes the 64-session
-# hammer that asserts the deadline-miss conservation law.
+# hammer that asserts every book (DESIGN §7).
 race-rtdb:
 	$(GO) test -race ./internal/rtdb/log/ ./internal/rtdb/server/
 
 # The TCP serving layer under the race detector: frame codec, listener,
 # client package, and the 32-client loopback hammer that asserts the
-# conservation laws end-to-end over the wire, plus the mid-flight drain, the
+# books end-to-end over the wire, plus the mid-flight drain, the
 # subscription attach/cancel churn hammer on one connection's writer, and the
 # Serve/Close churn that orders the accept loop's wg.Add against the drain.
 race-net:
@@ -68,7 +68,8 @@ race-gc:
 # as spans on their own goroutines (TestSnapshotSpansMatchOneLoop holds the
 # two to each other), so the loader's fuzz seeds, damage and golden rows
 # and Open's tests run on both paths. TestSnapshotLoadAllocatesPerRunNotPerSample
-# measures inside testing.AllocsPerRun, which runs at one processor.
+# measures inside testing.AllocsPerRun, which runs at one processor, so it
+# passes walkSnapshot 1 and 4 itself and requires spans at 4.
 race-recovery:
 	$(GO) test -race -cpu 1,2,4 -run='Snapshot|Open' ./internal/rtdb/log/
 
@@ -123,13 +124,13 @@ torture-short:
 # 4-shard deployment — rotating the victim through every shard — while the
 # others keep committing. Each point checks the victim's durability bound
 # (acked ≤ n ≤ acked+1), exact survivor recovery, the cross-shard
-# conservation sum, and that the group's recovered horizon never regresses.
+# sum of recovered events, and that the group's recovered horizon never regresses.
 torture-shard:
 	$(GO) run ./cmd/rttorture -mode shard -seeds 3 -events 160 -v
 
 # Full failover sweep: kill the primary at every WAL fault point, promote
 # the replica, and assert the durability bound (acked ≤ survived ≤ acked+1),
-# epoch fencing, and the standby conservation law at each point.
+# epoch fencing, and every book on both servers at each point.
 torture-failover:
 	$(GO) run ./cmd/rttorture -mode failover -seeds 3 -events 90 -v
 
@@ -139,7 +140,7 @@ torture-failover:
 # every fabric write op of a client/primary/replica stack, and check the
 # wire invariants at each point: zero lost acked writes, epoch fencing
 # against the deposed primary, subscription cursor monotonicity,
-# conservation on both sides of the cut, and post-heal liveness. A failing
+# every book on both sides of the cut, and post-heal liveness. A failing
 # point prints its `-seed S -at N` reproduction.
 torture-partition:
 	$(GO) run ./cmd/rttorture -mode partition -seeds 3 -events 160 -v
@@ -172,8 +173,8 @@ soak-short:
 # rtdbd and rtdbload end to end, two processes per run (scripts/serve-and-load.sh:
 # rtdbd -listen, rtdbload once it serves, then SIGINT; both must exit 0 with
 # their books closed, all under timeout). The mixed load runs against the
-# default configuration, where its conservation line must carry a non-zero
-# no-deadline term, and at the evaluation cost that equals status-watch's
+# default configuration, where its BOOK-queries line must carry a non-zero
+# no_deadline term, and at the evaluation cost that equals status-watch's
 # period (a periodic schedule the server cannot keep up with once hung the
 # apply loop here), which also serves a -fanout run: every subscriber audits
 # its cursor arithmetic. The durable group-commit run's drain report must show
@@ -189,7 +190,7 @@ rtdbd-smoke:
 	@bin=$$(mktemp -d); dir=$$(mktemp -d); sdir=$$(mktemp -d); trap 'rm -rf $$bin $$dir $$sdir' EXIT; \
 	$(GO) build -o $$bin/ ./cmd/rtdbd ./cmd/rtdbload || exit 1; \
 	pair() { bash scripts/serve-and-load.sh $$bin $(SMOKE_PORT) $$bin/rtdbd.out "$$@"; }; \
-	pair '' '-ops 40' 'conservation.* [1-9][0-9]* no-deadline ✓' || exit 1; \
+	pair '' '-ops 40' 'BOOK-queries: .* no_deadline [1-9][0-9]* ✓' || exit 1; \
 	pair '-eval-cost 11' '-ops 40' || exit 1; \
 	pair '-eval-cost 11' '-fanout 4 -writers 2 -ops 40' '4/4 subscriptions closed exactly' || exit 1; \
 	pair "-dir $$dir -fsync -fsync-window 200us" '-ops 40' || exit 1; \
@@ -198,7 +199,7 @@ rtdbd-smoke:
 		|| { echo "rtdbd -fsync: want fsync_count > 0 and grouped_appends == wal_appends"; exit 1; }; \
 	bash scripts/idle-standby.sh $$bin $(SMOKE_PORT) $$bin/rtdbd.out || exit 1; \
 	for run in 1 2; do \
-		pair "-dir $$sdir -shards 4" '-ops 40' 'cross-shard conservation: .* ✓' || exit 1; \
+		pair "-dir $$sdir -shards 4" '-ops 40' 'cross-shard BOOK-queries: .* ✓' || exit 1; \
 	done; \
 	grep '^shard [0-3]/4: recovered' $$bin/rtdbd.out; \
 	[ $$(grep -c '^shard [0-3]/4: recovered' $$bin/rtdbd.out) -eq 4 ] || { echo "rtdbd -shards 4: want four 'shard i/4: recovered' lines on the second run"; exit 1; }

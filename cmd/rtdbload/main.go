@@ -4,7 +4,7 @@
 // no-deadline reads, waits for every response before the next operation
 // (closed loop — offered load tracks service rate), and at the end prints
 // the client-side latency/outcome summary plus the server's own metrics
-// table fetched over the wire, with the conservation law checked remotely.
+// table fetched over the wire, with its books balanced remotely.
 //
 // Two-terminal example:
 //
@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,6 +33,7 @@ import (
 
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb/client"
+	"rtc/internal/rtdb/server"
 	"rtc/internal/rtwire"
 	"rtc/internal/stats"
 	"rtc/internal/timeseq"
@@ -243,16 +245,14 @@ func run(addrs []string, conns, ops int, deadln uint64, chronon time.Duration) e
 			s.Mean, s.Median, s.Lo, s.Hi)
 	}
 
-	// Fetch every shard's own books over the wire and render the same
-	// metrics table rtdbd prints, then check the conservation law
-	// remotely: every query this tool (and anyone else) submitted is
-	// accounted as exactly one terminal outcome. Each shard's books satisfy
-	// the law independently, so the sums must too.
-	//
-	// The durability bar, per shard: the node it ended on carries every write
-	// the lost primary acknowledged up to the last replication sequence any
-	// connection heard from it.
-	var acked, in, rejected, hit, missed, noDeadline uint64
+	// Fetch every shard's own books over the wire, render the same metrics
+	// table rtdbd prints, and balance each shard's books (audit), then with
+	// more than one shard their sums. The durability bar, per shard: the node
+	// it ended on carries every write the lost primary acknowledged up to the
+	// last replication sequence any connection heard from it.
+	var acked uint64
+	var replies [][]rtwire.MetricPair
+	var open []error // the open books
 	for s, addr := range addrs {
 		c, err := client.Dial(addr, client.Options{Name: "load-metrics"})
 		if err != nil {
@@ -274,11 +274,7 @@ func run(addrs []string, conns, ops int, deadln uint64, chronon time.Duration) e
 		fmt.Printf("shard %d: %6d acked samples (%7.0f/s)  applied %6d  wal_seq %d\n",
 			s, a, float64(a)/elapsed.Seconds(), mm["samples_applied"], mm["wal_seq"])
 		acked += a
-		in += mm["queries_in"]
-		rejected += mm["queries_rejected"]
-		hit += mm["deadline_hit"]
-		missed += mm["deadline_miss"]
-		noDeadline += mm["no_deadline"]
+		open, replies = append(open, audit(fmt.Sprintf("shard %d: ", s), m.Pairs)), append(replies, m.Pairs)
 		if w := perShard[s].seqWatermark.Load(); w > 0 {
 			seq, ok := mm["wal_seq"]
 			if !ok {
@@ -291,19 +287,24 @@ func run(addrs []string, conns, ops int, deadln uint64, chronon time.Duration) e
 			fmt.Printf("failover durability: final wal_seq %d >= pre-failover watermark %d — zero lost acked writes ✓\n", seq, w)
 		}
 	}
-	law := "conservation (server books)"
 	if shards > 1 {
-		law = "cross-shard conservation"
+		open = append(open, audit("cross-shard ", replies...))
 	}
-	if accounted := rejected + hit + missed + noDeadline; in != accounted {
-		return fmt.Errorf("%s violated: %d queries in, %d accounted", law, in, accounted)
-	}
-	fmt.Printf("\n%s: %d queries in == %d rejected + %d hit + %d missed + %d no-deadline ✓\n",
-		law, in, rejected, hit, missed, noDeadline)
 
 	// Failover accounting: how often connections changed nodes and how many
 	// queries were served degraded by a standby.
 	fmt.Printf("failover: %d acked writes, %d failed-over, %d degraded, %d read-only rejects, %d failed ops, %d stale-fenced, %d heartbeat cuts\n",
 		acked, t.failedOver.Load(), t.degraded.Load(), t.readOnly.Load(), t.opFailed.Load(), t.stale.Load(), t.hbCut.Load())
-	return nil
+	return errors.Join(open...)
+}
+
+// audit prints each book of the server's that closes on a running node (all
+// but the quiescent) balanced over the rows of one or more metrics replies,
+// after label, and returns the open ones. The node's clients must be idle,
+// as this tool's are once its load is done.
+func audit(label string, rows ...[]rtwire.MetricPair) error {
+	books := slices.DeleteFunc(server.Books(), func(b server.Book) bool { return b.Quiescent })
+	report, err := server.Audit(label, books, rows...)
+	fmt.Println(report)
+	return err
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"rtc/internal/faultfs"
 	"rtc/internal/rtdb"
 	"rtc/internal/timeseq"
 	"rtc/internal/vtime"
@@ -236,10 +235,13 @@ func TestRebuildBytesPerImageNotPerSample(t *testing.T) {
 // samples over the same images therefore cost the same allocations, give or
 // take the doublings of the run's scratch buffers; and the quarter is room
 // enough that the next sample applied to a loaded history, as the tail
-// replay applies it, does not move the history.
+// replay applies it, does not move the history. It holds for the one loop
+// and for the spans at 4 processors: walkSnapshot is given the count, as
+// testing.AllocsPerRun measures at GOMAXPROCS 1 (the spans' goroutines
+// still run, on the one processor).
 func TestSnapshotLoadAllocatesPerRunNotPerSample(t *testing.T) {
 	const images = 8
-	load := func(perImage int) float64 {
+	load := func(perImage, procs int) float64 {
 		payloads := [][]byte{[]byte("$SNAPSHOT@1@0@0@0$")}
 		for i := 0; i < images; i++ {
 			payloads = append(payloads, Image(fmt.Sprintf("img-%d", i), 5).Payload())
@@ -250,44 +252,42 @@ func TestSnapshotLoadAllocatesPerRunNotPerSample(t *testing.T) {
 			}
 		}
 		payloads = append(payloads, []byte(fmt.Sprintf("$COMMIT@%d$", len(payloads)-1)))
-		mem := faultfs.NewMem(1)
-		w, err := mem.Create("snap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(frames(payloads...)); err != nil {
-			t.Fatal(err)
-		}
-		w.Close()
-		rd := newReader()
+		data, rd := frames(payloads...), newReader()
 		var st *State
+		var spans []span
+		var err error
 		allocs := testing.AllocsPerRun(5, func() {
-			if st, _, err = loadSnapshot(mem, "snap", rd); err != nil {
+			if st, _, spans, err = walkSnapshot(data, rd, procs); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if procs > 1 && len(spans) < 2 {
+			t.Fatalf("%d samples at %d processors walked as %d spans", images*perImage, procs, len(spans))
+		}
 		for i := 0; i < images; i++ {
 			img := st.Images[fmt.Sprintf("img-%d", i)]
 			if want := perImage + perImage/4; len(img.Samples) != perImage || cap(img.Samples) != want {
-				t.Fatalf("img-%d: %d samples in a history of capacity %d, want %d in %d", i, len(img.Samples), cap(img.Samples), perImage, want)
+				t.Fatalf("procs %d, img-%d: %d samples in a history of capacity %d, want %d in %d", procs, i, len(img.Samples), cap(img.Samples), perImage, want)
 			}
 			if last := img.Samples[perImage-1]; last.Value != fmt.Sprint(perImage-1) {
-				t.Fatalf("img-%d: last sample %+v", i, last)
+				t.Fatalf("procs %d, img-%d: last sample %+v", procs, i, last)
 			}
 			first := &img.Samples[0]
 			if err := st.Apply(Sample(timeseq.Time(perImage), fmt.Sprintf("img-%d", i), "tail")); err != nil {
 				t.Fatal(err)
 			}
 			if &img.Samples[0] != first || len(img.Samples) != perImage+1 {
-				t.Fatalf("img-%d: the first sample after the load moved the history (%d samples)", i, len(img.Samples))
+				t.Fatalf("procs %d, img-%d: the first sample after the load moved the history (%d samples)", procs, i, len(img.Samples))
 			}
 		}
 		return allocs
 	}
 	const n = 2000
-	once, twice := load(n), load(2*n)
-	if twice-once > 16 {
-		t.Fatalf("loading %d samples: %.0f allocs, %d samples: %.0f — the difference grows with the samples", images*n, once, images*2*n, twice)
+	for _, procs := range []int{1, 4} {
+		once, twice := load(n, procs), load(2*n, procs)
+		if twice-once > 16 {
+			t.Fatalf("procs %d: loading %d samples: %.0f allocs, %d samples: %.0f — the difference grows with the samples", procs, images*n, once, images*2*n, twice)
+		}
+		t.Logf("procs %d: snapshot load of %d / %d samples over %d images: %.0f / %.0f allocs", procs, images*n, images*2*n, images, once, twice)
 	}
-	t.Logf("snapshot load of %d / %d samples over %d images: %.0f / %.0f allocs", images*n, images*2*n, images, once, twice)
 }

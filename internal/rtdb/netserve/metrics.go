@@ -9,16 +9,12 @@ import (
 
 // WireMetrics is the transport-level counter block — the per-connection
 // tallies folded into one aggregate as they happen, declared like
-// server.Metrics: atomics, each tagged with its metrics-reply row. The
-// serving-layer conservation laws extend over it:
-//
-//   - every query frame is accounted: QueriesIn (wire) == queries handed
-//     to sessions + ExpiredOnArrival, and the session-level law
-//     QueriesIn == QueriesAccounted picks up from there;
-//   - backpressure is explicit: a rejected submission produces a
-//     BackpressureFrames increment and an Err frame, never silence;
-//   - connections balance: ConnsAccepted == ConnsClosed + ConnsRefused +
-//     live connections.
+// server.Metrics: atomics, each tagged with its metrics-reply row. Its
+// book, BOOK-conns (Books), is that every accepted connection was closed or
+// refused; a live connection is neither, so it closes once the listener has.
+// A query frame is handed to a session, where BOOK-queries counts it, or
+// expired on arrival; a rejected submission produces a BackpressureFrames
+// increment and an Err frame, never silence.
 type WireMetrics struct {
 	ConnsAccepted atomic.Uint64 `metric:"net_conns_accepted"`
 	ConnsRefused  atomic.Uint64 `metric:"net_conns_refused"` // handshake failed or no free session
@@ -45,6 +41,12 @@ type WireMetrics struct {
 	CorruptFrames      atomic.Uint64 `metric:"net_corrupt_frames"`       // inbound frames with byte damage (CRC/framing)
 	WriteTimeouts      atomic.Uint64 `metric:"net_write_timeouts"`       // connections cut on a failed/stalled write
 	ReplStallEvictions atomic.Uint64 `metric:"net_repl_stall_evictions"` // followers evicted for acking nothing at a full window
+}
+
+// Books returns the listener's conservation laws, over WireMetrics' rows.
+func Books() []server.Book {
+	return []server.Book{{ID: "BOOK-conns", Left: []string{"net_conns_accepted"},
+		Right: []string{"net_conns_closed", "net_conns_refused"}, Quiescent: true}}
 }
 
 // WireSnapshot is a plain copy of the counters at one instant.

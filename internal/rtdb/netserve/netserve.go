@@ -27,8 +27,7 @@
 //   - Deadlines travel client-relative and are anchored at arrival: a
 //     query that arrives with its budget already consumed is rejected
 //     unevaluated and accounted as a deadline miss through
-//     Metrics.AccountExpired — the conservation law QueriesIn ==
-//     QueriesAccounted therefore holds end-to-end over TCP.
+//     Metrics.AccountExpired, so BOOK-queries holds end to end over TCP.
 //   - Responses go through a bounded per-connection write queue drained by
 //     a dedicated writer goroutine, which is also the pump of the
 //     connection's standing queries; the apply loop never blocks on a slow

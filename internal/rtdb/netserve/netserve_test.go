@@ -72,17 +72,16 @@ func startNet(t testing.TB, cfg server.Config, opt Options, ln net.Listener) (*s
 	return s, ns, ln.Addr().String()
 }
 
-// checkConservation asserts the two laws the wire layer must not break:
-// every query submission is accounted exactly once, and at quiesce every
-// accepted sample has been applied.
-func checkConservation(t *testing.T, s *server.Server) {
+// checkBooks asserts that s closes every book at quiesce (server.Books),
+// and ns, when given, its own (Books): the wire layer must not break one.
+func checkBooks(t *testing.T, s *server.Server, ns ...*Server) {
 	t.Helper()
-	m := s.Metrics.Snapshot()
-	if got := m.QueriesRejected + m.DeadlineHit + m.DeadlineMiss + m.NoDeadline; m.QueriesIn != got {
-		t.Errorf("conservation: QueriesIn %d != accounted %d (%+v)", m.QueriesIn, got, m)
+	books, rows := server.Books(), [][]rtwire.MetricPair{s.Metrics.Snapshot().Pairs()}
+	for _, n := range ns {
+		books, rows = append(books, Books()...), append(rows, n.Wire.Snapshot().Pairs())
 	}
-	if m.SamplesIn != m.SamplesApplied {
-		t.Errorf("conservation: SamplesIn %d != SamplesApplied %d", m.SamplesIn, m.SamplesApplied)
+	if _, err := server.Audit("", books, rows...); err != nil {
+		t.Error(err)
 	}
 }
 

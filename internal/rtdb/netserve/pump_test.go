@@ -364,9 +364,7 @@ func TestSubTeardownAccountsQueued(t *testing.T) {
 			if m.SubsOpened != stallMembers || m.SubsClosed != stallMembers {
 				t.Errorf("subs opened/closed = %d/%d, want %d/%d", m.SubsOpened, m.SubsClosed, stallMembers, stallMembers)
 			}
-			if m.PushAccounted() != m.PushScheduled {
-				t.Errorf("push conservation after %s: scheduled %d accounted %d (%+v)", mode, m.PushScheduled, m.PushAccounted(), m)
-			}
+			checkBooks(t, s)
 			if got := m.PushDropped - before.PushDropped; got != stallMembers*stallDepth || m.Pushed != before.Pushed {
 				t.Errorf("teardown accounted %d queued pushes as dropped and %d as pushed; want %d and 0",
 					got, m.Pushed-before.Pushed, stallMembers*stallDepth)
@@ -463,10 +461,7 @@ func TestSubCancelRacingDrain(t *testing.T) {
 			t.Fatalf("frame after the closing ack of subscription %d: %T %+v", id, m, m)
 		}
 	}
-	m := s.Metrics.Snapshot()
-	if m.SubsOpened != m.SubsClosed || m.PushAccounted() != m.PushScheduled {
-		t.Errorf("books after cancel races: %+v", m)
-	}
+	checkBooks(t, s)
 }
 
 // TestReadDeadlinePerSocketRead: the inbound-silence bound is armed where the

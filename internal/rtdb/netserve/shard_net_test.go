@@ -248,8 +248,8 @@ func runShardDiff(t *testing.T, shards int, seed int64, nObjs int) shardDiffOutc
 	}
 	for i, s := range srvs {
 		m := s.Metrics.Snapshot()
-		if m.QueriesIn != m.QueriesAccounted() {
-			t.Fatalf("shards=%d shard %d conservation: in=%d accounted=%d", shards, i, m.QueriesIn, m.QueriesAccounted())
+		if _, err := server.Audit(fmt.Sprintf("shards=%d shard %d: ", shards, i), server.Books(), m.Pairs()); err != nil {
+			t.Fatal(err)
 		}
 		out.applied += m.SamplesApplied
 		out.firings += m.RuleFirings

@@ -22,10 +22,10 @@ import (
 // Delivery accounting stays exact across the hop: the writer stamps each
 // frame with the queue's cumulative drop count at pop time, and every
 // teardown path — SubCancel, connection loss, server drain — closes the
-// queue and books whatever was still parked in it as dropped, so the push
-// conservation law (PushScheduled == Pushed + PushDropped + PushExpired)
-// holds over TCP exactly as it does in process. A client that stops reading
-// stalls the writer, not the apply loop: its queues drop oldest, counted.
+// queue and books whatever was still parked in it as dropped, so
+// BOOK-pushes holds over TCP exactly as it does in process. A client that
+// stops reading stalls the writer, not the apply loop: its queues drop
+// oldest, counted.
 //
 // Ordering: pushes of one subscription leave in cursor order. The admitting
 // SubAck is enqueued before the writer can see the subscription, so it

@@ -25,10 +25,15 @@
 // Its books are counter blocks — Metrics, a follower's ReplMetrics, and the
 // log's own wal.Stats — in which each counter is declared once, with its
 // metrics-reply row in a struct tag. Rows (rows.go) derives the snapshots,
-// the reply rows and the cross-shard sums from the tags.
+// the reply rows and the cross-shard sums from the tags, and the
+// conservation laws over those rows are declared beside them as data (Books).
 package server
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"rtc/internal/deadline"
@@ -46,11 +51,11 @@ type Metrics struct {
 	Chronon atomic.Uint64 `metric:"chronon" agg:"max"` // current virtual time (chronons)
 
 	SamplesIn       atomic.Uint64 `metric:"samples_in"`       // samples a session queue accepted, less those the apply loop refused
-	SamplesRejected atomic.Uint64 `metric:"samples_rejected"` // samples refused: backpressure, a follower's read-only role, or an unknown image
+	SamplesRejected atomic.Uint64 `metric:"samples_rejected"` // samples refused: backpressure, a follower's read-only role, an unknown image, or abandoned by Stop
 	SamplesApplied  atomic.Uint64 `metric:"samples_applied"`  // samples applied to the database: SamplesIn once queues drain
 
 	QueriesIn       atomic.Uint64 `metric:"queries_in"`       // aperiodic query submissions (attempts)
-	QueriesRejected atomic.Uint64 `metric:"queries_rejected"` // rejected by backpressure
+	QueriesRejected atomic.Uint64 `metric:"queries_rejected"` // rejected unevaluated: backpressure, a follower's role, or abandoned by Stop
 	RejectMiss      atomic.Uint64 `metric:"reject_miss"`      // subset of rejections carrying a deadline
 	DeadlineHit     atomic.Uint64 `metric:"deadline_hit"`     // served within the deadline discipline
 	DeadlineMiss    atomic.Uint64 `metric:"deadline_miss"`    // served late or admission-skipped
@@ -64,8 +69,8 @@ type Metrics struct {
 	// Degraded is the subset of query outcomes (and standing-query pushes)
 	// served by a follower: answered from replicated state that may trail
 	// the primary, so it is a distinct quality class even when the deadline
-	// was met. Like ExpiredOnArrival it annotates, it does not add a term to
-	// the conservation law.
+	// was met. Like ExpiredOnArrival it annotates, it is no term of
+	// BOOK-queries.
 	Degraded atomic.Uint64 `metric:"degraded"`
 
 	PeriodicIssued atomic.Uint64 `metric:"periodic_issued"`
@@ -74,11 +79,10 @@ type Metrics struct {
 
 	// Standing-query (push subscription) counters. PushScheduled counts
 	// every tick of every attached subscription — each consumes one cursor —
-	// and the conservation law PushScheduled == Pushed + PushDropped +
-	// PushExpired is the subscription-side extension of the QueriesIn ==
-	// QueriesAccounted invariant: a scheduled tick is delivered to its
-	// subscriber, dropped by its bounded queue (slow reader or teardown), or
-	// expired by per-tick admission — never silently lost.
+	// and BOOK-pushes is the subscription side of BOOK-queries: a scheduled
+	// tick is delivered to its subscriber, dropped by its bounded queue
+	// (slow reader or teardown), or expired by per-tick admission — never
+	// silently lost.
 	SubsOpened    atomic.Uint64 `metric:"subs_opened"`    // subscriptions attached (opens + resumes)
 	SubsClosed    atomic.Uint64 `metric:"subs_closed"`    // subscriptions detached (cancel or teardown)
 	PushScheduled atomic.Uint64 `metric:"push_scheduled"` // subscription ticks scheduled (cursors consumed)
@@ -118,6 +122,80 @@ type MetricsSnapshot struct {
 	GroupCommits, GroupedAppends          uint64
 }
 
+// A Book is one conservation law over a node's metrics rows: the rows named
+// Left sum to those named Right, so whatever entered the node left it
+// through exactly one counted outcome. A Quiescent book closes only once the
+// node has stopped; the others close whenever its clients are idle (every
+// request answered, sample flushed and subscription closed).
+type Book struct {
+	ID          string // BOOK-<name>
+	Left, Right []string
+	Quiescent   bool
+}
+
+// The server's books, over Metrics' rows; netserve.Books declares the
+// listener's. DESIGN §7 has them as a table.
+var (
+	queryBook = Book{ID: "BOOK-queries", Left: []string{"queries_in"},
+		Right: []string{"queries_rejected", "deadline_hit", "deadline_miss", "no_deadline"}}
+	pushBook = Book{ID: "BOOK-pushes", Left: []string{"push_scheduled"},
+		Right: []string{"pushed", "push_dropped", "push_expired"}}
+	books = []Book{
+		queryBook,
+		{ID: "BOOK-samples", Left: []string{"samples_in"}, Right: []string{"samples_applied"}},
+		// The scheduler books a tick's issue and its outcome in two steps,
+		// which a reader off the apply loop can fall between.
+		{ID: "BOOK-periodic", Left: []string{"periodic_issued"}, Right: []string{"periodic_hit", "periodic_miss"}, Quiescent: true},
+		pushBook,
+		{ID: "BOOK-subs", Left: []string{"subs_opened"}, Right: []string{"subs_closed"}},
+	}
+)
+
+// Books returns the server's books, a fresh slice each call.
+func Books() []Book { return slices.Clone(books) }
+
+// Audit balances books over the rows of one or more metrics replies, added
+// by name. Its report has one line per book after label (a shard's, say),
+// each term with its value: "ID: l == r1 + r2 ✓" when the book closes, "ID
+// open: …" when not or when a term has no row. The open lines are its error.
+func Audit(label string, books []Book, rows ...[]rtwire.MetricPair) (report string, err error) {
+	sums, lines, open := rowSums(rows...), []string{}, []error{}
+	for _, b := range books {
+		l, lt, lok := side(sums, b.Left)
+		r, rt, rok := side(sums, b.Right)
+		line := fmt.Sprintf("%s%s: %s == %s ✓", label, b.ID, lt, rt)
+		if l != r || !lok || !rok {
+			line = fmt.Sprintf("%s%s open: %s != %s (%d != %d)", label, b.ID, lt, rt, l, r)
+			open = append(open, errors.New(line))
+		}
+		lines = append(lines, line)
+	}
+	return strings.Join(lines, "\n"), errors.Join(open...)
+}
+
+// rowSums adds rows up by name.
+func rowSums(rows ...[]rtwire.MetricPair) map[string]uint64 {
+	sums := map[string]uint64{}
+	for _, r := range slices.Concat(rows...) {
+		sums[r.Name] += r.Value
+	}
+	return sums
+}
+
+// side sums terms and writes them as "a 1 + b 2"; ok is false, and the term
+// written "a (no row)", when a term has no row.
+func side(sums map[string]uint64, terms []string) (n uint64, text string, ok bool) {
+	parts, ok := make([]string, len(terms)), true
+	for i, t := range terms {
+		v, found := sums[t]
+		n, ok, parts[i] = n+v, ok && found, fmt.Sprintf("%s %d", t, v)
+		if !found {
+			parts[i] = t + " (no row)"
+		}
+	}
+	return n, strings.Join(parts, " + "), ok
+}
+
 // metricRows lays the reply's server rows out: the block's, then the log's.
 var metricRows = NewRows((*MetricsSnapshot)(nil), (*Metrics)(nil), (*wal.Stats)(nil))
 
@@ -150,9 +228,8 @@ func (s *MetricsSnapshot) Add(o MetricsSnapshot) { metricRows.Add(s, &o) }
 // AccountExpired records a deadline-carrying query that a transport
 // rejected before submission because its client-relative deadline was
 // already consumed on arrival. It books the submission and the miss in one
-// step, so the QueriesIn == QueriesAccounted conservation law extends over
-// the wire: expired-on-arrival queries are counted, never evaluated, never
-// silently dropped.
+// step, so BOOK-queries extends over the wire: expired-on-arrival queries
+// are counted, never evaluated, never silently dropped.
 func (m *Metrics) AccountExpired() {
 	m.QueriesIn.Add(1)
 	m.DeadlineMiss.Add(1)
@@ -170,7 +247,7 @@ func (m *Metrics) accountRejected(kind deadline.Kind) {
 
 // AccountDegraded records a standing-query push a follower served: the
 // submission and its terminal outcome are booked in one step, as for a
-// query, so the conservation law holds on a follower too. missed says
+// query, so BOOK-queries holds on a follower too. missed says
 // whether the (translated) deadline was blown, hasDeadline whether the
 // envelope carried one at all.
 func (m *Metrics) AccountDegraded(missed, hasDeadline bool) {
@@ -187,10 +264,9 @@ func (m *Metrics) AccountDegraded(missed, hasDeadline bool) {
 }
 
 // AccountPushed records one subscription push handed to a transport (or an
-// in-process consumer) for delivery — the "delivered" term of the push
-// conservation law. Transports call it at pop time, after the push has left
-// the bounded queue, so a push still exposed to drop-oldest is never
-// double-counted.
+// in-process consumer) for delivery — the pushed term of BOOK-pushes.
+// Transports call it at pop time, after the push has left the bounded
+// queue, so a push still exposed to drop-oldest is never double-counted.
 func (m *Metrics) AccountPushed() {
 	m.Pushed.Add(1)
 }
@@ -198,27 +274,25 @@ func (m *Metrics) AccountPushed() {
 // AccountPushDropped records n subscription pushes discarded undelivered:
 // by drop-oldest when a subscriber's bounded queue overflowed, or in bulk
 // when a connection tears down with pushes still queued. Like AccountExpired
-// on the query side, it keeps the loss on the books — the push conservation
-// law stays exact through overload and teardown.
+// on the query side, it keeps the loss on the books: BOOK-pushes stays
+// exact through overload and teardown.
 func (m *Metrics) AccountPushDropped(n uint64) {
 	m.PushDropped.Add(n)
 }
 
-// PushAccounted sums every terminal outcome a scheduled subscription tick
-// can have. The conservation law PushScheduled == PushAccounted holds at
-// quiescence (no pushes parked in delivery queues); the race suite and the
-// rtdbload fan-out mode assert it after drain.
+// PushAccounted reads BOOK-pushes' right side: every terminal outcome a
+// scheduled subscription tick can have.
 func (s MetricsSnapshot) PushAccounted() uint64 {
-	return s.Pushed + s.PushDropped + s.PushExpired
+	n, _, _ := side(rowSums(s.Pairs()), pushBook.Right)
+	return n
 }
 
-// QueriesAccounted sums every terminal outcome an aperiodic query can have.
-// The conservation law QueriesIn == QueriesAccounted is the "never silently
-// dropped" invariant; the race suite asserts it under load.
-// (ExpiredOnArrival is a subset of DeadlineMiss, like RejectMiss is a
-// subset of QueriesRejected, so neither appears in the sum.)
+// QueriesAccounted reads BOOK-queries' right side: every terminal outcome
+// an aperiodic query can have. (ExpiredOnArrival is a subset of
+// DeadlineMiss, like RejectMiss of QueriesRejected, so neither is a term.)
 func (s MetricsSnapshot) QueriesAccounted() uint64 {
-	return s.QueriesRejected + s.DeadlineHit + s.DeadlineMiss + s.NoDeadline
+	n, _, _ := side(rowSums(s.Pairs()), queryBook.Right)
+	return n
 }
 
 // Pairs flattens the snapshot into named rows, in the reply's order.

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// booksClose fails t with every book m leaves open; who names m.
+func booksClose(t *testing.T, who string, m MetricsSnapshot) {
+	t.Helper()
+	if _, err := Audit(who+": ", Books(), m.Pairs()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMetricsFieldCoverage: each counter is declared once, as a tagged field
 // of its block, and Rows derives the snapshot copy, the reply rows and the
 // cross-shard sum from the tags. What is left to check is that a layout that

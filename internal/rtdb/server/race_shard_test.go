@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -126,26 +127,15 @@ func TestRaceShardHammer(t *testing.T) {
 
 	flushShards(t, srvs)
 	m := sumMetrics(srvs)
-	if m.QueriesIn != m.QueriesAccounted() {
-		t.Fatalf("merged conservation violated: in=%d accounted=%d (rejected=%d hit=%d miss=%d none=%d)",
-			m.QueriesIn, m.QueriesAccounted(), m.QueriesRejected, m.DeadlineHit, m.DeadlineMiss, m.NoDeadline)
-	}
-	if m.SamplesIn != m.SamplesApplied {
-		t.Fatalf("merged sample conservation violated: in=%d applied=%d (rejected %d)",
-			m.SamplesIn, m.SamplesApplied, m.SamplesRejected)
-	}
-	var perShardIn, perShardAcc uint64
+	booksClose(t, "merged", m)
+	var perShardIn uint64
 	for i, s := range srvs {
 		sm := s.Metrics.Snapshot()
-		if sm.QueriesIn != sm.QueriesAccounted() {
-			t.Fatalf("shard %d conservation violated: in=%d accounted=%d", i, sm.QueriesIn, sm.QueriesAccounted())
-		}
+		booksClose(t, fmt.Sprintf("shard %d", i), sm)
 		perShardIn += sm.QueriesIn
-		perShardAcc += sm.QueriesAccounted()
 	}
-	if perShardIn != m.QueriesIn || perShardAcc != m.QueriesAccounted() {
-		t.Fatalf("per-shard sums disagree with merged snapshot: %d/%d vs %d/%d",
-			perShardIn, perShardAcc, m.QueriesIn, m.QueriesAccounted())
+	if perShardIn != m.QueriesIn {
+		t.Fatalf("per-shard queries_in sum %d, merged %d", perShardIn, m.QueriesIn)
 	}
 
 	eachShard(srvs, (*Server).Stop)
@@ -198,10 +188,7 @@ func TestRaceShardSingle(t *testing.T) {
 	}
 	wg.Wait()
 	flushShards(t, []*Server{s})
-	m := s.MetricsSnapshot()
-	if m.QueriesIn != m.QueriesAccounted() {
-		t.Fatalf("conservation violated: in=%d accounted=%d", m.QueriesIn, m.QueriesAccounted())
-	}
+	booksClose(t, "after the writers", s.MetricsSnapshot())
 	s.Stop()
 	closeLogs(t, logs)
 }

@@ -232,12 +232,7 @@ func TestPeriodicSharesGroupWithSubscriber(t *testing.T) {
 	if ra := alone.PeriodicReport()[0]; ra != r || alone.Now() != s.Now() {
 		t.Fatalf("with a subscriber %+v at chronon %d, alone %+v at chronon %d", r, s.Now(), ra, alone.Now())
 	}
-	if m.PeriodicIssued != m.PeriodicHit+m.PeriodicMiss {
-		t.Fatalf("periodic books open: %+v", m)
-	}
-	if m.PushScheduled != m.Pushed+m.PushDropped+m.PushExpired {
-		t.Fatalf("push books open: %+v", m)
-	}
+	booksClose(t, "after the cancel", s.Metrics.Snapshot())
 	if m.PushDropped != 0 {
 		t.Fatalf("the queue was drained every chronon, yet %d pushes were dropped", m.PushDropped)
 	}

@@ -340,13 +340,17 @@ func (s *Server) Start() {
 }
 
 // Stop shuts the server down: no new submissions are accepted, in-flight
-// queue contents are abandoned (their callers unblock with ErrClosed), and
-// the WAL is synced.
+// queue contents are abandoned (their callers unblock with ErrClosed) and
+// booked as refused (refuseQueued), so the books close, and the WAL is
+// synced.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		s.closed.Store(true)
 		close(s.quit)
 		s.wg.Wait()
+		for _, c := range s.sessions {
+			s.refuseQueued(c)
+		}
 		if s.log != nil {
 			// A failed final sync means the tail of the log may not be
 			// durable; it is counted, not swallowed.
@@ -472,6 +476,29 @@ func (s *Server) applyLoop() {
 			s.step(r)
 		case <-s.ready:
 		case <-s.quit:
+			return
+		}
+	}
+}
+
+// refuseQueued books what is left in c's queue of a closed server as
+// refused, like a full queue's, once the apply loop, the queue's one other
+// receiver, has exited. Stop calls it, and so does a submitter whose request
+// landed after Stop closed the server: Stop may have emptied the queue
+// before it arrived.
+func (s *Server) refuseQueued(c *Session) {
+	s.wg.Wait()
+	for {
+		select {
+		case r := <-c.queue:
+			switch r.kind {
+			case reqSample:
+				s.Metrics.SamplesIn.Add(^uint64(0))
+				s.Metrics.SamplesRejected.Add(1)
+			case reqQuery:
+				s.Metrics.accountRejected(r.q.Kind)
+			}
+		default:
 			return
 		}
 	}

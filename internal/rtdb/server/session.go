@@ -43,6 +43,9 @@ func (c *Session) trySubmit(r request) bool {
 	}
 	select {
 	case c.queue <- r:
+		if c.srv.closed.Load() { // Stop may have emptied the queue already
+			c.srv.refuseQueued(c)
+		}
 		c.srv.wake()
 		return true
 	default:

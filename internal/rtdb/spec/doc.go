@@ -27,5 +27,8 @@
 // torture/invariants.go: 001 the durability bound, 002 one batch window, 003
 // acked tickets a prefix, 004 the reference state, 005 reopen idempotent,
 // 006 liveness, 007 WAL conservation, 008 survivors exact, 009 horizon held.
-// A torture law's message names the ID it checks.
+// BOOK- are conservation laws, not rows (server.Books, netserve.Books):
+// -queries, -samples, -periodic, -pushes, -subs and -conns, balanced on
+// every node and listener at each row's teardown. A torture law's message
+// names the ID it checks.
 package spec

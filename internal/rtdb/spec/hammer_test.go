@@ -164,9 +164,4 @@ func TestSubHammer(t *testing.T) {
 	if received.Load() == 0 || tg.srv.Metrics.Pushed.Load() == 0 {
 		t.Fatal("hammer delivered nothing")
 	}
-	w := tg.ns.Wire.Snapshot()
-	if w.ConnsAccepted != w.ConnsClosed+w.ConnsRefused {
-		t.Errorf("connection conservation: accepted %d != closed %d + refused %d",
-			w.ConnsAccepted, w.ConnsClosed, w.ConnsRefused)
-	}
 }

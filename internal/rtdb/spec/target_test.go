@@ -94,19 +94,20 @@ func (s setup) config(l *wal.Log) server.Config {
 // target is one way the serving stack is reached: the node under test, the
 // listener it is served on (none in process), and how the suite drives it.
 type target struct {
-	srv     *server.Server   // the node under test
-	log     *wal.Log         // its log, nil when WAL-less
-	ns      *netserve.Server // its listener, nil in process
-	addr    string           // the listener's address
-	fab     *faultnet.Fabric // the fabric the listener sits on, nil for TCP
-	r       *replica.Replica // the standby behind the listener, before or after promotion
-	rfs     *faultfs.Mem     // the standby's file system
-	primary *target          // the primary a standby tails
-	standby bool             // the node serves read-only, as a follower
-	c       *client.Client   // the suite's client, dialled on first use
-	nodes   []*server.Server // every node whose books must close at finish
-	shards  []*target        // the shards target's listeners, by shard index
-	closers []func()         // teardown, newest first
+	srv     *server.Server     // the node under test
+	log     *wal.Log           // its log, nil when WAL-less
+	ns      *netserve.Server   // its listener, nil in process
+	addr    string             // the listener's address
+	fab     *faultnet.Fabric   // the fabric the listener sits on, nil for TCP
+	r       *replica.Replica   // the standby behind the listener, before or after promotion
+	rfs     *faultfs.Mem       // the standby's file system
+	primary *target            // the primary a standby tails
+	standby bool               // the node serves read-only, as a follower
+	c       *client.Client     // the suite's client, dialled on first use
+	nodes   []*server.Server   // every node whose books must close at teardown
+	nets    []*netserve.Server // every listener whose books must close at teardown
+	shards  []*target          // the shards target's listeners, by shard index
+	closers []func()           // teardown, newest first
 	advance func(*testing.T, int)
 	// sever and failover move live subscriptions across a lost link and
 	// onto a promoted successor; nil where the target cannot.
@@ -146,7 +147,7 @@ func memLog(t *testing.T, seed uint64, opt wal.Options) *wal.Log {
 func (tg *target) onClose(f func()) { tg.closers = append(tg.closers, f) }
 
 // close tears the target down, listeners before servers; it is idempotent
-// and also runs at cleanup.
+// and also runs at cleanup, before audit.
 func (tg *target) close() {
 	for i := len(tg.closers) - 1; i >= 0; i-- {
 		tg.closers[i]()
@@ -156,7 +157,10 @@ func (tg *target) close() {
 
 func newTarget(t *testing.T) *target {
 	tg := &target{}
-	t.Cleanup(tg.close)
+	t.Cleanup(func() {
+		tg.close()
+		tg.audit(t)
+	})
 	return tg
 }
 
@@ -179,6 +183,7 @@ func (tg *target) serve(t *testing.T, s *server.Server, ln net.Listener, opt net
 	ns := netserve.New(s, opt)
 	go func() { _ = ns.Serve(ln) }()
 	tg.srv, tg.ns, tg.addr = s, ns, ln.Addr().String()
+	tg.nets = append(tg.nets, ns)
 	tg.onClose(func() { _ = ns.Close() })
 }
 
@@ -269,7 +274,7 @@ func newTCP(t *testing.T, s setup) *target {
 		tg.srv.Stop()
 		tg.waitResubscribed(t, base, len(hs))
 	}
-	tg.nodes = append(tg.nodes, sb.nodes...)
+	tg.nodes, tg.nets = append(tg.nodes, sb.nodes...), append(tg.nets, sb.nets...)
 	tg.onClose(sb.close)
 	return tg
 }
@@ -312,7 +317,7 @@ func standbyOf(t *testing.T, p *target, ln net.Listener, s setup) *target {
 	must(t, err)
 	tg.r, tg.srv, tg.log, tg.ns, tg.addr = r, r.Server(), r.Log(), ns, ln.Addr().String()
 	tg.primary, tg.standby = p, true
-	tg.nodes = []*server.Server{r.Server()}
+	tg.nodes, tg.nets = []*server.Server{r.Server()}, []*netserve.Server{ns}
 	return tg
 }
 
@@ -326,7 +331,7 @@ func newStandby(t *testing.T, s setup) *target {
 	must(t, err)
 	tg := standbyOf(t, p, ln, s)
 	tg.fab = fab
-	tg.nodes = append(tg.nodes, p.nodes...)
+	tg.nodes, tg.nets = append(tg.nodes, p.nodes...), append(tg.nets, p.nets...)
 	tg.onClose(p.close)
 	at := p.log.State().LastAt
 	// advance appends n samples to the primary's log as one batch — one
@@ -404,7 +409,7 @@ func newShards(t *testing.T, s setup) *target {
 		sh.serve(t, srv, tcpListener(t, "127.0.0.1:0"), opt)
 		tg.onClose(sh.close)
 		tg.shards = append(tg.shards, sh)
-		tg.nodes = append(tg.nodes, srv)
+		tg.nodes, tg.nets = append(tg.nodes, srv), append(tg.nets, sh.nets...)
 	}
 	return tg
 }
@@ -498,8 +503,7 @@ func (tg *target) subscribe(t *testing.T, s client.SubSpec) (handle, error) {
 	return &tcpHandle{sub: cs}, nil
 }
 
-// finish cancels hs, tears the target down, and checks the books on every
-// node the row touched.
+// finish cancels hs and tears the target down; cleanup then audits it.
 func (tg *target) finish(t *testing.T, hs ...handle) {
 	t.Helper()
 	for _, h := range hs {
@@ -509,28 +513,25 @@ func (tg *target) finish(t *testing.T, hs ...handle) {
 		must(t, tg.c.Close())
 	}
 	tg.close()
-	for i, s := range tg.nodes {
-		checkBooks(t, "node "+strconv.Itoa(i), s.Metrics.Snapshot())
-	}
 }
 
-// checkBooks asserts the laws no transport may break: every query
-// submission accounted once, every sample a queue accepted applied, every
-// scheduled push terminal, every subscription closed.
-func checkBooks(t *testing.T, node string, m server.MetricsSnapshot) {
+// audit holds every node the row touched to server.Books and every listener
+// it served on to netserve.Books, once the target is torn down. A row that
+// failed is not audited: it may have left anything in flight.
+func (tg *target) audit(t *testing.T) {
 	t.Helper()
-	if got := m.QueriesRejected + m.DeadlineHit + m.DeadlineMiss + m.NoDeadline; m.QueriesIn != got {
-		t.Errorf("%s: queries in %d != accounted %d", node, m.QueriesIn, got)
+	if t.Failed() {
+		return
 	}
-	if m.SamplesIn != m.SamplesApplied {
-		t.Errorf("%s: samples in %d != applied %d", node, m.SamplesIn, m.SamplesApplied)
+	for i, s := range tg.nodes {
+		if _, err := server.Audit("node "+strconv.Itoa(i)+": ", server.Books(), s.Metrics.Snapshot().Pairs()); err != nil {
+			t.Error(err)
+		}
 	}
-	if m.PushAccounted() != m.PushScheduled {
-		t.Errorf("%s: push conservation: scheduled %d != accounted %d (pushed %d dropped %d expired %d)",
-			node, m.PushScheduled, m.PushAccounted(), m.Pushed, m.PushDropped, m.PushExpired)
-	}
-	if m.SubsOpened != m.SubsClosed {
-		t.Errorf("%s: subs opened %d != closed %d after teardown", node, m.SubsOpened, m.SubsClosed)
+	for i, ns := range tg.nets {
+		if _, err := server.Audit("listener "+strconv.Itoa(i)+": ", netserve.Books(), ns.Wire.Snapshot().Pairs()); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ func NewQueueWake(depth int, wake chan struct{}) *Queue {
 // Put enqueues p, discarding the oldest queued push if the ring is full.
 // It reports whether a push was discarded — by overflow, or because the
 // queue is already closed (then p itself is the casualty) — so the caller
-// can account every casualty as dropped and keep the conservation law
-// airtight through teardown races.
+// can account every casualty as dropped and keep BOOK-pushes closed
+// through teardown races.
 func (q *Queue) Put(p Push) (dropped bool) {
 	q.mu.Lock()
 	if q.closed {

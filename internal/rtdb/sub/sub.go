@@ -23,10 +23,8 @@
 //     arithmetic: received == cursor − base − dropped − expired.
 //
 //   - Bounded drop-oldest delivery: a slow reader loses the oldest queued
-//     tick, never the newest, and every loss is counted — the push
-//     conservation law scheduled == pushed + dropped + expired is the
-//     subscription-side extension of the server's QueriesIn == accounted
-//     invariant.
+//     tick, never the newest, and every loss is counted, so the server's
+//     BOOK-pushes (scheduled == pushed + dropped + expired) closes.
 //
 // A member of the table is not always a client. The server's own registered
 // periodic queries (server.RegisterPeriodic) ride the same table as members

@@ -94,7 +94,7 @@ func TestStacksHoldIdleLinks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer st.close()
+			defer closeStack(t, st)
 			for _, e := range row.events {
 				if err := st.lp.Append(e); err != nil {
 					t.Fatal(err)

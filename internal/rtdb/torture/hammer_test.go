@@ -18,8 +18,8 @@ import (
 // monkey cuts, stalls, and partitions links at random. Under -race this
 // shakes out data races on every teardown, watchdog, and redial path; the
 // sweep owns determinism — this test owns survival: after the monkey
-// stops and the fabric heals, the stack must still serve, and query
-// accounting must balance on both nodes.
+// stops and the fabric heals, the stack must still serve, and every book
+// must close on both nodes.
 func TestPartitionHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos hammer: skipped in -short")
@@ -40,7 +40,7 @@ func TestPartitionHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.close()
+	defer closeStack(t, st) // every book closes on both nodes after the chaos
 	srv := st.srv
 
 	// The clock driver: server chronons advance while the hammer runs.
@@ -168,11 +168,11 @@ func TestPartitionHammer(t *testing.T) {
 	if err := srv.Barrier(); err != nil {
 		t.Errorf("post-chaos barrier: %v", err)
 	}
-	if err := queryConservation("primary", srv.Metrics.Snapshot()); err != nil {
-		t.Errorf("after chaos: %v", err)
-	}
-	st.killPrimary()
-	if err := queryConservation("replica", st.rp.Server().Metrics.Snapshot()); err != nil {
-		t.Errorf("after chaos: %v", err)
+}
+
+// closeStack tears st down and fails t with every book it left open.
+func closeStack(t *testing.T, st *stack) {
+	if err := st.close(); err != nil {
+		t.Error(err)
 	}
 }

@@ -158,24 +158,13 @@ func servedLive(what string, srv *server.Server) error {
 	return law(srv.Seq() > before, "REPL-007: %s: the log stayed at %d", what, before)
 }
 
-// queryConservation (WIRE-001) is QueriesIn == QueriesAccounted: a query
-// that entered a node was rejected, hit, missed or carried no deadline — and
-// counted as exactly one of them, never lost. who names the node.
-func queryConservation(who string, m server.MetricsSnapshot) error {
-	acc := m.QueriesAccounted()
-	return law(m.QueriesIn == acc, "WIRE-001: %s conservation broken: in=%d accounted=%d", who, m.QueriesIn, acc)
-}
-
-// sampleConservation (WIRE-001): every sample a session accepted was applied.
-func sampleConservation(m server.MetricsSnapshot) error {
-	return law(m.SamplesIn == m.SamplesApplied, "WIRE-001: sample conservation violated: in=%d applied=%d", m.SamplesIn, m.SamplesApplied)
-}
-
-// periodicConservation: every periodic invocation issued was tallied a hit
-// or a miss.
-func periodicConservation(m server.MetricsSnapshot) error {
-	return law(m.PeriodicIssued == m.PeriodicHit+m.PeriodicMiss,
-		"periodic conservation violated: %d != %d+%d", m.PeriodicIssued, m.PeriodicHit, m.PeriodicMiss)
+// booksClosed (BOOK-) is every book of server.Books on a stopped node:
+// whatever entered it — a query, a sample, a periodic tick, a scheduled
+// push, a subscription — left through exactly one counted outcome. who
+// names the node.
+func booksClosed(who string, m server.MetricsSnapshot) error {
+	_, err := server.Audit("", server.Books(), m.Pairs())
+	return law(err == nil, "%v (%s)", err, who)
 }
 
 // walConservation (WAL-007): exactly the appends the server saw acknowledged come

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -77,7 +78,7 @@ func (c Config) fabricStack(fab *faultnet.Fabric, seed uint64, sessions int) (*s
 //   - fencing: when the primary is isolated and the standby promoted, a
 //     client that saw the new epoch can never be recaptured by the
 //     deposed primary once the partition heals (StaleRejected ≥ 1);
-//   - query conservation on both sides of the cut;
+//   - every book closes on both sides of the cut, at teardown;
 //   - subscription cursors stay strictly monotone across every
 //     stall-induced resume and failover re-attach;
 //   - post-heal liveness: after Heal the client reaches the acting
@@ -105,7 +106,11 @@ func (c Config) partitionPoint(p *point) (err error) {
 	if err != nil {
 		return err
 	}
-	defer st.close()
+	defer func() { // joined only when open, as in failoverPoint
+		if open := st.close(); open != nil {
+			err = errors.Join(err, open)
+		}
+	}()
 	r := &partRun{stack: st, fab: fab}
 
 	// Arm before the first dial so handshake ops count toward the point.
@@ -277,8 +282,8 @@ func poll(bound time.Duration, step func() bool) bool {
 }
 
 // rideOut is the common back half of a fault point: heal, reach the
-// primary again, and check durability, conservation, convergence, and the
-// durability watermark.
+// primary again, and check durability, convergence, and the durability
+// watermark.
 func (r *partRun) rideOut() error {
 	r.heal()
 
@@ -302,15 +307,12 @@ func (r *partRun) rideOut() error {
 		return fmt.Errorf("post-heal query: %v", err)
 	}
 
-	// Durability and conservation on the primary.
+	// Durability on the primary.
 	if err := r.srv.Barrier(); err != nil {
 		return fmt.Errorf("post-heal barrier: %v", err)
 	}
 	m := r.srv.Metrics.Snapshot()
 	if err := ackedWrites(r.acked, r.sent, m); err != nil {
-		return err
-	}
-	if err := queryConservation("primary", m); err != nil {
 		return err
 	}
 
@@ -323,7 +325,7 @@ func (r *partRun) rideOut() error {
 	if !poll(5*time.Second, func() bool { r.fab.Heal(); return r.ns.ReplDurable() >= seq }) {
 		return fmt.Errorf("durability watermark stuck at %d, primary at %d", r.ns.ReplDurable(), seq)
 	}
-	return queryConservation("standby", r.rp.Server().Metrics.Snapshot())
+	return nil
 }
 
 // promote is the failover half: with the primary isolated, the standby is
@@ -375,13 +377,10 @@ func (r *partRun) promote() error {
 	if !poll(5*time.Second, func() bool { _, err := r.cl.Query(statusQuery(deadline.Soft)); return err == nil }) {
 		return fmt.Errorf("post-heal query never reached the promoted standby")
 	}
-
-	// Conservation still holds on both sides of the healed cut.
+	// The deposed primary's apply loop still runs; the books of both sides
+	// of the healed cut close at teardown.
 	if err := r.srv.Barrier(); err != nil {
 		return fmt.Errorf("deposed primary barrier: %v", err)
 	}
-	if err := queryConservation("deposed primary", r.srv.Metrics.Snapshot()); err != nil {
-		return err
-	}
-	return queryConservation("promoted standby", r.rp.Server().Metrics.Snapshot())
+	return nil
 }

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -131,20 +132,25 @@ func (s *stack) killPrimary() {
 // close tears down whatever was built, in production order — the serving
 // layers, then the logs; a point closes its clients first. Every step is
 // idempotent, so a point that already killed the primary, or failed half
-// way through, defers the same call.
-func (s *stack) close() {
+// way through, defers the same call. It returns every book the stack's
+// servers left open (booksClosed).
+func (s *stack) close() error {
+	var open []error
 	if s.ns != nil {
 		s.ns.Close()
 	}
 	if s.srv != nil {
 		s.srv.Stop()
+		open = append(open, booksClosed("primary", s.srv.Metrics.Snapshot()))
 	}
 	if s.rp != nil {
 		_ = s.rp.Close()
+		open = append(open, booksClosed("standby", s.rp.Server().Metrics.Snapshot()))
 	}
 	if s.lp != nil {
 		s.lp.Close()
 	}
+	return errors.Join(open...)
 }
 
 // statusQuery is the one query the wire points issue: soft, it is served

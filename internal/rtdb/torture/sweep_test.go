@@ -213,12 +213,8 @@ func TestInvariants(t *testing.T) {
 		{"liveness closed log", live(false, true), "WAL-006: append after recovery"},
 		{"servedLive", served(false), ""},
 		{"servedLive stopped server", served(true), "REPL-007: append after promotion"},
-		{"queryConservation", queryConservation("standby", queries(10)), ""},
-		{"queryConservation in=accounted+1", queryConservation("standby", queries(11)), "WIRE-001: standby conservation broken: in=11 accounted=10"},
-		{"sampleConservation", sampleConservation(samples(9, 9)), ""},
-		{"sampleConservation in!=applied", sampleConservation(samples(9, 8)), "WIRE-001: sample conservation violated: in=9 applied=8"},
-		{"periodicConservation", periodicConservation(server.MetricsSnapshot{PeriodicIssued: 5, PeriodicHit: 3, PeriodicMiss: 2}), ""},
-		{"periodicConservation lost one", periodicConservation(server.MetricsSnapshot{PeriodicIssued: 5, PeriodicHit: 3, PeriodicMiss: 1}), "periodic conservation violated"},
+		{"booksClosed", booksClosed("standby", queries(10)), ""},
+		{"booksClosed in=accounted+1", booksClosed("standby", queries(11)), "BOOK-queries open: queries_in 11 != queries_rejected 1 + deadline_hit 2 + deadline_miss 3 + no_deadline 4 (11 != 10) (standby)"},
 		{"walConservation", walConservation(40, 40), ""},
 		{"walConservation short", walConservation(39, 40), "WAL-007: WAL conservation violated: recovered 39 events, 40 appends acknowledged"},
 		{"epochAdvanced", epochAdvanced(2), ""},

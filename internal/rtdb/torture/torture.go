@@ -16,7 +16,7 @@
 //
 //	recovered state ≡ reference(events[:n])  (deep-equal)
 //	acked ≤ n ≤ acked+1                      (with per-append fsync)
-//	QueriesIn == QueriesAccounted            (a query is never lost)
+//	every server.Books book closes (BOOK-)   (nothing is silently lost)
 //
 // and epoch fencing, cursor monotonicity, zero lost acked writes, cross-shard
 // sum and horizon.
