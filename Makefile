@@ -243,6 +243,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/timed/
 	$(GO) test -fuzz=FuzzStrRoundTrip -fuzztime=20s ./internal/encoding/
 	$(GO) test -fuzz=FuzzRecordRoundTrip -fuzztime=20s ./internal/encoding/
+	$(GO) test -fuzz=FuzzScannerFastPath -fuzztime=20s ./internal/encoding/
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzEventCodecDifferential -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/rtdb/log/

@@ -177,6 +177,59 @@ func (s *Scanner[T]) Next() (raw T, escaped, ok bool) {
 	return p, escaped, true
 }
 
+// Uint is Next and ParseUint in one pass for the field a number is almost
+// always written as: 1–19 plain digits, ending at '@' or at the record's end,
+// which cannot overflow. Such a field is consumed and its value returned.
+// On any other field — escaped, empty, 20 digits or more, or followed by
+// anything else — ok is false and nothing is consumed, so the caller reads it
+// through Next and ParseUint, which decide it as they always did.
+func (s *Scanner[T]) Uint() (v uint64, ok bool) {
+	if !s.more {
+		return 0, false
+	}
+	p := s.rest
+	i := 0
+	for n := min(len(p), 20); i < n; i++ {
+		d := p[i] - '0' // a byte below '0' wraps past 9
+		if d > 9 {
+			break
+		}
+		v = v*10 + uint64(d)
+	}
+	if i == 0 || i == 20 || !s.endsAt(i) {
+		return 0, false
+	}
+	return v, true
+}
+
+// Bool is Uint for a boolean field: exactly "0" or "1", ending at '@' or at
+// the record's end, is consumed and returned; on any other field ok is false
+// and nothing is consumed.
+func (s *Scanner[T]) Bool() (v, ok bool) {
+	if !s.more || len(s.rest) == 0 || (s.rest[0] != '0' && s.rest[0] != '1') {
+		return false, false
+	}
+	v = s.rest[0] == '1'
+	if !s.endsAt(1) {
+		return false, false
+	}
+	return v, true
+}
+
+// endsAt consumes a field of n plain bytes when a separator or the record's
+// end follows it, as Next would.
+func (s *Scanner[T]) endsAt(n int) bool {
+	switch {
+	case n == len(s.rest):
+		s.more = false
+	case s.rest[n] == '@':
+		s.rest = s.rest[n+1:]
+	default:
+		return false
+	}
+	return true
+}
+
 // Bad reports whether the scan hit malformed bytes.
 func (s *Scanner[T]) Bad() bool { return s.bad }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rtc/internal/rtdb/server"
+	"rtc/internal/rtdb/sub"
 	"rtc/internal/rtwire"
 )
 
@@ -153,9 +154,11 @@ func (c *conn) writeLoop() {
 	}
 	var scratch []byte // every Push is encoded here, then copied into bw
 	var subs []connSub
+	var tails tickTails
 	// drain pops every attached queue dry, stamping each push with the
-	// queue's cumulative drop count at pop time. A push that lands behind
-	// the sweep has posted a fresh wake token, so nothing is left waiting.
+	// queue's cumulative drop count at pop time, and splices each push's
+	// tick tail (tails) behind its own fields. A push that lands behind the
+	// sweep has posted a fresh wake token, so nothing is left waiting.
 	drain := func() bool {
 		c.subMu.Lock()
 		subs = append(subs[:0], c.subs...)
@@ -163,13 +166,8 @@ func (c *conn) writeLoop() {
 		for _, s := range subs {
 			for push, droppedCum, ok := s.ss.Pop(); ok; push, droppedCum, ok = s.ss.Pop() {
 				scratch = rtwire.Push{
-					ID: s.id, Cursor: push.Cursor, Dropped: droppedCum,
-					Expired: push.Expired, Useful: push.Useful,
-					Missed: push.Missed, Evaluated: push.Evaluated,
-					Degraded: push.Degraded,
-					Issue:    push.Issue, Served: push.Served,
-					Answers: push.Answers,
-				}.AppendTo(scratch[:0])
+					ID: s.id, Cursor: push.Cursor, Dropped: droppedCum, Expired: push.Expired,
+				}.AppendSpliced(scratch[:0], tails.of(push))
 				if !write(scratch) {
 					return false
 				}
@@ -212,6 +210,56 @@ func (c *conn) writeLoop() {
 			return
 		}
 	}
+}
+
+// tickTails holds the encoded tails (rtwire.Push.AppendTail) of the ticks a
+// writer delivered last. The members of one group's tick carry one answers
+// slice and, under equal envelopes, equal fields from Useful on, so the tail
+// is encoded once per tick and spliced behind each member's own fields. A
+// slot keeps the push it was encoded from, answers slice included: the
+// slice's address is part of the key, and the slot holding the slice is
+// what stops the collector from handing that address to another slice
+// while the slot can still match it.
+//
+// The writer drains queue by queue, so every tick a drain covers is met
+// once per member: the slots are sized for the ticks of one drain (a
+// sub_fanout round queues about ten), and lookups compare Issue first,
+// which tells ticks of one group apart at once. Past that many ticks a
+// lookup misses and the tail is encoded again, as before the memo.
+type tickTails struct {
+	slots [16]tailSlot
+	next  int
+}
+
+type tailSlot struct {
+	key  sub.Push
+	tail []byte // nil: the slot is empty
+}
+
+// of returns the tail of p's frame, encoding it only when no slot holds it.
+func (t *tickTails) of(p sub.Push) []byte {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.tail != nil && sameTail(s.key, p) {
+			return s.tail
+		}
+	}
+	s := &t.slots[t.next]
+	t.next = (t.next + 1) % len(t.slots)
+	s.key = p
+	s.tail = rtwire.Push{
+		Useful: p.Useful, Missed: p.Missed, Evaluated: p.Evaluated, Degraded: p.Degraded,
+		Issue: p.Issue, Served: p.Served, Answers: p.Answers,
+	}.AppendTail(s.tail[:0])
+	return s.tail
+}
+
+// sameTail reports whether two pushes encode to one tail: equal scalar
+// fields and the same answers slice — one evaluation's, which nobody writes
+// once the apply loop has put it in the queues.
+func sameTail(a, b sub.Push) bool {
+	return a.Issue == b.Issue && a.Served == b.Served && a.Useful == b.Useful &&
+		a.Missed == b.Missed && a.Evaluated == b.Evaluated && a.Degraded == b.Degraded &&
+		len(a.Answers) == len(b.Answers) && (len(a.Answers) == 0 || &a.Answers[0] == &b.Answers[0])
 }
 
 // discard keeps draining the queue after a write error so producers

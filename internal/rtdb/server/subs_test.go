@@ -5,6 +5,7 @@ import (
 
 	"rtc/internal/deadline"
 	"rtc/internal/rtdb/sub"
+	"rtc/internal/timeseq"
 )
 
 // drain pops everything currently queued on ss.
@@ -199,4 +200,52 @@ func TestDropOldestAccounting(t *testing.T) {
 			m.PushScheduled, m.Pushed, m.PushDropped)
 	}
 	booksClose(t, "after the cancel", m)
+}
+
+// TestSubTickAllocs gates the tick path's allocations: a round of due ticks
+// allocates what its evaluations do and nothing more — Due hands back one
+// reused slice, and scoring, cursors and queue puts allocate nothing. The
+// server is not started: the test is the apply loop.
+func TestSubTickAllocs(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.step(request{kind: reqSample, image: "temp", value: "21"})
+	var qs []*sub.Queue
+	for _, query := range []string{"status_q", "temp_q"} {
+		for i := 0; i < 4; i++ {
+			spec := sub.Spec{Query: query, Period: 4, Kind: deadline.Soft, Deadline: 1 << 40, MinUseful: 1}
+			q := sub.NewQueue(64)
+			s.subs.Attach(spec, 0, q, timeseq.Time(s.clock.Load()))
+			qs = append(qs, q)
+		}
+	}
+	// One round: the clock jumps to the groups' shared next tick, each is
+	// evaluated once (their EvalCost of 1 each leaves the clock short of the
+	// tick after), and every queue is emptied.
+	round := func() {
+		due, _ := s.subs.NextDue()
+		s.advance(due)
+		s.runSubs()
+		for _, q := range qs {
+			for _, _, ok := q.Pop(); ok; _, _, ok = q.Pop() {
+			}
+		}
+	}
+	round()
+	ticks0 := s.Metrics.Snapshot().PushScheduled
+	got := testing.AllocsPerRun(100, round)
+	if ticks := s.Metrics.Snapshot().PushScheduled - ticks0; ticks != 101*8 {
+		t.Fatalf("%d pushes scheduled over 101 rounds, want %d", ticks, 101*8)
+	}
+	view := s.db.ViewNow()
+	evals := testing.AllocsPerRun(100, func() {
+		_ = s.cfg.Catalog["status_q"](view)
+		_ = s.cfg.Catalog["temp_q"](view)
+	})
+	t.Logf("%.1f allocs per round, %.1f of them the two evaluations'", got, evals)
+	if got > evals {
+		t.Errorf("a round of two group ticks: %.1f allocs, its evaluations %.1f", got, evals)
+	}
 }

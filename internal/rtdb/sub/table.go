@@ -93,6 +93,7 @@ type Table struct {
 	// decided by attach order — a registered periodic query write-ahead-logs
 	// each invocation, and the log must not depend on map iteration.
 	order []*Group
+	due   []*Group // Due's result, reused
 	n     int
 }
 
@@ -174,10 +175,10 @@ func (t *Table) NextDue() (timeseq.Time, bool) {
 }
 
 // Due returns the groups due at or before now, earliest due first and in
-// attach order among groups due at one chronon. The slice is freshly
-// allocated.
+// attach order among groups due at one chronon. The slice is the table's
+// own, reused: it is valid until the next call.
 func (t *Table) Due(now timeseq.Time) []*Group {
-	var out []*Group
+	out := t.due[:0]
 	for _, g := range t.order {
 		if g.next <= now {
 			out = append(out, g)
@@ -185,5 +186,6 @@ func (t *Table) Due(now timeseq.Time) []*Group {
 	}
 	// Stable, so groups due at one chronon keep the walk's attach order.
 	slices.SortStableFunc(out, func(a, b *Group) int { return cmp.Compare(a.next, b.next) })
+	t.due = out
 	return out
 }

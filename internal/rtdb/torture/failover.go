@@ -48,7 +48,7 @@ func (c Config) failoverPoint(p *point, events []wal.Event) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() { // joined only when open: the sweep matches errBeyond as is
+	defer func() { // joined only when open
 		if open := st.close(); open != nil {
 			err = errors.Join(err, open)
 		}
@@ -73,6 +73,7 @@ func (c Config) failoverPoint(p *point, events []wal.Event) (err error) {
 		}
 	}
 	if !st.memP.Dead() {
+		p.ops = st.memP.Ops()
 		return errBeyond
 	}
 	st.memP.Crash()

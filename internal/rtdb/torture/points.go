@@ -93,6 +93,7 @@ func (c Config) crashPoint(p *point, events []wal.Event, grouped, fsynced bool) 
 	// point parked on an hour-long window.
 	_ = l.Close()
 	if !dead {
+		p.ops = mem.Ops()
 		return errBeyond
 	}
 	mem.Crash()

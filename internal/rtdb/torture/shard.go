@@ -132,6 +132,7 @@ func (c Config) shardPoint(p *point, w *shardWorkload, victim int) error {
 		}
 	}
 	if !mems[victim].Dead() {
+		p.ops = mems[victim].Ops()
 		return errBeyond
 	}
 

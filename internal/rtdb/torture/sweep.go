@@ -26,7 +26,8 @@ type numbering int
 const (
 	// untilBeyond walks 1, 1+Stride, … until a point reports errBeyond: the
 	// armed op lies past the end of the run. Points are mutating filesystem
-	// ops of the WAL that takes the cut.
+	// ops of the WAL that takes the cut. A faultless run (point 0, nothing
+	// armed) first counts them, and the walk is bounded at twice that count.
 	untilBeyond numbering = iota
 	// probed runs point 0 — nothing armed — once for the run's op count
 	// (point.ops), then walks 1..count by Stride.
@@ -49,13 +50,13 @@ type lane struct {
 // fills in the rest for the driver.
 type point struct {
 	at     uint64
-	ops    uint64       // ops of the kind the lane numbers by (probed lanes)
+	ops    uint64       // ops of the kind the lane numbers by, set by a faultless run
 	mem    *faultfs.Mem // whose WAL directory a Failure exports
 	stream []byte       // malformed wire bytes the fault left behind
 }
 
 // errBeyond ends an untilBeyond lane: the run finished without reaching
-// the armed op.
+// the armed op. A point may wrap it.
 var errBeyond = errors.New("fault point beyond the run")
 
 // scenarios is the table, in the order `rttorture -mode all` runs it.
@@ -179,18 +180,29 @@ func (c Config) walk(mode Mode, ln lane, rep *Report) {
 		return
 	case probedEvery:
 		stride = 1
-		fallthrough
-	case probed:
-		// The probe arms nothing, so it is not a fault point — unless it
-		// fails: then there is nothing to number, and that is the report.
+	}
+	// The probe arms nothing, so it is not a fault point — unless it fails:
+	// then there is nothing to number, and that is the report. An
+	// untilBeyond lane's probe ends beyond its run, and only bounds the walk,
+	// at twice its count: a lane that has lost its end stops there, and a run
+	// that counts its ops differently from one point to the next stays
+	// inside. One pinned point needs no bound.
+	beyond := ln.numbering == untilBeyond
+	if !beyond || c.At == 0 {
 		p, err := run(0)
+		if beyond && errors.Is(err, errBeyond) {
+			err = nil
+		}
 		if err != nil {
 			record(p, fmt.Errorf("faultless probe run: %w", err))
 			return
 		}
 		last = p.ops
+		if beyond {
+			last *= 2
+		}
 		if c.Logf != nil {
-			c.Logf("%s probe: seed=%d ops=%d", mode, c.Seed, last)
+			c.Logf("%s probe: seed=%d ops=%d", mode, c.Seed, p.ops)
 		}
 	}
 	if c.At > 0 {
@@ -198,9 +210,15 @@ func (c Config) walk(mode Mode, ln lane, rep *Report) {
 	}
 	for at := first; at <= last; at += stride {
 		p, err := run(at)
-		if err == errBeyond {
+		if errors.Is(err, errBeyond) {
 			return
 		}
 		record(p, err)
+	}
+	if beyond && c.At == 0 {
+		f := Failure{Mode: mode, Config: c, Detail: fmt.Sprintf(
+			"no point up to %d reported errBeyond: twice the probe's %d ops", last, last/2)}
+		f.Config.Victim, f.Config.Logf = ln.victim, nil
+		rep.Failures = append(rep.Failures, f)
 	}
 }

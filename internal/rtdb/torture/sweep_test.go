@@ -3,6 +3,7 @@ package torture
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -89,6 +90,41 @@ func TestReproRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUntilBeyondEnds: an untilBeyond lane ends at the first point whose
+// error is or wraps errBeyond, and a lane that never reports it stops at
+// twice its probe's op count with a failure that says so.
+func TestUntilBeyondEnds(t *testing.T) {
+	walk := func(run func(p *point) error) *Report {
+		rep := &Report{Streams: map[string][]byte{}}
+		c := Config{Seed: 1}
+		c.defaults()
+		c.walk("selftest", lane{run: run}, rep)
+		return rep
+	}
+	wrapped := walk(func(p *point) error {
+		switch p.at {
+		case 0:
+			p.ops = 10
+			return errBeyond
+		case 3:
+			return fmt.Errorf("point %d: %w", p.at, errBeyond)
+		}
+		return nil
+	})
+	if wrapped.Points != 2 || len(wrapped.Failures) != 0 {
+		t.Errorf("wrapped errBeyond at point 3: %d points, failures %v; want 2 points, none", wrapped.Points, wrapped.Failures)
+	}
+	endless := walk(func(p *point) error {
+		if p.at == 0 {
+			p.ops = 5
+		}
+		return nil
+	})
+	if endless.Points != 10 || len(endless.Failures) != 1 || !strings.Contains(endless.Failures[0].Detail, "no point up to 10") {
+		t.Errorf("a lane with no end: %d points, failures %v; want 10 and the bound's failure", endless.Points, endless.Failures)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 )
 
 // Decoding is one pass over the payload bytes: numeric and boolean fields
-// are parsed where they lie and only the strings a message keeps are
+// are parsed where they lie (a plain one while it is scanned,
+// encoding.Scanner.Uint and Bool) and only the strings a message keeps are
 // materialised. Every kind has a typed decoder returning the message by
 // value, so a transport that switches on Frame.Kind decodes into a stack
 // variable; Decode boxes the same decoders. The whole payload must be a
@@ -49,10 +50,20 @@ func (r *fieldReader) scalar() []byte {
 	return raw
 }
 
-// upTo reads a number that must not exceed max (an enum's last value).
+// upTo reads a number that must not exceed max (an enum's last value). A
+// field of plain digits is parsed as it is scanned; any other goes through
+// scalar and ParseUint, which decide it exactly as before.
 func (r *fieldReader) upTo(max uint64) uint64 {
-	v, err := encoding.ParseUint(r.scalar())
-	if err != nil || v > max {
+	v, ok := r.sc.Uint()
+	if ok {
+		r.n++
+	} else {
+		var err error
+		if v, err = encoding.ParseUint(r.scalar()); err != nil {
+			r.bad = true
+		}
+	}
+	if v > max {
 		r.bad = true
 	}
 	return v
@@ -63,6 +74,10 @@ func (r *fieldReader) uint() uint64 { return r.upTo(math.MaxUint64) }
 func (r *fieldReader) time() timeseq.Time { return timeseq.Time(r.uint()) }
 
 func (r *fieldReader) bool() bool {
+	if v, ok := r.sc.Bool(); ok {
+		r.n++
+		return v
+	}
 	s := r.scalar()
 	if len(s) != 1 || (s[0] != '0' && s[0] != '1') {
 		r.bad = true

@@ -184,6 +184,26 @@ var hostilePayloads = []string{
 	"$5@status_q@8@1@6@1@1@2@9@4$",                     // sub open: no depth
 	"$5@status_q@8@2@6@2@2@1@10@0@16@3$",               // sub resume
 	"$5@status_q@8@2@6@2@2@1@10@0@16@x$",               // sub resume: bad cursor
+	// The edges of the plain-digit fast read (encoding.Scanner.Uint, Bool).
+	"$9999999999999999999@a@b$",                      // 19 digits, the longest fast read
+	"$1000000000000000000@a@b$",                      // 19 digits, 10^18
+	"$0000000000000000007@a@b$",                      // 19 digits, leading zeros
+	"$99999999999999999999@a@b$",                     // 20 digits, overflows
+	"$5@3@1@1@18446744073709551615@0@1@0@1024@1026$", // push: 2^64-1 useful
+	"$5@3@1@1@18446744073709551616@0@1@0@1024@1026$", // push: 2^64 useful
+	"$%1%2@temp@21$",                                 // escaped digits: the number 12
+	"$5@3@1@1@9@00@1@0@1024@1026$",                   // push: bool 00
+	"$5@3@1@1@9@01@1@0@1024@1026$",                   // push: bool 01
+	"$5@3@1@1@9@2@1@0@1024@1026$",                    // push: bool 2
+	"$5@3@1@1@9@@1@0@1024@1026$",                     // push: bool empty
+	"$5@3@1@1@9@%1@1@0@1024@1026$",                   // push: bool escaped
+	"$5@3@1@1@9@0@1@0@1024@1026",                     // push: no closing delimiter
+	"$5@3@1@1@9@0@1@0@1024@1026#$",                   // push: number then '#'
+	"$5@3@1@1@9@0@1@0@1024$1026$",                    // push: number then '$'
+	"$5@3@1@1@9@0#@1@0@1024@1026$",                   // push: bool then '#'
+	"$5@3@1@1@9@0$@1@0@1024@1026$",                   // push: bool then '$'
+	"$8@1@2@0@1@11@13@1$",                            // result: number ends the record
+	"$9$",                                            // a lone number ends the record
 }
 
 // TestDecodeMatchesOracle runs the differential check over every message,
@@ -262,6 +282,9 @@ func TestAllocGates(t *testing.T) {
 	}
 
 	push := Push{ID: 5, Cursor: 3, Useful: 1, Evaluated: true, Issue: 1024, Served: 1026, Answers: []string{"ok"}}
+	tail := make([]byte, 0, 64)
+	gate("AppendTail", 0, func() { tail = push.AppendTail(tail[:0]) })
+	gate("AppendSpliced", 0, func() { buf = push.AppendSpliced(buf[:0], tail) })
 	pushBytes := push.Encode()
 	gate("DecodeFrame", 0, func() {
 		if _, _, err := DecodeFrame(pushBytes); err != nil {
@@ -335,6 +358,8 @@ func TestAllocGates(t *testing.T) {
 
 var benchSink any
 
+var cursorSink uint64
+
 func BenchmarkDecode(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -357,6 +382,42 @@ func BenchmarkDecode(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDecodePushShared is a client's decode of one member's push of a
+// one-answer tick whose answers it already holds: no allocation, so ns/op
+// is the field reads.
+func BenchmarkDecodePushShared(b *testing.B) {
+	f := frameOf(b, Push{ID: 5, Cursor: 1000, Useful: 1, Evaluated: true, Issue: 100_000, Served: 100_001, Answers: []string{"ok"}})
+	recent := [][]string{{"high"}, {"ok"}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := DecodePushShared(f, recent)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cursorSink += m.Cursor
+	}
+}
+
+// BenchmarkEncodePush is one member's push of a one-answer tick: encoded
+// whole, and spliced behind a tail encoded once for the tick.
+func BenchmarkEncodePush(b *testing.B) {
+	push := Push{ID: 5, Cursor: 1000, Useful: 1, Evaluated: true, Issue: 100_000, Served: 100_001, Answers: []string{"ok"}}
+	buf := make([]byte, 0, 256)
+	b.Run("AppendTo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = push.AppendTo(buf[:0])
+		}
+	})
+	tail := push.AppendTail(nil)
+	b.Run("AppendSpliced", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = push.AppendSpliced(buf[:0], tail)
+		}
+	})
 }
 
 // BenchmarkReadFrame reads Push frames off a bufio.Reader through one

@@ -55,7 +55,8 @@ func FuzzFrameDecode(f *testing.F) {
 
 // FuzzRequestRoundTrip drives the request messages (sample, query, as-of)
 // through encode → frame decode → message decode and requires exact
-// structural equality — the protocol must be injective on its domain.
+// structural equality — the protocol must be injective on its domain. A
+// push also goes through the splice encoder (checkSpliced).
 func FuzzRequestRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "status_q", "ok", uint8(1), uint64(40), uint64(0), uint64(1), uint8(1), uint64(10), uint64(0))
 	f.Add(uint64(2), "temp_q", "", uint8(2), uint64(0), uint64(5), uint64(2), uint8(2), uint64(8), uint64(4))
@@ -95,14 +96,33 @@ func FuzzRequestRoundTrip(f *testing.F) {
 			MinUseful: so.MinUseful, Decay: so.Decay, Depth: so.Depth,
 			AfterCursor: dead,
 		})
-		roundTrip(t, Push{
+		push := Push{
 			ID: id, Cursor: dead, Dropped: elapsed, Expired: minUseful,
 			Useful: decayMax, Missed: kind == 1, Evaluated: kind != 0,
 			Degraded: decayID == 1,
 			Issue:    timeseq.Time(elapsed), Served: timeseq.Time(dead),
 			Answers: answersFor(name, candidate),
-		})
+		}
+		roundTrip(t, push)
+		checkSpliced(t, push, Push{ID: span, Cursor: minUseful, Dropped: dead, Expired: elapsed})
 	})
+}
+
+// checkSpliced encodes m's tail once and splices it behind m's own fields
+// and behind other's (another member of the same tick): each frame must be
+// AppendTo's bytes for that push and decode back to it.
+func checkSpliced(t *testing.T, m, other Push) {
+	t.Helper()
+	tail := m.AppendTail(nil)
+	other.Useful, other.Missed, other.Evaluated, other.Degraded = m.Useful, m.Missed, m.Evaluated, m.Degraded
+	other.Issue, other.Served, other.Answers = m.Issue, m.Served, m.Answers
+	for _, p := range []Push{m, other} {
+		spliced := p.AppendSpliced(nil, tail)
+		if want := p.Encode(); !bytes.Equal(spliced, want) {
+			t.Fatalf("spliced push %q, AppendTo %q", spliced, want)
+		}
+		roundTrip(t, p)
+	}
 }
 
 // answersFor keeps the fuzzed Push answers structurally canonical: Decode

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rtc/internal/deadline"
+	"rtc/internal/encoding"
 	"rtc/internal/timeseq"
 )
 
@@ -653,20 +654,51 @@ func (m SubAck) Encode() []byte { return m.AppendTo(nil) }
 // AppendTo appends the encoded frame to dst.
 func (m Push) AppendTo(dst []byte) []byte {
 	b := beginFrame(dst, KindPush)
-	b.Uint(m.ID)
-	b.Uint(m.Cursor)
-	b.Uint(m.Dropped)
-	b.Uint(m.Expired)
-	b.Uint(m.Useful)
-	b.Bool(m.Missed)
-	b.Bool(m.Evaluated)
-	b.Bool(m.Degraded)
-	b.time(m.Issue)
-	b.time(m.Served)
-	for _, a := range m.Answers {
-		b.Str(a)
-	}
+	b.pushHead(m.ID, m.Cursor, m.Dropped, m.Expired)
+	m.tail(&b.RecordWriter)
 	return b.finish()
+}
+
+// AppendTail appends the part of m's payload that every member of one tick
+// shares: the fields from Useful on, each behind its '@', and the record's
+// closing '$'. A writer encodes it once per tick and AppendSpliced splices it
+// behind each member's own fields.
+func (m Push) AppendTail(dst []byte) []byte {
+	// The tail follows the head's last field: its separator leads, and the
+	// writer's first field writes none.
+	w := encoding.RecordWriter{Buf: append(dst, '@')}
+	m.tail(&w)
+	return w.End()
+}
+
+// tail writes the fields AppendTail covers, without the closing '$'.
+func (m *Push) tail(w *encoding.RecordWriter) {
+	w.Uint(m.Useful)
+	w.Bool(m.Missed)
+	w.Bool(m.Evaluated)
+	w.Bool(m.Degraded)
+	w.Uint(uint64(m.Issue))
+	w.Uint(uint64(m.Served))
+	for _, a := range m.Answers {
+		w.Str(a)
+	}
+}
+
+// AppendSpliced appends the frame AppendTo would when tail is AppendTail of
+// a push equal to m from Useful on: only ID, Cursor, Dropped and Expired are
+// encoded from m, and the checksum covers the whole payload.
+func (m Push) AppendSpliced(dst, tail []byte) []byte {
+	b := beginFrame(dst, KindPush)
+	b.pushHead(m.ID, m.Cursor, m.Dropped, m.Expired)
+	return sealFrame(append(b.Buf, tail...), b.start, KindPush)
+}
+
+// pushHead writes the fields that differ between the members of one tick.
+func (b *frameBuilder) pushHead(id, cursor, dropped, expired uint64) {
+	b.Uint(id)
+	b.Uint(cursor)
+	b.Uint(dropped)
+	b.Uint(expired)
 }
 
 // Encode renders the message as one frame.

@@ -236,14 +236,19 @@ func (b *frameBuilder) time(v timeseq.Time) { b.Uint(uint64(v)) }
 
 // finish closes the record and fills in the reserved header.
 func (b *frameBuilder) finish() []byte {
-	buf := b.End()
-	hdr := buf[b.start:]
-	payload := buf[b.start+HeaderSize:]
+	return sealFrame(b.End(), b.start, b.kind)
+}
+
+// sealFrame fills in the header reserved at buf[start:] over the closed
+// record behind it.
+func sealFrame(buf []byte, start int, kind Kind) []byte {
+	hdr := buf[start:]
+	payload := buf[start+HeaderSize:]
 	hdr[0] = Magic
 	hdr[1] = Version
-	hdr[2] = byte(b.kind)
+	hdr[2] = byte(kind)
 	binary.LittleEndian.PutUint32(hdr[3:7], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[7:11], checksum(b.kind, payload))
+	binary.LittleEndian.PutUint32(hdr[7:11], checksum(kind, payload))
 	return buf
 }
 
