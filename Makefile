@@ -67,11 +67,14 @@ race-gc:
 # a snapshot loads as the one loop, at two and four its samples are walked
 # as spans on their own goroutines (TestSnapshotSpansMatchOneLoop holds the
 # two to each other), so the loader's fuzz seeds, damage and golden rows
-# and Open's tests run on both paths. TestSnapshotLoadAllocatesPerRunNotPerSample
+# and Open's tests run on both paths, each over faultfs.Mem and over a
+# mapped file (faultfs.OS), and a fault in a mapped snapshot is an error on
+# either path (TestLoadSnapshotFaultIsAnError). TestSnapshotLoadAllocatesPerRunNotPerSample
 # measures inside testing.AllocsPerRun, which runs at one processor, so it
-# passes walkSnapshot 1 and 4 itself and requires spans at 4.
+# passes walkSnapshot 1 and 4 itself and requires spans at 4. faultfs's
+# ReadFile rides along (TestReadFileOpensLikeOpen).
 race-recovery:
-	$(GO) test -race -cpu 1,2,4 -run='Snapshot|Open' ./internal/rtdb/log/
+	$(GO) test -race -cpu 1,2,4 -run='Snapshot|Open' ./internal/rtdb/log/ ./internal/faultfs/
 
 # Keyspace sharding under the race detector: the 8-shard × 32-writer
 # hammer (concurrent samples, queries, ticks, and flushes, each placed on
@@ -212,7 +215,7 @@ bench:
 # (BenchmarkReplicaCatchup, BenchmarkNetFanout and the BenchmarkInjectSample
 # and BenchmarkAsOfRead that DESIGN §11 quotes included), and with -benchmem
 # every log shows their B/op (BenchmarkRebuild/200k's history bytes and
-# BenchmarkOpen/200k's recovery bytes, ≈ 12.8 MB, among them). Seconds; CI
+# BenchmarkOpen/200k's recovery bytes, ≈ 7.0 MB, among them). Seconds; CI
 # runs this target.
 BENCH_SMOKE_PKGS = . ./internal/rtwire/ ./internal/rtdb/log/ ./internal/rtdb/netserve/ ./internal/rtdb/replica/ ./internal/rtdb/server/ ./internal/rtdb/sub/
 bench-smoke:
@@ -247,6 +250,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEventRoundTrip -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzEventCodecDifferential -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzSnapshotLoad -fuzztime=20s ./internal/rtdb/log/
+	$(GO) test -fuzz=FuzzSnapshotSpans -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzSegmentRecovery -fuzztime=20s ./internal/rtdb/log/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s ./internal/rtwire/

@@ -66,6 +66,11 @@ type FS interface {
 	Remove(name string) error
 	// Truncate cuts name to size bytes.
 	Truncate(name string, size int64) error
+	// ReadFile returns name's content whole, to be read and never
+	// written, and a release that ends its use: no byte of data may be
+	// read after release, which may be called more than once. It is not
+	// a fault point.
+	ReadFile(name string) (data []byte, release func(), err error)
 }
 
 // OS is the production passthrough: every call forwards to the os package.

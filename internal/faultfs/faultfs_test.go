@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"path/filepath"
 	"testing"
 )
 
@@ -225,5 +226,56 @@ func TestOSPassthrough(t *testing.T) {
 	}
 	if err := fs.Remove(dir + "/sub/y"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadFileOpensLikeOpen: ReadFile on OS and on Mem returns the bytes a
+// read through Open returns — for an empty file, a 1-byte file and a 1 MiB
+// one — and fails where Open fails: a missing file on both, a power cut on
+// Mem. Mem's release overwrites the copy it handed out, and calling either
+// release twice is harmless.
+func TestReadFileOpensLikeOpen(t *testing.T) {
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i*7 + i>>12)
+	}
+	dir := t.TempDir()
+	mem := NewMem(1)
+	for _, fs := range []struct {
+		name string
+		fs   FS
+		dir  string
+	}{{"os", OS{}, dir}, {"mem", mem, "d"}} {
+		for _, want := range [][]byte{{}, {'x'}, big} {
+			path := filepath.Join(fs.dir, "f")
+			f, err := fs.fs.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeAll(t, f, want)
+			f.Close()
+			data, release, err := fs.fs.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%s: ReadFile of %d bytes: %v", fs.name, len(want), err)
+			}
+			if !bytes.Equal(data, want) || !bytes.Equal(data, readAll(t, fs.fs, path)) || data == nil {
+				t.Fatalf("%s: ReadFile of %d bytes returned %d bytes unlike Open's", fs.name, len(want), len(data))
+			}
+			release()
+			release()
+			if fs.fs == FS(mem) && bytes.Count(data, []byte{released}) != len(data) {
+				t.Fatalf("mem: release left the copy of %d bytes as it was", len(want))
+			}
+		}
+		if _, _, err := fs.fs.ReadFile(filepath.Join(fs.dir, "missing")); err == nil {
+			t.Fatalf("%s: ReadFile of a missing file: no error", fs.name)
+		}
+	}
+	mem.CrashAt(mem.Ops() + 1)
+	if err := mem.Remove("d/f"); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("the power cut did not fire: %v", err)
+	}
+	if _, _, err := mem.ReadFile("d/f"); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("mem: ReadFile after a power cut: %v, want ErrPowerCut", err)
 	}
 }

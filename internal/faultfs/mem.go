@@ -281,6 +281,31 @@ func (m *Mem) Open(name string) (File, error) {
 	return &memHandle{m: m, name: name, gen: m.gen}, nil
 }
 
+// ReadFile implements FS with a copy of the bytes a reader of name sees.
+// Its release overwrites the copy, so a reader that keeps any of it past
+// release finds its bytes changed.
+func (m *Mem) ReadFile(name string) ([]byte, func(), error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dead {
+		return nil, nil, ErrPowerCut
+	}
+	name = clean(name)
+	f, ok := m.files[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("faultfs: open %s: %w", name, errNotExist)
+	}
+	data := append([]byte{}, f.cache...)
+	return data, func() {
+		for i := range data {
+			data[i] = released
+		}
+	}, nil
+}
+
+// released is the byte Mem's ReadFile release overwrites a copy with.
+const released = 0xA5
+
 // OpenWrite implements FS.
 func (m *Mem) OpenWrite(name string) (File, error) {
 	return m.openWritable(name, false)

@@ -289,19 +289,21 @@ func TestGoldenLegacySnapshot(t *testing.T) {
 		t.Errorf("snapshot_file is not catalog_snapshot_file with the firing and query records:\n got  %x\nwant %x", fix["snapshot_file"], legacy)
 	}
 	want := goldenReference()
-	var pos [2]replayPos
-	for i, name := range []string{"snapshot_file", "catalog_snapshot_file"} {
-		st, p, err := loadBytes(t, fix[name])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, on := range loadFSes(t) {
+		var pos [2]replayPos
+		for i, name := range []string{"snapshot_file", "catalog_snapshot_file"} {
+			st, p, err := loadBytes(t, on, fix[name])
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, on.name, err)
+			}
+			if d := st.Diff(want); d != "" {
+				t.Errorf("%s on %s: %s", name, on.name, d)
+			}
+			pos[i] = p
 		}
-		if d := st.Diff(want); d != "" {
-			t.Errorf("%s: %s", name, d)
+		if pos[0] != pos[1] {
+			t.Errorf("replay positions on %s %+v vs %+v", on.name, pos[0], pos[1])
 		}
-		pos[i] = p
-	}
-	if pos[0] != pos[1] {
-		t.Errorf("replay positions %+v vs %+v", pos[0], pos[1])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -264,7 +265,7 @@ type reader struct {
 
 // recoveryBuffer is the size of the read buffer recovery reads segments
 // through: ReadFrame checks every frame that fits it in place. A snapshot is
-// read whole instead (loadSnapshot).
+// taken whole instead (loadSnapshot).
 const recoveryBuffer = 64 << 10
 
 // newReader returns the reader one recovery pass carries.
@@ -310,11 +311,22 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int
 	// 0 of the rest is the damaged record itself; any later alignment hiding
 	// a CRC-valid frame means data past the damage was once committed.
 	path := filepath.Join(l.opts.Dir, segName(seg))
-	rest, err := readRest(l.fs, path, off)
+	data, release, err := l.fs.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if ContainsFrame(rest[1:]) {
+	if off > int64(len(data)) {
+		release()
+		return 0, fmt.Errorf("log: offset %d past end of %s (%d bytes)", off, path, len(data))
+	}
+	rest := data[off:]
+	var follows bool
+	err = catchFault(func() { follows = ContainsFrame(rest[1:]) })
+	release()
+	switch {
+	case err != nil:
+		return 0, err
+	case follows:
 		return 0, fmt.Errorf("%w: %s at offset %d (intact records follow the damage)", ErrCorrupt, segName(seg), off)
 	}
 	l.stats.TruncatedBytes = int64(len(rest))
@@ -322,31 +334,6 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int
 		return 0, err
 	}
 	return off, nil
-}
-
-// readRest returns the bytes of the file at path from off to its end, in
-// one read sized by the file's length.
-func readRest(fs faultfs.FS, path string, off int64) ([]byte, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	if off > size {
-		return nil, fmt.Errorf("log: offset %d past end of %s (%d bytes)", off, path, size)
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return nil, err
-	}
-	b := make([]byte, size-off)
-	if _, err := io.ReadFull(f, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // openSegment opens segment seg for appending at offset off (creating it
@@ -632,9 +619,13 @@ func (l *Log) snapshotLocked() error {
 // whose count matches is an error — the caller falls back to an older
 // snapshot or to the segments.
 //
-// The file is read whole, in one read, and its frames are walked in place
-// (frameWalk); nothing the state keeps points into that buffer, which is
-// garbage once the load returns. A snapshot holds each image's samples back
+// The file is taken whole from FS.ReadFile — on unix, a read-only mapping
+// of it — and its frames are walked in place (frameWalk); nothing the
+// state keeps points into those bytes, which are released once the load
+// returns. The walk parses a frame's bytes after checking its CRC over
+// them, which holds because the log never writes a snapshot file after
+// renaming it into place. A fault reading them (catchFault) is the load's
+// error. A snapshot holds each image's samples back
 // to back (State.visit), so the plain ones — $S@t@name@value$, nothing
 // escaped — are taken as runs, each sample parsed once (sampleRun.add):
 // the image is looked up once per run, the run's values become one string,
@@ -649,24 +640,51 @@ func (l *Log) snapshotLocked() error {
 // their own goroutines (walkSpans): the walk takes the catalog, hands the
 // samples to the spans at the first sample record, and takes the rest —
 // the commit trailer and anything after the last sample — from where the
-// last span stopped. When a span fails, whatever the reason, the load starts
-// over as the one loop on a fresh state, so the state, the position and
-// every error are the one loop's.
-func loadSnapshot(fs faultfs.FS, path string, rd *reader) (*State, replayPos, error) {
-	data, err := readRest(fs, path, 0)
+// last span stopped. When a span fails, for any reason but a fault, the
+// load starts over as the one loop on a fresh state, so the state, the
+// position and every error are the one loop's.
+func loadSnapshot(fs faultfs.FS, path string, rd *reader) (st *State, pos replayPos, err error) {
+	data, release, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, replayPos{}, err
 	}
-	st, pos, _, err := walkSnapshot(data, rd, runtime.GOMAXPROCS(0))
-	if err == errSpans {
-		st, pos, _, err = walkSnapshot(data, rd, 1)
+	defer release()
+	fault := catchFault(func() {
+		st, pos, _, err = walkSnapshot(data, rd, runtime.GOMAXPROCS(0))
+		if err == errSpans {
+			st, pos, _, err = walkSnapshot(data, rd, 1)
+		}
+	})
+	if fault != nil {
+		return nil, replayPos{}, fault
 	}
 	return st, pos, err
 }
 
+// catchFault runs f with runtime/debug.SetPanicOnFault on for the calling
+// goroutine, and returns the fault f met reading memory as an error: a
+// mapped file's page that could not be read, or that a cut put past the
+// file's end. Such a panic's value has an Addr method; any other panic goes
+// on as it was.
+func catchFault(f func()) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("log: fault reading a mapped file at %#x: %v", fault.Addr(), r)
+		}
+	}()
+	f()
+	return nil
+}
+
 // walkSnapshot loads the snapshot file image data, splitting its samples
 // into at most procs spans; it returns the spans that took them, none when
-// the one loop took every record, and errSpans when a span failed.
+// the one loop took every record, and errSpans when a span failed (a fault
+// a span met is the error itself).
 func walkSnapshot(data []byte, rd *reader, procs int) (*State, replayPos, []span, error) {
 	w := frameWalk{b: data}
 	payload, ok := w.next()
@@ -694,9 +712,9 @@ func walkSnapshot(data []byte, rd *reader, procs int) (*State, replayPos, []span
 			spans = splitSpans(data, at, procs)
 			procs = 1
 			if spans != nil {
-				end, frames, ok := walkSpans(st, data, spans, rd.names)
-				if !ok {
-					return nil, replayPos{}, nil, errSpans
+				end, frames, err := walkSpans(st, data, spans, rd.names)
+				if err != nil {
+					return nil, replayPos{}, nil, err
 				}
 				// The spans took frames records from at: the loop
 				// counts on from the last one and reads from end.

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"hash/crc32"
 	"os"
+	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,18 +29,36 @@ func frames(payloads ...[]byte) []byte {
 	return b
 }
 
-// loadBytes runs loadSnapshot over an in-memory file image.
-func loadBytes(t testing.TB, image []byte) (*State, replayPos, error) {
-	mem := faultfs.NewMem(1)
-	w, err := mem.Create("snap")
+// loadFS is a file system the snapshot tests load through, and the
+// directory they write the snapshot into.
+type loadFS struct {
+	name string
+	fs   faultfs.FS
+	dir  string
+}
+
+// loadFSes are the file systems each snapshot case loads through: Mem,
+// whose ReadFile hands out a copy that its release overwrites, and OS over
+// a temporary directory, whose ReadFile maps the file on unix.
+func loadFSes(t testing.TB) []loadFS {
+	return []loadFS{{"mem", faultfs.NewMem(1), "."}, {"os", faultfs.OS{}, t.TempDir()}}
+}
+
+// loadBytes writes a snapshot file image to on and runs loadSnapshot over
+// it.
+func loadBytes(t testing.TB, on loadFS, image []byte) (*State, replayPos, error) {
+	path := filepath.Join(on.dir, "snap")
+	w, err := on.fs.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Write(image); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
-	return loadSnapshot(mem, "snap", newReader())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return loadSnapshot(on.fs, path, newReader())
 }
 
 // snapshotPayloads writes a real snapshot of workload(20) and the extra
@@ -160,17 +180,19 @@ func TestLoadSnapshotRejectsDamage(t *testing.T) {
 	binary.LittleEndian.PutUint32(long[at:], uint32(len(long)))
 	images["checksum flip in a middle frame"] = flip
 	images["length past the end of the file"] = long
-	for name, image := range images {
-		if st, _, err := loadBytes(t, image); err == nil {
-			t.Errorf("%s: loaded a state with %d events, want an error", name, st.Events)
+	for _, on := range loadFSes(t) {
+		for name, image := range images {
+			if st, _, err := loadBytes(t, on, image); err == nil {
+				t.Errorf("%s on %s: loaded a state with %d events, want an error", name, on.name, st.Events)
+			}
 		}
-	}
-	st, pos, err := loadBytes(t, frames(good...))
-	if err != nil {
-		t.Fatalf("intact snapshot: %v", err)
-	}
-	if d := st.Diff(want); d != "" || pos.seg != 1 {
-		t.Fatalf("intact snapshot: diff %q, position %+v", d, pos)
+		st, pos, err := loadBytes(t, on, frames(good...))
+		if err != nil {
+			t.Fatalf("intact snapshot on %s: %v", on.name, err)
+		}
+		if d := st.Diff(want); d != "" || pos.seg != 1 {
+			t.Fatalf("intact snapshot on %s: diff %q, position %+v", on.name, d, pos)
+		}
 	}
 }
 
@@ -190,13 +212,15 @@ func TestLoadSnapshotAccepts(t *testing.T) {
 		{"a frame after the commit", append(frames(good...), EncodeEvent(Sample(99, "temp", "late"))...), want},
 		{"an invariant over 64 KiB", frames(big...), bigWant},
 	} {
-		st, _, err := loadBytes(t, tc.image)
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		if d := st.Diff(tc.want); d != "" {
-			t.Errorf("%s: loaded state differs from the writer's: %s", tc.name, d)
+		for _, on := range loadFSes(t) {
+			st, _, err := loadBytes(t, on, tc.image)
+			if err != nil {
+				t.Errorf("%s on %s: %v", tc.name, on.name, err)
+				continue
+			}
+			if d := st.Diff(tc.want); d != "" {
+				t.Errorf("%s on %s: loaded state differs from the writer's: %s", tc.name, on.name, d)
+			}
 		}
 	}
 }
@@ -278,14 +302,16 @@ func runSnapshots() []runSnapshot {
 // with reach the runs — each that should load does, to the oracle's state,
 // and the rest are refused, as Apply and the record scanner refuse them.
 func TestRunSnapshotsLoad(t *testing.T) {
-	for _, c := range runSnapshots() {
-		payloads := bytes.Split(c.image, []byte("\n"))
-		st, _, err := loadBytes(t, frames(payloads...))
-		if (err == nil) != c.loads {
-			t.Fatalf("%s: load err = %v", c.name, err)
-		}
-		if ref, _, ok := oracleSnapshot(payloads); err == nil && (!ok || st.Diff(ref) != "") {
-			t.Fatalf("%s: loaded state differs from the oracle's (oracle ok = %v)", c.name, ok)
+	for _, on := range loadFSes(t) {
+		for _, c := range runSnapshots() {
+			payloads := bytes.Split(c.image, []byte("\n"))
+			st, _, err := loadBytes(t, on, frames(payloads...))
+			if (err == nil) != c.loads {
+				t.Fatalf("%s on %s: load err = %v", c.name, on.name, err)
+			}
+			if ref, _, ok := oracleSnapshot(payloads); err == nil && (!ok || st.Diff(ref) != "") {
+				t.Fatalf("%s on %s: loaded state differs from the oracle's (oracle ok = %v)", c.name, on.name, ok)
+			}
 		}
 	}
 }
@@ -316,9 +342,10 @@ func FuzzSnapshotLoad(f *testing.F) {
 		legacy = append(legacy, fr[frameHeaderSize:])
 	}
 	f.Add(join(legacy))
+	mem := loadFS{"mem", faultfs.NewMem(1), "."}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		payloads := bytes.Split(b, []byte("\n"))
-		st, pos, err := loadBytes(t, frames(payloads...))
+		st, pos, err := loadBytes(t, mem, frames(payloads...))
 		ref, refPos, ok := oracleSnapshot(payloads)
 		if (err == nil) != ok {
 			t.Fatalf("loadSnapshot err = %v, oracle ok = %v\n%s", err, ok, hex.Dump(b))
@@ -335,4 +362,42 @@ func FuzzSnapshotLoad(f *testing.F) {
 			}
 		}
 	})
+}
+
+// addrPanic is a panic value shaped as a memory fault's: it has an Addr.
+type addrPanic uintptr
+
+func (a addrPanic) Addr() uintptr { return uintptr(a) }
+
+// TestCatchFaultRepanics: catchFault turns only a panic whose value has an
+// Addr method into an error; a string, an error and a runtime error
+// without an address go on as panics. It runs f with SetPanicOnFault on,
+// and leaves it as it found it either way.
+func TestCatchFaultRepanics(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(false))
+	var on bool
+	if err := catchFault(func() { on = debug.SetPanicOnFault(true) }); err != nil || !on {
+		t.Fatalf("catchFault: err %v, SetPanicOnFault on inside %v", err, on)
+	}
+	if err := catchFault(func() { panic(addrPanic(0x1234)) }); err == nil || !strings.Contains(err.Error(), "0x1234") {
+		t.Fatalf("a fault at 0x1234: err = %v", err)
+	}
+	var none []int
+	for name, f := range map[string]func(){
+		"a string":              func() { panic("boom") },
+		"an error":              func() { panic(ErrCorrupt) },
+		"an index out of range": func() { _ = none[len(none)] },
+	} {
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			catchFault(f)
+			return nil
+		}()
+		if got == nil {
+			t.Errorf("%s: catchFault kept the panic", name)
+		}
+	}
+	if debug.SetPanicOnFault(false) {
+		t.Fatal("catchFault left SetPanicOnFault on")
+	}
 }

@@ -37,6 +37,7 @@ type span struct {
 	last       bool
 	frames     uint64 // records taken
 	ok         bool   // every record taken, ending at end
+	fault      error  // a fault met reading the bytes (catchFault)
 }
 
 // splitSpans cuts the rest of the snapshot image b from start, the first
@@ -142,11 +143,13 @@ func plainName(p []byte) ([]byte, bool) {
 }
 
 // walkSpans walks the spans over the snapshot image b into st, the first on
-// the calling goroutine and each other on its own. It returns where the
-// last span stopped and how many records the spans took, or false when any
-// of them failed. The spans read st's catalog and names and write only the
-// histories of the images they own.
-func walkSpans(st *State, b []byte, spans []span, names map[string]string) (end int, frames uint64, ok bool) {
+// the calling goroutine and each other on its own, and returns once every
+// span has. It returns where the last span stopped and how many records the
+// spans took; or a fault one of them met reading b (catchFault), which is
+// the load's error; or errSpans when any of them failed. The spans read
+// st's catalog and names and write only the histories of the images they
+// own.
+func walkSpans(st *State, b []byte, spans []span, names map[string]string) (end int, frames uint64, err error) {
 	// A span's run buffers are sized once, for an image's share of the
 	// section (a span's, when there are fewer images than spans): as many
 	// samples as the first sample's frame size goes into it, a quarter to
@@ -159,18 +162,23 @@ func walkSpans(st *State, b []byte, spans []span, names map[string]string) (end 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			spans[i].walk(st, b, names, per)
+			spans[i].fault = catchFault(func() { spans[i].walk(st, b, names, per) })
 		}()
 	}
-	spans[0].walk(st, b, names, per)
+	spans[0].fault = catchFault(func() { spans[0].walk(st, b, names, per) })
 	wg.Wait()
 	for _, sp := range spans {
+		if sp.fault != nil {
+			return 0, 0, sp.fault
+		}
+	}
+	for _, sp := range spans {
 		if !sp.ok {
-			return 0, 0, false
+			return 0, 0, errSpans
 		}
 		frames += sp.frames
 	}
-	return spans[len(spans)-1].end, frames, true
+	return spans[len(spans)-1].end, frames, nil
 }
 
 // owns reports whether the span writes the history of image name.

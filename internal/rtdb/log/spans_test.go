@@ -16,15 +16,9 @@ import (
 // four spans' worth at GOMAXPROCS 4.
 const spanImages, spanRuns = 64, 320
 
-// spanSnapshot writes, with the log's own writer, a snapshot of the span
-// shape whose sample k of image i has the value value(i, k), and returns its
-// record payloads.
-func spanSnapshot(t *testing.T, value func(i, k int) string) [][]byte {
-	mem := faultfs.NewMem(1)
-	l, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+// spanEvents is the workload of the span shape: its catalog, then sample k
+// of every image in turn, each with the value value(i, k) for image i.
+func spanEvents(value func(i, k int) string) []Event {
 	events := []Event{Invariant("limit", "22"), Derived("status", "img-00", "limit")}
 	for i := 0; i < spanImages; i++ {
 		events = append(events, Image(spanImage(i), 5))
@@ -34,7 +28,18 @@ func spanSnapshot(t *testing.T, value func(i, k int) string) [][]byte {
 			events = append(events, Sample(timeseq.Time(k), spanImage(i), value(i, k)))
 		}
 	}
-	for _, e := range events {
+	return events
+}
+
+// spanSnapshot writes, with the log's own writer, a snapshot of
+// spanEvents(value) and returns its record payloads.
+func spanSnapshot(t *testing.T, value func(i, k int) string) [][]byte {
+	mem := faultfs.NewMem(1)
+	l, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range spanEvents(value) {
 		if err := l.Append(e); err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +81,11 @@ func imageBoundaries(image []byte) map[int]bool {
 	return out
 }
 
-// loadAt loads the snapshot file image with GOMAXPROCS at procs, restoring
-// it before returning.
-func loadAt(t *testing.T, image []byte, procs int) (*State, replayPos, error) {
+// loadAt loads the snapshot file image from on with GOMAXPROCS at procs,
+// restoring it before returning.
+func loadAt(t *testing.T, on loadFS, image []byte, procs int) (*State, replayPos, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return loadBytes(t, image)
+	return loadBytes(t, on, image)
 }
 
 // withCommit closes payloads, header and records, with a COMMIT that counts
@@ -163,25 +168,31 @@ func TestSnapshotSpansMatchOneLoop(t *testing.T) {
 	}
 	images["frame-like bytes past the commit"] = tail
 
+	fses := loadFSes(t)
 	for _, name := range sortedKeys(images) {
 		image := images[name]
-		want, wantPos, wantErr := loadAt(t, image, 1)
+		want, wantPos, wantErr := loadAt(t, fses[0], image, 1)
 		t.Logf("%s: one loop err %v", name, wantErr)
-		for _, procs := range []int{2, 4} {
-			st, pos, err := loadAt(t, image, procs)
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-				t.Errorf("%s at GOMAXPROCS %d: err %v, one loop %v", name, procs, err, wantErr)
-				continue
-			}
-			if err != nil {
-				continue
-			}
-			if d := st.Diff(want); d != "" || pos != wantPos {
-				t.Errorf("%s at GOMAXPROCS %d: %s (position %+v vs %+v)", name, procs, d, pos, wantPos)
-			}
-			for n, img := range want.Images {
-				if c := cap(st.Images[n].Samples); c != cap(img.Samples) {
-					t.Errorf("%s at GOMAXPROCS %d: image %q history capacity %d, one loop %d", name, procs, n, c, cap(img.Samples))
+		for _, on := range fses {
+			for _, procs := range []int{1, 2, 4} {
+				if on == fses[0] && procs == 1 {
+					continue
+				}
+				st, pos, err := loadAt(t, on, image, procs)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Errorf("%s on %s at GOMAXPROCS %d: err %v, one loop %v", name, on.name, procs, err, wantErr)
+					continue
+				}
+				if err != nil {
+					continue
+				}
+				if d := st.Diff(want); d != "" || pos != wantPos {
+					t.Errorf("%s on %s at GOMAXPROCS %d: %s (position %+v vs %+v)", name, on.name, procs, d, pos, wantPos)
+				}
+				for n, img := range want.Images {
+					if c := cap(st.Images[n].Samples); c != cap(img.Samples) {
+						t.Errorf("%s on %s at GOMAXPROCS %d: image %q history capacity %d, one loop %d", name, on.name, procs, n, c, cap(img.Samples))
+					}
 				}
 			}
 		}
@@ -203,4 +214,92 @@ func TestSnapshotSpansMatchOneLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// patValue is plainValue with the value pat at every k%40 == 17.
+func patValue(pat string) func(i, k int) string {
+	return func(i, k int) string {
+		if k%40 == 17 {
+			return pat
+		}
+		return plainValue(i, k)
+	}
+}
+
+// spanPayloads are the record payloads of a snapshot of
+// spanEvents(value), written out here rather than by the log: its catalog,
+// each image's samples in a run, and the commit.
+func spanPayloads(value func(i, k int) string) [][]byte {
+	events := spanEvents(value)
+	payloads := [][]byte{[]byte("$SNAPSHOT@1@0@" + strconv.Itoa(len(events)) + "@" + strconv.Itoa(spanRuns-1) + "$")}
+	for _, e := range events[:2+spanImages] {
+		payloads = append(payloads, e.Payload())
+	}
+	samples := events[2+spanImages:]
+	for i := 0; i < spanImages; i++ {
+		for k := 0; k < spanRuns; k++ {
+			payloads = append(payloads, samples[k*spanImages+i].Payload())
+		}
+	}
+	return withCommit(payloads)
+}
+
+// FuzzSnapshotSpans: a snapshot large enough to be walked as spans, 20 480
+// samples over 64 images with pat as the value of one in 40 (patValue) and
+// one byte damaged, loads on the span path at two and four processors to
+// the one loop's state and position, or fails with the one loop's error —
+// or with errSpans, on which the load starts over as the one loop. The damage is a
+// byte xored with flip at off, taken modulo twice the file's length: below
+// the length, a byte of the file, whose frame's checksum then fails; above
+// it, a byte of the record payloads before they are framed, so the damaged
+// record is CRC-valid and reaches the record parser and the spans' image
+// ranges. Undamaged (flip 0), the snapshot loads to its workload's state,
+// and as spans.
+func FuzzSnapshotSpans(f *testing.F) {
+	f.Add(uint32(0), byte(0), "")
+	f.Add(uint32(0), byte(0), "h@t#7%$")
+	f.Add(uint32(300_000), byte(0x20), "12.5")
+	f.Add(uint32(900_000), byte('a'^'b'), "x")  // a sample's name, CRC-valid
+	f.Add(uint32(1_000_000), byte('1'^'@'), "") // a sample's time or value
+	f.Fuzz(func(t *testing.T, off uint32, flip byte, pat string) {
+		value := patValue(pat[:min(len(pat), 64)])
+		payloads := spanPayloads(value)
+		image := frames(payloads...)
+		if at := int(off % uint32(2*len(image))); at < len(image) {
+			image[at] ^= flip
+		} else {
+			at = (at - len(image)) % (len(image) - frameHeaderSize*len(payloads))
+			for _, p := range payloads {
+				if at < len(p) {
+					p[at] ^= flip
+					break
+				}
+				at -= len(p)
+			}
+			image = frames(payloads...)
+		}
+		want, wantPos, _, wantErr := walkSnapshot(image, newReader(), 1)
+		intact := flip == 0
+		if intact && (wantErr != nil || want.Diff(reference(spanEvents(value))) != "") {
+			t.Fatalf("the intact snapshot does not load to its workload's state (err %v)", wantErr)
+		}
+		for _, procs := range []int{2, 4} {
+			st, pos, spans, err := walkSnapshot(image, newReader(), procs)
+			if intact && len(spans) != procs {
+				t.Fatalf("the intact snapshot at %d processors: walked as %d spans (err %v)", procs, len(spans), err)
+			}
+			if err == errSpans {
+				continue
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("at %d processors: err %v, one loop %v", procs, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if d := st.Diff(want); d != "" || pos != wantPos {
+				t.Fatalf("at %d processors: %s (position %+v vs %+v)", procs, d, pos, wantPos)
+			}
+		}
+	})
 }
