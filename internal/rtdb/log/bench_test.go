@@ -112,6 +112,44 @@ func BenchmarkAppendGroupSync(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitIngestBatch commits one wire_ingest_wal-shaped batch per
+// op, as the server's apply loop does: 64 sample appends by ticket under a
+// 200µs window, the 64th sealing the batch, so its leader writes 1.5 KB
+// in one write and fsyncs once — into 1 MiB segments on an OS temp dir,
+// filled with zeros when they are created (one fill in about 680 ops). The
+// ns/op is that commit's latency; BenchmarkAppendSync commits 30 B into a
+// 64 MiB segment instead. bytes/commit is the batch's frame bytes.
+func BenchmarkCommitIngestBatch(b *testing.B) {
+	l, err := Open(Options{
+		Dir: b.TempDir(), SegmentSize: 1 << 20, Sync: true,
+		GroupWindow: 200 * time.Microsecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(Image("temp", 5)); err != nil {
+		b.Fatal(err)
+	}
+	const batch = 64
+	var at timeseq.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var t *Ticket
+		for j := 0; j < batch; j++ {
+			at++
+			if t, err = l.AppendTicket(Sample(at, "temp", "21.5"), false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := t.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(EncodeEvent(Sample(at, "temp", "21.5")))*batch), "bytes/commit")
+}
+
 func BenchmarkReplay(b *testing.B) {
 	dir := b.TempDir()
 	l, err := Open(Options{Dir: dir, SegmentSize: 1 << 20})

@@ -290,10 +290,16 @@ func ReadFrame(r io.Reader, buf *[]byte) (payload []byte, n int, err error) {
 // ContainsFrame reports whether any alignment of b parses as a complete
 // CRC-valid, non-empty frame. Recovery uses it to tell a torn tail (one
 // partial record, nothing intact after it) from mid-segment corruption
-// (damage with committed records behind it). The CRC makes a false positive
-// on genuinely torn bytes a ~2^-32 event.
+// (damage with committed records behind it), and a fill's zeros from zeros
+// with records behind them. The CRC makes a false positive on genuinely
+// torn bytes a ~2^-32 event. A non-empty frame's length field is not zero,
+// so an alignment whose first four bytes are is passed over unchecked: a
+// fill's zeros cost a load each, not a frame check.
 func ContainsFrame(b []byte) bool {
 	for i := range b {
+		if len(b)-i >= 4 && binary.LittleEndian.Uint32(b[i:]) == 0 {
+			continue
+		}
 		if payload, _, ok := frameAt(b[i:]); ok && len(payload) > 0 {
 			return true
 		}

@@ -148,10 +148,15 @@ func FuzzEventRoundTrip(f *testing.F) {
 // recovery. Open either reports an error (corruption, undecodable or
 // inapplicable records) or succeeds — and on success recovery must be
 // idempotent: reopening the directory yields a deep-equal state, because
-// the first Open already normalized any torn tail. Seeds cover clean
-// multi-frame segments, torn tails, and bit flips; the torture harness
-// exports the crash images of any failing fault point into this corpus
-// (cmd/rttorture -corpus).
+// the first Open already normalized any torn tail. And a durable log's
+// segments end in the zeros it filled them with: the input's whole frames
+// from its start, the segment cut on a frame boundary, followed by a run
+// of zero bytes of any length, recover exactly as that segment alone does
+// — the same state, or an error both ways. Seeds cover clean multi-frame
+// segments, torn tails, bit flips and zero tails (short of a header, torn
+// frames and intact ones behind them, a durable log's own segment); the
+// torture harness exports the crash images of any failing fault point
+// into this corpus (cmd/rttorture -corpus).
 func FuzzSegmentRecovery(f *testing.F) {
 	segment := func(events []Event) []byte {
 		var b []byte
@@ -160,6 +165,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 		}
 		return b
 	}
+	zeros := func(b []byte, n int) []byte { return append(append([]byte(nil), b...), make([]byte, n)...) }
 	full := segment(workload(12))
 	f.Add([]byte{})
 	f.Add(full)
@@ -168,7 +174,23 @@ func FuzzSegmentRecovery(f *testing.F) {
 	flip[len(flip)/2] ^= 0x10
 	f.Add(flip) // mid-segment damage with intact frames after it
 	f.Add(bytes.Repeat([]byte{0}, 64))
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Add(zeros(full, 3))                                            // zeros short of a header
+	f.Add(zeros(full, 300))                                          // a fill's tail
+	f.Add(append(zeros(full[:len(full)-5], 7), make([]byte, 90)...)) // torn frame over the zeros
+	f.Add(append(zeros(full, 40), EncodeEvent(Sample(99, "temp", "late"))...))
+	mem := faultfs.NewMem(1)
+	l, err := Open(Options{Dir: "wal", FS: mem, SegmentSize: 2048, Sync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range workload(12) {
+		if err := l.Append(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	l.Close()
+	f.Add(mem.DumpFile("wal/" + segName(1))) // a durable log's segment
+	open := func(t *testing.T, b []byte) (*faultfs.Mem, *State, error) {
 		mem := faultfs.NewMem(1)
 		if err := mem.MkdirAll("wal"); err != nil {
 			t.Fatal(err)
@@ -184,22 +206,48 @@ func FuzzSegmentRecovery(f *testing.F) {
 			t.Fatal(err)
 		}
 		w.Close()
-
 		l, err := Open(Options{Dir: "wal", FS: mem})
 		if err != nil {
-			return // damage surfaced, never panicked
+			return mem, nil, err
 		}
 		st := l.State()
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, err := Open(Options{Dir: "wal", FS: mem})
-		if err != nil {
-			t.Fatalf("recovery not idempotent: second Open failed: %v", err)
+		return mem, st, nil
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		mem, st, err := open(t, b)
+		if err == nil {
+			l2, err := Open(Options{Dir: "wal", FS: mem})
+			if err != nil {
+				t.Fatalf("recovery not idempotent: second Open failed: %v", err)
+			}
+			defer l2.Close()
+			if d := st.Diff(l2.State()); d != "" {
+				t.Fatalf("recovery not idempotent: %s", d)
+			}
 		}
-		defer l2.Close()
-		if d := st.Diff(l2.State()); d != "" {
-			t.Fatalf("recovery not idempotent: %s", d)
+
+		w := frameWalk{b: b}
+		for end := 0; ; end = w.off {
+			if payload, ok := w.next(); !ok || len(payload) == 0 {
+				w.off = end
+				break
+			}
+		}
+		seg := b[:w.off:w.off]
+		_, want, wantErr := open(t, seg)
+		for _, n := range []int{1, frameHeaderSize - 1, frameHeaderSize, 3*frameHeaderSize + 5, len(b)%509 + 1} {
+			_, got, err := open(t, zeros(seg, n))
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%d frame bytes and %d zeros: Open %v; without the zeros %v", len(seg), n, err, wantErr)
+			}
+			if err == nil {
+				if d := got.Diff(want); d != "" {
+					t.Fatalf("%d frame bytes and %d zeros: %s", len(seg), n, d)
+				}
+			}
 		}
 	})
 }

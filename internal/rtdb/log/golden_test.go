@@ -20,11 +20,13 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden WAL fixtures")
 
 const goldenFile = "testdata/golden_wal.txt"
 
-// readerFixtures are the fixtures no writer produces any more, kept for the
-// reader: the snapshot shape written while a snapshot re-emitted every
-// firing and query record. TestGoldenLegacySnapshot holds their bytes, and
-// TestGoldenDirectoryOpens and FuzzSnapshotLoad open them.
-var readerFixtures = []string{"snapshot_commit", "snapshot_file"}
+// readerFixtures are the fixtures kept for the reader, whatever the writer
+// produces now: the snapshot shape written while a snapshot re-emitted every
+// firing and query record, which TestGoldenLegacySnapshot holds and
+// FuzzSnapshotLoad opens; and segment_file_filled, the golden events as a
+// durable log writes them into a 512-byte segment it filled with zeros when
+// it created it. TestGoldenDirectoryOpens opens them all.
+var readerFixtures = []string{"snapshot_commit", "snapshot_file", "segment_file_filled"}
 
 // goldenHex reads the fixture file: name → hex.
 func goldenHex(t testing.TB) map[string]string {
@@ -310,35 +312,47 @@ func TestGoldenLegacySnapshot(t *testing.T) {
 // TestGoldenDirectoryOpens: a directory laid down by the encoder that
 // predates the byte-level codec — the golden segment and epoch files, with
 // either snapshot shape or none — opens under this one to the state its
-// events define, from the snapshot and from the segment alone.
+// events define, from the snapshot and from the segment alone; so does one
+// whose segment is the filled one, segment_file and its fill's zeros, which
+// Open leaves as they are.
 func TestGoldenDirectoryOpens(t *testing.T) {
 	fix := goldenBytes(t)
 	want := goldenReference()
-	for _, snapshot := range []string{"snapshot_file", "catalog_snapshot_file", ""} {
-		dir := t.TempDir()
-		write := func(name string, b []byte) {
-			if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
-				t.Fatal(err)
+	seg, filled := fix["segment_file"], fix["segment_file_filled"]
+	if len(filled) != 512 || !bytes.Equal(filled[:len(seg)], seg) || !isZeros(filled[len(seg):]) {
+		t.Fatalf("segment_file_filled is not segment_file and zeros to 512 bytes: %x", filled)
+	}
+	for _, segment := range []string{"segment_file", "segment_file_filled"} {
+		for _, snapshot := range []string{"snapshot_file", "catalog_snapshot_file", ""} {
+			name := segment + "+" + snapshot
+			dir := t.TempDir()
+			write := func(name string, b []byte) {
+				if err := os.WriteFile(dir+"/"+name, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write(segName(1), fix[segment])
+			write(epochName, fix["epoch_file"])
+			if snapshot != "" {
+				write(snapName(1), fix[snapshot])
+			}
+			l, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if d := l.State().Diff(want); d != "" {
+				t.Errorf("%s: %s", name, d)
+			}
+			if got := l.Stats().RecoveredEvents; (snapshot != "") != (got == 0) {
+				t.Errorf("%s: %d events replayed from the segment", name, got)
+			}
+			if l.Epoch() != 2 {
+				t.Errorf("%s: epoch %d, want 2", name, l.Epoch())
+			}
+			l.Close()
+			if b, err := os.ReadFile(dir + "/" + segName(1)); err != nil || !bytes.Equal(b, fix[segment]) {
+				t.Errorf("%s: Open changed the segment (%d bytes, err %v)", name, len(b), err)
 			}
 		}
-		write(segName(1), fix["segment_file"])
-		write(epochName, fix["epoch_file"])
-		if snapshot != "" {
-			write(snapName(1), fix[snapshot])
-		}
-		l, err := Open(Options{Dir: dir})
-		if err != nil {
-			t.Fatalf("snapshot %q: %v", snapshot, err)
-		}
-		if d := l.State().Diff(want); d != "" {
-			t.Errorf("snapshot %q: %s", snapshot, d)
-		}
-		if got := l.Stats().RecoveredEvents; (snapshot != "") != (got == 0) {
-			t.Errorf("snapshot %q: %d events replayed from the segment", snapshot, got)
-		}
-		if l.Epoch() != 2 {
-			t.Errorf("snapshot %q: epoch %d, want 2", snapshot, l.Epoch())
-		}
-		l.Close()
 	}
 }

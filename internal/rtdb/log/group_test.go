@@ -21,10 +21,11 @@ func groupOptions(fs faultfs.FS, window time.Duration) Options {
 }
 
 // TestGroupWindowZeroDegrades: GroupWindow=0 is group commit whose window
-// closes at once. Serial blocking appends pay exactly one fsync each — a
-// segment rotation's seal fsync is that append's commit, not a second one —
-// and the segment bytes equal a windowed log's over the same events: the
-// window decides only when fsyncs happen, never what is written.
+// closes at once. Serial blocking appends pay exactly one commit fsync each
+// — a segment rotation's seal fsync is that append's commit, not a second
+// one — plus one fill fsync for each segment the append created, which is
+// no commit; and the segment bytes equal a windowed log's over the same
+// events: the window decides only when fsyncs happen, never what is written.
 func TestGroupWindowZeroDegrades(t *testing.T) {
 	events := workload(30)
 	opts := func(fs faultfs.FS, window time.Duration) Options {
@@ -39,12 +40,16 @@ func TestGroupWindowZeroDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range events {
-		base := memA.Syncs()
+		base, st := memA.Syncs(), la.Stats()
 		if err := la.Append(e); err != nil {
 			t.Fatal(err)
 		}
-		if got := memA.Syncs() - base; got != 1 {
-			t.Fatalf("window=0 append %d paid %d fsyncs, want exactly 1", i, got)
+		after := la.Stats()
+		if got := after.FsyncCount - st.FsyncCount; got != 1 {
+			t.Fatalf("window=0 append %d paid %d commit fsyncs, want exactly 1", i, got)
+		}
+		if got, fills := memA.Syncs()-base, after.Segments-st.Segments; got != 1+fills {
+			t.Fatalf("window=0 append %d paid %d fsyncs creating %d segments, want 1 commit + %d fills", i, got, fills, fills)
 		}
 		if ds, sq := la.DurableSeq(), la.Seq(); ds != sq {
 			t.Fatalf("window=0 append %d returned with DurableSeq=%d != Seq=%d", i, ds, sq)

@@ -24,7 +24,10 @@ type Options struct {
 	// Dir is the log directory (created if missing).
 	Dir string
 	// SegmentSize rotates the active segment once it reaches this many
-	// bytes. Default 1 MiB.
+	// bytes. Default 1 MiB. With Sync set, a segment is filled with this
+	// many zero bytes, in one write and one fsync, when it is created
+	// (DESIGN §7), so the fill's cost and its transient buffer scale with
+	// it: at 1 MiB, fill and fsync took 0.66–1.2 ms p50 on ext4.
 	SegmentSize int64
 	// SnapshotEvery writes a catalog snapshot after every N appends.
 	// 0 disables automatic snapshots.
@@ -64,9 +67,9 @@ type Stats struct {
 	Segments        uint64 // segments created over the log's lifetime
 	Snapshots       uint64
 	SnapshotErrors  uint64 // automatic snapshots that failed (retried later)
-	Heals           uint64 `metric:"wal_heals"` // failed segment writes truncated back and retried
-	FsyncCount      uint64 `metric:"fsync_count"`
-	FsyncNanos      uint64 `metric:"fsync_total_ns"` // total time spent in fsync
+	Heals           uint64 `metric:"wal_heals"`      // failed segment writes truncated back: a commit's, retried; a fill's, dropped
+	FsyncCount      uint64 `metric:"fsync_count"`    // commit fsyncs; a segment fill's is not one
+	FsyncNanos      uint64 `metric:"fsync_total_ns"` // total time spent in commit fsyncs
 	FsyncMaxNanos   uint64 `metric:"fsync_max_ns" agg:"max"`
 	GroupCommits    uint64 `metric:"group_commits"`   // commit batches released by a successful fsync
 	GroupedAppends  uint64 `metric:"grouped_appends"` // appends whose durability rode a group commit
@@ -302,6 +305,12 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int
 	switch {
 	case err == nil:
 		return off, bad
+	case err == errZeros:
+		// The frames end where a fill's zeros begin, and appending resumes
+		// over them, nothing truncated; like a torn tail, they may hide no
+		// intact record.
+		_, err := l.nothingFollows(seg, off, 0, "the zeros")
+		return off, err
 	case err != errTorn:
 		return 0, err
 	case !last:
@@ -310,46 +319,91 @@ func (l *Log) replaySegment(seg uint64, start int64, last bool, rd *reader) (int
 	// A torn tail is one partial append: nothing intact may follow it. Byte
 	// 0 of the rest is the damaged record itself; any later alignment hiding
 	// a CRC-valid frame means data past the damage was once committed.
-	path := filepath.Join(l.opts.Dir, segName(seg))
-	data, release, err := l.fs.ReadFile(path)
+	n, err := l.nothingFollows(seg, off, 1, "the damage")
 	if err != nil {
 		return 0, err
 	}
-	if off > int64(len(data)) {
-		release()
-		return 0, fmt.Errorf("log: offset %d past end of %s (%d bytes)", off, path, len(data))
-	}
-	rest := data[off:]
-	var follows bool
-	err = catchFault(func() { follows = ContainsFrame(rest[1:]) })
-	release()
-	switch {
-	case err != nil:
-		return 0, err
-	case follows:
-		return 0, fmt.Errorf("%w: %s at offset %d (intact records follow the damage)", ErrCorrupt, segName(seg), off)
-	}
-	l.stats.TruncatedBytes = int64(len(rest))
-	if err := l.fs.Truncate(path, off); err != nil {
+	l.stats.TruncatedBytes = n
+	if err := l.fs.Truncate(filepath.Join(l.opts.Dir, segName(seg)), off); err != nil {
 		return 0, err
 	}
 	return off, nil
 }
 
+// nothingFollows reads segment seg from off to its end, the rest, and
+// returns its length, or ErrCorrupt when an intact, non-empty frame starts
+// anywhere in it past its first skip bytes: what records once committed
+// past where the segment's frames end.
+func (l *Log) nothingFollows(seg uint64, off int64, skip int, what string) (int64, error) {
+	path := filepath.Join(l.opts.Dir, segName(seg))
+	data, release, err := l.fs.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	if off > int64(len(data)) {
+		return 0, fmt.Errorf("log: offset %d past end of %s (%d bytes)", off, path, len(data))
+	}
+	rest := data[off:]
+	var follows bool
+	if err := catchFault(func() { follows = ContainsFrame(rest[min(skip, len(rest)):]) }); err != nil {
+		return 0, err
+	}
+	if follows {
+		return 0, fmt.Errorf("%w: %s at offset %d (intact records follow %s)", ErrCorrupt, segName(seg), off, what)
+	}
+	return int64(len(rest)), nil
+}
+
 // openSegment opens segment seg for appending at offset off (creating it
-// when absent).
+// when absent). A durable log fills a segment it finds empty at offset 0 —
+// one it creates — with zeros before the first append (fill).
 func (l *Log) openSegment(seg uint64, off int64) error {
-	f, err := l.fs.OpenWrite(filepath.Join(l.opts.Dir, segName(seg)))
+	path := filepath.Join(l.opts.Dir, segName(seg))
+	f, err := l.fs.OpenWrite(path)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
+	if l.opts.Sync && off == 0 {
+		err = l.fill(f, path)
+	}
+	if err == nil {
+		_, err = f.Seek(off, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
 	l.f = f
 	l.segIndex = seg
 	l.segSize = off
+	return nil
+}
+
+// fill writes SegmentSize zero bytes to the segment file f, when it is
+// empty, in one write, and fsyncs them: a commit's fsync then writes into
+// blocks the file already has instead of growing it, which costs an ext4
+// fsync about half as much (DESIGN §7). The zeros are where the segment's
+// frames end (scanSegment). Like a snapshot, the fill is an accelerator: a
+// fill whose write or fsync fails is truncated back to the empty file,
+// counted once as a heal, and the segment is used unfilled; only a failed
+// truncate is an error. Its fsync is no commit: FsyncCount leaves it out.
+// The buffer is dropped once written.
+func (l *Log) fill(f faultfs.File, path string) error {
+	size, err := f.Size()
+	if err != nil || size != 0 {
+		return err
+	}
+	if _, err = f.Write(make([]byte, l.opts.SegmentSize)); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		return nil
+	}
+	if err := l.fs.Truncate(path, 0); err != nil {
+		return fmt.Errorf("log: segment fill failed and heal failed: %w", err)
+	}
+	l.stats.Heals++
 	return nil
 }
 

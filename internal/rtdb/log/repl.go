@@ -109,7 +109,7 @@ func (l *Log) ReadFrom(pos *ReadPos, max int) ([]string, error) {
 			p.off = end
 			return len(out) < n
 		})
-		if err != nil {
+		if err != nil && err != errZeros {
 			// Compact can delete a segment under an unlocked read: that is a
 			// position compacted away, not damage.
 			l.mu.Lock()
@@ -204,9 +204,13 @@ func (l *Log) advancedLocked() {
 // scanSegment is the one forward reader over a segment file. It hands visit
 // each frame of seg from byte offset start — the payload, valid until the
 // next frame, and the offset just past it — until visit returns false, the
-// offset reaches limit (limit < 0: the end of the file) or a frame fails its
-// check, and returns the offset just past the last frame visited. errTorn
-// marks the failed frame; what that means is the caller's to decide.
+// offset reaches limit (limit < 0: the end of the file), a frame fails its
+// check or the frames end at zeros, and returns the offset just past the
+// last frame visited. errTorn marks the failed frame; what that means is the
+// caller's to decide. errZeros marks where a filled segment's frames end: a
+// header of zeros — a zero-length frame, which no record is — or, when fewer
+// than a header's bytes are left before limit, zeros to limit. So no reader
+// is ever handed an empty payload.
 func (l *Log) scanSegment(seg uint64, start, limit int64, rd *reader, visit func(payload []byte, end int64) bool) (int64, error) {
 	f, err := l.fs.Open(filepath.Join(l.opts.Dir, segName(seg)))
 	if err != nil {
@@ -227,12 +231,20 @@ func (l *Log) scanSegment(seg uint64, start, limit int64, rd *reader, visit func
 	rd.br.Reset(f)
 	off := start
 	for off < limit {
+		if limit-off < frameHeaderSize {
+			if b, _ := rd.br.Peek(int(limit - off)); isZeros(b) {
+				return off, errZeros
+			}
+		}
 		payload, n, err := ReadFrame(rd.br, &rd.buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return off, err
+		}
+		if len(payload) == 0 {
+			return off, errZeros
 		}
 		off += int64(n)
 		if !visit(payload, off) {
@@ -242,13 +254,27 @@ func (l *Log) scanSegment(seg uint64, start, limit int64, rd *reader, visit func
 	return off, nil
 }
 
+// errZeros: scanSegment stopped where a filled segment's frames end.
+var errZeros = errors.New("log: frames end at zeros")
+
+// isZeros reports whether every byte of b is zero.
+func isZeros(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // countFrames counts the frames of one segment up to limit bytes (whole
-// file when limit < 0). With a positive limit the count must land exactly
-// on a frame boundary — a snapshot position never points mid-frame.
+// file when limit < 0, or up to a fill's zeros). With a positive limit the
+// count must land exactly on a frame boundary — a snapshot position never
+// points mid-frame.
 func (l *Log) countFrames(seg uint64, limit int64, rd *reader) (uint64, error) {
 	var n uint64
 	off, err := l.scanSegment(seg, 0, limit, rd, func([]byte, int64) bool { n++; return true })
-	if err != nil {
+	if err != nil && err != errZeros {
 		return 0, err
 	}
 	if limit > 0 && off != limit {

@@ -22,8 +22,8 @@ import (
 // TestPartitionSweepFull's.
 func TestSweepPointCounts(t *testing.T) {
 	want := map[Mode]int{
-		ModeCrash: 139, ModeEIO: 67, ModeRename: 2, ModeFailover: 139,
-		ModeGroupCommit: 61, ModeShard: 178, ModeChaos: 1,
+		ModeCrash: 141, ModeEIO: 68, ModeRename: 2, ModeFailover: 141,
+		ModeGroupCommit: 64, ModeShard: 186, ModeChaos: 1,
 	}
 	c := flagDefaults
 	c.Events = 60
